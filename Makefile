@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-quick bench-large vet fmt
+.PHONY: build test test-race bench bench-check vet fmt
 
 build:
 	$(GO) build ./...
@@ -20,25 +20,12 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# bench runs the reproducible performance harness on the full windows
-# and writes BENCH_PR10.json (schema tdmnoc-bench/v4; see README for
-# how to read it). -strict makes it a gate: nonzero exit on hot-path
-# allocations (miniatures AND large-mesh points), a digest mismatch at
-# any worker count, traced overhead/ring drops, or a missing parallel
-# speedup on machines with the cores to show one. -baseline
-# additionally fails on a >15% serial Fig. 4 ns/cycle regression
-# against the committed PR8 report; -prelayout embeds the old-layout
-# A/B comparison.
+# bench runs the repo's one benchmark (benchmark/README.md): every
+# workload in a fresh child process, results in benchmark/out/.
 bench:
-	$(GO) run ./cmd/bench -strict -o BENCH_PR10.json -baseline BENCH_PR8.json -prelayout BENCH_PR10_OLDLAYOUT.json
+	$(GO) run ./benchmark -seed 1
 
-# bench-quick is the CI smoke variant: shorter windows, same gates
-# (large mesh runs 32x32 only).
-bench-quick:
-	$(GO) run ./cmd/bench -quick -strict -o BENCH_PR10.json -baseline BENCH_PR8.json
-
-# bench-large adds the 128x128 row to the large-mesh matrix: ~16k
-# routers, minutes of runtime and gigabytes of heap. This is the
-# configuration the committed BENCH_PR10.json was generated with.
-bench-large:
-	$(GO) run ./cmd/bench -strict -large -o BENCH_PR10.json -baseline BENCH_PR8.json -prelayout BENCH_PR10_OLDLAYOUT.json
+# bench-check adds the full-strength verification gate and the traced
+# per-layer pass; this is what CI runs.
+bench-check:
+	$(GO) run ./benchmark -seed 1 -check -trace

@@ -233,9 +233,10 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkHotPathSteadyState is the tentpole regression benchmark: one
 // op is one cycle of a warmed 6x6 hybrid-TDM network (the Fig. 4
-// configuration cmd/bench gates on). The long warmup steps past the
-// allocator transient — pool stocking, circuit establishment — so
-// -benchmem reports the steady state, which must stay at 0 allocs/op.
+// miniature hsnoc's TestHotPathAllocationFree pins). The long warmup
+// steps past the allocator transient — pool stocking, circuit
+// establishment — so -benchmem reports the steady state, which must
+// stay at 0 allocs/op.
 func BenchmarkHotPathSteadyState(b *testing.B) {
 	cfg := tdmCfg()
 	cfg.PathSharing = true

@@ -125,7 +125,6 @@ func main() {
 	cpuB := flag.String("cpu", "EQUAKE", "CPU benchmark (hetero)")
 	gpuB := flag.String("gpu", "BLACKSCHOLES", "GPU benchmark (hetero)")
 	heatmap := flag.Bool("heatmap", false, "print per-router and per-link utilisation heatmaps after the run")
-	events := flag.String("events", "", "write a router-event trace to this file (serial runs only)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (Perfetto) JSON timeline to this file (serial packet/tdm runs only)")
 	telemetryEvery := flag.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (serial packet/tdm runs only)")
 	configPath := flag.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
@@ -243,18 +242,6 @@ func main() {
 		if _, err := s.AttachTelemetry(opt); err != nil && wantTelemetry {
 			// -heatmap alone degrades gracefully to the per-router map
 			// (which needs no probe); explicit tracing flags do not.
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := s.TraceEvents(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

@@ -124,7 +124,9 @@ func main() {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	// ReadHeaderTimeout bounds how long a client may hold a connection
+	// open without finishing its request headers (slowloris).
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

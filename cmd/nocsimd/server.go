@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -133,6 +134,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSpecBody caps a posted campaign spec.
+const maxSpecBody = 8 << 20
+
 // handleSubmit expands the posted spec and launches it. The response
 // returns immediately with the campaign id; progress is polled via
 // GET /campaigns/{id}.
@@ -144,9 +148,14 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "nocsimd is draining; retry against another instance")
 		return
 	}
-	spec, err := campaign.ParseSpec(r.Body)
+	spec, err := campaign.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	jobs, err := spec.Expand()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -177,25 +178,41 @@ func TestServiceAcceptance(t *testing.T) {
 }
 
 func TestServiceRejectsBadSpec(t *testing.T) {
-	s := newServer(t.TempDir(), 2, time.Minute)
+	dir := t.TempDir()
+	s := newServer(dir, 2, time.Minute)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"empty":         `{}`,
-		"unknown field": `{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"bogus":true}`,
-		"bad mode":      `{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}`,
-		"zero rate":     `{"modes":["tdm"],"patterns":["ur"],"rates":[0]}`,
-		"not json":      `modes=tdm`,
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"empty":         {`{}`, http.StatusBadRequest},
+		"unknown field": {`{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"bogus":true}`, http.StatusBadRequest},
+		"bad mode":      {`{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}`, http.StatusBadRequest},
+		"zero rate":     {`{"modes":["tdm"],"patterns":["ur"],"rates":[0]}`, http.StatusBadRequest},
+		"not json":      {`modes=tdm`, http.StatusBadRequest},
+		// An otherwise valid spec whose name runs past the body cap.
+		"oversized": {`{"name":"` + strings.Repeat("x", maxSpecBody) + `","modes":["tdm"],"patterns":["ur"],"rates":[0.1]}`, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", name, resp.StatusCode, tc.want)
 		}
+	}
+
+	// A rejected submit leaves nothing behind: no campaign, no store file.
+	var views []statusView
+	getJSON(t, ts.URL+"/campaigns", &views)
+	if len(views) != 0 {
+		t.Errorf("rejected submits left %d campaigns behind", len(views))
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("rejected submits left files in the data dir: %v (err %v)", files, err)
 	}
 
 	resp, err := http.Get(ts.URL + "/campaigns/nope")

@@ -33,19 +33,15 @@ func LoadConfig(r io.Reader) (Config, error) {
 // Hash returns a canonical fingerprint of the configuration: a SHA-256
 // over its stable field-order JSON encoding (Go marshals struct fields
 // in declaration order). Two configs hash equal exactly when every
-// field, including Seed, is equal — Workers, Partition and
-// InjectRingCap are excluded because executor parallelism, the worker
-// tile-partitioning layout and the injection-ring pre-size never change
-// simulation results, and the invariant-checking knobs
-// (CheckInvariants, CheckInterval) are excluded because checking only
-// observes a run. The hash is the cache key of the campaign engine, so
-// adding or reordering Config fields invalidates cached campaign
-// results (by design: a hash must never collide across semantically
-// different configs).
+// field, including Seed, is equal — Workers is excluded because
+// executor parallelism never changes simulation results, and the
+// invariant-checking knobs (CheckInvariants, CheckInterval) are
+// excluded because checking only observes a run. The hash is the cache
+// key of the campaign engine, so adding, removing or reordering Config
+// fields invalidates cached campaign results (by design: a hash must
+// never collide across semantically different configs).
 func (c Config) Hash() string {
 	c.Workers = 0
-	c.Partition = ""
-	c.InjectRingCap = 0
 	c.CheckInvariants = false
 	c.CheckInterval = 0
 	b, err := json.Marshal(c)
@@ -118,9 +114,6 @@ func (c Config) Validate() error {
 	}
 	if c.AdaptiveEpoch < 0 || c.AdaptiveTopK < 0 {
 		return fmt.Errorf("hsnoc: negative adaptive parameter")
-	}
-	if c.InjectRingCap < 0 {
-		return fmt.Errorf("hsnoc: negative InjectRingCap %d", c.InjectRingCap)
 	}
 	if c.AdaptiveEpoch > 0 && c.Mode != HybridTDM {
 		return fmt.Errorf("hsnoc: AdaptiveEpoch requires HybridTDM")

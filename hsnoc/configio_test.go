@@ -62,21 +62,4 @@ func TestConfigHashSensitivity(t *testing.T) {
 	if w.Hash() != h0 {
 		t.Errorf("Workers changed the hash: parallel and serial runs would miss each other's cache entries")
 	}
-
-	// Partition is likewise excluded: block vs stride layout only
-	// changes cache behaviour, never results, so A/B layout runs must
-	// share cache entries too.
-	p := base
-	p.Partition = "stride"
-	if p.Hash() != h0 {
-		t.Errorf("Partition changed the hash: layout A/B runs would miss each other's cache entries")
-	}
-
-	// InjectRingCap is a capacity hint with no observable effect on the
-	// simulation, so it must not fragment the campaign cache either.
-	q := base
-	q.InjectRingCap = 4096
-	if q.Hash() != h0 {
-		t.Errorf("InjectRingCap changed the hash: ring pre-sizing would invalidate cached campaign results")
-	}
 }

@@ -23,13 +23,11 @@ package hsnoc
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tdmnoc/internal/network"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/power"
-	"tdmnoc/internal/router"
 	"tdmnoc/internal/sdm"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
@@ -115,19 +113,6 @@ type Config struct {
 	// Workers sets executor parallelism (results are identical for any
 	// value; >1 only pays off on large meshes).
 	Workers int
-	// Partition selects the worker tile-partitioning and memory-layout
-	// strategy: "" or "block" for spatially contiguous 2D blocks per
-	// worker (the cache-local default), "stride" for the historical
-	// row-major chunking (kept for A/B benchmarks). Never changes
-	// results — only locality and trace shard ownership.
-	Partition string
-	// InjectRingCap pre-sizes each NI's injection ring to this many
-	// packet slots (0 = a small lazy default that grows by doubling).
-	// Ring capacity never changes results; callers who know the run
-	// window use it to keep over-saturated large-mesh runs
-	// allocation-free (the backlog ring is otherwise the one remaining
-	// steady-state allocation source).
-	InjectRingCap int
 	// CheckInvariants enables the runtime invariant layer: per-cycle (or
 	// per-CheckInterval) verification of flit conservation, credit
 	// consistency and slot-table ownership, plus a rolling FNV-1a state
@@ -188,8 +173,6 @@ func (c Config) networkConfig() network.Config {
 	if c.Workers > 0 {
 		nc.Workers = c.Workers
 	}
-	nc.Partition = c.Partition
-	nc.InjectRingCap = c.InjectRingCap
 	if c.VCs > 0 {
 		nc.Router.VCs = c.VCs
 	}
@@ -570,21 +553,6 @@ func (s *Simulator) collectSDM(cycles int64) Results {
 // runs) plus the stolen-slot count. Not available for HybridSDM.
 type Diagnostics struct {
 	MisroutedCS, DroppedCS, LatchConflicts, StolenSlots int64
-}
-
-// TraceEvents streams router-level debug events (buffer writes, crossbar
-// traversals, circuit bypasses, slot reservations, steals) as text lines
-// to w. Requires a serial executor (Workers <= 1) and is not available
-// for HybridSDM.
-func (s *Simulator) TraceEvents(w io.Writer) error {
-	if s.net == nil {
-		return fmt.Errorf("hsnoc: event tracing is not available for %v", s.mode)
-	}
-	if s.cfg.Workers > 1 {
-		return fmt.Errorf("hsnoc: event tracing requires Workers <= 1")
-	}
-	s.net.AttachEventSink(router.WriteEvents(w))
-	return nil
 }
 
 // UtilizationGrid returns per-router activity (fraction of cycles doing

@@ -2,7 +2,6 @@ package hsnoc
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -279,28 +278,6 @@ func TestUtilizationGrid(t *testing.T) {
 	defer sdm.Close()
 	if sdm.UtilizationGrid() != nil {
 		t.Error("SDM returned a grid")
-	}
-}
-
-func TestTraceEventsRestrictions(t *testing.T) {
-	sd := DefaultConfig(4, 4)
-	sd.Mode = HybridSDM
-	s := NewSynthetic(sd, Tornado, 0.1)
-	defer s.Close()
-	if err := s.TraceEvents(io.Discard); err == nil {
-		t.Error("SDM event tracing accepted")
-	}
-	pw := DefaultConfig(4, 4)
-	pw.Workers = 4
-	p := NewSynthetic(pw, Tornado, 0.1)
-	defer p.Close()
-	if err := p.TraceEvents(io.Discard); err == nil {
-		t.Error("parallel event tracing accepted")
-	}
-	ok := NewSynthetic(DefaultConfig(4, 4), Tornado, 0.1)
-	defer ok.Close()
-	if err := ok.TraceEvents(io.Discard); err != nil {
-		t.Errorf("serial tracing rejected: %v", err)
 	}
 }
 

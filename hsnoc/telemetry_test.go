@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tdmnoc/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden Perfetto trace")
@@ -158,21 +160,45 @@ func TestTelemetryRestrictions(t *testing.T) {
 // TestTracedSteadyStateAllocFree pins the enabled-path allocation
 // guarantee end to end: with a recorder attached and the simulation in
 // steady state, stepping the network performs zero heap allocations per
-// window even as events stream into the ring.
+// window even as events stream into the ring — both in the drop-oldest
+// regime (a small ring that wraps during the measurement) and under the
+// sweep configuration (flows mask, 1-in-4 sampled timeline) with a ring
+// sized for the whole run, which must then also never drop.
 func TestTracedSteadyStateAllocFree(t *testing.T) {
-	cfg := DefaultConfig(4, 4)
-	cfg.Mode = HybridTDM
-	cfg.Seed = 1
-	s := NewSynthetic(cfg, Tornado, 0.15)
-	defer s.Close()
-	// A small ring that wraps during the measurement: steady state must
-	// be allocation-free in the drop-oldest regime too.
-	if _, err := s.AttachTelemetry(TelemetryOptions{Every: 64, RingCapacity: 1 << 12, MaxSamples: 64}); err != nil {
-		t.Fatalf("AttachTelemetry: %v", err)
-	}
-	s.Warmup(2000)
-	if a := testing.AllocsPerRun(20, func() { s.net.Run(64) }); a != 0 {
-		t.Errorf("traced steady-state window allocates %.1f per 64 cycles, want 0", a)
+	const warmup, runs, window = 2000, 20, 64
+	// 128 events of ring per cycle is >1.4x the ~30-90 flows-profile
+	// events/cycle the miniatures emit at steady state.
+	const dropFreeRing = (warmup + (runs+1)*window) * 128 / 4
+	for _, tc := range []struct {
+		name     string
+		opt      TelemetryOptions
+		dropFree bool
+	}{
+		{"wrapping-ring", TelemetryOptions{Every: 64, RingCapacity: 1 << 12, MaxSamples: 64}, false},
+		{"drop-free-ring", TelemetryOptions{Every: 64, RingCapacity: dropFreeRing, KindMask: obs.ProfileFlows, RingSample: 4}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(4, 4)
+			cfg.Mode = HybridTDM
+			cfg.Seed = 1
+			s := NewSynthetic(cfg, Tornado, 0.15)
+			defer s.Close()
+			rec, err := s.AttachTelemetry(tc.opt)
+			if err != nil {
+				t.Fatalf("AttachTelemetry: %v", err)
+			}
+			s.Warmup(warmup)
+			if a := testing.AllocsPerRun(runs, func() { s.net.Run(window) }); a != 0 {
+				t.Errorf("traced steady-state window allocates %.1f per %d cycles, want 0", a, window)
+			}
+			sum := rec.Summary()
+			if tc.dropFree && sum.RingDrops != 0 {
+				t.Errorf("RingDrops = %d with a ring sized for the whole run, want 0", sum.RingDrops)
+			}
+			if !tc.dropFree && sum.RingDrops == 0 {
+				t.Error("the small ring never wrapped: the drop-oldest regime was not exercised")
+			}
+		})
 	}
 }
 

@@ -199,7 +199,8 @@ func RunPolicyLoop(ctx context.Context, e *Engine, spec Spec, profiles *ProfileS
 		Outcomes:     make([]PolicyOutcome, 0, len(jobs)*len(pols)),
 	}
 	var bjobs []Job
-	var bslot []int // outcome index per phase-B job
+	type slot struct{ out, grid int } // outcome and grid-point index of a phase-B job
+	var bslot []slot
 	for i, j := range jobs {
 		for pi, pol := range pols {
 			out := PolicyOutcome{
@@ -223,24 +224,18 @@ func RunPolicyLoop(ctx context.Context, e *Engine, spec Spec, profiles *ProfileS
 				fmt.Sprintf("%s/policy=%s", j.Label, pol.Name()))
 			out.RunKey = bj.Key
 			bjobs = append(bjobs, bj)
-			bslot = append(bslot, len(report.Outcomes))
+			bslot = append(bslot, slot{len(report.Outcomes), i})
 			report.Outcomes = append(report.Outcomes, out)
 		}
 	}
 	brecs := e.Run(ctx, bjobs)
 	for k, rec := range brecs {
-		out := &report.Outcomes[bslot[k]]
+		out := &report.Outcomes[bslot[k].out]
 		if rec.Err != "" {
 			out.Err = rec.Err
 			continue
 		}
-		base := baseRecs[0]
-		for i, j := range jobs {
-			if j.Key == out.BaseKey {
-				base = baseRecs[i]
-				break
-			}
-		}
+		base := baseRecs[bslot[k].grid]
 		out.BaseEnergyPerFlit = EnergyPerFlit(base)
 		out.EnergyPerFlit = EnergyPerFlit(rec)
 		out.EnergyDeltaPct = deltaPct(out.BaseEnergyPerFlit, out.EnergyPerFlit)

@@ -180,6 +180,13 @@ func (s *Store) Compact() error {
 		os.Remove(tmp)
 		return fmt.Errorf("campaign: compact store: %w", err)
 	}
+	// Without the fsync the rename can reach the disk before the data,
+	// and a crash then leaves an empty or truncated store under s.path.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("campaign: compact store: %w", err)
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("campaign: compact store: %w", err)

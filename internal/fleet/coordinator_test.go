@@ -3,6 +3,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -385,5 +388,29 @@ func TestCompactionAfterReleasedShardDuplicates(t *testing.T) {
 	defer final.Close()
 	if final.Len() != n || final.Dead() != 0 {
 		t.Fatalf("after compaction reload: live=%d dead=%d, want %d/0", final.Len(), final.Dead(), n)
+	}
+}
+
+// TestOversizedBodiesRejected: every POST body is capped; a request
+// past its cap is answered 413 and changes no coordinator state.
+func TestOversizedBodiesRejected(t *testing.T) {
+	c := newTestCoordinator(t, nil, Options{})
+	mux := http.NewServeMux()
+	c.Register(mux)
+	for path, limit := range map[string]int{
+		"/fleet/campaigns":         maxRequestBody,
+		"/fleet/lease":             maxRequestBody,
+		"/fleet/leases/x/complete": maxCompleteBody,
+	} {
+		// Leading whitespace is legal JSON, so only the cap can reject this.
+		body := strings.NewReader(strings.Repeat(" ", limit) + "{}")
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d+2 bytes: status %d, want 413", path, limit, rec.Code)
+		}
+	}
+	if n := len(c.Statuses()); n != 0 {
+		t.Errorf("oversized submit left %d campaigns behind", n)
 	}
 }

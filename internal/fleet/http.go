@@ -28,6 +28,30 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	})
 }
 
+// Request-body caps. A submit carries one campaign spec and a lease
+// request a worker name; a completion carries one shard's records,
+// telemetry summaries included.
+const (
+	maxRequestBody  = 8 << 20
+	maxCompleteBody = 64 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// On failure it returns the status to answer with: 413 when the body
+// ran past the cap, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 func fleetJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -52,8 +76,8 @@ func (c *Coordinator) retryAfter(w http.ResponseWriter) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetError(w, http.StatusBadRequest, "decode submit: %v", err)
+	if code, err := decodeBody(w, r, maxRequestBody, &req); err != nil {
+		fleetError(w, code, "decode submit: %v", err)
 		return
 	}
 	resp, err := c.Submit(req)
@@ -142,8 +166,8 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		fleetError(w, http.StatusBadRequest, "decode lease: %v", err)
+	if code, err := decodeBody(w, r, maxRequestBody, &req); err != nil && !errors.Is(err, io.EOF) {
+		fleetError(w, code, "decode lease: %v", err)
 		return
 	}
 	resp, ok := c.Lease(req.Worker)
@@ -166,8 +190,8 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetError(w, http.StatusBadRequest, "decode complete: %v", err)
+	if code, err := decodeBody(w, r, maxCompleteBody, &req); err != nil {
+		fleetError(w, code, "decode complete: %v", err)
 		return
 	}
 	resp, err := c.Complete(r.PathValue("id"), req.Records)

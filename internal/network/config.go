@@ -9,7 +9,6 @@ package network
 import (
 	"tdmnoc/internal/power"
 	"tdmnoc/internal/router"
-	"tdmnoc/internal/sim"
 )
 
 // Config describes one simulated network.
@@ -29,22 +28,6 @@ type Config struct {
 	// one, and it is the escape hatch if a future component breaks the
 	// quiescence contract.
 	AlwaysTick bool
-	// Partition names the sim.Partitioner assigning tiles to workers and
-	// ordering the per-partition memory slabs: "block" (the default —
-	// spatially contiguous 2D blocks per worker) or "stride" (the
-	// historical row-major chunking, kept for A/B benchmarks). Results
-	// are bit-identical under either strategy at any worker count; only
-	// cache behaviour and trace shard ownership differ.
-	Partition string
-	// InjectRingCap pre-sizes each NI's injection ring to this many
-	// packet slots, carved from the partition's NI arena (0 = the lazy
-	// default of 16, growing by doubling). Ring capacity is not
-	// simulation state — the ring never drops or reorders, it only
-	// reallocates when full — so the knob never changes results; it
-	// exists because an over-saturated workload's backlog rings are the
-	// one remaining steady-state allocation source on large meshes, and
-	// a caller who knows the run window can size them out entirely.
-	InjectRingCap int
 
 	// HybridSwitching enables NI-side circuit switching decisions; it
 	// requires Router.Hybrid.
@@ -222,9 +205,6 @@ func (c Config) validate() {
 	}
 	if c.AdaptiveEpoch > 0 && !c.HybridSwitching {
 		panic("network: AdaptiveEpoch requires HybridSwitching")
-	}
-	if _, err := sim.PartitionerByName(c.Partition); err != nil {
-		panic(err.Error())
 	}
 	nodes := c.Width * c.Height
 	for _, p := range c.PinnedFlows {

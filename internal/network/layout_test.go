@@ -7,15 +7,14 @@ import (
 )
 
 // layoutRun drives one seeded hybrid-TDM+sharing run under an explicit
-// partition strategy and worker count, returning the end-of-run
-// full-state digest and in-flight count. Invariants are checked on a
-// coarse cadence — the point here is layout equivalence, not the
-// every-cycle checker (which has its own tests on small meshes).
-func layoutRun(t *testing.T, w, h, workers int, partition string, cycles int) (uint64, int64) {
+// worker count, returning the end-of-run full-state digest and
+// in-flight count. Invariants are checked on a coarse cadence — the
+// point here is layout equivalence, not the every-cycle checker (which
+// has its own tests on small meshes).
+func layoutRun(t *testing.T, w, h, workers, cycles int) (uint64, int64) {
 	t.Helper()
 	cfg := HybridTDMConfig(w, h).WithSharing()
 	cfg.Workers = workers
-	cfg.Partition = partition
 	cfg.CheckInvariants = true
 	cfg.CheckInterval = 128
 	net := New(cfg, func(id topology.NodeID) Endpoint {
@@ -24,17 +23,16 @@ func layoutRun(t *testing.T, w, h, workers int, partition string, cycles int) (u
 	defer net.Close()
 	net.Run(cycles)
 	if n := net.InvariantCount(); n != 0 {
-		t.Fatalf("%dx%d workers=%d partition=%q: %d invariant violations; first: %s",
-			w, h, workers, partition, n, net.InvariantViolations()[0])
+		t.Fatalf("%dx%d workers=%d: %d invariant violations; first: %s",
+			w, h, workers, n, net.InvariantViolations()[0])
 	}
 	return net.StateDigest(), net.InFlight()
 }
 
 // TestLayoutDigestWorkerMatrix pins the slab-layout contract at scale:
-// under the block partitioner (the default), the full-state digest is
-// bit-identical across worker counts {1, 2, 8, 16} on both a ragged
-// 10x6 mesh (the 2D block grid cannot tile it evenly at most worker
-// counts) and a 32x32 mesh (the CI large-mesh smoke size). Per-worker
+// the full-state digest is bit-identical across worker counts
+// {1, 2, 8, 16} on both a ragged 10x6 mesh (the 2D block grid cannot
+// tile it evenly at most worker counts) and a 32x32 mesh. Per-worker
 // slab boundaries move with the worker count, so any construction-order
 // or carving bug that leaks layout into simulation state fails here.
 func TestLayoutDigestWorkerMatrix(t *testing.T) {
@@ -45,31 +43,13 @@ func TestLayoutDigestWorkerMatrix(t *testing.T) {
 		{32, 32, 600},
 	}
 	for _, tc := range cases {
-		serialDigest, serialInFlight := layoutRun(t, tc.w, tc.h, 1, "block", tc.cycles)
+		serialDigest, serialInFlight := layoutRun(t, tc.w, tc.h, 1, tc.cycles)
 		for _, workers := range []int{2, 8, 16} {
-			d, inf := layoutRun(t, tc.w, tc.h, workers, "block", tc.cycles)
+			d, inf := layoutRun(t, tc.w, tc.h, workers, tc.cycles)
 			if d != serialDigest || inf != serialInFlight {
 				t.Errorf("%dx%d: workers=%d digest %016x (in-flight %d) != serial %016x (%d)",
 					tc.w, tc.h, workers, d, inf, serialDigest, serialInFlight)
 			}
-		}
-	}
-}
-
-// TestStrideBlockLayoutEquivalence pins the partitioner-independence
-// contract: the stride (historical row-major chunking) and block
-// (spatial 2D tiles) strategies reorder the per-partition memory slabs
-// and the ticker permutation, but must produce bit-identical state —
-// at every worker count, on a ragged mesh where the two strategies
-// assign genuinely different tile sets to each worker.
-func TestStrideBlockLayoutEquivalence(t *testing.T) {
-	const w, h, cycles = 10, 6, 900
-	for _, workers := range []int{1, 2, 4, 8} {
-		ds, infS := layoutRun(t, w, h, workers, "stride", cycles)
-		db, infB := layoutRun(t, w, h, workers, "block", cycles)
-		if ds != db || infS != infB {
-			t.Errorf("workers=%d: stride digest %016x (in-flight %d) != block %016x (%d)",
-				workers, ds, infS, db, infB)
 		}
 	}
 }

@@ -92,20 +92,16 @@ func New(cfg Config, mk EndpointFactory) *Network {
 
 	nodes := n.mesh.Nodes()
 
-	// Partition-contiguous construction: the configured sim.Partitioner
-	// decides which tiles each worker owns, and each partition's routers
-	// and NIs are carved from that partition's own arenas — a worker's
-	// per-cycle working set is contiguous in memory, and two partitions
-	// never share a cache line because they never share an allocation.
-	// The partition choice can never change results: the phase contract
-	// (see sim.Phase) makes tick order within a phase unobservable, and
+	// Partition-contiguous construction: sim.BlockPartition decides
+	// which tiles each worker owns, and each partition's routers and NIs
+	// are carved from that partition's own arenas — a worker's per-cycle
+	// working set is contiguous in memory, and two partitions never
+	// share a cache line because they never share an allocation. The
+	// partition can never change results: the phase contract (see
+	// sim.Phase) makes tick order within a phase unobservable, and
 	// everything order-sensitive at construction (RNG forking, endpoint
 	// factory calls) runs in node-id order below regardless of layout.
-	partitioner, err := sim.PartitionerByName(cfg.Partition)
-	if err != nil {
-		panic(err.Error()) // unreachable: validate() checked the name
-	}
-	parts := partitioner.Partition(cfg.Width, cfg.Height, cfg.Workers)
+	parts := sim.BlockPartition(cfg.Width, cfg.Height, cfg.Workers)
 	order, spans := sim.PartitionSpans(parts, 2)
 
 	n.routers = make([]*router.Router, nodes)
@@ -146,7 +142,7 @@ func New(cfg Config, mk EndpointFactory) *Network {
 		if len(ids) == 0 {
 			continue
 		}
-		arena := newNIArena(len(ids), cfg.Router.VCs, cfg.InjectRingCap)
+		arena := newNIArena(len(ids), cfg.Router.VCs)
 		for _, id := range ids {
 			n.nis[id] = arena.newNI(topology.NodeID(id), n, n.routers[id], rngs[id], eps[id])
 		}
@@ -155,7 +151,7 @@ func New(cfg Config, mk EndpointFactory) *Network {
 	// Tickers are interleaved per tile (router_i, NI_i) in partition
 	// order — matching the slab layout, so a worker walks its span of
 	// the ticker slice in the same order its state sits in memory — and
-	// the executor receives the partitioner's exact per-worker spans.
+	// the executor receives the partition's exact per-worker spans.
 	tickers := make([]sim.Ticker, 0, 2*nodes)
 	for _, id := range order {
 		tickers = append(tickers, n.routers[id], n.nis[id])
@@ -344,18 +340,6 @@ func (n *Network) adaptStep(now sim.Cycle) {
 // AdaptiveRepins reports how many epoch re-allocations the online
 // controller performed.
 func (n *Network) AdaptiveRepins() int { return n.adaptRepins }
-
-// AttachEventSink installs a router-event trace sink on every router.
-// Only supported with a serial executor: the sink runs inside router
-// compute ticks, which execute concurrently when Workers > 1.
-func (n *Network) AttachEventSink(s router.EventSink) {
-	if n.cfg.Workers > 1 {
-		panic("network: event tracing requires Workers == 1")
-	}
-	for _, r := range n.routers {
-		r.SetEventSink(s)
-	}
-}
 
 // EnableStats starts statistics collection (call after warm-up) and
 // resets the energy meters so energy covers the measured region only.

@@ -239,24 +239,17 @@ type niArena struct {
 	nis     []NI
 	credits []int
 	vcBusy  []bool
-	rings   []*flit.Packet
 	vcs     int
-	ringCap int
 	used    int
 }
 
-func newNIArena(count, vcs, ringCap int) *niArena {
-	a := &niArena{
+func newNIArena(count, vcs int) *niArena {
+	return &niArena{
 		nis:     make([]NI, count),
 		credits: make([]int, count*vcs),
 		vcBusy:  make([]bool, count*vcs),
 		vcs:     vcs,
-		ringCap: ringCap,
 	}
-	if ringCap > 0 {
-		a.rings = make([]*flit.Packet, count*ringCap)
-	}
-	return a
 }
 
 // newNI carves the next NI from the arena and initialises it. The
@@ -268,14 +261,6 @@ func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng 
 	ni.id, ni.net, ni.r, ni.rng, ni.ep = id, net, r, rng, ep
 	ni.credits = a.credits[off : off+a.vcs : off+a.vcs]
 	ni.vcBusy = a.vcBusy[off : off+a.vcs : off+a.vcs]
-	if a.ringCap > 0 {
-		// Pre-sized injection ring from the arena slab. The ring indexes
-		// modulo len(buf), so the carved slice keeps its full length; if
-		// the backlog ever outgrows it, grow() reallocates away from the
-		// slab without disturbing the neighbours.
-		ro := (a.used - 1) * a.ringCap
-		ni.psQ.buf = a.rings[ro : ro+a.ringCap : ro+a.ringCap]
-	}
 	ni.circuits = make(map[topology.NodeID]*circuit)
 	ni.pending = make(map[topology.NodeID]setupState)
 	ni.hitchQueued = make(map[topology.NodeID]int)

@@ -36,7 +36,6 @@ func (r *Router) acceptIncoming(now sim.Cycle) bool {
 		f.BufferedAt = int64(now)
 		vc.push(f)
 		r.meter.BufWrites++
-		r.emit(Event{Cycle: int64(now), Kind: EvBufferWrite, In: p, PktID: f.Pkt.ID, Seq: f.Seq})
 		if r.probe.Wants(obs.KindBufferWrite) {
 			r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindBufferWrite,
 				Node: int32(r.id), A: uint8(p), Pkt: f.Pkt.ID, Seq: int32(f.Seq), Val: int64(f.VC)})
@@ -82,7 +81,6 @@ func (r *Router) acceptCS(now sim.Cycle, p topology.Port, f *flit.Flit) {
 		r.dltEvents = append(r.dltEvents, DLTEvent{Add: true, Dst: f.Pkt.Dst, Slot: slot, Dur: dur, In: p})
 		r.armLocalNI(now)
 	}
-	r.emit(Event{Cycle: int64(now), Kind: EvCSBypass, In: p, Out: out, PktID: f.Pkt.ID, Seq: f.Seq, Slot: r.tables.SlotOf(int64(now))})
 	if r.probe.Wants(obs.KindCSBypass) {
 		r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindCSBypass,
 			Node: int32(r.id), A: uint8(p), B: uint8(out), Pkt: f.Pkt.ID, Seq: int32(f.Seq),
@@ -125,7 +123,6 @@ func (r *Router) switchTraversal(now sim.Cycle) bool {
 			}
 		}
 		if ou.stReg != nil && ou.latch == nil {
-			r.emit(Event{Cycle: int64(now), Kind: EvPSTraverse, Out: o, PktID: ou.stReg.Pkt.ID, Seq: ou.stReg.Seq})
 			if r.probe.Wants(obs.KindSwitchTraverse) {
 				r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindSwitchTraverse,
 					Node: int32(r.id), B: uint8(o), Pkt: ou.stReg.Pkt.ID, Seq: int32(ou.stReg.Seq)})
@@ -256,7 +253,6 @@ func (r *Router) processSetup(now sim.Cycle, p topology.Port, vc *inputVC, f *fl
 	ok := r.tables != nil && cfgp.Epoch == r.Epoch &&
 		r.tables.Reserve(p, out, cfgp.Slot, cfgp.Duration, int64(now))
 	if !ok {
-		r.emit(Event{Cycle: int64(now), Kind: EvSetupFail, In: p, Out: out, PktID: pkt.ID, Slot: cfgp.Slot})
 		if r.probe.Wants(obs.KindSetupFail) {
 			r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindSetupFail,
 				Node: int32(r.id), A: uint8(p), B: uint8(out), Pkt: pkt.ID, Slot: int32(cfgp.Slot)})
@@ -264,7 +260,6 @@ func (r *Router) processSetup(now sim.Cycle, p topology.Port, vc *inputVC, f *fl
 		r.convertToAck(now, vc, f, false)
 		return
 	}
-	r.emit(Event{Cycle: int64(now), Kind: EvSetupReserve, In: p, Out: out, PktID: pkt.ID, Slot: cfgp.Slot})
 	if r.probe.Wants(obs.KindSetupReserve) {
 		r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindSetupReserve,
 			Node: int32(r.id), A: uint8(p), B: uint8(out), Pkt: pkt.ID, Slot: int32(cfgp.Slot),
@@ -312,7 +307,6 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 		if o, ok := r.tables.Release(p, cfgp.Slot, cfgp.Duration, int64(now)); ok {
 			r.meter.SlotWrites += int64(cfgp.Duration)
 			out = o
-			r.emit(Event{Cycle: int64(now), Kind: EvTeardownRelease, In: p, Out: o, PktID: pkt.ID, Slot: cfgp.Slot})
 			if r.probe.Wants(obs.KindTeardownRelease) {
 				r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindTeardownRelease,
 					Node: int32(r.id), A: uint8(p), B: uint8(o), Pkt: pkt.ID, Slot: int32(cfgp.Slot),
@@ -599,7 +593,6 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 				if r.tables != nil {
 					if _, res := r.tables.OutReservedAt(int64(now+1), o); res {
 						r.StolenSlots++
-						r.emit(Event{Cycle: int64(now), Kind: EvSteal, In: p, Out: o, PktID: f.Pkt.ID, Seq: f.Seq})
 						if r.probe.Wants(obs.KindSlotSteal) {
 							r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindSlotSteal,
 								Node: int32(r.id), A: uint8(p), B: uint8(o), Pkt: f.Pkt.ID, Seq: int32(f.Seq),

@@ -105,8 +105,6 @@ type Router struct {
 	// but unclaimed circuit slot (time-slot stealing, Section II-D).
 	StolenSlots int64
 
-	// events, when non-nil, receives debug trace events (serial runs only).
-	events EventSink
 	// probe, when non-nil, receives cycle-level observability events.
 	// Every emission site is guarded by a nil check so the disabled path
 	// costs one predictable branch and zero allocations; under a parallel

@@ -1,10 +1,10 @@
 package router
 
 import (
-	"strings"
 	"testing"
 
 	"tdmnoc/internal/flit"
+	"tdmnoc/internal/obs"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
 )
@@ -641,11 +641,13 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 	}
 }
 
+// TestEventTracing drives setup, circuit-switched and packet-switched
+// traffic along a row and checks the pipeline's obs emit sites fire.
 func TestEventTracing(t *testing.T) {
 	h := hybridRow(t, 3)
-	var events []Event
+	rec := obs.NewRecorder(obs.RecorderConfig{Nodes: len(h.routers)})
 	for _, r := range h.routers {
-		r.SetEventSink(func(e Event) { events = append(events, e) })
+		r.SetProbe(rec.Handle(0))
 	}
 	// Setup along the row, then a CS packet, then a PS packet.
 	setup := &flit.Packet{
@@ -664,28 +666,15 @@ func TestEventTracing(t *testing.T) {
 	h.inject(0, flit.Explode(ps)[0])
 	h.run(30)
 
-	kinds := map[EventKind]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
+	kinds := map[obs.Kind]int{}
+	rec.Ring().Do(func(e obs.Event) { kinds[e.Kind]++ })
+	if kinds[obs.KindSetupReserve] != 3 {
+		t.Errorf("setup events %d, want 3 (one per router)", kinds[obs.KindSetupReserve])
 	}
-	if kinds[EvSetupReserve] != 3 {
-		t.Errorf("setup events %d, want 3 (one per router)", kinds[EvSetupReserve])
-	}
-	if kinds[EvCSBypass] == 0 {
+	if kinds[obs.KindCSBypass] == 0 {
 		t.Error("no CS bypass events")
 	}
-	if kinds[EvBufferWrite] == 0 || kinds[EvPSTraverse] == 0 {
+	if kinds[obs.KindBufferWrite] == 0 || kinds[obs.KindSwitchTraverse] == 0 {
 		t.Error("no PS events traced")
-	}
-}
-
-func TestWriteEventsFormat(t *testing.T) {
-	var buf strings.Builder
-	sink := WriteEvents(&buf)
-	sink(Event{Cycle: 42, Router: 7, Kind: EvCSBypass, In: topology.West, Out: topology.Local, PktID: 9, Seq: 2, Slot: 14})
-	got := buf.String()
-	want := "cycle=42 router=7 kind=cs in=W out=L pkt=9 seq=2 slot=14\n"
-	if got != want {
-		t.Errorf("got %q want %q", got, want)
 	}
 }

@@ -83,35 +83,13 @@ type partition struct {
 // vacuous serial-vs-serial comparisons. The only cap is the ticker
 // count, below which extra workers could never receive work.
 func NewExecutor(clock *Clock, tickers []Ticker, workers int) *Executor {
-	return NewExecutorAligned(clock, tickers, workers, 1)
-}
-
-// NewExecutorAligned is NewExecutor with partition boundaries rounded up
-// to a multiple of align. Callers whose ticker slice interleaves
-// entities of one tile (router then NI) pass the interleaving factor so
-// a tile never straddles two workers, keeping each worker's working set
-// local.
-func NewExecutorAligned(clock *Clock, tickers []Ticker, workers, align int) *Executor {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tickers) {
-		workers = max(1, len(tickers))
-	}
-	if align < 1 {
-		align = 1
-	}
 	n := len(tickers)
+	workers = clampWorkers(workers, n)
+	chunk := (n + workers - 1) / workers
 	spans := make([]Span, workers)
-	if workers == 1 {
-		spans[0] = Span{Lo: 0, Hi: n}
-	} else {
-		chunk := (n + workers - 1) / workers
-		chunk = (chunk + align - 1) / align * align
-		for i := range spans {
-			lo := min(i*chunk, n)
-			spans[i] = Span{Lo: lo, Hi: min(lo+chunk, n)}
-		}
+	for i := range spans {
+		lo := min(i*chunk, n)
+		spans[i] = Span{Lo: lo, Hi: min(lo+chunk, n)}
 	}
 	return NewExecutorSpans(clock, tickers, spans)
 }
@@ -123,7 +101,7 @@ type Span struct{ Lo, Hi int }
 // given explicitly — one span per worker, worker 0 first. Spans must be
 // ascending, contiguous, and cover the ticker slice exactly; anything
 // else is a construction-time bug and panics. Callers that lay tickers
-// out partition-contiguously (see sim.Partitioner) use this to hand the
+// out partition-contiguously (see BlockPartition) use this to hand the
 // executor the matching spans instead of having it re-derive chunks.
 func NewExecutorSpans(clock *Clock, tickers []Ticker, spans []Span) *Executor {
 	if len(spans) == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -226,166 +225,5 @@ func TestNodeStateParityProtocol(t *testing.T) {
 	st.Wake(3)
 	if !st.runnable(phaseCounter(6, PhaseCompute)) {
 		t.Fatal("Wake(3) regressed the armed-ahead slot")
-	}
-}
-
-// --- Old channel-dispatch executor, kept as a benchmark yardstick --------
-
-// channelExecutor replicates the pre-barrier executor design: a work
-// channel, one send per partition per phase, and a WaitGroup re-armed
-// every phase. It exists only so the benchmarks below can quantify what
-// the sense-reversing barrier executor saves per cycle.
-type channelExecutor struct {
-	clock   *Clock
-	tickers []Ticker
-	chunks  []chanWork
-	work    chan chanWork
-	wg      sync.WaitGroup
-}
-
-type chanWork struct {
-	lo, hi int
-	now    Cycle
-	phase  Phase
-}
-
-func newChannelExecutor(clock *Clock, tickers []Ticker, workers, align int) *channelExecutor {
-	e := &channelExecutor{clock: clock, tickers: tickers}
-	n := len(tickers)
-	chunk := (n + workers - 1) / workers
-	chunk = (chunk + align - 1) / align * align
-	for lo := 0; lo < n; lo += chunk {
-		e.chunks = append(e.chunks, chanWork{lo: lo, hi: min(lo+chunk, n)})
-	}
-	e.work = make(chan chanWork, len(e.chunks))
-	for i := 0; i < workers; i++ {
-		go func() {
-			for item := range e.work {
-				e.tickRange(item)
-				e.wg.Done()
-			}
-		}()
-	}
-	return e
-}
-
-func (e *channelExecutor) tickRange(item chanWork) {
-	defer func() { recover() }() // the old executor latched panics; cost parity
-	for i := item.lo; i < item.hi; i++ {
-		e.tickers[i].Tick(item.now, item.phase)
-	}
-}
-
-func (e *channelExecutor) Step() {
-	now := e.clock.Now()
-	for p := Phase(0); p < Phase(NumPhases); p++ {
-		e.wg.Add(len(e.chunks))
-		for _, c := range e.chunks {
-			c.now, c.phase = now, p
-			e.work <- c
-		}
-		e.wg.Wait()
-	}
-	e.clock.Advance()
-}
-
-func (e *channelExecutor) Close() { close(e.work) }
-
-// workTicker burns a deterministic amount of CPU per tick, approximating
-// a router's per-phase cost so the executor benchmarks measure dispatch
-// overhead against a realistic grain of work.
-type workTicker struct{ state uint64 }
-
-func (w *workTicker) Tick(now Cycle, phase Phase) {
-	x := w.state + uint64(now)
-	for i := 0; i < 48; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	w.state = x
-}
-
-func benchTickers(n int) []Ticker {
-	ts := make([]Ticker, n)
-	for i := range ts {
-		ts[i] = &workTicker{state: uint64(i + 1)}
-	}
-	return ts
-}
-
-// The pair below is the acceptance yardstick: the barrier executor's
-// Step at 4 workers over a 16x16-sized ticker set (512 tickers) versus
-// the old channel-dispatch design on the identical workload.
-func BenchmarkStepBarrier4x512(b *testing.B) {
-	clock := &Clock{}
-	e := NewExecutorAligned(clock, benchTickers(512), 4, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkStepChannel4x512(b *testing.B) {
-	clock := &Clock{}
-	e := newChannelExecutor(clock, benchTickers(512), 4, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkStepBarrier2x512(b *testing.B) {
-	clock := &Clock{}
-	e := NewExecutorAligned(clock, benchTickers(512), 2, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkStepChannel2x512(b *testing.B) {
-	clock := &Clock{}
-	e := newChannelExecutor(clock, benchTickers(512), 2, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// The Dispatch pair isolates pure dispatch overhead (no-op tickers):
-// what one cycle costs in barrier rendezvous versus channel sends and
-// WaitGroup re-arms, with zero simulation work to hide behind.
-type noopTicker struct{}
-
-func (noopTicker) Tick(now Cycle, phase Phase) {}
-
-func noopTickers(n int) []Ticker {
-	ts := make([]Ticker, n)
-	for i := range ts {
-		ts[i] = noopTicker{}
-	}
-	return ts
-}
-
-func BenchmarkDispatchBarrier4x512(b *testing.B) {
-	e := NewExecutorAligned(&Clock{}, noopTickers(512), 4, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkDispatchChannel4x512(b *testing.B) {
-	e := newChannelExecutor(&Clock{}, noopTickers(512), 4, 2)
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
 	}
 }

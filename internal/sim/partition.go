@@ -1,74 +1,28 @@
 package sim
 
-import "fmt"
-
-// Partitioner is a named, deterministic strategy for assigning the tiles
-// of a width×height mesh to workers. The executor itself only sees flat
-// ticker spans; a Partitioner decides which tiles land in which span and
-// in what order, which in turn decides both worker ownership (trace
-// shard binding via Executor.Owner) and the memory order of per-tile
-// state when the network lays tickers out partition-contiguously.
+// BlockPartition assigns the tiles of a width×height mesh to workers,
+// one rectangular block each. Workers are arranged in a wx×wy grid
+// chosen to minimize the block semi-perimeter (the cross-worker link
+// surface); width and height are split into balanced contiguous bands.
+// Blocks are numbered row-major over the grid, and each worker's tiles
+// are listed row-major within its block, so a partition-contiguous
+// memory layout keeps every worker's working set spatially compact and
+// confines cross-worker traffic to block perimeters.
 //
-// Determinism contract: Partition must be a pure function of
-// (width, height, workers). The concatenation of the returned lists is a
-// permutation of the row-major tile ids 0..width*height-1, every tile
-// appears exactly once, and the same inputs always produce the same
-// lists in the same order. Simulation results never depend on the
-// choice of partitioner — the two-phase barrier contract makes tick
-// order within a phase unobservable — but traces, profiles and memory
-// layout do, so the function must not consult anything but its
-// arguments.
-type Partitioner interface {
-	// Name identifies the strategy in configs, bench reports and traces.
-	Name() string
-	// Partition returns one tile-id list per worker (some possibly
-	// empty). Tile ids are row-major: id = y*width + x.
-	Partition(width, height, workers int) [][]int
-}
-
-// StridePartitioner reproduces the executor's historical inline
-// assignment: tiles in row-major id order, split into contiguous chunks
-// of ceil(n/workers). Over a ticker slice interleaving two tickers per
-// tile this yields exactly the spans NewExecutorAligned(…, align=2)
-// computed, so "stride" is the A/B control for the block layout.
-type StridePartitioner struct{}
-
-// Name implements Partitioner.
-func (StridePartitioner) Name() string { return "stride" }
-
-// Partition implements Partitioner.
-func (StridePartitioner) Partition(width, height, workers int) [][]int {
-	n := width * height
-	workers = clampWorkers(workers, n)
-	chunk := (n + workers - 1) / workers
-	parts := make([][]int, workers)
-	for wi := range parts {
-		lo := min(wi*chunk, n)
-		hi := min(lo+chunk, n)
-		ids := make([]int, hi-lo)
-		for i := range ids {
-			ids[i] = lo + i
-		}
-		parts[wi] = ids
-	}
-	return parts
-}
-
-// BlockPartitioner assigns each worker a rectangular block of tiles.
-// Workers are arranged in a wx×wy grid chosen to minimize the block
-// semi-perimeter (the cross-worker link surface); width and height are
-// split into balanced contiguous bands. Blocks are numbered row-major
-// over the grid, and each worker's tiles are listed row-major within its
-// block, so a partition-contiguous memory layout keeps every worker's
-// working set spatially compact and confines cross-worker traffic to
-// block perimeters.
-type BlockPartitioner struct{}
-
-// Name implements Partitioner.
-func (BlockPartitioner) Name() string { return "block" }
-
-// Partition implements Partitioner.
-func (BlockPartitioner) Partition(width, height, workers int) [][]int {
+// The executor itself only sees flat ticker spans; this function decides
+// which tiles land in which span and in what order, which in turn
+// decides both worker ownership (trace shard binding via Executor.Owner)
+// and the memory order of per-tile state when the network lays tickers
+// out partition-contiguously.
+//
+// It returns one tile-id list per worker (some possibly empty); tile
+// ids are row-major, id = y*width + x. The result is a pure function of
+// the arguments and the concatenation of the lists is a permutation of
+// 0..width*height-1. Simulation results never depend on the layout —
+// the two-phase barrier contract makes tick order within a phase
+// unobservable — but traces, profiles and memory layout do, so the
+// function must not consult anything but its arguments.
+func BlockPartition(width, height, workers int) [][]int {
 	n := width * height
 	workers = clampWorkers(workers, n)
 	wx, wy := blockGrid(width, height, workers)
@@ -134,23 +88,10 @@ func clampWorkers(workers, tiles int) int {
 	return workers
 }
 
-// PartitionerByName resolves a config string to a strategy. The empty
-// string selects the default (block — the cache-local layout).
-func PartitionerByName(name string) (Partitioner, error) {
-	switch name {
-	case "", "block":
-		return BlockPartitioner{}, nil
-	case "stride":
-		return StridePartitioner{}, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown partitioner %q (want \"stride\" or \"block\")", name)
-	}
-}
-
-// PartitionSpans flattens a Partition result into the tile permutation
-// (the order tiles should be laid out and ticked) and the per-worker
-// ticker spans for a slice holding perTile tickers per tile in that
-// order.
+// PartitionSpans flattens a BlockPartition result into the tile
+// permutation (the order tiles should be laid out and ticked) and the
+// per-worker ticker spans for a slice holding perTile tickers per tile
+// in that order.
 func PartitionSpans(parts [][]int, perTile int) (order []int, spans []Span) {
 	total := 0
 	for _, p := range parts {

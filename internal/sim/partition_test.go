@@ -13,76 +13,27 @@ var partitionCases = []struct{ w, h, workers int }{
 	{2, 4, 7}, {3, 1, 2}, {1, 9, 4},
 }
 
-// Every partitioner must cover each tile exactly once, with deterministic
+// The partition must cover each tile exactly once, with deterministic
 // output.
 func TestPartitionCoversEveryTileOnce(t *testing.T) {
-	for _, p := range []Partitioner{StridePartitioner{}, BlockPartitioner{}} {
-		for _, c := range partitionCases {
-			parts := p.Partition(c.w, c.h, c.workers)
-			seen := make([]int, c.w*c.h)
-			for _, ids := range parts {
-				for _, id := range ids {
-					if id < 0 || id >= len(seen) {
-						t.Fatalf("%s %dx%d w=%d: tile id %d out of range", p.Name(), c.w, c.h, c.workers, id)
-					}
-					seen[id]++
-				}
-			}
-			for id, n := range seen {
-				if n != 1 {
-					t.Fatalf("%s %dx%d w=%d: tile %d assigned %d times", p.Name(), c.w, c.h, c.workers, id, n)
-				}
-			}
-			if again := p.Partition(c.w, c.h, c.workers); !reflect.DeepEqual(parts, again) {
-				t.Fatalf("%s %dx%d w=%d: Partition is not deterministic", p.Name(), c.w, c.h, c.workers)
-			}
-		}
-	}
-}
-
-// StridePartitioner must reproduce exactly the spans the executor's
-// historical inline chunking computed over an interleaved two-ticker-per-
-// tile slice with align=2, so "stride" is a faithful A/B control for the
-// pre-partitioner worker assignment.
-func TestStrideMatchesLegacyAlignedChunking(t *testing.T) {
 	for _, c := range partitionCases {
-		n := c.w * c.h
-		_, spans := PartitionSpans(StridePartitioner{}.Partition(c.w, c.h, c.workers), 2)
-
-		// Legacy arithmetic from NewExecutorAligned: chunk over 2n tickers,
-		// rounded up to align 2, workers clamped to the ticker count.
-		tickers := 2 * n
-		workers := c.workers
-		if workers > tickers {
-			workers = max(1, tickers)
-		}
-		legacy := make([]Span, 0, workers)
-		if workers == 1 {
-			legacy = append(legacy, Span{0, tickers})
-		} else {
-			chunk := (tickers + workers - 1) / workers
-			chunk = (chunk + 1) / 2 * 2
-			for i := 0; i < workers; i++ {
-				lo := min(i*chunk, tickers)
-				legacy = append(legacy, Span{lo, min(lo+chunk, tickers)})
+		parts := BlockPartition(c.w, c.h, c.workers)
+		seen := make([]int, c.w*c.h)
+		for _, ids := range parts {
+			for _, id := range ids {
+				if id < 0 || id >= len(seen) {
+					t.Fatalf("%dx%d w=%d: tile id %d out of range", c.w, c.h, c.workers, id)
+				}
+				seen[id]++
 			}
 		}
-
-		// The partitioner clamps workers to the tile count (not the ticker
-		// count), so it may emit fewer spans; every span it does emit must
-		// match, and any extra legacy spans must be empty.
-		for i, s := range spans {
-			if i >= len(legacy) {
-				t.Fatalf("%dx%d w=%d: stride emitted %d spans, legacy %d", c.w, c.h, c.workers, len(spans), len(legacy))
-			}
-			if s != legacy[i] {
-				t.Fatalf("%dx%d w=%d: span %d = %+v, legacy %+v", c.w, c.h, c.workers, i, s, legacy[i])
+		for id, n := range seen {
+			if n != 1 {
+				t.Fatalf("%dx%d w=%d: tile %d assigned %d times", c.w, c.h, c.workers, id, n)
 			}
 		}
-		for _, s := range legacy[len(spans):] {
-			if s.Lo != s.Hi {
-				t.Fatalf("%dx%d w=%d: legacy had extra non-empty span %+v", c.w, c.h, c.workers, s)
-			}
+		if again := BlockPartition(c.w, c.h, c.workers); !reflect.DeepEqual(parts, again) {
+			t.Fatalf("%dx%d w=%d: BlockPartition is not deterministic", c.w, c.h, c.workers)
 		}
 	}
 }
@@ -90,7 +41,7 @@ func TestStrideMatchesLegacyAlignedChunking(t *testing.T) {
 // Each block partition must be an exact rectangle, listed row-major.
 func TestBlockPartitionsAreRectangles(t *testing.T) {
 	for _, c := range partitionCases {
-		parts := BlockPartitioner{}.Partition(c.w, c.h, c.workers)
+		parts := BlockPartition(c.w, c.h, c.workers)
 		for wi, ids := range parts {
 			if len(ids) == 0 {
 				continue
@@ -120,7 +71,7 @@ func TestBlockPartitionsAreRectangles(t *testing.T) {
 // with the flattened order, and NewExecutorSpans must accept them and
 // report matching owners.
 func TestPartitionSpansAndExecutorOwners(t *testing.T) {
-	parts := BlockPartitioner{}.Partition(10, 6, 4)
+	parts := BlockPartition(10, 6, 4)
 	order, spans := PartitionSpans(parts, 2)
 	if len(order) != 60 {
 		t.Fatalf("order has %d tiles, want 60", len(order))
