@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"tdmnoc/internal/router"
 )
 
 // SaveConfig writes cfg as indented JSON.
@@ -63,6 +65,9 @@ func (c Config) Validate() error {
 	}
 	if c.VCs < 0 || c.BufferDepth < 0 || c.SlotTableEntries < 0 || c.Planes < 0 || c.SAIterations < 0 {
 		return fmt.Errorf("hsnoc: negative structural parameter")
+	}
+	if c.Mode != HybridSDM && c.VCs > router.MaxVCs {
+		return fmt.Errorf("hsnoc: %d VCs per port exceeds the router's limit of %d", c.VCs, router.MaxVCs)
 	}
 	if c.CheckInterval < 0 {
 		return fmt.Errorf("hsnoc: negative check interval %d", c.CheckInterval)

@@ -229,6 +229,7 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"Width": 6, "Height": 6, "Mode": 99}`,
 		`{"Width": 6, "Height": 6, "Typo": true}`,
 		`{"Width": 6, "Height": 6, "VCs": -1}`,
+		`{"Width": 6, "Height": 6, "VCs": 13}`, // 5 ports x 13 VCs overflow the router's mask word
 		`{"Width": 6, "Height": 6, "Mode": 2, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 0, "PathSharing": true}`,
 	}

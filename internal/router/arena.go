@@ -81,6 +81,7 @@ func (a *Arena) New(id topology.NodeID, m topology.Mesh) *Router {
 	r.activeVCs, r.pendingVCs, r.publishedVCLimit = cfg.VCs, cfg.VCs, cfg.VCs
 
 	base := i * np * cfg.VCs
+	r.vcs = a.vcs[base : base+np*cfg.VCs : base+np*cfg.VCs]
 	for p := 0; p < np; p++ {
 		off := base + p*cfg.VCs
 		iu := &r.in[p]
@@ -88,6 +89,7 @@ func (a *Arena) New(id topology.NodeID, m topology.Mesh) *Router {
 		for v := range iu.vcs {
 			qo := (off + v) * cfg.BufDepth
 			iu.vcs[v].q = a.q[qo : qo : qo+cfg.BufDepth]
+			iu.vcs[v].idx, iu.vcs[v].port = uint8(p*cfg.VCs+v), topology.Port(p)
 		}
 		ou := &r.out[p]
 		ou.credits = a.credits[off : off+cfg.VCs : off+cfg.VCs]
@@ -97,6 +99,7 @@ func (a *Arena) New(id topology.NodeID, m topology.Mesh) *Router {
 			ou.vcFree[v] = true
 		}
 	}
+	r.stateMask[vcIdle] = 1<<(np*cfg.VCs) - 1
 	r.pendingCredits = a.pcs[i*np : i*np : (i+1)*np]
 	r.out[topology.Local].connected = true
 	if cfg.Hybrid {

@@ -4,6 +4,8 @@
 // incoming flit to the packet- or circuit-switched datapath.
 package router
 
+import "fmt"
+
 // Config selects the router variant and sizes its structures.
 //
 // Timing model (matching Section II-D):
@@ -87,6 +89,9 @@ func HybridConfig() Config {
 func (c Config) validate() {
 	if c.VCs <= 0 || c.BufDepth <= 0 {
 		panic("router: VCs and BufDepth must be positive")
+	}
+	if c.VCs > MaxVCs {
+		panic(fmt.Sprintf("router: VCs %d exceeds the %d the occupancy masks hold", c.VCs, MaxVCs))
 	}
 	if c.Hybrid {
 		if c.SlotCapacity <= 0 || c.SlotActive <= 0 || c.SlotActive > c.SlotCapacity {

@@ -97,9 +97,24 @@ func (r *Router) HashState(h *invariant.Hasher) {
 // and use no credits. Must be called between cycles (after the transfer
 // phase), when in-flight credits have been delivered.
 //
-// It also delegates to the slot tables' ownership check. Violations are
-// passed to report as (kind, detail).
+// It also recomputes the VC occupancy masks from the VC states and queues
+// they summarise (a stale bit would make the allocators skip a live VC or
+// let the router sleep on buffered flits) and delegates to the slot
+// tables' ownership check. Violations are passed to report as (kind,
+// detail).
 func (r *Router) CheckInvariants(report func(kind, detail string)) {
+	var stateMask [numVCStates]uint64
+	var occupied uint64
+	for i := range r.vcs {
+		stateMask[r.vcs[i].state] |= 1 << i
+		if !r.vcs[i].empty() {
+			occupied |= 1 << i
+		}
+	}
+	if stateMask != r.stateMask || occupied != r.occupied {
+		report("mask-consistency", fmt.Sprintf("state masks %x occupied %x, VC states give %x and %x",
+			r.stateMask, r.occupied, stateMask, occupied))
+	}
 	for o := topology.Port(0); o < topology.NumPorts; o++ {
 		n := r.neighbors[o]
 		if o == topology.Local || n == nil {

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/routing"
@@ -34,7 +36,7 @@ func (r *Router) acceptIncoming(now sim.Cycle) bool {
 			r.LatchConflicts++ // credit protocol violation
 		}
 		f.BufferedAt = int64(now)
-		vc.push(f)
+		r.push(vc, f)
 		r.meter.BufWrites++
 		if r.probe.Wants(obs.KindBufferWrite) {
 			r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindBufferWrite,
@@ -42,7 +44,7 @@ func (r *Router) acceptIncoming(now sim.Cycle) bool {
 		}
 		if len(vc.q) == 1 && vc.state == vcIdle {
 			if f.IsHead() {
-				vc.state = vcRouting
+				r.setState(vc, vcRouting)
 				vc.ready = now
 			} else {
 				r.LatchConflicts++ // body flit with no owning packet
@@ -161,29 +163,30 @@ func (r *Router) armLocalNI(now sim.Cycle) {
 // waiting, including the slot-reservation side effects of configuration
 // messages.
 func (r *Router) routeCompute(now sim.Cycle) {
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
-			if vc.state != vcRouting || vc.ready > now {
-				continue
-			}
-			f := vc.front()
-			if f == nil || !f.IsHead() {
-				continue
-			}
-			switch f.Pkt.Kind {
-			case flit.SetupMsg:
-				r.processSetup(now, p, vc, f)
-			case flit.TeardownMsg:
-				r.processTeardown(now, p, vc)
-			default:
-				vc.route = r.dataRoute(f.Pkt)
-				vc.state = vcVCAlloc
-				vc.ready = now + 1
-				if r.probe.Wants(obs.KindRouteCompute) {
-					r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindRouteCompute,
-						Node: int32(r.id), A: uint8(p), B: uint8(vc.route), Pkt: f.Pkt.ID})
-				}
+	// Ascending mask bits are port-major, VC-minor — the order slot
+	// reservations must be processed in. Handling one VC only moves that
+	// VC's own bit, so iterating a snapshot is exact.
+	for m := r.stateMask[vcRouting]; m != 0; m &= m - 1 {
+		vc := &r.vcs[bits.TrailingZeros64(m)]
+		if vc.ready > now {
+			continue
+		}
+		f := vc.front()
+		if f == nil || !f.IsHead() {
+			continue
+		}
+		switch f.Pkt.Kind {
+		case flit.SetupMsg:
+			r.processSetup(now, vc.port, vc, f)
+		case flit.TeardownMsg:
+			r.processTeardown(now, vc.port, vc)
+		default:
+			vc.route = r.dataRoute(f.Pkt)
+			r.setState(vc, vcVCAlloc)
+			vc.ready = now + 1
+			if r.probe.Wants(obs.KindRouteCompute) {
+				r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindRouteCompute,
+					Node: int32(r.id), A: uint8(vc.port), B: uint8(vc.route), Pkt: f.Pkt.ID})
 			}
 		}
 	}
@@ -273,7 +276,7 @@ func (r *Router) processSetup(now sim.Cycle, p topology.Port, vc *inputVC, f *fl
 	}
 	cfgp.Slot = (cfgp.Slot + 2) % r.tables.Active()
 	vc.route = out
-	vc.state = vcVCAlloc
+	r.setState(vc, vcVCAlloc)
 	vc.ready = now + 1
 }
 
@@ -290,7 +293,7 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 		// release was already wiped, and the slots may have been re-reserved
 		// by new-epoch circuits it must not touch. Consume it.
 		vc.route = topology.Local
-		vc.state = vcVCAlloc
+		r.setState(vc, vcVCAlloc)
 		vc.ready = now + 1
 		return
 	}
@@ -299,7 +302,7 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 		// point the slots belong to other circuits and must not be
 		// touched. Consume the teardown here.
 		vc.route = topology.Local
-		vc.state = vcVCAlloc
+		r.setState(vc, vcVCAlloc)
 		vc.ready = now + 1
 		return
 	}
@@ -323,7 +326,7 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 		cfgp.Hop++
 	}
 	vc.route = out
-	vc.state = vcVCAlloc
+	r.setState(vc, vcVCAlloc)
 	vc.ready = now + 1
 }
 
@@ -357,59 +360,48 @@ func (r *Router) convertToAck(now sim.Cycle, vc *inputVC, f *flit.Flit, ok bool)
 			Node: int32(r.id), B: okb, Pkt: pkt.ID, Slot: int32(pkt.Config.Slot)})
 	}
 	// Re-run route computation next cycle with the new destination.
-	vc.state = vcRouting
+	r.setState(vc, vcRouting)
 	vc.ready = now + 1
 }
 
 // vcAllocate is the VA stage: a separable allocator that matches waiting
-// head packets to free downstream VCs, round-robin on both sides. One
-// full pass over the input VCs builds a per-output census of ready
-// waiters; the allocation sweep then touches only outputs with at least
-// one candidate and stops each output's scan as soon as its last
-// candidate has been granted. The census changes no arbitration
-// decision — the iterations it skips could only ever probe
-// non-matching VCs — so round-robin pointer movement (which is
-// simulation state) stays bit-identical to the exhaustive sweep.
+// head packets to free downstream VCs, round-robin on both sides. A pass
+// over the VCs in vcVCAlloc builds, per output, the mask of ready
+// waiters; the allocation sweep then visits only outputs with a
+// candidate and, within one, only the candidates, in the order the
+// exhaustive scan from the round-robin pointer would have met them. The
+// positions it skips could only ever hold non-matching VCs, so
+// round-robin pointer movement (which is simulation state) stays
+// bit-identical to the exhaustive sweep.
 func (r *Router) vcAllocate(now sim.Cycle) {
-	var want [topology.NumPorts]int16
-	waiting := false
-	for p := range r.in {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
-			if vc.state == vcVCAlloc && vc.ready <= now {
-				want[vc.route]++
-				waiting = true
-			}
+	var cand [topology.NumPorts]uint64
+	for m := r.stateMask[vcVCAlloc]; m != 0; m &= m - 1 {
+		if vc := &r.vcs[bits.TrailingZeros64(m)]; vc.ready <= now {
+			cand[vc.route] |= 1 << vc.idx
 		}
-	}
-	if !waiting {
-		return
 	}
 	n := int(topology.NumPorts) * r.cfg.VCs
 	for o := topology.Port(0); o < topology.NumPorts; o++ {
-		if want[o] == 0 {
-			continue
-		}
 		ou := &r.out[o]
-		if !ou.connected {
+		if cand[o] == 0 || !ou.connected {
 			continue
 		}
 		limit := r.allocLimit(o)
-		for i := 0; i < n; i++ {
-			// ou.rrVA is re-read every iteration on purpose: a grant
-			// below advances it mid-scan, so the scan position jumps with
-			// it. rrVA stays in [0, n) and i < n, so one conditional
-			// subtract replaces the modulo.
+		// The exhaustive scan probes position rrVA+i for i = 0..n-1 and
+		// re-reads rrVA every step, so a grant (which advances rrVA past
+		// the winner) makes the scan position jump by the steps already
+		// taken. i keeps counting across grants to reproduce that.
+		for i := 0; cand[o] != 0; i++ {
+			ahead := rotr(cand[o], ou.rrVA, n) >> i
+			if ahead == 0 {
+				break
+			}
+			i += bits.TrailingZeros64(ahead)
 			idx := ou.rrVA + i
 			if idx >= n {
 				idx -= n
 			}
-			p := topology.Port(idx / r.cfg.VCs)
-			v := idx % r.cfg.VCs
-			vc := &r.in[p].vcs[v]
-			if vc.state != vcVCAlloc || vc.ready > now || vc.route != o {
-				continue
-			}
+			vc := &r.vcs[idx]
 			got := -1
 			// rrVC can exceed limit when VC power gating shrank the
 			// allocatable range since the last grant; normalize once.
@@ -429,19 +421,17 @@ func (r *Router) vcAllocate(now sim.Cycle) {
 			}
 			ou.vcFree[got] = false
 			ou.rrVC = (got + 1) % limit
-			vc.state = vcActive
+			r.setState(vc, vcActive)
 			vc.outPort = o
 			vc.outVC = got
 			vc.ready = now + 1
 			r.meter.VCArbs++
 			if r.probe.Wants(obs.KindVCAlloc) {
 				r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindVCAlloc,
-					Node: int32(r.id), A: uint8(p), B: uint8(o), Val: int64(got)})
+					Node: int32(r.id), A: uint8(vc.port), B: uint8(o), Val: int64(got)})
 			}
 			ou.rrVA = (idx + 1) % n
-			if want[o]--; want[o] == 0 {
-				break
-			}
+			cand[o] &^= 1 << idx
 		}
 	}
 }
@@ -476,28 +466,15 @@ func (r *Router) csBlocked(now sim.Cycle, o topology.Port) bool {
 // contention. Winners are read from their buffers into the ST registers
 // and credits return upstream.
 func (r *Router) switchAllocate(now sim.Cycle) bool {
-	// Fast path: if no input VC is active with a flit ready, the request
-	// phase below cannot produce a winner and the whole function is a
-	// no-op — skip the iSLIP iterations entirely. The per-input
-	// eligibility mask is a superset test (credits, CS blocking and
-	// output conflicts only reduce the match further), and it stays
-	// valid across iterations: a grant changes only the matched input's
-	// VC, and matched inputs are skipped anyway — so skipping a
-	// mask-false input can never change results or move a round-robin
-	// pointer.
-	var eligIn [topology.NumPorts]bool
-	eligible := false
-	for p := range r.in {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
-			if vc.state == vcActive && vc.ready <= now && !vc.empty() {
-				eligIn[p] = true
-				eligible = true
-				break
-			}
-		}
-	}
-	if !eligible {
+	// elig is the set of VCs that could request the switch: active and
+	// holding a flit. It is a superset test (stage timing, credits, CS
+	// blocking and output conflicts only reduce the match further) and it
+	// stays valid across iterations: a grant changes only the matched
+	// input's VC, and matched inputs are skipped anyway. The request
+	// phase walks an input's elig bits instead of all its VCs — a VC
+	// outside elig could never win or move a round-robin pointer.
+	elig := r.stateMask[vcActive] & r.occupied
+	if elig == 0 {
 		return false
 	}
 	iters := r.cfg.SAIterations
@@ -505,6 +482,7 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 		iters = 1
 	}
 	did := false
+	nv := r.cfg.VCs
 	var inputMatched [topology.NumPorts]bool
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if r.IncomingCS(p) {
@@ -514,22 +492,20 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 	for it := 0; it < iters; it++ {
 		var winners [topology.NumPorts]*inputVC
 		var winnerVC [topology.NumPorts]int
-		any := false
+		requested := 0 // bit o: some winner requests output o
 		for p := topology.Port(0); p < topology.NumPorts; p++ {
-			if inputMatched[p] || !eligIn[p] {
+			mine := elig >> (int(p) * nv) & (1<<nv - 1)
+			if inputMatched[p] || mine == 0 {
 				continue
 			}
 			iu := &r.in[p]
-			nv := r.cfg.VCs
-			for i := 0; i < nv; i++ {
-				// iu.rrVC stays in [0, nv); one conditional subtract
-				// replaces the modulo.
-				v := iu.rrVC + i
+			for m := rotr(mine, iu.rrVC, nv); m != 0; m &= m - 1 {
+				v := iu.rrVC + bits.TrailingZeros64(m)
 				if v >= nv {
 					v -= nv
 				}
 				vc := &iu.vcs[v]
-				if vc.state != vcActive || vc.ready > now || vc.empty() {
+				if vc.ready > now {
 					continue
 				}
 				ou := &r.out[vc.outPort]
@@ -552,19 +528,19 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 				}
 				winners[p] = vc
 				winnerVC[p] = v
-				any = true
+				requested |= 1 << vc.outPort
 				break
 			}
 		}
-		if !any {
+		if requested == 0 {
 			break
 		}
 		np := int(topology.NumPorts)
-		for o := topology.Port(0); o < topology.NumPorts; o++ {
+		// Grant only at requested outputs: a winner was picked only where
+		// stReg is free, and an output nobody requests grants nothing.
+		for ; requested != 0; requested &= requested - 1 {
+			o := topology.Port(bits.TrailingZeros(uint(requested)))
 			ou := &r.out[o]
-			if ou.stReg != nil {
-				continue
-			}
 			for i := 0; i < np; i++ {
 				pi := ou.rrIn + i
 				if pi >= np {
@@ -575,7 +551,7 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 				if vc == nil || vc.outPort != o || inputMatched[p] {
 					continue
 				}
-				f := vc.pop()
+				f := r.pop(vc)
 				r.meter.BufReads++
 				r.meter.SWArbs++
 				if r.latGate != nil {
@@ -583,7 +559,9 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 				}
 				// Advance the input's VC pointer only on a grant (iSLIP's
 				// "pointer moves on accept" rule, which gives fairness).
-				r.in[p].rrVC = (winnerVC[p] + 1) % r.cfg.VCs
+				if r.in[p].rrVC = winnerVC[p] + 1; r.in[p].rrVC == nv {
+					r.in[p].rrVC = 0
+				}
 				f.VC = vc.outVC
 				ou.stReg = f
 				if r.probe.Wants(obs.KindSwitchAlloc) {
@@ -606,10 +584,10 @@ func (r *Router) switchAllocate(now sim.Cycle) bool {
 				r.pendingCredits = append(r.pendingCredits, creditMsg{port: p, vc: winnerVC[p]})
 				if f.IsTail() {
 					ou.vcFree[vc.outVC] = true
-					vc.state = vcIdle
+					r.setState(vc, vcIdle)
 					if nf := vc.front(); nf != nil {
 						if nf.IsHead() {
-							vc.state = vcRouting
+							r.setState(vc, vcRouting)
 							vc.ready = now + 1
 						} else {
 							r.LatchConflicts++

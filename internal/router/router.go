@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/hybrid"
@@ -29,6 +30,16 @@ type Router struct {
 
 	in  [topology.NumPorts]inputUnit
 	out [topology.NumPorts]outputUnit
+
+	// vcs is every input VC, port-major (in[p].vcs are its per-port
+	// windows). stateMask[s] has bit i set while vcs[i] is in pipeline
+	// state s, and occupied while vcs[i] holds a flit. The compute phase
+	// iterates these instead of scanning every VC, so its cost follows
+	// the live VCs. They are derived state — inputVC.state and q stay
+	// authoritative, and CheckInvariants recomputes the masks from them.
+	vcs       []inputVC
+	stateMask [numVCStates]uint64
+	occupied  uint64
 
 	neighbors [topology.NumPorts]*Router
 	localSink CreditSink
@@ -143,16 +154,12 @@ func (r *Router) Quiescent() bool {
 	if r.tables != nil && r.tables.ReservedEntries() != 0 {
 		return false
 	}
+	if r.occupied != 0 || r.stateMask[vcRouting]|r.stateMask[vcVCAlloc]|r.stateMask[vcActive] != 0 {
+		return false
+	}
 	for p := range r.in {
-		iu := &r.in[p]
-		if iu.latch != nil || iu.linkReg != nil {
+		if r.in[p].latch != nil || r.in[p].linkReg != nil {
 			return false
-		}
-		for v := range iu.vcs {
-			vc := &iu.vcs[v]
-			if !vc.empty() || vc.state != vcIdle {
-				return false
-			}
 		}
 	}
 	for o := range r.out {
@@ -305,7 +312,7 @@ func (r *Router) compute(now sim.Cycle) {
 	r.vcAllocate(now)
 	busy = r.switchAllocate(now) || busy
 	r.updateVCGating(now)
-	busy = busy || r.anyBuffered()
+	busy = busy || r.occupied != 0
 	r.lastActive = busy
 	r.accrueStatics(now, busy)
 }
@@ -358,18 +365,6 @@ func (r *Router) transfer(now sim.Cycle) {
 	r.publishedVCLimit = min(r.activeVCs, r.pendingVCs)
 }
 
-// anyBuffered reports whether any input VC holds flits.
-func (r *Router) anyBuffered() bool {
-	for p := range r.in {
-		for v := range r.in[p].vcs {
-			if !r.in[p].vcs[v].empty() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // accrueStatics integrates leakage state for this cycle, catching up on
 // any cycles active-node scheduling skipped since the last tick (those
 // were idle by definition — see SyncStatics for why the static terms
@@ -410,14 +405,7 @@ func (r *Router) updateVCGating(now sim.Cycle) {
 	if r.gate == nil {
 		return
 	}
-	busy := 0
-	for p := range r.in {
-		for v := 0; v < r.activeVCs; v++ {
-			if !r.in[p].vcs[v].empty() {
-				busy++
-			}
-		}
-	}
+	busy := bits.OnesCount64(r.occupied & r.vcsBelow(r.activeVCs))
 	// Observe per-port average utilisation (rounded up so a single busy
 	// VC anywhere still registers).
 	r.gate.Observe((busy + int(topology.NumPorts) - 1) / int(topology.NumPorts))
@@ -439,14 +427,18 @@ func (r *Router) updateVCGating(now sim.Cycle) {
 // evacuated reports whether all VCs at or above limit are empty and idle
 // on every input port, and no upstream packet still holds one.
 func (r *Router) evacuated(limit int) bool {
-	for p := range r.in {
-		for v := limit; v < r.activeVCs; v++ {
-			if !r.in[p].vcs[v].empty() || r.in[p].vcs[v].state != vcIdle {
-				return false
-			}
-		}
+	victims := r.vcsBelow(r.activeVCs) &^ r.vcsBelow(limit)
+	return (r.occupied|^r.stateMask[vcIdle])&victims == 0
+}
+
+// vcsBelow is the occupancy-mask selection of VCs 0..limit-1 on every
+// input port.
+func (r *Router) vcsBelow(limit int) uint64 {
+	var m uint64
+	for p := 0; p < int(topology.NumPorts); p++ {
+		m |= (1<<limit - 1) << (p * r.cfg.VCs)
 	}
-	return true
+	return m
 }
 
 // allocLimit is the number of downstream VCs the VC allocator may hand out

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"tdmnoc/internal/flit"
@@ -19,7 +20,7 @@ type harness struct {
 	ejected map[topology.NodeID][]*flit.Flit
 }
 
-func newRow(t *testing.T, n int, cfg Config) *harness {
+func newRow(t testing.TB, n int, cfg Config) *harness {
 	t.Helper()
 	h := &harness{
 		mesh:    topology.NewMesh(n, 1),
@@ -66,7 +67,7 @@ func (h *harness) inject(id topology.NodeID, f *flit.Flit) {
 	h.routers[id].StageLocalInject(f)
 }
 
-func (h *harness) diagClean(t *testing.T) {
+func (h *harness) diagClean(t testing.TB) {
 	t.Helper()
 	for _, r := range h.routers {
 		if r.MisroutedCS != 0 || r.DroppedCS != 0 || r.LatchConflicts != 0 {
@@ -84,6 +85,7 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{VCs: 0, BufDepth: 5},
 		{VCs: 4, BufDepth: 0},
+		{VCs: MaxVCs + 1, BufDepth: 5}, // one bit per port x VC must fit the mask word
 		{VCs: 4, BufDepth: 5, Hybrid: true, SlotCapacity: 0},
 		{VCs: 4, BufDepth: 5, Hybrid: true, SlotCapacity: 8, SlotActive: 16},
 	} {
@@ -677,4 +679,96 @@ func TestEventTracing(t *testing.T) {
 	if kinds[obs.KindBufferWrite] == 0 || kinds[obs.KindSwitchTraverse] == 0 {
 		t.Error("no PS events traced")
 	}
+}
+
+// TestMaskConsistencyInvariant drives traffic through every pipeline
+// state and checks that CheckInvariants finds the occupancy masks in
+// step with the VC states after each cycle — and that it reports a
+// mask-consistency violation once a mask bit is flipped behind its back.
+func TestMaskConsistencyInvariant(t *testing.T) {
+	h := newRow(t, 3, DefaultConfig())
+	check := func() (kinds []string) {
+		for _, r := range h.routers {
+			r.CheckInvariants(func(kind, detail string) { kinds = append(kinds, kind+": "+detail) })
+		}
+		return kinds
+	}
+	for _, f := range flit.Explode(dataPacket(1, 0, 2, 5)) {
+		h.inject(0, f)
+		h.step()
+		if v := check(); len(v) != 0 {
+			t.Fatalf("cycle %d: %v", h.now, v)
+		}
+	}
+	// Stop mid-flight so the corrupted router holds live VCs.
+	h.routers[1].occupied ^= 1
+	v := check()
+	if len(v) != 1 || !strings.HasPrefix(v[0], "mask-consistency") {
+		t.Fatalf("flipped occupancy bit reported as %v, want one mask-consistency violation", v)
+	}
+	h.routers[1].occupied ^= 1
+	h.routers[1].stateMask[vcActive] ^= 1 << 7
+	if v := check(); len(v) != 1 || !strings.HasPrefix(v[0], "mask-consistency") {
+		t.Fatalf("flipped state bit reported as %v, want one mask-consistency violation", v)
+	}
+	h.routers[1].stateMask[vcActive] ^= 1 << 7
+	h.run(40)
+	if v := check(); len(v) != 0 {
+		t.Fatal(v)
+	}
+	if len(h.ejected[2]) != 5 {
+		t.Fatalf("ejected %d flits, want 5", len(h.ejected[2]))
+	}
+	h.diagClean(t)
+}
+
+// BenchmarkRouterCompute times the compute phase per router per cycle:
+// idle (nothing buffered: every stage takes its empty-mask exit) and
+// loaded (a 4-router row carrying two opposing streams of 5-flit
+// packets, one flit injected per end per cycle).
+func BenchmarkRouterCompute(b *testing.B) {
+	b.Run("idle", func(b *testing.B) {
+		r := New(0, topology.NewMesh(1, 1), DefaultConfig())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Tick(sim.Cycle(i), sim.PhaseCompute)
+		}
+	})
+	b.Run("loaded", func(b *testing.B) {
+		h := newRow(b, 4, DefaultConfig())
+		// Flits are recycled: a packet is long delivered by the time the
+		// 64-packet window comes round to it again.
+		var streams [2][]*flit.Flit
+		ends := [2]topology.NodeID{0, 3}
+		for s := range streams {
+			for k := 0; k < 64; k++ {
+				streams[s] = append(streams[s], flit.Explode(dataPacket(uint64(s*64+k+1), ends[s], ends[1-s], 5))...)
+			}
+		}
+		cycle := func(i int) {
+			for s, fs := range streams {
+				f := fs[i%len(fs)]
+				f.VC = i / 5 % 4
+				h.inject(ends[s], f)
+			}
+			for _, r := range h.routers {
+				r.Tick(h.now, sim.PhaseCompute)
+			}
+			for _, r := range h.routers {
+				r.Tick(h.now, sim.PhaseTransfer)
+				r.TakeLocalEject()
+			}
+			h.now++
+		}
+		for i := 0; i < 1000; i++ {
+			cycle(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(1000 + i)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(h.routers)), "ns/router-cycle")
+		h.diagClean(b)
+	})
 }

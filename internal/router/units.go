@@ -20,10 +20,22 @@ const (
 	vcActive
 )
 
+// numVCStates sizes per-state tables.
+const numVCStates = int(vcActive) + 1
+
+// MaxVCs is the largest Config.VCs the router supports: its occupancy
+// masks keep one bit per input port x VC in a 64-bit word.
+const MaxVCs = 64 / int(topology.NumPorts)
+
 // inputVC is one virtual channel of one input port.
 type inputVC struct {
 	q     []*flit.Flit
 	state vcState
+	// idx is the VC's position in Router.vcs and its bit in the occupancy
+	// masks: port*VCs + vc, the order the allocators' round-robin
+	// pointers walk.
+	idx  uint8
+	port topology.Port
 	// ready is the earliest cycle the current pipeline stage may execute,
 	// enforcing the one-stage-per-cycle timing.
 	ready sim.Cycle
@@ -45,16 +57,38 @@ func (v *inputVC) front() *flit.Flit {
 	return v.q[0]
 }
 
-func (v *inputVC) push(f *flit.Flit) { v.q = append(v.q, f) }
+// push, pop and setState are the only writers of a VC's queue and state:
+// they keep the router's occupancy masks in step (see Router.stateMask).
 
-func (v *inputVC) pop() *flit.Flit {
-	f := v.q[0]
+func (r *Router) push(vc *inputVC, f *flit.Flit) {
+	vc.q = append(vc.q, f)
+	r.occupied |= 1 << vc.idx
+}
+
+func (r *Router) pop(vc *inputVC) *flit.Flit {
+	f := vc.q[0]
 	// Shift rather than reslice so the backing array doesn't grow without
 	// bound over a long simulation.
-	copy(v.q, v.q[1:])
-	v.q[len(v.q)-1] = nil
-	v.q = v.q[:len(v.q)-1]
+	copy(vc.q, vc.q[1:])
+	vc.q[len(vc.q)-1] = nil
+	vc.q = vc.q[:len(vc.q)-1]
+	if len(vc.q) == 0 {
+		r.occupied &^= 1 << vc.idx
+	}
 	return f
+}
+
+func (r *Router) setState(vc *inputVC, s vcState) {
+	r.stateMask[vc.state] &^= 1 << vc.idx
+	r.stateMask[s] |= 1 << vc.idx
+	vc.state = s
+}
+
+// rotr rotates the low n bits of m right by k (0 <= k < n): bit j of the
+// result is bit (k+j) mod n of m, so ascending set bits of the result
+// visit m in round-robin order starting at position k.
+func rotr(m uint64, k, n int) uint64 {
+	return (m>>k | m<<(n-k)) & (1<<n - 1)
 }
 
 // inputUnit is one input port: its VC buffers plus the link-side registers.

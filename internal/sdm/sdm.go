@@ -98,6 +98,10 @@ type circuit struct {
 	// plane[i] is the plane owned on the link path[i] -> path[i+1].
 	plane []int
 	used  int64
+	// Source-side stream: flits waiting to enter the circuit and the next
+	// cycle one may (a plane carries one flit per Planes cycles).
+	q    flitQ
+	next int64
 }
 
 type vcState uint8
@@ -109,8 +113,50 @@ const (
 	vcActive
 )
 
+// flitQ is a FIFO of flits on a ring with a head index: pop neither
+// shifts nor abandons the backing array, and push doubles it only when
+// the ring is full, so a queue that has reached its working size never
+// allocates again.
+type flitQ struct {
+	buf     []*flit.Flit
+	head, n int
+}
+
+func (q *flitQ) at(i int) *flit.Flit {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return q.buf[i]
+}
+
+func (q *flitQ) push(f *flit.Flit) {
+	if q.n == len(q.buf) {
+		grown := make([]*flit.Flit, max(4, 2*q.n))
+		for i := range q.n {
+			grown[i] = q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	tail := q.head + q.n
+	if tail >= len(q.buf) {
+		tail -= len(q.buf)
+	}
+	q.buf[tail] = f
+	q.n++
+}
+
+func (q *flitQ) pop() *flit.Flit {
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return f
+}
+
 type inputVC struct {
-	q     []*flit.Flit
+	q     flitQ
 	state vcState
 	ready int64
 	route topology.Port
@@ -132,8 +178,10 @@ type outPort struct {
 }
 
 type sdmRouter struct {
-	id  topology.NodeID
-	in  [topology.NumPorts][]inputVC
+	id topology.NodeID
+	// in holds the input VCs port-major: VC v of port p is in[p*VCs+v],
+	// the order the switch allocator's round-robin pointer rr walks.
+	in  []inputVC
 	out [topology.NumPorts]outPort
 	rr  int
 }
@@ -151,12 +199,12 @@ type Generator func(now int64, src topology.NodeID, rng *sim.RNG) (dst topology.
 
 type srcState struct {
 	rng  *sim.RNG
-	psQ  []*flit.Flit // flit-level injection queue
+	psQ  flitQ // flit-level injection queue
 	freq map[topology.NodeID]int
-	// Circuit streaming: next cycle a CS flit may be injected per circuit.
-	csQ    map[int][]*flit.Flit
-	csNext map[int]int64
-	seq    uint64
+	// circuits are the circuits this node sources, in creation order —
+	// the order their streams inject in, which is simulation state.
+	circuits []*circuit
+	seq      uint64
 }
 
 // Network is one SDM hybrid-switched NoC simulation instance.
@@ -177,8 +225,17 @@ type Network struct {
 
 	Stats  stats.Collector
 	meters []power.RouterMeter
+	// meteredFrom is the cycle the meters were last reset at; the
+	// per-cycle static terms (Cycles, BufSlotCycles) are constant, so
+	// Energy integrates them from here instead of step() touching every
+	// meter every cycle.
+	meteredFrom int64
 
-	inbox map[int64][]arrival
+	// inbox[at%len(inbox)] collects the arrivals due at cycle at. Every
+	// delay scheduled is 1, 2 or Planes cycles, so max(2, Planes)+1
+	// buckets keep distinct pending cycles apart, and deliver empties a
+	// bucket before its slot comes round again.
+	inbox [][]arrival
 
 	sent, ejected int64
 }
@@ -194,15 +251,17 @@ func New(cfg Config, gen Generator) *Network {
 		circuitOf:  map[topology.NodeID]map[topology.NodeID]*circuit{},
 		pktCircuit: map[uint64]*circuit{},
 		rxCount:    map[uint64]int{},
-		inbox:      map[int64][]arrival{},
+		inbox:      make([][]arrival, max(2, cfg.Planes)+1),
 	}
 	master := sim.NewRNG(cfg.Seed)
 	nodes := n.mesh.Nodes()
 	n.meters = make([]power.RouterMeter, nodes)
 	for id := 0; id < nodes; id++ {
-		r := &sdmRouter{id: topology.NodeID(id)}
+		r := &sdmRouter{id: topology.NodeID(id), in: make([]inputVC, int(topology.NumPorts)*cfg.VCs)}
+		for i := range r.in {
+			r.in[i].q.buf = make([]*flit.Flit, cfg.BufDepth)
+		}
 		for p := topology.Port(0); p < topology.NumPorts; p++ {
-			r.in[p] = make([]inputVC, cfg.VCs)
 			op := &r.out[p]
 			// Gated planes are simply absent: no allocator, arbiter or
 			// circuit walk can pick what is not in the array.
@@ -218,12 +277,7 @@ func New(cfg Config, gen Generator) *Network {
 			}
 		}
 		n.routers = append(n.routers, r)
-		n.src = append(n.src, &srcState{
-			rng:    master.Fork(),
-			freq:   map[topology.NodeID]int{},
-			csQ:    map[int][]*flit.Flit{},
-			csNext: map[int]int64{},
-		})
+		n.src = append(n.src, &srcState{rng: master.Fork(), freq: map[topology.NodeID]int{}})
 		n.meters[id].LinkChannels = n.linkChannels(topology.NodeID(id))
 	}
 	return n
@@ -261,6 +315,7 @@ func (n *Network) Circuits() int { return len(n.circuits) }
 // EnableStats begins measurement.
 func (n *Network) EnableStats() {
 	n.Stats.Enabled = true
+	n.meteredFrom = n.now
 	for i := range n.meters {
 		n.meters[i].Reset()
 		// Re-count the static link channels lost in the reset.
@@ -271,8 +326,12 @@ func (n *Network) EnableStats() {
 // Energy reports the aggregate energy breakdown.
 func (n *Network) Energy(p power.Params) power.Breakdown {
 	var out power.Breakdown
+	cycles := n.now - n.meteredFrom
 	for i := range n.meters {
-		out = out.Add(n.meters[i].Report(p))
+		m := n.meters[i]
+		m.Cycles = cycles
+		m.BufSlotCycles = cycles * int64(n.cfg.VCs*n.cfg.BufDepth*int(topology.NumPorts))
+		out = out.Add(m.Report(p))
 	}
 	return out
 }
@@ -303,32 +362,32 @@ func (n *Network) step() {
 	for _, r := range n.routers {
 		n.routerCycle(r)
 	}
-	for i := range n.meters {
-		m := &n.meters[i]
-		m.Cycles++
-		m.BufSlotCycles += int64(n.cfg.VCs * n.cfg.BufDepth * int(topology.NumPorts))
-	}
 	n.now++
 }
 
 // deliver moves flits that finished their link serialization into router
 // buffers (packet-switched) or forwards/ejects them (circuit-switched).
 func (n *Network) deliver() {
-	arr := n.inbox[n.now]
-	delete(n.inbox, n.now)
-	for _, a := range arr {
+	bucket := &n.inbox[n.now%int64(len(n.inbox))]
+	for _, a := range *bucket {
 		if a.cs {
 			n.deliverCS(a)
 			continue
 		}
-		r := n.routers[a.router]
-		vc := &r.in[a.port][a.f.VC]
-		vc.q = append(vc.q, a.f)
-		n.meters[a.router].BufWrites++
-		if len(vc.q) == 1 && vc.state == vcIdle && a.f.IsHead() {
-			vc.state = vcRouting
-			vc.ready = n.now
-		}
+		n.buffer(a.router, &n.routers[a.router].in[int(a.port)*n.cfg.VCs+a.f.VC], a.f)
+	}
+	clear(*bucket) // drop the flit references
+	*bucket = (*bucket)[:0]
+}
+
+// buffer writes f into input VC vc of router id; a head flit landing in
+// an idle, empty VC starts route computation this cycle.
+func (n *Network) buffer(id topology.NodeID, vc *inputVC, f *flit.Flit) {
+	vc.q.push(f)
+	n.meters[id].BufWrites++
+	if vc.q.n == 1 && vc.state == vcIdle && f.IsHead() {
+		vc.state = vcRouting
+		vc.ready = n.now
 	}
 }
 
@@ -363,7 +422,8 @@ func (n *Network) deliverCS(a arrival) {
 }
 
 func (n *Network) schedule(at int64, a arrival) {
-	n.inbox[at] = append(n.inbox[at], a)
+	bucket := &n.inbox[at%int64(len(n.inbox))]
+	*bucket = append(*bucket, a)
 }
 
 // eject counts a flit at its destination and completes packets.
@@ -406,15 +466,18 @@ func (n *Network) generate() {
 			CreatedAt: n.now,
 		}
 		n.sent++
+		q := &src.psQ
 		if c := n.circuitFor(topology.NodeID(id), dst); c != nil {
 			pkt.Switching = flit.CircuitSwitched
 			n.pktCircuit[pkt.ID] = c
-			src.csQ[c.id] = append(src.csQ[c.id], flit.Explode(pkt)...)
+			q = &c.q
 			c.used = n.now
 			n.Stats.OwnCircuitSends++
 		} else {
-			src.psQ = append(src.psQ, flit.Explode(pkt)...)
 			n.noteFrequency(topology.NodeID(id), dst)
+		}
+		for _, f := range flit.Explode(pkt) {
+			q.push(f)
 		}
 	}
 }
@@ -480,6 +543,7 @@ func (n *Network) tryReserveCircuit(src, dst topology.NodeID) bool {
 		n.routers[path[i]].out[port].planes[planes[i]].circuit = c.id
 	}
 	n.circuits = append(n.circuits, c)
+	n.src[src].circuits = append(n.src[src].circuits, c)
 	if n.circuitOf[src] == nil {
 		n.circuitOf[src] = map[topology.NodeID]*circuit{}
 	}
@@ -497,17 +561,12 @@ func (n *Network) injectAll() {
 	for id := 0; id < n.mesh.Nodes(); id++ {
 		s := n.src[id]
 		// Circuit streams (each circuit's plane is independent).
-		for _, c := range n.circuits {
-			if c.src != topology.NodeID(id) {
+		for _, c := range s.circuits {
+			if c.q.n == 0 || n.now < c.next {
 				continue
 			}
-			q := s.csQ[c.id]
-			if len(q) == 0 || n.now < s.csNext[c.id] {
-				continue
-			}
-			f := q[0]
-			s.csQ[c.id] = q[1:]
-			s.csNext[c.id] = n.now + int64(n.cfg.Planes)
+			f := c.q.pop()
+			c.next = n.now + int64(n.cfg.Planes)
 			if f.IsHead() && f.Pkt.InjectedAt == 0 {
 				f.Pkt.InjectedAt = n.now
 				n.Stats.RecordInjection(f.Pkt)
@@ -517,18 +576,17 @@ func (n *Network) injectAll() {
 		}
 		// Packet-switched injection: one flit per cycle onto the local
 		// port, credit permitting.
-		if len(s.psQ) == 0 {
+		if s.psQ.n == 0 {
 			continue
 		}
-		f := s.psQ[0]
-		r := n.routers[id]
-		vc := &r.in[topology.Local][f.VC]
+		f := s.psQ.at(0)
+		local := n.routers[id].in[int(topology.Local)*n.cfg.VCs:][:n.cfg.VCs]
 		if f.IsHead() {
 			// Pick a local input VC with a free slot.
 			picked := -1
-			for v := 0; v < n.cfg.VCs; v++ {
-				if len(r.in[topology.Local][v].q) < n.cfg.BufDepth &&
-					(r.in[topology.Local][v].state == vcIdle || lastIsTail(r.in[topology.Local][v].q)) {
+			for v := range local {
+				vc := &local[v]
+				if vc.q.n < n.cfg.BufDepth && (vc.state == vcIdle || (vc.q.n > 0 && vc.q.at(vc.q.n-1).IsTail())) {
 					picked = v
 					break
 				}
@@ -536,105 +594,98 @@ func (n *Network) injectAll() {
 			if picked < 0 {
 				continue
 			}
-			for _, ff := range remainingOfPacket(s.psQ, f.Pkt.ID) {
-				ff.VC = picked
+			// The packet's flits sit contiguously at the queue head.
+			for i := 0; i < s.psQ.n && s.psQ.at(i).Pkt == f.Pkt; i++ {
+				s.psQ.at(i).VC = picked
 			}
-			vc = &r.in[topology.Local][picked]
 			if f.Pkt.InjectedAt == 0 {
 				f.Pkt.InjectedAt = n.now
 				n.Stats.RecordInjection(f.Pkt)
 			}
-		} else if len(vc.q) >= n.cfg.BufDepth {
+		} else if local[f.VC].q.n >= n.cfg.BufDepth {
 			continue
 		}
-		s.psQ = s.psQ[1:]
-		vc.q = append(vc.q, f)
-		n.meters[id].BufWrites++
-		if len(vc.q) == 1 && vc.state == vcIdle && f.IsHead() {
-			vc.state = vcRouting
-			vc.ready = n.now
-		}
+		n.buffer(topology.NodeID(id), &local[f.VC], s.psQ.pop())
 	}
-}
-
-func lastIsTail(q []*flit.Flit) bool {
-	return len(q) > 0 && q[len(q)-1].IsTail()
-}
-
-func remainingOfPacket(q []*flit.Flit, id uint64) []*flit.Flit {
-	var out []*flit.Flit
-	for _, f := range q {
-		if f.Pkt.ID == id {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // routerCycle runs RC, VA and SA for one router. Switch traversal plus
 // link serialization are folded into the scheduled arrival delay
 // (1 + Planes cycles), and each transmission occupies the packet's plane
 // for Planes cycles.
+//
+// The RC/VA sweep doubles as the switch allocator's census: want[o]
+// counts the VCs that can request output o this cycle (active, ready,
+// holding a flit). The census is exact — a VC the sweep itself promotes
+// becomes ready next cycle, and a grant only ever changes a VC routed to
+// the output being served — so SA runs only for outputs somebody wants
+// and leaves an output once its last candidate has been probed. What it
+// skips are probes of VCs that could not have requested that output;
+// those never touched state, and rr moves only on a grant.
 func (n *Network) routerCycle(r *sdmRouter) {
 	m := &n.meters[r.id]
-	// RC + VA.
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		for v := range r.in[p] {
-			vc := &r.in[p][v]
-			if vc.ready > n.now || len(vc.q) == 0 {
+	var want [topology.NumPorts]int
+	requests := 0
+	for i := range r.in {
+		vc := &r.in[i]
+		if vc.ready > n.now || vc.q.n == 0 {
+			continue
+		}
+		switch vc.state {
+		case vcRouting:
+			if !vc.q.at(0).IsHead() {
 				continue
 			}
-			switch vc.state {
-			case vcRouting:
-				if !vc.q[0].IsHead() {
-					continue
-				}
-				vc.route = routing.XY(n.mesh, r.id, vc.q[0].Pkt.Dst)
-				vc.state = vcVCAlloc
-				vc.ready = n.now + 1
-			case vcVCAlloc:
-				op := &r.out[vc.route]
-				got := -1
-				if vc.route == topology.Local {
-					got = 0 // ejection needs no downstream VC
-				} else {
-					for j := 0; j < n.cfg.VCs; j++ {
-						k := (op.rrVC + j) % n.cfg.VCs
-						if op.vcFree[k] {
-							got = k
-							break
-						}
+			vc.route = routing.XY(n.mesh, r.id, vc.q.at(0).Pkt.Dst)
+			vc.state = vcVCAlloc
+			vc.ready = n.now + 1
+		case vcVCAlloc:
+			op := &r.out[vc.route]
+			got := -1
+			if vc.route == topology.Local {
+				got = 0 // ejection needs no downstream VC
+			} else {
+				for j := 0; j < n.cfg.VCs; j++ {
+					k := (op.rrVC + j) % n.cfg.VCs
+					if op.vcFree[k] {
+						got = k
+						break
 					}
 				}
-				if got < 0 {
-					continue
-				}
-				if vc.route != topology.Local {
-					op.vcFree[got] = false
-					op.rrVC = (got + 1) % n.cfg.VCs
-				}
-				m.VCArbs++
-				vc.outVC = got
-				vc.hasPl = false
-				vc.state = vcActive
-				vc.ready = n.now + 1
 			}
+			if got < 0 {
+				continue
+			}
+			if vc.route != topology.Local {
+				op.vcFree[got] = false
+				op.rrVC = (got + 1) % n.cfg.VCs
+			}
+			m.VCArbs++
+			vc.outVC = got
+			vc.hasPl = false
+			vc.state = vcActive
+			vc.ready = n.now + 1
+		case vcActive:
+			want[vc.route]++
+			requests++
 		}
+	}
+	if requests == 0 {
+		return
 	}
 	// SA: one grant per output port per cycle, round-robin over inputs.
 	for o := topology.Port(0); o < topology.NumPorts; o++ {
 		op := &r.out[o]
-		granted := false
-		total := int(topology.NumPorts) * n.cfg.VCs
-		for i := 0; i < total && !granted; i++ {
-			idx := (r.rr + i) % total
-			p := topology.Port(idx / n.cfg.VCs)
-			v := idx % n.cfg.VCs
-			vc := &r.in[p][v]
-			if vc.state != vcActive || vc.ready > n.now || len(vc.q) == 0 || vc.route != o {
+		for i := 0; want[o] > 0; i++ {
+			idx := r.rr + i
+			if idx >= len(r.in) {
+				idx -= len(r.in)
+			}
+			vc := &r.in[idx]
+			if vc.state != vcActive || vc.ready > n.now || vc.q.n == 0 || vc.route != o {
 				continue
 			}
-			f := vc.q[0]
+			want[o]--
 			// Plane acquisition: the packet holds one plane on this link
 			// from head to tail (wormhole over a single plane).
 			if !vc.hasPl {
@@ -658,22 +709,22 @@ func (n *Network) routerCycle(r *sdmRouter) {
 				continue
 			}
 			// Grant: serialize the flit over the plane.
-			vc.q = vc.q[1:]
+			f := vc.q.pop()
 			m.BufReads++
 			m.SWArbs++
 			m.XbarFlits++
 			m.LinkFlits++
 			op.planes[vc.plane].busyUntil = n.now + int64(n.cfg.Planes)
-			if p != topology.Local {
+			if p := topology.Port(idx / n.cfg.VCs); p != topology.Local {
 				// Return this input VC's credit to the upstream router.
 				up, _ := n.mesh.Neighbor(r.id, p)
-				n.routers[up].out[p.Opposite()].credits[v]++
+				n.routers[up].out[p.Opposite()].credits[idx%n.cfg.VCs]++
 			}
 			f.VC = vc.outVC
 			if o == topology.Local {
 				// The flit's phits drain onto the ejection port over
 				// Planes cycles; its last phit arrives then.
-				n.scheduleEject(r.id, f)
+				n.schedule(n.now+int64(n.cfg.Planes), arrival{router: r.id, port: topology.Local, f: f, cs: true})
 			} else {
 				op.credits[vc.outVC]--
 				next, _ := n.mesh.Neighbor(r.id, o)
@@ -688,30 +739,27 @@ func (n *Network) routerCycle(r *sdmRouter) {
 				}
 				vc.state = vcIdle
 				vc.hasPl = false
-				if len(vc.q) > 0 && vc.q[0].IsHead() {
+				if vc.q.n > 0 && vc.q.at(0).IsHead() {
 					vc.state = vcRouting
 					vc.ready = n.now + 1
 				}
 			}
-			r.rr = (idx + 1) % total
-			granted = true
+			if r.rr = idx + 1; r.rr == len(r.in) {
+				r.rr = 0
+			}
+			break
 		}
 	}
 }
 
-func (n *Network) scheduleEject(id topology.NodeID, f *flit.Flit) {
-	at := n.now + int64(n.cfg.Planes)
-	n.inbox[at] = append(n.inbox[at], arrival{router: id, port: topology.Local, f: f, cs: true})
-}
-
-// Diagnose panics are not needed here; expose a validation hook instead.
+// Validate reports the first input VC holding more flits than its buffer
+// depth — a credit-protocol violation no well-formed run can produce.
 func (n *Network) Validate() error {
 	for id, r := range n.routers {
-		for p := topology.Port(0); p < topology.NumPorts; p++ {
-			for v := range r.in[p] {
-				if len(r.in[p][v].q) > n.cfg.BufDepth {
-					return fmt.Errorf("router %d in[%v] vc %d overflow: %d flits", id, p, v, len(r.in[p][v].q))
-				}
+		for i := range r.in {
+			if r.in[i].q.n > n.cfg.BufDepth {
+				return fmt.Errorf("router %d in[%v] vc %d overflow: %d flits",
+					id, topology.Port(i/n.cfg.VCs), i%n.cfg.VCs, r.in[i].q.n)
 			}
 		}
 	}

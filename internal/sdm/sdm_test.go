@@ -1,6 +1,7 @@
 package sdm
 
 import (
+	"fmt"
 	"testing"
 
 	"tdmnoc/internal/power"
@@ -203,5 +204,22 @@ func TestSDMCircuitLatencyFlat(t *testing.T) {
 	l1, l2 := lat(0.02), lat(0.10)
 	if l2 > l1*1.5 {
 		t.Errorf("SDM circuit latency grew %0.1f -> %0.1f at low load", l1, l2)
+	}
+}
+
+// BenchmarkRouterCycle steps a warmed 6x6 network and reports the cost
+// per router per cycle, below saturation and past it.
+func BenchmarkRouterCycle(b *testing.B) {
+	for _, rate := range []float64{0.05, 0.45} {
+		b.Run(fmt.Sprintf("rate=%.2f", rate), func(b *testing.B) {
+			net := New(DefaultConfig(6, 6), bernoulliGen(traffic.Tornado, rate, 5))
+			net.Run(1000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(net.routers)), "ns/router-cycle")
+		})
 	}
 }
