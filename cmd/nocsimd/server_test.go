@@ -192,6 +192,8 @@ func TestServiceRejectsBadSpec(t *testing.T) {
 		"bad mode":      {`{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}`, http.StatusBadRequest},
 		"zero rate":     {`{"modes":["tdm"],"patterns":["ur"],"rates":[0]}`, http.StatusBadRequest},
 		"not json":      {`modes=tdm`, http.StatusBadRequest},
+		// 1025 x 1025 jobs, just past campaign.MaxJobs, in a ~7 KB body.
+		"huge grid": {`{"modes":["tdm"],"patterns":["ur"],"rates":[0.1` + strings.Repeat(",0.1", 1024) + `],"seeds":[1` + strings.Repeat(",1", 1024) + `]}`, http.StatusBadRequest},
 		// An otherwise valid spec whose name runs past the body cap.
 		"oversized": {`{"name":"` + strings.Repeat("x", maxSpecBody) + `","modes":["tdm"],"patterns":["ur"],"rates":[0.1]}`, http.StatusRequestEntityTooLarge},
 	} {

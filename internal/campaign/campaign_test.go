@@ -131,12 +131,36 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Modes: []string{"tdm"}, Patterns: []string{"zigzag"}, Rates: []float64{.1}}, // bad pattern
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, Meshes: []MeshSize{{0, 6}}},
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, SlotTables: []int{-1}},
+		// 1025 x 1025 jobs: just past MaxJobs.
+		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: repeat(0.1, 1025), Seeds: repeat(uint64(1), 1025)},
+		// Five axes of 8192: the product (2^65) wraps a 64-bit int to 0.
+		{Modes: []string{"tdm"}, Patterns: repeat("ur", 8192), Meshes: repeat(MeshSize{4, 4}, 8192),
+			SlotTables: repeat(128, 8192), Rates: repeat(0.1, 8192), Seeds: repeat(uint64(1), 8192)},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %d normalized without error", i)
 		}
+		if n := s.Jobs(); n != 0 {
+			t.Errorf("spec %d: Jobs() = %d for an invalid spec, want 0", i, n)
+		}
 	}
+	// The cap itself is admissible; the slot axis only multiplies tdm.
+	atCap := Spec{Modes: []string{"packet", "tdm"}, Patterns: []string{"ur"}, SlotTables: []int{64, 128, 256},
+		Rates: repeat(0.1, 512), Seeds: repeat(uint64(1), 512)}
+	if err := atCap.Normalize(); err != nil || atCap.Jobs() != 4*512*512 || atCap.Jobs() != MaxJobs {
+		t.Errorf("grid of exactly MaxJobs: Normalize = %v, Jobs = %d, want nil and %d", err, atCap.Jobs(), MaxJobs)
+	}
+}
+
+// repeat builds an n-long axis of one value (axes may repeat values; a
+// hostile spec certainly can).
+func repeat[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {

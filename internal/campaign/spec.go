@@ -73,8 +73,8 @@ type Spec struct {
 	// TelemetryEvery, when positive, attaches a per-job observability
 	// recorder sampling every K cycles; its deterministic Summary rides
 	// in every record (telemetry_every re-keys jobs, so telemetry and
-	// plain campaigns never share cached records). Requires SimWorkers
-	// <= 1 and is not available for sdm mode.
+	// plain campaigns never share cached records). Works at any
+	// SimWorkers; not available for sdm mode.
 	TelemetryEvery int `json:"telemetry_every,omitempty"`
 	// CheckInvariants enables the runtime invariant layer on every job.
 	// Checking only observes a run (it never changes results), so like
@@ -181,6 +181,9 @@ func (s *Spec) Normalize() error {
 			return err
 		}
 	}
+	if s.gridSize() > MaxJobs {
+		return fmt.Errorf("campaign: grid expands to more than %d jobs", MaxJobs)
+	}
 	if pp := s.PolicyProfile; pp != nil {
 		if s.TelemetryEvery > 0 {
 			return fmt.Errorf("campaign: policy_profile and telemetry_every are mutually exclusive (phase A attaches its own recorder)")
@@ -256,21 +259,42 @@ func (s Spec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// MaxJobs caps a spec's grid cardinality. Specs arrive over HTTP, and a
+// body well inside the request-size cap can list thousands of values per
+// axis; without a cap their product is an allocation the service makes
+// before any quota can refuse it. The largest grids in the repo (the
+// benchmark's control-plane workloads) are under 10 000 jobs.
+const MaxJobs = 1 << 20
+
 // Jobs returns the expanded job count without building the jobs
 // (0 for an invalid spec).
 func (s Spec) Jobs() int {
 	if err := s.Normalize(); err != nil {
 		return 0
 	}
-	n := 0
+	return s.gridSize()
+}
+
+// gridSize is the job count of a spec whose axes are filled and modes
+// valid, saturating at MaxJobs+1 so a hostile grid cannot overflow.
+func (s *Spec) gridSize() int {
+	var n int64
 	for _, m := range s.Modes {
 		slots := len(s.SlotTables)
 		if mode, err := ParseMode(m); err != nil || mode != hsnoc.HybridTDM {
 			slots = 1
 		}
-		n += len(s.Patterns) * len(s.Meshes) * slots * len(s.Rates) * len(s.Seeds)
+		per := int64(1)
+		for _, axis := range []int{len(s.Patterns), len(s.Meshes), slots, len(s.Rates), len(s.Seeds)} {
+			if per *= int64(axis); per > MaxJobs {
+				return MaxJobs + 1
+			}
+		}
+		if n += per; n > MaxJobs {
+			return MaxJobs + 1
+		}
 	}
-	return n
+	return int(n)
 }
 
 // Expand builds the deterministic job list: modes, then patterns,

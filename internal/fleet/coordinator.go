@@ -86,6 +86,32 @@ type fleetCampaign struct {
 	failed    int            // job failures reported by completions
 }
 
+// newFleetCampaign builds a campaign's state with nothing done: the
+// expanded job keys cut into shards of shardSize, the last one shorter.
+// Admission and snapshot replay both start here, so both necessarily
+// agree on what shard i contains.
+func newFleetCampaign(id, tenant string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
+	fc := &fleetCampaign{
+		id:        id,
+		tenant:    tenant,
+		specHash:  spec.Hash(),
+		spec:      spec,
+		jobs:      len(jobs),
+		shardSize: shardSize,
+		leased:    map[int]string{},
+	}
+	for lo := 0; lo < len(jobs); lo += shardSize {
+		hi := min(lo+shardSize, len(jobs))
+		keys := make([]string, 0, hi-lo)
+		for _, j := range jobs[lo:hi] {
+			keys = append(keys, j.Key)
+		}
+		fc.shardKeys = append(fc.shardKeys, keys)
+	}
+	fc.done = make([]bool, len(fc.shardKeys))
+	return fc
+}
+
 func (fc *fleetCampaign) finished() bool { return fc.doneCount == len(fc.shardKeys) }
 
 // allKeys flattens the per-shard key lists back into job order.
@@ -170,9 +196,10 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 			j.close()
 			return nil, err
 		}
-		// Publish the journal only after replay: the replay helpers
-		// mutate state through the same code shapes as live transitions,
-		// and must not append what they are reading back.
+		// Publish the journal only after replay: replay mutates state
+		// through the same bodies as the live transitions (admitLocked,
+		// claimLocked/settleLocked, expireLocked), and must not append
+		// what it is reading back.
 		c.journal = j
 		c.journalReplayed = int64(len(recs))
 	}
@@ -278,11 +305,8 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if err := spec.Normalize(); err != nil {
 		return SubmitResponse{}, err
 	}
-	jobs, err := spec.Expand()
-	if err != nil {
-		return SubmitResponse{}, err
-	}
-	if len(jobs) == 0 {
+	n := spec.Jobs()
+	if n == 0 {
 		return SubmitResponse{}, errors.New("fleet: spec expands to zero jobs")
 	}
 	tenant := req.Tenant
@@ -297,15 +321,25 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 		weight = 1
 	}
 
+	// Refuse on the job count before paying for the job list: the grid
+	// is caller-sized, and expanding one the quota will reject anyway is
+	// memory spent on the caller's say-so. Expansion then runs outside
+	// the lock (it is the slow part of a submit), so the check repeats
+	// once the lock is held for good.
+	c.mu.Lock()
+	err := c.admissibleLocked(tenant, n)
+	c.mu.Unlock()
+	if err != nil {
+		return SubmitResponse{}, err
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		return SubmitResponse{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.draining {
-		c.submitsRejected.Add(1)
-		return SubmitResponse{}, ErrDraining
-	}
-	if out := c.usage.outstanding(tenant); out+len(jobs) > c.opt.TenantQuota {
-		c.submitsRejected.Add(1)
-		return SubmitResponse{}, &QuotaError{Tenant: tenant, Outstanding: out, Requested: len(jobs), Quota: c.opt.TenantQuota}
+	if err := c.admissibleLocked(tenant, len(jobs)); err != nil {
+		return SubmitResponse{}, err
 	}
 
 	// Write-ahead: the admission is journaled (and fsync'd) before any
@@ -337,6 +371,20 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	}, nil
 }
 
+// admissibleLocked is the admission gate: no submits while draining, and
+// none that would take the tenant past its quota.
+func (c *Coordinator) admissibleLocked(tenant string, jobs int) error {
+	if c.draining {
+		c.submitsRejected.Add(1)
+		return ErrDraining
+	}
+	if out := c.usage.outstanding(tenant); out+jobs > c.opt.TenantQuota {
+		c.submitsRejected.Add(1)
+		return &QuotaError{Tenant: tenant, Outstanding: out, Requested: jobs, Quota: c.opt.TenantQuota}
+	}
+	return nil
+}
+
 // admitLocked installs an admitted campaign: builds its shard key
 // lists, fast-completes shards whose every record is already in the
 // store, and queues the rest. Shared by Submit and journal replay —
@@ -345,30 +393,9 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 // the submit replays, exactly as it would on resubmit. Caller holds
 // c.mu and has already advanced c.seq.
 func (c *Coordinator) admitLocked(id, tenant string, weight float64, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
-	fc := &fleetCampaign{
-		id:        id,
-		tenant:    tenant,
-		specHash:  spec.Hash(),
-		spec:      spec,
-		jobs:      len(jobs),
-		shardSize: shardSize,
-		leased:    map[int]string{},
-	}
-	nShards := spec.NumShards(fc.shardSize)
-	fc.shardKeys = make([][]string, nShards)
-	fc.done = make([]bool, nShards)
+	fc := newFleetCampaign(id, tenant, shardSize, spec, jobs)
 	var pending []int
-	for i := 0; i < nShards; i++ {
-		lo := i * fc.shardSize
-		hi := lo + fc.shardSize
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		keys := make([]string, 0, hi-lo)
-		for _, j := range jobs[lo:hi] {
-			keys = append(keys, j.Key)
-		}
-		fc.shardKeys[i] = keys
+	for i, keys := range fc.shardKeys {
 		if _, missing := c.opt.Store.LookupAll(keys); missing == 0 {
 			// Every record already exists — a prior campaign (or an
 			// interrupted run of this one) computed this shard. Complete
@@ -444,6 +471,60 @@ func (c *Coordinator) Renew(id string) bool {
 	return ok
 }
 
+// errUnknownLease is claimLocked's answer for an id never granted (or,
+// in replay, a tombstone pruned at rotation).
+var errUnknownLease = errors.New("unknown lease")
+
+// claimLocked is the first half of a completion, shared by Complete and
+// journal replay: resolve the lease — active, expired or superseded —
+// and retire it from the active table, so it can neither expire nor be
+// renewed while its records are being persisted.
+func (c *Coordinator) claimLocked(id string) (l lease, fc *fleetCampaign, wasActive bool, err error) {
+	l, known := c.leases.resolve(id)
+	if !known {
+		return l, nil, false, errUnknownLease
+	}
+	if fc = c.campaigns[l.campaign]; fc == nil {
+		return l, nil, false, fmt.Errorf("lease %s names unknown campaign %s", id, l.campaign)
+	}
+	_, wasActive = c.leases.drop(id)
+	return l, fc, wasActive, nil
+}
+
+// settleLocked is the second half, likewise shared: settle the tenant's
+// accounting and, if this is the first completion of the shard, mark it
+// done and retire whatever else claims it. Reports whether it was the
+// first.
+func (c *Coordinator) settleLocked(fc *fleetCampaign, l lease, wasActive bool, failed int) bool {
+	if wasActive {
+		c.usage.complete(fc.tenant, l.jobs)
+	}
+	if fc.leased[l.shard] == l.id {
+		delete(fc.leased, l.shard)
+	}
+	if fc.done[l.shard] {
+		return false
+	}
+	fc.done[l.shard] = true
+	fc.doneCount++
+	fc.failed += failed
+	// Retire whatever else claims this shard: a racing re-grant's
+	// lease, or the shard sitting back in the queue after expiry.
+	if other, ok := fc.leased[l.shard]; ok {
+		if ol, active := c.leases.drop(other); active {
+			c.usage.complete(fc.tenant, ol.jobs)
+		}
+		delete(fc.leased, l.shard)
+	}
+	if c.queue.take(fc.id, l.shard) {
+		c.usage.addQueued(fc.tenant, -l.jobs)
+	}
+	if fc.finished() {
+		c.queue.remove(fc.id)
+	}
+	return true
+}
+
 // Complete lands a shard's records. The lease may be expired or even
 // superseded by a re-grant — determinism makes the records equally
 // valid, so they are persisted (deduped by the store), the shard is
@@ -453,14 +534,11 @@ func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteRespo
 	now := c.opt.Now()
 	c.mu.Lock()
 	c.sweepLocked(now)
-	l, known := c.leases.resolve(id)
-	if !known {
-		c.mu.Unlock()
-		return CompleteResponse{}, fmt.Errorf("fleet: unknown lease %s", id)
-	}
-	_, wasActive := c.leases.drop(id)
-	fc := c.campaigns[l.campaign]
+	l, fc, wasActive, err := c.claimLocked(id)
 	c.mu.Unlock()
+	if err != nil {
+		return CompleteResponse{}, fmt.Errorf("fleet: complete %s: %w", id, err)
+	}
 
 	// Persist outside the coordinator lock: the store has its own
 	// locking, and a slow disk must not stall lease traffic.
@@ -485,31 +563,8 @@ func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteRespo
 	c.jobsFailed.Add(int64(resp.Failed))
 
 	c.mu.Lock()
-	if wasActive {
-		c.usage.complete(fc.tenant, l.jobs)
-	}
-	if fc.leased[l.shard] == id {
-		delete(fc.leased, l.shard)
-	}
-	if !fc.done[l.shard] {
-		fc.done[l.shard] = true
-		fc.doneCount++
-		fc.failed += resp.Failed
+	if c.settleLocked(fc, l, wasActive, resp.Failed) {
 		c.jobsCompleted.Add(int64(l.jobs - resp.Failed))
-		// Retire whatever else claims this shard: a racing re-grant's
-		// lease, or the shard sitting back in the queue after expiry.
-		if other, ok := fc.leased[l.shard]; ok {
-			if ol, active := c.leases.drop(other); active {
-				c.usage.complete(fc.tenant, ol.jobs)
-			}
-			delete(fc.leased, l.shard)
-		}
-		if c.queue.take(fc.id, l.shard) {
-			c.usage.addQueued(fc.tenant, -l.jobs)
-		}
-		if fc.finished() {
-			c.queue.remove(fc.id)
-		}
 	}
 	// Journaled after the store append above: a journaled completion
 	// implies its records are durable, so replay only reconstructs
@@ -540,18 +595,25 @@ func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteRespo
 // completions have finished (tests and shutdown).
 func (c *Coordinator) WaitCompactions() { c.compactions.Wait() }
 
-// sweepLocked expires overdue leases and re-queues their shards. The
-// sweep journals one expire record carrying the swept lease ids in
-// sorted order, so replay re-queues shards exactly as the live sweep
-// did and the rebuilt WFQ queue matches.
+// sweepLocked expires overdue leases and journals one expire record
+// carrying their ids in sorted order, so replay re-queues shards exactly
+// as the live sweep did and the rebuilt WFQ queue matches.
 func (c *Coordinator) sweepLocked(now time.Time) {
-	swept := c.leases.sweep(now)
-	if len(swept) == 0 {
-		return
+	if ids := c.leases.overdue(now); len(ids) > 0 {
+		c.expireLocked(ids)
+		c.logLocked(journalRecord{Op: opExpire, Leases: ids}, true)
 	}
-	ids := make([]string, 0, len(swept))
-	for _, l := range swept {
-		ids = append(ids, l.id)
+}
+
+// expireLocked retires the named leases and re-queues their shards, in
+// the order given. Shared by the live sweep and journal replay.
+func (c *Coordinator) expireLocked(ids []string) {
+	for _, id := range ids {
+		l, ok := c.leases.drop(id)
+		if !ok {
+			continue
+		}
+		c.leases.expired++
 		fc := c.campaigns[l.campaign]
 		if fc == nil {
 			continue
@@ -567,7 +629,6 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		c.queue.push(l.campaign, l.shard)
 		c.usage.requeue(fc.tenant, l.jobs)
 	}
-	c.logLocked(journalRecord{Op: opExpire, Leases: ids}, true)
 }
 
 // statusLocked builds a CampaignStatus snapshot.

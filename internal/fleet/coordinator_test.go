@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -412,5 +414,55 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	}
 	if n := len(c.Statuses()); n != 0 {
 		t.Errorf("oversized submit left %d campaigns behind", n)
+	}
+}
+
+// bigGrid is a valid spec of rates x seeds jobs.
+func bigGrid(rates, seeds int) campaign.Spec {
+	spec := testSpec()
+	spec.Rates = make([]float64, rates)
+	for i := range spec.Rates {
+		spec.Rates[i] = float64(i+1) / float64(rates)
+	}
+	spec.Seeds = make([]uint64, seeds)
+	for i := range spec.Seeds {
+		spec.Seeds[i] = uint64(i + 1)
+	}
+	return spec
+}
+
+// TestSubmitRefusesHugeGridsCheaply: grid size is caller-controlled, so
+// the refusals must not cost what the grid would. A grid past
+// campaign.MaxJobs is a 400 from Normalize; one under it but past the
+// tenant's quota is a QuotaError raised from the job *count* — the job
+// list is never built.
+func TestSubmitRefusesHugeGridsCheaply(t *testing.T) {
+	c := newTestCoordinator(t, nil, Options{TenantQuota: 6})
+	mux := http.NewServeMux()
+	c.Register(mux)
+	body, err := json.Marshal(SubmitRequest{Spec: bigGrid(1025, 1025)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/campaigns", strings.NewReader(string(body))))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "jobs") {
+		t.Errorf("POST /fleet/campaigns with a 1025x1025 grid: %d %s, want 400 naming the job cap", rec.Code, rec.Body)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.Submit(SubmitRequest{Tenant: "mallory", Spec: bigGrid(450, 450)})
+	runtime.ReadMemStats(&after)
+	var qe *QuotaError
+	if !errors.As(err, &qe) || qe.Requested != 450*450 {
+		t.Fatalf("Submit of 202500 jobs against quota 6 = %v, want QuotaError requesting 202500", err)
+	}
+	// Expanding 202 500 jobs allocates on the order of 100 MB.
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 4<<20 {
+		t.Errorf("refused submit allocated %d MiB; the quota check must precede Expand", spent>>20)
+	}
+	if m := c.Metrics(); m.SubmitsRejected != 1 || m.CampaignsTotal != 0 {
+		t.Errorf("after refusals: %+v, want 1 quota rejection and no campaigns", m)
 	}
 }

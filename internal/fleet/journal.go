@@ -13,35 +13,32 @@ package fleet
 // restored with fresh TTLs so workers that kept computing across the
 // restart renew and complete instead of being 410'd.
 //
-// Durability discipline mirrors campaign.Store: appends go straight to
-// the fd, one write per record. Fsync is batch-wise: transitions that
-// must not be lost (submit, grant, complete, expire, drain, resume)
-// sync immediately, while renew records — harmless to lose, since
-// recovery refreshes every active lease's TTL anyway — ride along until
-// the next synced record or a 64-record backlog. On open, a torn
-// trailing line (a write cut short by a crash) is truncated away so the
-// next append starts on a clean line boundary; an unparseable
-// newline-terminated line mid-file means real corruption and fails the
-// open loudly rather than silently dropping transitions.
+// The file is an appendlog.Log, which owns the crash contract (one
+// write per record, a torn trailer — a transition never acknowledged —
+// cut at open, mid-file corruption fails the open loudly rather than
+// silently dropping transitions). What is the journal's own is the
+// fsync policy: transitions that must not be lost (submit, grant,
+// complete, expire, drain, resume) sync immediately, while renew
+// records — harmless to lose, since recovery refreshes every active
+// lease's TTL anyway — ride along until the next synced record or a
+// 64-record backlog.
 //
 // Rotation bounds the file: once the journal outgrows rotateBytes, the
-// coordinator snapshots its live state into a fresh file (the snapshot
-// is the first record) and atomically renames it over the old journal,
-// so replay cost is proportional to live state plus the tail since the
-// last rotation, not to coordinator lifetime.
+// coordinator snapshots its live state and atomically rewrites the
+// journal to that one record, so replay cost is proportional to live
+// state plus the tail since the last rotation, not to coordinator
+// lifetime.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"tdmnoc/internal/appendlog"
 	"tdmnoc/internal/campaign"
 )
 
@@ -135,12 +132,10 @@ type snapLease struct {
 // journal is the append side of the write-ahead log. It is not
 // self-locking for ordering purposes — the Coordinator serialises
 // appends under its own mutex so journal order equals transition order
-// — but keeps an internal mutex so metrics reads don't race the fd.
+// — but keeps an internal mutex so metrics reads don't race the log.
 type journal struct {
 	mu       sync.Mutex
-	f        *os.File
-	path     string
-	size     int64
+	log      *appendlog.Log
 	rotateAt int64
 	unsynced int
 
@@ -148,71 +143,31 @@ type journal struct {
 	syncs     int64
 	rotations int64
 	errors    int64
-	truncated int64 // torn-trailer bytes dropped at open
 }
 
 // journalSyncBacklog bounds how many unsynced renew records may
 // accumulate before an fsync is forced anyway.
 const journalSyncBacklog = 64
 
-// openJournal opens (creating if needed) the journal at path, replays
-// its records into memory, truncates a torn trailing line, and returns
-// the append handle plus the parsed records. Mirroring the store's
-// contract, only a genuinely torn final line — unterminated, from a
-// write cut short by a crash — is dropped; an unparseable
-// newline-terminated line fails the open loudly.
+// openJournal opens (creating if needed) the journal at path and
+// returns the append handle plus the records it holds.
 func openJournal(path string, rotateAt int64) (*journal, []journalRecord, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	var recs []journalRecord
+	log, err := appendlog.Open(path, func(line []byte) error {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: open journal: %w", err)
 	}
-	j := &journal{f: f, path: path, rotateAt: rotateAt}
-	var recs []journalRecord
-	br := bufio.NewReader(f)
-	var offset, goodEnd int64
-	for {
-		line, rerr := br.ReadBytes('\n')
-		offset += int64(len(line))
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			var rec journalRecord
-			switch jerr := json.Unmarshal(trimmed, &rec); {
-			case jerr != nil && rerr == nil:
-				f.Close()
-				return nil, nil, fmt.Errorf("fleet: journal %s: corrupt record: %w", path, jerr)
-			case jerr != nil:
-				// Torn trailing line: the transition was never
-				// acknowledged, so dropping it is safe. Truncate below so
-				// the next append starts on a line boundary instead of
-				// extending the torn fragment into permanent corruption.
-			default:
-				recs = append(recs, rec)
-				goodEnd = offset
-			}
-		} else if rerr == nil {
-			goodEnd = offset
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: read journal %s: %w", path, rerr)
-		}
-	}
-	if goodEnd < offset {
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: truncate torn journal trailer: %w", err)
-		}
-		j.truncated = offset - goodEnd
-	}
-	j.size = goodEnd
-	return j, recs, nil
+	return &journal{log: log, rotateAt: rotateAt}, recs, nil
 }
 
 // append writes one record. sync forces an fsync; without it the record
@@ -222,22 +177,15 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encode journal record: %w", err)
 	}
-	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("fleet: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(b); err != nil {
+	j.unsynced++
+	sync = sync || j.unsynced >= journalSyncBacklog
+	if err := j.log.Append(b, sync); err != nil {
 		return fmt.Errorf("fleet: append journal record: %w", err)
 	}
-	j.size += int64(len(b))
 	j.appends++
-	j.unsynced++
-	if sync || j.unsynced >= journalSyncBacklog {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("fleet: sync journal: %w", err)
-		}
+	if sync {
 		j.syncs++
 		j.unsynced = 0
 	}
@@ -248,55 +196,22 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 func (j *journal) shouldRotate() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.rotateAt > 0 && j.size > j.rotateAt
+	return j.rotateAt > 0 && j.log.Size() > j.rotateAt
 }
 
 // rotate compacts the log: the snapshot becomes the sole record of a
-// fresh file that atomically replaces the journal. A crash mid-rotation
-// leaves either the old journal or the new one — never a mix.
+// fresh file that atomically replaces the journal (see
+// appendlog.Log.Rewrite).
 func (j *journal) rotate(snap *journalSnapshot) error {
 	b, err := json.Marshal(journalRecord{Op: opSnapshot, Snapshot: snap})
 	if err != nil {
 		return fmt.Errorf("fleet: encode snapshot: %w", err)
 	}
-	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("fleet: journal %s is closed", j.path)
-	}
-	tmp := j.path + ".rotate"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := j.log.Rewrite(1, func(int) ([]byte, error) { return b, nil }); err != nil {
 		return fmt.Errorf("fleet: rotate journal: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: rotate journal: %w", err)
-	}
-	nf, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		// The rotated file is in place but we lost the append handle;
-		// surface it — subsequent appends would fail anyway.
-		return fmt.Errorf("fleet: reopen rotated journal: %w", err)
-	}
-	j.f.Close()
-	j.f = nf
-	j.size = int64(len(b))
 	j.unsynced = 0
 	j.appends++
 	j.syncs++
@@ -308,20 +223,15 @@ func (j *journal) rotate(snap *journalSnapshot) error {
 func (j *journal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	j.f.Sync()
-	err := j.f.Close()
-	j.f = nil
-	return err
+	j.log.Sync()
+	return j.log.Close()
 }
 
 // stats snapshots the journal counters for Metrics.
 func (j *journal) stats() (appends, syncs, rotations, errs, size int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appends, j.syncs, j.rotations, j.errors, j.size
+	return j.appends, j.syncs, j.rotations, j.errors, j.log.Size()
 }
 
 // countError bumps the append-failure counter (the coordinator logs the
@@ -358,7 +268,7 @@ func (c *Coordinator) replay(recs []journalRecord) error {
 		case opComplete:
 			err = c.replayComplete(rec)
 		case opExpire:
-			c.replayExpire(rec)
+			c.expireLocked(rec.Leases)
 		case opDrain:
 			c.draining = true
 		case opResume:
@@ -443,70 +353,23 @@ func (c *Coordinator) replayGrant(rec journalRecord) error {
 	return nil
 }
 
-// replayComplete re-runs the control-plane half of Complete. The
-// records themselves are already in the store (Complete persists before
-// journaling), so only bookkeeping is reconstructed here.
+// replayComplete re-runs the control-plane half of Complete through the
+// same two bodies the live path uses. The records themselves are
+// already in the store (Complete persists before journaling), so only
+// bookkeeping is reconstructed here.
 func (c *Coordinator) replayComplete(rec journalRecord) error {
-	l, known := c.leases.resolve(rec.Lease)
-	if !known {
+	l, fc, wasActive, err := c.claimLocked(rec.Lease)
+	if errors.Is(err, errUnknownLease) {
 		// A duplicate completion against a tombstone pruned at rotation
 		// (its campaign had finished). The original call changed no
 		// shard state; skip.
 		return nil
 	}
-	_, wasActive := c.leases.drop(rec.Lease)
-	fc := c.campaigns[l.campaign]
-	if fc == nil {
-		return fmt.Errorf("complete %s names unknown campaign %s", rec.Lease, l.campaign)
+	if err != nil {
+		return err
 	}
-	if wasActive {
-		c.usage.complete(fc.tenant, l.jobs)
-	}
-	if fc.leased[l.shard] == rec.Lease {
-		delete(fc.leased, l.shard)
-	}
-	if !fc.done[l.shard] {
-		fc.done[l.shard] = true
-		fc.doneCount++
-		fc.failed += rec.Failed
-		if other, ok := fc.leased[l.shard]; ok {
-			if ol, active := c.leases.drop(other); active {
-				c.usage.complete(fc.tenant, ol.jobs)
-			}
-			delete(fc.leased, l.shard)
-		}
-		if c.queue.take(fc.id, l.shard) {
-			c.usage.addQueued(fc.tenant, -l.jobs)
-		}
-		if fc.finished() {
-			c.queue.remove(fc.id)
-		}
-	}
+	c.settleLocked(fc, l, wasActive, rec.Failed)
 	return nil
-}
-
-// replayExpire re-runs a sweep's re-queueing, in the journaled (sorted)
-// order so the rebuilt WFQ queue matches the live coordinator's.
-func (c *Coordinator) replayExpire(rec journalRecord) {
-	for _, id := range rec.Leases {
-		l, ok := c.leases.drop(id)
-		if !ok {
-			continue
-		}
-		c.leases.expired++
-		fc := c.campaigns[l.campaign]
-		if fc == nil {
-			continue
-		}
-		if fc.leased[l.shard] == l.id {
-			delete(fc.leased, l.shard)
-		}
-		if fc.done[l.shard] {
-			continue
-		}
-		c.queue.push(l.campaign, l.shard)
-		c.usage.requeue(fc.tenant, l.jobs)
-	}
 }
 
 // replaySnapshot rebuilds the full control plane from a rotation
@@ -536,31 +399,12 @@ func (c *Coordinator) replaySnapshot(s *journalSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", sc.ID, err)
 		}
-		fc := &fleetCampaign{
-			id:        sc.ID,
-			tenant:    sc.Tenant,
-			specHash:  sc.SpecHash,
-			spec:      spec,
-			jobs:      len(jobs),
-			shardSize: sc.ShardSize,
-			leased:    map[int]string{},
-			failed:    sc.Failed,
+		if sc.ShardSize <= 0 {
+			return fmt.Errorf("campaign %s: shard size %d invalid", sc.ID, sc.ShardSize)
 		}
-		nShards := spec.NumShards(fc.shardSize)
-		fc.shardKeys = make([][]string, nShards)
-		fc.done = make([]bool, nShards)
-		for i := 0; i < nShards; i++ {
-			lo := i * fc.shardSize
-			hi := lo + fc.shardSize
-			if hi > len(jobs) {
-				hi = len(jobs)
-			}
-			keys := make([]string, 0, hi-lo)
-			for _, j := range jobs[lo:hi] {
-				keys = append(keys, j.Key)
-			}
-			fc.shardKeys[i] = keys
-		}
+		fc := newFleetCampaign(sc.ID, sc.Tenant, sc.ShardSize, spec, jobs)
+		fc.failed = sc.Failed
+		nShards := len(fc.shardKeys)
 		for _, d := range sc.Done {
 			if d < 0 || d >= nShards {
 				return fmt.Errorf("campaign %s: done shard %d out of range", sc.ID, d)

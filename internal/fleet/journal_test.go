@@ -456,7 +456,7 @@ func TestJournalDisabledKeepsOldBehavior(t *testing.T) {
 }
 
 // TestSweepReturnsLeasesSorted pins the determinism fix in
-// leaseTable.sweep: several leases expiring in one sweep come back in
+// leaseTable.overdue: several leases expiring in one sweep come back in
 // lease-id order regardless of map iteration order, so their shards
 // re-queue identically on every run and on journal replay.
 func TestSweepReturnsLeasesSorted(t *testing.T) {
@@ -466,13 +466,13 @@ func TestSweepReturnsLeasesSorted(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			lt.grant("c0001", i, 1, "w", base.Add(time.Second))
 		}
-		swept := lt.sweep(base.Add(time.Minute))
+		swept := lt.overdue(base.Add(time.Minute))
 		if len(swept) != 8 {
 			t.Fatalf("swept %d leases, want 8", len(swept))
 		}
 		for i := 1; i < len(swept); i++ {
-			if swept[i-1].id >= swept[i].id {
-				t.Fatalf("sweep order not sorted: %s before %s", swept[i-1].id, swept[i].id)
+			if swept[i-1] >= swept[i] {
+				t.Fatalf("sweep order not sorted: %s before %s", swept[i-1], swept[i])
 			}
 		}
 	}

@@ -82,23 +82,21 @@ func (t *leaseTable) drop(id string) (*lease, bool) {
 	return l, ok
 }
 
-// sweep removes every lease past its deadline and returns them sorted
-// by lease id — the caller re-queues their shards. Sorting matters:
+// overdue lists the ids of every active lease past its deadline, sorted
+// — the caller expires them and re-queues their shards. Sorting matters:
 // map iteration order is random, so several leases expiring in the same
 // sweep would otherwise re-queue their shards in a different order on
 // every run, and two coordinators applying the same request sequence
 // (journal replay included) would make divergent WFQ decisions.
-func (t *leaseTable) sweep(now time.Time) []*lease {
-	var out []*lease
+func (t *leaseTable) overdue(now time.Time) []string {
+	var ids []string
 	for id, l := range t.active {
 		if now.After(l.deadline) {
-			delete(t.active, id)
-			t.expired++
-			out = append(out, l)
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	sort.Strings(ids)
+	return ids
 }
 
 // restore reinstates a lease as active (journal replay), recording its

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end fleet fabric smoke: a coordinator (with a write-ahead
 # journal) and two workers on localhost run a sweep; mid-sweep the
-# coordinator is SIGKILLed and restarted (the journal must bring back
-# every queued campaign and active lease), then one worker is SIGKILLed
-# while it holds a lease (its shard expires and migrates) — and the
-# fleet CSV must still match the single-process CSV bit for bit: the
-# determinism + durability contract of DESIGN.md §10, exercised through
-# real processes, real sockets and a real kill -9.
+# coordinator is SIGKILLed, a half-written line is left at the end of
+# its journal and of one store shard (what a kill mid-append really
+# leaves), and it is restarted (the journal must bring back every queued
+# campaign and active lease, and both files must be appendable again),
+# then one worker is SIGKILLed while it holds a lease (its shard expires
+# and migrates) — and the fleet CSV must still match the single-process
+# CSV bit for bit. Finally the coordinator is stopped and started once
+# more and the sweep re-fetched: the files written after the torn
+# trailers must still open, with no dead lines and the same CSV. This is
+# the determinism + durability contract of DESIGN.md §10, exercised
+# through real processes, real sockets and a real kill -9.
 set -euo pipefail
 
 COORD_PORT="${COORD_PORT:-18080}"
@@ -94,6 +99,13 @@ fi
 echo "== SIGKILL coordinator (pid $COORD_PID) mid-sweep, restart on journal"
 kill -9 "$COORD_PID"
 wait "$COORD_PID" 2>/dev/null || true
+# The crash artefact: an append cut short. The restart must cut both
+# fragments off, or the next record appended fuses with them into a
+# corrupt line that fails every later open.
+SHARD="$(ls -S "$TMP"/coord/fleet/shard-*.jsonl | head -1)"
+printf '{"op":"grant","campaign":"c0001","lea' >> "$JOURNAL"
+printf '{"key":"0abc","resu' >> "$SHARD"
+echo "   left torn trailers on $(basename "$JOURNAL") and $(basename "$SHARD")"
 start_coordinator
 wait_healthy
 replayed="$(metric fleet_journal_replayed_records || echo 0)"
@@ -125,20 +137,37 @@ fi
 
 wait "$SWEEP_PID"
 
+verify() { # $1 = the fleet CSV to hold against the serial run
+    dead="$(metric fleet_store_dead_lines)"
+    echo "   store dead lines: $dead"
+    if [ "${dead:-0}" != 0 ]; then
+        echo "FAIL: sharded store contains duplicate or torn lines"
+        exit 1
+    fi
+    if ! diff -u "$TMP/serial.csv" "$1"; then
+        echo "FAIL: fleet results differ from the single-process run"
+        exit 1
+    fi
+}
+
 echo "== verify"
 expired="$(metric fleet_leases_expired_total)"
-dead="$(metric fleet_store_dead_lines)"
-echo "   leases expired: $expired, store dead lines: $dead"
+echo "   leases expired: $expired"
 if [ "${expired:-0}" -lt 1 ]; then
     echo "FAIL: killed worker's lease never expired"
     exit 1
 fi
-if [ "${dead:-0}" != 0 ]; then
-    echo "FAIL: sharded store contains duplicate records"
-    exit 1
-fi
-if ! diff -u "$TMP/serial.csv" "$TMP/fleet.csv"; then
-    echo "FAIL: fleet results differ from the single-process run"
-    exit 1
-fi
-echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines)"
+verify "$TMP/fleet.csv"
+
+# Second restart, this time a clean stop: everything appended since the
+# torn trailers must read back. The resubmitted sweep is served from the
+# store (every shard fast-completes at admission), so its CSV is the
+# summary re-fetched through the reopened files.
+echo "== stop coordinator (pid $COORD_PID), restart, re-fetch"
+kill "$COORD_PID"
+wait "$COORD_PID" 2>/dev/null || true
+start_coordinator
+wait_healthy
+"$BIN/sweep" -fleet "$BASE" "${SWEEP_ARGS[@]}" > "$TMP/fleet2.csv"
+verify "$TMP/fleet2.csv"
+echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines), through a crash with torn trailers and a restart"
