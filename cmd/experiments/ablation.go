@@ -9,9 +9,11 @@ import (
 // ablation quantifies each design choice DESIGN.md calls out by switching
 // it off in isolation: time-slot stealing (Section II-D), circuit-switched
 // path sharing (III-A), dynamic slot-table sizing (II-C) and aggressive VC
-// power gating (III-B).
+// power gating (III-B). Two more rows swap in an alternative instead:
+// the latency-driven gating refinement Section V-B4 suggests, and a
+// 2-iteration iSLIP switch allocator in place of the single pass.
 func ablation(rc runConfig) {
-	fmt.Println("== Ablation: one design choice off at a time (hotspot traffic, 6x6) ==")
+	fmt.Println("== Ablation: one design choice changed at a time (hotspot traffic, 6x6) ==")
 	warm, measure := cyclesFor(rc.quick)
 	// Keep the offered load below the hotspot pattern's ejection-bound
 	// saturation (~0.13) so latency and energy readings are not dominated
@@ -34,6 +36,8 @@ func ablation(rc runConfig) {
 		{"- path sharing", func(c hsnoc.Config) hsnoc.Config { c.PathSharing = false; return c }},
 		{"- dynamic slot sizing", func(c hsnoc.Config) hsnoc.Config { c.DisableDynamicSlotSizing = true; return c }},
 		{"- VC power gating", func(c hsnoc.Config) hsnoc.Config { c.VCPowerGating = false; return c }},
+		{"~ latency-driven gating", func(c hsnoc.Config) hsnoc.Config { c.LatencyBasedVCGating = true; return c }},
+		{"~ 2-iteration iSLIP", func(c hsnoc.Config) hsnoc.Config { c.SAIterations = 2; return c }},
 	}
 
 	var jobs []synthJob

@@ -34,14 +34,8 @@ func heteroVariants(seed uint64) []heteroVariant {
 	}
 }
 
-type heteroRun struct {
-	mix     int
-	variant int
-	res     hsnoc.HeteroResults
-}
-
 // runHeteroMatrix executes (mix, variant) runs in parallel.
-func runHeteroMatrix(rc runConfig, mixes []int, variants []heteroVariant, warm, measure int) map[[2]int]hsnoc.HeteroResults {
+func runHeteroMatrix(rc runConfig, mixes []int, variants []heteroVariant, warm, measure int) map[[2]int]hsnoc.Results {
 	workers := rc.workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -49,7 +43,7 @@ func runHeteroMatrix(rc runConfig, mixes []int, variants []heteroVariant, warm, 
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	var mu sync.Mutex
-	out := map[[2]int]hsnoc.HeteroResults{}
+	out := map[[2]int]hsnoc.Results{}
 	for _, mi := range mixes {
 		for vi := range variants {
 			wg.Add(1)

@@ -10,20 +10,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/textplot"
 )
-
-// parseMode and parsePattern delegate to the campaign package, the one
-// home of the CLI name mappings.
-func parseMode(s string) (hsnoc.Mode, error) { return campaign.ParseMode(s) }
-
-func parsePattern(s string) (hsnoc.Pattern, error) { return campaign.ParsePattern(s) }
 
 // validateFlags rejects flag combinations that would panic, hang, or
 // silently do nothing — with a clear message and exit code 2 instead.
@@ -56,24 +52,14 @@ func validateFlags(rate float64, warmup, cycles, packets, workers, slots int, he
 }
 
 // validateObsFlags rejects tracing/telemetry requests the simulator
-// cannot honour (probes run inside compute ticks, so they need a serial
-// executor, and neither the SDM baseline nor the heterogeneous driver
-// exposes the probe layer).
-func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode, workers int, hetero bool) error {
-	if traceOut == "" && telemetryEvery == 0 {
-		return nil
-	}
+// cannot honour: the SDM baseline's engine has no probe layer. Every
+// workload and worker count of the shared router network can be traced.
+func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode) error {
 	if telemetryEvery < 0 {
 		return fmt.Errorf("nocsim: negative -telemetry-every %d", telemetryEvery)
 	}
-	if hetero {
-		return fmt.Errorf("nocsim: -trace-out/-telemetry-every are not supported with -hetero")
-	}
-	if mode == hsnoc.HybridSDM {
+	if (traceOut != "" || telemetryEvery > 0) && mode == hsnoc.HybridSDM {
 		return fmt.Errorf("nocsim: -trace-out/-telemetry-every are not available for sdm mode")
-	}
-	if workers > 1 {
-		return fmt.Errorf("nocsim: -trace-out/-telemetry-every require -workers 1")
 	}
 	return nil
 }
@@ -82,7 +68,7 @@ func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode, work
 // combinations up front — a -policy without the profile it feeds on, or
 // a -profile-in that nothing consumes, would otherwise run a simulation
 // whose result silently ignores the flag.
-func validatePolicyFlags(policySpec, profileIn, profileOut string, adaptive int64, mode hsnoc.Mode, hetero bool) error {
+func validatePolicyFlags(policySpec, profileIn, profileOut string, mode hsnoc.Mode) error {
 	if policySpec != "" && profileIn == "" {
 		return fmt.Errorf("nocsim: -policy %s needs -profile-in (offline mode re-runs a profiled workload; extract one with -profile-out first)", policySpec)
 	}
@@ -92,57 +78,69 @@ func validatePolicyFlags(policySpec, profileIn, profileOut string, adaptive int6
 	if profileIn != "" && profileOut != "" {
 		return fmt.Errorf("nocsim: -profile-in and -profile-out are mutually exclusive (a policy re-run profiles a different config)")
 	}
-	if profileOut != "" || profileIn != "" || adaptive > 0 {
-		if hetero {
-			return fmt.Errorf("nocsim: profile/policy flags are not supported with -hetero")
-		}
-	}
 	if profileOut != "" && mode == hsnoc.HybridSDM {
 		return fmt.Errorf("nocsim: -profile-out is not available for sdm mode")
 	}
 	return nil
 }
 
-func main() {
-	mode := flag.String("mode", "tdm", "switching mode: packet|tdm|sdm")
-	pattern := flag.String("pattern", "tornado", "traffic pattern: ur|tornado|transpose|bc|neighbor")
-	rate := flag.Float64("rate", 0.15, "offered load in flits/node/cycle")
-	width := flag.Int("width", 6, "mesh width")
-	height := flag.Int("height", 6, "mesh height")
-	warmup := flag.Int("warmup", 8000, "warm-up cycles (not measured)")
-	cycles := flag.Int("cycles", 40000, "measured cycles")
-	packets := flag.Int("packets", 0, "stop measuring once this many packets are delivered (0 = run the full -cycles; -cycles still caps the run)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	slots := flag.Int("slots", 128, "slot-table capacity (tdm)")
-	sharing := flag.Bool("sharing", false, "enable circuit-switched path sharing (tdm)")
-	vcgating := flag.Bool("vcgating", false, "enable aggressive VC power gating")
-	noSteal := flag.Bool("nostealing", false, "disable time-slot stealing (tdm)")
-	staticSlots := flag.Bool("staticslots", false, "disable dynamic slot-table sizing (tdm)")
-	workers := flag.Int("workers", 1, "executor parallelism")
-	check := flag.Bool("check", false, "run the per-cycle invariant checker (conservation, credits, slot tables; ~2-4x slower, never changes results)")
-	checkEvery := flag.Int("checkevery", 1, "with -check, run the checks every N cycles")
-	hetero := flag.Bool("hetero", false, "run the heterogeneous system instead of synthetic traffic")
-	cpuB := flag.String("cpu", "EQUAKE", "CPU benchmark (hetero)")
-	gpuB := flag.String("gpu", "BLACKSCHOLES", "GPU benchmark (hetero)")
-	heatmap := flag.Bool("heatmap", false, "print per-router and per-link utilisation heatmaps after the run")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (Perfetto) JSON timeline to this file (serial packet/tdm runs only)")
-	telemetryEvery := flag.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (serial packet/tdm runs only)")
-	configPath := flag.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
-	profileOut := flag.String("profile-out", "", "extract the run's traffic profile (per-flow volumes, link heat, slot state) to this JSON file (serial packet/tdm runs only)")
-	profileIn := flag.String("profile-in", "", "load a traffic profile extracted by -profile-out; requires -policy")
-	policySpec := flag.String("policy", "", "re-run the profiled workload under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (requires -profile-in)")
-	adaptive := flag.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
-	adaptiveTopK := flag.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	m, err := parseMode(*mode)
+// run is the whole command: parse args, build one simulator from the
+// workload flags, then attach → warm up → measure → print → profile →
+// check → heatmap → trace, the same sequence for every workload. It
+// returns the process exit code (2 = bad invocation, 1 = failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "tdm", "switching mode: packet|tdm|sdm")
+	pattern := fs.String("pattern", "tornado", "traffic pattern: ur|tornado|transpose|bc|neighbor|hotspot")
+	rate := fs.Float64("rate", 0.15, "offered load in flits/node/cycle")
+	width := fs.Int("width", 6, "mesh width")
+	height := fs.Int("height", 6, "mesh height")
+	warmup := fs.Int("warmup", 8000, "warm-up cycles (not measured)")
+	cycles := fs.Int("cycles", 40000, "measured cycles")
+	packets := fs.Int("packets", 0, "stop measuring once this many packets are delivered (0 = run the full -cycles; -cycles still caps the run)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	slots := fs.Int("slots", 128, "slot-table capacity (tdm)")
+	sharing := fs.Bool("sharing", false, "enable circuit-switched path sharing (tdm)")
+	vcgating := fs.Bool("vcgating", false, "enable aggressive VC power gating")
+	noSteal := fs.Bool("nostealing", false, "disable time-slot stealing (tdm)")
+	staticSlots := fs.Bool("staticslots", false, "disable dynamic slot-table sizing (tdm)")
+	workers := fs.Int("workers", 1, "executor parallelism")
+	check := fs.Bool("check", false, "run the per-cycle invariant checker (conservation, credits, slot tables; ~2-4x slower, never changes results)")
+	checkEvery := fs.Int("checkevery", 1, "with -check, run the checks every N cycles")
+	hetero := fs.Bool("hetero", false, "run the heterogeneous system instead of synthetic traffic")
+	cpuB := fs.String("cpu", "EQUAKE", "CPU benchmark (hetero)")
+	gpuB := fs.String("gpu", "BLACKSCHOLES", "GPU benchmark (hetero)")
+	heatmap := fs.Bool("heatmap", false, "print per-router and per-link utilisation heatmaps after the run")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace-event (Perfetto) JSON timeline to this file (packet/tdm)")
+	telemetryEvery := fs.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (packet/tdm)")
+	configPath := fs.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
+	profileOut := fs.String("profile-out", "", "extract the run's traffic profile (per-flow volumes, link heat, slot state) to this JSON file (packet/tdm)")
+	profileIn := fs.String("profile-in", "", "load a traffic profile extracted by -profile-out; requires -policy")
+	policySpec := fs.String("policy", "", "re-run the profiled workload under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (requires -profile-in)")
+	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
+	adaptiveTopK := fs.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return code
+	}
+
+	// campaign.ParseMode/ParsePattern are the one home of the CLI name
+	// mappings.
+	m, err := campaign.ParseMode(*mode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if err := validateFlags(*rate, *warmup, *cycles, *packets, *workers, *slots, *hetero); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	cfg := hsnoc.DefaultConfig(*width, *height)
 	cfg.Mode = m
@@ -156,14 +154,12 @@ func main() {
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		cfg, err = hsnoc.LoadConfig(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	}
 	// Checking is a run-time observation knob, so -check applies even
@@ -177,59 +173,56 @@ func main() {
 		cfg.AdaptiveTopK = *adaptiveTopK
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	if err := validateObsFlags(*traceOut, *telemetryEvery, cfg.Mode, cfg.Workers, *hetero); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if err := validateObsFlags(*traceOut, *telemetryEvery, cfg.Mode); err != nil {
+		return fail(2, err)
 	}
-	if err := validatePolicyFlags(*policySpec, *profileIn, *profileOut, cfg.AdaptiveEpoch, cfg.Mode, *hetero); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if err := validatePolicyFlags(*policySpec, *profileIn, *profileOut, cfg.Mode); err != nil {
+		return fail(2, err)
 	}
 	if *policySpec != "" {
 		pol, err := hsnoc.ParsePolicy(*policySpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		prof, err := hsnoc.ReadProfileFile(*profileIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		if prof.ConfigHash != cfg.Hash() {
-			fmt.Fprintf(os.Stderr, "nocsim: profile %s was extracted from a different configuration (profile %.12s..., flags %.12s...); re-extract it with -profile-out under the same flags\n",
-				*profileIn, prof.ConfigHash, cfg.Hash())
-			os.Exit(2)
+			return fail(2, fmt.Errorf("nocsim: profile %s was extracted from a different configuration (profile %.12s..., flags %.12s...); re-extract it with -profile-out under the same flags",
+				*profileIn, prof.ConfigHash, cfg.Hash()))
 		}
 		d := pol.Decide(prof)
 		cfg, err = hsnoc.ApplyDecision(cfg, d)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
-		m = cfg.Mode
-		fmt.Printf("policy %s: %d pinned flows, restrict_setups=%v, slot_init=%d, use_sdm=%v, gated_planes=%d\n",
+		fmt.Fprintf(stdout, "policy %s: %d pinned flows, restrict_setups=%v, slot_init=%d, use_sdm=%v, gated_planes=%d\n",
 			pol.Name(), len(d.PinnedFlows), d.RestrictSetups, d.SlotInit, d.UseSDM, d.GatedPlanes)
 	}
 
+	// The workload flags pick the constructor; nothing below depends on
+	// which one ran.
+	var s *hsnoc.Simulator
+	var what string
 	if *hetero {
-		runHetero(cfg, *cpuB, *gpuB, *warmup, *cycles)
-		return
+		if s, err = hsnoc.NewHeterogeneous(cfg, *cpuB, *gpuB); err != nil {
+			return fail(2, err)
+		}
+		what = fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
+	} else {
+		p, err := campaign.ParsePattern(*pattern)
+		if err != nil {
+			return fail(2, err)
+		}
+		s = hsnoc.NewSynthetic(cfg, p, *rate)
+		what = fmt.Sprintf("pattern %v, offered %.3f flits/node/cycle", p, *rate)
 	}
-
-	p, err := parsePattern(*pattern)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	s := hsnoc.NewSynthetic(cfg, p, *rate)
 	defer s.Close()
 	wantTelemetry := *traceOut != "" || *telemetryEvery > 0 || *profileOut != ""
 	if wantTelemetry || *heatmap {
@@ -242,8 +235,7 @@ func main() {
 		if _, err := s.AttachTelemetry(opt); err != nil && wantTelemetry {
 			// -heatmap alone degrades gracefully to the per-router map
 			// (which needs no probe); explicit tracing flags do not.
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	}
 	s.Warmup(*warmup)
@@ -251,125 +243,96 @@ func main() {
 	if *packets > 0 {
 		res = s.RunUntilPackets(int64(*packets), *cycles)
 		if res.Packets < int64(*packets) {
-			fmt.Fprintf(os.Stderr, "nocsim: only %d of %d target packets delivered within %d cycles\n",
+			fmt.Fprintf(stderr, "nocsim: only %d of %d target packets delivered within %d cycles\n",
 				res.Packets, *packets, *cycles)
 		}
 	} else {
 		res = s.Run(*cycles)
 	}
 
-	fmt.Printf("%v, pattern %v, offered %.3f flits/node/cycle, %d cycles\n", m, p, *rate, res.Cycles)
-	fmt.Printf("  delivered packets       %d\n", res.Packets)
-	fmt.Printf("  accepted throughput     %.4f flits/node/cycle (%.4f payload-normalised)\n", res.Throughput, res.PayloadThroughput)
-	fmt.Printf("  avg network latency     %.1f cycles\n", res.AvgNetLatency)
-	fmt.Printf("  avg total latency       %.1f cycles (incl. source queueing)\n", res.AvgTotalLatency)
-	fmt.Printf("  circuit-switched flits  %.1f%%\n", 100*res.CSFlitFraction)
-	fmt.Printf("  config traffic          %.2f%% of flits\n", 100*res.ConfigTrafficFraction)
-	fmt.Printf("  circuits established    %d (active slot entries: %d)\n", res.CircuitsEstablished, res.ActiveSlotEntries)
-	if res.Hitchhikes+res.VicinityRides > 0 {
-		fmt.Printf("  path sharing            %d hitchhikes, %d vicinity rides\n", res.Hitchhikes, res.VicinityRides)
+	fmt.Fprintf(stdout, "%v, %s, %d cycles\n", cfg.Mode, what, res.Cycles)
+	fmt.Fprintf(stdout, "  delivered packets       %d\n", res.Packets)
+	fmt.Fprintf(stdout, "  accepted throughput     %.4f flits/node/cycle (%.4f payload-normalised)\n", res.Throughput, res.PayloadThroughput)
+	fmt.Fprintf(stdout, "  avg network latency     %.1f cycles\n", res.AvgNetLatency)
+	fmt.Fprintf(stdout, "  avg total latency       %.1f cycles (incl. source queueing)\n", res.AvgTotalLatency)
+	fmt.Fprintf(stdout, "  circuit-switched flits  %.1f%%\n", 100*res.CSFlitFraction)
+	fmt.Fprintf(stdout, "  config traffic          %.2f%% of flits\n", 100*res.ConfigTrafficFraction)
+	fmt.Fprintf(stdout, "  circuits established    %d (active slot entries: %d)\n", res.CircuitsEstablished, res.ActiveSlotEntries)
+	if res.CPUInstructions+res.GPUIterations > 0 {
+		fmt.Fprintf(stdout, "  CPU instructions        %d\n", res.CPUInstructions)
+		fmt.Fprintf(stdout, "  GPU memory operations   %d\n", res.GPUIterations)
+		fmt.Fprintf(stdout, "  GPU injection rate      %.3f flits/node/cycle\n", res.GPUInjectionRate)
+		fmt.Fprintf(stdout, "  GPU circuit-switched    %.1f%%\n", 100*res.GPUCSFraction)
+		fmt.Fprintf(stdout, "  avg CPU / GPU latency   %.1f / %.1f cycles\n", res.AvgCPULatency, res.AvgGPULatency)
 	}
-	fmt.Printf("  energy                  %.2f uJ (dynamic %.2f, static %.2f)\n",
+	if res.Hitchhikes+res.VicinityRides > 0 {
+		fmt.Fprintf(stdout, "  path sharing            %d hitchhikes, %d vicinity rides\n", res.Hitchhikes, res.VicinityRides)
+	}
+	fmt.Fprintf(stdout, "  energy                  %.2f uJ (dynamic %.2f, static %.2f)\n",
 		res.Energy.TotalPJ/1e6, sum(res.Energy.DynamicPJ)/1e6, sum(res.Energy.StaticPJ)/1e6)
 	if cfg.AdaptiveEpoch > 0 {
-		fmt.Printf("  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
+		fmt.Fprintf(stdout, "  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
 	}
 	if *profileOut != "" {
 		prof, err := s.ExtractProfile()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := prof.WriteFile(*profileOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Printf("  profile                 %s (%d flows, config %.12s...)\n", *profileOut, len(prof.Flows), prof.ConfigHash)
+		fmt.Fprintf(stdout, "  profile                 %s (%d flows, config %.12s...)\n", *profileOut, len(prof.Flows), prof.ConfigHash)
 	}
 	if *check {
 		if n := s.InvariantViolationCount(); n > 0 {
-			fmt.Fprintf(os.Stderr, "nocsim: %d invariant violation(s):\n", n)
+			fmt.Fprintf(stderr, "nocsim: %d invariant violation(s):\n", n)
 			for _, v := range s.InvariantViolations() {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
+				fmt.Fprintf(stderr, "  %s\n", v)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("  invariants              clean, rolling digest %016x\n", s.RollingDigest())
+		fmt.Fprintf(stdout, "  invariants              clean, rolling digest %016x\n", s.RollingDigest())
 	}
 	if *telemetryEvery > 0 {
 		if out, err := s.RenderTelemetry(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 		} else {
-			fmt.Println()
-			fmt.Print(out)
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, out)
 		}
 	}
 	if *heatmap {
 		if grid := s.UtilizationGrid(); grid != nil {
-			fmt.Println()
-			fmt.Print(textplot.Heatmap("router utilisation", grid))
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, textplot.Heatmap("router utilisation", grid))
 		}
 		if out, err := s.RenderLinkHeatmap(); err == nil {
-			fmt.Println()
-			fmt.Print(out)
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, out)
 		}
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		werr := s.WriteTrace(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			return fail(1, werr)
 		}
 		rec := s.Telemetry()
-		fmt.Printf("  trace                   %s (%d events recorded, %d dropped)\n",
+		fmt.Fprintf(stdout, "  trace                   %s (%d events recorded, %d dropped)\n",
 			*traceOut, rec.Ring().Len(), rec.Dropped())
 	}
 	d := s.Diagnose()
 	if d.MisroutedCS != 0 || d.DroppedCS != 0 || d.LatchConflicts != 0 {
-		fmt.Printf("  WARNING: invariant violations: %+v\n", d)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "  WARNING: invariant violations: %+v\n", d)
+		return 1
 	}
-}
-
-func runHetero(cfg hsnoc.Config, cpuB, gpuB string, warmup, cycles int) {
-	h, err := hsnoc.NewHeterogeneous(cfg, cpuB, gpuB)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer h.Close()
-	h.Warmup(warmup)
-	res := h.Run(cycles)
-	fmt.Printf("%v, heterogeneous mix %s/%s, %d cycles\n", cfg.Mode, gpuB, cpuB, cycles)
-	fmt.Printf("  CPU instructions        %d\n", res.CPUInstructions)
-	fmt.Printf("  GPU memory operations   %d\n", res.GPUIterations)
-	fmt.Printf("  GPU injection rate      %.3f flits/node/cycle\n", res.GPUInjectionRate)
-	fmt.Printf("  GPU circuit-switched    %.1f%%\n", 100*res.GPUCSFraction)
-	fmt.Printf("  avg CPU / GPU latency   %.1f / %.1f cycles\n", res.AvgCPULatency, res.AvgGPULatency)
-	if res.Hitchhikes+res.VicinityRides > 0 {
-		fmt.Printf("  path sharing            %d hitchhikes, %d vicinity rides\n", res.Hitchhikes, res.VicinityRides)
-	}
-	fmt.Printf("  energy                  %.2f uJ\n", res.Energy.TotalPJ/1e6)
-	if n := h.InvariantViolationCount(); n > 0 {
-		fmt.Fprintf(os.Stderr, "nocsim: %d invariant violation(s):\n", n)
-		for _, v := range h.InvariantViolations() {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
-		}
-		os.Exit(1)
-	}
-	d := h.Diagnose()
-	if d.MisroutedCS != 0 || d.DroppedCS != 0 || d.LatchConflicts != 0 {
-		fmt.Printf("  WARNING: invariant violations: %+v\n", d)
-		os.Exit(1)
-	}
+	return 0
 }
 
 func sum(m map[string]float64) float64 {

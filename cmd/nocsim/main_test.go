@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tdmnoc/hsnoc"
+	"tdmnoc/internal/campaign"
 )
 
 func TestParseMode(t *testing.T) {
@@ -13,12 +18,12 @@ func TestParseMode(t *testing.T) {
 		"sdm": hsnoc.HybridSDM,
 	}
 	for in, want := range cases {
-		got, err := parseMode(in)
+		got, err := campaign.ParseMode(in)
 		if err != nil || got != want {
-			t.Errorf("parseMode(%q) = (%v,%v), want %v", in, got, err, want)
+			t.Errorf("ParseMode(%q) = (%v,%v), want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseMode("bogus"); err == nil {
+	if _, err := campaign.ParseMode("bogus"); err == nil {
 		t.Error("bogus mode accepted")
 	}
 }
@@ -26,39 +31,57 @@ func TestParseMode(t *testing.T) {
 func TestValidatePolicyFlags(t *testing.T) {
 	ok := []struct {
 		policy, in, out string
-		adaptive        int64
 		mode            hsnoc.Mode
-		hetero          bool
 	}{
-		{"", "", "", 0, hsnoc.HybridTDM, false},                  // no policy flags at all
-		{"", "", "prof.json", 0, hsnoc.HybridTDM, false},         // profile extraction
-		{"greedy", "prof.json", "", 0, hsnoc.HybridTDM, false},   // policy re-run
-		{"", "", "", 512, hsnoc.HybridTDM, false},                // online controller
-		{"", "", "", 0, hsnoc.HybridSDM, true},                   // hetero without policy flags
-		{"sdm-gate", "prof.json", "", 0, hsnoc.HybridTDM, false}, // cross-architecture re-run
+		{"", "", "", hsnoc.HybridTDM},                  // no policy flags at all
+		{"", "", "prof.json", hsnoc.HybridTDM},         // profile extraction
+		{"greedy", "prof.json", "", hsnoc.HybridTDM},   // policy re-run
+		{"", "", "", hsnoc.HybridSDM},                  // sdm without policy flags
+		{"sdm-gate", "prof.json", "", hsnoc.HybridTDM}, // cross-architecture re-run
 	}
 	for i, c := range ok {
-		if err := validatePolicyFlags(c.policy, c.in, c.out, c.adaptive, c.mode, c.hetero); err != nil {
+		if err := validatePolicyFlags(c.policy, c.in, c.out, c.mode); err != nil {
 			t.Errorf("valid combination %d rejected: %v", i, err)
 		}
 	}
 	bad := []struct {
 		policy, in, out string
-		adaptive        int64
 		mode            hsnoc.Mode
-		hetero          bool
 	}{
-		{"greedy", "", "", 0, hsnoc.HybridTDM, false},                  // -policy without -profile-in
-		{"", "prof.json", "", 0, hsnoc.HybridTDM, false},               // -profile-in without -policy
-		{"greedy", "prof.json", "out.json", 0, hsnoc.HybridTDM, false}, // both profile flags
-		{"", "", "prof.json", 0, hsnoc.HybridTDM, true},                // profile with -hetero
-		{"greedy", "prof.json", "", 0, hsnoc.HybridTDM, true},          // policy with -hetero
-		{"", "", "", 512, hsnoc.HybridTDM, true},                       // adaptive with -hetero
-		{"", "", "prof.json", 0, hsnoc.HybridSDM, false},               // profile of sdm engine
+		{"greedy", "", "", hsnoc.HybridTDM},                  // -policy without -profile-in
+		{"", "prof.json", "", hsnoc.HybridTDM},               // -profile-in without -policy
+		{"greedy", "prof.json", "out.json", hsnoc.HybridTDM}, // both profile flags
+		{"", "", "prof.json", hsnoc.HybridSDM},               // profile of sdm engine
 	}
 	for i, c := range bad {
-		if err := validatePolicyFlags(c.policy, c.in, c.out, c.adaptive, c.mode, c.hetero); err == nil {
+		if err := validatePolicyFlags(c.policy, c.in, c.out, c.mode); err == nil {
 			t.Errorf("invalid combination %d accepted", i)
+		}
+	}
+}
+
+func TestValidateObsFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		traceOut string
+		every    int
+		mode     hsnoc.Mode
+		wantErr  string // substring; "" means valid
+	}{
+		{name: "nothing requested on sdm", mode: hsnoc.HybridSDM},
+		{name: "trace on tdm", traceOut: "t.json", mode: hsnoc.HybridTDM},
+		{name: "telemetry on packet", every: 64, mode: hsnoc.PacketSwitched},
+		{name: "trace on sdm", traceOut: "t.json", mode: hsnoc.HybridSDM, wantErr: "sdm"},
+		{name: "telemetry on sdm", every: 64, mode: hsnoc.HybridSDM, wantErr: "sdm"},
+		{name: "negative interval", every: -1, mode: hsnoc.HybridTDM, wantErr: "negative"},
+	}
+	for _, tc := range cases {
+		err := validateObsFlags(tc.traceOut, tc.every, tc.mode)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }
@@ -69,14 +92,91 @@ func TestParsePattern(t *testing.T) {
 		"tornado": hsnoc.Tornado, "TOR": hsnoc.Tornado,
 		"tr": hsnoc.Transpose, "transpose": hsnoc.Transpose,
 		"bc": hsnoc.BitComplement, "neighbor": hsnoc.Neighbor,
+		"hotspot": hsnoc.Hotspot, "hot": hsnoc.Hotspot,
 	}
 	for in, want := range cases {
-		got, err := parsePattern(in)
+		got, err := campaign.ParsePattern(in)
 		if err != nil || got != want {
-			t.Errorf("parsePattern(%q) = (%v,%v), want %v", in, got, err, want)
+			t.Errorf("ParsePattern(%q) = (%v,%v), want %v", in, got, err, want)
 		}
 	}
-	if _, err := parsePattern("bogus"); err == nil {
+	if _, err := campaign.ParsePattern("bogus"); err == nil {
 		t.Error("bogus pattern accepted")
+	}
+}
+
+// nocsim runs the command in-process and returns its exit code and
+// output streams.
+func nocsim(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestHeteroRunsTheCommonPath drives every flag the separate -hetero
+// path used to reject ("not supported with -hetero") through the one run
+// sequence, on a parallel executor where tracing was also once refused.
+func TestHeteroRunsTheCommonPath(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	profPath := filepath.Join(dir, "prof.json")
+	hetero := []string{"-hetero", "-sharing", "-vcgating", "-warmup", "500", "-cycles", "2500"}
+
+	code, out, errOut := nocsim(append(hetero, "-workers", "4", "-check", "-checkevery", "8",
+		"-trace-out", tracePath, "-profile-out", profPath, "-telemetry-every", "256", "-heatmap")...)
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	for _, want := range []string{
+		"Hybrid-TDM, heterogeneous mix BLACKSCHOLES/EQUAKE, 2500 cycles",
+		"delivered packets", "circuits established", // figures the hetero path used to hide
+		"CPU instructions", "GPU circuit-switched", "avg CPU / GPU latency",
+		"invariants              clean, rolling digest",
+		"profile ", "router utilisation", "link utilisation", "trace ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if fi, err := os.Stat(tracePath); err != nil || fi.Size() == 0 {
+		t.Errorf("no trace written: %v", err)
+	}
+
+	// The profile feeds a policy re-run of the same mix.
+	code, out, errOut = nocsim(append(hetero, "-profile-in", profPath, "-policy", "greedy")...)
+	if code != 0 || !strings.Contains(out, "policy greedy:") || !strings.Contains(out, "GPU memory operations") {
+		t.Errorf("policy re-run: exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	// sdm-gate moves the run to the SDM engine, which has no tile
+	// endpoints: refused with that reason, not with a blanket one.
+	code, _, errOut = nocsim(append(hetero, "-profile-in", profPath, "-policy", "sdm-gate")...)
+	if code != 2 || !strings.Contains(errOut, "PacketSwitched and HybridTDM only") {
+		t.Errorf("sdm-gate on hetero: exit %d, stderr %q", code, errOut)
+	}
+
+	code, out, errOut = nocsim(append(hetero, "-adaptive", "512")...)
+	if code != 0 || !strings.Contains(out, "adaptive controller") {
+		t.Errorf("adaptive: exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+}
+
+// TestBadInvocationsExitTwo: input a user can type must come back as a
+// message and exit code 2, never a panic.
+func TestBadInvocationsExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-hetero", "-width", "2", "-height", "2"}, "2x2 mesh is too small"},
+		{[]string{"-hetero", "-cpu", "NOPE"}, "unknown CPU benchmark"},
+		{[]string{"-hetero", "-mode", "sdm"}, "PacketSwitched and HybridTDM only"},
+		{[]string{"-mode", "sdm", "-trace-out", "x.json"}, "not available for sdm"},
+		{[]string{"-pattern", "bogus"}, "unknown pattern"},
+		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
+	} {
+		code, _, errOut := nocsim(tc.args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 mentioning %q", tc.args, code, errOut, tc.want)
+		}
 	}
 }

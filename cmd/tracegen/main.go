@@ -1,5 +1,7 @@
 // Command tracegen synthesizes, inspects and replays traffic traces —
-// the trace-driven simulation workflow.
+// the trace-driven simulation workflow. Synthesis and inspection are
+// this command's own; replay is hsnoc.NewReplay, the same simulator
+// nocsim drives.
 //
 //	tracegen -pattern tornado -rate 0.15 -cycles 20000 -out tor.trace
 //	tracegen -info tor.trace
@@ -8,16 +10,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"tdmnoc/internal/network"
-	"tdmnoc/internal/obs"
+	"tdmnoc/hsnoc"
+	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/trace"
-	"tdmnoc/internal/traffic"
 )
 
 // validateActions enforces that exactly one of the three actions was
@@ -69,40 +70,25 @@ func main() {
 	}
 }
 
-func parsePattern(s string) (traffic.Pattern, bool) {
-	switch strings.ToLower(s) {
-	case "ur", "uniform", "random":
-		return traffic.UniformRandom, true
-	case "tor", "tornado":
-		return traffic.Tornado, true
-	case "tr", "transpose":
-		return traffic.Transpose, true
-	case "bc", "bitcomplement":
-		return traffic.BitComplement, true
-	case "nbr", "neighbor":
-		return traffic.Neighbor, true
-	case "hot", "hotspot":
-		return traffic.Hotspot, true
-	}
-	return 0, false
+// fatal reports err and exits (2 = bad invocation, 1 = failed run).
+func fatal(code int, err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(code)
 }
 
 func synthesize(pattern string, rate float64, w, h int, cycles int64, seed uint64, out string) {
-	p, ok := parsePattern(pattern)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown pattern %q\n", pattern)
-		os.Exit(2)
+	p, err := campaign.ParsePattern(pattern)
+	if err != nil {
+		fatal(2, err)
 	}
 	tr := trace.Synthesize(p, topology.NewMesh(w, h), rate, 5, cycles, seed)
 	f, err := os.Create(out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	defer f.Close()
 	if err := tr.Save(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	fmt.Printf("wrote %d events over %d cycles (%dx%d mesh) to %s\n",
 		len(tr.Events), tr.Duration(), tr.Width, tr.Height, out)
@@ -111,14 +97,12 @@ func synthesize(pattern string, rate float64, w, h int, cycles int64, seed uint6
 func loadTrace(path string) *trace.Trace {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	defer f.Close()
 	tr, err := trace.Load(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	return tr
 }
@@ -141,70 +125,47 @@ func showInfo(path string) {
 
 func runReplay(path, mode, traceOut string) {
 	tr := loadTrace(path)
-	var cfg network.Config
-	switch strings.ToLower(mode) {
-	case "packet", "ps":
-		cfg = network.DefaultConfig(tr.Width, tr.Height)
-	case "tdm":
-		cfg = network.HybridTDMConfig(tr.Width, tr.Height)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown replay mode %q\n", mode)
-		os.Exit(2)
+	m, err := campaign.ParseMode(mode)
+	if err != nil {
+		fatal(2, err)
 	}
-	reps := trace.NewReplayers(tr, 0)
-	net := network.New(cfg, func(id topology.NodeID) network.Endpoint {
-		if r := reps[id]; r != nil {
-			return r
-		}
-		return nil
-	})
-	defer net.Close()
-	var rec *obs.Recorder
+	cfg := hsnoc.DefaultConfig(tr.Width, tr.Height)
+	cfg.Mode = m
+	s, err := hsnoc.NewReplay(cfg, tr) // refuses sdm: its engine has no endpoints to replay into
+	if err != nil {
+		fatal(2, err)
+	}
+	defer s.Close()
 	if traceOut != "" {
-		rec = obs.NewRecorder(obs.RecorderConfig{
-			Nodes:        tr.Width * tr.Height,
-			RingCapacity: 1 << 19,
-			SampleEvery:  64,
-			Shards:       net.Workers(),
-		})
-		net.AttachProbe(rec, 64)
+		// Full-fidelity timelines need headroom; the default ring is
+		// sized for summaries.
+		if _, err := s.AttachTelemetry(hsnoc.TelemetryOptions{RingCapacity: 1 << 19}); err != nil {
+			fatal(1, err)
+		}
 	}
-	net.EnableStats()
-	net.Run(int(tr.Duration()) + 10)
-	if !net.Drain(200000) {
-		fmt.Fprintf(os.Stderr, "replay failed to drain: %d packets in flight\n", net.InFlight())
-		os.Exit(1)
+	s.Run(int(tr.Duration()) + 10)
+	if !s.Drain(200000) {
+		fatal(1, errors.New("replay failed to drain within 200000 cycles"))
 	}
-	st := net.Stats()
-	lat, _ := st.AvgNetLatency()
-	tot, _ := st.AvgTotalLatency()
-	e := net.Energy()
-	fmt.Printf("replayed %d packets on %s network\n", st.EjectedPackets, mode)
-	fmt.Printf("  avg net latency   %.1f cycles\n", lat)
-	fmt.Printf("  avg total latency %.1f cycles\n", tot)
-	fmt.Printf("  circuit-switched  %.1f%%\n", 100*st.CSFlitFraction())
-	fmt.Printf("  energy            %.2f uJ\n", e.TotalPJ()/1e6)
-	if rec != nil {
+	res := s.Run(0) // the measured region now includes the drain
+	fmt.Printf("replayed %d packets on %s network\n", res.Packets, mode)
+	fmt.Printf("  avg net latency   %.1f cycles\n", res.AvgNetLatency)
+	fmt.Printf("  avg total latency %.1f cycles\n", res.AvgTotalLatency)
+	fmt.Printf("  circuit-switched  %.1f%%\n", 100*res.CSFlitFraction)
+	fmt.Printf("  energy            %.2f uJ\n", res.Energy.TotalPJ/1e6)
+	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(1, err)
 		}
-		defer f.Close()
-		meta := obs.TraceMeta{
-			Width: tr.Width, Height: tr.Height,
-			OtherData: map[string]string{
-				"mode":       mode,
-				"mesh":       fmt.Sprintf("%dx%d", tr.Width, tr.Height),
-				"source":     path,
-				"ring_drops": fmt.Sprintf("%d", rec.Dropped()),
-			},
+		werr := s.WriteTrace(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
 		}
-		events := obs.MergeRings(rec.Rings(), tr.Width, tr.Height)
-		if err := obs.WriteTraceEvents(f, events, meta); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if werr != nil {
+			fatal(1, werr)
 		}
+		rec := s.Telemetry()
 		fmt.Printf("  trace             %s (%d events recorded, %d dropped)\n",
 			traceOut, rec.Events(), rec.Dropped())
 	}

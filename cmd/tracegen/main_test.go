@@ -41,14 +41,3 @@ func TestValidateActions(t *testing.T) {
 		})
 	}
 }
-
-func TestParsePattern(t *testing.T) {
-	for _, s := range []string{"ur", "tornado", "transpose", "bc", "neighbor", "hotspot"} {
-		if _, ok := parsePattern(s); !ok {
-			t.Errorf("parsePattern(%q) not recognised", s)
-		}
-	}
-	if _, ok := parsePattern("nope"); ok {
-		t.Errorf("parsePattern(%q) unexpectedly recognised", "nope")
-	}
-}

@@ -7,14 +7,6 @@ import (
 	"tdmnoc/internal/workload"
 )
 
-// HeteroSimulator runs the Section V heterogeneous multicore system: one
-// CPU benchmark on every CPU tile and one GPU kernel on every accelerator
-// tile of the Fig. 7 layout, over the configured NoC.
-type HeteroSimulator struct {
-	sys    *hetero.System
-	warmed bool
-}
-
 // CPUBenchmarks lists the available SPEC OMP 2001 characterizations.
 func CPUBenchmarks() []string {
 	out := make([]string, len(workload.CPUBenchmarks))
@@ -34,13 +26,19 @@ func GPUBenchmarks() []string {
 	return out
 }
 
-// NewHeterogeneous builds the heterogeneous system for a workload mix.
-// The mesh uses the Fig. 7 layout when cfg is 6x6 and a proportionally
-// scaled layout otherwise. HybridSDM mode is not supported here (the
-// paper's Section V evaluates TDM only).
-func NewHeterogeneous(cfg Config, cpuBench, gpuBench string) (*HeteroSimulator, error) {
+// NewHeterogeneous builds the Section V heterogeneous multicore system
+// for a workload mix: one CPU benchmark on every CPU tile and one GPU
+// kernel on every accelerator tile, over the configured NoC. The mesh
+// uses the Fig. 7 layout when cfg is 6x6 and a proportionally scaled
+// layout otherwise; meshes too small to hold every tile kind are
+// refused. HybridSDM mode is not supported here (the paper's Section V
+// evaluates TDM only, and the SDM engine has no tile endpoints).
+func NewHeterogeneous(cfg Config, cpuBench, gpuBench string) (*Simulator, error) {
 	if cfg.Mode == HybridSDM {
 		return nil, fmt.Errorf("hsnoc: heterogeneous evaluation supports PacketSwitched and HybridTDM only")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cpu, ok := workload.CPUBenchmarkByName(cpuBench)
 	if !ok {
@@ -50,71 +48,22 @@ func NewHeterogeneous(cfg Config, cpuBench, gpuBench string) (*HeteroSimulator, 
 	if !ok {
 		return nil, fmt.Errorf("hsnoc: unknown GPU benchmark %q", gpuBench)
 	}
-	var layout hetero.Layout
-	if cfg.Width == 6 && cfg.Height == 6 {
-		layout = hetero.Layout36()
-	} else {
-		layout = hetero.LayoutScaled(cfg.Width, cfg.Height)
+	layout, err := hetero.LayoutFor(cfg.Width, cfg.Height)
+	if err != nil {
+		return nil, fmt.Errorf("hsnoc: %w", err)
 	}
-	return &HeteroSimulator{sys: hetero.NewSystem(cfg.networkConfig(), layout, cpu, gpu)}, nil
+	sys := hetero.NewSystem(layout, cpu, gpu)
+	s := newSimulator(cfg, sys.Endpoint)
+	s.halt, s.resetCounters = sys.Halt, sys.ResetCounters
+	s.extend = func(r *Results) {
+		r.CPUInstructions, r.GPUIterations = sys.CPUInstructions(), sys.GPUIterations()
+		r.GPUInjectionRate = sys.GPUInjectionRate(s.net, r.Cycles)
+	}
+	return s, nil
 }
 
-// Close releases resources.
-func (h *HeteroSimulator) Close() { h.sys.Close() }
-
-// Warmup advances without measuring.
-func (h *HeteroSimulator) Warmup(cycles int) { h.sys.Run(cycles) }
-
-// HeteroResults is the Section V measurement of one mix.
-type HeteroResults struct {
-	// CPUInstructions retired and GPUIterations completed during the
-	// measured region — Fig. 8(b)/(c) speedups are ratios of these
-	// between configurations.
-	CPUInstructions int64
-	GPUIterations   int64
-	// GPUInjectionRate and GPUCSFraction reproduce Table III.
-	GPUInjectionRate float64
-	GPUCSFraction    float64
-	// AvgCPULatency / AvgGPULatency are per-class mean packet latencies.
-	AvgCPULatency float64
-	AvgGPULatency float64
-	// Hitchhikes and VicinityRides count path-sharing uses.
-	Hitchhikes, VicinityRides int64
-	// Energy is the network energy breakdown (Fig. 9).
-	Energy Energy
-	// Cycles is the measured-region length.
-	Cycles int64
-}
-
-// Run measures the next region of the given length.
-func (h *HeteroSimulator) Run(cycles int) HeteroResults {
-	h.sys.EnableStats()
-	h.sys.Run(cycles)
-	r := h.sys.Result(int64(cycles))
-	out := HeteroResults{
-		CPUInstructions:  r.CPUInstructions,
-		GPUIterations:    r.GPUIterations,
-		GPUInjectionRate: r.GPUInjectionRate,
-		GPUCSFraction:    r.GPUCSFraction,
-		Hitchhikes:       r.Stats.Hitchhikes,
-		VicinityRides:    r.Stats.VicinityRides,
-		Energy:           energyFrom(r.Energy),
-		Cycles:           r.Cycles,
-	}
-	if n := r.Stats.ClassLatencyCount[0]; n > 0 {
-		out.AvgCPULatency = float64(r.Stats.ClassLatencySum[0]) / float64(n)
-	}
-	if n := r.Stats.ClassLatencyCount[1]; n > 0 {
-		out.AvgGPULatency = float64(r.Stats.ClassLatencySum[1]) / float64(n)
-	}
-	return out
-}
-
-// Diagnose returns the invariant counters.
-func (h *HeteroSimulator) Diagnose() Diagnostics {
-	d := h.sys.Diagnose()
-	return Diagnostics{
-		MisroutedCS: d.MisroutedCS, DroppedCS: d.DroppedCS,
-		LatchConflicts: d.LatchConflicts, StolenSlots: d.StolenSlots,
-	}
-}
+// HeteroSimulator and HeteroResults are the names the Section V facade
+// had while it was a separate type. They are temporary: benchmark/ still
+// spells them, and leaves with a benchmark-only change.
+type HeteroSimulator = Simulator
+type HeteroResults = Results

@@ -18,19 +18,31 @@
 // baseline (Packet-VC4 in the paper), the TDM hybrid-switched network
 // that is the paper's contribution, and the SDM hybrid baseline of Jerger
 // et al. used in the Fig. 4 comparison.
+//
+// There is one Simulator and three workloads to put on it, each a
+// constructor: NewSynthetic (the Section IV patterns), NewHeterogeneous
+// (the Section V 36-tile CPU+GPU system) and NewReplay (a recorded
+// trace). Warm-up, measurement, draining, invariant checking, state
+// digests, telemetry, Perfetto traces, profiles and policy decisions are
+// methods of Simulator and work the same on all three; Results carries
+// the Section V figures as ordinary fields, zero where a workload has
+// none. HybridSDM runs synthetic traffic only.
 package hsnoc
 
 import (
 	"context"
 	"fmt"
 
+	"tdmnoc/internal/flit"
 	"tdmnoc/internal/network"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/power"
 	"tdmnoc/internal/sdm"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/stats"
 	"tdmnoc/internal/topology"
+	"tdmnoc/internal/trace"
 	"tdmnoc/internal/traffic"
 )
 
@@ -270,6 +282,24 @@ type Results struct {
 	ActiveSlotEntries int
 	// Energy is the network energy breakdown for the measured region.
 	Energy Energy
+
+	// The Section V figures. The per-class ones are zero unless the
+	// workload sends CPU- or GPU-class traffic (synthetic traffic is
+	// neither); the tile counters are zero outside NewHeterogeneous.
+
+	// CPUInstructions retired and GPUIterations completed during the
+	// measured region — Fig. 8(b)/(c) speedups are ratios of these
+	// between configurations.
+	CPUInstructions int64
+	GPUIterations   int64
+	// GPUInjectionRate (flits/node/cycle offered by accelerator tiles)
+	// and GPUCSFraction (share of GPU flits that rode circuits)
+	// reproduce Table III.
+	GPUInjectionRate float64
+	GPUCSFraction    float64
+	// AvgCPULatency / AvgGPULatency are per-class mean packet latencies.
+	AvgCPULatency float64
+	AvgGPULatency float64
 }
 
 // Energy is the per-component energy of Fig. 9, in picojoules.
@@ -304,49 +334,125 @@ func (r Results) EnergySavingVs(baseline Results) float64 {
 	return 1 - perCycle/basePerCycle
 }
 
-// Simulator drives synthetic traffic over one network instance.
+// engine is what the measurement loop needs of a cycle kernel; the
+// shared router network and the SDM baseline both provide it.
+type engine interface {
+	Run(cycles int)
+	EnableStats()
+	Drain(limit int) bool
+}
+
+// Simulator drives one workload over one network instance. A workload
+// is an endpoint population — synthetic generators (NewSynthetic), the
+// Section V tile models (NewHeterogeneous) or trace replayers
+// (NewReplay) — and differs from the others only in the
+// network.EndpointFactory its constructor passes and in the three hooks
+// below; every method applies to all three.
 type Simulator struct {
-	cfg  Config
-	mode Mode
+	cfg Config
 
-	net  *network.Network
-	gens []*traffic.Synthetic
-
+	// eng is net or sdmNet, whichever cfg.Mode selects; the other is nil.
+	eng    engine
+	net    *network.Network
 	sdmNet *sdm.Network
+
+	// Workload hooks. halt stops the endpoints injecting (StopTraffic);
+	// resetCounters, if set, zeroes per-tile performance counters when
+	// measurement starts; extend, if set, adds the figures only this
+	// workload has to collected Results.
+	halt          func()
+	resetCounters func()
+	extend        func(*Results)
 
 	// rec is the attached observability recorder (nil = telemetry off);
 	// recEvery is its sampling interval. See telemetry.go.
 	rec      *obs.Recorder
 	recEvery int
 
-	measured int64
+	// measuring is set, and measuredFrom is the cycle statistics were
+	// enabled at, once the first Run* call opens the measured region.
+	measuring    bool
+	measuredFrom int64
+}
+
+// newSimulator builds the shared router network of a PacketSwitched or
+// HybridTDM configuration with endpoints from mk.
+func newSimulator(cfg Config, mk network.EndpointFactory) *Simulator {
+	s := &Simulator{cfg: cfg}
+	s.net = network.New(cfg.networkConfig(), mk)
+	s.eng = s.net
+	return s
 }
 
 // NewSynthetic builds a simulator offering the given pattern at the given
 // injection rate (flits/node/cycle). All traffic is circuit-switching
 // eligible, matching the Section IV evaluation.
 func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
-	s := &Simulator{cfg: cfg, mode: cfg.Mode}
 	if cfg.Mode == HybridSDM {
-		sc := s.cfg.sdmConfig()
+		// The SDM engine predates network.Endpoint: it draws one
+		// destination per source per cycle from a generator callback,
+		// which is why synthetic traffic is the only workload it runs.
+		sc := cfg.sdmConfig()
 		mesh := topology.NewMesh(cfg.Width, cfg.Height)
-		s.sdmNet = sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
+		sn := sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
 			if !rng.Bernoulli(rate / float64(sc.PSDataFlits)) {
 				return 0, false
 			}
 			return traffic.Destination(pattern, mesh, src, rng)
 		})
-		return s
+		return &Simulator{cfg: cfg, eng: sn, sdmNet: sn, halt: sn.StopGeneration}
 	}
-	nc := cfg.networkConfig()
-	allowCS := cfg.Mode == HybridTDM
-	s.net = network.New(nc, func(id topology.NodeID) network.Endpoint {
-		g := traffic.NewSynthetic(pattern, rate, nc.PSDataFlits, allowCS)
-		s.gens = append(s.gens, g)
+	var gens []*traffic.Synthetic
+	psFlits := cfg.networkConfig().PSDataFlits
+	s := newSimulator(cfg, func(topology.NodeID) network.Endpoint {
+		g := traffic.NewSynthetic(pattern, rate, psFlits, cfg.Mode == HybridTDM)
+		gens = append(gens, g)
 		return g
 	})
+	s.halt = func() {
+		for _, g := range gens {
+			g.Stop()
+		}
+	}
 	return s
 }
+
+// NewReplay builds a simulator that injects a recorded trace: every
+// event is sent from its source at its recorded cycle (cycle 0 is the
+// first simulated cycle, so replay needs no warm-up). The mesh must
+// match the trace's. To replay to completion, Run past t.Duration(),
+// Drain, and read the final figures with Run(0).
+func NewReplay(cfg Config, t *Trace) (*Simulator, error) {
+	if cfg.Mode == HybridSDM {
+		return nil, fmt.Errorf("hsnoc: trace replay supports PacketSwitched and HybridTDM only")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Width != t.Width || cfg.Height != t.Height {
+		return nil, fmt.Errorf("hsnoc: %dx%d trace cannot replay on a %dx%d mesh", t.Width, t.Height, cfg.Width, cfg.Height)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("hsnoc: %w", err)
+	}
+	reps := trace.NewReplayers(t, 0)
+	s := newSimulator(cfg, func(id topology.NodeID) network.Endpoint {
+		if r := reps[id]; r != nil {
+			return r
+		}
+		return nil // a tile the trace never sends from only sinks
+	})
+	s.halt = func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	}
+	return s, nil
+}
+
+// Trace is a recorded traffic trace (see internal/trace and
+// cmd/tracegen, which synthesizes, saves and loads them).
+type Trace = trace.Trace
 
 // Close releases simulator resources.
 func (s *Simulator) Close() {
@@ -355,25 +461,17 @@ func (s *Simulator) Close() {
 	}
 }
 
-// StopTraffic halts the synthetic generators; combine with Drain to let
-// every in-flight packet land before reading final statistics.
-func (s *Simulator) StopTraffic() {
-	for _, g := range s.gens {
-		g.Stop()
-	}
-	if s.sdmNet != nil {
-		s.sdmNet.StopGeneration()
-	}
-}
+// StopTraffic stops the workload injecting new traffic (generators go
+// quiet, cores halt, replayers drop their remaining events); combine
+// with Drain to let every in-flight packet land before reading final
+// statistics.
+func (s *Simulator) StopTraffic() { s.halt() }
 
 // Drain runs until every sent packet has been delivered or limit cycles
-// pass, reporting success. Call StopTraffic first.
-func (s *Simulator) Drain(limit int) bool {
-	if s.sdmNet != nil {
-		return s.sdmNet.Drain(limit)
-	}
-	return s.net.Drain(limit)
-}
+// pass, reporting success. Call StopTraffic first. Cycles drained after
+// measurement has begun belong to the measured region: Run(0) afterwards
+// returns results that include them.
+func (s *Simulator) Drain(limit int) bool { return s.eng.Drain(limit) }
 
 // ensureAdaptiveTelemetry attaches the recorder the online controller
 // feeds on when AdaptiveEpoch is set and the caller has not attached
@@ -399,81 +497,73 @@ func (s *Simulator) ensureAdaptiveTelemetry() {
 	}
 }
 
-// Warmup advances the simulation without measuring (the paper warms the
-// network with 1000 packets before measurement).
-func (s *Simulator) Warmup(cycles int) {
-	if s.sdmNet != nil {
-		s.sdmNet.Run(cycles)
-		return
-	}
-	s.ensureAdaptiveTelemetry()
-	s.net.Run(cycles)
-}
-
-// Run measures the next region of the given length and returns its
-// results.
-func (s *Simulator) Run(cycles int) Results {
-	if s.sdmNet != nil {
-		s.sdmNet.EnableStats()
-		s.sdmNet.Run(cycles)
-		return s.collectSDM(int64(cycles))
-	}
-	s.ensureAdaptiveTelemetry()
-	s.net.EnableStats()
-	s.net.Run(cycles)
-	s.measured += int64(cycles)
-	return s.collect(int64(cycles))
-}
-
 // runChunk is the cycle-granularity at which context cancellation and
 // packet targets are checked: coarse enough that the check is free,
 // fine enough that a cancelled campaign job aborts within microseconds.
 const runChunk = 1024
 
-// RunContext measures like Run but advances in chunks, aborting early
-// (discarding the partial region) when ctx is cancelled. It is the
-// measurement entry point of the campaign engine, whose jobs carry
-// per-job timeouts.
-func (s *Simulator) RunContext(ctx context.Context, cycles int) (Results, error) {
-	step := func(n int) {
-		if s.sdmNet != nil {
-			s.sdmNet.Run(n)
-		} else {
-			s.net.Run(n)
-		}
-	}
-	if s.sdmNet != nil {
-		s.sdmNet.EnableStats()
-	} else {
-		s.ensureAdaptiveTelemetry()
-		s.net.EnableStats()
-	}
-	for done := 0; done < cycles; {
-		if err := ctx.Err(); err != nil {
-			return Results{}, err
-		}
-		n := min(runChunk, cycles-done)
-		step(n)
-		done += n
-	}
-	if s.sdmNet != nil {
-		return s.collectSDM(int64(cycles)), nil
-	}
-	s.measured += int64(cycles)
-	return s.collect(int64(cycles)), nil
-}
+// noTarget tells advance to run the full cycle count.
+const noTarget = -1
 
-// WarmupContext advances like Warmup but aborts when ctx is cancelled.
-func (s *Simulator) WarmupContext(ctx context.Context, cycles int) error {
-	for done := 0; done < cycles; {
+// advance is the one stepping loop under every Warmup* and Run* method:
+// up to cycles cycles in runChunk pieces (the engines' Run is a plain
+// loop over single steps, so chunking changes nothing), stopping early
+// when ctx is cancelled or once target packets have been delivered.
+func (s *Simulator) advance(ctx context.Context, cycles int, target int64) error {
+	s.ensureAdaptiveTelemetry()
+	for done := 0; done < cycles && (target == noTarget || s.stats().EjectedPackets < target); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		n := min(runChunk, cycles-done)
-		s.Warmup(n)
+		s.eng.Run(n)
 		done += n
 	}
 	return nil
+}
+
+// measure opens the measured region if this is the first measuring call
+// (statistics on, energy meters and workload counters zeroed), advances,
+// and collects results over the whole region so far.
+func (s *Simulator) measure(ctx context.Context, cycles int, target int64) (Results, error) {
+	if !s.measuring {
+		s.eng.EnableStats()
+		if s.resetCounters != nil {
+			s.resetCounters()
+		}
+		s.measuring, s.measuredFrom = true, s.now()
+	}
+	if err := s.advance(ctx, cycles, target); err != nil {
+		return Results{}, err
+	}
+	return s.collect(), nil
+}
+
+// Warmup advances the simulation without measuring (the paper warms the
+// network with 1000 packets before measurement).
+func (s *Simulator) Warmup(cycles int) {
+	_ = s.advance(context.Background(), cycles, noTarget) // Background is never cancelled
+}
+
+// WarmupContext advances like Warmup but aborts when ctx is cancelled.
+func (s *Simulator) WarmupContext(ctx context.Context, cycles int) error {
+	return s.advance(ctx, cycles, noTarget)
+}
+
+// Run measures the next cycles cycles and returns the results of the
+// measured region. The region opens at the first Run* call; later calls
+// (and any Drain between them) extend it rather than starting a new one,
+// so results always cover everything measured so far.
+func (s *Simulator) Run(cycles int) Results {
+	res, _ := s.measure(context.Background(), cycles, noTarget) // Background is never cancelled
+	return res
+}
+
+// RunContext measures like Run but aborts early (returning no results)
+// when ctx is cancelled. It is the measurement entry point of the
+// campaign engine, whose jobs carry per-job timeouts.
+func (s *Simulator) RunContext(ctx context.Context, cycles int) (Results, error) {
+	return s.measure(ctx, cycles, noTarget)
 }
 
 // RunUntilPackets measures until target data packets have been ejected
@@ -482,70 +572,63 @@ func (s *Simulator) WarmupContext(ctx context.Context, cycles int) error {
 // reaches a positive target; callers should validate that combination
 // up front (cmd/nocsim does).
 func (s *Simulator) RunUntilPackets(target int64, limit int) Results {
-	delivered := func() int64 {
-		if s.sdmNet != nil {
-			return s.sdmNet.Stats.EjectedPackets
-		}
-		return s.net.Stats().EjectedPackets
-	}
-	if s.sdmNet != nil {
-		s.sdmNet.EnableStats()
-	} else {
-		s.ensureAdaptiveTelemetry()
-		s.net.EnableStats()
-	}
-	run := 0
-	for run < limit && delivered() < target {
-		n := min(runChunk, limit-run)
-		if s.sdmNet != nil {
-			s.sdmNet.Run(n)
-		} else {
-			s.net.Run(n)
-		}
-		run += n
-	}
-	if s.sdmNet != nil {
-		return s.collectSDM(int64(run))
-	}
-	s.measured += int64(run)
-	return s.collect(int64(run))
+	res, _ := s.measure(context.Background(), limit, max(target, 0)) // Background is never cancelled
+	return res
 }
 
-func (s *Simulator) collect(cycles int64) Results {
-	st := s.net.Stats()
-	nodes := s.net.Mesh().Nodes()
+// now is the engine's current cycle.
+func (s *Simulator) now() int64 {
+	if s.net != nil {
+		return int64(s.net.Now())
+	}
+	return s.sdmNet.Now()
+}
+
+// stats is the engine's merged statistics collector.
+func (s *Simulator) stats() stats.Collector {
+	if s.net != nil {
+		return s.net.Stats()
+	}
+	return s.sdmNet.Stats
+}
+
+func (s *Simulator) collect() Results {
+	st := s.stats()
+	cycles := s.now() - s.measuredFrom
+	nodes := s.cfg.Width * s.cfg.Height
+	psFlits, slots := 5, 0
+	var energy power.Breakdown
+	if s.net != nil {
+		psFlits, slots = s.net.Config().PSDataFlits, s.net.ActiveSlots()
+		energy = s.net.Energy()
+	} else {
+		energy = s.sdmNet.Energy(power.Default45nm())
+	}
 	res := Results{
 		Cycles:                cycles,
 		Packets:               st.EjectedPackets,
 		Throughput:            st.Throughput(nodes, cycles),
-		PayloadThroughput:     st.PayloadThroughput(s.net.Config().PSDataFlits, nodes, cycles),
+		PayloadThroughput:     st.PayloadThroughput(psFlits, nodes, cycles),
 		CSFlitFraction:        st.CSFlitFraction(),
 		ConfigTrafficFraction: st.ConfigTrafficFraction(),
 		Hitchhikes:            st.Hitchhikes,
 		VicinityRides:         st.VicinityRides,
 		CircuitsEstablished:   st.SetupsOK,
-		ActiveSlotEntries:     s.net.ActiveSlots(),
-		Energy:                energyFrom(s.net.Energy()),
+		ActiveSlotEntries:     slots,
+		Energy:                energyFrom(energy),
+		GPUCSFraction:         st.ClassCSFraction(flit.ClassGPU),
 	}
 	res.AvgNetLatency, _ = st.AvgNetLatency()
 	res.AvgTotalLatency, _ = st.AvgTotalLatency()
-	return res
-}
-
-func (s *Simulator) collectSDM(cycles int64) Results {
-	st := &s.sdmNet.Stats
-	nodes := s.sdmNet.Mesh().Nodes()
-	res := Results{
-		Cycles:              cycles,
-		Packets:             st.EjectedPackets,
-		Throughput:          st.Throughput(nodes, cycles),
-		PayloadThroughput:   st.PayloadThroughput(5, nodes, cycles),
-		CSFlitFraction:      st.CSFlitFraction(),
-		CircuitsEstablished: st.SetupsOK,
-		Energy:              energyFrom(s.sdmNet.Energy(power.Default45nm())),
+	if n := st.ClassLatencyCount[flit.ClassCPU]; n > 0 {
+		res.AvgCPULatency = float64(st.ClassLatencySum[flit.ClassCPU]) / float64(n)
 	}
-	res.AvgNetLatency, _ = st.AvgNetLatency()
-	res.AvgTotalLatency, _ = st.AvgTotalLatency()
+	if n := st.ClassLatencyCount[flit.ClassGPU]; n > 0 {
+		res.AvgGPULatency = float64(st.ClassLatencySum[flit.ClassGPU]) / float64(n)
+	}
+	if s.extend != nil {
+		s.extend(&res)
+	}
 	return res
 }
 

@@ -2,6 +2,7 @@ package hsnoc
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -169,6 +170,31 @@ func TestHeterogeneousErrors(t *testing.T) {
 	cfg.Mode = HybridSDM
 	if _, err := NewHeterogeneous(cfg, "SWIM", "STO"); err == nil {
 		t.Error("SDM hetero accepted")
+	}
+	// Meshes on which the scaled layout loses a tile kind (the four
+	// memory controllers overwrite the only GPU or L2 tiles) used to
+	// panic inside the tile models; they must be refused by name.
+	for _, d := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {6, 1}} {
+		cfg := DefaultConfig(d[0], d[1])
+		cfg.Mode = HybridTDM
+		_, err := NewHeterogeneous(cfg, "SWIM", "STO")
+		if want := fmt.Sprintf("%dx%d mesh is too small", d[0], d[1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%dx%d: got %v, want an error containing %q", d[0], d[1], err, want)
+		}
+	}
+	for _, d := range [][2]int{{3, 3}, {1, 6}, {4, 3}, {8, 8}} {
+		cfg := DefaultConfig(d[0], d[1])
+		cfg.Mode = HybridTDM
+		h, err := NewHeterogeneous(cfg, "SWIM", "STO")
+		if err != nil {
+			t.Errorf("%dx%d refused: %v", d[0], d[1], err)
+			continue
+		}
+		res := h.Run(1500)
+		h.Close()
+		if res.CPUInstructions == 0 || res.GPUIterations == 0 {
+			t.Errorf("%dx%d did no work: %+v", d[0], d[1], res)
+		}
 	}
 }
 

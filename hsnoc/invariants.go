@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"tdmnoc/internal/invariant"
-	"tdmnoc/internal/network"
 )
 
 // Violation is one runtime invariant violation detected with
@@ -46,19 +45,6 @@ func (e *ViolationError) Error() string {
 	return b.String()
 }
 
-// violationsFrom converts the network checker's findings.
-func violationsFrom(net *network.Network) []Violation {
-	vs := net.InvariantViolations()
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]Violation, len(vs))
-	for i, v := range vs {
-		out[i] = Violation(v)
-	}
-	return out
-}
-
 // StateDigest hashes the simulator's complete mutable state (router
 // pipelines, NI queues, slot tables, clock) into one 64-bit FNV-1a
 // value. Two runs of the same seeded config must produce equal digests
@@ -87,7 +73,15 @@ func (s *Simulator) InvariantViolations() []Violation {
 	if s.net == nil {
 		return nil
 	}
-	return violationsFrom(s.net)
+	vs := s.net.InvariantViolations()
+	if len(vs) == 0 {
+		return nil
+	}
+	out := make([]Violation, len(vs))
+	for i, v := range vs {
+		out[i] = Violation(v)
+	}
+	return out
 }
 
 // InvariantViolationCount returns the total violations detected,
@@ -102,20 +96,8 @@ func (s *Simulator) InvariantViolationCount() int64 {
 // InvariantError returns a *ViolationError when the run detected
 // violations, nil otherwise.
 func (s *Simulator) InvariantError() error {
-	if s.net == nil || s.net.InvariantCount() == 0 {
-		return nil
+	if n := s.InvariantViolationCount(); n > 0 {
+		return &ViolationError{Count: n, Violations: s.InvariantViolations()}
 	}
-	return &ViolationError{Count: s.net.InvariantCount(), Violations: violationsFrom(s.net)}
-}
-
-// InvariantViolations returns the violations detected in the
-// heterogeneous system's network (nil when checking is disabled or the
-// run is clean).
-func (h *HeteroSimulator) InvariantViolations() []Violation {
-	return violationsFrom(h.sys.Net)
-}
-
-// InvariantViolationCount returns the total violations detected.
-func (h *HeteroSimulator) InvariantViolationCount() int64 {
-	return h.sys.Net.InvariantCount()
+	return nil
 }

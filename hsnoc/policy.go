@@ -45,7 +45,7 @@ func (m Mode) modeToken() string {
 // count.
 func (s *Simulator) ExtractProfile() (*Profile, error) {
 	if s.net == nil {
-		return nil, fmt.Errorf("hsnoc: profile extraction is not available for %v", s.mode)
+		return nil, fmt.Errorf("hsnoc: profile extraction is not available for %v", s.cfg.Mode)
 	}
 	if s.rec == nil || !s.rec.FlowTracking() {
 		return nil, fmt.Errorf("hsnoc: profile extraction requires AttachTelemetry with TrackFlows")

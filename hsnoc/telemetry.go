@@ -43,7 +43,7 @@ type TelemetryOptions struct {
 // across worker counts. Not available for HybridSDM.
 func (s *Simulator) AttachTelemetry(opt TelemetryOptions) (*obs.Recorder, error) {
 	if s.net == nil {
-		return nil, fmt.Errorf("hsnoc: telemetry is not available for %v", s.mode)
+		return nil, fmt.Errorf("hsnoc: telemetry is not available for %v", s.cfg.Mode)
 	}
 	if s.rec != nil {
 		return nil, fmt.Errorf("hsnoc: telemetry already attached")
@@ -108,7 +108,7 @@ func (s *Simulator) WriteTrace(w io.Writer) error {
 	meta := obs.TraceMeta{
 		Width: m.Width, Height: m.Height,
 		OtherData: map[string]string{
-			"mode":       s.mode.String(),
+			"mode":       s.cfg.Mode.String(),
 			"mesh":       fmt.Sprintf("%dx%d", m.Width, m.Height),
 			"seed":       fmt.Sprintf("%d", s.cfg.Seed),
 			"ring_drops": fmt.Sprintf("%d", s.rec.Dropped()),

@@ -20,6 +20,9 @@ type CPUCore struct {
 	// Retired counts committed instructions — the performance metric.
 	Retired int64
 
+	// halted stops the core (System.Halt): no instructions, no misses.
+	halted bool
+
 	outstanding int
 	burstLeft   int
 	instrAccum  float64
@@ -34,8 +37,8 @@ func NewCPUCore(layout *Layout, bench workload.CPUBenchmark) *CPUCore {
 
 // Tick implements network.Endpoint.
 func (c *CPUCore) Tick(now sim.Cycle, ni *network.NI) {
-	if c.outstanding >= c.bench.MLP {
-		return // stalled on memory
+	if c.halted || c.outstanding >= c.bench.MLP {
+		return // halted, or stalled on memory
 	}
 	c.instrAccum += c.bench.IPC
 	retire := int64(c.instrAccum)
@@ -116,6 +119,10 @@ type GPUCore struct {
 	ReadLatencySum int64
 	ReadCount      int64
 
+	// halted stops the accelerator issuing (System.Halt); replies to
+	// loads already in flight still wake their warps.
+	halted bool
+
 	warps   []warp
 	pending map[uint64]pendingRead
 	hotSet  []topology.NodeID
@@ -158,6 +165,9 @@ func (g *GPUCore) availableWarps() int {
 // Tick implements network.Endpoint: one memory operation may issue per
 // cycle (the coalesced SIMT access of the 32-wide pipeline).
 func (g *GPUCore) Tick(now sim.Cycle, ni *network.NI) {
+	if g.halted {
+		return
+	}
 	for i := range g.warps {
 		w := &g.warps[i]
 		if w.outstanding >= warpMLP || w.readyAt > now {

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,53 +117,74 @@ func TestBenchmarkLookups(t *testing.T) {
 	}
 }
 
-func quickSystem(t *testing.T, cfg network.Config) *System {
+// rig wires a System onto its own 6x6 network, the way
+// hsnoc.NewHeterogeneous does.
+type rig struct {
+	*System
+	net *network.Network
+}
+
+func newRig(t *testing.T, cfg network.Config, cpuName, gpuName string) *rig {
 	t.Helper()
-	cpu, _ := workload.CPUBenchmarkByName("EQUAKE")
-	gpu, _ := workload.GPUBenchmarkByName("BLACKSCHOLES")
-	return NewSystem(cfg, Layout36(), cpu, gpu)
+	cpu, ok := workload.CPUBenchmarkByName(cpuName)
+	if !ok {
+		t.Fatalf("unknown CPU benchmark %s", cpuName)
+	}
+	gpu, ok := workload.GPUBenchmarkByName(gpuName)
+	if !ok {
+		t.Fatalf("unknown GPU benchmark %s", gpuName)
+	}
+	sys := NewSystem(Layout36(), cpu, gpu)
+	r := &rig{System: sys, net: network.New(cfg, sys.Endpoint)}
+	t.Cleanup(r.net.Close)
+	return r
+}
+
+// measure warms up, then runs a measured region of the given length.
+func (r *rig) measure(warm, cycles int) {
+	r.net.Run(warm)
+	r.net.EnableStats()
+	r.ResetCounters()
+	r.net.Run(cycles)
+}
+
+func quickSystem(t *testing.T, cfg network.Config) *rig {
+	return newRig(t, cfg, "EQUAKE", "BLACKSCHOLES")
 }
 
 func TestSystemRunsPacketSwitched(t *testing.T) {
 	s := quickSystem(t, network.DefaultConfig(6, 6))
-	defer s.Close()
-	s.Run(2000)
-	s.EnableStats()
-	s.Run(6000)
-	r := s.Result(6000)
-	if r.CPUInstructions == 0 {
+	s.measure(2000, 6000)
+	if s.CPUInstructions() == 0 {
 		t.Error("CPUs retired nothing")
 	}
-	if r.GPUIterations == 0 {
+	if s.GPUIterations() == 0 {
 		t.Error("GPUs completed nothing")
 	}
-	if r.Stats.EjectedPackets == 0 {
+	if st := s.net.Stats(); st.EjectedPackets == 0 {
 		t.Error("no network traffic")
 	}
-	d := s.Diagnose()
+	d := s.net.Diagnose()
 	if d.MisroutedCS != 0 || d.DroppedCS != 0 || d.LatchConflicts != 0 {
 		t.Errorf("diagnostics dirty: %+v", d)
 	}
-	if r.GPUInjectionRate <= 0 {
+	if s.GPUInjectionRate(s.net, 6000) <= 0 {
 		t.Error("no GPU injection measured")
 	}
 }
 
 func TestSystemHybridUsesCircuitsForGPUOnly(t *testing.T) {
 	s := quickSystem(t, network.HybridTDMConfig(6, 6))
-	defer s.Close()
-	s.Run(4000)
-	s.EnableStats()
-	s.Run(12000)
-	r := s.Result(12000)
-	if r.GPUCSFraction <= 0 {
+	s.measure(4000, 12000)
+	st := s.net.Stats()
+	if st.ClassCSFraction(flit.ClassGPU) <= 0 {
 		t.Error("no GPU traffic was circuit-switched")
 	}
 	// CPU traffic must remain packet-switched (Section V-A2).
-	if cs := r.Stats.ClassCSFraction(flit.ClassCPU); cs != 0 {
+	if cs := st.ClassCSFraction(flit.ClassCPU); cs != 0 {
 		t.Errorf("CPU traffic circuit-switched fraction %.3f, want 0", cs)
 	}
-	d := s.Diagnose()
+	d := s.net.Diagnose()
 	if d.MisroutedCS != 0 || d.DroppedCS != 0 {
 		t.Errorf("CS invariants violated: %+v", d)
 	}
@@ -171,10 +193,8 @@ func TestSystemHybridUsesCircuitsForGPUOnly(t *testing.T) {
 func TestSystemDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		s := quickSystem(t, network.HybridTDMConfig(6, 6))
-		defer s.Close()
-		s.Run(3000)
-		r := s.Result(3000)
-		return r.CPUInstructions, r.GPUIterations
+		s.net.Run(3000)
+		return s.CPUInstructions(), s.GPUIterations()
 	}
 	a1, b1 := run()
 	a2, b2 := run()
@@ -187,14 +207,9 @@ func TestMemoryLatencyThrottlesCPU(t *testing.T) {
 	// A benchmark with a heavy miss rate must retire fewer instructions
 	// than a compute-bound one on the same network.
 	run := func(name string) int64 {
-		cpu, _ := workload.CPUBenchmarkByName(name)
-		gpu, _ := workload.GPUBenchmarkByName("STO")
-		s := NewSystem(network.DefaultConfig(6, 6), Layout36(), cpu, gpu)
-		defer s.Close()
-		s.Run(1000)
-		s.EnableStats()
-		s.Run(5000)
-		return s.Result(5000).CPUInstructions
+		s := newRig(t, network.DefaultConfig(6, 6), name, "STO")
+		s.measure(1000, 5000)
+		return s.CPUInstructions()
 	}
 	light := run("WUPWISE") // 4 misses/KI, IPC 1.7
 	heavy := run("SWIM")    // 16 misses/KI, IPC 0.9
@@ -207,14 +222,9 @@ func TestGPUWarpPoolHidesLatency(t *testing.T) {
 	// Iterations should scale roughly with the benchmark's injection
 	// intensity: LPS (0.20) completes more memory ops than STO (0.05).
 	run := func(name string) int64 {
-		cpu, _ := workload.CPUBenchmarkByName("AMMP")
-		gpu, _ := workload.GPUBenchmarkByName(name)
-		s := NewSystem(network.DefaultConfig(6, 6), Layout36(), cpu, gpu)
-		defer s.Close()
-		s.Run(1000)
-		s.EnableStats()
-		s.Run(5000)
-		return s.Result(5000).GPUIterations
+		s := newRig(t, network.DefaultConfig(6, 6), "AMMP", name)
+		s.measure(1000, 5000)
+		return s.GPUIterations()
 	}
 	if lps, sto := run("LPS"), run("STO"); lps <= sto {
 		t.Errorf("LPS iterations %d not above STO %d", lps, sto)
@@ -224,25 +234,19 @@ func TestGPUWarpPoolHidesLatency(t *testing.T) {
 func TestTableIIIInjectionRatesReproduced(t *testing.T) {
 	// The measured GPU injection rate should land near each benchmark's
 	// Table III value (the warp-pool parameters were derived from it).
-	cpu, _ := workload.CPUBenchmarkByName("ART")
 	for _, gpu := range workload.GPUBenchmarks {
-		s := NewSystem(network.DefaultConfig(6, 6), Layout36(), cpu, gpu)
-		s.Run(2000)
-		s.EnableStats()
-		s.Run(8000)
-		r := s.Result(8000)
-		s.Close()
-		if r.GPUInjectionRate < gpu.InjectionRate*0.5 || r.GPUInjectionRate > gpu.InjectionRate*1.6 {
-			t.Errorf("%s: measured injection %.3f, Table III says %.2f",
-				gpu.Name, r.GPUInjectionRate, gpu.InjectionRate)
+		s := newRig(t, network.DefaultConfig(6, 6), "ART", gpu.Name)
+		s.measure(2000, 8000)
+		got := s.GPUInjectionRate(s.net, 8000)
+		if got < gpu.InjectionRate*0.5 || got > gpu.InjectionRate*1.6 {
+			t.Errorf("%s: measured injection %.3f, Table III says %.2f", gpu.Name, got, gpu.InjectionRate)
 		}
 	}
 }
 
 func TestL2MissPathReachesMC(t *testing.T) {
 	s := quickSystem(t, network.DefaultConfig(6, 6))
-	defer s.Close()
-	s.Run(8000)
+	s.net.Run(8000)
 	var mcReqs int64
 	for _, m := range s.mcs {
 		mcReqs += m.Requests
@@ -259,6 +263,39 @@ func TestL2MissPathReachesMC(t *testing.T) {
 	}
 	if mcReqs >= l2Reqs {
 		t.Errorf("MC requests (%d) exceed L2 requests (%d) — hit rate broken", mcReqs, l2Reqs)
+	}
+}
+
+// TestHaltLetsTheNetworkDrain: halted cores issue nothing new, banks and
+// controllers still answer, so every request in flight completes.
+func TestHaltLetsTheNetworkDrain(t *testing.T) {
+	s := quickSystem(t, network.HybridTDMConfig(6, 6))
+	s.net.Run(3000)
+	s.Halt()
+	if !s.net.Drain(20000) {
+		t.Fatalf("halted system did not drain: %d packets in flight", s.net.InFlight())
+	}
+	instr, iters := s.CPUInstructions(), s.GPUIterations()
+	s.net.Run(500)
+	if s.CPUInstructions() != instr || s.GPUIterations() != iters {
+		t.Error("halted cores kept working")
+	}
+}
+
+// TestLayoutForRefusesSmallMeshes: on these meshes the four memory
+// controllers overwrite the only GPU or L2 tiles.
+func TestLayoutForRefusesSmallMeshes(t *testing.T) {
+	for _, d := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {6, 1}, {1, 1}} {
+		if _, err := LayoutFor(d[0], d[1]); err == nil {
+			t.Errorf("%dx%d layout accepted", d[0], d[1])
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%dx%d", d[0], d[1])) {
+			t.Errorf("%dx%d: error does not name the mesh: %v", d[0], d[1], err)
+		}
+	}
+	for _, d := range [][2]int{{6, 6}, {3, 3}, {1, 6}, {4, 3}, {8, 8}} {
+		if _, err := LayoutFor(d[0], d[1]); err != nil {
+			t.Errorf("%dx%d layout refused: %v", d[0], d[1], err)
+		}
 	}
 }
 

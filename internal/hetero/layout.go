@@ -100,7 +100,7 @@ func LayoutScaled(width, height int) Layout {
 		rows[y] = row
 	}
 	// Four memory controllers on the middle rows' edges.
-	midLo := cpuRows + (height-cpuRows-gpuRows)/3
+	midLo := min(cpuRows+(height-cpuRows-gpuRows)/3, height-1)
 	midHi := height - gpuRows - 1 - (height-cpuRows-gpuRows)/3
 	if midHi <= midLo {
 		midHi = midLo + 1
@@ -113,6 +113,24 @@ func LayoutScaled(width, height int) Layout {
 	rows[midHi][0] = TileMC
 	rows[midHi][width-1] = TileMC
 	return fromRows(rows)
+}
+
+// LayoutFor picks the layout NewSystem populates for a width x height
+// mesh (both positive): Fig. 7 for the evaluated 6x6 system, the scaled layout otherwise.
+// On a small mesh the four memory controllers overwrite the only tiles
+// of some other kind; such a system cannot run (cores would have no L2
+// bank or MC to address), so it is refused here, before any network is
+// built.
+func LayoutFor(width, height int) (Layout, error) {
+	if width == 6 && height == 6 {
+		return Layout36(), nil
+	}
+	l := LayoutScaled(width, height)
+	if len(l.CPUs) == 0 || len(l.GPUs) == 0 || len(l.L2s) == 0 || len(l.MCs) == 0 {
+		return Layout{}, fmt.Errorf("hetero: a %dx%d mesh is too small for the heterogeneous layout (%d CPU, %d GPU, %d L2, %d MC tiles; every kind needs at least one)",
+			width, height, len(l.CPUs), len(l.GPUs), len(l.L2s), len(l.MCs))
+	}
+	return l, nil
 }
 
 func fromRows(rows [][]TileKind) Layout {

@@ -1,72 +1,75 @@
 package hetero
 
 import (
-	"tdmnoc/internal/flit"
 	"tdmnoc/internal/network"
-	"tdmnoc/internal/power"
-	"tdmnoc/internal/stats"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/workload"
 )
 
-// System is one heterogeneous multicore simulation: a workload mix (one
-// CPU benchmark on every CPU tile, one GPU kernel on every accelerator
-// tile) running over a configured NoC.
+// memLatencyEstimate (cycles) seeds the warp-pool compute-time
+// derivation.
+const memLatencyEstimate = 60
+
+// System is the tile population of one heterogeneous multicore
+// simulation: a workload mix (one CPU benchmark on every CPU tile, one
+// GPU kernel on every accelerator tile) plus the L2 banks and memory
+// controllers that serve them. It owns no network — Endpoint is the
+// network.EndpointFactory that wires the tiles onto one, and the network
+// must have the layout's mesh dimensions.
 type System struct {
-	Net    *network.Network
 	Layout Layout
 
-	CPU workload.CPUBenchmark
-	GPU workload.GPUBenchmark
+	cpu workload.CPUBenchmark
+	gpu workload.GPUBenchmark
 
 	cpus  []*CPUCore
 	gpus  []*GPUCore
 	banks []*L2Bank
 	mcs   []*MemController
-
-	// memLatencyEstimate seeds the warp-pool compute-time derivation.
-	memLatencyEstimate int
 }
 
-// NewSystem wires a workload mix onto a network configuration. The
-// layout's mesh dimensions override whatever the network config says.
-func NewSystem(cfg network.Config, layout Layout, cpu workload.CPUBenchmark, gpu workload.GPUBenchmark) *System {
-	cfg.Width = layout.Mesh.Width
-	cfg.Height = layout.Mesh.Height
-	s := &System{Layout: layout, CPU: cpu, GPU: gpu, memLatencyEstimate: 60}
-	s.Net = network.New(cfg, func(id topology.NodeID) network.Endpoint {
-		switch layout.Kind(id) {
-		case TileCPU:
-			c := NewCPUCore(&s.Layout, cpu)
-			s.cpus = append(s.cpus, c)
-			return c
-		case TileGPU:
-			g := NewGPUCore(&s.Layout, gpu, id, s.memLatencyEstimate)
-			s.gpus = append(s.gpus, g)
-			return g
-		case TileL2:
-			b := NewL2Bank(&s.Layout, id)
-			s.banks = append(s.banks, b)
-			return b
-		default:
-			m := NewMemController()
-			s.mcs = append(s.mcs, m)
-			return m
-		}
-	})
-	return s
+// NewSystem prepares a workload mix for a layout (see LayoutFor).
+func NewSystem(layout Layout, cpu workload.CPUBenchmark, gpu workload.GPUBenchmark) *System {
+	return &System{Layout: layout, cpu: cpu, gpu: gpu}
 }
 
-// Close releases the network's resources.
-func (s *System) Close() { s.Net.Close() }
+// Endpoint builds the tile model for node id; pass it to network.New.
+func (s *System) Endpoint(id topology.NodeID) network.Endpoint {
+	switch s.Layout.Kind(id) {
+	case TileCPU:
+		c := NewCPUCore(&s.Layout, s.cpu)
+		s.cpus = append(s.cpus, c)
+		return c
+	case TileGPU:
+		g := NewGPUCore(&s.Layout, s.gpu, id, memLatencyEstimate)
+		s.gpus = append(s.gpus, g)
+		return g
+	case TileL2:
+		b := NewL2Bank(&s.Layout, id)
+		s.banks = append(s.banks, b)
+		return b
+	default:
+		m := NewMemController()
+		s.mcs = append(s.mcs, m)
+		return m
+	}
+}
 
-// Run advances the system by the given number of cycles.
-func (s *System) Run(cycles int) { s.Net.Run(cycles) }
+// Halt stops every core from issuing new memory operations. Banks and
+// controllers keep answering, so requests already in the network still
+// complete and the network can drain.
+func (s *System) Halt() {
+	for _, c := range s.cpus {
+		c.halted = true
+	}
+	for _, g := range s.gpus {
+		g.halted = true
+	}
+}
 
-// EnableStats starts measurement (after warm-up) and zeroes the
-// performance counters so speedups cover the measured region only.
-func (s *System) EnableStats() {
-	s.Net.EnableStats()
+// ResetCounters zeroes the performance counters; called when measurement
+// starts so speedups cover the measured region only.
+func (s *System) ResetCounters() {
 	for _, c := range s.cpus {
 		c.Retired = 0
 	}
@@ -75,48 +78,36 @@ func (s *System) EnableStats() {
 	}
 }
 
-// Result is the measurement of one run.
-type Result struct {
-	// CPUInstructions is the total retired across CPU tiles.
-	CPUInstructions int64
-	// GPUIterations is the total completed warp memory operations.
-	GPUIterations int64
-	// Stats is the merged network statistics.
-	Stats stats.Collector
-	// Energy is the network energy breakdown.
-	Energy power.Breakdown
-	// GPUInjectionRate is measured offered GPU traffic in
-	// flits/node/cycle (Table III, left column).
-	GPUInjectionRate float64
-	// GPUCSFraction is the share of GPU flits that travelled
-	// circuit-switched (Table III, right column).
-	GPUCSFraction float64
-	// Cycles is the measured-region length.
-	Cycles int64
-}
-
-// Result collects the current measurement over the given measured-region
-// length.
-func (s *System) Result(cycles int64) Result {
-	r := Result{Cycles: cycles, Stats: s.Net.Stats(), Energy: s.Net.Energy()}
+// CPUInstructions is the total retired across CPU tiles since the last
+// ResetCounters.
+func (s *System) CPUInstructions() int64 {
+	var n int64
 	for _, c := range s.cpus {
-		r.CPUInstructions += c.Retired
+		n += c.Retired
 	}
-	for _, g := range s.gpus {
-		r.GPUIterations += g.Iterations
-	}
-	// GPU injection: flits injected by accelerator tiles.
-	var gpuFlits int64
-	for _, id := range s.Layout.GPUs {
-		ni := s.Net.NI(id)
-		gpuFlits += ni.Stats.InjectedFlits
-	}
-	if cycles > 0 && len(s.Layout.GPUs) > 0 {
-		r.GPUInjectionRate = float64(gpuFlits) / (float64(cycles) * float64(len(s.Layout.GPUs)))
-	}
-	r.GPUCSFraction = r.Stats.ClassCSFraction(flit.ClassGPU)
-	return r
+	return n
 }
 
-// Diagnose exposes the network invariants.
-func (s *System) Diagnose() network.Diagnostics { return s.Net.Diagnose() }
+// GPUIterations is the total completed warp memory operations since the
+// last ResetCounters.
+func (s *System) GPUIterations() int64 {
+	var n int64
+	for _, g := range s.gpus {
+		n += g.Iterations
+	}
+	return n
+}
+
+// GPUInjectionRate is the measured offered GPU traffic in
+// flits/node/cycle (Table III, left column): flits the accelerator
+// tiles' NIs injected over a measured region of the given length.
+func (s *System) GPUInjectionRate(net *network.Network, cycles int64) float64 {
+	if cycles <= 0 || len(s.Layout.GPUs) == 0 {
+		return 0
+	}
+	var flits int64
+	for _, id := range s.Layout.GPUs {
+		flits += net.NI(id).Stats.InjectedFlits
+	}
+	return float64(flits) / (float64(cycles) * float64(len(s.Layout.GPUs)))
+}

@@ -191,6 +191,9 @@ func NewReplayers(t *Trace, offset int64) map[topology.NodeID]*Replayer {
 // Done reports whether every event has been injected.
 func (r *Replayer) Done() bool { return r == nil || r.next >= len(r.events) }
 
+// Stop discards the events not yet injected, so the network can drain.
+func (r *Replayer) Stop() { r.next = len(r.events) }
+
 // Tick implements network.Endpoint.
 func (r *Replayer) Tick(now sim.Cycle, ni *network.NI) {
 	for r.next < len(r.events) && r.events[r.next].Cycle+r.offset <= int64(now) {
