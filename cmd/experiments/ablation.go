@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tdmnoc/hsnoc"
+	"tdmnoc/internal/campaign"
 )
 
 // ablation quantifies each design choice DESIGN.md calls out by switching
@@ -12,8 +13,8 @@ import (
 // power gating (III-B). Two more rows swap in an alternative instead:
 // the latency-driven gating refinement Section V-B4 suggests, and a
 // 2-iteration iSLIP switch allocator in place of the single pass.
-func ablation(rc runConfig) {
-	fmt.Println("== Ablation: one design choice changed at a time (hotspot traffic, 6x6) ==")
+func ablation(rc *runConfig) {
+	rc.println("== Ablation: one design choice changed at a time (hotspot traffic, 6x6) ==")
 	warm, measure := cyclesFor(rc.quick)
 	// Keep the offered load below the hotspot pattern's ejection-bound
 	// saturation (~0.13) so latency and energy readings are not dominated
@@ -40,54 +41,55 @@ func ablation(rc runConfig) {
 		{"~ 2-iteration iSLIP", func(c hsnoc.Config) hsnoc.Config { c.SAIterations = 2; return c }},
 	}
 
-	var jobs []synthJob
-	jobs = append(jobs, synthJob{label: "Packet-VC4", cfg: packetCfg(6, 6, rc.seed),
-		pattern: hsnoc.Hotspot, rate: rate, warm: warm, measure: measure})
+	jobs := []campaign.Job{campaign.NewJob(packetCfg(6, 6, rc.seed), hsnoc.Hotspot, rate, warm, measure, "Packet-VC4")}
 	for _, v := range variants {
-		jobs = append(jobs, synthJob{label: v.name, cfg: v.mod(full()),
-			pattern: hsnoc.Hotspot, rate: rate, warm: warm, measure: measure})
+		jobs = append(jobs, campaign.NewJob(v.mod(full()), hsnoc.Hotspot, rate, warm, measure, v.name))
 	}
-	pts := runSynthetic(jobs, rc.workers)
-	base := pts[0].res
-	fmt.Printf("%-24s %10s %10s %8s %12s\n", "variant", "totlat", "energy-sv", "cs%", "rides(h/v)")
-	for _, p := range pts[1:] {
-		fmt.Printf("%-24s %10.1f %10s %7.1f%% %6d/%d\n",
-			p.label, p.res.AvgTotalLatency(), savingPct(p.res, base),
-			100*p.res.CSFlitFraction(), p.res.Hitchhikes, p.res.VicinityRides)
+	recs := rc.run(jobs)
+	base := recs[0].Result
+	rc.printf("%-24s %10s %10s %8s %12s\n", "variant", "totlat", "energy-sv", "cs%", "rides(h/v)")
+	for _, rec := range recs[1:] {
+		res := rec.Result
+		rc.printf("%-24s %10.1f %10s %7.1f%% %6d/%d\n",
+			rec.Label, res.AvgTotalLatency(), savingPct(res, base),
+			100*res.CSFlitFraction(), res.Hitchhikes, res.VicinityRides)
 	}
-	fmt.Println()
+	rc.println()
 }
 
 // granularity sweeps the slot-table size (time-division granularity,
 // Section II-C): smaller tables give each circuit more bandwidth and
 // shorter waits but hold fewer circuits; larger tables the reverse.
-func granularity(rc runConfig) {
-	fmt.Println("== Granularity: slot-table size sweep (Section II-C, tornado + UR, 6x6) ==")
+func granularity(rc *runConfig) {
+	rc.println("== Granularity: slot-table size sweep (Section II-C, tornado + UR, 6x6) ==")
 	warm, measure := cyclesFor(rc.quick)
 	sizes := []int{8, 16, 32, 64, 128, 256}
 	if rc.quick {
 		sizes = []int{16, 64, 256}
 	}
-	for _, pat := range []hsnoc.Pattern{hsnoc.Tornado, hsnoc.UniformRandom} {
-		var jobs []synthJob
-		jobs = append(jobs, synthJob{label: "Packet-VC4", cfg: packetCfg(6, 6, rc.seed),
-			pattern: pat, rate: 0.15, warm: warm, measure: measure})
+	patterns := []hsnoc.Pattern{hsnoc.Tornado, hsnoc.UniformRandom}
+	var jobs []campaign.Job
+	for _, pat := range patterns {
+		jobs = append(jobs, campaign.NewJob(packetCfg(6, 6, rc.seed), pat, 0.15, warm, measure, "Packet-VC4"))
 		for _, sz := range sizes {
 			cfg := tdmCfg(6, 6, rc.seed)
 			cfg.SlotTableEntries = sz
 			cfg.DisableDynamicSlotSizing = true // isolate the size effect
-			jobs = append(jobs, synthJob{label: fmt.Sprintf("TDM-%d-slots", sz), cfg: cfg,
-				pattern: pat, rate: 0.15, warm: warm, measure: measure})
-		}
-		pts := runSynthetic(jobs, rc.workers)
-		base := pts[0].res
-		fmt.Printf("\n-- pattern %v at 0.15 flits/node/cycle --\n", pat)
-		fmt.Printf("%-16s %10s %10s %8s %10s\n", "config", "totlat", "energy-sv", "cs%", "circuits")
-		for _, p := range pts[1:] {
-			fmt.Printf("%-16s %10.1f %10s %7.1f%% %10d\n",
-				p.label, p.res.AvgTotalLatency(), savingPct(p.res, base),
-				100*p.res.CSFlitFraction(), p.res.Circuits)
+			jobs = append(jobs, campaign.NewJob(cfg, pat, 0.15, warm, measure, fmt.Sprintf("TDM-%d-slots", sz)))
 		}
 	}
-	fmt.Println()
+	recs := rc.run(jobs)
+	per := 1 + len(sizes)
+	for i, pat := range patterns {
+		base := recs[i*per].Result
+		rc.printf("\n-- pattern %v at 0.15 flits/node/cycle --\n", pat)
+		rc.printf("%-16s %10s %10s %8s %10s\n", "config", "totlat", "energy-sv", "cs%", "circuits")
+		for _, rec := range recs[i*per+1 : (i+1)*per] {
+			res := rec.Result
+			rc.printf("%-16s %10.1f %10s %7.1f%% %10d\n",
+				rec.Label, res.AvgTotalLatency(), savingPct(res, base),
+				100*res.CSFlitFraction(), res.Circuits)
+		}
+	}
+	rc.println()
 }

@@ -1,72 +1,46 @@
 package main
 
 import (
-	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"tdmnoc/hsnoc"
+	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/stats"
 	"tdmnoc/internal/workload"
 )
 
 // heteroVariant names the Fig. 8 configurations.
 type heteroVariant struct {
 	name string
-	mk   func(seed uint64) hsnoc.Config
+	cfg  hsnoc.Config
 }
 
 func heteroVariants(seed uint64) []heteroVariant {
+	hop := tdmCfg(6, 6, seed)
+	hop.PathSharing = true
+	hopVCt := hop
+	hopVCt.VCPowerGating = true
 	return []heteroVariant{
-		{"Packet-VC4", func(s uint64) hsnoc.Config { return packetCfg(6, 6, s) }},
-		{"Hybrid-TDM-VC4", func(s uint64) hsnoc.Config { return tdmCfg(6, 6, s) }},
-		{"Hybrid-TDM-hop-VC4", func(s uint64) hsnoc.Config {
-			c := tdmCfg(6, 6, s)
-			c.PathSharing = true
-			return c
-		}},
-		{"Hybrid-TDM-hop-VCt", func(s uint64) hsnoc.Config {
-			c := tdmCfg(6, 6, s)
-			c.PathSharing = true
-			c.VCPowerGating = true
-			return c
-		}},
+		{"Packet-VC4", packetCfg(6, 6, seed)},
+		{"Hybrid-TDM-VC4", tdmCfg(6, 6, seed)},
+		{"Hybrid-TDM-hop-VC4", hop},
+		{"Hybrid-TDM-hop-VCt", hopVCt},
 	}
 }
 
-// runHeteroMatrix executes (mix, variant) runs in parallel.
-func runHeteroMatrix(rc runConfig, mixes []int, variants []heteroVariant, warm, measure int) map[[2]int]hsnoc.Results {
-	workers := rc.workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var mu sync.Mutex
-	out := map[[2]int]hsnoc.Results{}
+// mixJobs builds the (mix, variant) matrix as campaign jobs, mix-major:
+// the records of the i-th mix start at recs[i*len(variants)].
+func mixJobs(rc *runConfig, mixes []int, variants []heteroVariant) []campaign.Job {
+	warm, measure := heteroCycles(rc.quick)
+	var jobs []campaign.Job
 	for _, mi := range mixes {
-		for vi := range variants {
-			wg.Add(1)
-			go func(mi, vi int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				cpu, gpu := workload.Mix(mi)
-				h, err := hsnoc.NewHeterogeneous(variants[vi].mk(rc.seed), cpu.Name, gpu.Name)
-				if err != nil {
-					panic(err)
-				}
-				defer h.Close()
-				h.Warmup(warm)
-				res := h.Run(measure)
-				mu.Lock()
-				out[[2]int{mi, vi}] = res
-				mu.Unlock()
-			}(mi, vi)
+		cpu, gpu := workload.Mix(mi)
+		for _, v := range variants {
+			jobs = append(jobs, campaign.NewMixJob(v.cfg, cpu.Name, gpu.Name, warm, measure,
+				gpu.Name+"/"+cpu.Name+"/"+v.name))
 		}
 	}
-	wg.Wait()
-	return out
+	return jobs
 }
 
 func heteroCycles(quick bool) (warm, measure int) {
@@ -76,7 +50,7 @@ func heteroCycles(quick bool) (warm, measure int) {
 	return 6000, 30000
 }
 
-func selectMixes(rc runConfig) []int {
+func selectMixes(rc *runConfig) []int {
 	n := rc.mixes
 	if n <= 0 || n > workload.MixCount() {
 		n = workload.MixCount()
@@ -90,119 +64,133 @@ func selectMixes(rc runConfig) []int {
 	return out
 }
 
+// speedup is count/base; ok is false when either is zero (a failed job's
+// record is empty), which leaves no speedup to report.
+func speedup(count, base int64) (s float64, ok bool) {
+	if count == 0 || base == 0 {
+		return 0, false
+	}
+	return float64(count) / float64(base), true
+}
+
+// geomean accumulates the geometric mean of one table column over the
+// rows where the column is defined.
+type geomean struct {
+	logSum float64
+	n      int
+}
+
+func (g *geomean) add(v float64) { g.logSum += math.Log(v); g.n++ }
+func (g geomean) mean() float64  { return math.Exp(g.logSum / float64(g.n)) }
+
 // fig8 reproduces Fig. 8: per-mix network energy saving, CPU speedup and
 // GPU speedup for the three hybrid configurations versus Packet-VC4.
-func fig8(rc runConfig) {
-	fmt.Println("== Figure 8: heterogeneous workload mixes (6x6, Fig. 7 layout) ==")
-	variants := heteroVariants(rc.seed)
+func fig8(rc *runConfig) {
+	rc.println("== Figure 8: heterogeneous workload mixes (6x6, Fig. 7 layout) ==")
 	mixes := selectMixes(rc)
-	warm, measure := heteroCycles(rc.quick)
-	results := runHeteroMatrix(rc, mixes, variants, warm, measure)
+	recs := rc.run(mixJobs(rc, mixes, heteroVariants(rc.seed)))
 
-	fmt.Printf("%-24s %-20s %-20s %-20s\n", "mix (GPU/CPU)", "energy saving", "CPU speedup", "GPU speedup")
-	fmt.Printf("%-24s %6s %6s %6s  %6s %6s %6s  %6s %6s %6s\n", "",
-		"TDM", "hop", "hopVCt", "TDM", "hop", "hopVCt", "TDM", "hop", "hopVCt")
-	// Geometric means across mixes (the paper's AVG group).
-	gm := make([][]float64, 3) // per metric: [variant-1] products
-	for i := range gm {
-		gm[i] = []float64{0, 0, 0}
-	}
-	count := 0
-	for _, mi := range mixes {
+	rc.printf("%-24s %-20s %-20s %-20s\n", "mix (GPU/CPU)", "energy saving", "CPU speedup", "GPU speedup")
+	// A row is a label and nine cells: metric-major, then TDM/hop/hopVCt.
+	const row = "%-24s %6s %6s %6s  %6s %6s %6s  %6s %6s %6s\n"
+	rc.printf(row, "", "TDM", "hop", "hopVCt", "TDM", "hop", "hopVCt", "TDM", "hop", "hopVCt")
+	formats := [3]string{"%.1f%%", "%.3f", "%.3f"}
+	// Geometric means across mixes (the paper's AVG group); the energy
+	// columns average the remaining fraction 1-saving.
+	var avg [9]geomean
+	for i, mi := range mixes {
 		cpu, gpu := workload.Mix(mi)
-		base := results[[2]int{mi, 0}]
-		var es, cs, gs [3]float64
-		for vi := 1; vi < 4; vi++ {
-			r := results[[2]int{mi, vi}]
-			es[vi-1] = 1 - r.Energy.TotalPJ/base.Energy.TotalPJ
-			cs[vi-1] = float64(r.CPUInstructions) / float64(base.CPUInstructions)
-			gs[vi-1] = float64(r.GPUIterations) / float64(base.GPUIterations)
-			gm[0][vi-1] += math.Log(math.Max(1e-9, 1-es[vi-1]))
-			gm[1][vi-1] += math.Log(cs[vi-1])
-			gm[2][vi-1] += math.Log(gs[vi-1])
+		base := recs[4*i].Result
+		cells := make([]any, 10)
+		cells[0] = gpu.Name + "/" + cpu.Name
+		for v := 0; v < 3; v++ {
+			r := recs[4*i+1+v].Result
+			es, okE := r.EnergySavingVs(base)
+			cs, okC := speedup(r.CPUInstructions, base.CPUInstructions)
+			gs, okG := speedup(r.GPUIterations, base.GPUIterations)
+			for m, c := range [3]struct {
+				shown, mean float64
+				ok          bool
+			}{{100 * es, math.Max(1e-9, 1-es), okE}, {cs, cs, okC}, {gs, gs, okG}} {
+				cells[1+3*m+v] = cell(formats[m], c.shown, c.ok)
+				if c.ok {
+					avg[3*m+v].add(c.mean)
+				}
+			}
 		}
-		count++
-		fmt.Printf("%-24s %5.1f%% %5.1f%% %5.1f%%  %6.3f %6.3f %6.3f  %6.3f %6.3f %6.3f\n",
-			gpu.Name+"/"+cpu.Name,
-			100*es[0], 100*es[1], 100*es[2],
-			cs[0], cs[1], cs[2],
-			gs[0], gs[1], gs[2])
+		rc.printf(row, cells...)
 	}
-	if count > 0 {
-		fmt.Printf("%-24s", "AVG (geomean)")
-		for vi := 0; vi < 3; vi++ {
-			fmt.Printf(" %5.1f%%", 100*(1-math.Exp(gm[0][vi]/float64(count))))
+	cells := make([]any, 10)
+	cells[0] = "AVG (geomean)"
+	for k, g := range avg {
+		shown := g.mean()
+		if k < 3 {
+			shown = 100 * (1 - shown)
 		}
-		fmt.Printf(" ")
-		for vi := 0; vi < 3; vi++ {
-			fmt.Printf(" %6.3f", math.Exp(gm[1][vi]/float64(count)))
-		}
-		fmt.Printf(" ")
-		for vi := 0; vi < 3; vi++ {
-			fmt.Printf(" %6.3f", math.Exp(gm[2][vi]/float64(count)))
-		}
-		fmt.Println()
+		cells[1+k] = cell(formats[k/3], shown, g.n > 0)
 	}
-	fmt.Println()
+	rc.printf(row, cells...)
+	rc.println()
 }
 
 // fig9 reproduces the Fig. 9 energy breakdown: per-component dynamic and
 // static energy of the full hybrid configuration, normalised to the
 // packet-switched baseline, averaged over CPU applications per GPU
 // benchmark.
-func fig9(rc runConfig) {
-	fmt.Println("== Figure 9: network energy breakdown (normalised to Packet-VC4) ==")
+func fig9(rc *runConfig) {
+	rc.println("== Figure 9: network energy breakdown (normalised to Packet-VC4) ==")
 	variants := []heteroVariant{
 		heteroVariants(rc.seed)[0], // Packet-VC4
 		heteroVariants(rc.seed)[3], // Hybrid-TDM-hop-VCt
 	}
-	warm, measure := heteroCycles(rc.quick)
 	nCPU := len(workload.CPUBenchmarks)
 	cpuSamples := nCPU
 	if rc.quick || rc.mixes < workload.MixCount() {
 		cpuSamples = 2
 	}
 	components := []string{"buffer", "cs-component", "crossbar", "arbiter", "clock", "link"}
-
-	fmt.Printf("%-14s | %s\n", "GPU benchmark", "dynamic: component shares (base -> hybrid), then static")
-	var totBufSave, totDynSave, totStatSave float64
-	var groups int
-	for gi, gpu := range workload.GPUBenchmarks {
-		// Average over CPU applications (the paper averages each group).
-		var mixes []int
+	// Average over CPU applications (the paper averages each group).
+	var mixes []int
+	for gi := range workload.GPUBenchmarks {
 		for ci := 0; ci < cpuSamples; ci++ {
 			mixes = append(mixes, gi*nCPU+ci*(nCPU/cpuSamples))
 		}
-		results := runHeteroMatrix(rc, mixes, variants, warm, measure)
-		sum := func(vi int) (dyn, stat map[string]float64) {
-			dyn, stat = map[string]float64{}, map[string]float64{}
-			for _, mi := range mixes {
-				r := results[[2]int{mi, vi}]
-				for _, c := range components {
-					dyn[c] += r.Energy.DynamicPJ[c]
-					stat[c] += r.Energy.StaticPJ[c]
-				}
-			}
-			return
-		}
-		bd, bs := sum(0)
-		hd, hs := sum(1)
-		tot := func(m map[string]float64) float64 {
-			t := 0.0
-			for _, v := range m {
-				t += v
-			}
-			return t
-		}
-		fmt.Printf("%-14s dyn: ", gpu.Name)
+	}
+	recs := rc.run(mixJobs(rc, mixes, variants))
+
+	rc.printf("%-14s | %s\n", "GPU benchmark", "dynamic: component shares (base -> hybrid), then static")
+	tot := func(m map[string]float64) float64 {
+		t := 0.0
 		for _, c := range components {
-			fmt.Printf("%s %4.1f%%->%4.1f%%  ", c, 100*bd[c]/tot(bd), 100*hd[c]/tot(bd))
+			t += m[c]
 		}
-		fmt.Printf("\n%-14s stat:", "")
+		return t
+	}
+	var totBufSave, totDynSave, totStatSave float64
+	var groups int
+	for gi, gpu := range workload.GPUBenchmarks {
+		var base, hybrid stats.RunRecord
+		group := recs[2*gi*cpuSamples : 2*(gi+1)*cpuSamples]
+		for k := 0; k < len(group); k += 2 {
+			base.Merge(group[k].Result)
+			hybrid.Merge(group[k+1].Result)
+		}
+		// A failed run's record is empty, and one missing run skews
+		// every share of its group.
+		if base.Runs != int64(cpuSamples) || hybrid.Runs != int64(cpuSamples) {
+			rc.printf("%-14s n/a\n", gpu.Name)
+			continue
+		}
+		bd, bs, hd, hs := base.DynamicPJ, base.StaticPJ, hybrid.DynamicPJ, hybrid.StaticPJ
+		rc.printf("%-14s dyn: ", gpu.Name)
 		for _, c := range components {
-			fmt.Printf("%s %4.1f%%->%4.1f%%  ", c, 100*bs[c]/tot(bs), 100*hs[c]/tot(bs))
+			rc.printf("%s %4.1f%%->%4.1f%%  ", c, 100*bd[c]/tot(bd), 100*hd[c]/tot(bd))
 		}
-		fmt.Printf("\n%-14s dyn saving %.1f%% (buffer %.1f%%, CS overhead %.1f%%) | static saving %.1f%% (CS overhead %.1f%%)\n",
+		rc.printf("\n%-14s stat:", "")
+		for _, c := range components {
+			rc.printf("%s %4.1f%%->%4.1f%%  ", c, 100*bs[c]/tot(bs), 100*hs[c]/tot(bs))
+		}
+		rc.printf("\n%-14s dyn saving %.1f%% (buffer %.1f%%, CS overhead %.1f%%) | static saving %.1f%% (CS overhead %.1f%%)\n",
 			"", 100*(1-tot(hd)/tot(bd)),
 			100*(1-hd["buffer"]/bd["buffer"]),
 			100*hd["cs-component"]/tot(bd),
@@ -213,40 +201,44 @@ func fig9(rc runConfig) {
 		totStatSave += 1 - tot(hs)/tot(bs)
 		groups++
 	}
-	fmt.Printf("AVERAGE: buffer dynamic saving %.1f%%, total dynamic saving %.1f%%, total static saving %.1f%%\n\n",
-		100*totBufSave/float64(groups), 100*totDynSave/float64(groups), 100*totStatSave/float64(groups))
+	avg := func(sum float64) string { return cell("%.1f%%", 100*sum/float64(groups), groups > 0) }
+	rc.printf("AVERAGE: buffer dynamic saving %s, total dynamic saving %s, total static saving %s\n\n",
+		avg(totBufSave), avg(totDynSave), avg(totStatSave))
 }
 
 // table3 reproduces Table III: per-GPU-benchmark injection ratio and the
 // percentage of flits that are circuit-switched under Hybrid-TDM-VC4.
-func table3(rc runConfig) {
-	fmt.Println("== Table III: GPU injection rate and circuit-switched flit percentage (Hybrid-TDM-VC4) ==")
+func table3(rc *runConfig) {
+	rc.println("== Table III: GPU injection rate and circuit-switched flit percentage (Hybrid-TDM-VC4) ==")
 	warm, measure := heteroCycles(rc.quick)
-	variants := []heteroVariant{heteroVariants(rc.seed)[1]} // Hybrid-TDM-VC4
-	fmt.Printf("%-14s %22s %22s\n", "GPU benchmark", "injection (paper->ours)", "CS flits %% (paper->ours)")
+	cfg := heteroVariants(rc.seed)[1].cfg // Hybrid-TDM-VC4
+	var jobs []campaign.Job
+	for _, gpu := range workload.GPUBenchmarks {
+		// One representative CPU application.
+		jobs = append(jobs, campaign.NewMixJob(cfg, "EQUAKE", gpu.Name, warm, measure, gpu.Name+"/EQUAKE"))
+	}
+	recs := rc.run(jobs)
+	rc.printf("%-14s %22s %22s\n", "GPU benchmark", "injection (paper->ours)", "CS flits % (paper->ours)")
 	paperInj := map[string]float64{"BLACKSCHOLES": 0.18, "HOTSPOT": 0.09, "LIB": 0.20, "LPS": 0.20, "NN": 0.18, "PATHFINDER": 0.13, "STO": 0.05}
 	paperCS := map[string]float64{"BLACKSCHOLES": 55.7, "HOTSPOT": 29.1, "LIB": 34.4, "LPS": 55.0, "NN": 38.9, "PATHFINDER": 49.1, "STO": 18.5}
-	nCPU := len(workload.CPUBenchmarks)
 	for gi, gpu := range workload.GPUBenchmarks {
-		// Use one representative CPU application (EQUAKE, index 3).
-		mi := gi*nCPU + 3
-		res := runHeteroMatrix(rc, []int{mi}, variants, warm, measure)
-		r := res[[2]int{mi, 0}]
-		fmt.Printf("%-14s %10.2f -> %6.3f %11.1f -> %5.1f\n",
-			gpu.Name, paperInj[gpu.Name], r.GPUInjectionRate, paperCS[gpu.Name], 100*r.GPUCSFraction)
+		r, ok := recs[gi].Result, recs[gi].Err == ""
+		rc.printf("%-14s %10.2f -> %6s %11.1f -> %5s\n", gpu.Name,
+			paperInj[gpu.Name], cell("%.3f", r.GPUInjectionRate(), ok),
+			paperCS[gpu.Name], cell("%.1f", 100*r.GPUCSFraction(), ok))
 	}
-	fmt.Println()
+	rc.println()
 }
 
 // table1 prints the evaluated router parameters and the area model
 // numbers of Section IV-A.
-func table1(rc runConfig) {
-	fmt.Println("== Table I / Section IV-A: router parameters and area ==")
+func table1(rc *runConfig) {
+	rc.println("== Table I / Section IV-A: router parameters and area ==")
 	ps := packetCfg(6, 6, rc.seed)
 	hy := tdmCfg(6, 6, rc.seed)
-	fmt.Printf("topology 6x6 2D mesh, 16-byte channels, 4 VCs/port, 5-flit buffers, 128-entry slot tables\n")
-	fmt.Printf("packet-switched router area: %.3f mm^2 (paper: 0.177)\n", ps.RouterAreaMM2())
-	fmt.Printf("hybrid-switched router area: %.3f mm^2 (paper: 0.188)\n", hy.RouterAreaMM2())
-	fmt.Printf("area overhead: %.1f%% (paper: 6.2%%)\n\n",
+	rc.printf("topology 6x6 2D mesh, 16-byte channels, 4 VCs/port, 5-flit buffers, 128-entry slot tables\n")
+	rc.printf("packet-switched router area: %.3f mm^2 (paper: 0.177)\n", ps.RouterAreaMM2())
+	rc.printf("hybrid-switched router area: %.3f mm^2 (paper: 0.188)\n", hy.RouterAreaMM2())
+	rc.printf("area overhead: %.1f%% (paper: 6.2%%)\n\n",
 		100*(hy.RouterAreaMM2()-ps.RouterAreaMM2())/ps.RouterAreaMM2())
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"context"
-	"fmt"
-	"os"
 	"runtime"
 
 	"tdmnoc/hsnoc"
@@ -11,56 +8,13 @@ import (
 	"tdmnoc/internal/stats"
 )
 
-// synthPoint is one (configuration, pattern, rate) measurement.
-type synthPoint struct {
-	label   string
-	pattern hsnoc.Pattern
-	rate    float64
-	res     stats.RunRecord
-}
-
-// synthJob describes one simulation to run.
-type synthJob struct {
-	label   string
-	cfg     hsnoc.Config
-	pattern hsnoc.Pattern
-	rate    float64
-	warm    int
-	measure int
-}
-
-// runSynthetic executes jobs on the campaign engine (the one execution
-// path shared with cmd/sweep and cmd/nocsimd): bounded parallelism,
-// panic containment, and within-run dedup of identical configs. Each
-// job is internally deterministic, so output order is fixed by the job
-// list.
-func runSynthetic(jobs []synthJob, workers int) []synthPoint {
-	cjobs := make([]campaign.Job, len(jobs))
-	for i, j := range jobs {
-		cjobs[i] = campaign.NewJob(j.cfg, j.pattern, j.rate, j.warm, j.measure, j.label)
-	}
-	eng := campaign.New(campaign.Options{Workers: workers})
-	recs := eng.Run(context.Background(), cjobs)
-	out := make([]synthPoint, len(jobs))
-	for i, rec := range recs {
-		if rec.Err != "" {
-			fmt.Fprintf(os.Stderr, "experiments: job %s failed: %s\n", rec.Label, rec.Err)
-		}
-		out[i] = synthPoint{label: jobs[i].label, pattern: jobs[i].pattern, rate: jobs[i].rate, res: rec.Result}
-	}
-	return out
-}
-
 // savingPct formats an energy-saving percentage for the result tables,
 // returning "n/a" when the figure is undefined (either run measured
 // zero cycles — e.g. a failed job's empty record — or the baseline
 // reported zero energy).
 func savingPct(r, base stats.RunRecord) string {
 	s, ok := r.EnergySavingVs(base)
-	if !ok {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*s)
+	return cell("%.1f%%", 100*s, ok)
 }
 
 // configs for the Fig. 4 comparison.
@@ -104,145 +58,133 @@ func cyclesFor(quick bool) (warm, measure int) {
 	return 8000, 40000
 }
 
+// fig4Patterns are the synthetic patterns of Figs. 4-6.
+var fig4Patterns = []hsnoc.Pattern{hsnoc.UniformRandom, hsnoc.Tornado, hsnoc.Transpose}
+
 // fig4 reproduces the load-latency curves of Fig. 4 for UR, TOR and TR
 // under Packet-VC4, Hybrid-SDM-VC4, Hybrid-TDM-VC4 and Hybrid-TDM-VCt.
-func fig4(rc runConfig) {
-	fmt.Println("== Figure 4: load-latency curves (6x6 mesh) ==")
+func fig4(rc *runConfig) {
+	rc.println("== Figure 4: load-latency curves (6x6 mesh) ==")
 	warm, measure := cyclesFor(rc.quick)
-	patterns := []hsnoc.Pattern{hsnoc.UniformRandom, hsnoc.Tornado, hsnoc.Transpose}
-	type variant struct {
+	variants := []struct {
 		name string
-		cfg  func(uint64) hsnoc.Config
+		cfg  hsnoc.Config
+	}{
+		{"Packet-VC4", packetCfg(6, 6, rc.seed)},
+		{"Hybrid-SDM-VC4", sdmCfg(6, 6, rc.seed)},
+		{"Hybrid-TDM-VC4", tdmCfg(6, 6, rc.seed)},
+		{"Hybrid-TDM-VCt", tdmVCtCfg(6, 6, rc.seed)},
 	}
-	variants := []variant{
-		{"Packet-VC4", func(s uint64) hsnoc.Config { return packetCfg(6, 6, s) }},
-		{"Hybrid-SDM-VC4", func(s uint64) hsnoc.Config { return sdmCfg(6, 6, s) }},
-		{"Hybrid-TDM-VC4", func(s uint64) hsnoc.Config { return tdmCfg(6, 6, s) }},
-		{"Hybrid-TDM-VCt", func(s uint64) hsnoc.Config { return tdmVCtCfg(6, 6, s) }},
-	}
-	for _, pat := range patterns {
-		var jobs []synthJob
+	var jobs []campaign.Job
+	for _, pat := range fig4Patterns {
 		for _, v := range variants {
 			for _, rate := range sweepRates(rc.quick) {
-				jobs = append(jobs, synthJob{
-					label: v.name, cfg: v.cfg(rc.seed), pattern: pat, rate: rate,
-					warm: warm, measure: measure,
-				})
+				jobs = append(jobs, campaign.NewJob(v.cfg, pat, rate, warm, measure, v.name))
 			}
 		}
-		pts := runSynthetic(jobs, rc.workers)
-		fmt.Printf("\n-- pattern %v --\n", pat)
-		fmt.Printf("%-16s %8s %10s %10s %10s %8s\n", "config", "offered", "accepted", "netlat", "totlat", "cs%")
-		for _, p := range pts {
-			fmt.Printf("%-16s %8.2f %10.3f %10.1f %10.1f %8.1f\n",
-				p.label, p.rate, p.res.PayloadThroughput(), p.res.AvgNetLatency(), p.res.AvgTotalLatency(),
-				100*p.res.CSFlitFraction())
+	}
+	recs := rc.run(jobs)
+	per := len(jobs) / len(fig4Patterns)
+	for i, pat := range fig4Patterns {
+		rc.printf("\n-- pattern %v --\n", pat)
+		rc.printf("%-16s %8s %10s %10s %10s %8s\n", "config", "offered", "accepted", "netlat", "totlat", "cs%")
+		for _, rec := range recs[i*per : (i+1)*per] {
+			res := rec.Result
+			rc.printf("%-16s %8.2f %10.3f %10.1f %10.1f %8.1f\n",
+				rec.Label, rec.Rate, res.PayloadThroughput(), res.AvgNetLatency(), res.AvgTotalLatency(),
+				100*res.CSFlitFraction())
 		}
 	}
-	fmt.Println()
+	rc.println()
 }
 
 // fig5 reproduces the energy-saving-vs-injection curves of Fig. 5:
 // Hybrid-TDM-VC4 and Hybrid-TDM-VCt relative to Packet-VC4.
-func fig5(rc runConfig) {
-	fmt.Println("== Figure 5: network energy saving vs injection rate (6x6 mesh) ==")
+func fig5(rc *runConfig) {
+	rc.println("== Figure 5: network energy saving vs injection rate (6x6 mesh) ==")
 	warm, measure := cyclesFor(rc.quick)
-	patterns := []hsnoc.Pattern{hsnoc.UniformRandom, hsnoc.Tornado, hsnoc.Transpose}
-	for _, pat := range patterns {
-		var jobs []synthJob
-		rates := sweepRates(rc.quick)
-		for _, rate := range rates {
+	var jobs []campaign.Job
+	for _, pat := range fig4Patterns {
+		for _, rate := range sweepRates(rc.quick) {
 			jobs = append(jobs,
-				synthJob{label: "base", cfg: packetCfg(6, 6, rc.seed), pattern: pat, rate: rate, warm: warm, measure: measure},
-				synthJob{label: "tdm", cfg: tdmCfg(6, 6, rc.seed), pattern: pat, rate: rate, warm: warm, measure: measure},
-				synthJob{label: "vct", cfg: tdmVCtCfg(6, 6, rc.seed), pattern: pat, rate: rate, warm: warm, measure: measure},
+				campaign.NewJob(packetCfg(6, 6, rc.seed), pat, rate, warm, measure, "base"),
+				campaign.NewJob(tdmCfg(6, 6, rc.seed), pat, rate, warm, measure, "tdm"),
+				campaign.NewJob(tdmVCtCfg(6, 6, rc.seed), pat, rate, warm, measure, "vct"),
 			)
 		}
-		pts := runSynthetic(jobs, rc.workers)
-		fmt.Printf("\n-- pattern %v --\n", pat)
-		fmt.Printf("%8s %18s %18s\n", "offered", "TDM-VC4 saving", "TDM-VCt saving")
-		for i := 0; i < len(pts); i += 3 {
-			base, tdm, vct := pts[i].res, pts[i+1].res, pts[i+2].res
-			fmt.Printf("%8.2f %18s %18s\n",
-				pts[i].rate, savingPct(tdm, base), savingPct(vct, base))
+	}
+	recs := rc.run(jobs)
+	per := len(jobs) / len(fig4Patterns)
+	for i, pat := range fig4Patterns {
+		rc.printf("\n-- pattern %v --\n", pat)
+		rc.printf("%8s %18s %18s\n", "offered", "TDM-VC4 saving", "TDM-VCt saving")
+		for k := i * per; k < (i+1)*per; k += 3 {
+			base, tdm, vct := recs[k].Result, recs[k+1].Result, recs[k+2].Result
+			rc.printf("%8.2f %18s %18s\n", recs[k].Rate, savingPct(tdm, base), savingPct(vct, base))
 		}
 	}
-	fmt.Println()
+	rc.println()
 }
 
 // fig6 reproduces the scalability study: maximum throughput improvement
 // and energy saving of Hybrid-TDM-VCt over Packet-VC4 on 8x8 and 16x16
 // meshes (256-entry slot tables for the larger network, per the paper).
-func fig6(rc runConfig) {
-	fmt.Println("== Figure 6: scalability (Hybrid-TDM-VCt vs Packet-VC4) ==")
+// Each (mesh, pattern) is two batches, because the second depends on
+// the first: the load sweep, then an energy sample at 75 % of the
+// saturation load the sweep found.
+func fig6(rc *runConfig) {
+	rc.println("== Figure 6: scalability (Hybrid-TDM-VCt vs Packet-VC4) ==")
 	warm, measure := cyclesFor(rc.quick)
-	sizes := []int{8, 16}
 	workers := rc.workers
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	patterns := []hsnoc.Pattern{hsnoc.UniformRandom, hsnoc.Tornado, hsnoc.Transpose}
-	for _, dim := range sizes {
-		for _, pat := range patterns {
-			rates := sweepRates(rc.quick)
-			var jobs []synthJob
-			w, m := warm, measure
-			if dim >= 16 {
-				// A 16x16 mesh is ~7x the work per cycle; shorten the
-				// measured region to keep the sweep tractable.
-				w, m = warm/2, measure/2
+	for _, dim := range []int{8, 16} {
+		pc, tc := packetCfg(dim, dim, rc.seed), tdmVCtCfg(dim, dim, rc.seed)
+		// The paper sizes the slot tables statically per network
+		// (128 entries, 256 for the 16x16 mesh) in this study.
+		tc.DisableDynamicSlotSizing = true
+		w, m := warm, measure
+		if dim >= 16 {
+			tc.SlotTableEntries = 256
+			// A 16x16 mesh is ~7x the work per cycle; shorten the
+			// measured region to keep the sweep tractable.
+			w, m = warm/2, measure/2
+		}
+		sweepPC, sweepTC := pc, tc
+		if workers > 1 {
+			// Intra-network parallelism only pays off when cores
+			// are not already saturated by parallel jobs.
+			sweepPC.Workers, sweepTC.Workers = 2, 2
+		}
+		for _, pat := range fig4Patterns {
+			var jobs []campaign.Job
+			for _, rate := range sweepRates(rc.quick) {
+				jobs = append(jobs, campaign.NewJob(sweepPC, pat, rate, w, m, "base"), campaign.NewJob(sweepTC, pat, rate, w, m, "vct"))
 			}
-			for _, rate := range rates {
-				pc := packetCfg(dim, dim, rc.seed)
-				tc := tdmVCtCfg(dim, dim, rc.seed)
-				// The paper sizes the slot tables statically per network
-				// (128 entries, 256 for the 16x16 mesh) in this study.
-				tc.DisableDynamicSlotSizing = true
-				if dim >= 16 {
-					tc.SlotTableEntries = 256
-				}
-				if workers > 1 {
-					// Intra-network parallelism only pays off when cores
-					// are not already saturated by parallel jobs.
-					pc.Workers = 2
-					tc.Workers = 2
-				}
-				jobs = append(jobs,
-					synthJob{label: "base", cfg: pc, pattern: pat, rate: rate, warm: w, measure: m},
-					synthJob{label: "vct", cfg: tc, pattern: pat, rate: rate, warm: w, measure: m},
-				)
-			}
-			pts := runSynthetic(jobs, rc.workers)
+			recs := rc.run(jobs)
 			// Maximum accepted payload throughput over the sweep is the
 			// saturation throughput.
-			maxBase, maxVct := 0.0, 0.0
-			var satBase float64
-			for i := 0; i < len(pts); i += 2 {
-				if t := pts[i].res.PayloadThroughput(); t > maxBase {
-					maxBase, satBase = t, pts[i].rate
+			maxBase, maxVct, satBase := 0.0, 0.0, 0.0
+			for i := 0; i < len(recs); i += 2 {
+				if t := recs[i].Result.PayloadThroughput(); t > maxBase {
+					maxBase, satBase = t, recs[i].Rate
 				}
-				if t := pts[i+1].res.PayloadThroughput(); t > maxVct {
-					maxVct = t
-				}
+				maxVct = max(maxVct, recs[i+1].Result.PayloadThroughput())
 			}
-			// Energy sampled at 75 % of the baseline's saturation load.
-			eRate := 0.75 * satBase
-			eJobs := []synthJob{
-				{label: "base", cfg: packetCfg(dim, dim, rc.seed), pattern: pat, rate: eRate, warm: warm, measure: measure},
-				{label: "vct", cfg: func() hsnoc.Config {
-					c := tdmVCtCfg(dim, dim, rc.seed)
-					c.DisableDynamicSlotSizing = true
-					if dim >= 16 {
-						c.SlotTableEntries = 256
-					}
-					return c
-				}(), pattern: pat, rate: eRate, warm: warm, measure: measure},
+			// Energy sampled at 75 % of the baseline's saturation load;
+			// a baseline that never delivered has no such load.
+			saving := "n/a"
+			if satBase > 0 {
+				e := rc.run([]campaign.Job{
+					campaign.NewJob(pc, pat, 0.75*satBase, warm, measure, "base"),
+					campaign.NewJob(tc, pat, 0.75*satBase, warm, measure, "vct")})
+				saving = savingPct(e[1].Result, e[0].Result)
 			}
-			ep := runSynthetic(eJobs, rc.workers)
-			fmt.Printf("%2dx%-2d %-3v: max throughput %.3f -> %.3f (%+.1f%%), energy saving at 75%% load: %s\n",
-				dim, dim, pat, maxBase, maxVct, 100*(maxVct-maxBase)/maxBase,
-				savingPct(ep[1].res, ep[0].res))
+			rc.printf("%2dx%-2d %-3v: max throughput %.3f -> %.3f (%s), energy saving at 75%% load: %s\n",
+				dim, dim, pat, maxBase, maxVct,
+				cell("%+.1f%%", 100*(maxVct-maxBase)/maxBase, maxBase > 0 && maxVct > 0), saving)
 		}
 	}
-	fmt.Println()
+	rc.println()
 }

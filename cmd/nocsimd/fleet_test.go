@@ -64,7 +64,7 @@ func TestCoordinatorMode(t *testing.T) {
 	defer ts.Close()
 
 	spec := `{"tenant":"ci","spec":{
-		"modes":["tdm"],"patterns":["transpose"],
+		"modes":["tdm"],"patterns":["transpose","mix:EQUAKE+LPS"],
 		"meshes":[{"width":4,"height":4}],
 		"rates":[0.05],"seeds":[1,2],
 		"warmup_cycles":100,"measure_cycles":200}}`

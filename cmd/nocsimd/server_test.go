@@ -177,6 +177,47 @@ func TestServiceAcceptance(t *testing.T) {
 	}
 }
 
+// TestServiceMixCampaign submits a Section V mix spec — no rates, the
+// patterns axis names the benchmarks — and reads the Table III figures
+// back from /results; resubmitting it is served from the store.
+func TestServiceMixCampaign(t *testing.T) {
+	s := newServer(t.TempDir(), 2, time.Minute)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	const spec = `{"name":"mixes","modes":["tdm"],"patterns":["mix:EQUAKE+LPS","mix:EQUAKE+STO"],
+		"warmup_cycles":200,"measure_cycles":800}`
+	sub := postSpec(t, ts, spec)
+	id := sub["id"].(string)
+	if st := waitDone(t, ts, id); st.State != "done" || st.Counters.Done != 2 || st.Counters.Failed != 0 {
+		t.Fatalf("mix campaign: %+v", st)
+	}
+	var recs []campaign.Record
+	getJSON(t, ts.URL+"/campaigns/"+id+"/results", &recs)
+	if len(recs) != 2 || recs[0].Pattern != "mix:EQUAKE+LPS" || recs[1].Pattern != "mix:EQUAKE+STO" {
+		t.Fatalf("results = %+v", recs)
+	}
+	for _, r := range recs {
+		res := r.Result
+		if r.Err != "" || r.Rate != 0 || res.CPUInstructions == 0 || res.GPUIterations == 0 ||
+			res.GPUInjectionRate() <= 0 || res.GPUCSFraction() <= 0 || len(res.DynamicPJ) != 6 || len(res.StaticPJ) != 6 {
+			t.Errorf("record %s lacks the Section V figures: %+v", r.Label, r)
+		}
+	}
+	// LPS offers four times STO's load (Table III: 0.20 vs 0.05).
+	if lps, sto := recs[0].Result.GPUInjectionRate(), recs[1].Result.GPUInjectionRate(); lps < 2*sto {
+		t.Errorf("GPU injection LPS %.3f vs STO %.3f: want LPS well above STO", lps, sto)
+	}
+	var rows []map[string]any
+	getJSON(t, ts.URL+"/campaigns/"+id+"/summary", &rows)
+	if len(rows) != 2 {
+		t.Errorf("summary groups = %d, want 2", len(rows))
+	}
+	if st := waitDone(t, ts, postSpec(t, ts, spec)["id"].(string)); st.Counters.CacheHits != 2 || st.Counters.CyclesSimulated != 0 {
+		t.Errorf("resubmitted mix spec: %+v, want 2 cache hits and no cycles", st.Counters)
+	}
+}
+
 func TestServiceRejectsBadSpec(t *testing.T) {
 	dir := t.TempDir()
 	s := newServer(dir, 2, time.Minute)
@@ -192,6 +233,11 @@ func TestServiceRejectsBadSpec(t *testing.T) {
 		"bad mode":      {`{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}`, http.StatusBadRequest},
 		"zero rate":     {`{"modes":["tdm"],"patterns":["ur"],"rates":[0]}`, http.StatusBadRequest},
 		"not json":      {`modes=tdm`, http.StatusBadRequest},
+		// A mix the simulator would refuse is refused here, not as N failed jobs.
+		"unknown mix":  {`{"modes":["tdm"],"patterns":["mix:EQUAKE+NOPE"]}`, http.StatusBadRequest},
+		"sdm mix":      {`{"modes":["sdm"],"patterns":["mix:EQUAKE+LPS"]}`, http.StatusBadRequest},
+		"mix on 2x2":   {`{"modes":["tdm"],"patterns":["mix:EQUAKE+LPS"],"meshes":[{"width":2,"height":2}]}`, http.StatusBadRequest},
+		"sdm-gate mix": {`{"modes":["tdm"],"patterns":["mix:EQUAKE+LPS"],"policy_profile":{"policies":["sdm-gate"]}}`, http.StatusBadRequest},
 		// 1025 x 1025 jobs, just past campaign.MaxJobs, in a ~7 KB body.
 		"huge grid": {`{"modes":["tdm"],"patterns":["ur"],"rates":[0.1` + strings.Repeat(",0.1", 1024) + `],"seeds":[1` + strings.Repeat(",1", 1024) + `]}`, http.StatusBadRequest},
 		// An otherwise valid spec whose name runs past the body cap.

@@ -15,6 +15,15 @@
 // to a local run:
 //
 //	sweep -fleet http://localhost:8080 -mode tdm -pattern tornado
+//
+// With -spec the grid comes from a campaign spec file instead of the
+// flags — the same file nocsimd accepts — and runs locally: a plain
+// spec prints the CSV above, one row per job in the spec's expansion
+// order (a Section V mix reports offered load 0: its benchmarks, not a
+// rate, generate the traffic); a policy_profile spec prints the
+// policy-comparison CSV.
+//
+//	sweep -spec scenarios/table3.json -results table3.jsonl
 package main
 
 import (
@@ -38,7 +47,7 @@ import (
 
 func main() {
 	mode := flag.String("mode", "tdm", "switching mode: packet|tdm|sdm")
-	pattern := flag.String("pattern", "tornado", "traffic pattern: ur|tornado|transpose|bc|neighbor|hotspot")
+	pattern := flag.String("pattern", "tornado", "workload: ur|tornado|transpose|bc|neighbor|hotspot, or a Section V mix as mix:<CPU>+<GPU> (one row; the load range does not apply)")
 	width := flag.Int("width", 6, "mesh width")
 	height := flag.Int("height", 6, "mesh height")
 	from := flag.Float64("from", 0.05, "first offered load")
@@ -56,12 +65,13 @@ func main() {
 	tenant := flag.String("tenant", "", "tenant name for -fleet submissions")
 	policies := flag.String("policies", "", "compare adaptive policies over the load range via the profile->re-run loop (comma-separated, e.g. static,threshold,greedy,sdm-gate); prints a policy-comparison CSV instead of the load-latency curve (tdm only)")
 	profilesPath := flag.String("profiles", "", "with -policies, persist extracted traffic profiles to this JSONL file so repeated comparisons skip phase A")
-	specPath := flag.String("spec", "", "run the policy_profile campaign spec in this JSON file (e.g. scenarios/fig4_policy.json) instead of building one from the flags")
+	specPath := flag.String("spec", "", "run the campaign spec in this JSON file (e.g. scenarios/table3.json, or a policy_profile spec such as scenarios/fig4_policy.json) instead of building one from the flags")
 	flag.Parse()
 
+	var spec campaign.Spec
 	if *specPath != "" {
-		if *policies != "" || *fleetURL != "" {
-			fmt.Fprintln(os.Stderr, "sweep: -spec declares its own policies and runs locally; -policies/-fleet do not combine with it")
+		if *policies != "" {
+			fmt.Fprintln(os.Stderr, "sweep: -spec declares its own policies; -policies does not combine with it")
 			os.Exit(2)
 		}
 		f, err := os.Open(*specPath)
@@ -69,51 +79,39 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		spec, err := campaign.ParseSpec(f)
+		spec, err = campaign.ParseSpec(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", *specPath, err)
 			os.Exit(2)
 		}
-		if spec.PolicyProfile == nil {
-			fmt.Fprintf(os.Stderr, "sweep: %s has no policy_profile section; submit plain specs to nocsimd instead\n", *specPath)
+	} else {
+		if *step <= 0 || *to < *from {
+			fmt.Fprintf(os.Stderr, "sweep: bad load range [%v, %v] step %v\n", *from, *to, *step)
 			os.Exit(2)
 		}
-		runPolicyLoopSpec(spec, *results, *profilesPath)
-		return
-	}
-
-	if *step <= 0 || *to < *from {
-		fmt.Fprintf(os.Stderr, "sweep: bad load range [%v, %v] step %v\n", *from, *to, *step)
-		os.Exit(2)
-	}
-	var rates []float64
-	for r := *from; r <= *to+1e-9; r += *step {
-		rates = append(rates, r)
-	}
-
-	spec := campaign.Spec{
-		Name:            "sweep",
-		Modes:           []string{*mode},
-		Patterns:        []string{*pattern},
-		Meshes:          []campaign.MeshSize{{Width: *width, Height: *height}},
-		Rates:           rates,
-		Seeds:           []uint64{*seed},
-		PathSharing:     *sharing,
-		VCPowerGating:   *vcgating,
-		WarmupCycles:    *warmup,
-		MeasureCycles:   *cycles,
-		CheckInvariants: *check,
-	}
-	if *policies != "" {
-		if *fleetURL != "" {
-			fmt.Fprintln(os.Stderr, "sweep: -policies runs the profile->re-run loop locally; it is not supported with -fleet")
-			os.Exit(2)
+		var rates []float64
+		for r := *from; r <= *to+1e-9; r += *step {
+			rates = append(rates, r)
 		}
-		runPolicyComparison(spec, *policies, *results, *profilesPath)
-		return
+		spec = campaign.Spec{
+			Name:            "sweep",
+			Modes:           []string{*mode},
+			Patterns:        []string{*pattern},
+			Meshes:          []campaign.MeshSize{{Width: *width, Height: *height}},
+			Rates:           rates,
+			Seeds:           []uint64{*seed},
+			PathSharing:     *sharing,
+			VCPowerGating:   *vcgating,
+			WarmupCycles:    *warmup,
+			MeasureCycles:   *cycles,
+			CheckInvariants: *check,
+		}
+		if *policies != "" {
+			spec.Name = "policy-sweep"
+			spec.PolicyProfile = &campaign.PolicyProfileSpec{Policies: strings.Split(*policies, ",")}
+		}
 	}
-
 	jobs, err := spec.Expand()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -122,6 +120,10 @@ func main() {
 
 	var recs []campaign.Record
 	if *fleetURL != "" {
+		if spec.PolicyProfile != nil {
+			fmt.Fprintln(os.Stderr, "sweep: the profile->re-run policy loop runs locally; it is not supported with -fleet")
+			os.Exit(2)
+		}
 		recs, err = runOnFleet(*fleetURL, *tenant, spec, len(jobs))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -138,12 +140,18 @@ func main() {
 			defer store.Close()
 		}
 		eng := campaign.New(campaign.Options{Store: store})
+		if spec.PolicyProfile != nil {
+			runPolicyLoop(eng, spec, *profilesPath)
+			return
+		}
 		recs = eng.Run(context.Background(), jobs)
+		st := eng.Status()
+		fmt.Fprintf(os.Stderr, "sweep: %d jobs, %d served from cache, %d failed\n", len(jobs), st.CacheHits, st.Failed)
 	}
 
 	failed := 0
 	fmt.Println("offered,accepted,payload_accepted,net_latency,total_latency,cs_fraction,energy_pj")
-	for i, rec := range recs {
+	for _, rec := range recs {
 		if rec.Err != "" {
 			fmt.Fprintf(os.Stderr, "sweep: %s: %s\n", rec.Label, rec.Err)
 			failed++
@@ -151,23 +159,24 @@ func main() {
 		}
 		res := rec.Result
 		fmt.Printf("%.3f,%.4f,%.4f,%.2f,%.2f,%.4f,%.0f\n",
-			rates[i], res.Throughput(), res.PayloadThroughput(), res.AvgNetLatency(), res.AvgTotalLatency(),
+			rec.Rate, res.Throughput(), res.PayloadThroughput(), res.AvgNetLatency(), res.AvgTotalLatency(),
 			res.CSFlitFraction(), res.EnergyPJ)
 	}
 	if *plot {
 		lat := textplot.Plot{Title: "load vs total latency", XLabel: "offered flits/node/cycle", YLabel: "cycles", YMax: 300}
 		acc := textplot.Plot{Title: "load vs accepted payload throughput", XLabel: "offered", YLabel: "accepted"}
 		var xs, latY, accY []float64
-		for i, rec := range recs {
+		for _, rec := range recs {
 			if rec.Err != "" {
 				continue
 			}
-			xs = append(xs, rates[i])
+			xs = append(xs, rec.Rate)
 			latY = append(latY, rec.Result.AvgTotalLatency())
 			accY = append(accY, rec.Result.PayloadThroughput())
 		}
-		_ = lat.Add(textplot.Series{Name: *mode + "/" + *pattern, X: xs, Y: latY})
-		_ = acc.Add(textplot.Series{Name: *mode + "/" + *pattern, X: xs, Y: accY})
+		name := strings.Join(spec.Modes, "+") + "/" + strings.Join(spec.Patterns, "+")
+		_ = lat.Add(textplot.Series{Name: name, X: xs, Y: latY})
+		_ = acc.Add(textplot.Series{Name: name, X: xs, Y: accY})
 		fmt.Println()
 		fmt.Print(lat.Render())
 		fmt.Println()
@@ -178,29 +187,12 @@ func main() {
 	}
 }
 
-// runPolicyComparison drives the offline profile→re-run loop across the
-// sweep's load range and prints one CSV row per (grid point, policy)
-// with the energy-per-flit and latency deltas against the static
-// baseline. Negative deltas are improvements.
-func runPolicyComparison(spec campaign.Spec, policies, results, profilesPath string) {
-	spec.Name = "policy-sweep"
-	spec.PolicyProfile = &campaign.PolicyProfileSpec{Policies: strings.Split(policies, ",")}
-	runPolicyLoopSpec(spec, results, profilesPath)
-}
-
-// runPolicyLoopSpec runs a ready policy_profile spec (from flags or a
-// scenario file) and prints the comparison CSV.
-func runPolicyLoopSpec(spec campaign.Spec, results, profilesPath string) {
-	var store *campaign.Store
-	if results != "" {
-		s, err := campaign.OpenStore(results)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer s.Close()
-		store = s
-	}
+// runPolicyLoop drives the offline profile→re-run loop over a
+// policy_profile spec (from -policies or a scenario file) and prints
+// one CSV row per (grid point, policy) with the energy-per-flit and
+// latency deltas against the static baseline. Negative deltas are
+// improvements.
+func runPolicyLoop(eng *campaign.Engine, spec campaign.Spec, profilesPath string) {
 	var profs *campaign.ProfileStore
 	if profilesPath != "" {
 		p, err := campaign.OpenProfileStore(profilesPath)
@@ -211,7 +203,6 @@ func runPolicyLoopSpec(spec campaign.Spec, results, profilesPath string) {
 		defer p.Close()
 		profs = p
 	}
-	eng := campaign.New(campaign.Options{Store: store})
 	rep, err := campaign.RunPolicyLoop(context.Background(), eng, spec, profs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -81,6 +81,87 @@ func TestSpecSlotAxisCollapsesForNonTDM(t *testing.T) {
 	}
 }
 
+// TestSpecRateAxisCollapsesForMix is the same rule for the other
+// workload kind: a mix generates its own load, so the rates axis gives
+// it one point, and a mix-only spec needs no rates at all.
+func TestSpecRateAxisCollapsesForMix(t *testing.T) {
+	s := testSpec()
+	s.Meshes = []MeshSize{{6, 6}}
+	s.Patterns = []string{"tornado", "mix:EQUAKE+LPS"}
+	jobs, err := s.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	// Per mode: tornado 2 rates x 2 seeds = 4, the mix 1 x 2 = 2.
+	if len(jobs) != 12 || s.Jobs() != 12 {
+		t.Fatalf("expanded %d jobs (Jobs() = %d), want 12 (rate axis must collapse for a mix)", len(jobs), s.Jobs())
+	}
+	mix := jobs[4]
+	if mix.CPU != "EQUAKE" || mix.GPU != "LPS" || mix.PatternName != "mix:EQUAKE+LPS" || mix.Rate != 0 {
+		t.Errorf("mix job = %+v", mix)
+	}
+	if rec := newRecord(mix); rec.Pattern != "mix:EQUAKE+LPS" || rec.Label != "Packet-VC4/mix:EQUAKE+LPS/6x6/seed1" {
+		t.Errorf("mix record identity = %+v", rec)
+	}
+
+	only := Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:ART+STO", "mix:SWIM+NN"}}
+	if err := only.Normalize(); err != nil || only.Jobs() != 2 {
+		t.Fatalf("mix-only spec without rates: Normalize = %v, Jobs = %d, want nil and 2", err, only.Jobs())
+	}
+	// Rates a mix-only spec does list change neither grid nor keys.
+	rated := only
+	rated.Rates = []float64{0.1, 0.2}
+	a, _ := only.Expand()
+	b, _ := rated.Expand()
+	if len(a) != 2 || len(b) != 2 || a[0].Key != b[0].Key || a[1].Key != b[1].Key {
+		t.Errorf("rates moved a mix-only grid: %d vs %d jobs", len(a), len(b))
+	}
+}
+
+// TestJobKeysAndSpecHashPinned freezes the cache-key and store-naming
+// formats: the literals were printed by the commit before jobs gained a
+// second workload kind, so a stored synthetic record stays addressable
+// and a resubmitted spec finds its old store.
+func TestJobKeysAndSpecHashPinned(t *testing.T) {
+	tdm := hsnoc.DefaultConfig(4, 4)
+	tdm.Mode, tdm.Seed, tdm.PathSharing = hsnoc.HybridTDM, 2, true
+	sdm := hsnoc.DefaultConfig(6, 6)
+	sdm.Mode = hsnoc.HybridSDM
+	for _, c := range []struct{ name, got, want string }{
+		{"packet/tornado", NewJob(hsnoc.DefaultConfig(6, 6), hsnoc.Tornado, 0.15, 8000, 40000, "a").Key,
+			"b5d9e621a5b0f4194a0b74d4acc9550b28c1b69a077383f43952d756322f28a2"},
+		{"tdm/ur+telemetry", NewJob(tdm, hsnoc.UniformRandom, 0.05, 200, 600, "b").WithTelemetry(64).Key,
+			"b82fc18f47bcadd80a7be3aeb05d8e28649a8283cdefed87c2255af9dd4cddf9"},
+		{"sdm/transpose", NewJob(sdm, hsnoc.Transpose, 0.3, 2000, 8000, "c").Key,
+			"8bd9713946b4a894d033115495b00eac86bfc483f32faafe4dce3ff0a5609f5a"},
+		{"testSpec hash", testSpec().Hash(),
+			"3d30b497674adaa4bd65788114b04e9bca7a600bc95942e6999977061c7fa5ac"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+	// A mix key hashes cfg|mix:<CPU>+<GPU>|warmup|measure and moves with
+	// each of them.
+	cfg := hsnoc.DefaultConfig(6, 6)
+	base := NewMixJob(cfg, "EQUAKE", "LPS", 2000, 8000, "m")
+	seeded := cfg
+	seeded.Seed = 2
+	for name, other := range map[string]Job{
+		"gpu":     NewMixJob(cfg, "EQUAKE", "NN", 2000, 8000, "m"),
+		"cpu":     NewMixJob(cfg, "ART", "LPS", 2000, 8000, "m"),
+		"measure": NewMixJob(cfg, "EQUAKE", "LPS", 2000, 8001, "m"),
+		"config":  NewMixJob(seeded, "EQUAKE", "LPS", 2000, 8000, "m"),
+	} {
+		if other.Key == base.Key {
+			t.Errorf("mix key ignores the %s", name)
+		}
+	}
+	if relabelled := NewMixJob(cfg, "EQUAKE", "LPS", 2000, 8000, "other"); relabelled.Key != base.Key {
+		t.Error("mix key depends on the label")
+	}
+}
+
 func TestSpecRehydrate(t *testing.T) {
 	s := testSpec()
 	if err := s.Normalize(); err != nil {
@@ -131,6 +212,15 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Modes: []string{"tdm"}, Patterns: []string{"zigzag"}, Rates: []float64{.1}}, // bad pattern
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, Meshes: []MeshSize{{0, 6}}},
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, SlotTables: []int{-1}},
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:QUAKE+LPS"}},                                       // unknown CPU benchmark
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LSP"}},                                      // unknown GPU kernel
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE"}},                                          // malformed: no +<GPU>
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:equake+lps"}},                                      // names are exact, no aliases
+		{Modes: []string{"tdm", "sdm"}, Patterns: []string{"mix:EQUAKE+LPS"}},                               // sdm has no tile endpoints
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LPS"}, Meshes: []MeshSize{{2, 2}}},          // no room for the layout
+		{Modes: []string{"tdm"}, Patterns: []string{"ur", "mix:EQUAKE+LPS"}},                                // ur still needs a rate
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LPS"}, Rates: []float64{0.1, 2}},            // listed rates are still checked
+		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LPS"}, Seeds: repeat(uint64(1), MaxJobs+1)}, // the cap counts mixes
 		// 1025 x 1025 jobs: just past MaxJobs.
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: repeat(0.1, 1025), Seeds: repeat(uint64(1), 1025)},
 		// Five axes of 8192: the product (2^65) wraps a 64-bit int to 0.

@@ -175,8 +175,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Record {
 	// simulates; duplicates copy its record afterwards.
 	first := map[string]int{}
 	dup := map[int]int{}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.workers)
+	var todo []int // indices of the jobs that must actually run
 	for i, j := range jobs {
 		if fi, ok := first[j.Key]; ok {
 			dup[i] = fi
@@ -192,41 +191,21 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Record {
 				continue
 			}
 		}
+		todo = append(todo, i)
+	}
+	// The pool: at most e.workers goroutines, each claiming the next
+	// unclaimed index, so a million-job list costs a million slice
+	// entries and not a million parked goroutines.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(e.workers, len(todo)); w++ {
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil || e.draining.Load() {
-				rec := newRecord(j)
-				rec.Err = errDrained
-				if ctx.Err() != nil {
-					rec.Err = errCancelled
-				}
-				recs[i] = rec
-				e.queued.Add(-1)
-				e.failed.Add(1)
-				return
+			for k := next.Add(1) - 1; k < int64(len(todo)); k = next.Add(1) - 1 {
+				recs[todo[k]] = e.execute(ctx, jobs[todo[k]])
 			}
-			e.queued.Add(-1)
-			e.running.Add(1)
-			defer e.running.Add(-1)
-			rec := e.runOne(ctx, j)
-			recs[i] = rec
-			if rec.Err != "" {
-				e.failed.Add(1)
-				return
-			}
-			e.done.Add(1)
-			e.cycles.Add(int64(j.Warmup + j.Measure))
-			if e.store != nil {
-				if err := e.store.Append(rec); err != nil {
-					// The result is still returned; only persistence
-					// (and thus resume) is degraded.
-					fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-				}
-			}
-		}(i, j)
+		}()
 	}
 	wg.Wait()
 	for i, fi := range dup {
@@ -241,6 +220,38 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Record {
 		}
 	}
 	return recs
+}
+
+// execute is one pool step: skip the job if the engine is cancelled or
+// draining, otherwise run it, count it and persist a success.
+func (e *Engine) execute(ctx context.Context, j Job) Record {
+	e.queued.Add(-1)
+	if ctx.Err() != nil || e.draining.Load() {
+		rec := newRecord(j)
+		rec.Err = errDrained
+		if ctx.Err() != nil {
+			rec.Err = errCancelled
+		}
+		e.failed.Add(1)
+		return rec
+	}
+	e.running.Add(1)
+	defer e.running.Add(-1)
+	rec := e.runOne(ctx, j)
+	if rec.Err != "" {
+		e.failed.Add(1)
+		return rec
+	}
+	e.done.Add(1)
+	e.cycles.Add(int64(j.Warmup + j.Measure))
+	if e.store != nil {
+		if err := e.store.Append(rec); err != nil {
+			// The result is still returned; only persistence
+			// (and thus resume) is degraded.
+			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+		}
+	}
+	return rec
 }
 
 // runOne executes a single job with timeout and panic containment.

@@ -11,8 +11,11 @@ import (
 )
 
 // Job is one simulation to run: a fully specified configuration plus
-// the traffic and measurement parameters. Jobs are independent and
-// deterministic, so equal keys mean interchangeable results.
+// the workload and measurement parameters. The workload is either
+// synthetic traffic (a pattern at a rate) or a Section V heterogeneous
+// mix (a CPU benchmark and a GPU kernel on the Fig. 7 tile layout).
+// Jobs are independent and deterministic, so equal keys mean
+// interchangeable results.
 type Job struct {
 	// Key is the cache key: a canonical hash over the config hash and
 	// the run parameters. Two jobs with equal keys produce identical
@@ -22,10 +25,15 @@ type Job struct {
 	Label string
 	// Config is the complete network configuration (includes the seed).
 	Config hsnoc.Config
-	// Pattern and Rate describe the synthetic traffic.
-	Pattern     hsnoc.Pattern
+	// Pattern and Rate describe a synthetic workload (NewJob); CPU and
+	// GPU name the benchmarks of a mix (NewMixJob). A job sets one pair
+	// and leaves the other zero.
+	Pattern  hsnoc.Pattern
+	Rate     float64
+	CPU, GPU string
+	// PatternName is the workload as specs and records spell it: the
+	// pattern's name, or "mix:<CPU>+<GPU>".
 	PatternName string
-	Rate        float64
 	// Warmup and Measure are the region lengths in cycles.
 	Warmup, Measure int
 	// TelemetryEvery, when positive, attaches a per-job observability
@@ -34,22 +42,34 @@ type Job struct {
 	TelemetryEvery int
 }
 
-// NewJob builds a job and computes its cache key. It is the bridge for
-// drivers (cmd/experiments, cmd/sweep) that construct configs
-// programmatically rather than through a Spec.
+// NewJob builds a synthetic-traffic job and computes its cache key. It
+// is the bridge for drivers (cmd/experiments, cmd/sweep) that construct
+// configs programmatically rather than through a Spec.
 func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measure int, label string) Job {
-	payload := fmt.Sprintf("%s|%v|%.9g|%d|%d", cfg.Hash(), pattern, rate, warmup, measure)
-	sum := sha256.Sum256([]byte(payload))
-	return Job{
-		Key:         hex.EncodeToString(sum[:]),
-		Label:       label,
-		Config:      cfg,
-		Pattern:     pattern,
-		PatternName: pattern.String(),
-		Rate:        rate,
-		Warmup:      warmup,
-		Measure:     measure,
+	return Job{Label: label, Pattern: pattern, Rate: rate, PatternName: pattern.String(),
+		Warmup: warmup, Measure: measure}.withConfig(cfg)
+}
+
+// NewMixJob builds a job that runs the Section V tile system with one
+// CPU benchmark and one GPU kernel (hsnoc.CPUBenchmarks/GPUBenchmarks).
+// A mix hsnoc.NewHeterogeneous refuses fails when the job runs;
+// Spec.Normalize refuses the same mixes up front.
+func NewMixJob(cfg hsnoc.Config, cpu, gpu string, warmup, measure int, label string) Job {
+	return Job{Label: label, CPU: cpu, GPU: gpu, PatternName: "mix:" + cpu + "+" + gpu,
+		Warmup: warmup, Measure: measure}.withConfig(cfg)
+}
+
+// withConfig returns the job moved onto cfg — same workload, same
+// regions, same telemetry — and re-keyed.
+func (j Job) withConfig(cfg hsnoc.Config) Job {
+	workload := j.PatternName
+	if j.CPU == "" {
+		workload = fmt.Sprintf("%s|%.9g", j.PatternName, j.Rate)
 	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d", cfg.Hash(), workload, j.Warmup, j.Measure)))
+	every := j.TelemetryEvery
+	j.Config, j.Key, j.TelemetryEvery = cfg, hex.EncodeToString(sum[:]), 0
+	return j.WithTelemetry(every)
 }
 
 // WithTelemetry returns a copy of the job with per-job telemetry

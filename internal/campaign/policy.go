@@ -22,36 +22,22 @@ func SimulateProfile(ctx context.Context, j Job, every int) (stats.RunRecord, *p
 	if every <= 0 {
 		every = 512
 	}
-	s := hsnoc.NewSynthetic(j.Config, j.Pattern, j.Rate)
-	defer s.Close()
 	// The profile reads aggregate flow counters, link totals and the
 	// window series; the event ring is heavily decimated since nothing
 	// here exports a trace.
-	_, err := s.AttachTelemetry(hsnoc.TelemetryOptions{
+	telem := hsnoc.TelemetryOptions{
 		Every:        every,
 		RingCapacity: 1 << 12,
 		RingSample:   1 << 10,
 		KindMask:     obs.ProfileFlows,
 		TrackFlows:   true,
+	}
+	var prof *policy.Profile
+	rr, err := simulate(ctx, j, telem, func(s *hsnoc.Simulator, _ *obs.Recorder) (err error) {
+		prof, err = s.ExtractProfile()
+		return err
 	})
-	if err != nil {
-		return stats.RunRecord{}, nil, err
-	}
-	if err := s.WarmupContext(ctx, j.Warmup); err != nil {
-		return stats.RunRecord{}, nil, err
-	}
-	res, err := s.RunContext(ctx, j.Measure)
-	if err != nil {
-		return stats.RunRecord{}, nil, err
-	}
-	prof, err := s.ExtractProfile()
-	if err != nil {
-		return stats.RunRecord{}, nil, err
-	}
-	if err := s.InvariantError(); err != nil {
-		return FromResults(res), prof, err
-	}
-	return FromResults(res), prof, nil
+	return rr, prof, err
 }
 
 // PolicyOutcome compares one policy's re-run against the static
@@ -220,8 +206,8 @@ func RunPolicyLoop(ctx context.Context, e *Engine, spec Spec, profiles *ProfileS
 				report.Outcomes = append(report.Outcomes, out)
 				continue
 			}
-			bj := NewJob(cfg, j.Pattern, j.Rate, j.Warmup, j.Measure,
-				fmt.Sprintf("%s/policy=%s", j.Label, pol.Name()))
+			bj := j.withConfig(cfg)
+			bj.Label = fmt.Sprintf("%s/policy=%s", j.Label, pol.Name())
 			out.RunKey = bj.Key
 			bjobs = append(bjobs, bj)
 			bslot = append(bslot, slot{len(report.Outcomes), i})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +50,10 @@ func TestSpecPolicyProfileValidation(t *testing.T) {
 		func(s *Spec) { s.PolicyProfile.Policies = nil },                       // nothing to compare
 		func(s *Spec) { s.PolicyProfile.ProfileEvery = -1 },                    // bad window
 		func(s *Spec) { s.PolicyProfile.Policies = []string{"static", "sdm"} }, // not a policy name
+		func(s *Spec) { // sdm-gate re-runs under sdm, which cannot host a mix
+			s.Meshes, s.Patterns = []MeshSize{{6, 6}}, []string{"mix:EQUAKE+LPS"}
+			s.PolicyProfile.Policies = []string{"static", "sdm-gate"}
+		},
 	}
 	for i, mutate := range bad {
 		s := policySpec()
@@ -109,18 +114,17 @@ func TestRunPolicyLoop(t *testing.T) {
 	}
 	defer profiles.Close()
 
+	// Two grid points, one per workload kind: the loop must treat a
+	// Section V mix exactly as it treats a synthetic pattern.
 	spec := policySpec()
+	spec.Patterns = append(spec.Patterns, "mix:EQUAKE+LPS")
 	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
 	rep, err := RunPolicyLoop(context.Background(), eng, spec, profiles)
 	if err != nil {
 		t.Fatalf("RunPolicyLoop: %v", err)
 	}
-	if len(rep.Outcomes) != 2 {
-		t.Fatalf("outcomes = %d, want 2 (1 grid point x 2 policies)", len(rep.Outcomes))
-	}
-	static, greedy := rep.Outcomes[0], rep.Outcomes[1]
-	if static.Policy != "static" || greedy.Policy != "greedy" {
-		t.Fatalf("outcome order = %s, %s", static.Policy, greedy.Policy)
+	if len(rep.Outcomes) != 4 {
+		t.Fatalf("outcomes = %d, want 4 (2 grid points x 2 policies)", len(rep.Outcomes))
 	}
 	for _, out := range rep.Outcomes {
 		if out.Err != "" {
@@ -130,29 +134,39 @@ func TestRunPolicyLoop(t *testing.T) {
 			t.Errorf("outcome %s has empty metrics: %+v", out.Policy, out)
 		}
 	}
-	// Static re-derives the base config exactly: same key, zero deltas.
-	if static.RunKey != static.BaseKey {
-		t.Errorf("static run key %s != base key %s", static.RunKey, static.BaseKey)
+	for g, workload := range []string{"TOR", "mix:EQUAKE+LPS"} {
+		static, greedy := rep.Outcomes[2*g], rep.Outcomes[2*g+1]
+		if static.Policy != "static" || greedy.Policy != "greedy" || !strings.Contains(static.Label, workload) {
+			t.Fatalf("%s: outcome order = %s/%s, %s/%s", workload, static.Label, static.Policy, greedy.Label, greedy.Policy)
+		}
+		// Static re-derives the base config exactly: same key, zero deltas.
+		if static.RunKey != static.BaseKey {
+			t.Errorf("%s: static run key %s != base key %s", workload, static.RunKey, static.BaseKey)
+		}
+		if static.EnergyDeltaPct != 0 || static.LatencyDeltaPct != 0 {
+			t.Errorf("%s: static deltas nonzero: %+v", workload, static)
+		}
+		if !static.Decision.IsZero() {
+			t.Errorf("%s: static decision mutates config: %+v", workload, static.Decision)
+		}
+		// Greedy pins flows and produces a distinct run of the same workload.
+		if len(greedy.Decision.PinnedFlows) == 0 {
+			t.Errorf("%s: greedy pinned no flows", workload)
+		}
+		if greedy.RunKey == greedy.BaseKey {
+			t.Errorf("%s: greedy re-run key equals base key — decision not applied", workload)
+		}
+		if rec, ok := store.Lookup(greedy.RunKey); !ok || rec.Pattern != workload {
+			t.Errorf("%s: greedy re-run stored as %+v (found %v)", workload, rec.Pattern, ok)
+		}
 	}
-	if static.EnergyDeltaPct != 0 || static.LatencyDeltaPct != 0 {
-		t.Errorf("static deltas nonzero: %+v", static)
+	// ... which makes each static baseline a cache hit against its
+	// phase-A record.
+	if hits := eng.Status().CacheHits; hits != 2 {
+		t.Errorf("cache hits = %d, want 2 (one static baseline per grid point)", hits)
 	}
-	if !static.Decision.IsZero() {
-		t.Errorf("static decision mutates config: %+v", static.Decision)
-	}
-	// ... which makes it a cache hit against the phase-A record.
-	if hits := eng.Status().CacheHits; hits < 1 {
-		t.Errorf("static baseline was not served from cache (hits=%d)", hits)
-	}
-	// Greedy on tornado pins flows and produces a distinct run.
-	if len(greedy.Decision.PinnedFlows) == 0 {
-		t.Error("greedy pinned no flows on tornado")
-	}
-	if greedy.RunKey == greedy.BaseKey {
-		t.Error("greedy re-run key equals base key — decision not applied")
-	}
-	if profiles.Len() != 1 {
-		t.Errorf("profile store holds %d profiles, want 1", profiles.Len())
+	if profiles.Len() != 2 {
+		t.Errorf("profile store holds %d profiles, want 2", profiles.Len())
 	}
 
 	// Second loop over the same stores: phase A is fully cached, so the

@@ -11,43 +11,70 @@ import (
 // Simulate is the default Runner: it builds the simulator for the job,
 // warms it up, measures, and converts the results into a mergeable
 // record. Jobs built with WithTelemetry additionally attach an
-// observability recorder and return its Summary. The simulator (and
-// its executor worker pool, if any) is always released, including on
-// cancellation and panic paths.
-func Simulate(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, error) {
-	s := hsnoc.NewSynthetic(j.Config, j.Pattern, j.Rate)
+// observability recorder and return its Summary.
+func Simulate(ctx context.Context, j Job) (rr stats.RunRecord, sum *obs.Summary, err error) {
+	rr, err = simulate(ctx, j, hsnoc.TelemetryOptions{Every: j.TelemetryEvery}, func(_ *hsnoc.Simulator, rec *obs.Recorder) error {
+		if rec != nil {
+			sum = rec.Summary()
+		}
+		return nil
+	})
+	return rr, sum, err
+}
+
+// newSimulator is the one place a job's workload kind turns into a
+// constructor call.
+func newSimulator(j Job) (*hsnoc.Simulator, error) {
+	if j.CPU != "" {
+		return hsnoc.NewHeterogeneous(j.Config, j.CPU, j.GPU)
+	}
+	return hsnoc.NewSynthetic(j.Config, j.Pattern, j.Rate), nil
+}
+
+// simulate is the one body every job runs through: build, attach
+// telemetry (telem.Every > 0), warm up, measure, let the caller read
+// what it needs off the still-open simulator (after), check invariants.
+// The simulator (and its executor worker pool, if any) is always
+// released, including on cancellation and panic paths.
+func simulate(ctx context.Context, j Job, telem hsnoc.TelemetryOptions, after func(*hsnoc.Simulator, *obs.Recorder) error) (stats.RunRecord, error) {
+	s, err := newSimulator(j)
+	if err != nil {
+		return stats.RunRecord{}, err
+	}
 	defer s.Close()
 	var rec *obs.Recorder
-	if j.TelemetryEvery > 0 {
-		var err error
-		rec, err = s.AttachTelemetry(hsnoc.TelemetryOptions{Every: j.TelemetryEvery})
-		if err != nil {
-			return stats.RunRecord{}, nil, err
+	if telem.Every > 0 {
+		if rec, err = s.AttachTelemetry(telem); err != nil {
+			return stats.RunRecord{}, err
 		}
 	}
 	if err := s.WarmupContext(ctx, j.Warmup); err != nil {
-		return stats.RunRecord{}, nil, err
+		return stats.RunRecord{}, err
 	}
 	res, err := s.RunContext(ctx, j.Measure)
 	if err != nil {
-		return stats.RunRecord{}, nil, err
+		return stats.RunRecord{}, err
 	}
-	var sum *obs.Summary
-	if rec != nil {
-		sum = rec.Summary()
+	if err := after(s, rec); err != nil {
+		return stats.RunRecord{}, err
+	}
+	rr := FromResults(res)
+	if j.CPU != "" {
+		// Fig. 9's split rides only in mix records: a synthetic record's
+		// stored bytes must not move.
+		rr.DynamicPJ, rr.StaticPJ = res.Energy.DynamicPJ, res.Energy.StaticPJ
 	}
 	// With Config.CheckInvariants set, a run that tripped the checker is
 	// a failure: the record is returned for inspection but the error
 	// keeps the engine from persisting (and thus caching) corrupt data.
-	if err := s.InvariantError(); err != nil {
-		return FromResults(res), sum, err
-	}
-	return FromResults(res), sum, nil
+	return rr, s.InvariantError()
 }
 
 // FromResults converts an hsnoc measurement into the sum-form mergeable
-// record (internal/stats cannot import hsnoc — the engine packages sit
-// above it — so the conversion lives here).
+// record; the Section V counters are zero, and so absent from the
+// encoding, for a workload without tiles (internal/stats cannot import
+// hsnoc — the engine packages sit above it — so the conversion lives
+// here).
 func FromResults(r hsnoc.Results) stats.RunRecord {
 	return stats.RunRecord{
 		Runs:              1,
@@ -64,5 +91,9 @@ func FromResults(r hsnoc.Results) stats.RunRecord {
 		Circuits:          r.CircuitsEstablished,
 		ActiveSlots:       r.ActiveSlotEntries,
 		EnergyPJ:          r.Energy.TotalPJ,
+		CPUInstructions:   r.CPUInstructions,
+		GPUIterations:     r.GPUIterations,
+		GPUFlitCycles:     r.GPUInjectionRate * float64(r.Cycles),
+		GPUCSFlitCycles:   r.GPUCSFraction * (r.GPUInjectionRate * float64(r.Cycles)),
 	}
 }

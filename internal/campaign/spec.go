@@ -1,6 +1,7 @@
 // Package campaign is the batch-simulation subsystem: it expands a
 // declarative campaign spec (a parameter grid of switching mode,
-// traffic pattern, mesh size, slot-table size, injection rate and
+// workload — a synthetic traffic pattern at an injection rate, or a
+// Section V CPU+GPU benchmark mix — mesh size, slot-table size and
 // seed) into independent jobs, runs them on a bounded worker pool with
 // per-job timeout, cancellation and panic recovery, dedups work
 // through a result cache keyed by the canonical config hash, and
@@ -23,7 +24,9 @@ import (
 	"strings"
 
 	"tdmnoc/hsnoc"
+	"tdmnoc/internal/hetero"
 	"tdmnoc/internal/policy"
+	"tdmnoc/internal/workload"
 )
 
 // MeshSize is one topology point of the grid.
@@ -40,12 +43,18 @@ type Spec struct {
 	Name string `json:"name,omitempty"`
 	// Modes are switching architectures: packet|tdm|sdm.
 	Modes []string `json:"modes"`
-	// Patterns are synthetic traffic patterns:
-	// ur|tornado|transpose|bc|neighbor|hotspot.
+	// Patterns are the workloads: synthetic traffic patterns
+	// (ur|tornado|transpose|bc|neighbor|hotspot) and Section V mixes,
+	// spelled mix:<CPU>+<GPU> with the benchmark names of
+	// hsnoc.CPUBenchmarks / hsnoc.GPUBenchmarks (e.g. mix:EQUAKE+LPS).
+	// Mixes run on packet and tdm only.
 	Patterns []string `json:"patterns"`
 	// Meshes are topology sizes (default: one 6x6 mesh).
 	Meshes []MeshSize `json:"meshes,omitempty"`
-	// Rates are offered loads in flits/node/cycle.
+	// Rates are offered loads in flits/node/cycle, a synthetic-only
+	// axis: a mix offers whatever its benchmarks generate, so it
+	// collapses this axis to a single point (recorded as rate 0) and a
+	// mix-only spec may leave it empty.
 	Rates []float64 `json:"rates"`
 	// SlotTables are slot-table capacities, a TDM-only axis (default:
 	// the 128-entry Table-I capacity). Non-TDM modes collapse this
@@ -128,7 +137,8 @@ func (s *Spec) Normalize() error {
 	if len(s.Patterns) == 0 {
 		return fmt.Errorf("campaign: spec needs at least one pattern")
 	}
-	if len(s.Rates) == 0 {
+	mixes := s.mixCount()
+	if len(s.Rates) == 0 && mixes < len(s.Patterns) {
 		return fmt.Errorf("campaign: spec needs at least one rate")
 	}
 	for _, r := range s.Rates {
@@ -175,10 +185,30 @@ func (s *Spec) Normalize() error {
 		if s.TelemetryEvery > 0 && mode == hsnoc.HybridSDM {
 			return fmt.Errorf("campaign: telemetry is not available for sdm mode")
 		}
+		if mixes > 0 && mode == hsnoc.HybridSDM {
+			return fmt.Errorf("campaign: mix workloads run on packet and tdm only, not sdm")
+		}
 	}
 	for _, p := range s.Patterns {
-		if _, err := ParsePattern(p); err != nil {
-			return err
+		cpu, gpu, mix := parseMix(p)
+		if !mix {
+			if _, err := ParsePattern(p); err != nil {
+				return err
+			}
+			continue
+		}
+		if _, ok := workload.CPUBenchmarkByName(cpu); !ok {
+			return fmt.Errorf("campaign: pattern %q: unknown CPU benchmark %q (%s)", p, cpu, strings.Join(hsnoc.CPUBenchmarks(), "|"))
+		}
+		if _, ok := workload.GPUBenchmarkByName(gpu); !ok {
+			return fmt.Errorf("campaign: pattern %q: unknown GPU benchmark %q (%s)", p, gpu, strings.Join(hsnoc.GPUBenchmarks(), "|"))
+		}
+	}
+	if mixes > 0 {
+		for _, m := range s.Meshes {
+			if _, err := hetero.LayoutFor(m.Width, m.Height); err != nil {
+				return fmt.Errorf("campaign: mix workloads: %w", err)
+			}
 		}
 	}
 	if s.gridSize() > MaxJobs {
@@ -210,6 +240,9 @@ func (s *Spec) Normalize() error {
 			}
 			if pol.Name() == "static" {
 				hasStatic = true
+			}
+			if _, sdm := pol.(policy.SDMGate); sdm && mixes > 0 {
+				return fmt.Errorf("campaign: policy %q re-runs under sdm, which mix workloads do not run on", ps)
 			}
 		}
 		if !hasStatic {
@@ -278,14 +311,17 @@ func (s Spec) Jobs() int {
 // gridSize is the job count of a spec whose axes are filled and modes
 // valid, saturating at MaxJobs+1 so a hostile grid cannot overflow.
 func (s *Spec) gridSize() int {
+	mixes := s.mixCount()
 	var n int64
 	for _, m := range s.Modes {
 		slots := len(s.SlotTables)
 		if mode, err := ParseMode(m); err != nil || mode != hsnoc.HybridTDM {
 			slots = 1
 		}
-		per := int64(1)
-		for _, axis := range []int{len(s.Patterns), len(s.Meshes), slots, len(s.Rates), len(s.Seeds)} {
+		// Workload points: every synthetic pattern at every rate, plus
+		// the mixes once each.
+		per := min(int64(len(s.Patterns)-mixes)*int64(len(s.Rates))+int64(mixes), MaxJobs+1)
+		for _, axis := range []int{len(s.Meshes), slots, len(s.Seeds)} {
 			if per *= int64(axis); per > MaxJobs {
 				return MaxJobs + 1
 			}
@@ -295,6 +331,25 @@ func (s *Spec) gridSize() int {
 		}
 	}
 	return int(n)
+}
+
+// mixCount is how many of the spec's patterns are mix:<CPU>+<GPU>.
+func (s *Spec) mixCount() (n int) {
+	for _, p := range s.Patterns {
+		if _, _, mix := parseMix(p); mix {
+			n++
+		}
+	}
+	return n
+}
+
+// parseMix splits the mix:<CPU>+<GPU> spelling of a Section V workload;
+// mix is false for every other pattern name. A malformed mix comes back
+// with an empty name, which no benchmark has.
+func parseMix(pattern string) (cpu, gpu string, mix bool) {
+	rest, mix := strings.CutPrefix(pattern, "mix:")
+	cpu, gpu, _ = strings.Cut(rest, "+")
+	return cpu, gpu, mix
 }
 
 // Expand builds the deterministic job list: modes, then patterns,
@@ -319,13 +374,17 @@ func (s Spec) Expand() ([]Job, error) {
 			slots = slots[:1]
 		}
 		for _, patName := range s.Patterns {
-			pat, err := ParsePattern(patName)
-			if err != nil {
+			cpu, gpu, mix := parseMix(patName)
+			pat, rates := hsnoc.Pattern(0), s.Rates
+			if mix {
+				// A mix generates its own load: one point, not one per rate.
+				rates = []float64{0}
+			} else if pat, err = ParsePattern(patName); err != nil {
 				return nil, err
 			}
 			for _, mesh := range s.Meshes {
 				for _, slot := range slots {
-					for _, rate := range s.Rates {
+					for _, rate := range rates {
 						for _, seed := range s.Seeds {
 							cfg := hsnoc.DefaultConfig(mesh.Width, mesh.Height)
 							cfg.Mode = mode
@@ -345,8 +404,14 @@ func (s Spec) Expand() ([]Job, error) {
 							if err := cfg.Validate(); err != nil {
 								return nil, err
 							}
-							label := fmt.Sprintf("%v/%v/%dx%d/r%.3f/seed%d", mode, pat, mesh.Width, mesh.Height, rate, seed)
-							j := NewJob(cfg, pat, rate, s.WarmupCycles, s.MeasureCycles, label)
+							var j Job
+							if mix {
+								label := fmt.Sprintf("%v/%s/%dx%d/seed%d", mode, patName, mesh.Width, mesh.Height, seed)
+								j = NewMixJob(cfg, cpu, gpu, s.WarmupCycles, s.MeasureCycles, label)
+							} else {
+								label := fmt.Sprintf("%v/%v/%dx%d/r%.3f/seed%d", mode, pat, mesh.Width, mesh.Height, rate, seed)
+								j = NewJob(cfg, pat, rate, s.WarmupCycles, s.MeasureCycles, label)
+							}
 							if s.TelemetryEvery > 0 {
 								j = j.WithTelemetry(s.TelemetryEvery)
 							}

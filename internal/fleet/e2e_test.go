@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -267,5 +268,137 @@ func TestWorkerDrainFinishesCurrentShard(t *testing.T) {
 	}
 	if w.ShardsDone.Load() != 1 {
 		t.Fatalf("ShardsDone = %d, want 1", w.ShardsDone.Load())
+	}
+}
+
+// TestFleetRunsMixSpec: a Section V mix is a job like any other, so a
+// two-mix spec submitted over HTTP fans out across two workers and its
+// /summary is byte-identical to campaign.Aggregate over a local engine
+// run. A mix the simulator would refuse is a 400 at submit, before any
+// shard exists.
+func TestFleetRunsMixSpec(t *testing.T) {
+	spec := campaign.Spec{
+		Modes:         []string{"packet", "tdm"},
+		Patterns:      []string{"mix:EQUAKE+LPS", "mix:ART+STO"},
+		Seeds:         []uint64{1, 2},
+		PathSharing:   true,
+		VCPowerGating: true,
+		WarmupCycles:  200,
+		MeasureCycles: 600,
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	local := campaign.New(campaign.Options{Workers: 2}).Run(context.Background(), jobs)
+	want := campaign.Aggregate(local, campaign.GroupWithoutSeed)
+	if len(jobs) != 8 || len(want) != 4 {
+		t.Fatalf("local run: %d jobs in %d groups, want 8 in 4", len(jobs), len(want))
+	}
+
+	store, err := campaign.OpenShardedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord, err := NewCoordinator(Options{Store: store, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	post := func(s campaign.Spec) (int, SubmitResponse) {
+		t.Helper()
+		body, err := json.Marshal(SubmitRequest{Tenant: "mix", Spec: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/fleet/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&sub) // an error body leaves sub zero
+		return resp.StatusCode, sub
+	}
+
+	for name, mutate := range map[string]func(*campaign.Spec){
+		"unknown GPU kernel": func(s *campaign.Spec) { s.Patterns = []string{"mix:EQUAKE+NOPE"} },
+		"sdm":                func(s *campaign.Spec) { s.Modes = []string{"sdm"} },
+		"2x2 mesh":           func(s *campaign.Spec) { s.Meshes = []campaign.MeshSize{{Width: 2, Height: 2}} },
+	} {
+		bad := spec
+		mutate(&bad)
+		if code, _ := post(bad); code != http.StatusBadRequest {
+			t.Errorf("%s: submit status %d, want 400", name, code)
+		}
+	}
+	if n := len(coord.Statuses()); n != 0 {
+		t.Fatalf("refused specs left %d campaigns behind", n)
+	}
+
+	code, sub := post(spec)
+	if code != http.StatusAccepted || sub.Jobs != 8 || sub.Shards != 8 {
+		t.Fatalf("submit: status %d, %+v; want 202 with 8 jobs in 8 shards", code, sub)
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	defer wcancel()
+	workers := make([]*Worker, 2)
+	for i := range workers {
+		w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Workers: 1, PollInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers[i] = w
+		go w.Run(wctx)
+	}
+	for deadline := time.Now().Add(120 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, _ := coord.Status(sub.ID)
+		if st.State == "done" {
+			if st.JobsFailed != 0 {
+				t.Fatalf("campaign done with %d failed jobs", st.JobsFailed)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign did not finish: %+v", st)
+		}
+	}
+	wcancel()
+	if a, b := workers[0].ShardsDone.Load(), workers[1].ShardsDone.Load(); a+b != 8 {
+		t.Errorf("workers completed %d + %d shards, want 8 between them", a, b)
+	}
+
+	resp, err := http.Get(srv.URL + "/fleet/campaigns/" + sub.ID + "/summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rows []struct {
+		Group  string          `json:"group"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil || len(rows) != len(want) {
+		t.Fatalf("summary: %d rows, error %v; want %d rows", len(rows), err, len(want))
+	}
+	for _, row := range rows {
+		ref, ok := want[row.Group]
+		if !ok || ref.Runs != 2 || ref.CPUInstructions == 0 || len(ref.DynamicPJ) != 6 {
+			t.Fatalf("group %q: local aggregate %+v (found %v) is not a two-seed mix record", row.Group, ref, ok)
+		}
+		wantJSON, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := json.Compact(&got, row.Result); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), wantJSON) {
+			t.Errorf("group %q: fleet summary differs from the local aggregate:\nfleet: %s\nlocal: %s", row.Group, got.Bytes(), wantJSON)
+		}
 	}
 }

@@ -65,6 +65,7 @@ func TestRunRecordZeroSafe(t *testing.T) {
 		"AvgNetLatency": z.AvgNetLatency(), "AvgTotalLatency": z.AvgTotalLatency(),
 		"Throughput": z.Throughput(), "PayloadThroughput": z.PayloadThroughput(),
 		"CSFlitFraction": z.CSFlitFraction(), "ConfigTrafficFraction": z.ConfigTrafficFraction(),
+		"GPUInjectionRate": z.GPUInjectionRate(), "GPUCSFraction": z.GPUCSFraction(),
 	} {
 		if v != 0 {
 			t.Errorf("%s on zero record = %v, want 0", name, v)
@@ -107,5 +108,45 @@ func TestRunRecordMerge(t *testing.T) {
 	}
 	if m.Hitchhikes != 4 || m.Circuits != 9 {
 		t.Errorf("merged counters = %+v", m)
+	}
+}
+
+// TestRunRecordMergeMixFigures covers the Section V fields: counters and
+// per-component energy add, the GPU accessors re-derive flit-weighted
+// figures, and a merge never writes into the records it read.
+func TestRunRecordMergeMixFigures(t *testing.T) {
+	a := RunRecord{Cycles: 1000, CPUInstructions: 500, GPUIterations: 40,
+		GPUFlitCycles: 1000 * 0.2, GPUCSFlitCycles: 1000 * 0.2 * 0.5,
+		DynamicPJ: map[string]float64{"buffer": 10, "link": 4}, StaticPJ: map[string]float64{"buffer": 1}}
+	b := RunRecord{Cycles: 3000, CPUInstructions: 1500, GPUIterations: 60,
+		GPUFlitCycles: 3000 * 0.1, GPUCSFlitCycles: 3000 * 0.1 * 0.25,
+		DynamicPJ: map[string]float64{"buffer": 30, "clock": 2}, StaticPJ: map[string]float64{"buffer": 3}}
+
+	var m RunRecord
+	m.Merge(a)
+	m.Merge(b)
+	if m.CPUInstructions != 2000 || m.GPUIterations != 100 {
+		t.Errorf("merged tile counters = %d / %d, want 2000 / 100", m.CPUInstructions, m.GPUIterations)
+	}
+	// (1000*0.2 + 3000*0.1) / 4000 = 0.125 flits/tile/cycle.
+	if !approx(m.GPUInjectionRate(), 0.125) {
+		t.Errorf("merged GPUInjectionRate = %v, want 0.125", m.GPUInjectionRate())
+	}
+	// (200*0.5 + 300*0.25) / 500 = 0.35 of GPU flits rode circuits.
+	if !approx(m.GPUCSFraction(), 0.35) {
+		t.Errorf("merged GPUCSFraction = %v, want 0.35", m.GPUCSFraction())
+	}
+	if m.DynamicPJ["buffer"] != 40 || m.DynamicPJ["link"] != 4 || m.DynamicPJ["clock"] != 2 || m.StaticPJ["buffer"] != 4 {
+		t.Errorf("merged components = %v / %v", m.DynamicPJ, m.StaticPJ)
+	}
+	if a.DynamicPJ["buffer"] != 10 || len(a.DynamicPJ) != 2 || a.StaticPJ["buffer"] != 1 {
+		t.Errorf("Merge wrote into its first source: %v / %v", a.DynamicPJ, a.StaticPJ)
+	}
+	// Merging records without the fields leaves them absent, so a
+	// synthetic aggregate encodes as it always did.
+	var s RunRecord
+	s.Merge(RunRecord{Runs: 1})
+	if s.DynamicPJ != nil || s.StaticPJ != nil {
+		t.Errorf("synthetic merge grew component maps: %v / %v", s.DynamicPJ, s.StaticPJ)
 	}
 }

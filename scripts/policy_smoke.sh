@@ -5,7 +5,8 @@
 # policy improves energy-per-flit over the static baseline on every
 # grid point, and the whole loop is reproducible: a second run against
 # the same record and profile stores must be served entirely from
-# cache and print a byte-identical CSV.
+# cache and print a byte-identical CSV. A plain (non-policy) spec of
+# Section V mixes, scenarios/table3.json, is held to the same promise.
 set -euo pipefail
 
 SPEC="${SPEC:-scenarios/fig4_policy.json}"
@@ -54,6 +55,27 @@ echo "== policy loop, second pass (must be served from cache)"
 echo "== gate: re-run output is byte-identical"
 if ! diff -u "$TMP/run1.csv" "$TMP/run2.csv"; then
     echo "FAIL: cached policy re-run produced different output"
+    exit 1
+fi
+
+echo "== plain mix spec (scenarios/table3.json), twice against one record store"
+"$TMP/sweep" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-1.csv" 2> "$TMP/table3-1.log"
+cat "$TMP/table3-1.csv"
+cp "$TMP/table3.jsonl" "$TMP/table3.after-run1"
+"$TMP/sweep" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-2.csv" 2> "$TMP/table3-2.log"
+
+echo "== gate: the re-run is byte-identical and fully cached"
+if ! diff -u "$TMP/table3-1.csv" "$TMP/table3-2.csv"; then
+    echo "FAIL: cached table3 re-run produced different output"
+    exit 1
+fi
+if ! grep -q '^sweep: 7 jobs, 7 served from cache, 0 failed$' "$TMP/table3-2.log"; then
+    echo "FAIL: table3 re-run was not served entirely from cache:"
+    cat "$TMP/table3-2.log"
+    exit 1
+fi
+if ! cmp "$TMP/table3.after-run1" "$TMP/table3.jsonl"; then
+    echo "FAIL: the cached re-run grew or rewrote the record store"
     exit 1
 fi
 
