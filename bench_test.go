@@ -32,7 +32,7 @@ func BenchmarkEngine(b *testing.B) {
 // BenchmarkHotPathSteadyState is the tentpole regression benchmark: one
 // op is one cycle of a warmed 6x6 hybrid-TDM network (the Fig. 4
 // miniature hsnoc's TestHotPathAllocationFree pins). The long warmup
-// steps past the allocator transient — pool stocking, circuit
+// steps past the allocator transient — pool growth, circuit
 // establishment — so -benchmem reports the steady state, which must
 // stay at 0 allocs/op.
 func BenchmarkHotPathSteadyState(b *testing.B) {

@@ -270,6 +270,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "  energy                  %.2f uJ (dynamic %.2f, static %.2f)\n",
 		res.Energy.TotalPJ/1e6, sum(res.Energy.DynamicPJ)/1e6, sum(res.Energy.StaticPJ)/1e6)
+	allocated, free := s.PacketPool()
+	fmt.Fprintf(stdout, "  packet pool             %d allocated, %d free, %d alive (simulator memory, not a result)\n",
+		allocated, free, allocated-free)
 	if cfg.AdaptiveEpoch > 0 {
 		fmt.Fprintf(stdout, "  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
 	}

@@ -131,7 +131,7 @@ func TestHeteroRunsTheCommonPath(t *testing.T) {
 		"Hybrid-TDM, heterogeneous mix BLACKSCHOLES/EQUAKE, 2500 cycles",
 		"delivered packets", "circuits established", // figures the hetero path used to hide
 		"CPU instructions", "GPU circuit-switched", "avg CPU / GPU latency",
-		"invariants              clean, rolling digest",
+		"invariants              clean, rolling digest", "packet pool ",
 		"profile ", "router utilisation", "link utilisation", "trace ",
 	} {
 		if !strings.Contains(out, want) {

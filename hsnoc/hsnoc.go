@@ -340,6 +340,7 @@ type engine interface {
 	Run(cycles int)
 	EnableStats()
 	Drain(limit int) bool
+	PacketPool() (allocated, free int)
 }
 
 // Simulator drives one workload over one network instance. A workload
@@ -631,6 +632,15 @@ func (s *Simulator) collect() Results {
 	}
 	return res
 }
+
+// PacketPool reports the simulator's own packet memory: how many packet
+// objects its pools have ever allocated and how many of those are free
+// right now, summed over the executor partitions' pools and the tier
+// they share. allocated-free is the packets alive in the network; the
+// population never shrinks, so allocated is also its high-water mark.
+// Host-side bookkeeping, not simulated state: with Workers > 1 the
+// split between pools, and so the total, depends on scheduling.
+func (s *Simulator) PacketPool() (allocated, free int) { return s.eng.PacketPool() }
 
 // Diagnostics reports protocol-invariant violations (all zero in correct
 // runs) plus the stolen-slot count. Not available for HybridSDM.

@@ -208,8 +208,8 @@ func (f *Flit) IsHead() bool { return f.Type == Head || f.Type == HeadTail }
 func (f *Flit) IsTail() bool { return f.Type == Tail || f.Type == HeadTail }
 
 // Explode builds the flit sequence for a packet, allocating fresh flits.
-// The hot injection path uses ExplodeInto instead; Explode remains for
-// callers without a recycling discipline (the SDM engine, tests).
+// Both engines inject with ExplodeInto instead; Explode remains for
+// callers without a recycling discipline (router-level tests).
 func Explode(p *Packet) []*Flit {
 	out := make([]*Flit, flitCount(p))
 	for i := range out {

@@ -3,10 +3,16 @@ package flit
 import "sync"
 
 // Pool is a free list of Packet objects, including their embedded flit
-// storage (see ExplodeInto). Each NI owns one, so Get/Put need no
-// synchronisation even under the parallel executor: a packet is taken
-// from the sending NI's pool and returned to the delivering NI's pool,
-// both inside that NI's own compute phase.
+// storage (see ExplodeInto). One pool serves all the NIs that a single
+// worker ticks — an executor partition, or a whole serial engine — so
+// Get/Put need no synchronisation: a packet is taken from the sending
+// NI's partition pool and returned to the delivering NI's partition
+// pool, each inside that NI's own compute phase.
+//
+// The stock follows the packets that exist: a pool starts empty and
+// grows one slab at a time when a Get finds nothing to recycle, and it
+// never shrinks — packets only ever come back, so the population is
+// bounded by the peak the simulation itself reached.
 //
 // Ownership contract: a packet may be Put only when nothing in the
 // simulation can still reach it — in practice, exactly when its tail
@@ -18,147 +24,76 @@ import "sync"
 // one exception — the caller of Send keeps the returned pointer to
 // annotate it — and are simply never recycled.
 //
-// The free list is capped: asymmetric patterns (hotspot) deliver more
-// packets at some nodes than they inject, and an uncapped list would
-// grow without bound there. A nil *Pool is valid and disables
-// recycling: Get allocates, Put discards — that is the default for raw
-// network.Config users, some of which retain delivered packets.
+// A nil *Pool is valid and disables recycling: Get allocates, Put
+// discards — that is the default for raw network.Config users, some of
+// which retain delivered packets.
 type Pool struct {
 	free []*Packet
-	// cap and spillMark are the area-scaled per-NI depths (see
-	// scalePool).
-	cap       int
-	spillMark int
+	// allocated counts the packets this pool has carved from slabs.
+	allocated int
 	// overflow is the optional shared second tier: Put spills a batch
 	// there when the local list passes spillMark, Get refills from
-	// there when it is empty.
+	// there before growing a slab.
 	overflow *SharedPool
-	// scratch is the reusable transfer buffer for spill batches.
-	scratch []*Packet
 }
 
-// The pool sizes below are per-NI burst depths. They scale with mesh
-// area because the packet population a tile's pool must ride out grows
-// with the network: average path length (and with it rate x latency
-// in-flight depth), circuit setup queueing, and the send/receive skew
-// of asymmetric patterns all deepen on larger meshes. The reference
-// constants are the values tuned for the paper's 6x6 mesh (area 36);
-// scalePool keeps them exact there and grows them linearly with area,
-// so an 8x8 run gets ~1.8x the 6x6 depths instead of starving at the
-// 6x6 constants and allocating on the hot path forever.
-const refArea = 36
+const (
+	// slabPackets is the growth unit: one Packet array plus the flit
+	// storage of its packets, three allocations per 64 packets.
+	slabPackets = 64
 
-// scalePool grows a 6x6-reference depth linearly with mesh area,
-// never shrinking below the reference (tiny meshes keep the tuned
-// minimums — burst depth is set by traffic variance, not area, at the
-// small end).
-func scalePool(ref, area int) int {
-	if area <= refArea {
-		return ref
-	}
-	return (ref*area + refArea - 1) / refArea
-}
+	// flitQuantum is ExplodeInto's capacity rounding unit; slab packets
+	// pre-size their embedded flit storage to it so even a packet's
+	// first explosion allocates nothing.
+	flitQuantum = 8
 
-// scalePoolSqrt grows a 6x6-reference depth with the square root of
-// the area ratio — the scaling of average path length, and with it the
-// per-NI in-flight packet depth (rate x latency), on a 2D mesh.
-func scalePoolSqrt(ref, area int) int {
-	if area <= refArea {
-		return ref
-	}
-	// Integer sqrt of (ref^2 * area / refArea), rounded up.
-	target := ref * ref * area / refArea
-	n := ref
-	for n*n < target {
-		n++
-	}
-	return n
-}
+	// poolBatch is how many packets move between a local list and the
+	// shared tier per transfer, amortising the shared tier's lock.
+	poolBatch = 32
 
-// refPoolCap bounds the per-NI free list. 256 packets absorb the
-// send/receive rate fluctuations of the symmetric synthetic patterns
-// on the 6x6 mesh; surplus spills to the shared tier (or the garbage
-// collector).
-const refPoolCap = 256
+	// spillMark is the local length beyond which Put moves a batch to
+	// the shared tier. Traffic with a chronic send/receive imbalance
+	// between partitions (hotspot; transpose across a partition
+	// boundary) fills one pool while draining another; spilling at a
+	// fixed mark bounds what the filling side can park — at most
+	// spillMark packets per pool, two slabs' worth — so the draining
+	// side refills from the shared tier instead of growing for ever.
+	spillMark = 2 * slabPackets
+)
 
-// refPoolSpillMark is the local length beyond which Put moves a batch
-// to the shared tier. Spilling at a watermark below the cap matters:
-// traffic with a chronic per-tile send/receive imbalance (path sharing
-// delivers hitchhiker payloads near, not at, their reserved
-// destination) makes some pools accumulate and others starve, and if
-// the accumulating side only shared its surplus at the hard cap it
-// would never reach, the starving side would allocate fresh packets
-// forever.
-const refPoolSpillMark = 96
-
-// poolBatch is how many packets move between a local list and the
-// shared tier per transfer, amortising the shared tier's lock. A batch
-// is a lock-amortisation unit, not a burst depth, so it does not scale.
-const poolBatch = 32
-
-// refSharedCap bounds the shared overflow tier on the 6x6 mesh.
-const refSharedCap = 4096
-
-// SharedPool is a mutex-guarded overflow tier shared by all per-NI
-// pools of one network. Traffic that migrates packets between tiles
-// asymmetrically (path sharing delivers hitchhiker payloads near, not
-// at, their reserved destination; hotspot concentrates deliveries)
-// slowly overfills some per-NI lists while starving others; without a
-// shared tier the overfull side drops packets to the GC while the
-// starved side allocates fresh ones, forever. The lock is uncontended
-// in practice: it is only touched on local-list overflow or underflow,
-// both rare once the packet population has stabilised.
+// SharedPool is the mutex-guarded tier through which packets migrate
+// between the pools of different executor partitions. It is only needed
+// when there is more than one pool: a pool that receives more packets
+// than it hands out spills batches here, and a pool that runs dry takes
+// them back before allocating. The lock is touched once per poolBatch
+// packets of net migration, not per packet.
 type SharedPool struct {
 	mu   sync.Mutex
-	cap  int
 	free []*Packet
 }
 
-// NewSharedPool returns an empty shared overflow tier sized for a mesh
-// of the given area (tile count).
-func NewSharedPool(area int) *SharedPool {
-	return &SharedPool{cap: scalePool(refSharedCap, area)}
-}
+// NewSharedPool returns an empty shared tier.
+func NewSharedPool() *SharedPool { return &SharedPool{} }
 
-// getBatch moves up to max packets from the shared tier into dst,
+// getBatch moves up to poolBatch packets from the shared tier onto dst,
 // returning the extended slice.
-func (s *SharedPool) getBatch(dst []*Packet, max int) []*Packet {
-	if s == nil {
-		return dst
-	}
+func (s *SharedPool) getBatch(dst []*Packet) []*Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := 0; i < max; i++ {
-		n := len(s.free) - 1
-		if n < 0 {
-			break
-		}
-		dst = append(dst, s.free[n])
-		s.free[n] = nil
-		s.free = s.free[:n]
-	}
+	n := len(s.free) - min(poolBatch, len(s.free))
+	dst = append(dst, s.free[n:]...)
+	clear(s.free[n:])
+	s.free = s.free[:n]
 	return dst
 }
 
-// putBatch moves the packets in src into the shared tier (dropping the
-// overflow past sharedCap to the GC) and returns src truncated to
-// length zero with its slots cleared.
-func (s *SharedPool) putBatch(src []*Packet) []*Packet {
-	if s == nil {
-		return src
-	}
+// putBatch moves the packets in src into the shared tier and clears
+// src's slots.
+func (s *SharedPool) putBatch(src []*Packet) {
 	s.mu.Lock()
-	for _, pk := range src {
-		if len(s.free) >= s.cap {
-			break
-		}
-		s.free = append(s.free, pk)
-	}
+	s.free = append(s.free, src...)
 	s.mu.Unlock()
-	for i := range src {
-		src[i] = nil
-	}
-	return src[:0]
+	clear(src)
 }
 
 // Free reports the shared tier's current length (for tests and
@@ -172,84 +107,40 @@ func (s *SharedPool) Free() int {
 	return len(s.free)
 }
 
-// refPoolPrewarm is the free-list stock each pool starts with on the
-// 6x6 mesh. Injection is bursty: a tile's pool can momentarily drain
-// to empty while its long-term send/receive balance is fine, and every
-// such dip would otherwise allocate a fresh packet. Starting above the
-// observed dip depth keeps the steady-state hot path allocation-free
-// from the first measured cycle instead of asymptotically.
-const refPoolPrewarm = 64
+// NewPool returns an empty pool serving the given number of tiles. A
+// non-nil overflow links the pool into a shared tier; nil keeps the
+// pool standalone. tiles is only a hint for the free list's first
+// backing array (one slot per tile, and never less than a spilling
+// pool can hold); the stock itself is sized by use.
+func NewPool(overflow *SharedPool, tiles int) *Pool {
+	return &Pool{free: make([]*Packet, 0, max(tiles, spillMark+1)), overflow: overflow}
+}
 
-// maxPrewarmPackets caps the network-wide prewarm stock (per-NI prewarm
-// times area). The sqrt-scaled per-NI prewarm times a quadratically
-// growing tile count is super-linear in area: on a 128x128 mesh the
-// uncapped formula would prewarm ~35 M packets (tens of GB) before the
-// first cycle. Above the cap, the per-NI prewarm shrinks to its fair
-// share of the budget and the free lists grow organically from returned
-// packets instead — trading a bounded number of ramp-up allocations for
-// a construction footprint that stays linear in area. The cap only
-// engages beyond ~45x45 meshes, so every tuned miniature (and the 32x32
-// zero-alloc gate) keeps the exact historical depths.
-const maxPrewarmPackets = 1 << 21
-
-// flitQuantum is ExplodeInto's capacity rounding unit; prewarmed
-// packets pre-size their embedded flit storage to it so even a packet's
-// first explosion allocates nothing.
-const flitQuantum = 8
-
-// NewPool returns a pre-warmed pool with depths scaled for a mesh of
-// the given area (tile count). A non-nil overflow links the pool into
-// a shared second tier; nil keeps the pool standalone.
-func NewPool(overflow *SharedPool, area int) *Pool {
-	// The spill mark tracks per-NI in-flight depth (sqrt of area, like
-	// path length); the prewarm sits two transfer batches above it so
-	// the network-wide packet population strictly exceeds what the
-	// per-NI lists can park below their spill marks — the structural
-	// guarantee that the shared tier always holds stock for a starved
-	// pool to refill from (see the pool-sizing note above).
-	spillMark := scalePoolSqrt(refPoolSpillMark, area)
-	prewarm := spillMark + 2*poolBatch
-	if prewarm < refPoolPrewarm {
-		prewarm = refPoolPrewarm
+// grow carves one slab onto the free list: one Packet array plus
+// contiguous flit storage, split per packet with full-capacity slices
+// so a packet that later outgrows its quantum reallocates its storage
+// out of the slab instead of running into its neighbour's (ExplodeInto
+// replaces, never appends past capacity). A standalone pool's free
+// list is kept large enough for every packet the pool ever carved (a
+// spilling pool never holds more than NewPool reserved), so in a pool
+// that only sees its own packets all allocation happens here and Put
+// never allocates.
+func (p *Pool) grow() {
+	p.allocated += slabPackets
+	if p.overflow == nil && cap(p.free) < p.allocated {
+		free := make([]*Packet, len(p.free), 2*p.allocated)
+		copy(free, p.free)
+		p.free = free
 	}
-	listCap := scalePool(refPoolCap, area)
-	if budget := maxPrewarmPackets / area; prewarm > budget {
-		// Very large mesh: bound construction memory (see
-		// maxPrewarmPackets). The list capacity shrinks with the prewarm —
-		// an area-scaled backing array of pointers would itself cost GBs
-		// across all NIs — at the price of a rare amortised append growth
-		// when a list outgrows it.
-		prewarm = max(budget, poolBatch)
-		listCap = min(listCap, 4*prewarm)
-	}
-	if listCap < prewarm {
-		listCap = prewarm + poolBatch
-	}
-	p := &Pool{
-		free:      make([]*Packet, prewarm, listCap),
-		cap:       listCap,
-		spillMark: spillMark,
-		overflow:  overflow,
-	}
-	if overflow != nil {
-		p.scratch = make([]*Packet, 0, poolBatch)
-	}
-	// Block-allocate the prewarm stock: one Packet slab plus contiguous
-	// flit storage, carved per packet with full-capacity slices. The old
-	// per-packet allocations scattered the stock across the heap and
-	// tripled the object count the GC must walk; a packet that later
-	// outgrows its quantum reallocates its storage out of the slab
-	// harmlessly (ExplodeInto replaces, never appends past capacity).
-	pkts := make([]Packet, prewarm)
-	store := make([]Flit, prewarm*flitQuantum)
-	ptrs := make([]*Flit, prewarm*flitQuantum)
+	pkts := make([]Packet, slabPackets)
+	store := make([]Flit, slabPackets*flitQuantum)
+	ptrs := make([]*Flit, slabPackets*flitQuantum)
 	for i := range pkts {
 		o := i * flitQuantum
 		pkts[i].store = store[o : o : o+flitQuantum]
 		pkts[i].ptrs = ptrs[o : o : o+flitQuantum]
-		p.free[i] = &pkts[i]
+		p.free = append(p.free, &pkts[i])
 	}
-	return p
 }
 
 // Get returns a zeroed packet, recycling a free one when available.
@@ -263,16 +154,19 @@ func (p *Pool) Get() *Packet {
 	if p == nil {
 		return &Packet{}
 	}
-	if len(p.free) == 0 && p.overflow != nil {
-		p.free = p.overflow.getBatch(p.free[:0], poolBatch)
+	if len(p.free) == 0 {
+		if p.overflow != nil {
+			p.free = p.overflow.getBatch(p.free)
+		}
+		if len(p.free) == 0 {
+			p.grow()
+		}
 	}
-	if n := len(p.free) - 1; n >= 0 {
-		pk := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		return pk
-	}
-	return &Packet{}
+	n := len(p.free) - 1
+	pk := p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	return pk
 }
 
 // Put recycles a dead packet. The packet is zeroed here (keeping its
@@ -286,18 +180,11 @@ func (p *Pool) Put(pk *Packet) {
 	}
 	store, ptrs := pk.store, pk.ptrs
 	*pk = Packet{store: store, ptrs: ptrs}
-	if len(p.free) >= p.cap {
-		return // standalone pool backstop (overflow pools spill below)
-	}
 	p.free = append(p.free, pk)
-	if p.overflow != nil && len(p.free) > p.spillMark {
+	if p.overflow != nil && len(p.free) > spillMark {
 		n := len(p.free) - poolBatch
-		p.scratch = append(p.scratch[:0], p.free[n:]...)
-		for i := n; i < len(p.free); i++ {
-			p.free[i] = nil
-		}
+		p.overflow.putBatch(p.free[n:])
 		p.free = p.free[:n]
-		p.scratch = p.overflow.putBatch(p.scratch)
 	}
 }
 
@@ -307,4 +194,14 @@ func (p *Pool) Free() int {
 		return 0
 	}
 	return len(p.free)
+}
+
+// Allocated reports how many packets the pool has ever carved. Packets
+// migrate between pools, so only the sum over all pools sharing one
+// overflow tier is a population.
+func (p *Pool) Allocated() int {
+	if p == nil {
+		return 0
+	}
+	return p.allocated
 }

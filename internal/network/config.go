@@ -109,14 +109,15 @@ type Config struct {
 	CheckInvariants bool
 	CheckInterval   int
 
-	// PoolMessages recycles packet/flit objects through per-NI free
-	// lists, making the steady-state cycle loop allocation-free. A
-	// delivered packet is returned to the delivering NI's pool the
-	// moment its endpoint OnDeliver callback returns, so it is only
-	// safe when no endpoint retains packet pointers past OnDeliver.
-	// The hsnoc layer enables it (all its endpoints are retention-free);
-	// raw network.Config users opt in explicitly. Never changes results:
-	// recycled objects are zeroed on release.
+	// PoolMessages recycles packet/flit objects through one free list
+	// per executor partition (flit.Pool), making the steady-state cycle
+	// loop allocation-free. A delivered packet is returned to the
+	// delivering NI's partition pool the moment its endpoint OnDeliver
+	// callback returns, so it is only safe when no endpoint retains
+	// packet pointers past OnDeliver. The hsnoc layer enables it (all
+	// its endpoints are retention-free); raw network.Config users opt in
+	// explicitly. Never changes results: recycled objects are zeroed on
+	// release.
 	PoolMessages bool
 }
 

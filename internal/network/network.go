@@ -32,8 +32,10 @@ type Network struct {
 	// cfg.CheckInvariants).
 	checker *invariant.Checker
 
-	// sharedPool is the overflow tier behind every NI's packet free list
-	// (nil unless cfg.PoolMessages).
+	// pools are the packet free lists, one per non-empty executor
+	// partition (empty unless cfg.PoolMessages); sharedPool is the tier
+	// packets migrate between them through (nil with fewer than two).
+	pools      []*flit.Pool
 	sharedPool *flit.SharedPool
 
 	// rec is the attached observability recorder (nil = tracing off);
@@ -72,9 +74,6 @@ type EndpointFactory func(id topology.NodeID) Endpoint
 func New(cfg Config, mk EndpointFactory) *Network {
 	cfg.validate()
 	n := &Network{cfg: cfg, mesh: topology.NewMesh(cfg.Width, cfg.Height)}
-	if cfg.PoolMessages {
-		n.sharedPool = flit.NewSharedPool(n.mesh.Nodes())
-	}
 
 	if cfg.Router.Hybrid && cfg.DynamicSlots {
 		if cfg.SlotInit > 0 {
@@ -138,11 +137,21 @@ func New(cfg Config, mk EndpointFactory) *Network {
 	}
 
 	n.nis = make([]*NI, nodes)
+	if cfg.PoolMessages && len(parts) > 1 {
+		n.sharedPool = flit.NewSharedPool()
+	}
 	for _, ids := range parts {
 		if len(ids) == 0 {
 			continue
 		}
-		arena := newNIArena(len(ids), cfg.Router.VCs)
+		var pool *flit.Pool
+		if cfg.PoolMessages {
+			// One worker ticks all of a partition's NIs, so they can share
+			// one unsynchronised packet pool.
+			pool = flit.NewPool(n.sharedPool, len(ids))
+			n.pools = append(n.pools, pool)
+		}
+		arena := newNIArena(len(ids), cfg.Router.VCs, pool)
 		for _, id := range ids {
 			n.nis[id] = arena.newNI(topology.NodeID(id), n, n.routers[id], rngs[id], eps[id])
 		}
@@ -187,6 +196,19 @@ func (n *Network) NI(id topology.NodeID) *NI { return n.nis[id] }
 
 // Router returns the router of tile id.
 func (n *Network) Router(id topology.NodeID) *router.Router { return n.routers[id] }
+
+// PacketPool reports how many packets the pools have ever allocated and
+// how many of those are free right now, summed over the partition pools
+// and the shared tier (both zero unless cfg.PoolMessages); the
+// difference is the packets alive in the simulation. Call between
+// cycles.
+func (n *Network) PacketPool() (allocated, free int) {
+	for _, p := range n.pools {
+		allocated += p.Allocated()
+		free += p.Free()
+	}
+	return allocated, free + n.sharedPool.Free()
+}
 
 // ActiveSlots is the network-wide active slot-table size currently in
 // force at the routers (a pending resize only takes effect after the

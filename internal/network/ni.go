@@ -169,8 +169,9 @@ type NI struct {
 
 	Stats stats.Collector
 
-	// pool recycles packet objects (nil = recycling disabled; all of
-	// its methods are nil-safe). See flit.Pool for the ownership rules.
+	// pool recycles packet objects; it is shared with the other NIs of
+	// this executor partition (nil = recycling disabled; all of its
+	// methods are nil-safe). See flit.Pool for the ownership rules.
 	pool *flit.Pool
 
 	// Packet-switched injection.
@@ -241,14 +242,18 @@ type niArena struct {
 	vcBusy  []bool
 	vcs     int
 	used    int
+	// pool is the partition's packet pool, shared by its NIs (nil =
+	// recycling disabled).
+	pool *flit.Pool
 }
 
-func newNIArena(count, vcs int) *niArena {
+func newNIArena(count, vcs int, pool *flit.Pool) *niArena {
 	return &niArena{
 		nis:     make([]NI, count),
 		credits: make([]int, count*vcs),
 		vcBusy:  make([]bool, count*vcs),
 		vcs:     vcs,
+		pool:    pool,
 	}
 }
 
@@ -267,9 +272,7 @@ func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng 
 	ni.backoff = make(map[topology.NodeID]sim.Cycle)
 	ni.freq = make(map[topology.NodeID]int)
 	ni.rxCount = make(map[uint64]int)
-	if net.cfg.PoolMessages {
-		ni.pool = flit.NewPool(net.sharedPool, net.mesh.Nodes())
-	}
+	ni.pool = a.pool
 	for v := range ni.credits {
 		ni.credits[v] = net.cfg.Router.BufDepth
 	}

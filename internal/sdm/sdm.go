@@ -222,6 +222,9 @@ type Network struct {
 	circuitOf  map[topology.NodeID]map[topology.NodeID]*circuit // src -> dst -> circuit
 	pktCircuit map[uint64]*circuit
 	rxCount    map[uint64]int
+	// pool recycles packets (with their flit storage) from tail
+	// ejection back to generate; see flit.Pool for the ownership rule.
+	pool *flit.Pool
 
 	Stats  stats.Collector
 	meters []power.RouterMeter
@@ -251,6 +254,7 @@ func New(cfg Config, gen Generator) *Network {
 		circuitOf:  map[topology.NodeID]map[topology.NodeID]*circuit{},
 		pktCircuit: map[uint64]*circuit{},
 		rxCount:    map[uint64]int{},
+		pool:       flit.NewPool(nil, cfg.Width*cfg.Height),
 		inbox:      make([][]arrival, max(2, cfg.Planes)+1),
 	}
 	master := sim.NewRNG(cfg.Seed)
@@ -439,6 +443,16 @@ func (n *Network) eject(id topology.NodeID, f *flit.Flit) {
 	pkt.EjectedAt = n.now
 	n.ejected++
 	n.Stats.RecordEjection(pkt)
+	// Flits arrive in order on one path and each is dropped from its
+	// bucket or queue as it is counted, so the last one counted proves
+	// nothing can reach the packet any more.
+	n.pool.Put(pkt)
+}
+
+// PacketPool reports how many packets the pool has ever allocated and
+// how many of those are free right now.
+func (n *Network) PacketPool() (allocated, free int) {
+	return n.pool.Allocated(), n.pool.Free()
 }
 
 // generate asks the traffic generator for new packets and makes the
@@ -456,15 +470,14 @@ func (n *Network) generate() {
 			continue
 		}
 		src.seq++
-		pkt := &flit.Packet{
-			ID:        uint64(id)<<40 | src.seq,
-			Kind:      flit.DataPacket,
-			Src:       topology.NodeID(id),
-			Dst:       dst,
-			Class:     flit.ClassOther,
-			Flits:     n.cfg.PSDataFlits,
-			CreatedAt: n.now,
-		}
+		pkt := n.pool.Get()
+		pkt.ID = uint64(id)<<40 | src.seq
+		pkt.Kind = flit.DataPacket
+		pkt.Src = topology.NodeID(id)
+		pkt.Dst = dst
+		pkt.Class = flit.ClassOther
+		pkt.Flits = n.cfg.PSDataFlits
+		pkt.CreatedAt = n.now
 		n.sent++
 		q := &src.psQ
 		if c := n.circuitFor(topology.NodeID(id), dst); c != nil {
@@ -476,7 +489,7 @@ func (n *Network) generate() {
 		} else {
 			n.noteFrequency(topology.NodeID(id), dst)
 		}
-		for _, f := range flit.Explode(pkt) {
+		for _, f := range pkt.ExplodeInto() {
 			q.push(f)
 		}
 	}
