@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noSteal := fs.Bool("nostealing", false, "disable time-slot stealing (tdm)")
 	staticSlots := fs.Bool("staticslots", false, "disable dynamic slot-table sizing (tdm)")
 	workers := fs.Int("workers", 1, "executor parallelism")
-	check := fs.Bool("check", false, "run the per-cycle invariant checker (conservation, credits, slot tables; ~2-4x slower, never changes results)")
+	check := fs.Bool("check", false, "run the per-cycle invariant checker (conservation, credits, slot tables, VC masks; tens of times slower, never changes results)")
 	checkEvery := fs.Int("checkevery", 1, "with -check, run the checks every N cycles")
 	hetero := fs.Bool("hetero", false, "run the heterogeneous system instead of synthetic traffic")
 	cpuB := fs.String("cpu", "EQUAKE", "CPU benchmark (hetero)")
@@ -199,9 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(2, err)
 		}
-		if err := cfg.Validate(); err != nil {
-			return fail(2, err)
-		}
 		fmt.Fprintf(stdout, "policy %s: %d pinned flows, restrict_setups=%v, slot_init=%d, use_sdm=%v, gated_planes=%d\n",
 			pol.Name(), len(d.PinnedFlows), d.RestrictSetups, d.SlotInit, d.UseSDM, d.GatedPlanes)
 	}
@@ -286,7 +283,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "  profile                 %s (%d flows, config %.12s...)\n", *profileOut, len(prof.Flows), prof.ConfigHash)
 	}
-	if *check {
+	if *check && !cfg.CheckInvariants {
+		// An sdm-gate decision moved the re-run to the SDM engine.
+		fmt.Fprintf(stdout, "  invariants              not checked (%v has no invariant layer)\n", cfg.Mode)
+	} else if *check {
 		if n := s.InvariantViolationCount(); n > 0 {
 			fmt.Fprintf(stderr, "nocsim: %d invariant violation(s):\n", n)
 			for _, v := range s.InvariantViolations() {

@@ -171,6 +171,7 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-hetero", "-cpu", "NOPE"}, "unknown CPU benchmark"},
 		{[]string{"-hetero", "-mode", "sdm"}, "PacketSwitched and HybridTDM only"},
 		{[]string{"-mode", "sdm", "-trace-out", "x.json"}, "not available for sdm"},
+		{[]string{"-mode", "sdm", "-check"}, "CheckInvariants is not available for HybridSDM"},
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
 	} {

@@ -75,6 +75,9 @@ func (c Config) Validate() error {
 	if c.Mode == HybridSDM && (c.PathSharing || c.VCPowerGating || c.LatencyBasedVCGating) {
 		return fmt.Errorf("hsnoc: TDM options set on an SDM configuration")
 	}
+	if c.Mode == HybridSDM && c.CheckInvariants {
+		return fmt.Errorf("hsnoc: CheckInvariants is not available for HybridSDM (its engine has no invariant layer)")
+	}
 	if c.Mode != HybridTDM && c.PathSharing {
 		return fmt.Errorf("hsnoc: PathSharing requires HybridTDM")
 	}

@@ -127,10 +127,13 @@ type Config struct {
 	Workers int
 	// CheckInvariants enables the runtime invariant layer: per-cycle (or
 	// per-CheckInterval) verification of flit conservation, credit
-	// consistency and slot-table ownership, plus a rolling FNV-1a state
-	// digest for serial-vs-parallel equivalence checking. Expect roughly
-	// 2-4x slowdown when checking every cycle; it never changes
-	// simulation results. Not available for HybridSDM.
+	// consistency, slot-table ownership and VC-mask consistency, plus a
+	// rolling FNV-1a state digest for serial-vs-parallel equivalence
+	// checking. Every checked cycle walks the whole network, so checking
+	// every cycle costs tens of times the unchecked runtime (the
+	// benchmark's invariant.checked_slowdown_x); it never changes
+	// simulation results. Not available for HybridSDM: Validate refuses
+	// the combination.
 	CheckInvariants bool
 	// CheckInterval is the checking cadence in cycles (<= 1 = every
 	// cycle). Larger intervals cut the overhead proportionally but

@@ -258,6 +258,7 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"Width": 6, "Height": 6, "VCs": 13}`, // 5 ports x 13 VCs overflow the router's mask word
 		`{"Width": 6, "Height": 6, "Mode": 2, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 0, "PathSharing": true}`,
+		`{"Width": 6, "Height": 6, "Mode": 2, "CheckInvariants": true}`, // the SDM engine has no invariant layer
 	}
 	for i, c := range cases {
 		if _, err := LoadConfig(strings.NewReader(c)); err == nil {

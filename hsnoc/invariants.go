@@ -11,8 +11,8 @@ import (
 // Config.CheckInvariants enabled: the cycle it was detected at, the
 // router it concerns (-1 for network-wide invariants such as flit
 // conservation), the invariant kind ("conservation", "credit",
-// "slot-table") and a human-readable detail with enough context to
-// reproduce the failure.
+// "slot-table", "mask-consistency") and a human-readable detail with
+// enough context to reproduce the failure.
 type Violation struct {
 	Cycle  int64  `json:"cycle"`
 	Router int    `json:"router"`
@@ -45,8 +45,9 @@ func (e *ViolationError) Error() string {
 	return b.String()
 }
 
-// StateDigest hashes the simulator's complete mutable state (router
-// pipelines, NI queues, slot tables, clock) into one 64-bit FNV-1a
+// StateDigest hashes the network's mutable state (router pipelines, NI
+// queues and RNG streams, slot tables, clock, resize manager, online
+// controller; not the endpoint models) into one 64-bit FNV-1a
 // value. Two runs of the same seeded config must produce equal digests
 // at equal cycles regardless of Workers; the first differing cycle
 // pinpoints a determinism bug. Returns 0 for HybridSDM (no digest

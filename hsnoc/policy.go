@@ -77,20 +77,15 @@ func (s *Simulator) AdaptiveRepins() int {
 // ApplyDecision returns cfg with a policy Decision applied: pinned
 // flows, setup restriction, the initial slot-table region, the DLT
 // size, or — for SDM-gating decisions — the switch to HybridSDM with
-// gated planes. The mapping is pure configuration, so the re-run's
-// results and state digest are a function of (cfg, d) alone; applying
-// the same decision twice yields byte-identical digests (pinned by
-// test). The caller is responsible for checking that the profile that
+// gated planes. The result must pass Validate; its error is returned
+// when it does not (an out-of-mesh pin, an oversized slot_init, fewer
+// than 2 planes left on). The mapping is pure configuration, so the
+// re-run's results and state digest are a function of (cfg, d) alone;
+// applying the same decision twice yields byte-identical digests (pinned
+// by test). The caller is responsible for checking that the profile that
 // produced d matches cfg (Profile.ConfigHash vs cfg.Hash()).
 func ApplyDecision(cfg Config, d Decision) (Config, error) {
 	if d.UseSDM {
-		planes := cfg.Planes
-		if planes == 0 {
-			planes = 4
-		}
-		if d.GatedPlanes < 0 || d.GatedPlanes > planes-2 {
-			return cfg, fmt.Errorf("hsnoc: decision gates %d of %d planes (at least 2 must stay on)", d.GatedPlanes, planes)
-		}
 		cfg.Mode = HybridSDM
 		// TDM-only and engine-unsupported options are cleared rather
 		// than rejected: an SDM-gating decision applied to the TDM base
@@ -103,23 +98,12 @@ func ApplyDecision(cfg Config, d Decision) (Config, error) {
 		cfg.SlotInit, cfg.PinnedFlows, cfg.RestrictSetups = 0, nil, false
 		cfg.AdaptiveEpoch, cfg.AdaptiveTopK = 0, 0
 		cfg.GatedPlanes = d.GatedPlanes
-		return cfg, nil
+		return cfg, cfg.Validate()
 	}
+	// Validate would name one TDM-only field; what does not fit is the
+	// decision as a whole (and Validate has no rule for DLTEntries).
 	if cfg.Mode != HybridTDM && (len(d.PinnedFlows) > 0 || d.RestrictSetups || d.SlotInit > 0 || d.DLTEntries > 0) {
 		return cfg, fmt.Errorf("hsnoc: policy %q decision needs a Hybrid-TDM base config", d.Policy)
-	}
-	nodes := cfg.Width * cfg.Height
-	for _, p := range d.PinnedFlows {
-		if p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes {
-			return cfg, fmt.Errorf("hsnoc: pinned flow %d->%d outside the %dx%d mesh", p.Src, p.Dst, cfg.Width, cfg.Height)
-		}
-	}
-	slots := cfg.SlotTableEntries
-	if slots == 0 {
-		slots = 128
-	}
-	if d.SlotInit < 0 || d.SlotInit > slots {
-		return cfg, fmt.Errorf("hsnoc: decision slot_init %d outside [0, %d]", d.SlotInit, slots)
 	}
 	cfg.PinnedFlows = append([]FlowPin(nil), d.PinnedFlows...)
 	cfg.RestrictSetups = d.RestrictSetups
@@ -127,5 +111,5 @@ func ApplyDecision(cfg Config, d Decision) (Config, error) {
 	if d.DLTEntries > 0 {
 		cfg.DLTEntries = d.DLTEntries
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

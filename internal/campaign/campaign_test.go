@@ -212,6 +212,8 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Modes: []string{"tdm"}, Patterns: []string{"zigzag"}, Rates: []float64{.1}}, // bad pattern
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, Meshes: []MeshSize{{0, 6}}},
 		{Modes: []string{"tdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, SlotTables: []int{-1}},
+		// The SDM engine has no invariant layer to check.
+		{Modes: []string{"tdm", "sdm"}, Patterns: []string{"ur"}, Rates: []float64{0.1}, CheckInvariants: true},
 		{Modes: []string{"tdm"}, Patterns: []string{"mix:QUAKE+LPS"}},                                       // unknown CPU benchmark
 		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LSP"}},                                      // unknown GPU kernel
 		{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE"}},                                          // malformed: no +<GPU>

@@ -89,7 +89,7 @@ type Spec struct {
 	// Checking only observes a run (it never changes results), so like
 	// SimWorkers it does not enter cache keys; jobs whose checked run
 	// reports violations fail with a descriptive Err instead of
-	// persisting a corrupt record.
+	// persisting a corrupt record. Not available for sdm mode.
 	CheckInvariants bool `json:"check_invariants,omitempty"`
 	// PolicyProfile turns the campaign into a profile→re-run policy
 	// loop (RunPolicyLoop): phase A runs every grid point with
@@ -184,6 +184,9 @@ func (s *Spec) Normalize() error {
 		}
 		if s.TelemetryEvery > 0 && mode == hsnoc.HybridSDM {
 			return fmt.Errorf("campaign: telemetry is not available for sdm mode")
+		}
+		if s.CheckInvariants && mode == hsnoc.HybridSDM {
+			return fmt.Errorf("campaign: check_invariants is not available for sdm mode")
 		}
 		if mixes > 0 && mode == hsnoc.HybridSDM {
 			return fmt.Errorf("campaign: mix workloads run on packet and tdm only, not sdm")

@@ -2,13 +2,18 @@ package hybrid
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/topology"
 )
 
-// CheckConsistency verifies this router's slot-table state against the
-// ownership invariants the setup protocol is supposed to maintain:
+// Walk is the slot tables' one state walk. It folds the tables into h —
+// the active region only: entries beyond it are always zero (Reset wipes
+// the whole table before shrinking or growing the active size, and every
+// mutation indexes modulo active) — and, when report is non-nil, checks
+// them against the ownership invariants the setup protocol is supposed to
+// maintain, passing each violation to report as (kind, detail):
 //
 //   - each input table's reserved counter equals its count of valid
 //     entries, and no valid entry sits beyond the active region;
@@ -17,77 +22,58 @@ import (
 //     phase (Fig. 1 setups 2 and 3);
 //   - the reverse outBusy index agrees with the forward tables: busy
 //     exactly when some input holds a valid entry toward that output.
-//
-// Each violation is passed to report as (kind, detail).
-func (rt *RouterTables) CheckConsistency(report func(kind, detail string)) {
+func (rt *RouterTables) Walk(h *invariant.Hasher, report func(kind, detail string)) {
+	check := report != nil
+	h.Int(rt.active)
+	// owners[s][o] has bit p set when input p holds a valid entry toward
+	// output o at slot s.
+	var owners [][topology.NumPorts]uint8
+	if check {
+		owners = make([][topology.NumPorts]uint8, rt.active)
+	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		tbl := rt.in[p]
+		entries := tbl.entries[:rt.active]
+		if check {
+			entries = tbl.entries // the checks look past the active region too
+		}
 		valid := 0
-		for s, e := range tbl.entries {
-			if !e.Valid {
+		for s, e := range entries {
+			if s < rt.active {
+				h.Bool(e.Valid)
+				h.Byte(byte(e.Out))
+				h.Int64(e.GraceUntil)
+			}
+			if !check || !e.Valid {
 				continue
 			}
 			valid++
 			if s >= rt.active {
 				report("slot-table", fmt.Sprintf("input %v slot %d valid beyond active region %d", p, s, rt.active))
+				continue
 			}
+			owners[s][e.Out] |= 1 << p
 		}
-		if valid != tbl.reserved {
+		if check && valid != tbl.reserved {
 			report("slot-table", fmt.Sprintf("input %v reserved counter %d but %d valid entries", p, tbl.reserved, valid))
 		}
 	}
 	for s := 0; s < rt.active; s++ {
 		for o := topology.Port(0); o < topology.NumPorts; o++ {
-			owners := 0
-			first := topology.Port(0)
-			for p := topology.Port(0); p < topology.NumPorts; p++ {
-				e := rt.in[p].entries[s]
-				if e.Valid && e.Out == o {
-					if owners == 0 {
-						first = p
-					}
-					owners++
-				}
-			}
-			if owners > 1 {
-				report("slot-table", fmt.Sprintf("slot %d output %v claimed by %d inputs (first %v)", s, o, owners, first))
-			}
-			if busy := rt.outBusy[s][o]; busy != (owners > 0) {
-				report("slot-table", fmt.Sprintf("slot %d output %v outBusy=%v but %d owning inputs", s, o, busy, owners))
-			}
-		}
-	}
-}
-
-// VisitEntries calls fn for every slot-table entry in the active region,
-// in deterministic (input port, slot) order. Tests use it to snapshot and
-// compare reservation state without reaching into unexported fields.
-func (rt *RouterTables) VisitEntries(fn func(in topology.Port, slot int, e SlotEntry)) {
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		for s := 0; s < rt.active; s++ {
-			fn(p, s, rt.in[p].entries[s])
-		}
-	}
-}
-
-// HashState folds the router's slot-table state into h. Only the active
-// region is hashed: entries beyond it are always zero (Reset wipes the
-// whole table before shrinking or growing the active size, and every
-// mutation indexes modulo active).
-func (rt *RouterTables) HashState(h *invariant.Hasher) {
-	h.Int(rt.active)
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		for s := 0; s < rt.active; s++ {
-			e := rt.in[p].entries[s]
-			h.Bool(e.Valid)
-			h.Byte(byte(e.Out))
-			h.Int64(e.GraceUntil)
-		}
-	}
-	for s := 0; s < rt.active; s++ {
-		for o := topology.Port(0); o < topology.NumPorts; o++ {
-			h.Bool(rt.outBusy[s][o])
+			busy := rt.outBusy[s][o]
+			h.Bool(busy)
 			h.Int64(rt.outGrace[s][o])
+			if !check {
+				continue
+			}
+			n := bits.OnesCount8(owners[s][o])
+			if n > 1 {
+				first := topology.Port(bits.TrailingZeros8(owners[s][o]))
+				report("slot-table", fmt.Sprintf("slot %d output %v claimed by %d inputs (first %v)", s, o, n, first))
+			}
+			if busy != (n > 0) {
+				report("slot-table", fmt.Sprintf("slot %d output %v outBusy=%v but %d owning inputs", s, o, busy, n))
+			}
 		}
 	}
 }
@@ -106,6 +92,14 @@ func (g *LatencyVCGate) HashState(h *invariant.Hasher) {
 	h.Int(g.active)
 	h.Int64(g.delaySum)
 	h.Int64(g.delayN)
+}
+
+// HashState folds the resizer's policy state into h: the
+// consecutive-failure count decides when the next doubling fires.
+func (r *Resizer) HashState(h *invariant.Hasher) {
+	h.Int(r.active)
+	h.Int(r.consecFails)
+	h.Int(r.resizeEvents)
 }
 
 // HashState folds the DLT's full state — including the unexported

@@ -1,13 +1,14 @@
 // Package invariant is the runtime checking layer of the simulator: an
 // optional, zero-dependency collector for protocol-invariant violations
-// (flit conservation, credit consistency, slot-table ownership) and a
-// rolling FNV-1a digest of the full simulation state that makes a
-// serial-vs-parallel divergence detectable at the first differing cycle
-// instead of in final statistics.
+// (flit conservation, credit consistency, slot-table ownership, VC mask
+// consistency) and a rolling FNV-1a digest of the simulation state that
+// makes a serial-vs-parallel divergence detectable at the first
+// differing cycle instead of in final statistics.
 //
 // The package itself knows nothing about routers or NIs; it only
 // provides the Checker (violation sink + cadence + rolling digest) and
-// the Hasher. The network, router and hybrid packages feed it.
+// the Hasher. Each stateful component has one state walk (flit.Walk)
+// that feeds both.
 package invariant
 
 import "fmt"
@@ -19,7 +20,7 @@ import "fmt"
 type Violation struct {
 	Cycle  int64  `json:"cycle"`
 	Router int    `json:"router"` // -1 for network-level invariants
-	Kind   string `json:"kind"`   // "conservation" | "credit" | "slot-table" | "pipeline"
+	Kind   string `json:"kind"`   // "conservation" | "credit" | "slot-table" | "mask-consistency"
 	Detail string `json:"detail"`
 }
 
@@ -45,7 +46,6 @@ type Checker struct {
 	count    int64
 	stored   []Violation
 	digest   uint64
-	last     uint64
 }
 
 // NewChecker builds a checker that is due every interval cycles
@@ -56,9 +56,6 @@ func NewChecker(interval int) *Checker {
 	}
 	return &Checker{interval: int64(interval), digest: fnvOffset}
 }
-
-// Interval returns the checking cadence in cycles.
-func (c *Checker) Interval() int { return int(c.interval) }
 
 // Due reports whether checks should run at cycle now.
 func (c *Checker) Due(now int64) bool { return now%c.interval == 0 }
@@ -82,10 +79,8 @@ func (c *Checker) Violations() []Violation {
 	return out
 }
 
-// Roll folds one cycle's state digest into the rolling digest and
-// remembers it as the last per-cycle digest.
+// Roll folds one cycle's state digest into the rolling digest.
 func (c *Checker) Roll(stateDigest uint64) {
-	c.last = stateDigest
 	h := Hasher{sum: c.digest}
 	h.Uint64(stateDigest)
 	c.digest = h.Sum()
@@ -95,9 +90,6 @@ func (c *Checker) Roll(stateDigest uint64) {
 // of the same seeded configuration must produce equal rolling digests
 // regardless of executor parallelism.
 func (c *Checker) Digest() uint64 { return c.digest }
-
-// LastStateDigest returns the most recent per-cycle state digest.
-func (c *Checker) LastStateDigest() uint64 { return c.last }
 
 // FNV-1a 64-bit parameters.
 const (

@@ -2,7 +2,7 @@ package network
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/invariant"
@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the network's contribution to the runtime invariant
-// layer: the network-wide flit-conservation check, the NI-side half of
-// the local-port credit check, the full-state determinism digest, and
-// the per-NI state hash. All of it runs serially between cycles (after
-// the executor's transfer phase and the manage step), when the
+// layer. The determinism digest is every router's and NI's one state walk
+// (Router.Walk, NI.walk) with nothing attached; checkInvariants attaches
+// a census to the same walk. All of it runs serially between cycles
+// (after the executor's transfer phase and the manage step), when the
 // two-phase contract guarantees in-flight credits are delivered, output
 // latches toward connected ports are drained, and ni.staged is empty.
 
@@ -46,49 +46,57 @@ func (n *Network) RollingDigest() uint64 {
 	return n.checker.Digest()
 }
 
-// StateDigest hashes the complete mutable simulation state — clock,
-// resize manager, every router pipeline and every NI — into one 64-bit
+// StateDigest hashes the network's mutable state — clock, resize
+// manager, online controller, every router pipeline and every NI; not
+// the endpoints (generators, tile models, replayers) — into one 64-bit
 // FNV-1a value. Two runs of the same seeded config diverge at the first
 // cycle whose digests differ. Works with or without checking enabled.
 func (n *Network) StateDigest() uint64 {
-	h := invariant.NewHasher()
-	h.Int64(int64(n.clock.Now()))
-	h.Int(n.slotActive)
-	h.Int(n.epoch)
-	h.Bool(n.csFrozen)
-	h.Int64(int64(n.resizeAt))
-	h.Int(n.resizeTo)
+	w := flit.Walk{H: invariant.NewHasher()}
+	n.hashManager(w.H)
 	for _, r := range n.routers {
-		r.HashState(h)
+		r.Walk(&w)
 	}
 	for _, ni := range n.nis {
-		ni.hashState(h)
+		ni.walk(&w)
 	}
-	return h.Sum()
+	return w.H.Sum()
 }
 
-// checkInvariants runs all enabled checks for cycle now and folds the
-// state digest into the rolling digest.
+// checkInvariants walks the network once for cycle now with the census
+// and the checker attached — the walk's hash is the StateDigest folded
+// into the rolling digest — then runs the checks that need the whole
+// census.
 func (n *Network) checkInvariants(now int64) {
-	// Per-router checks: credit consistency toward neighbours, slot-table
-	// ownership and counter consistency.
+	c := n.census
+	clear(c.seen)
+	clear(c.occ)
+	at := topology.NodeID(0)
+	report := func(kind, detail string) { n.checker.Report(now, int(at), kind, detail) }
+	w := flit.Walk{H: invariant.NewHasher(), Report: report,
+		Visit: func(loc flit.Loc, p *flit.Packet, f *flit.Flit) { c.visit(at, loc, p, f) }}
+	n.hashManager(w.H)
+	// Mask consistency and slot-table ownership are checked by the walks
+	// themselves.
 	for _, r := range n.routers {
-		id := int(r.ID())
-		r.CheckInvariants(func(kind, detail string) {
-			n.checker.Report(now, id, kind, detail)
-		})
+		at = r.ID()
+		r.Walk(&w)
 	}
-	// NI-side credit check for the local input port: injection credits
-	// plus the local input's packet-switched occupancy must equal the
-	// buffer depth (ni.staged is always drained between cycles).
+	// Credits toward a neighbour need its walk done too.
+	for _, r := range n.routers {
+		at = r.ID()
+		r.CheckCredits(c.occupancy, report)
+	}
+	// The NI side of the local input's credit loop: injection credits plus
+	// the local input's packet-switched occupancy must equal the depth
+	// (ni.staged is always drained between cycles).
 	depth := n.cfg.Router.BufDepth
 	for _, ni := range n.nis {
-		id := int(ni.id)
-		for v := range ni.credits {
-			occ := ni.r.LocalInputPS(v)
-			if ni.credits[v]+occ != depth {
-				n.checker.Report(now, id, "credit",
-					fmt.Sprintf("local vc %d: NI credits %d + occupancy %d != depth %d", v, ni.credits[v], occ, depth))
+		at = ni.id
+		ni.walk(&w)
+		for v, cr := range ni.credits {
+			if occ := c.occupancy(ni.id, topology.Local, v); cr+occ != depth {
+				report("credit", fmt.Sprintf("local vc %d: NI credits %d + occupancy %d != depth %d", v, cr, occ, depth))
 			}
 		}
 	}
@@ -97,32 +105,98 @@ func (n *Network) checkInvariants(now int64) {
 	// the sent-but-not-ejected count. A partially reassembled packet
 	// always still has >= 1 flit in flight, so counting distinct IDs is
 	// exact.
-	seen := make(map[uint64]struct{})
-	add := func(id uint64) { seen[id] = struct{}{} }
-	for _, r := range n.routers {
-		r.CollectDataPackets(add)
-	}
-	for _, ni := range n.nis {
-		ni.collectDataPackets(add)
-	}
-	if got, want := int64(len(seen)), n.InFlight(); got != want {
+	if got, want := int64(len(c.seen)), n.InFlight(); got != want {
 		n.checker.Report(now, -1, "conservation",
 			fmt.Sprintf("%d distinct data packets in flight but sent-ejected = %d", got, want))
 	}
-	n.checker.Roll(n.StateDigest())
+	n.checker.Roll(w.H.Sum())
 }
 
-// hashState folds the NI's complete mutable state into h. Map contents
-// are folded in sorted-key order so the hash is independent of Go's
-// randomized map iteration.
-func (ni *NI) hashState(h *invariant.Hasher) {
+// census is what checkInvariants collects from the walk's visits; its
+// storage is reused across checked cycles.
+type census struct {
+	mesh topology.Mesh
+	vcs  int
+	// seen holds the data packets with a flit (or the whole packet)
+	// anywhere in the network. Configuration messages are excluded:
+	// conservation is stated over data packets (setup/ack/teardown
+	// messages are consumed by the protocol, not ejected).
+	seen map[uint64]struct{}
+	// occ[(router*NumPorts+port)*vcs+vc] is the occupancy a router input
+	// VC's upstream credits must account for (see Router.CheckCredits).
+	occ []int
+}
+
+// visit records one occupied slot of tile at's router or NI.
+func (c *census) visit(at topology.NodeID, loc flit.Loc, p *flit.Packet, f *flit.Flit) {
+	if p.Kind == flit.DataPacket {
+		c.seen[p.ID] = struct{}{}
+	}
+	switch loc.Where {
+	case flit.VCQueue:
+		c.add(at, loc.Port, loc.VC)
+	case flit.InLatch, flit.LinkReg:
+		if !f.CS {
+			c.add(at, loc.Port, f.VC)
+		}
+	case flit.STReg, flit.OutLatch:
+		// Bound for the downstream input VC whose credit it already holds
+		// (the Local output has no downstream router: no neighbour).
+		if down, ok := c.mesh.Neighbor(at, loc.Port); ok && !f.CS {
+			c.add(down, loc.Port.Opposite(), f.VC)
+		}
+	}
+}
+
+func (c *census) add(id topology.NodeID, p topology.Port, v int) {
+	if v >= 0 && v < c.vcs {
+		c.occ[c.index(id, p, v)]++
+	}
+}
+
+// occupancy is the counted occupancy of input VC v of port p of router
+// id.
+func (c *census) occupancy(id topology.NodeID, p topology.Port, v int) int {
+	return c.occ[c.index(id, p, v)]
+}
+
+func (c *census) index(id topology.NodeID, p topology.Port, v int) int {
+	return (int(id)*int(topology.NumPorts)+int(p))*c.vcs + v
+}
+
+// hashManager folds the between-cycle manager's state into h: the clock,
+// the slot count in force, the sizing epoch, any pending reset, the
+// resizer and the online controller.
+func (n *Network) hashManager(h *invariant.Hasher) {
+	h.Int64(int64(n.clock.Now()))
+	h.Int(n.slotActive)
+	h.Int(n.epoch)
+	h.Bool(n.csFrozen)
+	h.Int64(int64(n.resizeAt))
+	h.Int(n.resizeTo)
+	n.resizer.HashState(h)
+	hashSorted(h, n.adaptPrev, func(v int64) { h.Int64(v) })
+	h.Int(len(n.adaptPins))
+	for _, p := range n.adaptPins {
+		h.Int(p.Src)
+		h.Int(p.Dst)
+	}
+	h.Int(n.adaptRepins)
+}
+
+// walk is the NI's one state walk: it folds the NI's complete mutable
+// state into w.H and visits every packet and flit it holds — the
+// packet-switched queue, the in-progress injection streams, the staged
+// flit, waiting circuit-switched jobs and the receive buffer.
+func (ni *NI) walk(w *flit.Walk) {
+	h := w.H
 	h.Int(ni.psQ.len())
 	for i := 0; i < ni.psQ.len(); i++ {
-		flit.HashPacket(h, ni.psQ.at(i))
+		w.Packet(flit.Loc{Where: flit.NI}, ni.psQ.at(i))
 	}
 	h.Int(len(ni.cur))
 	for _, f := range ni.cur {
-		flit.HashFlit(h, f)
+		w.Flit(flit.Loc{Where: flit.NI}, f)
 	}
 	h.Int(ni.curIdx)
 	h.Int(ni.curVC)
@@ -132,7 +206,7 @@ func (ni *NI) hashState(h *invariant.Hasher) {
 	for _, b := range ni.vcBusy {
 		h.Bool(b)
 	}
-	flit.HashFlit(h, ni.staged)
+	w.Flit(flit.Loc{Where: flit.NI}, ni.staged)
 
 	h.Int(len(ni.circuitList))
 	for _, c := range ni.circuitList {
@@ -150,7 +224,7 @@ func (ni *NI) hashState(h *invariant.Hasher) {
 	}
 	h.Int(len(ni.csJobs))
 	for _, j := range ni.csJobs {
-		flit.HashPacket(h, j.pkt)
+		w.Packet(flit.Loc{Where: flit.NI}, j.pkt)
 		h.Int(j.slot)
 		h.Byte(byte(j.shareIn))
 		h.Bool(j.hitchhike)
@@ -158,18 +232,20 @@ func (ni *NI) hashState(h *invariant.Hasher) {
 	}
 	h.Int(len(ni.csCur))
 	for _, f := range ni.csCur {
-		flit.HashFlit(h, f)
+		w.Flit(flit.Loc{Where: flit.NI}, f)
 	}
 	h.Int(ni.csIdx)
 
-	hashNodeKeys(h, ni.pending, func(st setupState) {
+	hashSorted(h, ni.pending, func(st setupState) {
 		h.Int(int(st.dst))
 		h.Int(st.attempts)
 	})
-	hashNodeKeys(h, ni.hitchQueued, func(v int) { h.Int(v) })
-	hashNodeKeys(h, ni.backoff, func(c sim.Cycle) { h.Int64(int64(c)) })
-	hashNodeKeys(h, ni.freq, func(v int) { h.Int(v) })
+	hashSorted(h, ni.hitchQueued, func(v int) { h.Int(v) })
+	hashSorted(h, ni.backoff, func(c sim.Cycle) { h.Int64(int64(c)) })
+	hashSorted(h, ni.freq, func(v int) { h.Int(v) })
 	h.Int64(int64(ni.freqResetAt))
+	h.Bool(ni.pins != nil) // nil: no pinning policy; empty: policy active, nothing pinned here
+	hashSorted(h, ni.pins, h.Bool)
 	if ni.dlt != nil {
 		ni.dlt.HashState(h)
 	}
@@ -185,19 +261,10 @@ func (ni *NI) hashState(h *invariant.Hasher) {
 
 	h.Int(len(ni.rx))
 	for _, rf := range ni.rx {
-		flit.HashFlit(h, rf.f)
+		w.Flit(flit.Loc{Where: flit.NI}, rf.f)
 		h.Int64(int64(rf.at))
 	}
-	keys := make([]uint64, 0, len(ni.rxCount))
-	for k := range ni.rxCount {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	h.Int(len(keys))
-	for _, k := range keys {
-		h.Uint64(k)
-		h.Int(ni.rxCount[k])
-	}
+	hashSorted(h, ni.rxCount, func(n int) { h.Int(n) })
 
 	h.Int(len(ni.setupResults))
 	for _, ok := range ni.setupResults {
@@ -206,54 +273,23 @@ func (ni *NI) hashState(h *invariant.Hasher) {
 	h.Int64(ni.TotalSent)
 	h.Int64(ni.TotalEjected)
 	h.Uint64(ni.seq)
+	s0, s1 := ni.rng.State()
+	h.Uint64(s0)
+	h.Uint64(s1)
 }
 
-// hashNodeKeys folds a NodeID-keyed map in sorted-key order.
-func hashNodeKeys[V any](h *invariant.Hasher, m map[topology.NodeID]V, hashVal func(V)) {
-	keys := make([]topology.NodeID, 0, len(m))
+// hashSorted folds a map in sorted-key order, so the hash is independent
+// of Go's randomized map iteration. Keys are never negative: folding them
+// as uint64 is Hasher.Int's encoding.
+func hashSorted[K ~int | ~uint64, V any](h *invariant.Hasher, m map[K]V, hashVal func(V)) {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	h.Int(len(keys))
 	for _, k := range keys {
-		h.Int(int(k))
+		h.Uint64(uint64(k))
 		hashVal(m[k])
-	}
-}
-
-// collectDataPackets calls add with the ID of every data packet that has
-// a flit (or the whole packet) queued in this NI: the packet-switched
-// queue, the in-progress injection streams, the staged flit, waiting
-// circuit-switched jobs, and the receive buffer. Configuration packets
-// are excluded to match the conservation counters.
-func (ni *NI) collectDataPackets(add func(id uint64)) {
-	for i := 0; i < ni.psQ.len(); i++ {
-		if p := ni.psQ.at(i); p.Kind == flit.DataPacket {
-			add(p.ID)
-		}
-	}
-	for _, f := range ni.cur {
-		if f.Pkt.Kind == flit.DataPacket {
-			add(f.Pkt.ID)
-		}
-	}
-	if ni.staged != nil && ni.staged.Pkt.Kind == flit.DataPacket {
-		add(ni.staged.Pkt.ID)
-	}
-	for _, j := range ni.csJobs {
-		if j.pkt.Kind == flit.DataPacket {
-			add(j.pkt.ID)
-		}
-	}
-	for _, f := range ni.csCur {
-		if f.Pkt.Kind == flit.DataPacket {
-			add(f.Pkt.ID)
-		}
-	}
-	for _, rf := range ni.rx {
-		if rf.f.Pkt.Kind == flit.DataPacket {
-			add(rf.f.Pkt.ID)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -106,13 +107,18 @@ type slotOwner struct {
 	out  topology.Port
 }
 
+// validEntries lists rt's valid reservations in (input, slot) order: at
+// the end of time every release grace has run out, so only valid entries
+// still route.
 func validEntries(rt *hybrid.RouterTables) []slotOwner {
 	var out []slotOwner
-	rt.VisitEntries(func(in topology.Port, slot int, e hybrid.SlotEntry) {
-		if e.Valid {
-			out = append(out, slotOwner{in, slot, e.Out})
+	for in := topology.Port(0); in < topology.NumPorts; in++ {
+		for s := 0; s < rt.Active(); s++ {
+			if o, ok := rt.LookupSlot(in, s, math.MaxInt64); ok {
+				out = append(out, slotOwner{in, s, o})
+			}
 		}
-	})
+	}
 	return out
 }
 

@@ -28,9 +28,10 @@ type Network struct {
 	// 0 when serial); observability handles bind to the owner's shard.
 	tileOwner []int
 
-	// checker is the optional runtime invariant layer (nil unless
-	// cfg.CheckInvariants).
+	// checker is the optional runtime invariant layer and census what its
+	// state walk counts (both nil unless cfg.CheckInvariants).
 	checker *invariant.Checker
+	census  *census
 
 	// pools are the packet free lists, one per non-empty executor
 	// partition (empty unless cfg.PoolMessages); sharedPool is the tier
@@ -171,6 +172,8 @@ func New(cfg Config, mk EndpointFactory) *Network {
 	}
 	if cfg.CheckInvariants {
 		n.checker = invariant.NewChecker(cfg.CheckInterval)
+		n.census = &census{mesh: n.mesh, vcs: cfg.Router.VCs, seen: make(map[uint64]struct{}),
+			occ: make([]int, nodes*int(topology.NumPorts)*cfg.Router.VCs)}
 	}
 	return n
 }

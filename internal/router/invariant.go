@@ -9,40 +9,53 @@ import (
 )
 
 // This file is the router's contribution to the optional runtime
-// invariant layer (internal/invariant): a full pipeline-state hash for
-// the determinism digest, the per-VC credit-consistency check, flit
-// enumeration for network-wide conservation, and a fault injector used
-// by the checker's own tests. Everything here runs between cycles (after
-// the transfer phase), when the two-phase contract guarantees out
-// latches toward connected neighbours are drained and pendingCredits is
-// empty.
+// invariant layer (internal/invariant): its one state walk, which the
+// determinism digest, the network's conservation and credit checks and
+// the debug dump all consume, the credit comparison the network runs on
+// what the walks counted, and a fault injector used by the checker's own
+// tests. Everything here runs between cycles (after the transfer phase),
+// when the two-phase contract guarantees out latches toward connected
+// neighbours are drained and pendingCredits is empty.
 
-// hashFlit is a local alias for the shared flit hash.
-func hashFlit(h *invariant.Hasher, f *flit.Flit) { flit.HashFlit(h, f) }
-
-// HashState folds the router's complete mutable pipeline state into h:
-// every register and buffer a flit can sit in, the allocator round-robin
-// pointers, credit and VC-free state, slot tables, gating accumulators
-// and the diagnostic counters. Two runs whose routers hash equal every
-// cycle are executing bit-identically.
-func (r *Router) HashState(h *invariant.Hasher) {
+// Walk is the router's one state walk. It folds the complete mutable
+// pipeline state into w.H — every register and buffer a flit can sit in,
+// the allocator round-robin pointers, credit and VC-free state, the VC
+// gates, the slot tables and the diagnostic counters; two routers whose
+// walks hash equal are executing bit-identically — and visits every flit
+// with its location. With w.Report set it also checks the state it reads:
+// the VC occupancy masks must equal what the VC states and queues they
+// summarise give (a stale bit would make the allocators skip a live VC
+// or let the router sleep on buffered flits), and the slot tables must
+// satisfy their ownership invariants.
+func (r *Router) Walk(w *flit.Walk) {
+	h := w.H
+	var stateMask [numVCStates]uint64
+	var occupied uint64
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		iu := &r.in[p]
-		hashFlit(h, iu.latch)
-		hashFlit(h, iu.linkReg)
+		w.Flit(flit.Loc{Where: flit.InLatch, Port: p}, iu.latch)
+		w.Flit(flit.Loc{Where: flit.LinkReg, Port: p}, iu.linkReg)
 		h.Int(iu.rrVC)
 		for v := range iu.vcs {
 			vc := &iu.vcs[v]
 			h.Int(len(vc.q))
 			for _, f := range vc.q {
-				hashFlit(h, f)
+				w.Flit(flit.Loc{Where: flit.VCQueue, Port: p, VC: v}, f)
 			}
 			h.Byte(byte(vc.state))
 			h.Int64(int64(vc.ready))
 			h.Byte(byte(vc.route))
 			h.Byte(byte(vc.outPort))
 			h.Int(vc.outVC)
+			stateMask[vc.state] |= 1 << vc.idx
+			if !vc.empty() {
+				occupied |= 1 << vc.idx
+			}
 		}
+	}
+	if w.Report != nil && (stateMask != r.stateMask || occupied != r.occupied) {
+		w.Report("mask-consistency", fmt.Sprintf("state masks %x occupied %x, VC states give %x and %x",
+			r.stateMask, r.occupied, stateMask, occupied))
 	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		ou := &r.out[p]
@@ -52,14 +65,14 @@ func (r *Router) HashState(h *invariant.Hasher) {
 		for _, free := range ou.vcFree {
 			h.Bool(free)
 		}
-		hashFlit(h, ou.stReg)
-		hashFlit(h, ou.latch)
+		w.Flit(flit.Loc{Where: flit.STReg, Port: p}, ou.stReg)
+		w.Flit(flit.Loc{Where: flit.OutLatch, Port: p}, ou.latch)
 		h.Int(ou.rrVA)
 		h.Int(ou.rrVC)
 		h.Int(ou.rrIn)
 	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		hashFlit(h, r.csPending[p])
+		w.Flit(flit.Loc{Where: flit.CSPending, Port: p}, r.csPending[p])
 	}
 	h.Int(len(r.pendingCredits))
 	for _, c := range r.pendingCredits {
@@ -83,120 +96,53 @@ func (r *Router) HashState(h *invariant.Hasher) {
 	h.Int64(r.LatchConflicts)
 	h.Int64(r.StolenSlots)
 	if r.tables != nil {
-		r.tables.HashState(h)
+		r.tables.Walk(h, w.Report)
 	}
 }
 
-// CheckInvariants verifies, for every connected non-local output port,
-// that the credit count plus the downstream buffer occupancy equals the
-// buffer depth — the credit-consistency invariant of credit-based flow
-// control. The occupancy of downstream VC v counts the packet-switched
-// flits on VC v in the downstream input's link registers and VC queue,
-// plus this router's own ST register (a switch-allocation winner has
-// already consumed its credit). Circuit-switched flits bypass buffers
-// and use no credits. Must be called between cycles (after the transfer
-// phase), when in-flight credits have been delivered.
-//
-// It also recomputes the VC occupancy masks from the VC states and queues
-// they summarise (a stale bit would make the allocators skip a live VC or
-// let the router sleep on buffered flits) and delegates to the slot
-// tables' ownership check. Violations are passed to report as (kind,
-// detail).
-func (r *Router) CheckInvariants(report func(kind, detail string)) {
-	var stateMask [numVCStates]uint64
-	var occupied uint64
-	for i := range r.vcs {
-		stateMask[r.vcs[i].state] |= 1 << i
-		if !r.vcs[i].empty() {
-			occupied |= 1 << i
-		}
-	}
-	if stateMask != r.stateMask || occupied != r.occupied {
-		report("mask-consistency", fmt.Sprintf("state masks %x occupied %x, VC states give %x and %x",
-			r.stateMask, r.occupied, stateMask, occupied))
-	}
+// CheckCredits verifies, for every connected mesh output, that each
+// downstream VC's credit count plus its occupancy equals the buffer depth
+// — the credit-consistency invariant of credit-based flow control — and
+// passes each violation to report as (kind, detail). occupancy(down, in,
+// v) is what the state walks counted against input VC v of port in of
+// router down: the packet-switched flits in its input latch, link
+// register and VC queue, plus those in the upstream ST register and
+// output latch feeding it (a switch-allocation winner has already
+// consumed its credit). Circuit-switched flits bypass buffers and use no
+// credits. Must be called between cycles, when in-flight credits have
+// been delivered.
+func (r *Router) CheckCredits(occupancy func(down topology.NodeID, in topology.Port, v int) int, report func(kind, detail string)) {
 	for o := topology.Port(0); o < topology.NumPorts; o++ {
 		n := r.neighbors[o]
 		if o == topology.Local || n == nil {
 			continue
 		}
-		ou := &r.out[o]
-		q := o.Opposite()
-		du := &n.in[q]
-		countsToward := func(f *flit.Flit, v int) bool {
-			return f != nil && !f.CS && f.VC == v
-		}
-		for v := range ou.credits {
-			occ := 0
-			if countsToward(ou.stReg, v) {
-				occ++
-			}
-			// Drained after every full step; counted defensively so a
-			// mid-cycle call over-reports rather than misses a flit.
-			if countsToward(ou.latch, v) {
-				occ++
-			}
-			if countsToward(du.linkReg, v) {
-				occ++
-			}
-			if countsToward(du.latch, v) {
-				occ++
-			}
-			if v < len(du.vcs) {
-				occ += len(du.vcs[v].q)
-			}
-			if ou.credits[v]+occ != r.cfg.BufDepth {
+		for v, c := range r.out[o].credits {
+			if occ := occupancy(n.id, o.Opposite(), v); c+occ != r.cfg.BufDepth {
 				report("credit", fmt.Sprintf("output %v vc %d: credits %d + occupancy %d != depth %d",
-					o, v, ou.credits[v], occ, r.cfg.BufDepth))
+					o, v, c, occ, r.cfg.BufDepth))
 			}
 		}
 	}
-	if r.tables != nil {
-		r.tables.CheckConsistency(report)
-	}
 }
 
-// CollectDataPackets calls add with the packet ID of every data packet
-// that has a flit somewhere in this router — input latches, link
-// registers, VC queues, ST registers, output latches and the
-// circuit-switched pending slots. Configuration messages are excluded:
-// conservation is stated over data packets (setup/ack/teardown messages
-// are consumed by the protocol, not ejected).
-func (r *Router) CollectDataPackets(add func(id uint64)) {
-	visit := func(f *flit.Flit) {
-		if f != nil && f.Pkt.Kind == flit.DataPacket {
-			add(f.Pkt.ID)
+// DebugState returns one line per flit the state walk finds in the
+// router — a diagnostic aid for tests chasing stuck flits. A buffered
+// flit's line also shows its VC's pipeline state and grant. An idle
+// router returns nil.
+func (r *Router) DebugState() []string {
+	var out []string
+	r.Walk(&flit.Walk{H: invariant.NewHasher(), Visit: func(loc flit.Loc, p *flit.Packet, f *flit.Flit) {
+		line := fmt.Sprintf("router %d %v: pkt{id=%d kind=%v src=%d dst=%d} seq=%d vc=%d cs=%v",
+			r.id, loc, p.ID, p.Kind, p.Src, p.Dst, f.Seq, f.VC, f.CS)
+		if loc.Where == flit.VCQueue {
+			vc := &r.in[loc.Port].vcs[loc.VC]
+			line += fmt.Sprintf(" state=%d out=%v outVC=%d credits=%v ready=%d",
+				vc.state, vc.outPort, vc.outVC, r.out[vc.outPort].credits, vc.ready)
 		}
-	}
-	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		iu := &r.in[p]
-		visit(iu.latch)
-		visit(iu.linkReg)
-		for v := range iu.vcs {
-			for _, f := range iu.vcs[v].q {
-				visit(f)
-			}
-		}
-		ou := &r.out[p]
-		visit(ou.stReg)
-		visit(ou.latch)
-		visit(r.csPending[p])
-	}
-}
-
-// LocalInputPS returns the number of packet-switched flits on local
-// input VC v — the occupancy the NI's injection credits must account
-// for.
-func (r *Router) LocalInputPS(v int) int {
-	iu := &r.in[topology.Local]
-	occ := len(iu.vcs[v].q)
-	if f := iu.latch; f != nil && !f.CS && f.VC == v {
-		occ++
-	}
-	if f := iu.linkReg; f != nil && !f.CS && f.VC == v {
-		occ++
-	}
-	return occ
+		out = append(out, line)
+	}})
+	return out
 }
 
 // FaultDropCredit silently discards one credit for (port, vc) — a

@@ -36,7 +36,8 @@ type Router struct {
 	// state s, and occupied while vcs[i] holds a flit. The compute phase
 	// iterates these instead of scanning every VC, so its cost follows
 	// the live VCs. They are derived state — inputVC.state and q stay
-	// authoritative, and CheckInvariants recomputes the masks from them.
+	// authoritative, and the checked state walk (Walk) recomputes the
+	// masks from them.
 	vcs       []inputVC
 	stateMask [numVCStates]uint64
 	occupied  uint64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tdmnoc/internal/flit"
+	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
@@ -682,14 +683,16 @@ func TestEventTracing(t *testing.T) {
 }
 
 // TestMaskConsistencyInvariant drives traffic through every pipeline
-// state and checks that CheckInvariants finds the occupancy masks in
-// step with the VC states after each cycle — and that it reports a
+// state and checks that the checked state walk finds the occupancy masks
+// in step with the VC states after each cycle — and that it reports a
 // mask-consistency violation once a mask bit is flipped behind its back.
 func TestMaskConsistencyInvariant(t *testing.T) {
 	h := newRow(t, 3, DefaultConfig())
 	check := func() (kinds []string) {
 		for _, r := range h.routers {
-			r.CheckInvariants(func(kind, detail string) { kinds = append(kinds, kind+": "+detail) })
+			r.Walk(&flit.Walk{H: invariant.NewHasher(), Report: func(kind, detail string) {
+				kinds = append(kinds, kind+": "+detail)
+			}})
 		}
 		return kinds
 	}

@@ -79,6 +79,10 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// State returns the generator's two state words (for the determinism
+// digest: two generators with equal state draw equal streams).
+func (r *RNG) State() (s0, s1 uint64) { return r.s0, r.s1 }
+
 // Fork derives a new independent generator from this one, suitable for
 // handing to a child entity so the parent and child streams stay decoupled.
 func (r *RNG) Fork() *RNG {
