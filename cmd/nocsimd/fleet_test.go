@@ -63,6 +63,28 @@ func TestCoordinatorMode(t *testing.T) {
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 
+	// Specs the fleet cannot run faithfully are 400s that admit nothing.
+	for name, body := range map[string]string{
+		"unknown mix": `{"spec":{"modes":["tdm"],"patterns":["mix:EQUAKE+NOPE"]}}`,
+		"sdm mix":     `{"spec":{"modes":["sdm"],"patterns":["mix:EQUAKE+LPS"]}}`,
+		// Workers run plain grid jobs; the policy loop runs locally only.
+		"policy_profile": `{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"policy_profile":{"policies":["greedy"]}}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/fleet/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: fleet submit status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	var listed []fleet.CampaignStatus
+	getJSON(t, ts.URL+"/fleet/campaigns", &listed)
+	if len(listed) != 0 {
+		t.Fatalf("rejected fleet submits admitted %d campaigns", len(listed))
+	}
+
 	spec := `{"tenant":"ci","spec":{
 		"modes":["tdm"],"patterns":["transpose","mix:EQUAKE+LPS"],
 		"meshes":[{"width":4,"height":4}],

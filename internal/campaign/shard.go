@@ -19,32 +19,31 @@ type Shard struct {
 // NumShards is the shard count of the spec's job grid at the given
 // shard size (0 for an invalid spec or non-positive size).
 func (s Spec) NumShards(size int) int {
-	if size <= 0 {
+	n := s.Jobs()
+	if size <= 0 || n == 0 {
 		return 0
 	}
-	n := s.Jobs()
-	return (n + size - 1) / size
+	return (n-1)/size + 1 // ceil(n/size), even for a size near MaxInt
 }
 
-// ShardJobs expands shard index of the spec's deterministic job list
-// at the given shard size. The expansion order is identical on every
-// host (see Expand), so a coordinator and any worker derive the same
-// jobs for the same (spec, index, size) triple.
+// ShardJobs builds shard index of the spec's deterministic job list at
+// the given shard size. It runs Expand's own loop nest over just the
+// shard's range (see expand), so a coordinator and any worker derive
+// the same jobs for the same (spec, index, size) triple, and a lease
+// costs the shard's jobs rather than the whole grid's. Only the
+// shard's own configs are validated.
 func (s Spec) ShardJobs(index, size int) ([]Job, error) {
+	if err := s.Normalize(); err != nil {
+		return nil, err
+	}
+	n := s.gridSize()
 	if size <= 0 {
 		return nil, fmt.Errorf("campaign: shard size %d invalid", size)
 	}
-	jobs, err := s.Expand()
-	if err != nil {
-		return nil, err
+	// index <= (n-1)/size keeps index*size below n, so nothing overflows.
+	if index < 0 || index > (n-1)/size {
+		return nil, fmt.Errorf("campaign: shard %d out of range (%d jobs, size %d)", index, n, size)
 	}
 	lo := index * size
-	if index < 0 || lo >= len(jobs) {
-		return nil, fmt.Errorf("campaign: shard %d out of range (%d jobs, size %d)", index, len(jobs), size)
-	}
-	hi := lo + size
-	if hi > len(jobs) {
-		hi = len(jobs)
-	}
-	return jobs[lo:hi], nil
+	return s.expand(lo, lo+min(size, n-lo))
 }

@@ -226,46 +226,6 @@ func TestShardedStoreFailsOnMidFileCorruption(t *testing.T) {
 	}
 }
 
-func TestShardHelpers(t *testing.T) {
-	spec := Spec{
-		Modes:         []string{"tdm"},
-		Patterns:      []string{"ur"},
-		Rates:         []float64{0.05, 0.10, 0.15},
-		Seeds:         []uint64{1, 2, 3},
-		WarmupCycles:  100,
-		MeasureCycles: 100,
-	} // 9 jobs
-	if got := spec.NumShards(4); got != 3 {
-		t.Fatalf("NumShards(4) = %d, want 3", got)
-	}
-	if got := spec.NumShards(0); got != 0 {
-		t.Fatalf("NumShards(0) = %d, want 0", got)
-	}
-	all, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var derived []Job
-	for i := 0; i < spec.NumShards(4); i++ {
-		part, err := spec.ShardJobs(i, 4)
-		if err != nil {
-			t.Fatalf("ShardJobs(%d): %v", i, err)
-		}
-		derived = append(derived, part...)
-	}
-	if len(derived) != len(all) {
-		t.Fatalf("shards cover %d jobs, want %d", len(derived), len(all))
-	}
-	for i := range all {
-		if derived[i].Key != all[i].Key {
-			t.Fatalf("job %d: shard derivation diverges from Expand", i)
-		}
-	}
-	if _, err := spec.ShardJobs(99, 4); err == nil {
-		t.Fatal("expected out-of-range shard to error")
-	}
-}
-
 // TestTornTrailerThenAppendSurvivesReopen is the scenario the stores
 // exist for, through each public front-end: a crash tears the last
 // append, the campaign is resumed on the same file and appends again,

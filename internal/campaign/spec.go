@@ -363,7 +363,18 @@ func (s Spec) Expand() ([]Job, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
-	var jobs []Job
+	return s.expand(0, s.gridSize())
+}
+
+// expand builds jobs [lo, hi) of a normalized spec's job list. It is
+// the one place the axis order lives: Expand takes the whole range and
+// ShardJobs one shard of it. The nest counts every job index but builds
+// (and validates) only those in range, steps over a seed run lying
+// wholly below lo in one addition, and returns once the index reaches
+// hi — so a shard costs its own jobs plus an integer walk of the grid.
+func (s *Spec) expand(lo, hi int) ([]Job, error) {
+	jobs := make([]Job, 0, hi-lo)
+	next := 0 // index of the next job in the full list
 	for _, modeName := range s.Modes {
 		mode, err := ParseMode(modeName)
 		if err != nil {
@@ -388,7 +399,19 @@ func (s Spec) Expand() ([]Job, error) {
 			for _, mesh := range s.Meshes {
 				for _, slot := range slots {
 					for _, rate := range rates {
+						if next+len(s.Seeds) <= lo {
+							next += len(s.Seeds)
+							continue
+						}
 						for _, seed := range s.Seeds {
+							i := next
+							next++
+							if i < lo {
+								continue
+							}
+							if i == hi {
+								return jobs, nil
+							}
 							cfg := hsnoc.DefaultConfig(mesh.Width, mesh.Height)
 							cfg.Mode = mode
 							cfg.Seed = seed

@@ -299,11 +299,15 @@ func (c *Coordinator) Idle() bool {
 // Submit admits a campaign: normalizes and expands the spec, fast-
 // completes shards whose every record is already in the store, and
 // queues the rest for lease. Errors: ErrDraining, *QuotaError, or a
-// spec validation error.
+// spec validation error. A policy_profile spec is one: workers run plain
+// grid jobs, so admitting it would silently skip the policy comparison.
 func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	spec := req.Spec
 	if err := spec.Normalize(); err != nil {
 		return SubmitResponse{}, err
+	}
+	if spec.PolicyProfile != nil {
+		return SubmitResponse{}, errors.New("fleet: policy_profile specs run locally (sweep -policies, or nocsimd without -coordinator); fleet workers run plain grid jobs only")
 	}
 	n := spec.Jobs()
 	if n == 0 {
