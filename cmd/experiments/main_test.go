@@ -4,19 +4,40 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/fleet"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/stats"
 )
 
 // experiments runs the command in-process the way main does.
 func experiments(args ...string) (code int, stdout, stderr string) {
+	return experimentsWith(nil, args...)
+}
+
+// experimentsWith runs the command with runner executing its jobs (nil
+// = the simulator).
+func experimentsWith(runner campaign.Runner, args ...string) (code int, stdout, stderr string) {
 	var out, errOut bytes.Buffer
-	code = run(args, &out, &errOut)
+	code = (&runConfig{stdout: &out, stderr: &errOut, runner: runner}).main(args)
 	return code, out.String(), errOut.String()
+}
+
+// instant is a Runner that returns a fixed, non-empty record at once.
+func instant(_ context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
+	return stats.RunRecord{Runs: 1, Cycles: int64(j.Measure), Packets: 100, EnergyPJ: 1000, PayloadCycles: 0.1 * float64(j.Measure),
+		CPUInstructions: 500, GPUIterations: 50, GPUFlitCycles: 10, GPUCSFlitCycles: 5,
+		DynamicPJ: map[string]float64{"buffer": 600}, StaticPJ: map[string]float64{"buffer": 400}}, nil, nil
 }
 
 // The rows below were printed by the commit before fig8/table3 moved
@@ -79,17 +100,12 @@ func TestUnknownExperimentExitsTwo(t *testing.T) {
 // NaN, +Inf or a figure computed from an empty record — the job's error
 // must reach stderr, and the command must exit 1.
 func TestFailedJobPrintsNAAndExitsOne(t *testing.T) {
-	instant := func(j campaign.Job) stats.RunRecord {
-		return stats.RunRecord{Runs: 1, Cycles: int64(j.Measure), Packets: 100, EnergyPJ: 1000, PayloadCycles: 0.1 * float64(j.Measure),
-			CPUInstructions: 500, GPUIterations: 50, GPUFlitCycles: 10, GPUCSFlitCycles: 5,
-			DynamicPJ: map[string]float64{"buffer": 600}, StaticPJ: map[string]float64{"buffer": 400}}
-	}
 	failing := func(label string) campaign.Runner {
-		return func(_ context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
+		return func(ctx context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
 			if strings.Contains(j.Label, label) {
 				return stats.RunRecord{}, nil, errors.New("injected failure")
 			}
-			return instant(j), nil, nil
+			return instant(ctx, j)
 		}
 	}
 	for _, tc := range []struct {
@@ -116,22 +132,205 @@ func TestFailedJobPrintsNAAndExitsOne(t *testing.T) {
 		{"ablation", "Packet-VC4", []string{"full hybrid                     0.0        n/a"}},
 		{"granularity", "TDM-64-slots", []string{"TDM-64-slots            0.0        n/a", "TDM-16-slots            0.0       0.0%"}},
 	} {
-		var out, errOut bytes.Buffer
-		rc := &runConfig{stdout: &out, stderr: &errOut, runner: failing(tc.fail)}
-		code := rc.main([]string{"-exp", tc.exp, "-quick", "-mixes", "2", "-workers", "2"})
+		code, out, errOut := experimentsWith(failing(tc.fail), "-exp", tc.exp, "-quick", "-mixes", "2", "-workers", "2")
 		if code != 1 {
 			t.Errorf("%s with %s failing: exit %d, want 1", tc.exp, tc.fail, code)
 		}
-		if !strings.Contains(errOut.String(), "failed: injected failure") || !strings.Contains(errOut.String(), tc.fail) {
-			t.Errorf("%s: stderr does not name the failed job %s:\n%s", tc.exp, tc.fail, errOut.String())
+		if !strings.Contains(errOut, "failed: injected failure") || !strings.Contains(errOut, tc.fail) {
+			t.Errorf("%s: stderr does not name the failed job %s:\n%s", tc.exp, tc.fail, errOut)
 		}
 		for _, want := range tc.want {
-			if !strings.Contains(out.String(), want) {
-				t.Errorf("%s with %s failing: output lacks %q:\n%s", tc.exp, tc.fail, want, out.String())
+			if !strings.Contains(out, want) {
+				t.Errorf("%s with %s failing: output lacks %q:\n%s", tc.exp, tc.fail, want, out)
 			}
 		}
-		if s := out.String(); strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
-			t.Errorf("%s with %s failing printed NaN/Inf:\n%s", tc.exp, tc.fail, s)
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Errorf("%s with %s failing printed NaN/Inf:\n%s", tc.exp, tc.fail, out)
 		}
+	}
+}
+
+const (
+	table3Spec    = "../../scenarios/table3.json"
+	fig4Policy    = "../../scenarios/fig4_policy.json"
+	fig4QuickSpec = "../../examples/specs/fig4-quick.json"
+)
+
+// TestSpecRowsAndResume runs a plain spec twice against one record
+// store. The value columns (all but the label) were printed by the
+// sweep command's -spec before it folded into this one. The second run
+// is served entirely from the store, prints the same bytes and leaves
+// the store file as it was.
+func TestSpecRowsAndResume(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "table3.jsonl")
+	code, out, errOut := experiments("-spec", table3Spec, "-results", store, "-workers", "2")
+	if code != 0 || errOut != "experiments: 7 jobs, 0 served from cache, 0 failed\n" {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	want := `label,offered,accepted,payload_accepted,net_latency,total_latency,cs_fraction,energy_pj
+Hybrid-TDM/mix:EQUAKE+BLACKSCHOLES/6x6/seed1,0.000,0.2216,0.3657,22.23,56.71,0.3420,1780563
+Hybrid-TDM/mix:EQUAKE+HOTSPOT/6x6/seed1,0.000,0.1048,0.1684,20.35,33.99,0.2648,1188365
+Hybrid-TDM/mix:EQUAKE+LIB/6x6/seed1,0.000,0.2877,0.4652,34.20,59.77,0.1986,2250500
+Hybrid-TDM/mix:EQUAKE+LPS/6x6/seed1,0.000,0.2503,0.4087,24.09,54.79,0.3065,1939398
+Hybrid-TDM/mix:EQUAKE+NN/6x6/seed1,0.000,0.2886,0.4763,38.20,77.92,0.2152,2239384
+Hybrid-TDM/mix:EQUAKE+PATHFINDER/6x6/seed1,0.000,0.1588,0.2630,19.62,48.15,0.3689,1432711
+Hybrid-TDM/mix:EQUAKE+STO/6x6/seed1,0.000,0.0643,0.0997,22.51,25.80,0.0756,988427
+`
+	if out != want {
+		t.Errorf("table3 spec printed\n%s\nwant\n%s", out, want)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	code, again, errOut := experiments("-spec", table3Spec, "-results", store, "-workers", "2")
+	if code != 0 || errOut != "experiments: 7 jobs, 7 served from cache, 0 failed\n" {
+		t.Fatalf("cached re-run: exit %d, stderr %q", code, errOut)
+	}
+	if again != out {
+		t.Errorf("cached re-run printed\n%s\nfirst run\n%s", again, out)
+	}
+	if after, _ := os.ReadFile(store); !bytes.Equal(after, before) {
+		t.Error("the cached re-run rewrote the record store")
+	}
+}
+
+// TestSpecPolicyLoop: a policy_profile spec prints the policy
+// comparison, anchored on a static row with zero delta, and the greedy
+// demand-budget policy improves energy per flit on every grid point.
+func TestSpecPolicyLoop(t *testing.T) {
+	code, out, errOut := experiments("-spec", fig4Policy, "-workers", "2")
+	if code != 0 || errOut != "" {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if lines[0] != "label,policy,pins,base_energy_per_flit_pj,energy_per_flit_pj,energy_delta_pct,base_latency,latency,latency_delta_pct,throughput" {
+		t.Fatalf("header %q", lines[0])
+	}
+	greedy := 0
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		switch f[1] {
+		case "static":
+			if f[5] != "+0.00" {
+				t.Errorf("static row has energy delta %s: %s", f[5], line)
+			}
+		case "greedy":
+			greedy++
+			if d, err := strconv.ParseFloat(f[5], 64); err != nil || d >= 0 {
+				t.Errorf("greedy does not improve energy per flit: %s", line)
+			}
+		}
+	}
+	if greedy != 2 {
+		t.Errorf("%d greedy rows, want 2:\n%s", greedy, out)
+	}
+}
+
+// TestResultsServeFiguresUnderTheirOwnLabels: fig5 and fig4 share job
+// keys under different labels, so fig4 served from a store fig5 filled
+// must still print its own labels — byte-identical to a storeless run.
+func TestResultsServeFiguresUnderTheirOwnLabels(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "figs.jsonl")
+	if code, _, errOut := experimentsWith(instant, "-exp", "fig5", "-quick", "-results", store); code != 0 {
+		t.Fatalf("fig5: exit %d, stderr %q", code, errOut)
+	}
+	_, cached, _ := experimentsWith(instant, "-exp", "fig4", "-quick", "-results", store)
+	_, fresh, _ := experimentsWith(instant, "-exp", "fig4", "-quick")
+	if cached != fresh || !strings.Contains(fresh, "Packet-VC4 ") {
+		t.Errorf("fig4 from fig5's store printed\n%s\nwithout a store\n%s", cached, fresh)
+	}
+}
+
+// TestSpecOnFleet submits a plain spec to an in-process coordinator
+// with one worker, behind a front that refuses the first submit with
+// 429 and Retry-After: 1. The client waits the advertised second,
+// resubmits, and prints the CSV of a local run byte for byte.
+func TestSpecOnFleet(t *testing.T) {
+	store, err := campaign.OpenShardedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord, err := fleet.NewCoordinator(fleet.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	var refused atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/fleet/campaigns" && refused.CompareAndSwap(false, true) {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	worker, err := fleet.NewWorker(fleet.WorkerOptions{Coordinator: srv.URL, Name: "w1", Workers: 2,
+		PollInterval: 10 * time.Millisecond, Runner: instant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); worker.Run(ctx) }()
+	defer func() { cancel(); <-stopped }()
+
+	start := time.Now()
+	code, out, errOut := experimentsWith(instant, "-spec", fig4QuickSpec, "-fleet", srv.URL, "-tenant", "test")
+	if code != 0 {
+		t.Fatalf("fleet run: exit %d, stderr:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "coordinator busy (429), retrying in 1s") || time.Since(start) < time.Second {
+		t.Errorf("the 429's Retry-After was not honoured (%v); stderr:\n%s", time.Since(start), errOut)
+	}
+	code, local, errOut := experimentsWith(instant, "-spec", fig4QuickSpec)
+	if code != 0 {
+		t.Fatalf("local run: exit %d, stderr %q", code, errOut)
+	}
+	if out != local || strings.Count(out, "\n") != 25 {
+		t.Errorf("fleet CSV\n%s\nlocal CSV\n%s", out, local)
+	}
+}
+
+// TestSpecBadInvocationsExitTwo: a flag the chosen mode cannot honour,
+// or a spec that cannot run, is refused before anything is opened.
+func TestSpecBadInvocationsExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	results := filepath.Join(dir, "never.jsonl")
+	badSpec := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(badSpec, []byte(`{"modes":["tdm"],"patterns":["tornado"],"rates":[0.1],"cycles":5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const url = "http://127.0.0.1:1"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-spec", table3Spec, "-exp", "table3"}, "-exp shapes a built-in experiment"},
+		{[]string{"-spec", table3Spec, "-quick"}, "-quick shapes a built-in experiment"},
+		{[]string{"-spec", table3Spec, "-mixes", "4"}, "-mixes shapes a built-in experiment"},
+		{[]string{"-spec", table3Spec, "-seed", "2"}, "-seed shapes a built-in experiment"},
+		{[]string{"-fleet", url}, "-fleet submits a -spec"},
+		{[]string{"-fleet", url, "-exp", "fig4"}, "-fleet submits a -spec"},
+		{[]string{"-spec", fig4Policy, "-fleet", url}, "not supported with -fleet"},
+		{[]string{"-spec", table3Spec, "-fleet", url, "-results", results}, "-results persists local runs"},
+		{[]string{"-spec", table3Spec, "-profiles", results}, "-profiles feeds the policy loop"},
+		{[]string{"-exp", "table1", "-profiles", results}, "-profiles feeds the policy loop"},
+		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "missing.json"},
+		{[]string{"-spec", badSpec}, `unknown field "cycles"`},
+	} {
+		code, out, errOut := experiments(tc.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 mentioning %q", tc.args, code, out, errOut, tc.want)
+		}
+	}
+	if _, err := os.Stat(results); !os.IsNotExist(err) {
+		t.Errorf("a refused invocation created %s", results)
 	}
 }

@@ -3,10 +3,13 @@
 //	nocsim -mode tdm -pattern tornado -rate 0.15 -cycles 40000
 //	nocsim -mode packet -pattern ur -rate 0.3
 //	nocsim -mode tdm -hetero -cpu EQUAKE -gpu BLACKSCHOLES
+//	nocsim -mode tdm -replay tor.trace -trace-out tor.perfetto.json
 //
 // Modes: packet (Packet-VC4 baseline), tdm (Hybrid-TDM), sdm (Hybrid-SDM
 // baseline). TDM options: -sharing (hitchhiker/vicinity path sharing),
 // -vcgating (aggressive VC power gating), -slots N (slot-table capacity).
+// -replay injects a trace written by tracegen on the trace's own mesh and
+// runs it to completion: past its last event, then drained.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/textplot"
+	"tdmnoc/internal/trace"
 )
 
 // validateFlags rejects flag combinations that would panic, hang, or
@@ -88,7 +92,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: parse args, build one simulator from the
 // workload flags, then attach → warm up → measure → print → profile →
-// check → heatmap → trace, the same sequence for every workload. It
+// check → heatmap → trace, the same sequence for every workload (a
+// replay measures from cycle 0 through its drain instead). It
 // returns the process exit code (2 = bad invocation, 1 = failed run).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
@@ -122,6 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policySpec := fs.String("policy", "", "re-run the profiled workload under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (requires -profile-in)")
 	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
 	adaptiveTopK := fs.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
+	replay := fs.String("replay", "", "replay this trace file (written by tracegen) on its own mesh until every packet lands, instead of synthetic traffic (packet/tdm)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -131,6 +137,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, err)
 		return code
+	}
+
+	// A replay's workload, mesh and run length all come from the trace,
+	// so the flags that would set them are refused rather than ignored.
+	var tr *trace.Trace
+	if *replay != "" {
+		var clash error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "hetero", "pattern", "rate", "width", "height", "warmup", "cycles", "packets":
+				clash = fmt.Errorf("nocsim: -%s does not apply to -replay (the trace fixes the workload, the mesh and the run length)", f.Name)
+			}
+		})
+		if clash != nil {
+			return fail(2, clash)
+		}
+		f, err := os.Open(*replay)
+		if err != nil {
+			return fail(2, err)
+		}
+		tr, err = trace.Load(f)
+		f.Close()
+		if err != nil {
+			return fail(2, fmt.Errorf("nocsim: %s: %w", *replay, err))
+		}
+		*width, *height = tr.Width, tr.Height
 	}
 
 	// campaign.ParseMode/ParsePattern are the one home of the CLI name
@@ -207,12 +239,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// which one ran.
 	var s *hsnoc.Simulator
 	var what string
-	if *hetero {
+	switch {
+	case tr != nil:
+		if s, err = hsnoc.NewReplay(cfg, tr); err != nil {
+			return fail(2, err)
+		}
+		what = fmt.Sprintf("replay of %s (%d events)", *replay, len(tr.Events))
+	case *hetero:
 		if s, err = hsnoc.NewHeterogeneous(cfg, *cpuB, *gpuB); err != nil {
 			return fail(2, err)
 		}
 		what = fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
-	} else {
+	default:
 		p, err := campaign.ParsePattern(*pattern)
 		if err != nil {
 			return fail(2, err)
@@ -235,15 +273,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, err)
 		}
 	}
-	s.Warmup(*warmup)
 	var res hsnoc.Results
-	if *packets > 0 {
+	switch {
+	case tr != nil:
+		// A replay needs no warm-up (its cycle 0 is the trace's) and
+		// ends when every recorded packet has landed.
+		s.Run(int(tr.Duration()) + 10)
+		if !s.Drain(200000) {
+			return fail(1, errors.New("nocsim: replay failed to drain within 200000 cycles"))
+		}
+		res = s.Run(0) // the measured region now includes the drain
+	case *packets > 0:
+		s.Warmup(*warmup)
 		res = s.RunUntilPackets(int64(*packets), *cycles)
 		if res.Packets < int64(*packets) {
 			fmt.Fprintf(stderr, "nocsim: only %d of %d target packets delivered within %d cycles\n",
 				res.Packets, *packets, *cycles)
 		}
-	} else {
+	default:
+		s.Warmup(*warmup)
 		res = s.Run(*cycles)
 	}
 
@@ -328,7 +376,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		rec := s.Telemetry()
 		fmt.Fprintf(stdout, "  trace                   %s (%d events recorded, %d dropped)\n",
-			*traceOut, rec.Ring().Len(), rec.Dropped())
+			*traceOut, rec.Events(), rec.Dropped())
 	}
 	d := s.Diagnose()
 	if d.MisroutedCS != 0 || d.DroppedCS != 0 || d.LatchConflicts != 0 {

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/topology"
+	"tdmnoc/internal/trace"
 )
 
 func TestParseMode(t *testing.T) {
@@ -174,10 +179,74 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-mode", "sdm", "-check"}, "CheckInvariants is not available for HybridSDM"},
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
+		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},
+		{[]string{"-replay", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
 	} {
 		code, _, errOut := nocsim(tc.args...)
 		if code != 2 || !strings.Contains(errOut, tc.want) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 mentioning %q", tc.args, code, errOut, tc.want)
 		}
+	}
+}
+
+// number returns the integer captured by pattern's one group in out.
+func number(t *testing.T, out, pattern string) int64 {
+	t.Helper()
+	m := regexp.MustCompile(pattern).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("output lacks %s:\n%s", pattern, out)
+	}
+	n, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestReplayDeliversEveryTraceEvent: -replay takes the mesh from the
+// trace, runs it to completion through the common run path (here on a
+// parallel, checked executor) and delivers one packet per trace event.
+func TestReplayDeliversEveryTraceEvent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "transpose.trace")
+	tr := trace.Synthesize(hsnoc.Transpose, topology.NewMesh(4, 4), 0.2, 5, 3000, 1)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	code, out, errOut := nocsim("-replay", path, "-workers", "2", "-check")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	if got := number(t, out, `delivered packets\s+(\d+)`); got != int64(len(tr.Events)) {
+		t.Errorf("delivered %d packets, the trace holds %d events", got, len(tr.Events))
+	}
+	for _, want := range []string{fmt.Sprintf("Hybrid-TDM, replay of %s (%d events)", path, len(tr.Events)), "invariants              clean"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTraceOutCountsEveryShard: the trace line counts the events of
+// every worker shard — the file it reports on merges them all — so the
+// count does not depend on -workers.
+func TestTraceOutCountsEveryShard(t *testing.T) {
+	dir := t.TempDir()
+	var counts []int64
+	for _, w := range []string{"1", "2"} {
+		code, out, errOut := nocsim("-width", "4", "-height", "4", "-warmup", "200", "-cycles", "1000",
+			"-workers", w, "-trace-out", filepath.Join(dir, w+".json"))
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d, stderr %q", w, code, errOut)
+		}
+		counts = append(counts, number(t, out, `\((\d+) events recorded`))
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("events recorded: %d at -workers 1, %d at -workers 2", counts[0], counts[1])
 	}
 }

@@ -7,36 +7,26 @@ import (
 
 func TestValidateActions(t *testing.T) {
 	cases := []struct {
-		name              string
-		out, info, replay string
-		wantErr           string // substring; "" means valid
+		name      string
+		out, info string
+		wantErr   string // substring; "" means valid
 	}{
-		{name: "none set", wantErr: "one of -out, -info or -replay is required"},
+		{name: "none set", wantErr: "one of -out or -info is required"},
 		{name: "out only", out: "a.trace"},
 		{name: "info only", info: "a.trace"},
-		{name: "replay only", replay: "a.trace"},
 		{name: "out+info", out: "a.trace", info: "a.trace", wantErr: "mutually exclusive"},
-		{name: "out+replay", out: "a.trace", replay: "a.trace", wantErr: "mutually exclusive"},
-		{name: "info+replay", info: "a.trace", replay: "a.trace", wantErr: "mutually exclusive"},
-		{name: "all three", out: "a", info: "b", replay: "c", wantErr: "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateActions(tc.out, tc.info, tc.replay)
+			err := validateActions(tc.out, tc.info)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateActions(%q, %q, %q) = %v, want nil",
-						tc.out, tc.info, tc.replay, err)
+					t.Fatalf("validateActions(%q, %q) = %v, want nil", tc.out, tc.info, err)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("validateActions(%q, %q, %q) = nil, want error containing %q",
-					tc.out, tc.info, tc.replay, tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validateActions(%q, %q, %q) = %q, want substring %q",
-					tc.out, tc.info, tc.replay, err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("validateActions(%q, %q) = %v, want error containing %q", tc.out, tc.info, err, tc.wantErr)
 			}
 		})
 	}

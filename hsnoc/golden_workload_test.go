@@ -30,7 +30,8 @@ type heteroPin struct {
 	Diagnose         Diagnostics `json:"diagnose"`
 }
 
-// replayPin is the figure set `tracegen -replay` prints.
+// replayPin is the figure set `tracegen -replay` printed before replay
+// moved into `nocsim -replay`.
 type replayPin struct {
 	Mode            string  `json:"mode"`
 	Packets         int64   `json:"packets"`

@@ -79,6 +79,24 @@ func TestSpecSlotAxisCollapsesForNonTDM(t *testing.T) {
 	if len(jobs) != 12 {
 		t.Fatalf("expanded %d jobs, want 12 (slot axis must collapse for packet mode)", len(jobs))
 	}
+	// Two slot-table points are two jobs per (rate, seed), and labels
+	// tell them apart; one point keeps the label without a slot tag.
+	labels := map[string]bool{}
+	for _, j := range jobs {
+		if labels[j.Label] {
+			t.Errorf("duplicate label %s", j.Label)
+		}
+		labels[j.Label] = true
+	}
+	for _, want := range []string{"Packet-VC4/TOR/4x4/r0.050/seed1", "Hybrid-TDM/TOR/4x4/s64/r0.050/seed1", "Hybrid-TDM/TOR/4x4/s128/r0.100/seed2"} {
+		if !labels[want] {
+			t.Errorf("no job labelled %s", want)
+		}
+	}
+	one, _ := testSpec().Expand()
+	if got := one[4].Label; got != "Hybrid-TDM/TOR/4x4/r0.050/seed1" {
+		t.Errorf("single slot point labelled %s", got)
+	}
 }
 
 // TestSpecRateAxisCollapsesForMix is the same rule for the other

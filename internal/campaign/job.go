@@ -43,8 +43,8 @@ type Job struct {
 }
 
 // NewJob builds a synthetic-traffic job and computes its cache key. It
-// is the bridge for drivers (cmd/experiments, cmd/sweep) that construct
-// configs programmatically rather than through a Spec.
+// is the bridge for drivers (cmd/experiments' built-in figures) that
+// construct configs programmatically rather than through a Spec.
 func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measure int, label string) Job {
 	return Job{Label: label, Pattern: pattern, Rate: rate, PatternName: pattern.String(),
 		Warmup: warmup, Measure: measure}.withConfig(cfg)

@@ -10,9 +10,9 @@
 //
 // The paper's whole evaluation — and the profile-driven sweeps of the
 // related hybrid-switching literature — is exactly this workload: a
-// large grid of independent (config, seed) simulations. cmd/sweep,
-// cmd/experiments and the cmd/nocsimd HTTP service all execute through
-// this one engine.
+// large grid of independent (config, seed) simulations. cmd/experiments
+// (built-in figures and spec files alike) and the cmd/nocsimd HTTP
+// service both execute through this one engine.
 package campaign
 
 import (
@@ -398,6 +398,13 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 			}
 			for _, mesh := range s.Meshes {
 				for _, slot := range slots {
+					// Labels name the slot-table point only where the
+					// axis has more than one, so single-point labels
+					// keep their historical spelling.
+					slotTag := ""
+					if len(slots) > 1 {
+						slotTag = fmt.Sprintf("/s%d", slot)
+					}
 					for _, rate := range rates {
 						if next+len(s.Seeds) <= lo {
 							next += len(s.Seeds)
@@ -432,10 +439,10 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							}
 							var j Job
 							if mix {
-								label := fmt.Sprintf("%v/%s/%dx%d/seed%d", mode, patName, mesh.Width, mesh.Height, seed)
+								label := fmt.Sprintf("%v/%s/%dx%d%s/seed%d", mode, patName, mesh.Width, mesh.Height, slotTag, seed)
 								j = NewMixJob(cfg, cpu, gpu, s.WarmupCycles, s.MeasureCycles, label)
 							} else {
-								label := fmt.Sprintf("%v/%v/%dx%d/r%.3f/seed%d", mode, pat, mesh.Width, mesh.Height, rate, seed)
+								label := fmt.Sprintf("%v/%v/%dx%d%s/r%.3f/seed%d", mode, pat, mesh.Width, mesh.Height, slotTag, rate, seed)
 								j = NewJob(cfg, pat, rate, s.WarmupCycles, s.MeasureCycles, label)
 							}
 							if s.TelemetryEvery > 0 {

@@ -307,7 +307,7 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 		return SubmitResponse{}, err
 	}
 	if spec.PolicyProfile != nil {
-		return SubmitResponse{}, errors.New("fleet: policy_profile specs run locally (sweep -policies, or nocsimd without -coordinator); fleet workers run plain grid jobs only")
+		return SubmitResponse{}, errors.New("fleet: policy_profile specs run locally (experiments -spec, or nocsimd without -coordinator); fleet workers run plain grid jobs only")
 	}
 	n := spec.Jobs()
 	if n == 0 {

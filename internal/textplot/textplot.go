@@ -1,7 +1,7 @@
 // Package textplot renders small ASCII line charts for terminal output —
 // enough to see a load-latency knee or an energy curve without leaving
-// the shell. cmd/sweep and the examples use it to visualise Fig. 4/5
-// style results.
+// the shell. The observability layer draws its telemetry time series
+// with it, and nocsim its utilisation heatmaps.
 package textplot
 
 import (

@@ -30,15 +30,25 @@ cleanup() {
 }
 trap cleanup EXIT
 
-SWEEP_ARGS=(-mode tdm -pattern tornado -width 10 -height 10
-    -from 0.02 -to 0.20 -step 0.02 -warmup 8000 -cycles 72000)
+SPEC="$TMP/sweep.json"
+cat > "$SPEC" <<'EOF'
+{
+  "name": "fleet-smoke",
+  "modes": ["tdm"],
+  "patterns": ["tornado"],
+  "meshes": [{"width": 10, "height": 10}],
+  "rates": [0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20],
+  "warmup_cycles": 8000,
+  "measure_cycles": 72000
+}
+EOF
 
 echo "== build"
 go build -o "$BIN/nocsimd" ./cmd/nocsimd
-go build -o "$BIN/sweep" ./cmd/sweep
+go build -o "$BIN/experiments" ./cmd/experiments
 
 echo "== serial reference run"
-"$BIN/sweep" "${SWEEP_ARGS[@]}" > "$TMP/serial.csv"
+"$BIN/experiments" -spec "$SPEC" > "$TMP/serial.csv"
 
 JOURNAL="$TMP/coord/fleet.journal"
 start_coordinator() {
@@ -73,7 +83,7 @@ metric() {
 }
 
 echo "== fleet run (coordinator restarts, then worker 1 dies, mid-sweep)"
-"$BIN/sweep" -fleet "$BASE" "${SWEEP_ARGS[@]}" > "$TMP/fleet.csv" &
+"$BIN/experiments" -spec "$SPEC" -fleet "$BASE" > "$TMP/fleet.csv" &
 SWEEP_PID=$!
 
 # Wait until both workers hold a lease, then SIGKILL the coordinator
@@ -168,6 +178,6 @@ kill "$COORD_PID"
 wait "$COORD_PID" 2>/dev/null || true
 start_coordinator
 wait_healthy
-"$BIN/sweep" -fleet "$BASE" "${SWEEP_ARGS[@]}" > "$TMP/fleet2.csv"
+"$BIN/experiments" -spec "$SPEC" -fleet "$BASE" > "$TMP/fleet2.csv"
 verify "$TMP/fleet2.csv"
 echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines), through a crash with torn trailers and a restart"

@@ -14,10 +14,10 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 echo "== build"
-go build -o "$TMP/sweep" ./cmd/sweep
+go build -o "$TMP/experiments" ./cmd/experiments
 
 echo "== policy loop, first pass (simulates phase A + phase B)"
-"$TMP/sweep" -spec "$SPEC" \
+"$TMP/experiments" -spec "$SPEC" \
     -results "$TMP/records.jsonl" -profiles "$TMP/profiles.jsonl" \
     > "$TMP/run1.csv"
 cat "$TMP/run1.csv"
@@ -48,7 +48,7 @@ awk -F, '
 ' "$TMP/run1.csv"
 
 echo "== policy loop, second pass (must be served from cache)"
-"$TMP/sweep" -spec "$SPEC" \
+"$TMP/experiments" -spec "$SPEC" \
     -results "$TMP/records.jsonl" -profiles "$TMP/profiles.jsonl" \
     > "$TMP/run2.csv"
 
@@ -59,17 +59,17 @@ if ! diff -u "$TMP/run1.csv" "$TMP/run2.csv"; then
 fi
 
 echo "== plain mix spec (scenarios/table3.json), twice against one record store"
-"$TMP/sweep" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-1.csv" 2> "$TMP/table3-1.log"
+"$TMP/experiments" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-1.csv" 2> "$TMP/table3-1.log"
 cat "$TMP/table3-1.csv"
 cp "$TMP/table3.jsonl" "$TMP/table3.after-run1"
-"$TMP/sweep" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-2.csv" 2> "$TMP/table3-2.log"
+"$TMP/experiments" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-2.csv" 2> "$TMP/table3-2.log"
 
 echo "== gate: the re-run is byte-identical and fully cached"
 if ! diff -u "$TMP/table3-1.csv" "$TMP/table3-2.csv"; then
     echo "FAIL: cached table3 re-run produced different output"
     exit 1
 fi
-if ! grep -q '^sweep: 7 jobs, 7 served from cache, 0 failed$' "$TMP/table3-2.log"; then
+if ! grep -q '^experiments: 7 jobs, 7 served from cache, 0 failed$' "$TMP/table3-2.log"; then
     echo "FAIL: table3 re-run was not served entirely from cache:"
     cat "$TMP/table3-2.log"
     exit 1
