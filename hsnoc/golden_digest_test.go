@@ -32,9 +32,10 @@ type digestScenario struct {
 // TestGoldenStateDigests pins the digest itself: StateDigest and
 // RollingDigest over every state-holding component the engine has (router
 // pipelines, VC gates of both kinds, slot tables through a resize and an
-// adaptive re-pin, DLTs, NIs, a parallel executor, the tile models and a
-// trace replayer). A refactor of the state walk must leave every value
-// here unchanged; only a deliberate change to what the digest covers may
+// adaptive re-pin, DLTs, NIs, a parallel executor, the tile models, a
+// trace replayer, and the online controller on a parallel Section V
+// mix). A refactor of the state walk must leave every value here
+// unchanged; only a deliberate change to what the digest covers may
 // regenerate the file (-update).
 func TestGoldenStateDigests(t *testing.T) {
 	tdm := func(w, h int) Config {
@@ -51,6 +52,18 @@ func TestGoldenStateDigests(t *testing.T) {
 	adaptive.Seed = 11
 	adaptive.AdaptiveEpoch = 256
 	adaptive.AdaptiveTopK = 8
+	// The controller as a Section V system runs it: the hop config, two
+	// workers, and the default pin count.
+	adaptiveMix := tdm(6, 6)
+	adaptiveMix.PathSharing = true
+	adaptiveMix.AdaptiveEpoch = 256
+	adaptiveMix.Workers = 2
+	repinned := func(s *Simulator, _ Results) error {
+		if s.AdaptiveRepins() == 0 {
+			return fmt.Errorf("the online controller never re-pinned")
+		}
+		return nil
+	}
 	par := tdm(5, 3)
 	par.Workers = 3
 	synthetic := func(p Pattern, rate float64) func(Config) (*Simulator, error) {
@@ -75,18 +88,14 @@ func TestGoldenStateDigests(t *testing.T) {
 				}
 				return nil
 			}},
-		{name: "tdm-adaptive-4x4-tornado", cfg: adaptive, build: synthetic(Tornado, 0.15),
-			proof: func(s *Simulator, _ Results) error {
-				if s.AdaptiveRepins() == 0 {
-					return fmt.Errorf("the online controller never re-pinned")
-				}
-				return nil
-			}},
+		{name: "tdm-adaptive-4x4-tornado", cfg: adaptive, build: synthetic(Tornado, 0.15), proof: repinned},
 		{name: "tdm-5x3-workers3-uniform", cfg: par, build: synthetic(UniformRandom, 0.15)},
 		{name: "mix-LPS-ART-6x6-hop-vct", cfg: hopVCt,
 			build: func(cfg Config) (*Simulator, error) { return NewHeterogeneous(cfg, "ART", "LPS") }},
 		{name: "replay-hotspot-6x6-tdm", cfg: tdm(6, 6),
 			build: func(cfg Config) (*Simulator, error) { return NewReplay(cfg, tr) }},
+		{name: "mix-BLACKSCHOLES-EQUAKE-6x6-hop-adaptive-workers2", cfg: adaptiveMix, proof: repinned,
+			build: func(cfg Config) (*Simulator, error) { return NewHeterogeneous(cfg, "EQUAKE", "BLACKSCHOLES") }},
 	}
 	var pins []digestPin
 	for _, sc := range scenarios {

@@ -163,9 +163,9 @@ type Config struct {
 	// only; at least 2 planes must stay on).
 	GatedPlanes int
 	// AdaptiveEpoch, when > 0, enables the online in-sim controller:
-	// every AdaptiveEpoch cycles the network re-ranks flows from the
-	// recorder's windowed flow series and re-pins the top AdaptiveTopK
-	// (default 8), re-allocating slot tables when the set changed.
+	// every AdaptiveEpoch cycles the network decides the greedy:K policy
+	// (K = AdaptiveTopK, default 8) on the epoch's flow window and pins
+	// its flows, re-allocating slot tables when the set changed.
 	// HybridTDM only; telemetry (with flow tracking) is attached
 	// automatically if the caller has not attached its own.
 	AdaptiveEpoch int64
@@ -199,7 +199,6 @@ func (c Config) networkConfig() network.Config {
 	}
 	if c.Mode == HybridTDM {
 		nc.Router.Hybrid = true
-		nc.HybridSwitching = true
 		nc.DynamicSlots = !c.DisableDynamicSlotSizing
 		if c.SlotTableEntries > 0 {
 			nc.Router.SlotCapacity = c.SlotTableEntries
@@ -486,17 +485,7 @@ func (s *Simulator) ensureAdaptiveTelemetry() {
 	if s.net == nil || s.cfg.AdaptiveEpoch <= 0 || s.rec != nil {
 		return
 	}
-	_, err := s.AttachTelemetry(TelemetryOptions{
-		// Windows aligned to controller epochs; the event timeline is
-		// heavily decimated — the controller reads aggregate flow
-		// counters, not the ring.
-		Every:        int(s.cfg.AdaptiveEpoch),
-		RingCapacity: 1 << 12,
-		RingSample:   1 << 10,
-		KindMask:     obs.ProfileFlows,
-		TrackFlows:   true,
-	})
-	if err != nil {
+	if _, err := s.AttachTelemetry(FlowProfileTelemetry(int(s.cfg.AdaptiveEpoch))); err != nil {
 		panic(fmt.Sprintf("hsnoc: adaptive telemetry attach: %v", err))
 	}
 }

@@ -208,6 +208,7 @@ func TestAdaptiveControllerParallelDeterminism(t *testing.T) {
 	if serialDigest == 0 {
 		t.Fatal("digest is zero — invariant checking not active")
 	}
+	t.Logf("serial: %d re-pins, digest %#x", serialRepins, serialDigest)
 	parDigest, parRepins := run(8)
 	if parDigest != serialDigest {
 		t.Errorf("adaptive digest at Workers=8 = %#x, serial = %#x", parDigest, serialDigest)

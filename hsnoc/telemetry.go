@@ -35,6 +35,21 @@ type TelemetryOptions struct {
 	TrackFlows bool
 }
 
+// FlowProfileTelemetry is the recorder the policy layer reads: exact
+// per-flow counters, link totals and windows of every cycles, with the
+// event ring small and heavily decimated, since nothing that attaches
+// it exports a trace. The online controller (windows aligned to its
+// epoch) and campaign profile runs both attach it.
+func FlowProfileTelemetry(every int) TelemetryOptions {
+	return TelemetryOptions{
+		Every:        every,
+		RingCapacity: 1 << 12,
+		RingSample:   1 << 10,
+		KindMask:     obs.ProfileFlows,
+		TrackFlows:   true,
+	}
+}
+
 // AttachTelemetry creates an obs.Recorder sized by opt and attaches it
 // to the simulator's network. Call it before Warmup/Run; the recorder
 // then observes the rest of the simulation. Parallel executors are fully

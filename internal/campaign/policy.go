@@ -22,18 +22,8 @@ func SimulateProfile(ctx context.Context, j Job, every int) (stats.RunRecord, *p
 	if every <= 0 {
 		every = 512
 	}
-	// The profile reads aggregate flow counters, link totals and the
-	// window series; the event ring is heavily decimated since nothing
-	// here exports a trace.
-	telem := hsnoc.TelemetryOptions{
-		Every:        every,
-		RingCapacity: 1 << 12,
-		RingSample:   1 << 10,
-		KindMask:     obs.ProfileFlows,
-		TrackFlows:   true,
-	}
 	var prof *policy.Profile
-	rr, err := simulate(ctx, j, telem, func(s *hsnoc.Simulator, _ *obs.Recorder) (err error) {
+	rr, err := simulate(ctx, j, hsnoc.FlowProfileTelemetry(every), func(s *hsnoc.Simulator, _ *obs.Recorder) (err error) {
 		prof, err = s.ExtractProfile()
 		return err
 	})

@@ -26,12 +26,6 @@ type Options struct {
 	// TenantQuota bounds a tenant's outstanding (queued + leased) jobs;
 	// submits past it are rejected with a QuotaError (0 = 100_000).
 	TenantQuota int
-	// TenantWeights sets default fair-share weights per tenant
-	// (unlisted tenants weigh 1; a submit's Weight field overrides).
-	TenantWeights map[string]float64
-	// RetryAfter is the backoff hint attached to quota and drain
-	// rejections (0 = 15s).
-	RetryAfter time.Duration
 	// Journal is the path of the write-ahead journal (empty = no
 	// journal: coordinator state is in-memory only and a restart loses
 	// queued campaigns, the pre-journal behavior). With a journal,
@@ -171,9 +165,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 	if opt.TenantQuota <= 0 {
 		opt.TenantQuota = 100_000
 	}
-	if opt.RetryAfter <= 0 {
-		opt.RetryAfter = 15 * time.Second
-	}
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
@@ -251,9 +242,6 @@ func (c *Coordinator) maybeRotateLocked() {
 	}
 }
 
-// RetryAfter is the backoff hint for rejected requests.
-func (c *Coordinator) RetryAfter() time.Duration { return c.opt.RetryAfter }
-
 // Drain stops the coordinator from admitting campaigns or granting
 // leases. Renewals and completions keep working so in-flight shards
 // land before shutdown. Drain is journaled: a coordinator killed
@@ -318,9 +306,6 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 		tenant = "default"
 	}
 	weight := req.Weight
-	if weight <= 0 {
-		weight = c.opt.TenantWeights[tenant]
-	}
 	if weight <= 0 {
 		weight = 1
 	}

@@ -64,14 +64,13 @@ func fleetError(w http.ResponseWriter, code int, format string, args ...any) {
 	fleetJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// retryAfter attaches the standard backoff hint header (whole seconds,
-// rounded up so "0" never tells a client to hammer immediately).
-func (c *Coordinator) retryAfter(w http.ResponseWriter) {
-	secs := int(c.opt.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+// retryAfterSecs is how long a quota or drain rejection asks the client
+// to wait before retrying.
+const retryAfterSecs = 15
+
+// retryAfter attaches the standard backoff hint header.
+func retryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -83,18 +82,18 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	resp, err := c.Submit(req)
 	switch {
 	case errors.Is(err, ErrDraining):
-		c.retryAfter(w)
+		retryAfter(w)
 		fleetError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrJournal):
 		// The campaign was refused because its write-ahead record could
 		// not be made durable — a server-side storage fault, not a bad
 		// request. Retryable once the disk recovers.
-		c.retryAfter(w)
+		retryAfter(w)
 		fleetError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		var qe *QuotaError
 		if errors.As(err, &qe) {
-			c.retryAfter(w)
+			retryAfter(w)
 			fleetError(w, http.StatusTooManyRequests, "%v", err)
 			return
 		}

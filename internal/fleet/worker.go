@@ -29,10 +29,9 @@ type WorkerOptions struct {
 	JobTimeout time.Duration
 	// PollInterval is the idle backoff base when the coordinator has no
 	// work (0 = 500ms); errors back off exponentially from here up to
-	// MaxBackoff (0 = 15s). Both are jittered so a fleet restarted
-	// together does not poll in lockstep.
+	// maxBackoff. Both are jittered so a fleet restarted together does
+	// not poll in lockstep.
 	PollInterval time.Duration
-	MaxBackoff   time.Duration
 	// Client is the HTTP client (nil = a 30s-timeout client).
 	Client *http.Client
 	// Runner substitutes the job runner (nil = campaign.Simulate);
@@ -62,6 +61,9 @@ type Worker struct {
 	LeaseErrors  atomic.Int64
 }
 
+// maxBackoff caps a worker's exponential retry backoff.
+const maxBackoff = 15 * time.Second
+
 // NewWorker builds a worker.
 func NewWorker(opt WorkerOptions) (*Worker, error) {
 	if opt.Coordinator == "" {
@@ -72,9 +74,6 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	}
 	if opt.PollInterval <= 0 {
 		opt.PollInterval = 500 * time.Millisecond
-	}
-	if opt.MaxBackoff <= 0 {
-		opt.MaxBackoff = 15 * time.Second
 	}
 	client := opt.Client
 	if client == nil {
@@ -138,8 +137,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			w.LeaseErrors.Add(1)
 			w.sleep(ctx, backoff)
-			if backoff *= 2; backoff > w.opt.MaxBackoff {
-				backoff = w.opt.MaxBackoff
+			if backoff *= 2; backoff > maxBackoff {
+				backoff = maxBackoff
 			}
 			continue
 		}
@@ -273,8 +272,8 @@ func (w *Worker) complete(ctx context.Context, id string, recs []campaign.Record
 			lastErr = fmt.Errorf("complete: unexpected status %d", status)
 		}
 		w.sleep(ctx, backoff)
-		if backoff *= 2; backoff > w.opt.MaxBackoff {
-			backoff = w.opt.MaxBackoff
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 	return fmt.Errorf("complete: giving up after retries: %w", lastErr)

@@ -15,7 +15,9 @@ import (
 type Config struct {
 	// Width and Height of the mesh (Table I: 6x6).
 	Width, Height int
-	// Router is the per-router configuration.
+	// Router is the per-router configuration. Its Hybrid flag also turns
+	// on the NIs' circuit-switching decisions, and its Sharing flag their
+	// hitchhiker- and vicinity-sharing.
 	Router router.Config
 	// Seed drives all randomness; identical seeds reproduce runs exactly.
 	Seed uint64
@@ -29,12 +31,6 @@ type Config struct {
 	// quiescence contract.
 	AlwaysTick bool
 
-	// HybridSwitching enables NI-side circuit switching decisions; it
-	// requires Router.Hybrid.
-	HybridSwitching bool
-	// Sharing enables hitchhiker- and vicinity-sharing at the NIs
-	// (requires Router.Sharing for DLT event generation).
-	Sharing bool
 	// DynamicSlots enables the network-wide slot-table sizing policy.
 	DynamicSlots bool
 
@@ -89,11 +85,12 @@ type Config struct {
 	// setup/teardown config traffic.
 	RestrictSetups bool
 	// AdaptiveEpoch, when > 0, enables the online controller: every
-	// AdaptiveEpoch cycles the network re-ranks flows by the recorder's
-	// windowed flow deltas (bytes × distance), re-pins the top
-	// AdaptiveTopK, and — when the pin set changed — re-allocates the
-	// slot tables through the same freeze→drain→reset path the dynamic
-	// resizer uses. Requires an attached flow-tracking recorder.
+	// AdaptiveEpoch cycles the network decides policy.Greedy with
+	// TopK = AdaptiveTopK on the recorder's flow deltas since the last
+	// boundary, pins its flows, and — when the pin set changed —
+	// re-allocates the slot tables through the same freeze→drain→reset
+	// path the dynamic resizer uses. Requires an attached flow-tracking
+	// recorder.
 	AdaptiveEpoch int64
 	// AdaptiveTopK bounds the online controller's pin set (default 8).
 	AdaptiveTopK int
@@ -149,7 +146,6 @@ func DefaultConfig(width, height int) Config {
 func HybridTDMConfig(width, height int) Config {
 	c := DefaultConfig(width, height)
 	c.Router = router.HybridConfig()
-	c.HybridSwitching = true
 	c.DynamicSlots = true
 	c.Router.SlotActive = 16
 	return c
@@ -158,7 +154,6 @@ func HybridTDMConfig(width, height int) Config {
 // WithSharing enables circuit-switched path sharing (the "hop"
 // configurations of Fig. 8).
 func (c Config) WithSharing() Config {
-	c.Sharing = true
 	c.Router.Sharing = true
 	return c
 }
@@ -182,7 +177,7 @@ func (c Config) WithLatencyVCGating() Config {
 // length, plus one slot for the vicinity-sharing header when sharing is on
 // (Section III-A2).
 func (c Config) ReserveDuration() int {
-	if c.Sharing {
+	if c.Router.Sharing {
 		return c.CSDataFlits + 1
 	}
 	return c.CSDataFlits
@@ -192,20 +187,14 @@ func (c Config) validate() {
 	if c.Width <= 0 || c.Height <= 0 {
 		panic("network: mesh dimensions must be positive")
 	}
-	if c.HybridSwitching && !c.Router.Hybrid {
-		panic("network: HybridSwitching requires Router.Hybrid")
-	}
-	if c.Sharing && !c.Router.Sharing {
-		panic("network: Sharing requires Router.Sharing")
-	}
 	if c.PSDataFlits <= 0 || c.CSDataFlits <= 0 {
 		panic("network: packet sizes must be positive")
 	}
 	if c.SlotInit < 0 || c.SlotInit > c.Router.SlotCapacity {
 		panic("network: SlotInit outside [0, SlotCapacity]")
 	}
-	if c.AdaptiveEpoch > 0 && !c.HybridSwitching {
-		panic("network: AdaptiveEpoch requires HybridSwitching")
+	if c.AdaptiveEpoch > 0 && !c.Router.Hybrid {
+		panic("network: AdaptiveEpoch requires Router.Hybrid")
 	}
 	nodes := c.Width * c.Height
 	for _, p := range c.PinnedFlows {

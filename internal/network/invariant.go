@@ -175,7 +175,14 @@ func (n *Network) hashManager(h *invariant.Hasher) {
 	h.Int64(int64(n.resizeAt))
 	h.Int(n.resizeTo)
 	n.resizer.HashState(h)
-	hashSorted(h, n.adaptPrev, func(v int64) { h.Int64(v) })
+	// Each baseline flow as its packed (src, dst) key and flit total;
+	// the table's (Src, Dst) order is ascending key order. Pinned by
+	// golden-digest.json.
+	h.Int(len(n.adaptPrev))
+	for _, f := range n.adaptPrev {
+		h.Uint64(uint64(uint32(f.Src))<<32 | uint64(uint32(f.Dst)))
+		h.Int64(f.Flits)
+	}
 	h.Int(len(n.adaptPins))
 	for _, p := range n.adaptPins {
 		h.Int(p.Src)

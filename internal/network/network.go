@@ -1,6 +1,8 @@
 package network
 
 import (
+	"slices"
+
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/hybrid"
 	"tdmnoc/internal/invariant"
@@ -57,12 +59,12 @@ type Network struct {
 	resizeTo   int
 
 	// Online adaptive controller state (cfg.AdaptiveEpoch > 0): the
-	// cumulative per-flow flit totals at the last epoch boundary (so
+	// recorder's cumulative flow table at the last epoch boundary (so
 	// each epoch ranks the *window's* traffic, not the run's), the pin
 	// set currently installed at the NIs, and how many epoch
 	// re-allocations have fired. All touched only between cycles on the
 	// caller goroutine.
-	adaptPrev   map[uint64]int64
+	adaptPrev   []obs.FlowStat
 	adaptPins   []policy.FlowPin
 	adaptRepins int
 }
@@ -312,13 +314,13 @@ func (n *Network) manage() {
 }
 
 // adaptStep is the online controller: at each AdaptiveEpoch boundary it
-// ranks the epoch's flow deltas by the greedy bytes×distance metric,
-// re-pins the top AdaptiveTopK flows, and — only when the pin set
-// actually changed — re-allocates every slot table through the same
-// freeze → drain → reset path the dynamic resizer uses, under the
-// invariant checker's slot-table ownership rules. It runs serially
-// between cycles from recorder state that is itself worker-invariant,
-// so digests stay identical at any worker count.
+// decides policy.Greedy{TopK: AdaptiveTopK} on the epoch's flow window,
+// and — only when the pin set actually changed — installs it and
+// re-allocates every slot table through the same freeze → drain →
+// reset path the dynamic resizer uses, under the invariant checker's
+// slot-table ownership rules. It runs serially between cycles from
+// recorder state that is itself worker-invariant, so digests stay
+// identical at any worker count.
 func (n *Network) adaptStep(now sim.Cycle) {
 	if n.rec == nil || int64(now)%n.cfg.AdaptiveEpoch != 0 {
 		return
@@ -326,20 +328,12 @@ func (n *Network) adaptStep(now sim.Cycle) {
 	if n.resizeAt != 0 {
 		return // a drain is already in progress; skip this boundary
 	}
-	flows := n.rec.FlowStats()
-	scored := policy.ScoreFlows(flows, n.adaptPrev, n.cfg.Width)
-	if n.adaptPrev == nil {
-		n.adaptPrev = make(map[uint64]int64, len(flows))
-	}
-	for _, f := range flows {
-		n.adaptPrev[policy.FlowKey(f.Src, f.Dst)] = f.Flits
-	}
 	k := n.cfg.AdaptiveTopK
 	if k <= 0 {
 		k = 8
 	}
-	pins := policy.PinsOf(policy.SelectTopK(scored, k))
-	if policy.PinsEqual(pins, n.adaptPins) {
+	pins := policy.Greedy{TopK: k}.Decide(n.adaptWindow()).PinnedFlows
+	if slices.Equal(pins, n.adaptPins) {
 		return
 	}
 	n.adaptPins = pins
@@ -360,6 +354,27 @@ func (n *Network) adaptStep(now sim.Cycle) {
 	n.resizeAt = now + sim.Cycle(n.cfg.DrainWindow)
 	n.csFrozen = true
 	n.epoch++
+}
+
+// adaptWindow returns the traffic profile of the epoch that just ended:
+// each flow's flits since the last boundary, which becomes the new
+// baseline. The recorder sorts its flow table by (Src, Dst) and never
+// drops a flow, so the baseline is a subsequence of the current table
+// and one merge pass pairs them up.
+func (n *Network) adaptWindow() *policy.Profile {
+	flows := n.rec.FlowStats()
+	window := &policy.Profile{Width: n.cfg.Width, Height: n.cfg.Height, Flows: make([]obs.FlowStat, len(flows))}
+	prev := n.adaptPrev
+	for i, f := range flows {
+		flits := f.Flits
+		if len(prev) > 0 && prev[0].Src == f.Src && prev[0].Dst == f.Dst {
+			flits -= prev[0].Flits
+			prev = prev[1:]
+		}
+		window.Flows[i] = obs.FlowStat{Src: f.Src, Dst: f.Dst, Flits: flits}
+	}
+	n.adaptPrev = flows
+	return window
 }
 
 // AdaptiveRepins reports how many epoch re-allocations the online

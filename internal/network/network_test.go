@@ -401,16 +401,3 @@ func TestEnergyAccountingBasics(t *testing.T) {
 		t.Error("negative component energy")
 	}
 }
-
-func TestConfigValidation(t *testing.T) {
-	bad := DefaultConfig(6, 6)
-	bad.HybridSwitching = true // without Router.Hybrid
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("HybridSwitching without Router.Hybrid did not panic")
-			}
-		}()
-		New(bad, nil)
-	}()
-}

@@ -276,7 +276,7 @@ func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng 
 	for v := range ni.credits {
 		ni.credits[v] = net.cfg.Router.BufDepth
 	}
-	if net.cfg.Sharing {
+	if net.cfg.Router.Sharing {
 		ni.dlt = hybrid.NewDLT(net.cfg.Router.DLTEntries)
 	}
 	if len(net.cfg.PinnedFlows) > 0 {
@@ -631,7 +631,7 @@ func (ni *NI) Send(now sim.Cycle, dst topology.NodeID, opt SendOptions) *flit.Pa
 // packet-switched latency plus the message's slack.
 func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, bool) {
 	cfg := &ni.net.cfg
-	if !cfg.HybridSwitching || !opt.AllowCS || ni.net.csFrozen {
+	if !cfg.Router.Hybrid || !opt.AllowCS || ni.net.csFrozen {
 		return csJob{}, false
 	}
 	slack := opt.Slack
@@ -673,7 +673,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 		}
 		return csJob{}, false
 	}
-	if !cfg.Sharing || ni.dlt == nil {
+	if !cfg.Router.Sharing || ni.dlt == nil {
 		return csJob{}, false
 	}
 	// Sharing rides detour through hop-off re-injection and composite
@@ -783,7 +783,7 @@ func (ni *NI) noteFrequency(now sim.Cycle, dst topology.NodeID) {
 // an idle circuit first when the registry is full.
 func (ni *NI) maybeSetup(now sim.Cycle, dst topology.NodeID) {
 	cfg := &ni.net.cfg
-	if !cfg.HybridSwitching || ni.net.csFrozen {
+	if !cfg.Router.Hybrid || ni.net.csFrozen {
 		return
 	}
 	if ni.circuits[dst] != nil || ni.setupPending(dst) {
@@ -838,7 +838,7 @@ func (ni *NI) teardownIdlest(now sim.Cycle) bool {
 // existing connection.
 func (ni *NI) requestExtraBlock(now sim.Cycle, dst topology.NodeID) {
 	cfg := &ni.net.cfg
-	if !cfg.HybridSwitching || ni.net.csFrozen || ni.setupPending(dst) {
+	if !cfg.Router.Hybrid || ni.net.csFrozen || ni.setupPending(dst) {
 		return
 	}
 	if until, ok := ni.backoff[dst]; ok && now < until {
@@ -934,7 +934,7 @@ func (ni *NI) chooseStaged(now sim.Cycle) {
 		return
 	}
 	// 2. Start a circuit-switched job whose slot aligns at arrival.
-	if ni.net.cfg.HybridSwitching && len(ni.csJobs) > 0 {
+	if ni.net.cfg.Router.Hybrid && len(ni.csJobs) > 0 {
 		if ni.tryStartCS(now) {
 			return
 		}

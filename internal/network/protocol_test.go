@@ -219,11 +219,10 @@ func TestNoPSStarvationUnderHeavyReservation(t *testing.T) {
 	// PS packets along the same row.
 	cfg := HybridTDMConfig(6, 6)
 	cfg.SetupThreshold = 1
-	net, _ := driverNet(t, cfg)
+	net, drivers := driverNet(t, cfg)
 	defer net.Close()
 	csSrc, psSrc, dst := topology.NodeID(0), topology.NodeID(1), topology.NodeID(5)
 	establishCircuit(t, net, csSrc, dst)
-	net.EnableStats()
 	for i := 0; i < 150; i++ {
 		net.NI(csSrc).Send(net.Now(), dst, SendOptions{AllowCS: true, Slack: 100000})
 		if i%3 == 0 {
@@ -234,11 +233,19 @@ func TestNoPSStarvationUnderHeavyReservation(t *testing.T) {
 	if !net.Drain(30000) {
 		t.Fatalf("drain failed: %d in flight", net.InFlight())
 	}
-	st := net.Stats()
-	if st.PSLatencyHist.Count() == 0 {
-		t.Fatal("no packet-switched samples")
+	var ps int
+	var worst int64
+	for _, p := range drivers[dst].delivered {
+		if p.Src == psSrc {
+			ps++
+			worst = max(worst, p.TotalLatency())
+		}
 	}
-	if p99 := st.PSLatencyHist.Percentile(0.99); p99 > 512 {
-		t.Fatalf("packet-switched p99 latency %d cycles — starvation", p99)
+	if ps != 50 {
+		t.Fatalf("%d of 50 packet-switched packets delivered", ps)
 	}
+	if worst > 512 {
+		t.Fatalf("packet-switched max latency %d cycles — starvation", worst)
+	}
+	t.Logf("packet-switched max latency %d cycles", worst)
 }

@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"strings"
 
-	"tdmnoc/internal/obs"
+	"tdmnoc/internal/topology"
 )
 
 // FlowPin names one (src, dst) flow that a Decision pins to circuit
@@ -63,34 +63,17 @@ type Policy interface {
 	Decide(p *Profile) Decision
 }
 
-// HopDistance returns the XY-routed hop count between two node ids on
-// a width-column mesh.
-func HopDistance(src, dst, width int) int {
-	sx, sy := src%width, src/width
-	dx, dy := dst%width, dst/width
-	h := sx - dx
-	if h < 0 {
-		h = -h
-	}
-	v := sy - dy
-	if v < 0 {
-		v = -v
-	}
-	return h + v
-}
-
-// ScoredFlow is a flow with a policy-assigned weight, the unit of the
-// deterministic top-K selection shared by the greedy policy and the
-// online controller.
-type ScoredFlow struct {
+// scoredFlow is a flow with a policy-assigned weight, the unit of
+// greedy's deterministic ranking.
+type scoredFlow struct {
 	Src, Dst int32
 	Score    int64
 }
 
-// SelectTopK sorts flows by (Score desc, Src asc, Dst asc) — a total
+// selectTopK sorts flows by (Score desc, Src asc, Dst asc) — a total
 // order, so ties never depend on input order — and returns the first k
 // with a positive score. The input slice is sorted in place.
-func SelectTopK(flows []ScoredFlow, k int) []ScoredFlow {
+func selectTopK(flows []scoredFlow, k int) []scoredFlow {
 	sort.Slice(flows, func(i, j int) bool {
 		if flows[i].Score != flows[j].Score {
 			return flows[i].Score > flows[j].Score
@@ -113,37 +96,8 @@ func SelectTopK(flows []ScoredFlow, k int) []ScoredFlow {
 	return out
 }
 
-// FlowKey packs a (src, dst) pair into the map key used by the online
-// controller's per-epoch flit totals (matches obs's internal flow key).
-func FlowKey(src, dst int32) uint64 {
-	return uint64(uint32(src))<<32 | uint64(uint32(dst))
-}
-
-// PinsEqual reports whether two sorted pin sets are identical.
-func PinsEqual(a, b []FlowPin) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// PinsOf converts scored flows to FlowPins sorted by (Src, Dst).
-func PinsOf(flows []ScoredFlow) []FlowPin {
-	pins := make([]FlowPin, 0, len(flows))
-	for _, f := range flows {
-		pins = append(pins, FlowPin{Src: int(f.Src), Dst: int(f.Dst)})
-	}
-	sortPins(pins)
-	return pins
-}
-
-// sortPins orders pins by (Src, Dst) — the canonical order PinsEqual
-// and the Decision JSON encoding rely on.
+// sortPins orders pins by (Src, Dst) — the canonical order the online
+// controller compares pin sets in and the Decision JSON encoding uses.
 func sortPins(pins []FlowPin) {
 	sort.Slice(pins, func(i, j int) bool {
 		if pins[i].Src != pins[j].Src {
@@ -256,13 +210,13 @@ func (t Threshold) Decide(p *Profile) Decision {
 	if min <= 0 {
 		min = 64
 	}
-	var scored []ScoredFlow
+	var pins []FlowPin
 	for _, f := range p.Flows {
 		if f.Src != f.Dst && f.Packets >= min {
-			scored = append(scored, ScoredFlow{Src: f.Src, Dst: f.Dst, Score: f.Packets})
+			pins = append(pins, FlowPin{Src: int(f.Src), Dst: int(f.Dst)})
 		}
 	}
-	pins := PinsOf(SelectTopK(scored, len(scored)))
+	sortPins(pins)
 	d := Decision{Policy: "threshold", PinnedFlows: pins, RestrictSetups: true}
 	demand := EstimateSlotDemand(pins, p.Width, p.Height, avgFlits(p))
 	d.SlotInit = slotInitFor(demand, p.SlotCapacity)
@@ -277,7 +231,9 @@ func (t Threshold) Decide(p *Profile) Decision {
 // pinned demand. The demand budget, not a fixed count, is what lets
 // greedy cover a whole permutation pattern when it is cheap (every
 // tornado flow pinned) yet back off to the heaviest flows when pinning
-// everything would blow up the TDM frame.
+// everything would blow up the TDM frame. The online controller
+// (network.Config.AdaptiveEpoch) decides with Greedy{TopK: k} on each
+// epoch's flow window.
 type Greedy struct {
 	// TopK caps the number of pinned flows; <= 0 lets the slot-demand
 	// budget decide.
@@ -287,15 +243,16 @@ type Greedy struct {
 func (Greedy) Name() string { return "greedy" }
 
 func (g Greedy) Decide(p *Profile) Decision {
-	scored := make([]ScoredFlow, 0, len(p.Flows))
+	mesh := topology.Mesh{Width: p.Width, Height: p.Height}
+	scored := make([]scoredFlow, 0, len(p.Flows))
 	for _, f := range p.Flows {
 		if f.Src == f.Dst {
 			continue
 		}
-		hops := int64(HopDistance(int(f.Src), int(f.Dst), p.Width))
-		scored = append(scored, ScoredFlow{Src: f.Src, Dst: f.Dst, Score: f.Flits * (hops + 1)})
+		hops := int64(mesh.HopDistance(topology.NodeID(f.Src), topology.NodeID(f.Dst)))
+		scored = append(scored, scoredFlow{Src: f.Src, Dst: f.Dst, Score: f.Flits * (hops + 1)})
 	}
-	ranked := SelectTopK(scored, len(scored))
+	ranked := selectTopK(scored, len(scored))
 	if g.TopK > 0 && len(ranked) > g.TopK {
 		ranked = ranked[:g.TopK]
 	}
@@ -309,11 +266,11 @@ func (g Greedy) Decide(p *Profile) Decision {
 	// later (lighter, possibly disjoint-path) flows still get a chance.
 	var pins []FlowPin
 	for _, f := range ranked {
-		cand := append(append([]FlowPin(nil), pins...), FlowPin{Src: int(f.Src), Dst: int(f.Dst)})
-		if g.TopK <= 0 && EstimateSlotDemand(cand, p.Width, p.Height, block) > budget {
+		pin := FlowPin{Src: int(f.Src), Dst: int(f.Dst)}
+		if g.TopK <= 0 && EstimateSlotDemand(append(pins, pin), p.Width, p.Height, block) > budget {
 			continue
 		}
-		pins = cand
+		pins = append(pins, pin)
 	}
 	sortPins(pins)
 	d := Decision{Policy: "greedy", PinnedFlows: pins, RestrictSetups: true}
@@ -404,26 +361,4 @@ func Parse(spec string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("policy: unknown policy %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-}
-
-// ScoreFlows converts obs flow stats into bytes×distance scored flows
-// (the greedy metric) for the online controller's epoch windows.
-func ScoreFlows(flows []obs.FlowStat, prev map[uint64]int64, width int) []ScoredFlow {
-	scored := make([]ScoredFlow, 0, len(flows))
-	for _, f := range flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		key := uint64(uint32(f.Src))<<32 | uint64(uint32(f.Dst))
-		delta := f.Flits
-		if prev != nil {
-			delta -= prev[key]
-		}
-		if delta <= 0 {
-			continue
-		}
-		hops := int64(HopDistance(int(f.Src), int(f.Dst), width))
-		scored = append(scored, ScoredFlow{Src: f.Src, Dst: f.Dst, Score: delta * (hops + 1)})
-	}
-	return scored
 }

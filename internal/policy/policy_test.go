@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,9 +45,9 @@ func TestParse(t *testing.T) {
 }
 
 func TestSelectTopKTotalOrder(t *testing.T) {
-	a := []ScoredFlow{{Src: 3, Dst: 1, Score: 10}, {Src: 1, Dst: 2, Score: 10}, {Src: 1, Dst: 0, Score: 10}, {Src: 0, Dst: 5, Score: 99}}
-	b := []ScoredFlow{{Src: 1, Dst: 0, Score: 10}, {Src: 0, Dst: 5, Score: 99}, {Src: 1, Dst: 2, Score: 10}, {Src: 3, Dst: 1, Score: 10}}
-	ta, tb := SelectTopK(a, 3), SelectTopK(b, 3)
+	a := []scoredFlow{{Src: 3, Dst: 1, Score: 10}, {Src: 1, Dst: 2, Score: 10}, {Src: 1, Dst: 0, Score: 10}, {Src: 0, Dst: 5, Score: 99}}
+	b := []scoredFlow{{Src: 1, Dst: 0, Score: 10}, {Src: 0, Dst: 5, Score: 99}, {Src: 1, Dst: 2, Score: 10}, {Src: 3, Dst: 1, Score: 10}}
+	ta, tb := selectTopK(a, 3), selectTopK(b, 3)
 	if len(ta) != 3 || len(tb) != 3 {
 		t.Fatalf("lens %d, %d", len(ta), len(tb))
 	}
@@ -59,22 +60,9 @@ func TestSelectTopKTotalOrder(t *testing.T) {
 		t.Errorf("highest score not first: %v", ta)
 	}
 	// Non-positive scores are dropped even within k.
-	got := SelectTopK([]ScoredFlow{{Src: 0, Dst: 1, Score: 5}, {Src: 1, Dst: 2, Score: 0}, {Src: 2, Dst: 3, Score: -1}}, 3)
+	got := selectTopK([]scoredFlow{{Src: 0, Dst: 1, Score: 5}, {Src: 1, Dst: 2, Score: 0}, {Src: 2, Dst: 3, Score: -1}}, 3)
 	if len(got) != 1 {
 		t.Errorf("kept non-positive scores: %v", got)
-	}
-}
-
-func TestHopDistance(t *testing.T) {
-	// 4-wide mesh: node 0 = (0,0), node 15 = (3,3).
-	if d := HopDistance(0, 15, 4); d != 6 {
-		t.Errorf("HopDistance(0,15) = %d, want 6", d)
-	}
-	if d := HopDistance(5, 5, 4); d != 0 {
-		t.Errorf("self distance = %d", d)
-	}
-	if d := HopDistance(0, 3, 4); d != 3 {
-		t.Errorf("row distance = %d, want 3", d)
 	}
 }
 
@@ -91,20 +79,6 @@ func TestEstimateSlotDemand(t *testing.T) {
 	pins := []FlowPin{{Src: 0, Dst: 3}, {Src: 8, Dst: 3}}
 	if d := EstimateSlotDemand(pins, 4, 4, 4); d != 10 {
 		t.Errorf("converging demand = %d, want 10", d)
-	}
-}
-
-func TestPinsEqualAndPinsOf(t *testing.T) {
-	flows := []ScoredFlow{{Src: 2, Dst: 1, Score: 5}, {Src: 0, Dst: 3, Score: 9}}
-	pins := PinsOf(flows)
-	if len(pins) != 2 || pins[0] != (FlowPin{Src: 0, Dst: 3}) || pins[1] != (FlowPin{Src: 2, Dst: 1}) {
-		t.Fatalf("PinsOf not sorted by (Src, Dst): %v", pins)
-	}
-	if !PinsEqual(pins, []FlowPin{{0, 3}, {2, 1}}) {
-		t.Error("PinsEqual false negative")
-	}
-	if PinsEqual(pins, []FlowPin{{0, 3}}) || PinsEqual(pins, []FlowPin{{0, 3}, {2, 2}}) {
-		t.Error("PinsEqual false positive")
 	}
 }
 
@@ -166,12 +140,63 @@ func TestGreedyDemandBudget(t *testing.T) {
 		t.Errorf("admitted demand %d exceeds budget %d", got, budget)
 	}
 	// Deterministic: same profile, same decision.
-	if d2 := (Greedy{}.Decide(syntheticProfile())); !PinsEqual(d.PinnedFlows, d2.PinnedFlows) || d.SlotInit != d2.SlotInit {
+	if d2 := (Greedy{}.Decide(syntheticProfile())); !slices.Equal(d.PinnedFlows, d2.PinnedFlows) || d.SlotInit != d2.SlotInit {
 		t.Errorf("greedy not deterministic: %+v vs %+v", d, d2)
 	}
 	// Explicit TopK hard-caps regardless of budget.
 	if d := (Greedy{TopK: 3}).Decide(syntheticProfile()); len(d.PinnedFlows) != 3 {
 		t.Errorf("greedy:3 pinned %d flows", len(d.PinnedFlows))
+	}
+}
+
+// TestGreedyWeighsByMeshHops checks greedy's flits × (hops+1) score
+// against known 4x4 distances: 0->15 is 6 hops (weight 7), 0->3 is 3
+// hops (weight 4), and a self flow is never ranked however heavy.
+func TestGreedyWeighsByMeshHops(t *testing.T) {
+	decide := func(diagFlits, rowFlits int64) []FlowPin {
+		p := &Profile{Width: 4, Height: 4, SlotCapacity: 128, Flows: []obs.FlowStat{
+			{Src: 0, Dst: 15, Packets: 1, Flits: diagFlits},
+			{Src: 0, Dst: 3, Packets: 1, Flits: rowFlits},
+			{Src: 5, Dst: 5, Packets: 1, Flits: 1000},
+		}}
+		return Greedy{TopK: 1}.Decide(p).PinnedFlows
+	}
+	diag, row := []FlowPin{{Src: 0, Dst: 15}}, []FlowPin{{Src: 0, Dst: 3}}
+	// 4*7 = 28 beats 6*4 = 24.
+	if got := decide(4, 6); !slices.Equal(got, diag) {
+		t.Errorf("flits 4 vs 6: pinned %v, want %v", got, diag)
+	}
+	// 4*7 = 28 loses to 8*4 = 32.
+	if got := decide(4, 8); !slices.Equal(got, row) {
+		t.Errorf("flits 4 vs 8: pinned %v, want %v", got, row)
+	}
+}
+
+// TestDecisionPinsSorted pins the canonical pin order: whatever order
+// the ranking admits flows in, a decision lists its pins by (Src, Dst),
+// which is what lets the online controller compare two epochs' sets
+// with slices.Equal.
+func TestDecisionPinsSorted(t *testing.T) {
+	p := syntheticProfile()
+	// Reverse the flow table and make later flows heavier, so rank
+	// order and (Src, Dst) order disagree.
+	slices.Reverse(p.Flows)
+	for i := range p.Flows {
+		p.Flows[i].Flits += int64(i)
+	}
+	for _, pol := range []Policy{Threshold{}, Greedy{}, Greedy{TopK: 5}} {
+		pins := pol.Decide(p).PinnedFlows
+		if len(pins) == 0 {
+			t.Fatalf("%s pinned nothing", pol.Name())
+		}
+		if !slices.IsSortedFunc(pins, func(a, b FlowPin) int {
+			if a.Src != b.Src {
+				return a.Src - b.Src
+			}
+			return a.Dst - b.Dst
+		}) {
+			t.Errorf("%s pins not sorted by (Src, Dst): %v", pol.Name(), pins)
+		}
 	}
 }
 

@@ -2,10 +2,11 @@
 // it derives a deterministic traffic Profile from an obs.Recorder and
 // maps it, through pluggable policies, to a concrete Decision — which
 // flows deserve TDM circuits, how the slot table should be sized, how
-// many SDM planes to gate. The package is pure: it imports only obs
-// and stdlib, so both the public hsnoc API (profile extraction,
-// decision application) and internal/network (the online in-sim
-// controller) can use it without an import cycle.
+// many SDM planes to gate. The package is pure: it imports only obs,
+// topology and stdlib, so both the public hsnoc API (profile
+// extraction, decision application) and internal/network (the online
+// in-sim controller, which runs Greedy on each epoch's flow window) can
+// use it without an import cycle.
 //
 // Everything here is deterministic by construction. Profiles serialize
 // to stable JSON keyed by the originating Config.Hash(), so they are
@@ -32,9 +33,9 @@ import (
 // at any worker count — pinned by test), keyed by the configuration
 // hash of the run that produced it.
 type Profile struct {
-	// ConfigHash is hsnoc.Config.Hash() of the profiled run. Decision
-	// application refuses a profile whose hash does not match the
-	// config it is applied to.
+	// ConfigHash is hsnoc.Config.Hash() of the profiled run. `nocsim
+	// -policy -profile-in` refuses a profile whose hash does not match
+	// the config it re-runs.
 	ConfigHash string `json:"config_hash"`
 	// Mode is the switching mode of the profiled run ("packet", "tdm",
 	// "sdm").

@@ -52,10 +52,6 @@ type Config struct {
 	// buffer-residency-driven refinement the paper suggests in
 	// Section V-B4. Implies VC power gating.
 	LatencyVCGating bool
-	// AdaptiveConfigRouting routes configuration messages with minimal
-	// adaptive routing plus an escape channel (Table I); when false they
-	// use X-Y like everything else.
-	AdaptiveConfigRouting bool
 
 	// SAIterations is the number of iSLIP-style iterations the switch
 	// allocator runs per cycle (default 1, the classic separable
@@ -68,13 +64,12 @@ type Config struct {
 // port, 5-flit-deep buffers, no hybrid extension.
 func DefaultConfig() Config {
 	return Config{
-		VCs:                   4,
-		BufDepth:              5,
-		SlotCapacity:          128,
-		SlotActive:            128,
-		DLTEntries:            8,
-		TimeSlotStealing:      true,
-		AdaptiveConfigRouting: true,
+		VCs:              4,
+		BufDepth:         5,
+		SlotCapacity:     128,
+		SlotActive:       128,
+		DLTEntries:       8,
+		TimeSlotStealing: true,
 	}
 }
 

@@ -193,13 +193,13 @@ func (r *Router) routeCompute(now sim.Cycle) {
 }
 
 // dataRoute picks the output port for data packets (X-Y) and acks
-// (west-first adaptive when enabled, per Table I's adaptive routing for
+// (west-first adaptive, per Table I's adaptive routing for
 // configuration packets).
 func (r *Router) dataRoute(pkt *flit.Packet) topology.Port {
 	if pkt.Dst == r.id {
 		return topology.Local
 	}
-	if pkt.Kind == flit.AckMsg && r.cfg.AdaptiveConfigRouting {
+	if pkt.Kind == flit.AckMsg {
 		return routing.WestFirst(r.mesh, r.id, pkt.Dst, r.congestion)
 	}
 	return r.xyPort(pkt.Dst)
@@ -244,15 +244,7 @@ func (r *Router) congestion(p topology.Port) int {
 func (r *Router) processSetup(now sim.Cycle, p topology.Port, vc *inputVC, f *flit.Flit) {
 	pkt := f.Pkt
 	cfgp := &pkt.Config
-	var out topology.Port
-	switch {
-	case pkt.Dst == r.id:
-		out = topology.Local
-	case r.cfg.AdaptiveConfigRouting:
-		out = routing.WestFirst(r.mesh, r.id, pkt.Dst, r.congestion)
-	default:
-		out = r.xyPort(pkt.Dst)
-	}
+	out := routing.WestFirst(r.mesh, r.id, pkt.Dst, r.congestion) // Local at the destination
 	ok := r.tables != nil && cfgp.Epoch == r.Epoch &&
 		r.tables.Reserve(p, out, cfgp.Slot, cfgp.Duration, int64(now))
 	if !ok {

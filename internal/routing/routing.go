@@ -25,17 +25,10 @@ func XY(m topology.Mesh, cur, dst topology.NodeID) topology.Port {
 	}
 }
 
-// MinimalCandidates returns every productive output port from cur toward
-// dst (at most two on a mesh: one per dimension still needing correction).
-// An empty result means cur == dst.
-func MinimalCandidates(m topology.Mesh, cur, dst topology.NodeID) []topology.Port {
-	var buf [2]topology.Port
-	return buf[:minimalInto(m, cur, dst, &buf):2]
-}
-
-// minimalInto writes the productive ports into buf and returns how many
-// there are. The allocation-free core of MinimalCandidates, used by the
-// adaptive routing functions that run on the per-cycle hot path.
+// minimalInto writes the productive ports from cur toward dst into buf
+// (at most two on a mesh: one per dimension still needing correction)
+// and returns how many there are; none means cur == dst. It allocates
+// nothing, so WestFirst can run on the per-cycle hot path.
 func minimalInto(m topology.Mesh, cur, dst topology.NodeID, buf *[2]topology.Port) int {
 	cc, dc := m.Coord(cur), m.Coord(dst)
 	n := 0
@@ -61,31 +54,6 @@ func minimalInto(m topology.Mesh, cur, dst topology.NodeID, buf *[2]topology.Por
 // CongestionFunc scores an output port; lower is less congested. Routers
 // supply a function backed by downstream credit counts.
 type CongestionFunc func(p topology.Port) int
-
-// MinimalAdaptive picks the least congested productive port, breaking ties
-// in favour of the X dimension (which keeps the decision deterministic and
-// degenerates to X-Y under uniform congestion). Deadlock freedom for the
-// 1-flit configuration packets that use this function comes from their
-// guaranteed ejection: config packets are consumed at every router they
-// sink at, so they cannot form buffer-wait cycles that persist.
-func MinimalAdaptive(m topology.Mesh, cur, dst topology.NodeID, congestion CongestionFunc) topology.Port {
-	var buf [2]topology.Port
-	n := minimalInto(m, cur, dst, &buf)
-	switch n {
-	case 0:
-		return topology.Local
-	case 1:
-		return buf[0]
-	}
-	best := buf[0]
-	bestScore := congestion(best)
-	for _, c := range buf[1:n] {
-		if s := congestion(c); s < bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
-}
 
 // WestFirst is the minimal adaptive routing function used for
 // configuration messages. It follows the west-first turn model (Glass &

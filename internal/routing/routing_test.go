@@ -56,77 +56,7 @@ func TestXYPathReachesAndIsMinimal(t *testing.T) {
 	}
 }
 
-func TestMinimalCandidates(t *testing.T) {
-	m := topology.NewMesh(6, 6)
-	src := m.ID(topology.Coord{X: 2, Y: 2})
-
-	cands := MinimalCandidates(m, src, m.ID(topology.Coord{X: 4, Y: 4}))
-	if len(cands) != 2 {
-		t.Fatalf("diagonal dst: %d candidates, want 2", len(cands))
-	}
-	hasEast, hasSouth := false, false
-	for _, c := range cands {
-		if c == topology.East {
-			hasEast = true
-		}
-		if c == topology.South {
-			hasSouth = true
-		}
-	}
-	if !hasEast || !hasSouth {
-		t.Fatalf("diagonal candidates = %v", cands)
-	}
-
-	if cands := MinimalCandidates(m, src, m.ID(topology.Coord{X: 2, Y: 0})); len(cands) != 1 || cands[0] != topology.North {
-		t.Fatalf("straight-line candidates = %v", cands)
-	}
-	if cands := MinimalCandidates(m, src, src); len(cands) != 0 {
-		t.Fatalf("self candidates = %v", cands)
-	}
-}
-
-func TestMinimalAdaptivePrefersUncongested(t *testing.T) {
-	m := topology.NewMesh(6, 6)
-	src := m.ID(topology.Coord{X: 1, Y: 1})
-	dst := m.ID(topology.Coord{X: 4, Y: 4})
-
-	eastBusy := func(p topology.Port) int {
-		if p == topology.East {
-			return 10
-		}
-		return 0
-	}
-	if got := MinimalAdaptive(m, src, dst, eastBusy); got != topology.South {
-		t.Errorf("with east congested, chose %v, want South", got)
-	}
-	southBusy := func(p topology.Port) int {
-		if p == topology.South {
-			return 10
-		}
-		return 0
-	}
-	if got := MinimalAdaptive(m, src, dst, southBusy); got != topology.East {
-		t.Errorf("with south congested, chose %v, want East", got)
-	}
-	// Ties break toward the X dimension (deterministic).
-	uniform := func(topology.Port) int { return 3 }
-	if got := MinimalAdaptive(m, src, dst, uniform); got != topology.East {
-		t.Errorf("tie-break chose %v, want East", got)
-	}
-}
-
-func TestMinimalAdaptiveSelfAndStraight(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	uniform := func(topology.Port) int { return 0 }
-	if got := MinimalAdaptive(m, 5, 5, uniform); got != topology.Local {
-		t.Errorf("self route = %v, want Local", got)
-	}
-	if got := MinimalAdaptive(m, 5, 7, uniform); got != topology.East {
-		t.Errorf("straight route = %v, want East", got)
-	}
-}
-
-func TestMinimalAdaptiveStaysMinimal(t *testing.T) {
+func TestWestFirstStaysMinimal(t *testing.T) {
 	// Property: whatever the congestion function, the chosen port is
 	// productive (reduces hop distance).
 	m := topology.NewMesh(8, 8)
@@ -134,7 +64,7 @@ func TestMinimalAdaptiveStaysMinimal(t *testing.T) {
 		src := topology.NodeID(int(a8) % m.Nodes())
 		dst := topology.NodeID(int(b8) % m.Nodes())
 		cong := func(p topology.Port) int { return int(bias) ^ int(p) }
-		got := MinimalAdaptive(m, src, dst, cong)
+		got := WestFirst(m, src, dst, cong)
 		if src == dst {
 			return got == topology.Local
 		}
@@ -193,6 +123,24 @@ func TestWestFirstAdaptsEastSide(t *testing.T) {
 	}
 }
 
+func TestWestFirstTieBreaksTowardX(t *testing.T) {
+	// With both productive ports equally congested the choice is
+	// deterministic: the X dimension wins.
+	m := topology.NewMesh(6, 6)
+	uniform := func(topology.Port) int { return 3 }
+	for _, tc := range []struct {
+		src, dst topology.Coord
+		want     topology.Port
+	}{
+		{topology.Coord{X: 1, Y: 1}, topology.Coord{X: 4, Y: 4}, topology.East},
+		{topology.Coord{X: 1, Y: 4}, topology.Coord{X: 4, Y: 1}, topology.East},
+	} {
+		if got := WestFirst(m, m.ID(tc.src), m.ID(tc.dst), uniform); got != tc.want {
+			t.Errorf("%v->%v tie-break chose %v, want %v", tc.src, tc.dst, got, tc.want)
+		}
+	}
+}
+
 func TestWestFirstNeverTurnsIntoWest(t *testing.T) {
 	// Property: west-first routes only go West while the destination is
 	// west; once travelling north/south/east they never pick West. We
@@ -231,5 +179,25 @@ func TestWestFirstSelfIsLocal(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	if got := WestFirst(m, 5, 5, func(topology.Port) int { return 0 }); got != topology.Local {
 		t.Errorf("self route %v", got)
+	}
+}
+
+func TestWestFirstStraightLine(t *testing.T) {
+	// A destination in the same row or column has one productive port,
+	// whatever the congestion on it.
+	m := topology.NewMesh(4, 4)
+	busy := func(topology.Port) int { return 100 }
+	for _, tc := range []struct {
+		src, dst topology.NodeID
+		want     topology.Port
+	}{
+		{5, 7, topology.East},
+		{7, 5, topology.West},
+		{5, 13, topology.South},
+		{13, 5, topology.North},
+	} {
+		if got := WestFirst(m, tc.src, tc.dst, busy); got != tc.want {
+			t.Errorf("straight route %d->%d = %v, want %v", tc.src, tc.dst, got, tc.want)
+		}
 	}
 }

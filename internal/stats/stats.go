@@ -32,13 +32,6 @@ type Collector struct {
 	TotalLatencySum int64 // creation to ejection (includes source queueing)
 	LatencyCount    int64
 
-	// Latency distributions (total latency) overall and split by
-	// switching mode — the tails matter for the starvation argument
-	// behind the 90 % reservation cap.
-	LatencyHist   Histogram
-	PSLatencyHist Histogram
-	CSLatencyHist Histogram
-
 	// Per-class latency (heterogeneous evaluation).
 	ClassLatencySum   [4]int64
 	ClassLatencyCount [4]int64
@@ -94,12 +87,6 @@ func (c *Collector) RecordEjection(p *flit.Packet) {
 		cl := int(p.Class)
 		c.ClassLatencySum[cl] += tl
 		c.ClassLatencyCount[cl]++
-		c.LatencyHist.Observe(tl)
-		if p.Switching == flit.CircuitSwitched {
-			c.CSLatencyHist.Observe(tl)
-		} else {
-			c.PSLatencyHist.Observe(tl)
-		}
 	}
 	c.ClassEjected[int(p.Class)]++
 }
@@ -115,9 +102,6 @@ func (c *Collector) Merge(o *Collector) {
 	c.NetLatencySum += o.NetLatencySum
 	c.TotalLatencySum += o.TotalLatencySum
 	c.LatencyCount += o.LatencyCount
-	c.LatencyHist.Merge(&o.LatencyHist)
-	c.PSLatencyHist.Merge(&o.PSLatencyHist)
-	c.CSLatencyHist.Merge(&o.CSLatencyHist)
 	for i := range c.ClassLatencySum {
 		c.ClassLatencySum[i] += o.ClassLatencySum[i]
 		c.ClassLatencyCount[i] += o.ClassLatencyCount[i]
