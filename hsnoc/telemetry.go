@@ -118,8 +118,8 @@ func (s *Simulator) WriteTrace(w io.Writer) error {
 	m := s.net.Mesh()
 	// No toolchain or timestamp metadata: the trace must be a pure
 	// function of (config, seed) so golden-file tests pin it. The shard
-	// rings are merged into the deterministic timeline first, so the
-	// bytes do not depend on the worker count either.
+	// rings are merged into the deterministic timeline as they are
+	// written, so the bytes do not depend on the worker count either.
 	meta := obs.TraceMeta{
 		Width: m.Width, Height: m.Height,
 		OtherData: map[string]string{
@@ -129,8 +129,7 @@ func (s *Simulator) WriteTrace(w io.Writer) error {
 			"ring_drops": fmt.Sprintf("%d", s.rec.Dropped()),
 		},
 	}
-	events := obs.MergeRings(s.rec.Rings(), m.Width, m.Height)
-	return obs.WriteTraceEvents(w, events, meta)
+	return obs.WriteTrace(w, s.rec.Rings(), meta)
 }
 
 // RenderTelemetry renders the recorded time-series windows as terminal

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"tdmnoc/internal/obs"
 )
@@ -199,6 +202,61 @@ func TestTracedSteadyStateAllocFree(t *testing.T) {
 				t.Error("the small ring never wrapped: the drop-oldest regime was not exercised")
 			}
 		})
+	}
+}
+
+// TestWriteTraceAllocatesPerPacket pins what the export costs in
+// memory: it merges and formats the shard rings where they lie, so what
+// it allocates follows the packets whose flows it stitches, not the
+// events it writes. On the traced6x6 network with every ring wrapped,
+// WriteTrace allocates at most an eighth of the ring bytes it exports
+// (a merge that copied the events would allocate several times them).
+func TestWriteTraceAllocatesPerPacket(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultConfig(6, 6)
+		cfg.Mode = HybridTDM
+		cfg.PathSharing = true
+		cfg.Workers = workers
+		s := NewSynthetic(cfg, Tornado, 0.20)
+		rec, err := s.AttachTelemetry(TelemetryOptions{RingCapacity: 1 << 18})
+		if err != nil {
+			s.Close()
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		wrapped := func() bool {
+			for _, r := range rec.Rings() {
+				if r.Dropped() == 0 {
+					return false
+				}
+			}
+			return true
+		}
+		for cycles := 0; !wrapped(); cycles += 500 {
+			if cycles > 50000 {
+				s.Close()
+				t.Fatalf("Workers=%d: rings never wrapped", workers)
+			}
+			s.Run(500)
+		}
+		var live int
+		for _, r := range rec.Rings() {
+			live += r.Len()
+		}
+		ringBytes := uint64(live) * uint64(unsafe.Sizeof(obs.Event{}))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = s.WriteTrace(io.Discard)
+		runtime.ReadMemStats(&m1)
+		s.Close()
+		if err != nil {
+			t.Fatalf("Workers=%d: WriteTrace: %v", workers, err)
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("Workers=%d: WriteTrace allocated %d bytes for %d ring bytes", workers, alloc, ringBytes)
+		if alloc > ringBytes/8 {
+			t.Errorf("Workers=%d: WriteTrace allocated %d bytes, over 1/8 of the %d ring bytes it exports",
+				workers, alloc, ringBytes)
+		}
 	}
 }
 

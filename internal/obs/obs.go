@@ -23,8 +23,9 @@
 //     only into their owner's shard, so no cross-worker sharing exists
 //     during a cycle, and the executor's phase barriers order shard
 //     writes before the caller's between-cycle Sync/export reads.
-//     MergeRings reconstructs the single deterministic timeline at
-//     export, byte-identical across worker counts.
+//     WriteTrace merges the shard rings in place into the single
+//     deterministic timeline at export, byte-identical across worker
+//     counts.
 //
 // Handles run inside compute/transfer ticks; everything else on the
 // Recorder (Sync, Summary, export) belongs to the caller goroutine

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"tdmnoc/internal/topology"
 )
@@ -82,7 +83,7 @@ func mergeClass(k Kind) int {
 func mergeEmitter(e Event, mesh topology.Mesh) int32 {
 	switch mergeClass(e.Kind) {
 	case 0:
-		return -1 // control shard only; stable sort keeps emission order
+		return -1 // control shard only; the merge keeps emission order
 	case 2:
 		p := topology.Port(e.A)
 		if p == topology.Local {
@@ -96,175 +97,126 @@ func mergeEmitter(e Event, mesh topology.Mesh) int32 {
 	return e.Node
 }
 
-// MergeRings concatenates the shard rings and stable-sorts by
-// (cycle, mergeClass, emitting tile). Each tile is owned by exactly one
-// worker and the control events live only in shard 0, so events with
-// equal keys always come from the same shard and the stable sort
-// preserves their true emission order: the merged timeline is
-// byte-identical to what a single-shard serial run records, regardless
-// of worker count. Allocates; export path only.
-func MergeRings(rings []*Ring, width, height int) []Event {
-	total := 0
-	for _, r := range rings {
-		total += r.Len()
-	}
-	events := make([]Event, 0, total)
-	for _, r := range rings {
-		events = r.AppendTo(events)
-	}
-	mesh := topology.NewMesh(width, height)
-	type key struct {
-		cycle   int64
-		class   int32
-		emitter int32
-	}
-	keys := make([]key, len(events))
-	for i, e := range events {
-		keys[i] = key{e.Cycle, int32(mergeClass(e.Kind)), mergeEmitter(e, mesh)}
-	}
-	idx := make([]int, len(events))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka.cycle != kb.cycle {
-			return ka.cycle < kb.cycle
-		}
-		if ka.class != kb.class {
-			return ka.class < kb.class
-		}
-		return ka.emitter < kb.emitter
-	})
-	out := make([]Event, len(events))
-	for i, j := range idx {
-		out[i] = events[j]
-	}
-	return out
+// mergeKey orders events across shards: (cycle, mergeClass, emitter).
+type mergeKey struct {
+	cycle          int64
+	class, emitter int32
 }
 
-// WriteTrace streams the ring's events as Chrome trace-event JSON.
-// Single-ring convenience wrapper over WriteTraceEvents.
-func WriteTrace(w io.Writer, ring *Ring, meta TraceMeta) error {
-	return WriteTraceEvents(w, ring.Snapshot(), meta)
+func keyOf(e *Event, mesh topology.Mesh) mergeKey {
+	return mergeKey{e.Cycle, int32(mergeClass(e.Kind)), mergeEmitter(*e, mesh)}
 }
 
-// WriteTraceEvents streams events (already in timeline order — a ring
-// snapshot or a MergeRings result) as Chrome trace-event JSON (loadable
-// by Perfetto and chrome://tracing). One thread per router and per NI,
-// timestamps in microseconds with 1 cycle = 1 us, pipeline and protocol
-// events as 1-cycle "X" slices, sampled gauges as "C" counters, and a
-// packet's head flit linked across hops with "s"/"t"/"f" flow events
-// keyed by packet id.
+func (a mergeKey) less(b mergeKey) bool {
+	if a.cycle != b.cycle {
+		return a.cycle < b.cycle
+	}
+	if a.class != b.class {
+		return a.class < b.class
+	}
+	return a.emitter < b.emitter
+}
+
+// cursor walks one shard ring's live events in place, oldest first.
+type cursor struct {
+	ring     *Ring
+	shard    int
+	pos, end int // ring positions; the event at pos is buf[pos&mask]
+	key      mergeKey
+}
+
+func (c *cursor) head() *Event { return &c.ring.buf[c.pos&c.ring.mask] }
+
+// Flow-stitching states per packet id.
+const (
+	flowUnseen uint8 = iota
+	flowStarted
+	flowSkipped
+	flowFinished
+)
+
+// WriteTrace streams the merged timeline of the shard rings as Chrome
+// trace-event JSON (loadable by Perfetto and chrome://tracing). One
+// thread per router and per NI, timestamps in microseconds with 1 cycle
+// = 1 us, pipeline and protocol events as 1-cycle "X" slices, sampled
+// gauges as "C" counters, and a packet's head flit linked across hops
+// with "s"/"t"/"f" flow events keyed by packet id.
+//
+// The timeline is a k-way merge over the rings where they lie: each step
+// writes the head event with the smallest (cycle, mergeClass, emitter)
+// key, ties going to the lower shard index. A worker ticks its tiles in
+// ascending node order and the control events land only in shard 0,
+// between cycles, so every shard is already in key order and the merge
+// is exactly the stable sort of the shards' concatenation — the bytes
+// a single-shard serial run writes, at any worker count. A shard whose
+// key decreases breaks that premise: WriteTrace then stops with an
+// error naming the shard and cycle, and what it wrote is incomplete.
+// The export allocates only its write buffer and one flow state per
+// packet it meets, never a copy of the events.
 //
 // Flow stitching is all-or-nothing per packet: a packet whose first
 // recorded head-flit sighting is not its injection (the ring dropped the
 // first hop) gets no flow events at all — a flow beginning mid-route
 // with no begin anchor renders as a dangling arrow in Perfetto.
-func WriteTraceEvents(w io.Writer, events []Event, meta TraceMeta) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	first := true
-	sep := func() string {
-		if first {
-			first = false
-			return ""
-		}
-		return ","
+func WriteTrace(w io.Writer, rings []*Ring, meta TraceMeta) error {
+	if meta.Width <= 0 || meta.Height <= 0 {
+		return fmt.Errorf("obs: trace of a %dx%d mesh", meta.Width, meta.Height)
 	}
-	if _, err := fmt.Fprint(bw, `{"traceEvents":[`); err != nil {
+	mesh := topology.NewMesh(meta.Width, meta.Height)
+	bw := bufio.NewWriterSize(w, 1<<16)
+
+	// Metadata: name the processes and one thread per node.
+	if _, err := fmt.Fprintf(bw, `{"traceEvents":[{"ph":"M","pid":%d,"name":"process_name","args":{"name":"routers"}},{"ph":"M","pid":%d,"name":"process_name","args":{"name":"NIs"}}`,
+		pidRouters, pidNIs); err != nil {
+		return err
+	}
+	for n := 0; n < mesh.Nodes(); n++ {
+		x, y := n%meta.Width, n/meta.Width
+		if _, err := fmt.Fprintf(bw, `,{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"router (%d,%d)"}},{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"ni (%d,%d)"}}`,
+			pidRouters, n, x, y, pidNIs, n, x, y); err != nil {
+			return err
+		}
+	}
+	if _, err := fmt.Fprintf(bw, `,{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"global"}}`,
+		pidRouters, globalTID); err != nil {
 		return err
 	}
 
-	// Metadata: name the processes and one thread per node.
-	fmt.Fprintf(bw, `%s{"ph":"M","pid":%d,"name":"process_name","args":{"name":"routers"}}`, sep(), pidRouters)
-	fmt.Fprintf(bw, `%s{"ph":"M","pid":%d,"name":"process_name","args":{"name":"NIs"}}`, sep(), pidNIs)
-	nodes := meta.Width * meta.Height
-	for n := 0; n < nodes; n++ {
-		x, y := n%meta.Width, n/meta.Width
-		fmt.Fprintf(bw, `%s{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"router (%d,%d)"}}`,
-			sep(), pidRouters, n, x, y)
-		fmt.Fprintf(bw, `%s{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"ni (%d,%d)"}}`,
-			sep(), pidNIs, n, x, y)
-	}
-	fmt.Fprintf(bw, `%s{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"global"}}`,
-		sep(), pidRouters, globalTID)
-
-	// Pre-pass: a packet participates in flow stitching only if its first
-	// flow-relevant sighting is the injection itself. Otherwise the ring
-	// dropped the packet's first hop and stitching it would start the
-	// flow mid-route — skip the whole flow atomically instead.
-	flowOK := make(map[uint64]bool)
-	for _, e := range events {
-		if e.Pkt == 0 {
-			continue
-		}
-		headHop := (e.Kind == KindLinkTraverse || e.Kind == KindInject) && e.Seq == 0
-		if !headHop && e.Kind != KindEject {
-			continue
-		}
-		if _, seen := flowOK[e.Pkt]; !seen {
-			flowOK[e.Pkt] = e.Kind == KindInject
+	curs := make([]cursor, 0, len(rings))
+	for s, r := range rings {
+		if r.n > 0 {
+			c := cursor{ring: r, shard: s, pos: r.head, end: r.head + r.n}
+			c.key = keyOf(c.head(), mesh)
+			curs = append(curs, c)
 		}
 	}
-
-	// flowState: 0 = unseen, 1 = started, 2 = finished.
-	flowState := make(map[uint64]uint8)
-
-	var werr error
-	for _, e := range events {
-		if werr != nil {
-			break
-		}
-		pid := eventPID(e.Kind)
-		tid := int64(e.Node)
-		if e.Node < 0 {
-			pid, tid = pidRouters, globalTID
-		}
-		if isCounter(e.Kind) {
-			_, werr = fmt.Fprintf(bw, `%s{"ph":"C","pid":%d,"tid":%d,"ts":%d,"name":"%s","cat":"%s","args":{"v":%d}}`,
-				sep(), pid, tid, e.Cycle, e.Kind, eventCat(e.Kind), e.Val)
-			continue
-		}
-		_, werr = fmt.Fprintf(bw, `%s{"ph":"X","pid":%d,"tid":%d,"ts":%d,"dur":1,"name":"%s","cat":"%s","args":{"pkt":%d,"seq":%d,"slot":%d,"val":%d,"a":%d,"b":%d}}`,
-			sep(), pid, tid, e.Cycle, e.Kind, eventCat(e.Kind), e.Pkt, e.Seq, e.Slot, e.Val, e.A, e.B)
-		if werr != nil {
-			break
-		}
-		// Flow events tie a packet's head flit together across hops:
-		// injection starts the flow, link traversals step it, ejection
-		// finishes it; later sightings of a finished id are ignored.
-		if e.Pkt == 0 || !flowOK[e.Pkt] {
-			continue
-		}
-		headHop := (e.Kind == KindLinkTraverse || e.Kind == KindInject) && e.Seq == 0
-		eject := e.Kind == KindEject
-		if !headHop && !eject {
-			continue
-		}
-		switch flowState[e.Pkt] {
-		case 0:
-			flowState[e.Pkt] = 1
-			_, werr = fmt.Fprintf(bw, `%s{"ph":"s","pid":%d,"tid":%d,"ts":%d,"name":"pkt","cat":"flow","id":"0x%x"}`,
-				sep(), pid, tid, e.Cycle, e.Pkt)
-		case 1:
-			ph := "t"
-			if eject {
-				ph = "f"
-				flowState[e.Pkt] = 2
+	flows := make(map[uint64]uint8)
+	b := make([]byte, 0, 256)
+	for len(curs) > 0 {
+		best := 0
+		for i := 1; i < len(curs); i++ {
+			if curs[i].key.less(curs[best].key) {
+				best = i
 			}
-			bp := ""
-			if ph == "f" {
-				bp = `,"bp":"e"`
-			}
-			_, werr = fmt.Fprintf(bw, `%s{"ph":"%s","pid":%d,"tid":%d,"ts":%d,"name":"pkt","cat":"flow","id":"0x%x"%s}`,
-				sep(), ph, pid, tid, e.Cycle, e.Pkt, bp)
 		}
-	}
-	if werr != nil {
-		return werr
+		c := &curs[best]
+		b = appendEvent(append(b[:0], ','), c.head(), flows)
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		if c.pos++; c.pos == c.end {
+			curs = append(curs[:best], curs[best+1:]...)
+			continue
+		}
+		next := keyOf(c.head(), mesh)
+		if next.less(c.key) {
+			return fmt.Errorf("obs: shard %d is out of merge order at cycle %d: key %+v follows %+v",
+				c.shard, next.cycle, next, c.key)
+		}
+		c.key = next
 	}
 
-	if _, err := fmt.Fprint(bw, `],"displayTimeUnit":"ms","otherData":{`); err != nil {
+	if _, err := io.WriteString(bw, `],"displayTimeUnit":"ms","otherData":{`); err != nil {
 		return err
 	}
 	keys := make([]string, 0, len(meta.OtherData))
@@ -281,8 +233,98 @@ func WriteTraceEvents(w io.Writer, events []Event, meta TraceMeta) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprint(bw, "}}\n"); err != nil {
+	if _, err := io.WriteString(bw, "}}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendEvent appends e's trace records — its slice or counter, then
+// any flow record it carries — advancing its packet's flow state.
+func appendEvent(b []byte, e *Event, flows map[uint64]uint8) []byte {
+	pid, tid := int64(eventPID(e.Kind)), int64(e.Node)
+	if e.Node < 0 {
+		pid, tid = pidRouters, globalTID
+	}
+	if isCounter(e.Kind) {
+		b = appendHead(b, "C", pid, tid, e.Cycle)
+		b = append(b, `,"name":"`...)
+		b = append(b, e.Kind.String()...)
+		b = append(b, `","cat":"`...)
+		b = append(b, eventCat(e.Kind)...)
+		b = append(b, `","args":{"v":`...)
+		b = strconv.AppendInt(b, e.Val, 10)
+		return append(b, "}}"...)
+	}
+	b = appendHead(b, "X", pid, tid, e.Cycle)
+	b = append(b, `,"dur":1,"name":"`...)
+	b = append(b, e.Kind.String()...)
+	b = append(b, `","cat":"`...)
+	b = append(b, eventCat(e.Kind)...)
+	b = append(b, `","args":{"pkt":`...)
+	b = strconv.AppendUint(b, e.Pkt, 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, int64(e.Seq), 10)
+	b = append(b, `,"slot":`...)
+	b = strconv.AppendInt(b, int64(e.Slot), 10)
+	b = append(b, `,"val":`...)
+	b = strconv.AppendInt(b, e.Val, 10)
+	b = append(b, `,"a":`...)
+	b = strconv.AppendUint(b, uint64(e.A), 10)
+	b = append(b, `,"b":`...)
+	b = strconv.AppendUint(b, uint64(e.B), 10)
+	b = append(b, "}}"...)
+
+	// Flow events tie a packet's head flit together across hops:
+	// injection starts the flow, link traversals step it, ejection
+	// finishes it; later sightings of a finished id are ignored. The
+	// packet's first flow-relevant sighting decides: anything but its
+	// injection means the ring dropped its first hop, and the whole
+	// flow is skipped rather than started mid-route.
+	if e.Pkt == 0 {
+		return b
+	}
+	headHop := (e.Kind == KindLinkTraverse || e.Kind == KindInject) && e.Seq == 0
+	eject := e.Kind == KindEject
+	if !headHop && !eject {
+		return b
+	}
+	var ph string
+	switch flows[e.Pkt] {
+	case flowUnseen:
+		if e.Kind != KindInject {
+			flows[e.Pkt] = flowSkipped
+			return b
+		}
+		flows[e.Pkt] = flowStarted
+		ph = "s"
+	case flowStarted:
+		ph = "t"
+		if eject {
+			ph = "f"
+			flows[e.Pkt] = flowFinished
+		}
+	default:
+		return b
+	}
+	b = append(b, ',')
+	b = appendHead(b, ph, pid, tid, e.Cycle)
+	b = append(b, `,"name":"pkt","cat":"flow","id":"0x`...)
+	b = strconv.AppendUint(b, e.Pkt, 16)
+	if ph == "f" {
+		return append(b, `","bp":"e"}`...)
+	}
+	return append(b, `"}`...)
+}
+
+// appendHead appends the fields every record opens with.
+func appendHead(b []byte, ph string, pid, tid, ts int64) []byte {
+	b = append(b, `{"ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","pid":`...)
+	b = strconv.AppendInt(b, pid, 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, tid, 10)
+	b = append(b, `,"ts":`...)
+	return strconv.AppendInt(b, ts, 10)
 }

@@ -3,7 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"strings"
 	"testing"
+
+	"tdmnoc/internal/topology"
 )
 
 type traceFile struct {
@@ -30,7 +35,7 @@ func writeTestTrace(t *testing.T, events []Event) (traceFile, []byte) {
 	}
 	var buf bytes.Buffer
 	meta := TraceMeta{Width: 2, Height: 2, OtherData: map[string]string{"mode": "tdm", "seed": "1"}}
-	if err := WriteTrace(&buf, ring, meta); err != nil {
+	if err := WriteTrace(&buf, []*Ring{ring}, meta); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
 	var tf traceFile
@@ -193,7 +198,7 @@ func TestWriteTraceTruncatedFlowsSkippedAtomically(t *testing.T) {
 		t.Fatal("test setup broken: ring did not drop")
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, ring, TraceMeta{Width: 2, Height: 2}); err != nil {
+	if err := WriteTrace(&buf, []*Ring{ring}, TraceMeta{Width: 2, Height: 2}); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
 	var tf traceFile
@@ -228,5 +233,115 @@ func TestWriteTraceDeterministic(t *testing.T) {
 	_, b := writeTestTrace(t, events)
 	if !bytes.Equal(a, b) {
 		t.Error("trace bytes differ between identical runs")
+	}
+}
+
+// TestWriteTraceMergesShards: a timeline split across two shard rings
+// the way the executor splits it — each event in its emitting tile's
+// shard, control gauges in shard 0 — exports the same bytes as the one
+// ring that holds it in order.
+func TestWriteTraceMergesShards(t *testing.T) {
+	north, east, local := uint8(topology.North), uint8(topology.East), uint8(topology.Local)
+	timeline := []struct {
+		shard int
+		e     Event
+	}{
+		{0, Event{Kind: KindVCOccupancy, Cycle: 1, Node: 0, Val: 3}},
+		{0, Event{Kind: KindEnergySample, Cycle: 1, Node: -1, Val: 10}},
+		{0, Event{Kind: KindInject, Cycle: 1, Node: 0, Pkt: 7}},
+		{1, Event{Kind: KindInject, Cycle: 1, Node: 2, Pkt: 9}},
+		{1, Event{Kind: KindSwitchTraverse, Cycle: 1, Node: 3}},
+		{0, Event{Kind: KindLinkTraverse, Cycle: 1, Node: 2, A: north, Pkt: 9}}, // emitted by node 0
+		{0, Event{Kind: KindLinkTraverse, Cycle: 1, Node: 0, A: east, Pkt: 7}},  // emitted by node 1
+		{0, Event{Kind: KindVCOccupancy, Cycle: 2, Node: 3, Val: 1}},
+		{0, Event{Kind: KindEject, Cycle: 2, Node: 0, Pkt: 9}},
+		{0, Event{Kind: KindSwitchTraverse, Cycle: 2, Node: 1, Pkt: 7}},
+		{0, Event{Kind: KindEject, Cycle: 2, Node: 1, Pkt: 7}},
+		{1, Event{Kind: KindLinkTraverse, Cycle: 2, Node: 3, A: local}},
+	}
+	serial := NewRing(len(timeline))
+	shards := []*Ring{NewRing(len(timeline)), NewRing(len(timeline))}
+	for _, te := range timeline {
+		serial.Push(te.e)
+		shards[te.shard].Push(te.e)
+	}
+	meta := TraceMeta{Width: 2, Height: 2}
+	var want, got bytes.Buffer
+	if err := WriteTrace(&want, []*Ring{serial}, meta); err != nil {
+		t.Fatalf("serial WriteTrace: %v", err)
+	}
+	if err := WriteTrace(&got, shards, meta); err != nil {
+		t.Fatalf("sharded WriteTrace: %v", err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Errorf("sharded export differs from the serial one:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestWriteTraceRejectsUnorderedShard: a shard whose merge key goes
+// backwards cannot be merged into the serial order, and WriteTrace says
+// which shard and cycle instead of writing a different timeline.
+func TestWriteTraceRejectsUnorderedShard(t *testing.T) {
+	ordered, unordered := NewRing(4), NewRing(4)
+	ordered.Push(Event{Kind: KindInject, Cycle: 1, Node: 0, Pkt: 1})
+	ordered.Push(Event{Kind: KindSwitchTraverse, Cycle: 6, Node: 0})
+	unordered.Push(Event{Kind: KindSwitchTraverse, Cycle: 5, Node: 1})
+	unordered.Push(Event{Kind: KindSwitchTraverse, Cycle: 3, Node: 1})
+	err := WriteTrace(io.Discard, []*Ring{ordered, unordered}, TraceMeta{Width: 2, Height: 2})
+	if err == nil {
+		t.Fatal("WriteTrace merged an out-of-order shard without an error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "cycle 3") {
+		t.Errorf("error %q does not name shard 1 and cycle 3", msg)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errWriterFull = errors.New("writer full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return len(p), nil
+	}
+	k := f.n
+	f.n = 0
+	return k, errWriterFull
+}
+
+// TestWriteTraceReportsWriterError: a writer that fails inside the
+// metadata block, the event stream or otherData has its error returned.
+// Each region is several times the export's write buffer, so the
+// failure surfaces while that region is being written.
+func TestWriteTraceReportsWriterError(t *testing.T) {
+	ring := NewRing(1 << 12)
+	for i := 0; i < ring.Cap(); i++ {
+		ring.Push(Event{Kind: KindSwitchTraverse, Cycle: int64(i), Node: int32(i % 1600), Pkt: uint64(i)})
+	}
+	meta := TraceMeta{Width: 40, Height: 40, OtherData: map[string]string{"pad": strings.Repeat("x", 1<<18)}}
+	var full bytes.Buffer
+	if err := WriteTrace(&full, []*Ring{ring}, meta); err != nil {
+		t.Fatal(err)
+	}
+	out := full.Bytes()
+	events := bytes.Index(out, []byte(`{"ph":"X"`))
+	other := bytes.Index(out, []byte(`"otherData"`))
+	if events < 3<<16 || other-events < 3<<16 || len(out)-other < 3<<16 {
+		t.Fatalf("regions too small to fail inside: metadata %d, events %d, otherData %d bytes",
+			events, other-events, len(out)-other)
+	}
+	for _, c := range []struct {
+		region string
+		n      int
+	}{
+		{"metadata", events / 2},
+		{"event stream", (events + other) / 2},
+		{"otherData", (other + len(out)) / 2},
+	} {
+		if err := WriteTrace(&failAfter{n: c.n}, []*Ring{ring}, meta); !errors.Is(err, errWriterFull) {
+			t.Errorf("writer failing in the %s (byte %d): WriteTrace returned %v", c.region, c.n, err)
+		}
 	}
 }

@@ -218,7 +218,7 @@ func (r *Recorder) ControlHandle() *Handle { return &r.control }
 func (r *Recorder) Shards() int { return len(r.shards) }
 
 // Rings returns every shard's ring, indexed by worker. For export: feed
-// them to MergeRings for the deterministic cross-shard timeline.
+// them to WriteTrace for the deterministic cross-shard timeline.
 func (r *Recorder) Rings() []*Ring {
 	out := make([]*Ring, len(r.shards))
 	for i, s := range r.shards {
@@ -229,7 +229,7 @@ func (r *Recorder) Rings() []*Ring {
 
 // Ring exposes shard 0's event ring. With a single shard (serial runs)
 // this is the complete timeline, matching the recorder's pre-sharding
-// behaviour; multi-shard callers want Rings + MergeRings instead.
+// behaviour; multi-shard callers want Rings + WriteTrace instead.
 func (r *Recorder) Ring() *Ring { return r.shards[0].ring }
 
 // Emit records one event through the control handle. Compatibility path

@@ -68,26 +68,6 @@ func (r *Ring) Cap() int { return len(r.buf) }
 // Dropped returns how many events were overwritten since construction.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
-// Snapshot copies the live events, oldest first, into a fresh slice.
-// It allocates and is meant for end-of-run export, not the hot path.
-func (r *Ring) Snapshot() []Event {
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.head+i)&r.mask]
-	}
-	return out
-}
-
-// AppendTo appends the live events, oldest first, to dst and returns the
-// extended slice. Export helper for merging several shard rings without
-// one intermediate copy per shard.
-func (r *Ring) AppendTo(dst []Event) []Event {
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.head+i)&r.mask])
-	}
-	return dst
-}
-
 // Do calls fn for each live event, oldest first, without allocating.
 func (r *Ring) Do(fn func(Event)) {
 	for i := 0; i < r.n; i++ {
