@@ -14,16 +14,17 @@
 // -mixes N to subsample the 56 workload mixes of fig8.
 //
 //	experiments -spec scenarios/table3.json -results table3.jsonl
-//	experiments -spec scenarios/fig4_policy.json -profiles profiles.jsonl
+//	experiments -spec scenarios/fig4_policy.json -results policy.jsonl
 //	experiments -spec grid.json -fleet http://localhost:8080
 //
 // -spec runs the grid of a campaign spec file — the same file nocsimd
 // and the fleet accept — and prints one CSV row per job, in the spec's
 // expansion order (a Section V mix reports offered load 0: its
 // benchmarks, not a rate, generate the traffic). A policy_profile spec
-// prints the policy-comparison CSV of the profile→re-run loop instead.
-// With -fleet a plain spec is submitted to a fleet coordinator rather
-// than simulated locally; the CSV is the same.
+// runs its two waves (profile, then re-run under each policy) and
+// prints the policy-comparison CSV instead. With -fleet the spec is
+// submitted to a fleet coordinator rather than simulated locally; the
+// CSV is the same.
 //
 // Every experiment is a formatter over the campaign engine: it builds a
 // []campaign.Job, runs the batch and prints from the records. A cell
@@ -85,7 +86,6 @@ func (rc *runConfig) main(args []string) int {
 	fs.IntVar(&rc.workers, "workers", 0, "parallel experiment runs (0 = NumCPU)")
 	specPath := fs.String("spec", "", "run the campaign spec in this JSON file instead of an experiment (e.g. scenarios/table3.json, or a policy_profile spec such as scenarios/fig4_policy.json)")
 	results := fs.String("results", "", "persist records to this JSONL file (enables resume and caching)")
-	profiles := fs.String("profiles", "", "with a policy_profile -spec, persist extracted traffic profiles to this JSONL file so repeated comparisons skip phase A")
 	fleetURL := fs.String("fleet", "", "submit the -spec to this fleet coordinator URL instead of simulating locally")
 	tenant := fs.String("tenant", "", "tenant name for -fleet submissions")
 	if err := fs.Parse(args); err != nil {
@@ -131,16 +131,11 @@ func (rc *runConfig) main(args []string) int {
 			return bad("%s: %v", *specPath, err)
 		}
 	}
-	policyLoop := spec.PolicyProfile != nil
 	switch {
 	case *fleetURL != "" && todo != nil:
 		return bad("-fleet submits a -spec; the built-in experiments run locally")
-	case *fleetURL != "" && policyLoop:
-		return bad("the profile->re-run policy loop runs locally; it is not supported with -fleet")
 	case *fleetURL != "" && *results != "":
 		return bad("-results persists local runs; the fleet coordinator keeps its own store")
-	case *profiles != "" && !policyLoop:
-		return bad("-profiles feeds the policy loop; it needs a -spec with a policy_profile section")
 	}
 
 	if *results != "" {
@@ -158,20 +153,15 @@ func (rc *runConfig) main(args []string) int {
 			experiment(rc)
 		}
 	case *fleetURL != "":
-		recs, err := runOnFleet(rc.stderr, *fleetURL, *tenant, spec, len(jobs))
+		recs, err := runOnFleet(rc.stderr, *fleetURL, *tenant, spec, jobs)
 		if err != nil {
 			fmt.Fprintf(rc.stderr, "experiments: %v\n", err)
 			return 1
 		}
-		rc.printCSV(jobs, recs)
-	case policyLoop:
-		if err := rc.runPolicyLoop(spec, *profiles); err != nil {
-			fmt.Fprintln(rc.stderr, err)
-			return 1
-		}
+		rc.printSpec(spec, jobs, recs)
 	default:
-		recs := rc.run(jobs)
-		rc.printCSV(jobs, recs)
+		recs := rc.engine().RunSpec(context.Background(), spec, jobs)
+		rc.printSpec(spec, jobs, recs)
 		cached, failed := 0, 0
 		for _, rec := range recs {
 			if rec.Err != "" {
@@ -180,7 +170,7 @@ func (rc *runConfig) main(args []string) int {
 				cached++
 			}
 		}
-		fmt.Fprintf(rc.stderr, "experiments: %d jobs, %d served from cache, %d failed\n", len(jobs), cached, failed)
+		fmt.Fprintf(rc.stderr, "experiments: %d jobs, %d served from cache, %d failed\n", len(recs), cached, failed)
 	}
 	if rc.failed {
 		return 1
@@ -208,11 +198,17 @@ func (rc *runConfig) run(jobs []campaign.Job) []campaign.Record {
 	for i := range recs {
 		recs[i].Label = jobs[i].Label
 		if recs[i].Err != "" {
-			fmt.Fprintf(rc.stderr, "experiments: job %s failed: %s\n", recs[i].Label, recs[i].Err)
-			rc.failed = true
+			rc.fail(recs[i].Label, recs[i].Err)
 		}
 	}
 	return recs
+}
+
+// fail reports a failed job (or policy outcome) on stderr and marks the
+// invocation failed.
+func (rc *runConfig) fail(label, err string) {
+	fmt.Fprintf(rc.stderr, "experiments: job %s failed: %s\n", label, err)
+	rc.failed = true
 }
 
 // cell formats one figure of a result table, or "n/a" when the figure

@@ -199,9 +199,11 @@ Hybrid-TDM/mix:EQUAKE+STO/6x6/seed1,0.000,0.0643,0.0997,22.51,25.80,0.0756,98842
 // TestSpecPolicyLoop: a policy_profile spec prints the policy
 // comparison, anchored on a static row with zero delta, and the greedy
 // demand-budget policy improves energy per flit on every grid point.
+// Its stderr line counts both waves' jobs: two profiling runs and six
+// re-runs, greedy's a duplicate of threshold's (the same decision).
 func TestSpecPolicyLoop(t *testing.T) {
 	code, out, errOut := experiments("-spec", fig4Policy, "-workers", "2")
-	if code != 0 || errOut != "" {
+	if code != 0 || errOut != "experiments: 8 jobs, 2 served from cache, 0 failed\n" {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -243,10 +245,14 @@ func TestResultsServeFiguresUnderTheirOwnLabels(t *testing.T) {
 	}
 }
 
-// TestSpecOnFleet submits a plain spec to an in-process coordinator
-// with one worker, behind a front that refuses the first submit with
-// 429 and Retry-After: 1. The client waits the advertised second,
-// resubmits, and prints the CSV of a local run byte for byte.
+// TestSpecOnFleet submits specs to an in-process coordinator with one
+// worker, behind a front that refuses the first submit with 429 and
+// Retry-After: 1. The client waits the advertised second, resubmits, and
+// prints the output of a local run byte for byte — failures included:
+// one labelled job of the plain spec fails, and so do a policy study's
+// re-run of one grid point and the profiling run of another. A failed
+// job leaves no record on the fleet, so the rows it feeds print n/a and
+// the command exits 1, exactly as locally.
 func TestSpecOnFleet(t *testing.T) {
 	store, err := campaign.OpenShardedStore(t.TempDir())
 	if err != nil {
@@ -271,8 +277,31 @@ func TestSpecOnFleet(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// The policy study (4x4) simulates, since its decisions read the
+	// profiling runs' flow tables; the plain grid (6x6) runs instantly.
+	policySpec := filepath.Join(t.TempDir(), "policy.json")
+	if err := os.WriteFile(policySpec, []byte(`{"modes":["tdm"],"patterns":["tornado"],
+		"meshes":[{"width":4,"height":4}],"rates":[0.15],"seeds":[1,2],
+		"warmup_cycles":300,"measure_cycles":1200,"policy_profile":{"policies":["static","greedy"]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fail := map[string]bool{
+		"Hybrid-TDM/TOR/6x6/r0.150/seed1":               true,
+		"Hybrid-TDM/TOR/4x4/r0.150/seed1/policy=greedy": true,
+		"Hybrid-TDM/TOR/4x4/r0.150/seed2/profile":       true,
+	}
+	runner := func(ctx context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
+		switch {
+		case fail[j.Label]:
+			return stats.RunRecord{}, nil, errors.New("injected failure")
+		case j.Config.Width == 4:
+			return campaign.Simulate(ctx, j)
+		}
+		return instant(ctx, j)
+	}
+
 	worker, err := fleet.NewWorker(fleet.WorkerOptions{Coordinator: srv.URL, Name: "w1", Workers: 2,
-		PollInterval: 10 * time.Millisecond, Runner: instant})
+		PollInterval: 10 * time.Millisecond, Runner: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,20 +310,25 @@ func TestSpecOnFleet(t *testing.T) {
 	go func() { defer close(stopped); worker.Run(ctx) }()
 	defer func() { cancel(); <-stopped }()
 
-	start := time.Now()
-	code, out, errOut := experimentsWith(instant, "-spec", fig4QuickSpec, "-fleet", srv.URL, "-tenant", "test")
-	if code != 0 {
-		t.Fatalf("fleet run: exit %d, stderr:\n%s", code, errOut)
-	}
-	if !strings.Contains(errOut, "coordinator busy (429), retrying in 1s") || time.Since(start) < time.Second {
-		t.Errorf("the 429's Retry-After was not honoured (%v); stderr:\n%s", time.Since(start), errOut)
-	}
-	code, local, errOut := experimentsWith(instant, "-spec", fig4QuickSpec)
-	if code != 0 {
-		t.Fatalf("local run: exit %d, stderr %q", code, errOut)
-	}
-	if out != local || strings.Count(out, "\n") != 25 {
-		t.Errorf("fleet CSV\n%s\nlocal CSV\n%s", out, local)
+	for i, tc := range []struct {
+		spec     string
+		rows, na int
+	}{{fig4QuickSpec, 24, 1}, {policySpec, 4, 3}} {
+		start := time.Now()
+		code, out, errOut := experimentsWith(runner, "-spec", tc.spec, "-fleet", srv.URL, "-tenant", "test")
+		if code != 1 || !strings.Contains(errOut, "failed: ") {
+			t.Fatalf("%s on the fleet: exit %d, stderr:\n%s", tc.spec, code, errOut)
+		}
+		if i == 0 && (!strings.Contains(errOut, "coordinator busy (429), retrying in 1s") || time.Since(start) < time.Second) {
+			t.Errorf("the 429's Retry-After was not honoured (%v); stderr:\n%s", time.Since(start), errOut)
+		}
+		code, local, errOut := experimentsWith(runner, "-spec", tc.spec)
+		if code != 1 {
+			t.Fatalf("%s locally: exit %d, stderr %q", tc.spec, code, errOut)
+		}
+		if out != local || strings.Count(out, "\n") != tc.rows+1 || strings.Count(out, ",n/a\n") != tc.na {
+			t.Errorf("%s: fleet output\n%s\nlocal output\n%s", tc.spec, out, local)
+		}
 	}
 }
 
@@ -318,10 +352,7 @@ func TestSpecBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-spec", table3Spec, "-seed", "2"}, "-seed shapes a built-in experiment"},
 		{[]string{"-fleet", url}, "-fleet submits a -spec"},
 		{[]string{"-fleet", url, "-exp", "fig4"}, "-fleet submits a -spec"},
-		{[]string{"-spec", fig4Policy, "-fleet", url}, "not supported with -fleet"},
 		{[]string{"-spec", table3Spec, "-fleet", url, "-results", results}, "-results persists local runs"},
-		{[]string{"-spec", table3Spec, "-profiles", results}, "-profiles feeds the policy loop"},
-		{[]string{"-exp", "table1", "-profiles", results}, "-profiles feeds the policy loop"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "missing.json"},
 		{[]string{"-spec", badSpec}, `unknown field "cycles"`},
 	} {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,12 +29,31 @@ func readSpec(path string) (campaign.Spec, error) {
 	return spec, nil
 }
 
-// printCSV prints a plain spec's records, one row per job in expansion
-// order; a failed job's result cells print n/a.
-func (rc *runConfig) printCSV(jobs []campaign.Job, recs []campaign.Record) {
+// printSpec prints a spec's records, given in RunSpec's order: one CSV
+// row per job of a plain spec, or one per (grid point, policy) of a
+// policy study, with the energy-per-flit and latency deltas against the
+// static baseline (negative is an improvement). A failed job or outcome
+// prints n/a cells; its error goes to stderr and the invocation fails.
+func (rc *runConfig) printSpec(spec campaign.Spec, jobs []campaign.Job, recs []campaign.Record) {
+	if spec.PolicyProfile != nil {
+		rc.println("label,policy,pins,base_energy_per_flit_pj,energy_per_flit_pj,energy_delta_pct,base_latency,latency,latency_delta_pct,throughput")
+		for _, o := range spec.Report(jobs, recs).Outcomes {
+			if o.Err != "" {
+				rc.fail(o.Label+"/"+o.Policy, o.Err)
+				rc.printf("%s,%s,n/a,n/a,n/a,n/a,n/a,n/a,n/a,n/a\n", o.Label, o.Policy)
+				continue
+			}
+			rc.printf("%s,%s,%d,%.3f,%.3f,%+.2f,%.2f,%.2f,%+.2f,%.4f\n",
+				o.Label, o.Policy, len(o.Decision.PinnedFlows),
+				o.BaseEnergyPerFlit, o.EnergyPerFlit, o.EnergyDeltaPct,
+				o.BaseAvgLatency, o.AvgLatency, o.LatencyDeltaPct, o.Throughput)
+		}
+		return
+	}
 	rc.println("label,offered,accepted,payload_accepted,net_latency,total_latency,cs_fraction,energy_pj")
 	for i, rec := range recs {
 		if rec.Err != "" {
+			rc.fail(jobs[i].Label, rec.Err)
 			rc.printf("%s,%.3f,n/a,n/a,n/a,n/a,n/a,n/a\n", jobs[i].Label, jobs[i].Rate)
 			continue
 		}
@@ -46,46 +64,13 @@ func (rc *runConfig) printCSV(jobs []campaign.Job, recs []campaign.Record) {
 	}
 }
 
-// runPolicyLoop drives the offline profile→re-run loop over a
-// policy_profile spec and prints one CSV row per (grid point, policy)
-// with the energy-per-flit and latency deltas against the static
-// baseline. Negative deltas are improvements.
-func (rc *runConfig) runPolicyLoop(spec campaign.Spec, profilesPath string) error {
-	var profs *campaign.ProfileStore
-	if profilesPath != "" {
-		p, err := campaign.OpenProfileStore(profilesPath)
-		if err != nil {
-			return err
-		}
-		defer p.Close()
-		profs = p
-	}
-	rep, err := campaign.RunPolicyLoop(context.Background(), rc.engine(), spec, profs)
-	if err != nil {
-		return err
-	}
-	rc.println("label,policy,pins,base_energy_per_flit_pj,energy_per_flit_pj,energy_delta_pct,base_latency,latency,latency_delta_pct,throughput")
-	for _, o := range rep.Outcomes {
-		if o.Err != "" {
-			fmt.Fprintf(rc.stderr, "experiments: job %s/%s failed: %s\n", o.Label, o.Policy, o.Err)
-			rc.failed = true
-			rc.printf("%s,%s,n/a,n/a,n/a,n/a,n/a,n/a,n/a,n/a\n", o.Label, o.Policy)
-			continue
-		}
-		rc.printf("%s,%s,%d,%.3f,%.3f,%+.2f,%.2f,%.2f,%+.2f,%.4f\n",
-			o.Label, o.Policy, len(o.Decision.PinnedFlows),
-			o.BaseEnergyPerFlit, o.EnergyPerFlit, o.EnergyDeltaPct,
-			o.BaseAvgLatency, o.AvgLatency, o.LatencyDeltaPct, o.Throughput)
-	}
-	return nil
-}
-
 // runOnFleet submits the spec to the coordinator, waits for the
-// campaign to finish, and fetches the records in job order — the same
-// order a local engine run returns, so the CSV lines up with the jobs.
-// Quota (429) and drain (503) rejections honour Retry-After; progress
-// notes go to log.
-func runOnFleet(log io.Writer, base, tenant string, spec campaign.Spec, jobs int) ([]campaign.Record, error) {
+// campaign to finish, and resolves the records of the grid jobs against
+// what the fleet returns, in RunSpec's order — so the output lines up
+// as a local run's does. A job that failed on a worker has no record
+// there and comes back failed, as it would locally. Quota (429) and
+// drain (503) rejections honour Retry-After; progress notes go to log.
+func runOnFleet(log io.Writer, base, tenant string, spec campaign.Spec, jobs []campaign.Job) ([]campaign.Record, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	body, err := json.Marshal(fleet.SubmitRequest{Tenant: tenant, Spec: spec})
 	if err != nil {
@@ -160,10 +145,14 @@ func runOnFleet(log io.Writer, base, tenant string, spec campaign.Spec, jobs int
 	if err := getJSON(client, base+"/fleet/campaigns/"+sub.ID+"/results", &recs); err != nil {
 		return nil, err
 	}
-	if len(recs) != jobs {
-		return nil, fmt.Errorf("fleet returned %d records, want %d", len(recs), jobs)
+	found := make(map[string]campaign.Record, len(recs))
+	for _, r := range recs {
+		found[r.Key] = r
 	}
-	return recs, nil
+	return spec.Resolve(jobs, func(key string) (campaign.Record, bool) {
+		r, ok := found[key]
+		return r, ok
+	}), nil
 }
 
 // isTransient reports whether err is a transport-level failure (refused

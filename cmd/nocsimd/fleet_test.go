@@ -67,8 +67,6 @@ func TestCoordinatorMode(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown mix": `{"spec":{"modes":["tdm"],"patterns":["mix:EQUAKE+NOPE"]}}`,
 		"sdm mix":     `{"spec":{"modes":["sdm"],"patterns":["mix:EQUAKE+LPS"]}}`,
-		// Workers run plain grid jobs; the policy loop runs locally only.
-		"policy_profile": `{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"policy_profile":{"policies":["greedy"]}}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/fleet/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

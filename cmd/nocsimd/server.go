@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,9 +66,6 @@ type run struct {
 	State   string // running | done | cancelled | failed
 	Err     string
 	records []campaign.Record
-	// policy is the profile→re-run comparison report of a policy_profile
-	// campaign (nil otherwise, and until the loop finishes).
-	policy *campaign.PolicyReport
 }
 
 // statusView is the JSON shape of GET /campaigns and /campaigns/{id}:
@@ -186,15 +184,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(c.doneCh)
 		defer store.Close()
-		if spec.PolicyProfile != nil {
-			s.runPolicyCampaign(ctx, cancel, c, eng, spec)
-			return
-		}
-		recs := eng.Run(ctx, jobs)
+		recs := eng.RunSpec(ctx, spec, jobs)
+		// Read before cancel() below, which always cancels ctx.
+		cancelled := ctx.Err() != nil
 		cancel()
 		c.mu.Lock()
 		c.records = recs
-		if ctx.Err() != nil && anyCancelled(recs) {
+		if cancelled && anySkipped(recs) {
 			c.State = "cancelled"
 		} else {
 			c.State = "done"
@@ -209,40 +205,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runPolicyCampaign executes a policy_profile spec through the
-// profile→re-run loop. Extracted profiles persist next to the result
-// store, so a re-submitted comparison skips its phase-A simulations.
-func (s *server) runPolicyCampaign(ctx context.Context, cancel context.CancelFunc, c *run, eng *campaign.Engine, spec campaign.Spec) {
-	profs, err := campaign.OpenProfileStore(filepath.Join(s.dataDir, "spec-"+c.SpecHash[:16]+"-profiles.jsonl"))
-	if err != nil {
-		cancel()
-		c.mu.Lock()
-		c.State, c.Err = "failed", err.Error()
-		c.mu.Unlock()
-		return
-	}
-	defer profs.Close()
-	rep, err := campaign.RunPolicyLoop(ctx, eng, spec, profs)
-	cancel()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case err != nil && ctx.Err() != nil:
-		c.State = "cancelled"
-	case err != nil:
-		c.State, c.Err = "failed", err.Error()
-	default:
-		c.policy = rep
-		c.State = "done"
-	}
-}
-
-// anyCancelled reports whether any record was skipped or aborted —
-// distinguishing a cancel that landed mid-run from one that arrived
-// after the last job finished.
-func anyCancelled(recs []campaign.Record) bool {
+// anySkipped reports whether the engine skipped any job (its
+// "skipped: …" sentinel) — distinguishing a cancel that landed mid-run
+// from one that arrived after the last job finished. Jobs that ran and
+// failed (a timeout, an invariant violation) do not count.
+func anySkipped(recs []campaign.Record) bool {
 	for _, r := range recs {
-		if r.Err != "" {
+		if strings.HasPrefix(r.Err, "skipped:") {
 			return true
 		}
 	}
@@ -381,10 +350,10 @@ func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rows)
 }
 
-// handlePolicy serves the profile→re-run comparison report of a
-// policy_profile campaign: one outcome per (job, policy) with the
-// energy/latency deltas against the static baseline. 409 until the
-// loop finishes; 404-shaped error for plain sweep campaigns.
+// handlePolicy serves the comparison report of a policy_profile
+// campaign, a view over its records: one outcome per (job, policy) with
+// the energy/latency deltas against the static baseline. 409 until the
+// campaign finishes; 404-shaped error for plain sweep campaigns.
 func (s *server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.get(r.PathValue("id"))
 	if !ok {
@@ -396,13 +365,14 @@ func (s *server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	rep, state := c.policy, c.State
+	recs, state := c.records, c.State
 	c.mu.Unlock()
-	if rep == nil {
+	jobs, err := c.Spec.Expand()
+	if recs == nil || err != nil {
 		writeError(w, http.StatusConflict, "campaign %q has no policy report yet (state %s)", c.ID, state)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	writeJSON(w, http.StatusOK, c.Spec.Report(jobs, recs))
 }
 
 // handleBuildInfo reports how this binary was built (Go version, module

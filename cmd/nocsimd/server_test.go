@@ -330,6 +330,23 @@ func TestServiceCancelAndResume(t *testing.T) {
 	}
 }
 
+// TestServiceFailedJobsEndDone: jobs that run and fail — here every job
+// of the campaign, each past a one-nanosecond timeout — leave a campaign
+// "done" with every job counted failed. Only jobs the engine skipped
+// after a cancel make it "cancelled".
+func TestServiceFailedJobsEndDone(t *testing.T) {
+	s := newServer(t.TempDir(), 1, time.Nanosecond)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	sub := postSpec(t, ts, testSpecJSON)
+	jobs := int64(sub["jobs"].(float64))
+	st := waitDone(t, ts, sub["id"].(string))
+	if st.State != "done" || st.Counters.Failed != jobs || st.Counters.Done != 0 {
+		t.Fatalf("campaign of timed-out jobs: state %q, counters %+v; want done with %d failed", st.State, st.Counters, jobs)
+	}
+}
+
 // TestServiceBuildInfo: /buildinfo reports how the binary was built.
 func TestServiceBuildInfo(t *testing.T) {
 	s := newServer(t.TempDir(), 1, time.Minute)

@@ -3,6 +3,7 @@ package hsnoc
 import (
 	"fmt"
 
+	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/topology"
 )
@@ -38,8 +39,8 @@ func (m Mode) modeToken() string {
 // telemetry recorder: per-flow volume/latency/setup aggregates, link
 // heat, the setup-latency histogram, and the converged slot-table
 // state, keyed by this configuration's Hash. It requires telemetry
-// attached with TrackFlows (the profile→re-run campaign driver and
-// `nocsim -profile-out` both attach it for you) and is not available
+// attached with TrackFlows (`nocsim -profile-out` attaches it for you;
+// a campaign's policy study reads DecisionProfile) and is not available
 // for HybridSDM, whose engine predates the obs layer. The result is a
 // pure function of the simulation — byte-identical JSON at any worker
 // count.
@@ -62,6 +63,21 @@ func (s *Simulator) ExtractProfile() (*Profile, error) {
 		p.ResizeEvents = s.net.ResizeEvents()
 	}
 	return p, nil
+}
+
+// DecisionProfile rebuilds, from the Summary of a flow-tracking run of
+// cfg (FlowProfileTelemetry), the fields of its profile that policies
+// decide from: the per-flow table, the aggregate counters and the
+// slot-table capacity. It lacks what ExtractProfile reads off the live
+// network (link heat, the converged slot region), which no Decide
+// reads, so every policy decides the same from either profile. It is
+// how a stored campaign record turns back into a decision.
+func DecisionProfile(cfg Config, sum *obs.Summary) *Profile {
+	p := policy.FromSummary(sum, cfg.Width, cfg.Height)
+	if cfg.Mode == HybridTDM {
+		p.SlotCapacity = cfg.networkConfig().Router.SlotCapacity
+	}
+	return p
 }
 
 // AdaptiveRepins reports how many epoch re-allocations the online

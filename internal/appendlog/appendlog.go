@@ -1,6 +1,6 @@
 // Package appendlog owns the crash contract of a newline-framed,
 // append-only file — the one on-disk shape under the campaign result
-// store, the profile store and the fleet journal:
+// store and the fleet journal:
 //
 //   - Every append is one write(2) of the line and its newline straight
 //     to the fd, so a killed process loses at most the line in flight.

@@ -40,6 +40,10 @@ type Job struct {
 	// recorder sampling every K cycles; its Summary rides in the record.
 	// Set it through WithTelemetry so the cache key reflects it.
 	TelemetryEvery int
+	// trackFlows makes that recorder the policy layer's flow profiler
+	// (hsnoc.FlowProfileTelemetry), so the Summary carries the flow table
+	// policies decide from. Set by withProfile, which keys it apart.
+	trackFlows bool
 }
 
 // NewJob builds a synthetic-traffic job and computes its cache key. It
@@ -83,6 +87,19 @@ func (j Job) WithTelemetry(every int) Job {
 	}
 	j.TelemetryEvery = every
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|telemetry%d", j.Key, every)))
+	j.Key = hex.EncodeToString(sum[:])
+	return j
+}
+
+// withProfile returns the job as a policy study's wave-1 job: the same
+// run with the flow profiler sampling every `every` cycles. Its record
+// carries a flow table no plain or telemetry record of the run has, so
+// it is keyed apart from both — but not by any policy, so every study
+// of the grid point shares it.
+func (j Job) withProfile(every int) Job {
+	j.Label += "/profile"
+	j.TelemetryEvery, j.trackFlows = every, true
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|profile%d", j.Key, every)))
 	j.Key = hex.EncodeToString(sum[:])
 	return j
 }

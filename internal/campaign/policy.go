@@ -3,32 +3,18 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"tdmnoc/hsnoc"
-	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
-	"tdmnoc/internal/stats"
 )
 
-// SimulateProfile runs one base job with flow-tracking telemetry and
-// extracts its traffic profile alongside the ordinary result record.
-// The returned record is byte-identical to what plain Simulate would
-// persist for the same job — telemetry only observes a run — so
-// phase A of the policy loop can seed the shared result store under
-// the base job key and a later plain campaign (or the static phase-B
-// re-run) cache-hits it.
-func SimulateProfile(ctx context.Context, j Job, every int) (stats.RunRecord, *policy.Profile, error) {
-	if every <= 0 {
-		every = 512
-	}
-	var prof *policy.Profile
-	rr, err := simulate(ctx, j, hsnoc.FlowProfileTelemetry(every), func(s *hsnoc.Simulator, _ *obs.Recorder) (err error) {
-		prof, err = s.ExtractProfile()
-		return err
-	})
-	return rr, prof, err
-}
+// A policy study (Spec.PolicyProfile) is two waves of ordinary jobs on
+// one engine and one record store. Wave 1 profiles every grid point: the
+// point's job with the flow profiler attached (Job.withProfile), whose
+// record carries the flow table policies decide from. Wave 2 re-runs
+// the point under each policy whose decision changes its config
+// (Spec.reruns). RunSpec runs both; Resolve finds both in a store;
+// Report is the policy view over them.
 
 // PolicyOutcome compares one policy's re-run against the static
 // baseline of the same grid point.
@@ -36,13 +22,14 @@ type PolicyOutcome struct {
 	Label   string `json:"label"`
 	Policy  string `json:"policy"`
 	BaseKey string `json:"base_key"`
-	// RunKey is the phase-B job key. For the static policy it equals
-	// BaseKey — applying the empty decision reproduces the base config
-	// bit for bit, which is what makes the baseline a cache hit.
+	// RunKey is the key of the plain job the decision's config makes.
+	// For the static policy it equals BaseKey: the empty decision leaves
+	// the config as it was, so no re-run is scheduled and the outcome
+	// reads the profiling run's record.
 	RunKey   string          `json:"run_key"`
 	Decision policy.Decision `json:"decision"`
-	// Err carries a phase-A profile failure, an inapplicable decision
-	// or a failed re-run; metric fields are zero when set.
+	// Err carries a failed profiling run, an inapplicable decision or a
+	// failed re-run; metric fields are zero when set.
 	Err string `json:"error,omitempty"`
 
 	BaseEnergyPerFlit float64 `json:"base_energy_per_flit_pj"`
@@ -57,9 +44,9 @@ type PolicyOutcome struct {
 	Throughput      float64 `json:"throughput"`
 }
 
-// PolicyReport is the output of RunPolicyLoop: one outcome per
-// (grid point, policy), in grid-then-policy order — deterministic, so
-// two runs of the same spec emit identical reports.
+// PolicyReport is a policy study's comparison: one outcome per (grid
+// point, policy), in grid-then-policy order — computed from records, so
+// a local run, a store and a fleet's results give the same report.
 type PolicyReport struct {
 	ProfileEvery int             `json:"profile_every"`
 	Policies     []string        `json:"policies"`
@@ -76,152 +63,162 @@ func EnergyPerFlit(r Record) float64 {
 	return r.Result.EnergyPJ / flits
 }
 
-// RunPolicyLoop executes the profile→re-run policy comparison declared
-// by spec.PolicyProfile. Phase A runs every grid point with
-// flow-tracking telemetry (through a sub-engine on the same worker
-// budget), persists the base record in the engine's result store and
-// the extracted profile in profiles (either store may be nil for
-// in-memory-only runs). Phase B maps each policy over each profile via
-// policy.Decide + hsnoc.ApplyDecision and runs the derived configs
-// through the engine — the static baseline re-derives the base config
-// exactly, so with a store it never re-simulates. The report carries
-// per-point energy-per-flit, latency and throughput deltas against the
-// baseline.
-func RunPolicyLoop(ctx context.Context, e *Engine, spec Spec, profiles *ProfileStore) (*PolicyReport, error) {
-	if spec.PolicyProfile == nil {
-		return nil, fmt.Errorf("campaign: spec has no policy_profile section")
-	}
-	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
-	pp := spec.PolicyProfile
-	pols := make([]policy.Policy, len(pp.Policies))
-	for i, ps := range pp.Policies {
-		pol, err := policy.Parse(ps)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		pols[i] = pol
-	}
-	jobs, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
+// rerun is one (grid point, policy) pair of a study: the outcome
+// without its metrics and, when the decision changes the point's
+// config, the wave-2 job that measures it (a zero Key otherwise).
+type rerun struct {
+	out PolicyOutcome
+	job Job
+}
 
-	// Phase A: profile every grid point, serving cached (record,
-	// profile) pairs without simulating. A point whose record is cached
-	// but whose profile is not must still re-run: the profile cannot be
-	// reconstructed from the record.
-	baseRecs := make([]Record, len(jobs))
-	profs := make([]*policy.Profile, len(jobs))
-	var need []Job
-	var needIdx []int
-	for i, j := range jobs {
-		if profiles != nil && e.store != nil {
-			if p, ok := profiles.Lookup(ProfileKey(j, pp.ProfileEvery)); ok {
-				if r, rok := e.store.Lookup(j.Key); rok {
-					profs[i], baseRecs[i] = p, r
-					continue
-				}
-			}
-		}
-		need = append(need, j)
-		needIdx = append(needIdx, i)
+// reruns derives grid point j's wave 2 from its wave-1 record: one
+// rerun per policy, in spec order. A failed profiling run fails every
+// outcome and schedules nothing. It is the one place decisions are
+// made, so RunSpec, Resolve and Report necessarily agree on which
+// wave-2 jobs a record implies.
+func (s *Spec) reruns(j Job, base Record) []rerun {
+	out := make([]rerun, len(s.PolicyProfile.Policies))
+	var prof *policy.Profile
+	if base.Err == "" && base.Telemetry != nil {
+		prof = hsnoc.DecisionProfile(j.Config, base.Telemetry)
 	}
-	if len(need) > 0 {
-		var mu sync.Mutex
-		got := map[string]*policy.Profile{}
-		runner := func(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, error) {
-			rr, prof, err := SimulateProfile(ctx, j, pp.ProfileEvery)
-			if err == nil {
-				mu.Lock()
-				got[j.Key] = prof
-				mu.Unlock()
-			}
-			// No Summary: the persisted record must stay byte-identical
-			// to a plain Simulate record for the same key.
-			return rr, nil, err
-		}
-		// The sub-engine runs without a store — cache decisions were
-		// made above, and a store hit here would skip the extraction.
-		sub := New(Options{Workers: e.workers, JobTimeout: e.timeout, Runner: runner})
-		recs := sub.Run(ctx, need)
-		for k, rec := range recs {
-			i := needIdx[k]
-			baseRecs[i] = rec
-			if rec.Err != "" {
-				continue
-			}
-			profs[i] = got[need[k].Key]
-			if e.store != nil {
-				if _, err := e.store.AppendNew(rec); err != nil {
-					return nil, err
-				}
-			}
-			if profiles != nil {
-				if err := profiles.Append(ProfileKey(need[k], pp.ProfileEvery), profs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Phase B: one derived job per (grid point, policy). Failed grid
-	// points surface as per-policy outcome errors, never as a loop
-	// error — one saturated point must not sink the comparison.
-	report := &PolicyReport{
-		ProfileEvery: pp.ProfileEvery,
-		Policies:     append([]string(nil), pp.Policies...),
-		Outcomes:     make([]PolicyOutcome, 0, len(jobs)*len(pols)),
-	}
-	var bjobs []Job
-	type slot struct{ out, grid int } // outcome and grid-point index of a phase-B job
-	var bslot []slot
-	for i, j := range jobs {
-		for pi, pol := range pols {
-			out := PolicyOutcome{
-				Label:   j.Label,
-				Policy:  pp.Policies[pi],
-				BaseKey: j.Key,
-			}
-			if baseRecs[i].Err != "" {
-				out.Err = fmt.Sprintf("profile run failed: %s", baseRecs[i].Err)
-				report.Outcomes = append(report.Outcomes, out)
-				continue
-			}
-			out.Decision = pol.Decide(profs[i])
-			cfg, err := hsnoc.ApplyDecision(j.Config, out.Decision)
-			if err != nil {
-				out.Err = err.Error()
-				report.Outcomes = append(report.Outcomes, out)
-				continue
-			}
-			bj := j.withConfig(cfg)
-			bj.Label = fmt.Sprintf("%s/policy=%s", j.Label, pol.Name())
-			out.RunKey = bj.Key
-			bjobs = append(bjobs, bj)
-			bslot = append(bslot, slot{len(report.Outcomes), i})
-			report.Outcomes = append(report.Outcomes, out)
-		}
-	}
-	brecs := e.Run(ctx, bjobs)
-	for k, rec := range brecs {
-		out := &report.Outcomes[bslot[k].out]
-		if rec.Err != "" {
-			out.Err = rec.Err
+	for i, name := range s.PolicyProfile.Policies {
+		r := &out[i]
+		r.out = PolicyOutcome{Label: j.Label, Policy: name, BaseKey: j.Key}
+		switch {
+		case base.Err != "":
+			r.out.Err = "profile run failed: " + base.Err
+			continue
+		case prof == nil: // a substitute Runner returned no Summary
+			r.out.Err = "profile run recorded no flow table"
 			continue
 		}
-		base := baseRecs[bslot[k].grid]
-		out.BaseEnergyPerFlit = EnergyPerFlit(base)
-		out.EnergyPerFlit = EnergyPerFlit(rec)
-		out.EnergyDeltaPct = deltaPct(out.BaseEnergyPerFlit, out.EnergyPerFlit)
-		out.BaseAvgLatency = base.Result.AvgNetLatency()
-		out.AvgLatency = rec.Result.AvgNetLatency()
-		out.LatencyDeltaPct = deltaPct(out.BaseAvgLatency, out.AvgLatency)
-		out.BaseThroughput = base.Result.Throughput()
-		out.Throughput = rec.Result.Throughput()
+		pol, _ := policy.Parse(name) // Normalize has parsed every name
+		r.out.Decision = pol.Decide(prof)
+		cfg, err := hsnoc.ApplyDecision(j.Config, r.out.Decision)
+		if err != nil {
+			r.out.Err = err.Error()
+			continue
+		}
+		rj := j.withConfig(cfg)
+		r.out.RunKey = rj.Key
+		if rj.Key != j.Key {
+			rj.Label = fmt.Sprintf("%s/policy=%s", j.Label, pol.Name())
+			r.job = rj
+		}
 	}
-	return report, nil
+	return out
+}
+
+// RunSpec runs the grid jobs of a normalized spec — all of Expand, or
+// one fleet shard's ShardJobs — and returns their records. A plain
+// spec's records are Run's. A policy study runs wave 1, derives wave 2
+// from its records and runs that, and returns the records grid point by
+// grid point: the wave-1 record, then its re-runs in policy order. So
+// consecutive shards' records concatenate to the whole campaign's, and
+// Resolve finds them in the same order.
+func (e *Engine) RunSpec(ctx context.Context, spec Spec, grid []Job) []Record {
+	if spec.PolicyProfile == nil {
+		return e.Run(ctx, grid)
+	}
+	wave1 := make([]Job, len(grid))
+	for i, j := range grid {
+		wave1[i] = j.withProfile(spec.PolicyProfile.ProfileEvery)
+	}
+	base := e.Run(ctx, wave1)
+	derived := make([][]rerun, len(grid))
+	var wave2 []Job
+	for i, j := range grid {
+		derived[i] = spec.reruns(j, base[i])
+		for _, r := range derived[i] {
+			if r.job.Key != "" {
+				wave2 = append(wave2, r.job)
+			}
+		}
+	}
+	rest := e.Run(ctx, wave2)
+	recs := make([]Record, 0, len(grid)+len(wave2))
+	for i := range grid {
+		recs = append(recs, base[i])
+		for _, r := range derived[i] {
+			if r.job.Key != "" {
+				recs, rest = append(recs, rest[0]), rest[1:]
+			}
+		}
+	}
+	return recs
+}
+
+// Resolve looks up, through lookup (a store's, or an index of fetched
+// results), the records RunSpec would return for grid, in RunSpec's
+// order. A record lookup cannot find comes back failed with Err "no
+// record"; a grid point whose wave-1 record is missing has no wave-2
+// keys to look up.
+func (s Spec) Resolve(grid []Job, lookup func(key string) (Record, bool)) []Record {
+	find := func(j Job) Record {
+		if r, ok := lookup(j.Key); ok {
+			return r
+		}
+		r := newRecord(j)
+		r.Err = "no record"
+		return r
+	}
+	recs := make([]Record, 0, len(grid))
+	for _, j := range grid {
+		if s.PolicyProfile == nil {
+			recs = append(recs, find(j))
+			continue
+		}
+		base := find(j.withProfile(s.PolicyProfile.ProfileEvery))
+		recs = append(recs, base)
+		for _, r := range s.reruns(j, base) {
+			if r.job.Key != "" {
+				recs = append(recs, find(r.job))
+			}
+		}
+	}
+	return recs
+}
+
+// Report is the policy view of a study's records, which must be in
+// RunSpec's order (RunSpec's or Resolve's output for the same grid):
+// each outcome's deltas compare its re-run — or, for a decision that
+// changed nothing, the profiling run itself — against the profiling
+// run. Failed records become outcome errors; one saturated point never
+// sinks the comparison.
+func (s Spec) Report(grid []Job, recs []Record) *PolicyReport {
+	pp := s.PolicyProfile
+	rep := &PolicyReport{
+		ProfileEvery: pp.ProfileEvery,
+		Policies:     append([]string(nil), pp.Policies...),
+		Outcomes:     make([]PolicyOutcome, 0, len(grid)*len(pp.Policies)),
+	}
+	for _, j := range grid {
+		base := recs[0]
+		recs = recs[1:]
+		for _, r := range s.reruns(j, base) {
+			out, rec := r.out, base
+			if r.job.Key != "" {
+				rec, recs = recs[0], recs[1:]
+			}
+			switch {
+			case out.Err != "":
+			case rec.Err != "":
+				out.Err = rec.Err
+			default:
+				out.BaseEnergyPerFlit = EnergyPerFlit(base)
+				out.EnergyPerFlit = EnergyPerFlit(rec)
+				out.EnergyDeltaPct = deltaPct(out.BaseEnergyPerFlit, out.EnergyPerFlit)
+				out.BaseAvgLatency = base.Result.AvgNetLatency()
+				out.AvgLatency = rec.Result.AvgNetLatency()
+				out.LatencyDeltaPct = deltaPct(out.BaseAvgLatency, out.AvgLatency)
+				out.BaseThroughput = base.Result.Throughput()
+				out.Throughput = rec.Result.Throughput()
+			}
+			rep.Outcomes = append(rep.Outcomes, out)
+		}
+	}
+	return rep
 }
 
 // deltaPct is the relative change new vs base in percent (0 when the

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"tdmnoc/hsnoc"
 	"tdmnoc/internal/policy"
 )
 
@@ -64,65 +66,40 @@ func TestSpecPolicyProfileValidation(t *testing.T) {
 	}
 }
 
-func TestProfileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "profiles.jsonl")
-	ps, err := OpenProfileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &policy.Profile{ConfigHash: "abc", Mode: "tdm", Width: 4, Height: 4, Injected: 42}
-	if err := ps.Append("k1", p); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate appends dedup on key.
-	if err := ps.Append("k1", p); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Len() != 1 {
-		t.Fatalf("Len = %d after dedup, want 1", ps.Len())
-	}
-	ps.Close()
-
-	back, err := OpenProfileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	got, ok := back.Lookup("k1")
-	if !ok || got.Injected != 42 || got.ConfigHash != "abc" {
-		t.Fatalf("Lookup after reopen = %+v, %v", got, ok)
-	}
-	if _, ok := back.Lookup("k2"); ok {
-		t.Error("Lookup invented a profile")
-	}
-}
-
-// TestRunPolicyLoop drives the full offline loop on the miniature spec
-// and pins its cache contracts: the static baseline is a store cache
-// hit (its derived config hashes identically to the profiled run), and
-// a second loop over the same stores re-simulates nothing in phase A.
+// TestRunPolicyLoop runs a policy study through RunSpec and pins its
+// contracts: both waves land in the one record store, the static
+// baseline schedules no re-run (its run key is the base key, its deltas
+// and decision are zero), a second run is served entirely from the
+// store, and the report — a view over the records — comes back
+// byte-identical, whether computed from the run or resolved from the
+// store alone.
 func TestRunPolicyLoop(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenStore(filepath.Join(dir, "records.jsonl"))
+	store, err := OpenStore(filepath.Join(t.TempDir(), "records.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	profiles, err := OpenProfileStore(filepath.Join(dir, "profiles.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer profiles.Close()
 
-	// Two grid points, one per workload kind: the loop must treat a
+	// Two grid points, one per workload kind: the study must treat a
 	// Section V mix exactly as it treats a synthetic pattern.
 	spec := policySpec()
 	spec.Patterns = append(spec.Patterns, "mix:EQUAKE+LPS")
-	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
-	rep, err := RunPolicyLoop(context.Background(), eng, spec, profiles)
+	grid, err := spec.Expand()
 	if err != nil {
-		t.Fatalf("RunPolicyLoop: %v", err)
+		t.Fatal(err)
 	}
+	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
+	recs := eng.RunSpec(context.Background(), spec, grid)
+	// Per grid point: the profiling record, then greedy's re-run.
+	if len(recs) != 4 {
+		t.Fatalf("records = %d, want 4 (2 grid points x (profile + greedy))", len(recs))
+	}
+	for _, r := range recs {
+		if r.Err != "" {
+			t.Fatalf("record %s failed: %s", r.Label, r.Err)
+		}
+	}
+	rep := spec.Report(grid, recs)
 	if len(rep.Outcomes) != 4 {
 		t.Fatalf("outcomes = %d, want 4 (2 grid points x 2 policies)", len(rep.Outcomes))
 	}
@@ -140,8 +117,8 @@ func TestRunPolicyLoop(t *testing.T) {
 			t.Fatalf("%s: outcome order = %s/%s, %s/%s", workload, static.Label, static.Policy, greedy.Label, greedy.Policy)
 		}
 		// Static re-derives the base config exactly: same key, zero deltas.
-		if static.RunKey != static.BaseKey {
-			t.Errorf("%s: static run key %s != base key %s", workload, static.RunKey, static.BaseKey)
+		if static.RunKey != static.BaseKey || static.BaseKey != grid[g].Key {
+			t.Errorf("%s: static run key %s, base key %s, grid key %s", workload, static.RunKey, static.BaseKey, grid[g].Key)
 		}
 		if static.EnergyDeltaPct != 0 || static.LatencyDeltaPct != 0 {
 			t.Errorf("%s: static deltas nonzero: %+v", workload, static)
@@ -149,53 +126,101 @@ func TestRunPolicyLoop(t *testing.T) {
 		if !static.Decision.IsZero() {
 			t.Errorf("%s: static decision mutates config: %+v", workload, static.Decision)
 		}
+		// The profiling record carries the flow table, under its own key.
+		base := recs[2*g]
+		if base.Key == grid[g].Key || base.Telemetry == nil || len(base.Telemetry.Flows) == 0 {
+			t.Errorf("%s: wave-1 record key %s (grid %s) carries no flow table", workload, base.Key, grid[g].Key)
+		}
 		// Greedy pins flows and produces a distinct run of the same workload.
 		if len(greedy.Decision.PinnedFlows) == 0 {
 			t.Errorf("%s: greedy pinned no flows", workload)
 		}
-		if greedy.RunKey == greedy.BaseKey {
-			t.Errorf("%s: greedy re-run key equals base key — decision not applied", workload)
+		if greedy.RunKey == greedy.BaseKey || recs[2*g+1].Key != greedy.RunKey {
+			t.Errorf("%s: greedy re-run key %s, base %s, record %s", workload, greedy.RunKey, greedy.BaseKey, recs[2*g+1].Key)
 		}
 		if rec, ok := store.Lookup(greedy.RunKey); !ok || rec.Pattern != workload {
 			t.Errorf("%s: greedy re-run stored as %+v (found %v)", workload, rec.Pattern, ok)
 		}
 	}
-	// ... which makes each static baseline a cache hit against its
-	// phase-A record.
-	if hits := eng.Status().CacheHits; hits != 2 {
-		t.Errorf("cache hits = %d, want 2 (one static baseline per grid point)", hits)
-	}
-	if profiles.Len() != 2 {
-		t.Errorf("profile store holds %d profiles, want 2", profiles.Len())
+	if st := eng.Status(); st.CacheHits != 0 || st.Done != 4 {
+		t.Errorf("first run: %+v, want 4 jobs done and no cache hits", st)
 	}
 
-	// Second loop over the same stores: phase A is fully cached, so the
-	// fresh engine simulates only already-cached phase-B jobs — every
-	// job it sees is a cache hit and the report comes back identical.
+	// Second run over the same store: every job of both waves is a
+	// cache hit and the report comes back identical.
 	eng2 := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
-	rep2, err := RunPolicyLoop(context.Background(), eng2, spec, profiles)
-	if err != nil {
-		t.Fatalf("second RunPolicyLoop: %v", err)
-	}
-	st := eng2.Status()
-	if st.CacheHits != st.Done || st.Done == 0 {
-		t.Errorf("second loop simulated fresh jobs: %+v", st)
+	recs2 := eng2.RunSpec(context.Background(), spec, grid)
+	if st := eng2.Status(); st.CacheHits != st.Done || st.Done != 4 {
+		t.Errorf("second run simulated fresh jobs: %+v", st)
 	}
 	b1, _ := json.Marshal(rep)
-	b2, _ := json.Marshal(rep2)
+	b2, _ := json.Marshal(spec.Report(grid, recs2))
 	if string(b1) != string(b2) {
 		t.Errorf("reports differ across cached re-runs:\n%s\n%s", b1, b2)
 	}
+	// ... and the store alone resolves the same records.
+	b3, _ := json.Marshal(spec.Report(grid, spec.Resolve(grid, store.Lookup)))
+	if string(b1) != string(b3) {
+		t.Errorf("report resolved from the store differs:\n%s\n%s", b1, b3)
+	}
 }
 
-// TestGreedyBeatsStaticOnFig4Miniatures is the issue's headline
-// acceptance: on two Fig. 4 permutation miniatures at 0.20 injection
-// the profiled greedy policy strictly improves energy-per-flit over the
-// static baseline.
-func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
+// TestDecisionFromWave1Record: for every built-in policy on both Fig. 4
+// miniature points, the decision derived from a stored wave-1 record
+// equals Decide over the profile ExtractProfile reads off a live
+// simulator of the same run — the record carries everything a policy
+// decides from.
+func TestDecisionFromWave1Record(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second policy loop in -short mode")
+		t.Skip("four 6x6 simulations in -short mode")
 	}
+	spec := fig4Miniature(policy.Names()...)
+	grid, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(filepath.Join(t.TempDir(), "records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	New(Options{Workers: 2, Store: store}).RunSpec(context.Background(), spec, grid)
+	store.Close()
+	stored, err := OpenStore(store.Path()) // decode from disk, as a fleet coordinator does
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	for _, j := range grid {
+		base, ok := stored.Lookup(j.withProfile(spec.PolicyProfile.ProfileEvery).Key)
+		if !ok {
+			t.Fatalf("%s: no wave-1 record", j.Label)
+		}
+		s := hsnoc.NewSynthetic(j.Config, j.Pattern, j.Rate)
+		if _, err := s.AttachTelemetry(hsnoc.FlowProfileTelemetry(spec.PolicyProfile.ProfileEvery)); err != nil {
+			t.Fatal(err)
+		}
+		s.Warmup(j.Warmup)
+		s.Run(j.Measure)
+		prof, err := s.ExtractProfile()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range spec.reruns(j, base) {
+			pol, err := policy.Parse(spec.PolicyProfile.Policies[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := pol.Decide(prof); !reflect.DeepEqual(r.out.Decision, want) {
+				t.Errorf("%s/%s: decision from the record %+v, from ExtractProfile %+v", j.Label, pol.Name(), r.out.Decision, want)
+			}
+		}
+	}
+}
+
+// fig4Miniature is scenarios/fig4_policy.json's grid under the given
+// policies, normalized.
+func fig4Miniature(policies ...string) Spec {
 	spec := Spec{
 		Name:          "fig4-policy",
 		Modes:         []string{"tdm"},
@@ -205,13 +230,29 @@ func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
 		Seeds:         []uint64{1},
 		WarmupCycles:  2000,
 		MeasureCycles: 8000,
-		PolicyProfile: &PolicyProfileSpec{Policies: []string{"static", "greedy"}},
+		PolicyProfile: &PolicyProfileSpec{Policies: policies},
+	}
+	if err := spec.Normalize(); err != nil {
+		panic(err)
+	}
+	return spec
+}
+
+// TestGreedyBeatsStaticOnFig4Miniatures is the policy layer's headline
+// acceptance: on two Fig. 4 permutation miniatures at 0.20 injection
+// the profiled greedy policy strictly improves energy-per-flit over the
+// static baseline.
+func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second policy loop in -short mode")
+	}
+	spec := fig4Miniature("static", "greedy")
+	grid, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
 	}
 	eng := New(Options{Workers: 4, JobTimeout: 2 * time.Minute})
-	rep, err := RunPolicyLoop(context.Background(), eng, spec, nil)
-	if err != nil {
-		t.Fatalf("RunPolicyLoop: %v", err)
-	}
+	rep := spec.Report(grid, eng.RunSpec(context.Background(), spec, grid))
 	improved := 0
 	for _, out := range rep.Outcomes {
 		if out.Err != "" {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"tdmnoc/internal/obs"
-	"tdmnoc/internal/policy"
 	"tdmnoc/internal/stats"
 )
 
@@ -261,14 +260,6 @@ func TestTornTrailerThenAppendSurvivesReopen(t *testing.T) {
 			}
 			return func(k string) error { return st.Append(rec(k)) },
 				func(k string) bool { _, ok := st.Lookup(k); return ok && st.Dead() == 0 }, st.Close, nil
-		}},
-		"OpenProfileStore": {"p.jsonl", func(dir string) (func(string) error, func(string) bool, func() error, error) {
-			ps, err := OpenProfileStore(filepath.Join(dir, "p.jsonl"))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return func(k string) error { return ps.Append(k, &policy.Profile{ConfigHash: k}) },
-				func(k string) bool { p, ok := ps.Lookup(k); return ok && p.ConfigHash == k }, ps.Close, nil
 		}},
 		"OpenShardedStore": {"shard-3.jsonl", func(dir string) (func(string) error, func(string) bool, func() error, error) {
 			ss, err := OpenShardedStore(dir)

@@ -91,26 +91,26 @@ type Spec struct {
 	// reports violations fail with a descriptive Err instead of
 	// persisting a corrupt record. Not available for sdm mode.
 	CheckInvariants bool `json:"check_invariants,omitempty"`
-	// PolicyProfile turns the campaign into a profile→re-run policy
-	// loop (RunPolicyLoop): phase A runs every grid point with
-	// flow-tracking telemetry and extracts a traffic profile, phase B
-	// re-runs each point under every listed policy's decision and
-	// reports the energy/latency deltas against the static baseline.
-	// Requires tdm-only modes and is mutually exclusive with
-	// TelemetryEvery (phase A attaches its own recorder).
+	// PolicyProfile turns the campaign into a policy study
+	// (Engine.RunSpec): wave 1 runs every grid point with the flow
+	// profiler attached, wave 2 re-runs each point under every listed
+	// policy's decision, and Report gives the energy/latency deltas
+	// against the static baseline. Requires tdm-only modes and is
+	// mutually exclusive with TelemetryEvery (wave 1 attaches its own
+	// recorder).
 	PolicyProfile *PolicyProfileSpec `json:"policy_profile,omitempty"`
 }
 
-// PolicyProfileSpec is the policy-loop axis of a Spec.
+// PolicyProfileSpec is the policy axis of a Spec.
 type PolicyProfileSpec struct {
 	// Policies are the adaptive policies to compare, in policy.Parse
 	// syntax ("static", "threshold:64", "greedy:8", "sdm-gate"). The
 	// "static" baseline is prepended when absent — every comparison
 	// needs its anchor.
 	Policies []string `json:"policies"`
-	// ProfileEvery is phase A's telemetry sampling interval in cycles
-	// (default 512). It shapes the window series in the profile, not
-	// the flow aggregates, and is part of the profile cache key.
+	// ProfileEvery is wave 1's telemetry sampling interval in cycles
+	// (default 512). It shapes the window series in the record, not the
+	// flow aggregates, and is part of the wave-1 job key.
 	ProfileEvery int `json:"profile_every,omitempty"`
 }
 
@@ -219,7 +219,7 @@ func (s *Spec) Normalize() error {
 	}
 	if pp := s.PolicyProfile; pp != nil {
 		if s.TelemetryEvery > 0 {
-			return fmt.Errorf("campaign: policy_profile and telemetry_every are mutually exclusive (phase A attaches its own recorder)")
+			return fmt.Errorf("campaign: policy_profile and telemetry_every are mutually exclusive (wave 1 attaches its own recorder)")
 		}
 		for _, m := range s.Modes {
 			if mode, err := ParseMode(m); err != nil || mode != hsnoc.HybridTDM {

@@ -108,13 +108,28 @@ func newFleetCampaign(id, tenant string, shardSize int, spec campaign.Spec, jobs
 
 func (fc *fleetCampaign) finished() bool { return fc.doneCount == len(fc.shardKeys) }
 
-// allKeys flattens the per-shard key lists back into job order.
-func (fc *fleetCampaign) allKeys() []string {
-	keys := make([]string, 0, fc.jobs)
-	for _, sk := range fc.shardKeys {
-		keys = append(keys, sk...)
+// shardRecords resolves shard i's records against the store, in record
+// order, and counts the missing ones. A plain shard's records are its
+// jobs'. A policy study's shard runs both waves in its one lease, so its
+// records are its grid points' wave-1 records and the wave-2 records
+// derived from them (campaign.Spec.Resolve, the derivation the worker's
+// RunSpec made).
+func (c *Coordinator) shardRecords(fc *fleetCampaign, i int) (found []campaign.Record, missing int) {
+	if fc.spec.PolicyProfile == nil {
+		return c.opt.Store.LookupAll(fc.shardKeys[i])
 	}
-	return keys
+	jobs, err := fc.spec.ShardJobs(i, fc.shardSize)
+	if err != nil {
+		return nil, len(fc.shardKeys[i])
+	}
+	for _, r := range fc.spec.Resolve(jobs, c.opt.Store.Lookup) {
+		if r.Err != "" {
+			missing++
+		} else {
+			found = append(found, r)
+		}
+	}
+	return found, missing
 }
 
 // Coordinator is the fleet's control plane: it admits campaigns,
@@ -287,15 +302,11 @@ func (c *Coordinator) Idle() bool {
 // Submit admits a campaign: normalizes and expands the spec, fast-
 // completes shards whose every record is already in the store, and
 // queues the rest for lease. Errors: ErrDraining, *QuotaError, or a
-// spec validation error. A policy_profile spec is one: workers run plain
-// grid jobs, so admitting it would silently skip the policy comparison.
+// spec validation error.
 func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	spec := req.Spec
 	if err := spec.Normalize(); err != nil {
 		return SubmitResponse{}, err
-	}
-	if spec.PolicyProfile != nil {
-		return SubmitResponse{}, errors.New("fleet: policy_profile specs run locally (experiments -spec, or nocsimd without -coordinator); fleet workers run plain grid jobs only")
 	}
 	n := spec.Jobs()
 	if n == 0 {
@@ -385,7 +396,7 @@ func (c *Coordinator) admitLocked(id, tenant string, weight float64, shardSize i
 	fc := newFleetCampaign(id, tenant, shardSize, spec, jobs)
 	var pending []int
 	for i, keys := range fc.shardKeys {
-		if _, missing := c.opt.Store.LookupAll(keys); missing == 0 {
+		if _, missing := c.shardRecords(fc, i); missing == 0 {
 			// Every record already exists — a prior campaign (or an
 			// interrupted run of this one) computed this shard. Complete
 			// it at admission: the distributed analogue of store resume.
@@ -553,7 +564,9 @@ func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteRespo
 
 	c.mu.Lock()
 	if c.settleLocked(fc, l, wasActive, resp.Failed) {
-		c.jobsCompleted.Add(int64(l.jobs - resp.Failed))
+		// What the shard posted, not its grid size: a policy study's
+		// shard posts its wave-2 records too.
+		c.jobsCompleted.Add(int64(len(recs) - resp.Failed))
 	}
 	// Journaled after the store append above: a journaled completion
 	// implies its records are durable, so replay only reconstructs
@@ -662,20 +675,22 @@ func (c *Coordinator) Statuses() []CampaignStatus {
 	return out
 }
 
-// Records resolves a campaign's job keys against the store, in job
-// order, reporting how many are still missing. With missing == 0 the
-// slice is exactly what a single-process Engine run would return
-// (records marked Cached, as store hits are).
+// Records resolves a campaign's records against the store, shard by
+// shard in record order, reporting how many are still missing. With
+// missing == 0 the slice is exactly what a single-process
+// Engine.RunSpec would return (records marked Cached, as store hits
+// are).
 func (c *Coordinator) Records(id string) (found []campaign.Record, missing int, ok bool) {
 	c.mu.Lock()
 	fc, exists := c.campaigns[id]
+	c.mu.Unlock()
 	if !exists {
-		c.mu.Unlock()
 		return nil, 0, false
 	}
-	keys := fc.allKeys()
-	c.mu.Unlock()
-	found, missing = c.opt.Store.LookupAll(keys)
+	for i := range fc.shardKeys {
+		f, m := c.shardRecords(fc, i)
+		found, missing = append(found, f...), missing+m
+	}
 	return found, missing, true
 }
 

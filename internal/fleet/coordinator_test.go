@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -109,41 +108,6 @@ func TestSubmitExpandAndShard(t *testing.T) {
 	}
 	if m := c.Metrics(); m.QueueDepth != 2 || m.TenantQueued["default"] != 4 {
 		t.Fatalf("metrics = %+v", m)
-	}
-}
-
-// TestSubmitRefusesPolicyProfile: workers run plain grid jobs, so a
-// policy_profile spec is refused by name — directly and as a 400 over
-// HTTP — rather than run as a grid whose policy comparison never
-// happens. Nothing is admitted and nothing is journaled.
-func TestSubmitRefusesPolicyProfile(t *testing.T) {
-	c := newTestCoordinator(t, nil, Options{Journal: filepath.Join(t.TempDir(), "journal")})
-	defer c.Close()
-	spec := testSpec()
-	spec.PolicyProfile = &campaign.PolicyProfileSpec{Policies: []string{"greedy"}}
-	if _, err := c.Submit(SubmitRequest{Spec: spec}); err == nil || !strings.Contains(err.Error(), "policy_profile") {
-		t.Errorf("Submit of a policy_profile spec = %v, want a refusal naming policy_profile", err)
-	}
-
-	mux := http.NewServeMux()
-	c.Register(mux)
-	body, err := json.Marshal(SubmitRequest{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/campaigns", strings.NewReader(string(body))))
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "policy_profile") {
-		t.Errorf("POST /fleet/campaigns with a policy_profile spec: %d %s, want 400 naming policy_profile", rec.Code, rec.Body)
-	}
-
-	if m := c.Metrics(); m.CampaignsTotal != 0 || m.QueueDepth != 0 || m.JournalRecords != 0 {
-		t.Errorf("after refusals: %d campaigns, queue %d, %d journal records; want none", m.CampaignsTotal, m.QueueDepth, m.JournalRecords)
-	}
-	// The same grid without the policy axis is admitted as usual.
-	spec.PolicyProfile = nil
-	if _, err := c.Submit(SubmitRequest{Spec: spec}); err != nil {
-		t.Fatalf("Submit of the plain grid: %v", err)
 	}
 }
 

@@ -402,3 +402,115 @@ func TestFleetRunsMixSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetRunsPolicySpec: a policy study is an ordinary campaign, so a
+// coordinator and two workers run it shard by shard — both waves of a
+// shard inside its one lease — and the report computed from /results
+// equals the report of a local RunSpec. Job accounting counts the
+// records the shards posted (both waves), and a resubmit fast-completes
+// every shard from the wave-1 records and the wave-2 records derived
+// from them.
+func TestFleetRunsPolicySpec(t *testing.T) {
+	spec := campaign.Spec{
+		Modes:         []string{"tdm"},
+		Patterns:      []string{"tornado", "transpose"},
+		Meshes:        []campaign.MeshSize{{Width: 4, Height: 4}},
+		Rates:         []float64{0.15},
+		Seeds:         []uint64{1, 2},
+		WarmupCycles:  300,
+		MeasureCycles: 1200,
+		PolicyProfile: &campaign.PolicyProfileSpec{Policies: []string{"static", "threshold", "greedy"}},
+	}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := campaign.New(campaign.Options{Workers: 2}).RunSpec(context.Background(), spec, grid)
+	want, err := json.Marshal(spec.Report(grid, local))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := campaign.OpenShardedStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord, err := NewCoordinator(Options{Store: store, ShardSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	coord.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	sub, err := coord.Submit(SubmitRequest{Tenant: "policy", Spec: spec})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if sub.Jobs != len(grid) || sub.Shards != len(grid) {
+		t.Fatalf("submit = %+v, want %d grid points in as many shards", sub, len(grid))
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	defer wcancel()
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Workers: 1, PollInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go w.Run(wctx)
+	}
+	for deadline := time.Now().Add(120 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, _ := coord.Status(sub.ID)
+		if st.State == "done" {
+			if st.JobsFailed != 0 {
+				t.Fatalf("campaign done with %d failed jobs", st.JobsFailed)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign did not finish: %+v", st)
+		}
+	}
+	wcancel()
+	if m := coord.Metrics(); m.JobsCompleted != int64(len(local)) || m.StoreLive != len(local) {
+		t.Errorf("jobs completed %d, live records %d; want the %d records of both waves", m.JobsCompleted, m.StoreLive, len(local))
+	}
+
+	resp, err := http.Get(srv.URL + "/fleet/campaigns/" + sub.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched []campaign.Record
+	err = json.NewDecoder(resp.Body).Decode(&fetched)
+	resp.Body.Close()
+	if err != nil || len(fetched) != len(local) || resp.Header.Get("X-Fleet-Missing") != "0" {
+		t.Fatalf("results: %d records (error %v, missing %s), want %d", len(fetched), err, resp.Header.Get("X-Fleet-Missing"), len(local))
+	}
+	found := map[string]campaign.Record{}
+	for _, r := range fetched {
+		found[r.Key] = r
+	}
+	got, err := json.Marshal(spec.Report(grid, spec.Resolve(grid, func(k string) (campaign.Record, bool) {
+		r, ok := found[k]
+		return r, ok
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet report differs from the local one:\nfleet: %s\nlocal: %s", got, want)
+	}
+
+	again, err := coord.Submit(SubmitRequest{Tenant: "policy", Spec: spec})
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if again.CachedShards != again.Shards {
+		t.Errorf("resubmit fast-completed %d of %d shards, want all", again.CachedShards, again.Shards)
+	}
+}

@@ -160,7 +160,8 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // runShard executes one leased shard end to end: derive jobs, simulate
-// with background renewal, post the records back.
+// with background renewal — a policy study's shard runs both its waves
+// here, in the one lease — and post the records back.
 func (w *Worker) runShard(ctx context.Context, lease LeaseResponse) error {
 	jobs, err := lease.Spec.ShardJobs(lease.Shard.Index, lease.Shard.Size)
 	if err != nil {
@@ -199,7 +200,7 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseResponse) error {
 		JobTimeout: w.opt.JobTimeout,
 		Runner:     w.opt.Runner,
 	})
-	recs := eng.Run(ctx, jobs)
+	recs := eng.RunSpec(ctx, lease.Spec, jobs)
 	stopRenew()
 	if ctx.Err() != nil {
 		// Abrupt shutdown: don't post skipped-job records as failures;

@@ -82,6 +82,10 @@ type Summary struct {
 	SetupLatency   Histogram `json:"setup_latency"`
 	BucketLE       []int64   `json:"bucket_le"`
 	Samples        []Sample  `json:"samples,omitempty"`
+	// Flows is the per-flow table (FlowStats) of a recorder built with
+	// TrackFlows, nil otherwise. It is what the policy layer ranks, so
+	// the record of a flow-tracking campaign job carries its profile.
+	Flows []FlowStat `json:"flows,omitempty"`
 	// ShardRingDrops is the per-worker-shard breakdown of RingDrops.
 	// Runtime-only (like campaign.Record.Cached): the JSON form of a
 	// Summary must not depend on the worker count, but an in-process
@@ -345,6 +349,7 @@ func (r *Recorder) Summary() *Summary {
 		SetupLatency:   r.SetupLatency(),
 		BucketLE:       le,
 		Samples:        r.Samples(),
+		Flows:          r.FlowStats(),
 		ShardRingDrops: r.ShardDrops(),
 	}
 	for _, s := range r.shards {

@@ -140,20 +140,13 @@ func ReadProfileFile(path string) (*Profile, error) {
 	return ReadProfile(bytes.NewReader(b))
 }
 
-// FromRecorder assembles the recorder-derived part of a Profile: the
-// aggregate summary counters, link heat, and per-flow table. The
-// caller fills ConfigHash, Mode, mesh size and the slot-table fields
-// (which live outside the recorder). The recorder must have been built
-// with TrackFlows.
-func FromRecorder(rec *obs.Recorder, width, height, ports int) (*Profile, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("policy: nil recorder")
-	}
-	if !rec.FlowTracking() {
-		return nil, fmt.Errorf("policy: recorder was built without TrackFlows")
-	}
-	sum := rec.Summary()
-	p := &Profile{
+// FromSummary assembles the part of a Profile a recorder Summary
+// carries: the aggregate counters and, from a flow-tracking recorder,
+// the per-flow table. That is everything Decide reads except the
+// slot-table capacity, so a stored Summary is enough to re-derive a
+// run's decisions.
+func FromSummary(sum *obs.Summary, width, height int) *Profile {
+	return &Profile{
 		Width:        width,
 		Height:       height,
 		Cycles:       sum.Cycles,
@@ -165,10 +158,24 @@ func FromRecorder(rec *obs.Recorder, width, height, ports int) (*Profile, error)
 		SetupsOK:     sum.SetupsOK,
 		SetupsFailed: sum.SetupsFailed,
 		SetupLatency: sum.SetupLatency,
-		LinkPorts:    ports,
-		LinkFlits:    make([]int64, width*height*ports),
-		Flows:        rec.FlowStats(),
+		Flows:        sum.Flows,
 	}
+}
+
+// FromRecorder assembles the recorder-derived part of a Profile: its
+// Summary (FromSummary) plus the link heat. The caller fills
+// ConfigHash, Mode and the slot-table fields (which live outside the
+// recorder). The recorder must have been built with TrackFlows.
+func FromRecorder(rec *obs.Recorder, width, height, ports int) (*Profile, error) {
+	if rec == nil {
+		return nil, fmt.Errorf("policy: nil recorder")
+	}
+	if !rec.FlowTracking() {
+		return nil, fmt.Errorf("policy: recorder was built without TrackFlows")
+	}
+	p := FromSummary(rec.Summary(), width, height)
+	p.LinkPorts = ports
+	p.LinkFlits = make([]int64, width*height*ports)
 	for n := 0; n < width*height; n++ {
 		for pt := 0; pt < ports; pt++ {
 			p.LinkFlits[n*ports+pt] = rec.LinkFlits(n, topology.Port(pt))

@@ -7,11 +7,14 @@
 # campaign and active lease, and both files must be appendable again),
 # then one worker is SIGKILLed while it holds a lease (its shard expires
 # and migrates) — and the fleet CSV must still match the single-process
-# CSV bit for bit. Finally the coordinator is stopped and started once
-# more and the sweep re-fetched: the files written after the torn
-# trailers must still open, with no dead lines and the same CSV. This is
-# the determinism + durability contract of DESIGN.md §10, exercised
-# through real processes, real sockets and a real kill -9.
+# CSV bit for bit. With worker 1 back, the committed Fig. 4 policy study
+# runs on the two workers (both waves of a shard inside its one lease)
+# and its policy CSV must match a local run. Finally the coordinator is
+# stopped and started once more and both campaigns re-fetched: the files
+# written after the torn trailers must still open, with no dead lines
+# and the same CSVs. This is the determinism + durability contract of
+# DESIGN.md §10, exercised through real processes, real sockets and a
+# real kill -9.
 set -euo pipefail
 
 COORD_PORT="${COORD_PORT:-18080}"
@@ -47,8 +50,11 @@ echo "== build"
 go build -o "$BIN/nocsimd" ./cmd/nocsimd
 go build -o "$BIN/experiments" ./cmd/experiments
 
-echo "== serial reference run"
+POLICY_SPEC=scenarios/fig4_policy.json
+
+echo "== serial reference runs"
 "$BIN/experiments" -spec "$SPEC" > "$TMP/serial.csv"
+"$BIN/experiments" -spec "$POLICY_SPEC" > "$TMP/policy-serial.csv" 2>/dev/null
 
 JOURNAL="$TMP/coord/fleet.journal"
 start_coordinator() {
@@ -67,14 +73,17 @@ wait_healthy() {
     exit 1
 }
 
+start_worker() { # $1 = worker number
+    "$BIN/nocsimd" -worker "$BASE" -addr ":$((COORD_PORT + $1))" \
+        -data "$TMP/w$1" -pprof=false &
+    PIDS+=($!)
+}
+
 echo "== start coordinator + 2 workers"
 start_coordinator
-for i in 1 2; do
-    "$BIN/nocsimd" -worker "$BASE" -addr ":$((COORD_PORT + i))" \
-        -data "$TMP/w$i" -pprof=false &
-    PIDS+=($!)
-done
+start_worker 1
 WORKER1_PID="${PIDS[1]}"
+start_worker 2
 
 wait_healthy
 
@@ -147,14 +156,14 @@ fi
 
 wait "$SWEEP_PID"
 
-verify() { # $1 = the fleet CSV to hold against the serial run
+verify() { # $1 = the serial CSV, $2 = the fleet CSV to hold against it
     dead="$(metric fleet_store_dead_lines)"
     echo "   store dead lines: $dead"
     if [ "${dead:-0}" != 0 ]; then
         echo "FAIL: sharded store contains duplicate or torn lines"
         exit 1
     fi
-    if ! diff -u "$TMP/serial.csv" "$1"; then
+    if ! diff -u "$1" "$2"; then
         echo "FAIL: fleet results differ from the single-process run"
         exit 1
     fi
@@ -167,7 +176,13 @@ if [ "${expired:-0}" -lt 1 ]; then
     echo "FAIL: killed worker's lease never expired"
     exit 1
 fi
-verify "$TMP/fleet.csv"
+verify "$TMP/serial.csv" "$TMP/fleet.csv"
+
+echo "== restart worker 1; policy study ($POLICY_SPEC) on the fleet"
+wait "$WORKER1_PID" 2>/dev/null || true
+start_worker 1
+"$BIN/experiments" -spec "$POLICY_SPEC" -fleet "$BASE" > "$TMP/policy-fleet.csv"
+verify "$TMP/policy-serial.csv" "$TMP/policy-fleet.csv"
 
 # Second restart, this time a clean stop: everything appended since the
 # torn trailers must read back. The resubmitted sweep is served from the
@@ -179,5 +194,12 @@ wait "$COORD_PID" 2>/dev/null || true
 start_coordinator
 wait_healthy
 "$BIN/experiments" -spec "$SPEC" -fleet "$BASE" > "$TMP/fleet2.csv"
-verify "$TMP/fleet2.csv"
-echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines), through a crash with torn trailers and a restart"
+verify "$TMP/serial.csv" "$TMP/fleet2.csv"
+"$BIN/experiments" -spec "$POLICY_SPEC" -fleet "$BASE" > "$TMP/policy-fleet2.csv" 2> "$TMP/policy-fleet2.log"
+if ! grep -q 'shards, 2 cached)$' "$TMP/policy-fleet2.log"; then
+    echo "FAIL: the resubmitted policy study did not fast-complete every shard:"
+    cat "$TMP/policy-fleet2.log"
+    exit 1
+fi
+verify "$TMP/policy-serial.csv" "$TMP/policy-fleet2.csv"
+echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines, $(wc -l < "$TMP/policy-fleet.csv") policy CSV lines), through a crash with torn trailers and a restart"

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end adaptive-policy smoke: run the committed Fig. 4 miniature
-# spec through the offline profile→re-run loop and gate on the two
-# promises EXPERIMENTS.md makes for it — the greedy demand-budget
+# spec — a policy study, two waves of ordinary campaign jobs (profile
+# every grid point, then re-run it under each policy) — and gate on the
+# two promises EXPERIMENTS.md makes for it: the greedy demand-budget
 # policy improves energy-per-flit over the static baseline on every
-# grid point, and the whole loop is reproducible: a second run against
-# the same record and profile stores must be served entirely from
-# cache and print a byte-identical CSV. A plain (non-policy) spec of
+# grid point, and the study is reproducible: a second run against the
+# same record store must be served entirely from cache, leave the store
+# byte-unchanged and print a byte-identical CSV. A plain spec of
 # Section V mixes, scenarios/table3.json, is held to the same promise.
 set -euo pipefail
 
@@ -16,11 +17,35 @@ trap 'rm -rf "$TMP"' EXIT
 echo "== build"
 go build -o "$TMP/experiments" ./cmd/experiments
 
-echo "== policy loop, first pass (simulates phase A + phase B)"
-"$TMP/experiments" -spec "$SPEC" \
-    -results "$TMP/records.jsonl" -profiles "$TMP/profiles.jsonl" \
-    > "$TMP/run1.csv"
-cat "$TMP/run1.csv"
+# twice SPEC NAME: run SPEC twice against one record store and gate the
+# second pass: byte-identical stdout, a stderr line counting every job
+# as served from cache, and the store as the first pass left it.
+twice() {
+    local spec="$1" name="$2"
+    echo "== $name, first pass (simulates every job)"
+    "$TMP/experiments" -spec "$spec" -results "$TMP/$name.jsonl" > "$TMP/$name-1.csv" 2> "$TMP/$name-1.log"
+    cat "$TMP/$name-1.csv" "$TMP/$name-1.log"
+    cp "$TMP/$name.jsonl" "$TMP/$name.after-run1"
+    echo "== $name, second pass (must be served from cache)"
+    "$TMP/experiments" -spec "$spec" -results "$TMP/$name.jsonl" > "$TMP/$name-2.csv" 2> "$TMP/$name-2.log"
+    cat "$TMP/$name-2.log"
+
+    echo "== gate: the $name re-run is byte-identical and fully cached"
+    if ! diff -u "$TMP/$name-1.csv" "$TMP/$name-2.csv"; then
+        echo "FAIL: cached $name re-run produced different output"
+        exit 1
+    fi
+    if ! grep -Eq '^experiments: ([0-9]+) jobs, \1 served from cache, 0 failed$' "$TMP/$name-2.log"; then
+        echo "FAIL: $name re-run was not served entirely from cache"
+        exit 1
+    fi
+    if ! cmp "$TMP/$name.after-run1" "$TMP/$name.jsonl"; then
+        echo "FAIL: the cached $name re-run grew or rewrote the record store"
+        exit 1
+    fi
+}
+
+twice "$SPEC" policy
 
 echo "== gate: greedy beats static on energy-per-flit at every point"
 awk -F, '
@@ -45,38 +70,8 @@ awk -F, '
         }
         exit bad
     }
-' "$TMP/run1.csv"
+' "$TMP/policy-1.csv"
 
-echo "== policy loop, second pass (must be served from cache)"
-"$TMP/experiments" -spec "$SPEC" \
-    -results "$TMP/records.jsonl" -profiles "$TMP/profiles.jsonl" \
-    > "$TMP/run2.csv"
+twice scenarios/table3.json table3
 
-echo "== gate: re-run output is byte-identical"
-if ! diff -u "$TMP/run1.csv" "$TMP/run2.csv"; then
-    echo "FAIL: cached policy re-run produced different output"
-    exit 1
-fi
-
-echo "== plain mix spec (scenarios/table3.json), twice against one record store"
-"$TMP/experiments" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-1.csv" 2> "$TMP/table3-1.log"
-cat "$TMP/table3-1.csv"
-cp "$TMP/table3.jsonl" "$TMP/table3.after-run1"
-"$TMP/experiments" -spec scenarios/table3.json -results "$TMP/table3.jsonl" > "$TMP/table3-2.csv" 2> "$TMP/table3-2.log"
-
-echo "== gate: the re-run is byte-identical and fully cached"
-if ! diff -u "$TMP/table3-1.csv" "$TMP/table3-2.csv"; then
-    echo "FAIL: cached table3 re-run produced different output"
-    exit 1
-fi
-if ! grep -q '^experiments: 7 jobs, 7 served from cache, 0 failed$' "$TMP/table3-2.log"; then
-    echo "FAIL: table3 re-run was not served entirely from cache:"
-    cat "$TMP/table3-2.log"
-    exit 1
-fi
-if ! cmp "$TMP/table3.after-run1" "$TMP/table3.jsonl"; then
-    echo "FAIL: the cached re-run grew or rewrote the record store"
-    exit 1
-fi
-
-echo "OK: greedy improves every point and the loop reproduces bit for bit ($(($(wc -l < "$TMP/run1.csv") - 1)) comparison rows)"
+echo "OK: greedy improves every point and both specs reproduce bit for bit from cache ($(($(wc -l < "$TMP/policy-1.csv") - 1)) comparison rows)"
