@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
@@ -9,59 +10,35 @@ import (
 	"tdmnoc/internal/workload"
 )
 
-// heteroVariant names the Fig. 8 configurations.
-type heteroVariant struct {
-	name string
-	cfg  hsnoc.Config
+// variant is the configuration a figure's job belongs to: a variants
+// spec starts every label with the variant's name.
+func variant(j campaign.Job) string {
+	v, _, _ := strings.Cut(j.Label, "/")
+	return v
 }
 
-func heteroVariants(seed uint64) []heteroVariant {
-	hop := tdmCfg(6, 6, seed)
-	hop.PathSharing = true
-	hopVCt := hop
-	hopVCt.VCPowerGating = true
-	return []heteroVariant{
-		{"Packet-VC4", packetCfg(6, 6, seed)},
-		{"Hybrid-TDM-VC4", tdmCfg(6, 6, seed)},
-		{"Hybrid-TDM-hop-VC4", hop},
-		{"Hybrid-TDM-hop-VCt", hopVCt},
-	}
+// grid indexes a figure's records by (variant, workload, rate).
+// Printers look cells up by what they are, never by position: a spec's
+// job order is variant-major, a table's is not.
+type grid map[point]campaign.Record
+
+type point struct {
+	variant, workload string
+	rate              float64
 }
 
-// mixJobs builds the (mix, variant) matrix as campaign jobs, mix-major:
-// the records of the i-th mix start at recs[i*len(variants)].
-func mixJobs(rc *runConfig, mixes []int, variants []heteroVariant) []campaign.Job {
-	warm, measure := heteroCycles(rc.quick)
-	var jobs []campaign.Job
-	for _, mi := range mixes {
-		cpu, gpu := workload.Mix(mi)
-		for _, v := range variants {
-			jobs = append(jobs, campaign.NewMixJob(v.cfg, cpu.Name, gpu.Name, warm, measure,
-				gpu.Name+"/"+cpu.Name+"/"+v.name))
-		}
+func newGrid(jobs []campaign.Job, recs []campaign.Record) grid {
+	g := make(grid, len(jobs))
+	for i, j := range jobs {
+		g[point{variant(j), j.PatternName, j.Rate}] = recs[i]
 	}
-	return jobs
+	return g
 }
 
-func heteroCycles(quick bool) (warm, measure int) {
-	if quick {
-		return 2000, 8000
-	}
-	return 6000, 30000
-}
-
-func selectMixes(rc *runConfig) []int {
-	n := rc.mixes
-	if n <= 0 || n > workload.MixCount() {
-		n = workload.MixCount()
-	}
-	// Evenly subsample while keeping GPU-major grouping.
-	step := float64(workload.MixCount()) / float64(n)
-	var out []int
-	for i := 0; i < n; i++ {
-		out = append(out, int(float64(i)*step))
-	}
-	return out
+// at is variant v's record at job j's workload point (an empty record,
+// which every printer reads as n/a, when the grid has none).
+func (g grid) at(v string, j campaign.Job) stats.RunRecord {
+	return g[point{v, j.PatternName, j.Rate}].Result
 }
 
 // speedup is count/base; ok is false when either is zero (a failed job's
@@ -84,11 +61,12 @@ func (g *geomean) add(v float64) { g.logSum += math.Log(v); g.n++ }
 func (g geomean) mean() float64  { return math.Exp(g.logSum / float64(g.n)) }
 
 // fig8 reproduces Fig. 8: per-mix network energy saving, CPU speedup and
-// GPU speedup for the three hybrid configurations versus Packet-VC4.
-func fig8(rc *runConfig) {
+// GPU speedup for the three hybrid variants versus the first,
+// Packet-VC4.
+func fig8(rc *runConfig, spec campaign.Spec, jobs []campaign.Job, recs []campaign.Record) {
 	rc.println("== Figure 8: heterogeneous workload mixes (6x6, Fig. 7 layout) ==")
-	mixes := selectMixes(rc)
-	recs := rc.run(mixJobs(rc, mixes, heteroVariants(rc.seed)))
+	g := newGrid(jobs, recs)
+	base, hybrids := spec.Variants[0].Name, spec.Variants[1:]
 
 	rc.printf("%-24s %-20s %-20s %-20s\n", "mix (GPU/CPU)", "energy saving", "CPU speedup", "GPU speedup")
 	// A row is a label and nine cells: metric-major, then TDM/hop/hopVCt.
@@ -98,16 +76,18 @@ func fig8(rc *runConfig) {
 	// Geometric means across mixes (the paper's AVG group); the energy
 	// columns average the remaining fraction 1-saving.
 	var avg [9]geomean
-	for i, mi := range mixes {
-		cpu, gpu := workload.Mix(mi)
-		base := recs[4*i].Result
+	for i, j := range jobs {
+		if variant(j) != base {
+			continue
+		}
+		b := recs[i].Result
 		cells := make([]any, 10)
-		cells[0] = gpu.Name + "/" + cpu.Name
-		for v := 0; v < 3; v++ {
-			r := recs[4*i+1+v].Result
-			es, okE := r.EnergySavingVs(base)
-			cs, okC := speedup(r.CPUInstructions, base.CPUInstructions)
-			gs, okG := speedup(r.GPUIterations, base.GPUIterations)
+		cells[0] = j.GPU + "/" + j.CPU
+		for v, h := range hybrids {
+			r := g.at(h.Name, j)
+			es, okE := r.EnergySavingVs(b)
+			cs, okC := speedup(r.CPUInstructions, b.CPUInstructions)
+			gs, okG := speedup(r.GPUIterations, b.GPUIterations)
 			for m, c := range [3]struct {
 				shown, mean float64
 				ok          bool
@@ -134,29 +114,13 @@ func fig8(rc *runConfig) {
 }
 
 // fig9 reproduces the Fig. 9 energy breakdown: per-component dynamic and
-// static energy of the full hybrid configuration, normalised to the
-// packet-switched baseline, averaged over CPU applications per GPU
-// benchmark.
-func fig9(rc *runConfig) {
+// static energy of the full hybrid configuration (the second variant),
+// normalised to the packet-switched baseline (the first), averaged over
+// the spec's CPU applications per GPU benchmark.
+func fig9(rc *runConfig, spec campaign.Spec, jobs []campaign.Job, recs []campaign.Record) {
 	rc.println("== Figure 9: network energy breakdown (normalised to Packet-VC4) ==")
-	variants := []heteroVariant{
-		heteroVariants(rc.seed)[0], // Packet-VC4
-		heteroVariants(rc.seed)[3], // Hybrid-TDM-hop-VCt
-	}
-	nCPU := len(workload.CPUBenchmarks)
-	cpuSamples := nCPU
-	if rc.quick || rc.mixes < workload.MixCount() {
-		cpuSamples = 2
-	}
+	g := newGrid(jobs, recs)
 	components := []string{"buffer", "cs-component", "crossbar", "arbiter", "clock", "link"}
-	// Average over CPU applications (the paper averages each group).
-	var mixes []int
-	for gi := range workload.GPUBenchmarks {
-		for ci := 0; ci < cpuSamples; ci++ {
-			mixes = append(mixes, gi*nCPU+ci*(nCPU/cpuSamples))
-		}
-	}
-	recs := rc.run(mixJobs(rc, mixes, variants))
 
 	rc.printf("%-14s | %s\n", "GPU benchmark", "dynamic: component shares (base -> hybrid), then static")
 	tot := func(m map[string]float64) float64 {
@@ -168,16 +132,20 @@ func fig9(rc *runConfig) {
 	}
 	var totBufSave, totDynSave, totStatSave float64
 	var groups int
-	for gi, gpu := range workload.GPUBenchmarks {
+	for _, gpu := range workload.GPUBenchmarks {
+		// Average over CPU applications (the paper averages each group).
 		var base, hybrid stats.RunRecord
-		group := recs[2*gi*cpuSamples : 2*(gi+1)*cpuSamples]
-		for k := 0; k < len(group); k += 2 {
-			base.Merge(group[k].Result)
-			hybrid.Merge(group[k+1].Result)
+		var runs int64
+		for i, j := range jobs {
+			if j.GPU == gpu.Name && variant(j) == spec.Variants[0].Name {
+				runs++
+				base.Merge(recs[i].Result)
+				hybrid.Merge(g.at(spec.Variants[1].Name, j))
+			}
 		}
 		// A failed run's record is empty, and one missing run skews
 		// every share of its group.
-		if base.Runs != int64(cpuSamples) || hybrid.Runs != int64(cpuSamples) {
+		if base.Runs != runs || hybrid.Runs != runs {
 			rc.printf("%-14s n/a\n", gpu.Name)
 			continue
 		}
@@ -207,25 +175,18 @@ func fig9(rc *runConfig) {
 }
 
 // table3 reproduces Table III: per-GPU-benchmark injection ratio and the
-// percentage of flits that are circuit-switched under Hybrid-TDM-VC4.
-func table3(rc *runConfig) {
+// percentage of flits that are circuit-switched under Hybrid-TDM-VC4,
+// one row per mix of the spec (one representative CPU application).
+func table3(rc *runConfig, _ campaign.Spec, jobs []campaign.Job, recs []campaign.Record) {
 	rc.println("== Table III: GPU injection rate and circuit-switched flit percentage (Hybrid-TDM-VC4) ==")
-	warm, measure := heteroCycles(rc.quick)
-	cfg := heteroVariants(rc.seed)[1].cfg // Hybrid-TDM-VC4
-	var jobs []campaign.Job
-	for _, gpu := range workload.GPUBenchmarks {
-		// One representative CPU application.
-		jobs = append(jobs, campaign.NewMixJob(cfg, "EQUAKE", gpu.Name, warm, measure, gpu.Name+"/EQUAKE"))
-	}
-	recs := rc.run(jobs)
 	rc.printf("%-14s %22s %22s\n", "GPU benchmark", "injection (paper->ours)", "CS flits % (paper->ours)")
 	paperInj := map[string]float64{"BLACKSCHOLES": 0.18, "HOTSPOT": 0.09, "LIB": 0.20, "LPS": 0.20, "NN": 0.18, "PATHFINDER": 0.13, "STO": 0.05}
 	paperCS := map[string]float64{"BLACKSCHOLES": 55.7, "HOTSPOT": 29.1, "LIB": 34.4, "LPS": 55.0, "NN": 38.9, "PATHFINDER": 49.1, "STO": 18.5}
-	for gi, gpu := range workload.GPUBenchmarks {
-		r, ok := recs[gi].Result, recs[gi].Err == ""
-		rc.printf("%-14s %10.2f -> %6s %11.1f -> %5s\n", gpu.Name,
-			paperInj[gpu.Name], cell("%.3f", r.GPUInjectionRate(), ok),
-			paperCS[gpu.Name], cell("%.1f", 100*r.GPUCSFraction(), ok))
+	for i, j := range jobs {
+		r, ok := recs[i].Result, recs[i].Err == ""
+		rc.printf("%-14s %10.2f -> %6s %11.1f -> %5s\n", j.GPU,
+			paperInj[j.GPU], cell("%.3f", r.GPUInjectionRate(), ok),
+			paperCS[j.GPU], cell("%.1f", 100*r.GPUCSFraction(), ok))
 	}
 	rc.println()
 }
@@ -234,8 +195,9 @@ func table3(rc *runConfig) {
 // numbers of Section IV-A.
 func table1(rc *runConfig) {
 	rc.println("== Table I / Section IV-A: router parameters and area ==")
-	ps := packetCfg(6, 6, rc.seed)
-	hy := tdmCfg(6, 6, rc.seed)
+	ps := hsnoc.DefaultConfig(6, 6)
+	hy := ps
+	hy.Mode = hsnoc.HybridTDM
 	rc.printf("topology 6x6 2D mesh, 16-byte channels, 4 VCs/port, 5-flit buffers, 128-entry slot tables\n")
 	rc.printf("packet-switched router area: %.3f mm^2 (paper: 0.177)\n", ps.RouterAreaMM2())
 	rc.printf("hybrid-switched router area: %.3f mm^2 (paper: 0.188)\n", hy.RouterAreaMM2())

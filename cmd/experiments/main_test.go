@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -85,6 +88,54 @@ func TestTable3QuickRows(t *testing.T) {
 	}
 }
 
+// TestFigureSpecsKeepJobKeys pins every spec-backed figure's jobs, at
+// -quick and at paper size: the job count and a sha256 over the sorted
+// job keys. The literals were printed by the hand-built job lists the
+// committed specs replaced, so every record store those lists filled
+// still serves the figures.
+func TestFigureSpecsKeepJobKeys(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		quick bool
+		mixes int
+		jobs  int
+		sum   string
+	}{
+		{"fig4", false, 56, 132, "369491c170a444520e0d430b56684cedaba6dff8d2fabbc68bc06d67f8ca29a5"},
+		{"fig4", true, 56, 48, "353cbda6513abc823f4d2bf6b8bff7444573a0254c49935784a780a517565b19"},
+		{"fig5", false, 56, 99, "2ce393a9c738bffc2b5e59cd5a604fdf59a25a270d8dfae4c090a691e96817fd"},
+		{"fig5", true, 56, 36, "378e7e1d9e6508be61d417ed93ca5f951a5abc44584650f2074fe7c5b9ab2182"},
+		{"fig8", false, 56, 224, "b88ef3d22cb4dad387e1a7ae5317638a1517f6368c08b806decdb0af1708b3dd"},
+		{"fig8", true, 56, 224, "cd1628e555347cbfe8ce01e517f41bdad3a9f11bb78fea1aba59f6736a232723"},
+		{"fig8", false, 2, 8, "8c9e1cbcaae09491fd864faeaee2c248b1867cb37a52773e5b529d968d2ed498"},
+		{"fig8", true, 2, 8, "e49d6553fe511d90cec4b3f722ffbf0a6e224bfbb42f257d32d72d5f56b5f76e"},
+		{"fig8", false, 4, 16, "b260eda7dc94f2e411a212d9562ee72e6c484cd44822f993f130bd467231ea2a"},
+		{"fig8", true, 4, 16, "01686d7e4d0fdb6f445879d97d455a15b8f73a93e98201938bd5ca2c22625ad7"},
+		{"fig9", false, 56, 112, "49007473156feca42f934e2a3a37743d6b42c0325f50131cda04cf606f2d3d3a"},
+		{"fig9", true, 56, 28, "79aef5a9cadbb611640805bb2b5959d1808f993138282d99d42583545066e160"},
+		{"table3", false, 56, 7, "141ff93a7ac94c0c0c1aee236619b85fdcab4f7d2a8cab73f89548a6f4629d74"},
+		{"table3", true, 56, 7, "84a8d060bfe6733cd2e97ca921377b4135d61e5ff1cc97e7e032df1e47730670"},
+		{"ablation", false, 56, 8, "b9cc233b56c471c3eb41d880debf56f16b4b121b12bfb0bf98113b8a2eadb295"},
+		{"ablation", true, 56, 8, "7f4ff1bdd799155518fd86ae60de6227a636b1fedd14f1f0d59d2708a3ba80f1"},
+		{"granularity", false, 56, 14, "fbc61a9a07a8faa81915d4801fc0267486750bfd45221928650a72ecae951950"},
+		{"granularity", true, 56, 8, "b8864d3c2ca02cf6243d927a618c8cadf20e9c52ecaf2f10523d173b8cd0d292"},
+	} {
+		_, jobs, err := (&runConfig{quick: c.quick, mixes: c.mixes, seed: 1}).figureSpec(c.name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		keys := make([]string, len(jobs))
+		for i, j := range jobs {
+			keys[i] = j.Key
+		}
+		sort.Strings(keys)
+		sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+		if got := hex.EncodeToString(sum[:]); len(jobs) != c.jobs || got != c.sum {
+			t.Errorf("%s (quick %v, mixes %d): %d jobs, keys %s; want %d, %s", c.name, c.quick, c.mixes, len(jobs), got, c.jobs, c.sum)
+		}
+	}
+}
+
 func TestUnknownExperimentExitsTwo(t *testing.T) {
 	code, out, errOut := experiments("-exp", "fig7")
 	if code != 2 || out != "" || !strings.Contains(errOut, `unknown experiment "fig7"`) {
@@ -114,15 +165,15 @@ func TestFailedJobPrintsNAAndExitsOne(t *testing.T) {
 	}{
 		// A failed baseline blanks its mix's row but not the other mix,
 		// and the AVG covers the rows that have a figure.
-		{"fig8", "BLACKSCHOLES/AMMP/Packet-VC4", []string{
+		{"fig8", "Packet-VC4/mix:AMMP+BLACKSCHOLES/", []string{
 			"BLACKSCHOLES/AMMP           n/a    n/a    n/a     n/a    n/a    n/a     n/a    n/a    n/a",
 			"LPS/GAFORT                 0.0%   0.0%   0.0%   1.000  1.000  1.000   1.000  1.000  1.000",
 			"AVG (geomean)              0.0%   0.0%   0.0%   1.000  1.000  1.000   1.000  1.000  1.000"}},
 		// A failed variant blanks its own column only.
-		{"fig8", "LPS/GAFORT/Hybrid-TDM-hop-VC4", []string{
+		{"fig8", "Hybrid-TDM-hop-VC4/mix:GAFORT+LPS/", []string{
 			"LPS/GAFORT                 0.0%    n/a   0.0%   1.000    n/a  1.000   1.000    n/a  1.000"}},
-		{"fig9", "HOTSPOT/AMMP/Packet-VC4", []string{"HOTSPOT        n/a", "BLACKSCHOLES   dyn: buffer 100.0%->100.0%"}},
-		{"table3", "LIB/EQUAKE", []string{
+		{"fig9", "Packet-VC4/mix:AMMP+HOTSPOT/", []string{"HOTSPOT        n/a", "BLACKSCHOLES   dyn: buffer 100.0%->100.0%"}},
+		{"table3", "mix:EQUAKE+LIB/", []string{
 			"LIB                  0.20 ->    n/a        34.4 ->   n/a",
 			"LPS                  0.20 ->  0.001        55.0 ->  50.0"}},
 		{"fig5", "base", []string{"    0.05                n/a                n/a"}},
@@ -130,7 +181,7 @@ func TestFailedJobPrintsNAAndExitsOne(t *testing.T) {
 		// gain and no energy sample.
 		{"fig6", "base", []string{" 8x8  UR : max throughput 0.000 -> 0.100 (n/a), energy saving at 75% load: n/a"}},
 		{"ablation", "Packet-VC4", []string{"full hybrid                     0.0        n/a"}},
-		{"granularity", "TDM-64-slots", []string{"TDM-64-slots            0.0        n/a", "TDM-16-slots            0.0       0.0%"}},
+		{"granularity", "/s64/", []string{"TDM-64-slots            0.0        n/a", "TDM-16-slots            0.0       0.0%"}},
 	} {
 		code, out, errOut := experimentsWith(failing(tc.fail), "-exp", tc.exp, "-quick", "-mixes", "2", "-workers", "2")
 		if code != 1 {
@@ -250,7 +301,8 @@ func TestResultsServeFiguresUnderTheirOwnLabels(t *testing.T) {
 // Retry-After: 1. The client waits the advertised second, resubmits, and
 // prints the output of a local run byte for byte — failures included:
 // one labelled job of the plain spec fails, and so do a policy study's
-// re-run of one grid point and the profiling run of another. A failed
+// re-run of one grid point and the profiling run of another, and one
+// mix of Table III, a figure submitted as its committed spec. A failed
 // job leaves no record on the fleet, so the rows it feeds print n/a and
 // the command exits 1, exactly as locally.
 func TestSpecOnFleet(t *testing.T) {
@@ -289,6 +341,7 @@ func TestSpecOnFleet(t *testing.T) {
 		"Hybrid-TDM/TOR/6x6/r0.150/seed1":               true,
 		"Hybrid-TDM/TOR/4x4/r0.150/seed1/policy=greedy": true,
 		"Hybrid-TDM/TOR/4x4/r0.150/seed2/profile":       true,
+		"Hybrid-TDM/mix:EQUAKE+LIB/6x6/seed1":           true,
 	}
 	runner := func(ctx context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
 		switch {
@@ -311,23 +364,27 @@ func TestSpecOnFleet(t *testing.T) {
 	defer func() { cancel(); <-stopped }()
 
 	for i, tc := range []struct {
-		spec     string
+		args     []string
 		rows, na int
-	}{{fig4QuickSpec, 24, 1}, {policySpec, 4, 3}} {
+	}{
+		{[]string{"-spec", fig4QuickSpec}, 24, 1},
+		{[]string{"-spec", policySpec}, 4, 3},
+		{[]string{"-exp", "table3", "-quick"}, 9, 1},
+	} {
 		start := time.Now()
-		code, out, errOut := experimentsWith(runner, "-spec", tc.spec, "-fleet", srv.URL, "-tenant", "test")
+		code, out, errOut := experimentsWith(runner, append(tc.args, "-fleet", srv.URL, "-tenant", "test")...)
 		if code != 1 || !strings.Contains(errOut, "failed: ") {
-			t.Fatalf("%s on the fleet: exit %d, stderr:\n%s", tc.spec, code, errOut)
+			t.Fatalf("%v on the fleet: exit %d, stderr:\n%s", tc.args, code, errOut)
 		}
 		if i == 0 && (!strings.Contains(errOut, "coordinator busy (429), retrying in 1s") || time.Since(start) < time.Second) {
 			t.Errorf("the 429's Retry-After was not honoured (%v); stderr:\n%s", time.Since(start), errOut)
 		}
-		code, local, errOut := experimentsWith(runner, "-spec", tc.spec)
+		code, local, errOut := experimentsWith(runner, tc.args...)
 		if code != 1 {
-			t.Fatalf("%s locally: exit %d, stderr %q", tc.spec, code, errOut)
+			t.Fatalf("%v locally: exit %d, stderr %q", tc.args, code, errOut)
 		}
-		if out != local || strings.Count(out, "\n") != tc.rows+1 || strings.Count(out, ",n/a\n") != tc.na {
-			t.Errorf("%s: fleet output\n%s\nlocal output\n%s", tc.spec, out, local)
+		if out != local || strings.Count(out, "\n") != tc.rows+1 || strings.Count(out, "n/a\n") != tc.na {
+			t.Errorf("%v: fleet output\n%s\nlocal output\n%s", tc.args, out, local)
 		}
 	}
 }
@@ -351,7 +408,7 @@ func TestSpecBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-spec", table3Spec, "-mixes", "4"}, "-mixes shapes a built-in experiment"},
 		{[]string{"-spec", table3Spec, "-seed", "2"}, "-seed shapes a built-in experiment"},
 		{[]string{"-fleet", url}, "-fleet submits a -spec"},
-		{[]string{"-fleet", url, "-exp", "fig4"}, "-fleet submits a -spec"},
+		{[]string{"-fleet", url, "-exp", "fig6"}, "-fleet submits a -spec"},
 		{[]string{"-spec", table3Spec, "-fleet", url, "-results", results}, "-results persists local runs"},
 		{[]string{"-spec", filepath.Join(dir, "missing.json")}, "missing.json"},
 		{[]string{"-spec", badSpec}, `unknown field "cycles"`},

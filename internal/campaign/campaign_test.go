@@ -246,6 +246,18 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		// Five axes of 8192: the product (2^65) wraps a 64-bit int to 0.
 		{Modes: []string{"tdm"}, Patterns: repeat("ur", 8192), Meshes: repeat(MeshSize{4, 4}, 8192),
 			SlotTables: repeat(128, 8192), Rates: repeat(0.1, 8192), Seeds: repeat(uint64(1), 8192)},
+		// The variants axis: one configuration axis, named, one name each.
+		{Modes: []string{"tdm"}, Variants: []Variant{{Name: "a", Mode: "tdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}},
+		{Variants: []Variant{{Mode: "tdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}},
+		{Variants: []Variant{{Name: "a", Mode: "tdm"}, {Name: "a", Mode: "packet"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}},
+		{Variants: []Variant{{Name: "a/b", Mode: "tdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}},
+		{Variants: []Variant{{Name: "a", Mode: "warp"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}},
+		{Variants: []Variant{{Name: "a", Mode: "tdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}, PathSharing: true}, // switches are per variant
+		{Variants: []Variant{{Name: "a", Mode: "tdm"}, {Name: "b", Mode: "sdm"}}, Patterns: []string{"mix:EQUAKE+LPS"}},
+		{Variants: []Variant{{Name: "a", Mode: "sdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}, TelemetryEvery: 64},
+		{Variants: []Variant{{Name: "a", Mode: "sdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}, CheckInvariants: true},
+		{Variants: []Variant{{Name: "a", Mode: "tdm"}, {Name: "b", Mode: "packet"}}, Patterns: []string{"ur"}, Rates: []float64{0.1},
+			PolicyProfile: &PolicyProfileSpec{Policies: []string{"static"}}},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
@@ -260,6 +272,70 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		Rates: repeat(0.1, 512), Seeds: repeat(uint64(1), 512)}
 	if err := atCap.Normalize(); err != nil || atCap.Jobs() != 4*512*512 || atCap.Jobs() != MaxJobs {
 		t.Errorf("grid of exactly MaxJobs: Normalize = %v, Jobs = %d, want nil and %d", err, atCap.Jobs(), MaxJobs)
+	}
+}
+
+// TestSpecVariantsAxis: a modes spec is the variants spec its lowering
+// names — same jobs, keys and labels — and a variant's switches and
+// name reach its jobs.
+func TestSpecVariantsAxis(t *testing.T) {
+	lowered := testSpec()
+	lowered.Modes = nil
+	lowered.Variants = []Variant{{Name: "Packet-VC4", Mode: "packet"}, {Name: "Hybrid-TDM", Mode: "tdm"}}
+	a, errA := testSpec().Expand()
+	b, errB := lowered.Expand()
+	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+		t.Fatalf("modes and their lowering expand differently (%v, %v)", errA, errB)
+	}
+
+	s := testSpec()
+	s.Modes = nil
+	s.Variants = []Variant{{Name: "plain", Mode: "tdm"}, {Name: "full", Mode: "tdm", PathSharing: true, VCPowerGating: true,
+		LatencyBasedVCGating: true, DisableTimeSlotStealing: true, DisableDynamicSlotSizing: true, SAIterations: 2}}
+	jobs, err := s.Expand()
+	if err != nil || len(jobs) != 8 || s.Jobs() != 8 {
+		t.Fatalf("Expand = %d jobs, %v; Jobs() = %d; want 8", len(jobs), err, s.Jobs())
+	}
+	// Variant-major: plain's four jobs, then full's.
+	if jobs[0].Label != "plain/TOR/4x4/r0.050/seed1" || jobs[4].Label != "full/TOR/4x4/r0.050/seed1" {
+		t.Errorf("labels %s, %s", jobs[0].Label, jobs[4].Label)
+	}
+	want := hsnoc.DefaultConfig(4, 4)
+	want.Mode, want.PathSharing, want.VCPowerGating, want.LatencyBasedVCGating = hsnoc.HybridTDM, true, true, true
+	want.DisableTimeSlotStealing, want.DisableDynamicSlotSizing, want.SAIterations = true, true, 2
+	if !reflect.DeepEqual(jobs[4].Config, want) {
+		t.Errorf("full variant's config %+v, want %+v", jobs[4].Config, want)
+	}
+}
+
+// TestSpecMethodsLeaveTheCallerSpecAlone: Hash, Jobs, Rehydrate and the
+// expansions normalize a copy, and the copy shares the policy profile
+// and the variants with the caller's spec — none of them may write
+// through either.
+func TestSpecMethodsLeaveTheCallerSpecAlone(t *testing.T) {
+	build := func() Spec {
+		s := testSpec()
+		s.Modes = nil
+		s.Variants = []Variant{{Name: "a", Mode: "tdm"}, {Name: "b", Mode: "tdm", VCPowerGating: true}}
+		s.PolicyProfile = &PolicyProfileSpec{Policies: []string{"greedy"}}
+		return s
+	}
+	s := build()
+	s.Hash()
+	s.Jobs()
+	s.NumShards(3)
+	if _, err := s.Rehydrate(""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Expand(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ShardJobs(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if want := build(); !reflect.DeepEqual(s, want) {
+		t.Errorf("the caller's spec changed: policy profile %+v, variants %+v; want %+v, %+v",
+			*s.PolicyProfile, s.Variants, *want.PolicyProfile, want.Variants)
 	}
 }
 

@@ -46,9 +46,8 @@ type Job struct {
 	trackFlows bool
 }
 
-// NewJob builds a synthetic-traffic job and computes its cache key. It
-// is the bridge for drivers (cmd/experiments' built-in figures) that
-// construct configs programmatically rather than through a Spec.
+// NewJob builds a synthetic-traffic job and computes its cache key; it
+// is how Spec.Expand makes a synthetic grid point.
 func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measure int, label string) Job {
 	return Job{Label: label, Pattern: pattern, Rate: rate, PatternName: pattern.String(),
 		Warmup: warmup, Measure: measure}.withConfig(cfg)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/stats"
+	"tdmnoc/scenarios"
 )
 
 // TestMixJobReproducesGoldenHetero runs the four (mix, config) points
@@ -152,29 +154,48 @@ func TestEngineRunIsABoundedPool(t *testing.T) {
 }
 
 // TestCommittedSpecsParse keeps the spec files the docs tell users to
-// submit valid under this binary's Normalize, and pins the two mix
-// grids: Table III's seven runs and Fig. 8's 56 mixes.
+// submit valid under this binary's Normalize — the embedded scenarios,
+// miniatures and full/ alike, and the examples — and pins the job count
+// of every figure's grid.
 func TestCommittedSpecsParse(t *testing.T) {
-	want := map[string]int{"table3.json": 7, "fig8_policy.json": 56}
-	for _, pattern := range []string{"../../scenarios/*.json", "../../examples/specs/*.json"} {
-		paths, err := filepath.Glob(pattern)
+	want := map[string]int{"table3.json": 7, "fig8_policy.json": 56,
+		"fig4.json": 48, "fig5.json": 36, "fig8.json": 224, "fig9.json": 28, "ablation.json": 8, "granularity.json": 8,
+		"full/fig4.json": 132, "full/fig5.json": 99, "full/fig8.json": 224, "full/fig9.json": 112,
+		"full/table3.json": 7, "full/ablation.json": 8, "full/granularity.json": 14}
+	open := map[string]func(string) (fs.File, error){}
+	for _, pattern := range []string{"*.json", "full/*.json"} {
+		paths, err := fs.Glob(scenarios.FS, pattern)
 		if err != nil || len(paths) == 0 {
 			t.Fatalf("glob %s: %v, %v", pattern, paths, err)
 		}
 		for _, path := range paths {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := ParseSpec(f)
-			f.Close()
-			if err != nil {
-				t.Errorf("%s: %v", path, err)
-				continue
-			}
-			if n, ok := want[filepath.Base(path)]; ok && spec.Jobs() != n {
-				t.Errorf("%s expands to %d jobs, want %d", path, spec.Jobs(), n)
-			}
+			open[path] = scenarios.FS.Open
 		}
+	}
+	examples, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("glob examples: %v, %v", examples, err)
+	}
+	for _, path := range examples {
+		open[path] = func(name string) (fs.File, error) { return os.Open(name) }
+	}
+	for path, o := range open {
+		f, err := o(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if n, ok := want[path]; ok && spec.Jobs() != n {
+			t.Errorf("%s expands to %d jobs, want %d", path, spec.Jobs(), n)
+		}
+		delete(want, path)
+	}
+	if len(want) > 0 {
+		t.Errorf("specs missing from the embedded scenarios: %v", want)
 	}
 }

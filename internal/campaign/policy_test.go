@@ -29,6 +29,20 @@ func policySpec() Spec {
 	}
 }
 
+// expandStudy normalizes a study's spec, as RunSpec, Resolve and Report
+// require, and expands its grid.
+func expandStudy(t *testing.T, s *Spec) []Job {
+	t.Helper()
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid
+}
+
 func TestSpecPolicyProfileValidation(t *testing.T) {
 	// "static" is prepended when missing so every report has a baseline.
 	s := policySpec()
@@ -84,10 +98,7 @@ func TestRunPolicyLoop(t *testing.T) {
 	// Section V mix exactly as it treats a synthetic pattern.
 	spec := policySpec()
 	spec.Patterns = append(spec.Patterns, "mix:EQUAKE+LPS")
-	grid, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := expandStudy(t, &spec)
 	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
 	recs := eng.RunSpec(context.Background(), spec, grid)
 	// Per grid point: the profiling record, then greedy's re-run.
@@ -175,10 +186,7 @@ func TestDecisionFromWave1Record(t *testing.T) {
 		t.Skip("four 6x6 simulations in -short mode")
 	}
 	spec := fig4Miniature(policy.Names()...)
-	grid, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := expandStudy(t, &spec)
 	store, err := OpenStore(filepath.Join(t.TempDir(), "records.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +255,7 @@ func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
 		t.Skip("multi-second policy loop in -short mode")
 	}
 	spec := fig4Miniature("static", "greedy")
-	grid, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := expandStudy(t, &spec)
 	eng := New(Options{Workers: 4, JobTimeout: 2 * time.Minute})
 	rep := spec.Report(grid, eng.RunSpec(context.Background(), spec, grid))
 	improved := 0

@@ -1,8 +1,8 @@
 // Package campaign is the batch-simulation subsystem: it expands a
-// declarative campaign spec (a parameter grid of switching mode,
-// workload — a synthetic traffic pattern at an injection rate, or a
-// Section V CPU+GPU benchmark mix — mesh size, slot-table size and
-// seed) into independent jobs, runs them on a bounded worker pool with
+// declarative campaign spec (a parameter grid of switching mode or
+// named configuration, workload — a synthetic traffic pattern at an
+// injection rate, or a Section V CPU+GPU benchmark mix — mesh size,
+// slot-table size and seed) into independent jobs, runs them on a bounded worker pool with
 // per-job timeout, cancellation and panic recovery, dedups work
 // through a result cache keyed by the canonical config hash, and
 // persists results incrementally as JSONL so an interrupted campaign
@@ -11,8 +11,8 @@
 // The paper's whole evaluation — and the profile-driven sweeps of the
 // related hybrid-switching literature — is exactly this workload: a
 // large grid of independent (config, seed) simulations. cmd/experiments
-// (built-in figures and spec files alike) and the cmd/nocsimd HTTP
-// service both execute through this one engine.
+// (whose figures are the committed specs of package scenarios) and the
+// cmd/nocsimd HTTP service both execute through this one engine.
 package campaign
 
 import (
@@ -41,8 +41,13 @@ type MeshSize struct {
 type Spec struct {
 	// Name labels the campaign in listings and logs.
 	Name string `json:"name,omitempty"`
-	// Modes are switching architectures: packet|tdm|sdm.
+	// Modes are switching architectures: packet|tdm|sdm. A spec sets
+	// Modes or Variants, never both.
 	Modes []string `json:"modes"`
+	// Variants are named configurations, each a mode and its switches,
+	// for grids such as the paper's figures that compare several
+	// configurations of one mode.
+	Variants []Variant `json:"variants,omitempty"`
 	// Patterns are the workloads: synthetic traffic patterns
 	// (ur|tornado|transpose|bc|neighbor|hotspot) and Section V mixes,
 	// spelled mix:<CPU>+<GPU> with the benchmark names of
@@ -63,7 +68,8 @@ type Spec struct {
 	// Seeds replicate every grid point (default: seed 1).
 	Seeds []uint64 `json:"seeds,omitempty"`
 
-	// Scalar options applied to every job.
+	// Scalar options applied to every job of a Modes spec (a Variants
+	// spec sets them per variant).
 	PathSharing              bool `json:"path_sharing,omitempty"`
 	VCPowerGating            bool `json:"vc_power_gating,omitempty"`
 	LatencyBasedVCGating     bool `json:"latency_based_vc_gating,omitempty"`
@@ -101,6 +107,19 @@ type Spec struct {
 	PolicyProfile *PolicyProfileSpec `json:"policy_profile,omitempty"`
 }
 
+// Variant is one named configuration of a spec's variants axis. Its
+// name leads the label of every job it makes.
+type Variant struct {
+	Name                     string `json:"name"`
+	Mode                     string `json:"mode"`
+	PathSharing              bool   `json:"path_sharing,omitempty"`
+	VCPowerGating            bool   `json:"vc_power_gating,omitempty"`
+	LatencyBasedVCGating     bool   `json:"latency_based_vc_gating,omitempty"`
+	DisableTimeSlotStealing  bool   `json:"disable_time_slot_stealing,omitempty"`
+	DisableDynamicSlotSizing bool   `json:"disable_dynamic_slot_sizing,omitempty"`
+	SAIterations             int    `json:"sa_iterations,omitempty"` // switch-allocator passes (0 = Table I's one)
+}
+
 // PolicyProfileSpec is the policy axis of a Spec.
 type PolicyProfileSpec struct {
 	// Policies are the adaptive policies to compare, in policy.Parse
@@ -129,10 +148,16 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
-// Normalize fills defaulted axes and validates the grid.
+// Normalize fills defaulted axes and validates the grid. It never
+// writes through a pointer or slice s shares with the spec it was
+// copied from, so normalizing a copy leaves the original as it was.
 func (s *Spec) Normalize() error {
-	if len(s.Modes) == 0 {
-		return fmt.Errorf("campaign: spec needs at least one mode")
+	switch {
+	case len(s.Modes) == 0 && len(s.Variants) == 0:
+		return fmt.Errorf("campaign: spec needs at least one mode or variant")
+	case len(s.Variants) > 0 && (len(s.Modes) > 0 || s.PathSharing || s.VCPowerGating || s.LatencyBasedVCGating ||
+		s.DisableTimeSlotStealing || s.DisableDynamicSlotSizing):
+		return fmt.Errorf("campaign: a variants spec sets no modes and no spec-wide switches (each variant carries its own)")
 	}
 	if len(s.Patterns) == 0 {
 		return fmt.Errorf("campaign: spec needs at least one pattern")
@@ -177,10 +202,19 @@ func (s *Spec) Normalize() error {
 	if s.TelemetryEvery < 0 {
 		return fmt.Errorf("campaign: telemetry_every %d negative", s.TelemetryEvery)
 	}
-	for _, m := range s.Modes {
-		mode, err := ParseMode(m)
+	names := make(map[string]bool, len(s.Variants))
+	for _, v := range s.variants() {
+		// Labels start with the name (a lowered mode's may repeat).
+		if len(s.Variants) > 0 && (v.Name == "" || strings.Contains(v.Name, "/") || names[v.Name]) {
+			return fmt.Errorf("campaign: variant name %q empty, duplicated or containing '/'", v.Name)
+		}
+		names[v.Name] = true
+		mode, err := ParseMode(v.Mode)
 		if err != nil {
 			return err
+		}
+		if s.PolicyProfile != nil && mode != hsnoc.HybridTDM {
+			return fmt.Errorf("campaign: policy_profile requires tdm-only modes (got %q)", v.Mode)
 		}
 		if s.TelemetryEvery > 0 && mode == hsnoc.HybridSDM {
 			return fmt.Errorf("campaign: telemetry is not available for sdm mode")
@@ -217,14 +251,13 @@ func (s *Spec) Normalize() error {
 	if s.gridSize() > MaxJobs {
 		return fmt.Errorf("campaign: grid expands to more than %d jobs", MaxJobs)
 	}
-	if pp := s.PolicyProfile; pp != nil {
+	if s.PolicyProfile != nil {
+		// Defaults go into a copy: the profile is shared with the spec
+		// s was copied from.
+		pp := *s.PolicyProfile
+		s.PolicyProfile = &pp
 		if s.TelemetryEvery > 0 {
 			return fmt.Errorf("campaign: policy_profile and telemetry_every are mutually exclusive (wave 1 attaches its own recorder)")
-		}
-		for _, m := range s.Modes {
-			if mode, err := ParseMode(m); err != nil || mode != hsnoc.HybridTDM {
-				return fmt.Errorf("campaign: policy_profile requires tdm-only modes (got %q)", m)
-			}
 		}
 		if pp.ProfileEvery < 0 {
 			return fmt.Errorf("campaign: profile_every %d negative", pp.ProfileEvery)
@@ -277,9 +310,9 @@ func (s Spec) Rehydrate(wantHash string) (Spec, error) {
 	return c, nil
 }
 
-// Hash is the canonical fingerprint of a normalized spec, used to name
-// its result store so re-submitting the same spec resumes from the
-// same JSONL file.
+// Hash is the canonical fingerprint of a normalized spec: the fleet
+// journal records it, and a resubmitted spec with the same hash is the
+// same campaign.
 func (s Spec) Hash() string {
 	c := s
 	if err := c.Normalize(); err != nil {
@@ -316,9 +349,9 @@ func (s Spec) Jobs() int {
 func (s *Spec) gridSize() int {
 	mixes := s.mixCount()
 	var n int64
-	for _, m := range s.Modes {
+	for _, v := range s.variants() {
 		slots := len(s.SlotTables)
-		if mode, err := ParseMode(m); err != nil || mode != hsnoc.HybridTDM {
+		if mode, err := ParseMode(v.Mode); err != nil || mode != hsnoc.HybridTDM {
 			slots = 1
 		}
 		// Workload points: every synthetic pattern at every rate, plus
@@ -334,6 +367,24 @@ func (s *Spec) gridSize() int {
 		}
 	}
 	return int(n)
+}
+
+// variants is the configuration axis expand iterates: Variants, or the
+// lowering of Modes and the spec-wide switches, one variant per mode
+// named as the mode prints. The lowering is never written back, so a
+// modes spec hashes, keys and labels its jobs as it always has.
+func (s *Spec) variants() []Variant {
+	if len(s.Variants) > 0 {
+		return s.Variants
+	}
+	vs := make([]Variant, len(s.Modes))
+	for i, m := range s.Modes {
+		mode, _ := ParseMode(m) // an invalid mode is refused by its caller
+		vs[i] = Variant{Name: mode.String(), Mode: m, PathSharing: s.PathSharing, VCPowerGating: s.VCPowerGating,
+			LatencyBasedVCGating: s.LatencyBasedVCGating, DisableTimeSlotStealing: s.DisableTimeSlotStealing,
+			DisableDynamicSlotSizing: s.DisableDynamicSlotSizing}
+	}
+	return vs
 }
 
 // mixCount is how many of the spec's patterns are mix:<CPU>+<GPU>.
@@ -355,9 +406,9 @@ func parseMix(pattern string) (cpu, gpu string, mix bool) {
 	return cpu, gpu, mix
 }
 
-// Expand builds the deterministic job list: modes, then patterns,
-// meshes, slot tables, rates, seeds — the same nesting every time, so
-// serial and parallel campaigns emit records for identical job
+// Expand builds the deterministic job list: variants (or modes), then
+// patterns, meshes, slot tables, rates, seeds — the same nesting every
+// time, so serial and parallel campaigns emit records for identical job
 // sequences.
 func (s Spec) Expand() ([]Job, error) {
 	if err := s.Normalize(); err != nil {
@@ -375,8 +426,8 @@ func (s Spec) Expand() ([]Job, error) {
 func (s *Spec) expand(lo, hi int) ([]Job, error) {
 	jobs := make([]Job, 0, hi-lo)
 	next := 0 // index of the next job in the full list
-	for _, modeName := range s.Modes {
-		mode, err := ParseMode(modeName)
+	for _, v := range s.variants() {
+		mode, err := ParseMode(v.Mode)
 		if err != nil {
 			return nil, err
 		}
@@ -422,11 +473,12 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							cfg := hsnoc.DefaultConfig(mesh.Width, mesh.Height)
 							cfg.Mode = mode
 							cfg.Seed = seed
-							cfg.PathSharing = s.PathSharing && mode == hsnoc.HybridTDM
-							cfg.VCPowerGating = s.VCPowerGating
-							cfg.LatencyBasedVCGating = s.LatencyBasedVCGating
-							cfg.DisableTimeSlotStealing = s.DisableTimeSlotStealing
-							cfg.DisableDynamicSlotSizing = s.DisableDynamicSlotSizing
+							cfg.PathSharing = v.PathSharing && mode == hsnoc.HybridTDM
+							cfg.VCPowerGating = v.VCPowerGating
+							cfg.LatencyBasedVCGating = v.LatencyBasedVCGating
+							cfg.DisableTimeSlotStealing = v.DisableTimeSlotStealing
+							cfg.DisableDynamicSlotSizing = v.DisableDynamicSlotSizing
+							cfg.SAIterations = v.SAIterations
 							if mode == hsnoc.HybridTDM {
 								cfg.SlotTableEntries = slot
 							}
@@ -439,10 +491,10 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							}
 							var j Job
 							if mix {
-								label := fmt.Sprintf("%v/%s/%dx%d%s/seed%d", mode, patName, mesh.Width, mesh.Height, slotTag, seed)
+								label := fmt.Sprintf("%s/%s/%dx%d%s/seed%d", v.Name, patName, mesh.Width, mesh.Height, slotTag, seed)
 								j = NewMixJob(cfg, cpu, gpu, s.WarmupCycles, s.MeasureCycles, label)
 							} else {
-								label := fmt.Sprintf("%v/%v/%dx%d%s/r%.3f/seed%d", mode, pat, mesh.Width, mesh.Height, slotTag, rate, seed)
+								label := fmt.Sprintf("%s/%v/%dx%d%s/r%.3f/seed%d", v.Name, pat, mesh.Width, mesh.Height, slotTag, rate, seed)
 								j = NewJob(cfg, pat, rate, s.WarmupCycles, s.MeasureCycles, label)
 							}
 							if s.TelemetryEvery > 0 {

@@ -14,7 +14,8 @@
 # written after the torn trailers must still open, with no dead lines
 # and the same CSVs. Last, plain nocsimd — standalone, the same
 # coordinator with an in-process worker — must print the local
-# scenarios/table3.json CSV, and a policy study cancelled on it mid-run
+# scenarios/table3.json CSV and the local `experiments -exp fig8 -quick
+# -mixes 4` figure, and a policy study cancelled on it mid-run
 # must, once resubmitted, finish with the local policy CSV. This is the
 # determinism + durability contract of DESIGN.md §10, exercised through
 # real processes, real sockets and a real kill -9.
@@ -216,6 +217,14 @@ if ! diff -u "$TMP/table3-serial.csv" "$TMP/table3-standalone.csv"; then
     echo "FAIL: standalone table3 differs from the local run"
     exit 1
 fi
+echo "== standalone nocsimd: the fig8 figure, as its committed spec"
+"$BIN/experiments" -exp fig8 -quick -mixes 4 > "$TMP/fig8-serial.txt"
+"$BIN/experiments" -exp fig8 -quick -mixes 4 -fleet "$SBASE" > "$TMP/fig8-standalone.txt"
+if ! cmp "$TMP/fig8-serial.txt" "$TMP/fig8-standalone.txt"; then
+    diff -u "$TMP/fig8-serial.txt" "$TMP/fig8-standalone.txt" || true
+    echo "FAIL: fig8 on standalone nocsimd differs from the local run"
+    exit 1
+fi
 
 echo "== standalone nocsimd: cancel $POLICY_SPEC mid-run, then resubmit"
 sub="$(printf '{"tenant":"smoke","spec":%s}' "$(cat "$POLICY_SPEC")" | curl -sf -X POST -d @- "$SBASE/fleet/campaigns")"
@@ -237,4 +246,4 @@ if ! diff -u "$TMP/policy-serial.csv" "$TMP/policy-standalone.csv"; then
     echo "FAIL: the resubmitted policy study differs from the local run"
     exit 1
 fi
-echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines, $(wc -l < "$TMP/policy-fleet.csv") policy CSV lines), through a crash with torn trailers and a restart; standalone nocsimd matches too, through a cancel"
+echo "OK: fleet output is bit-identical to the serial run ($(wc -l < "$TMP/fleet.csv") CSV lines, $(wc -l < "$TMP/policy-fleet.csv") policy CSV lines), through a crash with torn trailers and a restart; standalone nocsimd matches too (table3, fig8), through a cancel"
