@@ -99,9 +99,10 @@ func fig6(rc *runConfig) {
 			// measured region to keep the sweep tractable.
 			sweep.WarmupCycles, sweep.MeasureCycles = warm/2, measure/2
 		}
-		if rc.workers > 1 || rc.workers == 0 && runtime.NumCPU() > 1 {
+		if rc.workers == 1 && runtime.NumCPU() > 1 {
 			// Intra-network parallelism only pays off when cores
-			// are not already saturated by parallel jobs.
+			// are not already saturated by parallel jobs: split the
+			// network only when the engine runs one job at a time.
 			sweep.SimWorkers = 2
 		}
 		for _, p := range []string{"ur", "tornado", "transpose"} {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
@@ -318,6 +319,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	allocated, free := s.PacketPool()
 	fmt.Fprintf(stdout, "  packet pool             %d allocated, %d free, %d alive (simulator memory, not a result)\n",
 		allocated, free, allocated-free)
+	if cycles, waits := s.ExecutorWaits(); len(waits) > 0 {
+		var parks int64
+		waited := make([]string, len(waits))
+		for i, w := range waits {
+			parks += w.Parks
+			waited[i] = fmt.Sprintf("%.1f", w.Waited.Seconds()*1e3)
+		}
+		fmt.Fprintf(stdout, "  barrier waits           %.0f parks per 1000 cycles, %s ms waited per worker (simulator speed, not a result)\n",
+			1000*float64(parks)/float64(max(cycles, 1)), strings.Join(waited, "/"))
+	}
 	if cfg.AdaptiveEpoch > 0 {
 		fmt.Fprintf(stdout, "  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
 	}

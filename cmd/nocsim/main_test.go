@@ -165,6 +165,23 @@ func TestHeteroRunsTheCommonPath(t *testing.T) {
 	}
 }
 
+// TestBarrierWaitsLineOnlyWhenParallel: a parallel run reports its
+// executor's barrier accounting on one line beside the packet pool's; a
+// serial run has no barrier and prints no such line.
+func TestBarrierWaitsLineOnlyWhenParallel(t *testing.T) {
+	line := regexp.MustCompile(`(?m)^  barrier waits +\d+ parks per 1000 cycles, [\d.]+/[\d.]+ ms waited per worker \(simulator speed, not a result\)$`)
+	for _, workers := range []string{"1", "2"} {
+		code, out, errOut := nocsim("-mode", "tdm", "-pattern", "tornado", "-rate", "0.15", "-width", "4", "-height", "4",
+			"-warmup", "200", "-cycles", "800", "-workers", workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d\nstderr:\n%s", workers, code, errOut)
+		}
+		if got, want := line.MatchString(out), workers == "2"; got != want {
+			t.Errorf("-workers %s: barrier line present = %v, want %v:\n%s", workers, got, want, out)
+		}
+	}
+}
+
 // TestBadInvocationsExitTwo: input a user can type must come back as a
 // message and exit code 2, never a panic.
 func TestBadInvocationsExitTwo(t *testing.T) {

@@ -9,19 +9,20 @@ import (
 const allocWindow = 256
 
 // allocTestSim is the Fig. 4 / Fig. 6 miniature the allocation tests
-// step: serial executor, fixed seed, so an allocation count is exact
-// and repeatable, not a sample.
-func allocTestSim(width, height int, mode Mode, pattern Pattern, rate float64) *Simulator {
+// step: fixed seed, so an allocation count is exact and repeatable, not
+// a sample (the simulation is the same at every worker count).
+func allocTestSim(width, height, workers int, mode Mode, pattern Pattern, rate float64) *Simulator {
 	cfg := DefaultConfig(width, height)
 	cfg.Mode = mode
 	cfg.PathSharing = mode == HybridTDM
 	cfg.VCPowerGating = true
 	cfg.Seed = 7
+	cfg.Workers = workers
 	return NewSynthetic(cfg, pattern, rate)
 }
 
 // TestHotPathAllocationFree pins the zero-allocation steady state of the
-// serial hot path, in both engines, on the Fig. 4 / Fig. 6 miniatures:
+// hot path, in both engines, on the Fig. 4 / Fig. 6 miniatures:
 // once a simulator is past its warm-up transient (the packet pool grown
 // to the population's peak, rings and circuit free-lists at their
 // high-water marks), stepping it allocates nothing. Exact zero is only
@@ -29,7 +30,9 @@ func allocTestSim(width, height int, mode Mode, pattern Pattern, rate float64) *
 // backlog, and with it the packet population, grows for ever
 // (TestSaturatedGrowthIsAmortised covers that) — so every row also
 // asserts that it accepts what it offers: payload throughput within 1 %
-// of rate x senders/nodes.
+// of rate x senders/nodes. The -workers2 rows step the same networks on
+// the two-worker executor: its barrier, progress words and wait
+// accounting allocate nothing either.
 func TestHotPathAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-up window too long for -short")
@@ -37,20 +40,23 @@ func TestHotPathAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		width, height int
+		workers       int
 		mode          Mode
 		pattern       Pattern
 		rate          float64
 		senders       int // tiles whose destination is not themselves
 	}{
-		{"fig4-ps-tornado-0.20", 6, 6, PacketSwitched, Tornado, 0.20, 36},
-		{"fig4-tdm-tornado-0.20", 6, 6, HybridTDM, Tornado, 0.20, 36},
-		{"fig4-tdm-uniform-0.35", 6, 6, HybridTDM, UniformRandom, 0.35, 36},
-		{"fig4-sdm-tornado-0.20", 6, 6, HybridSDM, Tornado, 0.20, 36},
+		{"fig4-ps-tornado-0.20", 6, 6, 1, PacketSwitched, Tornado, 0.20, 36},
+		{"fig4-tdm-tornado-0.20", 6, 6, 1, HybridTDM, Tornado, 0.20, 36},
+		{"fig4-tdm-uniform-0.35", 6, 6, 1, HybridTDM, UniformRandom, 0.35, 36},
+		{"fig4-sdm-tornado-0.20", 6, 6, 1, HybridSDM, Tornado, 0.20, 36},
 		// Transpose keeps the 8 diagonal tiles of an 8x8 mesh silent.
-		{"fig6-tdm-transpose-0.15", 8, 8, HybridTDM, Transpose, 0.15, 56},
+		{"fig6-tdm-transpose-0.15", 8, 8, 1, HybridTDM, Transpose, 0.15, 56},
+		{"fig4-tdm-tornado-0.20-workers2", 6, 6, 2, HybridTDM, Tornado, 0.20, 36},
+		{"fig6-tdm-transpose-0.15-workers2", 8, 8, 2, HybridTDM, Transpose, 0.15, 56},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := allocTestSim(tc.width, tc.height, tc.mode, tc.pattern, tc.rate)
+			s := allocTestSim(tc.width, tc.height, tc.workers, tc.mode, tc.pattern, tc.rate)
 			defer s.Close()
 			s.Warmup(40000)
 
@@ -81,7 +87,7 @@ func TestSaturatedGrowthIsAmortised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("150k-cycle run too long for -short")
 	}
-	s := allocTestSim(8, 8, HybridTDM, Transpose, 0.20)
+	s := allocTestSim(8, 8, 1, HybridTDM, Transpose, 0.20)
 	defer s.Close()
 	prev := 0
 	for _, at := range []int{40000, 150000} {

@@ -634,6 +634,24 @@ func (s *Simulator) collect() Results {
 // split between pools, and so the total, depends on scheduling.
 func (s *Simulator) PacketPool() (allocated, free int) { return s.eng.PacketPool() }
 
+// WaitStats is one parallel-executor participant's barrier accounting:
+// waits that ended parked, and time waited past each wait's first spin
+// round.
+type WaitStats = sim.WaitStats
+
+// ExecutorWaits reports the parallel executor's barrier accounting over
+// every cycle stepped so far: the cycle count, and one WaitStats per
+// participant with the calling goroutine's partition first. waits is nil
+// for a serial run (Workers <= 1) and for HybridSDM. The figures depend
+// on host timing: they describe the simulator's speed and enter no
+// Results, Diagnostics or digest.
+func (s *Simulator) ExecutorWaits() (cycles int64, waits []WaitStats) {
+	if s.net == nil {
+		return s.now(), nil
+	}
+	return s.now(), s.net.BarrierWaits()
+}
+
 // Diagnostics reports protocol-invariant violations (all zero in correct
 // runs) plus the stolen-slot count. Not available for HybridSDM.
 type Diagnostics struct {

@@ -183,6 +183,10 @@ func New(cfg Config, mk EndpointFactory) *Network {
 // Close releases the executor's worker pool.
 func (n *Network) Close() { n.exec.Close() }
 
+// BarrierWaits returns the parallel executor's per-participant barrier
+// accounting (nil on a serial network); see sim.Executor.WaitStats.
+func (n *Network) BarrierWaits() []sim.WaitStats { return n.exec.WaitStats() }
+
 // Mesh returns the network topology.
 func (n *Network) Mesh() topology.Mesh { return n.mesh }
 
@@ -283,10 +287,6 @@ func (n *Network) manage() {
 					n.epoch++
 				}
 			}
-			ni.setupResults = ni.setupResults[:0]
-		}
-	} else {
-		for _, ni := range n.nis {
 			ni.setupResults = ni.setupResults[:0]
 		}
 	}

@@ -214,7 +214,8 @@ type NI struct {
 	rxCount map[uint64]int
 
 	// Manager mailbox: setup outcomes observed this cycle, drained by the
-	// network's resize manager between cycles.
+	// network's resize manager between cycles. Empty, and never
+	// appended to, when slot tables are static (no resizer reads them).
 	setupResults []bool
 
 	// Conservation counters (not gated by warm-up).
@@ -480,6 +481,15 @@ func (ni *NI) reinjectHopOff(pkt *flit.Packet) {
 	ni.psQ.pushBack(pkt)
 }
 
+// recordSetup posts one setup outcome to the resize manager's mailbox.
+// With static slot tables there is no resizer to read it, so nothing is
+// recorded and the manager has nothing to sweep.
+func (ni *NI) recordSetup(ok bool) {
+	if ni.net.cfg.DynamicSlots {
+		ni.setupResults = append(ni.setupResults, ok)
+	}
+}
+
 // handleAck processes a setup acknowledgement (Section II-B).
 func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 	cfg := &ni.net.cfg
@@ -519,7 +529,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 			delete(ni.pending, dst)
 			existing.blocks = append(existing.blocks, circuitBlock{baseSlot: pkt.Config.BaseSlot})
 			ni.Stats.SetupsOK++
-			ni.setupResults = append(ni.setupResults, true)
+			ni.recordSetup(true)
 			return
 		}
 		if !ni.setupPending(dst) || len(ni.circuits) >= cfg.MaxCircuits {
@@ -540,13 +550,13 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 		ni.circuitList = append(ni.circuitList, c)
 		ni.Stats.SetupsOK++
 		ni.Stats.CircuitsRegistered++
-		ni.setupResults = append(ni.setupResults, true)
+		ni.recordSetup(true)
 		return
 	}
 	// Failure: release the reserved prefix, then maybe retry with a
 	// different slot id.
 	ni.Stats.SetupsFailed++
-	ni.setupResults = append(ni.setupResults, false)
+	ni.recordSetup(false)
 	if pkt.Config.FailHop > 0 {
 		ni.sendTeardownLimited(dst, pkt.Config.BaseSlot, pkt.Config.Duration, pkt.Config.Epoch, pkt.Config.FailHop)
 	}

@@ -64,11 +64,21 @@ type Executor struct {
 }
 
 // partition is one worker's static [lo, hi) span of the ticker slice,
-// padded so adjacent partitions never share a cache line.
+// padded so adjacent partitions never share a cache line. progress
+// counts the progressStride-sized runs of the span its worker has
+// ticked; barrier waiters read the sum of every partition's word to tell
+// a partner that is still working from one that has stalled.
 type partition struct {
-	lo, hi int
-	_      [cacheLinePad - 16]byte
+	lo, hi   int
+	progress atomic.Uint64
+	_        [cacheLinePad - 24]byte
 }
+
+// progressStride is how many tickers a worker visits between progress
+// stores: at 32x32 a compute phase visits ≈512 nodes per worker in
+// ≈300–460 µs, so a store lands every ≈10–15 µs, well inside
+// barrierStallWindow, at the cost of one atomic add per 16 nodes.
+const progressStride = 16
 
 // NewExecutor creates an executor over tickers. workers <= 1 selects the
 // serial path; workers > 1 spawns workers-1 goroutines which persist for
@@ -141,13 +151,33 @@ func NewExecutorSpans(clock *Clock, tickers []Ticker, spans []Span) *Executor {
 		for i, s := range spans {
 			e.parts[i] = partition{lo: s.Lo, hi: s.Hi}
 		}
-		e.barrier = newPhaseBarrier(workers)
+		e.barrier = newPhaseBarrier(workers, e.progressSum)
 		e.wg.Add(workers - 1)
 		for i := 1; i < workers; i++ {
 			go e.workerLoop(i)
 		}
 	}
 	return e
+}
+
+// progressSum is the barrier's progress source: the sum of every
+// partition's progress word. It moves while any participant is ticking.
+func (e *Executor) progressSum() uint64 {
+	var sum uint64
+	for i := range e.parts {
+		sum += e.parts[i].progress.Load()
+	}
+	return sum
+}
+
+// WaitStats returns each participant's barrier accounting, the caller's
+// partition first, or nil for a serial executor. The counts depend on
+// host timing and enter no simulation result. Call it between Steps.
+func (e *Executor) WaitStats() []WaitStats {
+	if e.barrier == nil {
+		return nil
+	}
+	return e.barrier.stats()
 }
 
 // Workers returns the effective worker count (>= 1).
@@ -158,8 +188,8 @@ func (e *Executor) Workers() int { return e.workers }
 // everything on worker 0. Observability attach code uses this to bind
 // each ticker's emit handle to its worker's private shard.
 func (e *Executor) Owner(i int) int {
-	for w, pt := range e.parts {
-		if i >= pt.lo && i < pt.hi {
+	for w := range e.parts {
+		if pt := &e.parts[w]; i >= pt.lo && i < pt.hi {
 			return w
 		}
 	}
@@ -193,14 +223,14 @@ func (e *Executor) SetAlwaysTick(v bool) {
 func (e *Executor) workerLoop(part int) {
 	defer e.wg.Done()
 	for {
-		e.barrier.await() // start gate
+		e.barrier.await(part) // start gate
 		if e.shutdown.Load() {
 			return
 		}
 		now := e.curNow
 		for p := Phase(0); p < Phase(NumPhases); p++ {
 			e.runPart(part, now, p)
-			e.barrier.await()
+			e.barrier.await(part)
 		}
 	}
 }
@@ -226,8 +256,13 @@ func (e *Executor) runPart(part int, now Cycle, phase Phase) {
 			e.hasPanic.Store(true)
 		}
 	}()
-	pt := e.parts[part]
-	e.tickSpan(pt.lo, pt.hi, now, phase)
+	pt := &e.parts[part]
+	for lo := pt.lo; lo < pt.hi; {
+		hi := min(lo+progressStride, pt.hi)
+		e.tickSpan(lo, hi, now, phase)
+		pt.progress.Add(1)
+		lo = hi
+	}
 }
 
 // tickSpan is the scheduling hot loop: tick every armed node in
@@ -297,10 +332,10 @@ func (e *Executor) Step() {
 		return
 	}
 	e.curNow = now
-	e.barrier.await() // start gate: release workers into this cycle
+	e.barrier.await(0) // start gate: release workers into this cycle
 	for p := Phase(0); p < Phase(NumPhases); p++ {
 		e.runPart(0, now, p)
-		e.barrier.await()
+		e.barrier.await(0)
 	}
 	// Re-raise a participant panic on the caller's goroutine so per-job
 	// containment (campaign's recover) sees it. This happens after the
@@ -355,7 +390,8 @@ func (e *Executor) Close() {
 	e.closed = true
 	if e.workers > 1 {
 		e.shutdown.Store(true)
-		e.barrier.await() // trip the start gate so parked workers observe shutdown
+		e.barrier.await(0) // trip the start gate so parked workers observe shutdown
 		e.wg.Wait()
+		e.barrier.close()
 	}
 }
