@@ -319,6 +319,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	allocated, free := s.PacketPool()
 	fmt.Fprintf(stdout, "  packet pool             %d allocated, %d free, %d alive (simulator memory, not a result)\n",
 		allocated, free, allocated-free)
+	slotBytes, routerBytes, niBytes := s.ArenaBytes()
+	fmt.Fprintf(stdout, "  arenas                  %d B slot tables, %d B routers, %d B NIs (simulator memory, not a result)\n",
+		slotBytes, routerBytes, niBytes)
 	if cycles, waits := s.ExecutorWaits(); len(waits) > 0 {
 		var parks int64
 		waited := make([]string, len(waits))

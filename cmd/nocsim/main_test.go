@@ -182,6 +182,24 @@ func TestBarrierWaitsLineOnlyWhenParallel(t *testing.T) {
 	}
 }
 
+// TestArenasLine: the arenas line reports the slab bytes by owner, and
+// a slot-table entry is one 40-byte row per slot: a 4x4 TDM mesh of
+// 128-entry tables holds 16 x 128 x 40 bytes of them.
+func TestArenasLine(t *testing.T) {
+	code, out, errOut := nocsim("-mode", "tdm", "-pattern", "tornado", "-rate", "0.15", "-width", "4", "-height", "4",
+		"-slots", "128", "-warmup", "200", "-cycles", "800")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, errOut)
+	}
+	m := regexp.MustCompile(`(?m)^  arenas +(\d+) B slot tables, \d+ B routers, \d+ B NIs \(simulator memory, not a result\)$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no arenas line:\n%s", out)
+	}
+	if want := strconv.Itoa(16 * 128 * 40); m[1] != want {
+		t.Errorf("slot tables %s B, want %s", m[1], want)
+	}
+}
+
 // TestBadInvocationsExitTwo: input a user can type must come back as a
 // message and exit code 2, never a panic.
 func TestBadInvocationsExitTwo(t *testing.T) {

@@ -127,10 +127,11 @@ func mesh32Config() Config {
 
 // TestConstructionFootprint gates what the benchmark's peak_rss_mb and
 // setup_s measure on mesh32_par2, cheaply (build only, no cycles): the
-// heap a 32x32 simulator holds before its first cycle is at most 64 KB
-// per router. It is 39 KB — 33 KB of slot tables, then the router and
-// NI arenas — and no packets: those are allocated when they first
-// exist (a prewarmed stock was 496 KB per router here).
+// heap a 32x32 simulator holds before its first cycle is at most 20 KB
+// per router. It is ≈15 KB — 10 KB of slot tables (256 packed 40-byte
+// rows), then the router and NI arenas — and no packets: those are
+// allocated when they first exist (a prewarmed stock was 496 KB per
+// router here).
 func TestConstructionFootprint(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -142,9 +143,11 @@ func TestConstructionFootprint(t *testing.T) {
 	s := NewSynthetic(mesh32Config(), UniformRandom, 0.09)
 	defer s.Close()
 	perRouter := (heap() - before) / (32 * 32)
-	t.Logf("32x32 construction: %d KB of heap per router", perRouter>>10)
-	if perRouter > 64<<10 {
-		t.Errorf("32x32 construction holds %d KB per router, want <= 64 KB", perRouter>>10)
+	slots, routers, nis := s.ArenaBytes()
+	t.Logf("32x32 construction: %d KB of heap per router; slabs per router: %d B slot tables, %d B router, %d B NI",
+		perRouter>>10, slots/(32*32), routers/(32*32), nis/(32*32))
+	if perRouter > 20<<10 {
+		t.Errorf("32x32 construction holds %d KB per router, want <= 20 KB", perRouter>>10)
 	}
 	if allocated, _ := s.PacketPool(); allocated != 0 {
 		t.Errorf("%d packets stocked before the first cycle", allocated)

@@ -634,6 +634,18 @@ func (s *Simulator) collect() Results {
 // split between pools, and so the total, depends on scheduling.
 func (s *Simulator) PacketPool() (allocated, free int) { return s.eng.PacketPool() }
 
+// ArenaBytes reports the simulator's own block-allocated memory by
+// owner: slot-table entries, routers and NIs, each the sum of its
+// per-partition slabs (length times element size, counted at
+// construction). All zero for HybridSDM, which has no arenas. Host-side
+// bookkeeping, not simulated state.
+func (s *Simulator) ArenaBytes() (slots, routers, nis int) {
+	if s.net == nil {
+		return 0, 0, 0
+	}
+	return s.net.ArenaBytes()
+}
+
 // WaitStats is one parallel-executor participant's barrier accounting:
 // waits that ended parked, and time waited past each wait's first spin
 // round.

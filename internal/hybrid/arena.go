@@ -3,16 +3,15 @@ package hybrid
 import (
 	"fmt"
 
+	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
 )
 
 // TablesArena block-allocates the slot-table state of a group of routers
-// out of contiguous slabs: one RouterTables value, NumPorts SlotTable
-// values, their entry rows and the reverse output indexes per router,
-// all carved from arrays sized once at construction. A router's slot
-// state is the hottest per-cycle hybrid structure (the demux consults it
-// for every arrival), and at large mesh sizes the per-router heap
-// objects of the old layout scattered it across the heap; the arena
+// out of two slabs sized once at construction: one RouterTables header
+// per router, and one slab of packed rows carved capacity rows per
+// router. A router's slot state is the hottest per-cycle hybrid
+// structure (the demux consults it for every arrival), and the arena
 // keeps one executor partition's tables adjacent in memory.
 //
 // Carved slices use full-capacity (three-index) expressions, so an
@@ -20,11 +19,7 @@ import (
 // rows.
 type TablesArena struct {
 	tables   []RouterTables
-	slots    []SlotTable
-	entries  []SlotEntry
-	outBusy  [][topology.NumPorts]bool
-	outGrace [][topology.NumPorts]int64
-	outOwner [][topology.NumPorts]topology.Port
+	rows     [][topology.NumPorts]slotEntry
 	capacity int
 	active   int
 	used     int
@@ -39,14 +34,9 @@ func NewTablesArena(count, capacity, active int) *TablesArena {
 	if capacity <= 0 || active <= 0 || active > capacity {
 		panic(fmt.Sprintf("hybrid: invalid slot table sizes capacity=%d active=%d", capacity, active))
 	}
-	np := int(topology.NumPorts)
 	return &TablesArena{
 		tables:   make([]RouterTables, count),
-		slots:    make([]SlotTable, count*np),
-		entries:  make([]SlotEntry, count*np*capacity),
-		outBusy:  make([][topology.NumPorts]bool, count*capacity),
-		outGrace: make([][topology.NumPorts]int64, count*capacity),
-		outOwner: make([][topology.NumPorts]topology.Port, count*capacity),
+		rows:     make([][topology.NumPorts]slotEntry, count*capacity),
 		capacity: capacity,
 		active:   active,
 	}
@@ -61,20 +51,16 @@ func (a *TablesArena) New() *RouterTables {
 	}
 	i := a.used
 	a.used++
-	np := int(topology.NumPorts)
 	rt := &a.tables[i]
 	rt.active = a.active
 	rt.ReserveCap = DefaultReserveCap
-	for p := 0; p < np; p++ {
-		st := &a.slots[i*np+p]
-		off := (i*np + p) * a.capacity
-		st.entries = a.entries[off : off+a.capacity : off+a.capacity]
-		st.active = a.active
-		rt.in[p] = st
-	}
 	off := i * a.capacity
-	rt.outBusy = a.outBusy[off : off+a.capacity : off+a.capacity]
-	rt.outGrace = a.outGrace[off : off+a.capacity : off+a.capacity]
-	rt.outOwner = a.outOwner[off : off+a.capacity : off+a.capacity]
+	rt.rows = a.rows[off : off+a.capacity : off+a.capacity]
 	return rt
+}
+
+// Bytes returns the arena's slab sizes: the packed entry rows, and the
+// per-router RouterTables headers.
+func (a *TablesArena) Bytes() (rows, headers int) {
+	return sim.SlabBytes(a.rows), sim.SlabBytes(a.tables)
 }

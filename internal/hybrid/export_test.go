@@ -11,7 +11,9 @@ import "tdmnoc/internal/topology"
 // South holds a valid entry and no input holds East.
 func (rt *RouterTables) freeSlot() int {
 	for s := 0; s < rt.active; s++ {
-		if !rt.in[topology.North].entries[s].Valid && !rt.in[topology.South].entries[s].Valid && !rt.outBusy[s][topology.East] {
+		row := &rt.rows[s]
+		// Only a booked entry still routes at cycle forever-1.
+		if _, east := ownerOf(row, topology.East, forever-1); !row[topology.North].valid() && !row[topology.South].valid() && !east {
 			return s
 		}
 	}
@@ -20,37 +22,25 @@ func (rt *RouterTables) freeSlot() int {
 
 // FaultTwoOwners books a free slot toward East from both North and
 // South — the output conflict of Fig. 1's setup 3, which Reserve refuses
-// — keeping the reserved counters and outBusy consistent. It returns the
-// slot.
+// — keeping the reserved counters consistent. It returns the slot.
 func (rt *RouterTables) FaultTwoOwners() int {
 	s := rt.freeSlot()
 	for _, in := range []topology.Port{topology.North, topology.South} {
-		rt.in[in].entries[s] = SlotEntry{Valid: true, Out: topology.East}
-		rt.in[in].reserved++
+		rt.rows[s][in] = packEntry(topology.East, forever)
+		rt.reserved[in]++
 	}
-	rt.outBusy[s][topology.East] = true
-	rt.outOwner[s][topology.East] = topology.North
-	return s
-}
-
-// FaultOutBusy marks East promised at a free slot no input holds toward
-// it, so the reverse index disagrees with the forward tables. It returns
-// the slot.
-func (rt *RouterTables) FaultOutBusy() int {
-	s := rt.freeSlot()
-	rt.outBusy[s][topology.East] = true
 	return s
 }
 
 // FaultReserved bumps input in's reserved counter without booking an
 // entry.
-func (rt *RouterTables) FaultReserved(in topology.Port) { rt.in[in].reserved++ }
+func (rt *RouterTables) FaultReserved(in topology.Port) { rt.reserved[in]++ }
 
 // FaultBeyondActive books the first entry past the active region on
 // input North (counter kept consistent) and returns its slot.
 func (rt *RouterTables) FaultBeyondActive() int {
 	s := rt.active
-	rt.in[topology.North].entries[s] = SlotEntry{Valid: true, Out: topology.East}
-	rt.in[topology.North].reserved++
+	rt.rows[s][topology.North] = packEntry(topology.East, forever)
+	rt.reserved[topology.North]++
 	return s
 }

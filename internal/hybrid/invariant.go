@@ -15,65 +15,57 @@ import (
 // them against the ownership invariants the setup protocol is supposed to
 // maintain, passing each violation to report as (kind, detail):
 //
-//   - each input table's reserved counter equals its count of valid
-//     entries, and no valid entry sits beyond the active region;
+//   - each input table's reserved counter equals its count of booked
+//     entries, and no booked entry sits beyond the active region;
 //   - at most one input port owns a given (slot, output) pair — two
 //     live circuits must never be granted the same output at the same
-//     phase (Fig. 1 setups 2 and 3);
-//   - the reverse outBusy index agrees with the forward tables: busy
-//     exactly when some input holds a valid entry toward that output.
+//     phase (Fig. 1 setups 2 and 3).
+//
+// Each entry is hashed as its valid bit, output port and grace deadline
+// (0 while booked), input by input.
 func (rt *RouterTables) Walk(h *invariant.Hasher, report func(kind, detail string)) {
-	check := report != nil
 	h.Int(rt.active)
-	// owners[s][o] has bit p set when input p holds a valid entry toward
-	// output o at slot s.
-	var owners [][topology.NumPorts]uint8
-	if check {
-		owners = make([][topology.NumPorts]uint8, rt.active)
-	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		tbl := rt.in[p]
-		entries := tbl.entries[:rt.active]
-		if check {
-			entries = tbl.entries // the checks look past the active region too
-		}
-		valid := 0
-		for s, e := range entries {
-			if s < rt.active {
-				h.Bool(e.Valid)
-				h.Byte(byte(e.Out))
-				h.Int64(e.GraceUntil)
+		for _, row := range rt.rows[:rt.active] {
+			e := row[p]
+			h.Bool(e.valid())
+			h.Byte(byte(e.out()))
+			if e.valid() {
+				h.Int64(0)
+			} else {
+				h.Int64(e.until())
 			}
-			if !check || !e.Valid {
-				continue
-			}
-			valid++
-			if s >= rt.active {
-				report("slot-table", fmt.Sprintf("input %v slot %d valid beyond active region %d", p, s, rt.active))
-				continue
-			}
-			owners[s][e.Out] |= 1 << p
-		}
-		if check && valid != tbl.reserved {
-			report("slot-table", fmt.Sprintf("input %v reserved counter %d but %d valid entries", p, tbl.reserved, valid))
 		}
 	}
-	for s := 0; s < rt.active; s++ {
-		for o := topology.Port(0); o < topology.NumPorts; o++ {
-			busy := rt.outBusy[s][o]
-			h.Bool(busy)
-			h.Int64(rt.outGrace[s][o])
-			if !check {
+	if report == nil {
+		return
+	}
+	var booked [topology.NumPorts]int
+	for s := range rt.rows { // the checks look past the active region too
+		// owners[o] has bit p set when input p holds a booked entry
+		// toward output o.
+		var owners [topology.NumPorts]uint8
+		for p, e := range rt.rows[s] {
+			if !e.valid() {
 				continue
 			}
-			n := bits.OnesCount8(owners[s][o])
-			if n > 1 {
-				first := topology.Port(bits.TrailingZeros8(owners[s][o]))
-				report("slot-table", fmt.Sprintf("slot %d output %v claimed by %d inputs (first %v)", s, o, n, first))
+			booked[p]++
+			if s >= rt.active {
+				report("slot-table", fmt.Sprintf("input %v slot %d valid beyond active region %d", topology.Port(p), s, rt.active))
+				continue
 			}
-			if busy != (n > 0) {
-				report("slot-table", fmt.Sprintf("slot %d output %v outBusy=%v but %d owning inputs", s, o, busy, n))
+			owners[e.out()] |= 1 << p
+		}
+		for o, m := range owners {
+			if n := bits.OnesCount8(m); n > 1 {
+				first := topology.Port(bits.TrailingZeros8(m))
+				report("slot-table", fmt.Sprintf("slot %d output %v claimed by %d inputs (first %v)", s, topology.Port(o), n, first))
 			}
+		}
+	}
+	for p, n := range booked {
+		if n != rt.reserved[p] {
+			report("slot-table", fmt.Sprintf("input %v reserved counter %d but %d valid entries", topology.Port(p), rt.reserved[p], n))
 		}
 	}
 }

@@ -5,6 +5,13 @@
 // slot-table sizing policy (Section II-C), and the aggressive VC power
 // gating policy (Section III-B).
 //
+// A slot-table entry is one packed word: the output port the paper's
+// entry holds, and the cycle until which the entry routes. Folding the
+// valid bit and the release grace into that one cycle makes the per-flit
+// lookup a single load and compare, and leaves nothing to keep in step
+// with the entries: a router's five tables are one slot-major slab of
+// rows, and the output check scans a row instead of a reverse index.
+//
 // The package is deliberately free of router mechanics — it is pure state
 // plus decision logic — so both the hybrid router pipeline
 // (internal/router) and the network interfaces (internal/network) can use
@@ -13,6 +20,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math"
 
 	"tdmnoc/internal/topology"
 )
@@ -25,118 +33,44 @@ import (
 // worst-case circuit flight time of the largest evaluated mesh (16x16).
 const GracePeriod = 128
 
-// SlotEntry is one row of a slot table: a valid bit and an output port
-// (the hardware cost the paper describes), plus the release-grace
-// timestamp used by the simulator's lazy teardown.
-type SlotEntry struct {
-	Valid bool
-	Out   topology.Port
-	// GraceUntil keeps the entry routing (but not reservable) until the
-	// given cycle after a release.
-	GraceUntil int64
+// slotEntry is one slot-table entry: the output port in the low portBits
+// bits and, above them, the cycle until which the entry routes
+// circuit-switched flits — forever while the entry is booked (the paper's
+// valid bit), release + GracePeriod after a release, 0 if never booked.
+// Within that window the entry also blocks its input slot and its output
+// from new reservations.
+type slotEntry int64
+
+const (
+	portBits = 3
+	// forever is the until-cycle of a booked entry.
+	forever = math.MaxInt64 >> portBits
+)
+
+// Every port must fit in portBits.
+var _ [1<<portBits - int(topology.NumPorts)]struct{}
+
+func packEntry(out topology.Port, until int64) slotEntry {
+	return slotEntry(until<<portBits | int64(out))
 }
 
-// SlotTable is the per-input-port reservation table. Only the first
-// Active() entries are powered; the rest are power-gated until the dynamic
-// sizing policy doubles the active region (Section II-C).
-type SlotTable struct {
-	entries  []SlotEntry
-	active   int
-	reserved int
-}
+func (e slotEntry) out() topology.Port { return topology.Port(e & (1<<portBits - 1)) }
+func (e slotEntry) until() int64       { return int64(e >> portBits) }
+func (e slotEntry) valid() bool        { return e.until() == forever }
 
-// NewSlotTable creates a table with the given total capacity and initial
-// active size. It panics on invalid sizes (programming errors).
-func NewSlotTable(capacity, active int) *SlotTable {
-	if capacity <= 0 || active <= 0 || active > capacity {
-		panic(fmt.Sprintf("hybrid: invalid slot table sizes capacity=%d active=%d", capacity, active))
-	}
-	return &SlotTable{entries: make([]SlotEntry, capacity), active: active}
-}
+// routes reports whether the entry still routes (and blocks) at cycle now.
+func (e slotEntry) routes(now int64) bool { return now < e.until() }
 
-// Capacity returns the physical entry count.
-func (t *SlotTable) Capacity() int { return len(t.entries) }
-
-// Active returns the powered entry count; slot arithmetic is modulo this.
-func (t *SlotTable) Active() int { return t.active }
-
-// Reserved returns the number of valid entries.
-func (t *SlotTable) Reserved() int { return t.reserved }
-
-// Occupancy returns the fraction of active entries that are reserved.
-func (t *SlotTable) Occupancy() float64 {
-	return float64(t.reserved) / float64(t.active)
-}
-
-// Lookup returns the routing entry for slot at cycle now: a valid entry,
-// or a recently released one still inside its grace window.
-func (t *SlotTable) Lookup(slot int, now int64) (topology.Port, bool) {
-	e := t.entries[slot]
-	if e.Valid || now < e.GraceUntil {
-		return e.Out, true
-	}
-	return 0, false
-}
-
-// Reservable reports whether slot can take a new reservation at cycle now.
-func (t *SlotTable) Reservable(slot int, now int64) bool {
-	e := t.entries[slot]
-	return !e.Valid && now >= e.GraceUntil
-}
-
-// Set marks slot reserved for out. It reports false if the slot is valid
-// or still in its release grace window.
-func (t *SlotTable) Set(slot int, out topology.Port, now int64) bool {
-	if !t.Reservable(slot, now) {
-		return false
-	}
-	t.entries[slot] = SlotEntry{Valid: true, Out: out}
-	t.reserved++
-	return true
-}
-
-// Clear releases slot, returning the output port it held. The entry keeps
-// routing until now+GracePeriod.
-func (t *SlotTable) Clear(slot int, now int64) (topology.Port, bool) {
-	e := t.entries[slot]
-	if !e.Valid {
-		return 0, false
-	}
-	t.entries[slot] = SlotEntry{Out: e.Out, GraceUntil: now + GracePeriod}
-	t.reserved--
-	return e.Out, true
-}
-
-// Reset invalidates every entry (graces included) and optionally changes
-// the active size (used when the network-wide dynamic sizing policy
-// doubles table size: "all slot tables are reset, and the path setup
-// procedure restarts").
-func (t *SlotTable) Reset(newActive int) {
-	if newActive <= 0 || newActive > len(t.entries) {
-		panic(fmt.Sprintf("hybrid: invalid active size %d", newActive))
-	}
-	for i := range t.entries {
-		t.entries[i] = SlotEntry{}
-	}
-	t.reserved = 0
-	t.active = newActive
-}
-
-// RouterTables groups one router's per-input-port slot tables together
-// with a reverse output-busy index, so reservation can enforce both
-// failure modes of Fig. 1: the input slot already taken (setup 2) and the
-// output port already promised to another input at that slot (setup 3).
+// RouterTables is one router's per-input-port slot tables, stored
+// slot-major: row s holds every input's entry for slot s, so reservation
+// can enforce both failure modes of Fig. 1 — the input slot already
+// taken (setup 2) and the output port already promised to another input
+// at that slot (setup 3) — from one 40-byte row. Only the first Active()
+// rows are powered; the rest are power-gated until the dynamic sizing
+// policy doubles the active region (Section II-C).
 type RouterTables struct {
-	in       [topology.NumPorts]*SlotTable
-	outBusy  [][topology.NumPorts]bool  // [slot][output port]
-	outGrace [][topology.NumPorts]int64 // grace deadline per slot/output
-	// outOwner[slot][out] is the input port whose reservation routes to
-	// out at slot — a reverse index making OutReservedAt O(1) instead of
-	// a scan over the input tables. It stays correct through a release's
-	// grace window: the grace rules forbid re-booking either the output
-	// or the owning input slot until both deadlines (set together)
-	// expire, so at most one input ever routes to an output in a slot.
-	outOwner [][topology.NumPorts]topology.Port
+	rows     [][topology.NumPorts]slotEntry // [slot][input port], capacity rows
+	reserved [topology.NumPorts]int         // booked entries per input
 	active   int
 
 	// ReserveCap is the maximum occupancy per input table; allocation is
@@ -149,16 +83,18 @@ type RouterTables struct {
 const DefaultReserveCap = 0.90
 
 // NewRouterTables creates the slot state for one router (a one-router
-// TablesArena; grouped construction uses the arena directly).
+// TablesArena; grouped construction uses the arena directly). It panics
+// on invalid sizes (programming errors).
 func NewRouterTables(capacity, active int) *RouterTables {
 	return NewTablesArena(1, capacity, active).New()
 }
 
-// Active returns the powered entry count per input table.
+// Active returns the powered entry count per input table; slot
+// arithmetic is modulo this.
 func (rt *RouterTables) Active() int { return rt.active }
 
 // Capacity returns the physical entry count per input table.
-func (rt *RouterTables) Capacity() int { return rt.in[0].Capacity() }
+func (rt *RouterTables) Capacity() int { return len(rt.rows) }
 
 // SlotOf reduces an absolute cycle to a slot index.
 func (rt *RouterTables) SlotOf(cycle int64) int {
@@ -168,12 +104,27 @@ func (rt *RouterTables) SlotOf(cycle int64) int {
 // Lookup returns the reserved output for a flit arriving on input in at
 // the given cycle (grace-window entries still route).
 func (rt *RouterTables) Lookup(in topology.Port, cycle int64) (topology.Port, bool) {
-	return rt.in[in].Lookup(rt.SlotOf(cycle), cycle)
+	return rt.LookupSlot(in, rt.SlotOf(cycle), cycle)
 }
 
 // LookupSlot is Lookup with an explicit slot index.
 func (rt *RouterTables) LookupSlot(in topology.Port, slot int, now int64) (topology.Port, bool) {
-	return rt.in[in].Lookup(slot, now)
+	if e := rt.rows[slot][in]; e.routes(now) {
+		return e.out(), true
+	}
+	return 0, false
+}
+
+// ownerOf returns the input whose entry in row routes to out at cycle now.
+// The reservation rules leave at most one: an output is not re-booked at a
+// slot until its previous holder's entry, booked or graced, stops routing.
+func ownerOf(row *[topology.NumPorts]slotEntry, out topology.Port, now int64) (topology.Port, bool) {
+	for p, e := range row {
+		if e.out() == out && e.routes(now) {
+			return topology.Port(p), true
+		}
+	}
+	return 0, false
 }
 
 // OutReservedAt reports whether output out is promised to a circuit at the
@@ -181,26 +132,21 @@ func (rt *RouterTables) LookupSlot(in topology.Port, slot int, now int64) (topol
 // (Section II-D) consults this: a reserved output with no arriving CS flit
 // may be used by a packet-switched flit.
 func (rt *RouterTables) OutReservedAt(cycle int64, out topology.Port) (topology.Port, bool) {
-	slot := rt.SlotOf(cycle)
-	if !rt.outBusy[slot][out] && cycle >= rt.outGrace[slot][out] {
-		return 0, false
-	}
-	return rt.outOwner[slot][out], true
+	return ownerOf(&rt.rows[rt.SlotOf(cycle)], out, cycle)
 }
 
 // CanReserve reports whether dur consecutive slots starting at slot are
 // free on input in toward output out at cycle now, under the occupancy cap.
 func (rt *RouterTables) CanReserve(in, out topology.Port, slot, dur int, now int64) bool {
-	tbl := rt.in[in]
-	if float64(tbl.Reserved()+dur) > rt.ReserveCap*float64(rt.active) {
+	if float64(rt.reserved[in]+dur) > rt.ReserveCap*float64(rt.active) {
 		return false
 	}
 	for i := 0; i < dur; i++ {
-		s := (slot + i) % rt.active
-		if !tbl.Reservable(s, now) {
+		row := &rt.rows[(slot+i)%rt.active]
+		if row[in].routes(now) {
 			return false
 		}
-		if rt.outBusy[s][out] || now < rt.outGrace[s][out] {
+		if _, taken := ownerOf(row, out, now); taken {
 			return false
 		}
 	}
@@ -216,10 +162,10 @@ func (rt *RouterTables) Reserve(in, out topology.Port, slot, dur int, now int64)
 		return false
 	}
 	for i := 0; i < dur; i++ {
-		s := (slot + i) % rt.active
-		rt.in[in].Set(s, out, now)
-		rt.outBusy[s][out] = true
-		rt.outOwner[s][out] = in
+		if e := &rt.rows[(slot+i)%rt.active][in]; !e.valid() {
+			*e = packEntry(out, forever)
+			rt.reserved[in]++
+		}
 	}
 	return true
 }
@@ -230,27 +176,25 @@ func (rt *RouterTables) Reserve(in, out topology.Port, slot, dur int, now int64)
 // Cleared entries keep routing in-flight circuit-switched flits for
 // GracePeriod cycles before becoming reservable again.
 func (rt *RouterTables) Release(in topology.Port, slot, dur int, now int64) (topology.Port, bool) {
-	first, ok := rt.in[in].entries[slot%rt.active], true
-	if !first.Valid {
+	first := rt.rows[slot%rt.active][in]
+	if !first.valid() {
 		return 0, false
 	}
-	_ = ok
 	for i := 0; i < dur; i++ {
-		s := (slot + i) % rt.active
-		if out, valid := rt.in[in].Clear(s, now); valid {
-			rt.outBusy[s][out] = false
-			rt.outGrace[s][out] = now + GracePeriod
+		if e := &rt.rows[(slot+i)%rt.active][in]; e.valid() {
+			*e = packEntry(e.out(), now+GracePeriod)
+			rt.reserved[in]--
 		}
 	}
-	return first.Out, true
+	return first.out(), true
 }
 
-// ReservedEntries returns the total valid entries across all input tables
-// (used by tests and stats).
+// ReservedEntries returns the total booked entries across all input
+// tables (used by tests and stats).
 func (rt *RouterTables) ReservedEntries() int {
 	n := 0
-	for _, t := range rt.in {
-		n += t.Reserved()
+	for _, r := range rt.reserved {
+		n += r
 	}
 	return n
 }
@@ -260,13 +204,13 @@ func (rt *RouterTables) ReservedEntries() int {
 // from table state alone (used when advertising pass-through circuits to
 // the DLT).
 func (rt *RouterTables) DurationAt(in topology.Port, slot int, now int64) int {
-	out, ok := rt.in[in].Lookup(slot, now)
+	out, ok := rt.LookupSlot(in, slot, now)
 	if !ok {
 		return 0
 	}
 	n := 1
 	for n < rt.active {
-		o, ok := rt.in[in].Lookup((slot+n)%rt.active, now)
+		o, ok := rt.LookupSlot(in, (slot+n)%rt.active, now)
 		if !ok || o != out {
 			break
 		}
@@ -281,17 +225,16 @@ func (rt *RouterTables) ActivePoweredEntries() int {
 	return rt.active * int(topology.NumPorts)
 }
 
-// Reset clears every table and sets a new active size (network-wide
-// dynamic resizing).
+// Reset invalidates every entry (graces included) and sets a new active
+// size (used when the network-wide dynamic sizing policy doubles table
+// size: "all slot tables are reset, and the path setup procedure
+// restarts").
 func (rt *RouterTables) Reset(newActive int) {
-	for _, t := range rt.in {
-		t.Reset(newActive)
+	if newActive <= 0 || newActive > len(rt.rows) {
+		panic(fmt.Sprintf("hybrid: invalid active size %d", newActive))
 	}
-	for i := range rt.outBusy {
-		rt.outBusy[i] = [topology.NumPorts]bool{}
-		rt.outGrace[i] = [topology.NumPorts]int64{}
-		rt.outOwner[i] = [topology.NumPorts]topology.Port{}
-	}
+	clear(rt.rows)
+	rt.reserved = [topology.NumPorts]int{}
 	rt.active = newActive
 }
 

@@ -8,51 +8,61 @@ import (
 )
 
 func TestSlotTableBasics(t *testing.T) {
-	st := NewSlotTable(8, 8)
-	if st.Capacity() != 8 || st.Active() != 8 || st.Reserved() != 0 {
-		t.Fatalf("fresh table: cap=%d active=%d reserved=%d", st.Capacity(), st.Active(), st.Reserved())
+	rt := NewRouterTables(8, 8)
+	if rt.Capacity() != 8 || rt.Active() != 8 || rt.ReservedEntries() != 0 {
+		t.Fatalf("fresh tables: cap=%d active=%d reserved=%d", rt.Capacity(), rt.Active(), rt.ReservedEntries())
 	}
-	if !st.Set(3, topology.East, 0) {
-		t.Fatal("Set on empty slot failed")
+	if !rt.Reserve(topology.North, topology.East, 3, 1, 0) {
+		t.Fatal("Reserve on empty slot failed")
 	}
-	if st.Set(3, topology.West, 0) {
-		t.Fatal("Set on taken slot succeeded")
+	if rt.Reserve(topology.North, topology.West, 3, 1, 0) {
+		t.Fatal("Reserve on taken slot succeeded")
 	}
-	if out, ok := st.Lookup(3, 0); !ok || out != topology.East {
-		t.Fatalf("Lookup(3) = (%v,%v)", out, ok)
+	if out, ok := rt.LookupSlot(topology.North, 3, 0); !ok || out != topology.East {
+		t.Fatalf("LookupSlot(3) = (%v,%v)", out, ok)
 	}
-	if _, ok := st.Lookup(4, 0); ok {
-		t.Fatal("Lookup(4) valid on empty slot")
+	if _, ok := rt.LookupSlot(topology.North, 4, 0); ok {
+		t.Fatal("LookupSlot(4) valid on empty slot")
 	}
-	if out, ok := st.Clear(3, 0); !ok || out != topology.East {
-		t.Fatalf("Clear(3) = (%v,%v)", out, ok)
+	if _, ok := rt.LookupSlot(topology.South, 3, 0); ok {
+		t.Fatal("another input's entry visible")
 	}
-	if _, ok := st.Clear(3, 0); ok {
-		t.Fatal("double Clear succeeded")
+	if out, ok := rt.Release(topology.North, 3, 1, 0); !ok || out != topology.East {
+		t.Fatalf("Release(3) = (%v,%v)", out, ok)
 	}
-	if st.Reserved() != 0 {
-		t.Fatalf("reserved count %d after clear", st.Reserved())
+	if _, ok := rt.Release(topology.North, 3, 1, 0); ok {
+		t.Fatal("double Release succeeded")
+	}
+	if rt.ReservedEntries() != 0 {
+		t.Fatalf("reserved count %d after release", rt.ReservedEntries())
 	}
 }
 
 func TestSlotTableGraceWindow(t *testing.T) {
-	st := NewSlotTable(8, 8)
-	st.Set(2, topology.North, 100)
-	st.Clear(2, 100)
-	// During the grace window the entry still routes but cannot be
-	// re-reserved.
-	if out, ok := st.Lookup(2, 100+GracePeriod-1); !ok || out != topology.North {
+	rt := NewRouterTables(8, 8)
+	rt.Reserve(topology.North, topology.West, 2, 1, 100)
+	rt.Release(topology.North, 2, 1, 100)
+	// During the grace window the entry still routes and still holds its
+	// output, but neither can be re-reserved.
+	end := int64(100 + GracePeriod)
+	if out, ok := rt.LookupSlot(topology.North, 2, end-1); !ok || out != topology.West {
 		t.Fatalf("graced Lookup = (%v,%v)", out, ok)
 	}
-	if st.Set(2, topology.East, 100+GracePeriod-1) {
-		t.Fatal("Set succeeded inside grace window")
+	if in, ok := rt.OutReservedAt(2+8*((end-1)/8), topology.West); !ok || in != topology.North {
+		t.Fatalf("graced OutReservedAt = (%v,%v)", in, ok)
+	}
+	if rt.Reserve(topology.North, topology.East, 2, 1, end-1) {
+		t.Fatal("input slot re-reserved inside grace window")
+	}
+	if rt.Reserve(topology.South, topology.West, 2, 1, end-1) {
+		t.Fatal("output re-reserved inside grace window")
 	}
 	// After the window the slot is free again.
-	if _, ok := st.Lookup(2, 100+GracePeriod); ok {
+	if _, ok := rt.LookupSlot(topology.North, 2, end); ok {
 		t.Fatal("expired grace entry still routes")
 	}
-	if !st.Set(2, topology.East, 100+GracePeriod) {
-		t.Fatal("Set failed after grace expiry")
+	if !rt.Reserve(topology.South, topology.West, 2, 1, end) || !rt.Reserve(topology.North, topology.East, 2, 1, end) {
+		t.Fatal("Reserve failed after grace expiry")
 	}
 }
 
@@ -61,26 +71,35 @@ func TestNewSlotTablePanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewSlotTable(%d,%d) did not panic", c.cap, c.act)
+					t.Errorf("NewRouterTables(%d,%d) did not panic", c.cap, c.act)
 				}
 			}()
-			NewSlotTable(c.cap, c.act)
+			NewRouterTables(c.cap, c.act)
+		}()
+	}
+	for _, active := range []int{0, 17} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reset(%d) on capacity 16 did not panic", active)
+				}
+			}()
+			NewRouterTables(16, 8).Reset(active)
 		}()
 	}
 }
 
 func TestSlotTableOccupancyAndReset(t *testing.T) {
-	st := NewSlotTable(16, 8)
-	st.Set(0, topology.North, 0)
-	st.Set(1, topology.North, 0)
-	if occ := st.Occupancy(); occ != 0.25 {
-		t.Fatalf("occupancy %.3f, want 0.25", occ)
+	rt := NewRouterTables(16, 8)
+	rt.Reserve(topology.North, topology.East, 0, 2, 0)
+	if rt.ReservedEntries() != 2 || rt.ActivePoweredEntries() != 8*int(topology.NumPorts) {
+		t.Fatalf("reserved=%d powered=%d", rt.ReservedEntries(), rt.ActivePoweredEntries())
 	}
-	st.Reset(16)
-	if st.Active() != 16 || st.Reserved() != 0 {
-		t.Fatalf("after reset: active=%d reserved=%d", st.Active(), st.Reserved())
+	rt.Reset(16)
+	if rt.Active() != 16 || rt.ReservedEntries() != 0 {
+		t.Fatalf("after reset: active=%d reserved=%d", rt.Active(), rt.ReservedEntries())
 	}
-	if _, ok := st.Lookup(0, 0); ok {
+	if _, ok := rt.LookupSlot(topology.North, 0, 0); ok {
 		t.Fatal("entry survived reset")
 	}
 }

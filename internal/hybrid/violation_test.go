@@ -57,12 +57,6 @@ func TestSlotTableCatchesTwoOwners(t *testing.T) {
 	wantSlotTable(t, net, fmt.Sprintf("slot %d output E claimed by 2 inputs", s))
 }
 
-func TestSlotTableCatchesStaleOutBusy(t *testing.T) {
-	net := checkedNet(t)
-	s := net.Router(14).Tables().FaultOutBusy()
-	wantSlotTable(t, net, fmt.Sprintf("slot %d output E outBusy=true but 0 owning inputs", s))
-}
-
 func TestSlotTableCatchesBrokenReservedCounter(t *testing.T) {
 	net := checkedNet(t)
 	net.Router(14).Tables().FaultReserved(topology.West)

@@ -214,36 +214,80 @@ func TestDigestEquivalenceWorkerMatrix(t *testing.T) {
 	}
 }
 
+// heldCircuits sends a short circuit-switched burst from every fourth
+// tile and then stays silent: the circuits it sets up stay reserved
+// (nothing tears down an idle circuit while its NI's registry has room)
+// through a long idle stretch, where their routers must still sleep.
+func heldCircuits(id topology.NodeID) Endpoint {
+	if int(id)%4 == 0 {
+		return &burst{count: 12, dstOf: reversePattern, allowCS: true, period: 9}
+	}
+	return nil
+}
+
+// sleepingHolders counts the routers that hold slot reservations yet
+// were not ticked in the last cycle: their lazily accrued meter lags the
+// clock.
+func sleepingHolders(net *Network) int {
+	n := 0
+	for id := 0; id < net.Mesh().Nodes(); id++ {
+		r := net.Router(topology.NodeID(id))
+		if r.Tables().ReservedEntries() > 0 && r.Meter().Cycles < int64(net.Now()) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestAlwaysTickDigestEquivalence locksteps a normally scheduled run
 // against an AlwaysTick run of the same seeded config. The endpoints
 // send finite bursts, so the network goes almost fully idle during the
 // run — deep-sleep territory where a broken re-arm would diverge. Every
 // cycle's full-state digest must agree anyway: skipped ticks are
-// supposed to be exact no-ops.
+// supposed to be exact no-ops. In the held-circuits row the idle routers
+// still hold reservations, and must sleep regardless.
 func TestAlwaysTickDigestEquivalence(t *testing.T) {
-	build := func(alwaysTick bool) *Network {
-		cfg := HybridTDMConfig(6, 6).WithSharing()
-		cfg.AlwaysTick = alwaysTick
-		cfg.CheckInvariants = true
-		return New(cfg, func(id topology.NodeID) Endpoint {
+	for _, tc := range []struct {
+		name   string
+		cycles int
+		ep     func(topology.NodeID) Endpoint
+		held   bool
+	}{
+		{"bursts", 1200, func(id topology.NodeID) Endpoint {
 			if int(id)%3 == 0 {
 				return &burst{count: 40, dstOf: reversePattern, allowCS: true, period: 9}
 			}
 			return nil // sink tiles: their NIs sleep between deliveries
+		}, false},
+		{"held-circuits", 2000, heldCircuits, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(alwaysTick bool) *Network {
+				cfg := HybridTDMConfig(6, 6).WithSharing()
+				cfg.AlwaysTick = alwaysTick
+				cfg.CheckInvariants = true
+				return New(cfg, tc.ep)
+			}
+			sched, exhaustive := build(false), build(true)
+			defer sched.Close()
+			defer exhaustive.Close()
+			slept := 0
+			for c := 0; c < tc.cycles; c++ {
+				sched.Step()
+				exhaustive.Step()
+				if ds, de := sched.StateDigest(), exhaustive.StateDigest(); ds != de {
+					t.Fatalf("state diverged at cycle %d: scheduled %016x, always-tick %016x", c, ds, de)
+				}
+				slept += sleepingHolders(sched)
+			}
+			if n := sched.InvariantCount() + exhaustive.InvariantCount(); n != 0 {
+				t.Fatalf("%d invariant violations during equivalence run", n)
+			}
+			if tc.held && slept == 0 {
+				t.Fatal("no router holding reservations ever slept")
+			}
+			t.Logf("%d router-cycles asleep while holding reservations", slept)
 		})
-	}
-	sched, exhaustive := build(false), build(true)
-	defer sched.Close()
-	defer exhaustive.Close()
-	for c := 0; c < 1200; c++ {
-		sched.Step()
-		exhaustive.Step()
-		if ds, de := sched.StateDigest(), exhaustive.StateDigest(); ds != de {
-			t.Fatalf("state diverged at cycle %d: scheduled %016x, always-tick %016x", c, ds, de)
-		}
-	}
-	if n := sched.InvariantCount() + exhaustive.InvariantCount(); n != 0 {
-		t.Fatalf("%d invariant violations during equivalence run", n)
 	}
 }
 
@@ -251,44 +295,64 @@ func TestAlwaysTickDigestEquivalence(t *testing.T) {
 // every node that reports Quiescent() and require the full-state digest
 // to be bit-identical afterwards. If any Quiescent implementation
 // over-reports (a node with hidden pending work claims to be idle), the
-// forced tick performs that work early and the digest moves.
+// forced tick performs that work early and the digest moves. The
+// held-circuits row force-ticks routers that hold reservations.
 func TestQuiescentTickIsNoOp(t *testing.T) {
-	cfg := HybridTDMConfig(6, 6).WithSharing()
-	cfg.CheckInvariants = true
-	net := New(cfg, func(id topology.NodeID) Endpoint {
-		if int(id)%2 == 0 {
-			return &burst{count: 60, dstOf: reversePattern, allowCS: true, period: 7}
-		}
-		return nil
-	})
-	defer net.Close()
-	forced := 0
-	for step := 0; step < 800; step++ {
-		net.Step()
-		if step%20 != 0 {
-			continue
-		}
-		now := net.Now()
-		before := net.StateDigest()
-		for id := 0; id < net.Mesh().Nodes(); id++ {
-			nid := topology.NodeID(id)
-			if r := net.Router(nid); r.Quiescent() {
-				r.Tick(now, sim.PhaseCompute)
-				r.Tick(now, sim.PhaseTransfer)
-				forced++
+	for _, tc := range []struct {
+		name  string
+		steps int
+		ep    func(topology.NodeID) Endpoint
+		held  bool
+	}{
+		{"bursts", 800, func(id topology.NodeID) Endpoint {
+			if int(id)%2 == 0 {
+				return &burst{count: 60, dstOf: reversePattern, allowCS: true, period: 7}
 			}
-			if ni := net.NI(nid); ni.SchedState() != nil && ni.Quiescent() {
-				ni.Tick(now, sim.PhaseCompute)
-				ni.Tick(now, sim.PhaseTransfer)
-				forced++
+			return nil
+		}, false},
+		{"held-circuits", 1600, heldCircuits, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := HybridTDMConfig(6, 6).WithSharing()
+			cfg.CheckInvariants = true
+			net := New(cfg, tc.ep)
+			defer net.Close()
+			forced, forcedHolding, slept := 0, 0, 0
+			for step := 0; step < tc.steps; step++ {
+				net.Step()
+				slept += sleepingHolders(net)
+				if step%20 != 0 {
+					continue
+				}
+				now := net.Now()
+				before := net.StateDigest()
+				for id := 0; id < net.Mesh().Nodes(); id++ {
+					nid := topology.NodeID(id)
+					if r := net.Router(nid); r.Quiescent() {
+						if r.Tables().ReservedEntries() > 0 {
+							forcedHolding++
+						}
+						r.Tick(now, sim.PhaseCompute)
+						r.Tick(now, sim.PhaseTransfer)
+						forced++
+					}
+					if ni := net.NI(nid); ni.SchedState() != nil && ni.Quiescent() {
+						ni.Tick(now, sim.PhaseCompute)
+						ni.Tick(now, sim.PhaseTransfer)
+						forced++
+					}
+				}
+				if after := net.StateDigest(); after != before {
+					t.Fatalf("cycle %d: forced ticks of quiescent nodes changed state: %016x -> %016x",
+						int64(now), before, after)
+				}
 			}
-		}
-		if after := net.StateDigest(); after != before {
-			t.Fatalf("cycle %d: forced ticks of quiescent nodes changed state: %016x -> %016x",
-				int64(now), before, after)
-		}
-	}
-	if forced == 0 {
-		t.Fatal("no node ever reported quiescent; the soundness check never ran")
+			if forced == 0 {
+				t.Fatal("no node ever reported quiescent; the soundness check never ran")
+			}
+			if tc.held && (forcedHolding == 0 || slept == 0) {
+				t.Fatalf("routers holding reservations: %d forced quiescent ticks, %d router-cycles asleep; want both > 0", forcedHolding, slept)
+			}
+		})
 	}
 }

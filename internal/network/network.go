@@ -41,6 +41,10 @@ type Network struct {
 	pools      []*flit.Pool
 	sharedPool *flit.SharedPool
 
+	// slotBytes, routerBytes and niBytes sum the partition arenas' slabs
+	// (see ArenaBytes).
+	slotBytes, routerBytes, niBytes int
+
 	// rec is the attached observability recorder (nil = tracing off);
 	// control is its between-cycle control handle, used for the sampled
 	// gauges; probeEvery is the telemetry sampling interval in cycles.
@@ -117,6 +121,9 @@ func New(cfg Config, mk EndpointFactory) *Network {
 			n.routers[id] = arena.New(topology.NodeID(id), n.mesh)
 			n.tileOwner[id] = wi
 		}
+		slots, routers := arena.Bytes()
+		n.slotBytes += slots
+		n.routerBytes += routers
 	}
 	for id := 0; id < nodes; id++ {
 		for _, p := range []topology.Port{topology.North, topology.East, topology.South, topology.West} {
@@ -158,6 +165,7 @@ func New(cfg Config, mk EndpointFactory) *Network {
 		for _, id := range ids {
 			n.nis[id] = arena.newNI(topology.NodeID(id), n, n.routers[id], rngs[id], eps[id])
 		}
+		n.niBytes += arena.bytes()
 	}
 
 	// Tickers are interleaved per tile (router_i, NI_i) in partition
@@ -217,6 +225,14 @@ func (n *Network) PacketPool() (allocated, free int) {
 		free += p.Free()
 	}
 	return allocated, free + n.sharedPool.Free()
+}
+
+// ArenaBytes reports the bytes of the partition arenas' slabs, by owner:
+// slot-table entry rows, routers (with their per-port and per-VC state
+// and the slot tables' headers), and NIs. Map-backed NI state and
+// packets are not in any slab and not counted.
+func (n *Network) ArenaBytes() (slots, routers, nis int) {
+	return n.slotBytes, n.routerBytes, n.niBytes
 }
 
 // ActiveSlots is the network-wide active slot-table size currently in

@@ -258,6 +258,11 @@ func newNIArena(count, vcs int, pool *flit.Pool) *niArena {
 	}
 }
 
+// bytes returns the arena's slab size.
+func (a *niArena) bytes() int {
+	return sim.SlabBytes(a.nis) + sim.SlabBytes(a.credits) + sim.SlabBytes(a.vcBusy)
+}
+
 // newNI carves the next NI from the arena and initialises it. The
 // returned pointer is stable for the arena's lifetime.
 func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng *sim.RNG, ep Endpoint) *NI {

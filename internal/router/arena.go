@@ -5,6 +5,7 @@ import (
 
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/hybrid"
+	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
 )
 
@@ -58,6 +59,19 @@ func NewArena(count int, cfg Config) *Arena {
 		a.dlt = make([]DLTEvent, count*np)
 	}
 	return a
+}
+
+// Bytes returns the arena's slab sizes: the slot-table entry rows, and
+// everything else — the routers with their per-port and per-VC slabs and
+// the slot tables' per-router headers.
+func (a *Arena) Bytes() (slots, routers int) {
+	routers = sim.SlabBytes(a.routers) + sim.SlabBytes(a.vcs) + sim.SlabBytes(a.q) + sim.SlabBytes(a.credits) +
+		sim.SlabBytes(a.vcFree) + sim.SlabBytes(a.pcs) + sim.SlabBytes(a.dlt)
+	if a.tables != nil {
+		rows, headers := a.tables.Bytes()
+		slots, routers = rows, routers+headers
+	}
+	return slots, routers
 }
 
 // New carves the next router from the arena. The returned pointer is

@@ -152,9 +152,6 @@ func (r *Router) Quiescent() bool {
 	if len(r.pendingCredits) != 0 || len(r.dltEvents) != 0 {
 		return false
 	}
-	if r.tables != nil && r.tables.ReservedEntries() != 0 {
-		return false
-	}
 	if r.occupied != 0 || r.stateMask[vcRouting]|r.stateMask[vcVCAlloc]|r.stateMask[vcActive] != 0 {
 		return false
 	}

@@ -1,5 +1,14 @@
 package sim
 
+import "unsafe"
+
+// SlabBytes returns the bytes of an arena slab: its length times its
+// element size. The per-partition arenas report their footprint with it.
+func SlabBytes[T any](slab []T) int {
+	var z T
+	return len(slab) * int(unsafe.Sizeof(z))
+}
+
 // BlockPartition assigns the tiles of a width×height mesh to workers,
 // one rectangular block each. Workers are arranged in a wx×wy grid
 // chosen to minimize the block semi-perimeter (the cross-worker link
