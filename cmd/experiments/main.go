@@ -62,7 +62,7 @@ type runConfig struct {
 	seed    uint64
 	workers int
 	// fleet is the -fleet coordinator URL ("" = simulate locally).
-	fleet, tenant string
+	fleet string
 
 	stdout, stderr io.Writer
 	// runner executes jobs (nil = campaign.Simulate); tests substitute
@@ -106,7 +106,6 @@ func (rc *runConfig) main(args []string) int {
 	specPath := fs.String("spec", "", "run the campaign spec in this JSON file instead of an experiment (e.g. scenarios/table3.json, or a policy_profile spec such as scenarios/fig4_policy.json)")
 	results := fs.String("results", "", "persist records to this JSONL file (enables resume and caching)")
 	fs.StringVar(&rc.fleet, "fleet", "", "submit the -spec or figure to this fleet coordinator URL instead of simulating locally")
-	fs.StringVar(&rc.tenant, "tenant", "", "tenant name for -fleet submissions")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -203,7 +202,7 @@ func (rc *runConfig) runSpec(spec campaign.Spec, jobs []campaign.Job, print prin
 	var recs []campaign.Record
 	if rc.fleet != "" {
 		var err error
-		if recs, err = runOnFleet(rc.stderr, rc.fleet, rc.tenant, spec, jobs); err != nil {
+		if recs, err = runOnFleet(rc.stderr, rc.fleet, spec, jobs); err != nil {
 			fmt.Fprintf(rc.stderr, "experiments: %v\n", err)
 			rc.failed = true
 			return nil

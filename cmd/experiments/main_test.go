@@ -372,7 +372,7 @@ func TestSpecOnFleet(t *testing.T) {
 		{[]string{"-exp", "table3", "-quick"}, 9, 1},
 	} {
 		start := time.Now()
-		code, out, errOut := experimentsWith(runner, append(tc.args, "-fleet", srv.URL, "-tenant", "test")...)
+		code, out, errOut := experimentsWith(runner, append(tc.args, "-fleet", srv.URL)...)
 		if code != 1 || !strings.Contains(errOut, "failed: ") {
 			t.Fatalf("%v on the fleet: exit %d, stderr:\n%s", tc.args, code, errOut)
 		}

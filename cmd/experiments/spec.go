@@ -103,9 +103,9 @@ func printSpec(rc *runConfig, spec campaign.Spec, jobs []campaign.Job, recs []ca
 // as a local run's does. A job that failed on a worker has no record
 // there and comes back failed, as it would locally. Quota (429) and
 // drain (503) rejections honour Retry-After; progress notes go to log.
-func runOnFleet(log io.Writer, base, tenant string, spec campaign.Spec, jobs []campaign.Job) ([]campaign.Record, error) {
+func runOnFleet(log io.Writer, base string, spec campaign.Spec, jobs []campaign.Job) ([]campaign.Record, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
-	body, err := json.Marshal(fleet.SubmitRequest{Tenant: tenant, Spec: spec})
+	body, err := json.Marshal(fleet.SubmitRequest{Spec: spec})
 	if err != nil {
 		return nil, err
 	}

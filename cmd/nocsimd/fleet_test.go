@@ -48,6 +48,8 @@ func TestCoordinatorMode(t *testing.T) {
 		t.Fatal("-coordinator server runs an in-process worker")
 	}
 
+	// The tenant field of clients written before tenants were removed
+	// is still accepted (and ignored).
 	const spec = `{"tenant":"ci","spec":{
 		"modes":["tdm"],"patterns":["transpose","mix:EQUAKE+LPS"],
 		"meshes":[{"width":4,"height":4}],

@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&cfg.workerURL, "worker", "", "run only a worker, pulling shards from this coordinator URL")
 	flag.IntVar(&cfg.shardSize, "shard-size", 16, "coordinator: jobs per lease")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 45*time.Second, "coordinator: lease expiry without renewal")
-	flag.IntVar(&cfg.tenantQuota, "tenant-quota", 100_000, "coordinator: max outstanding jobs per tenant")
+	flag.IntVar(&cfg.maxOutstanding, "max-outstanding", 100_000, "coordinator: max outstanding (queued + leased) jobs across all campaigns")
 	flag.StringVar(&cfg.journal, "journal", "", "coordinator: write-ahead journal path for crash recovery (empty = in-memory only; a restart loses queued campaigns)")
 	flag.Parse()
 

@@ -21,12 +21,12 @@ type config struct {
 	workers    int
 	jobTimeout time.Duration
 
-	coordinator bool   // serve the fleet with no in-process worker
-	workerURL   string // pull from that coordinator instead of serving one
-	shardSize   int
-	leaseTTL    time.Duration
-	tenantQuota int
-	journal     string
+	coordinator    bool   // serve the fleet with no in-process worker
+	workerURL      string // pull from that coordinator instead of serving one
+	shardSize      int
+	leaseTTL       time.Duration
+	maxOutstanding int
+	journal        string
 }
 
 // server is one nocsimd process. Standalone (the default) it is a
@@ -63,11 +63,11 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	coord, err := fleet.NewCoordinator(fleet.Options{
-		Store:       store,
-		ShardSize:   cfg.shardSize,
-		LeaseTTL:    cfg.leaseTTL,
-		TenantQuota: cfg.tenantQuota,
-		Journal:     cfg.journal,
+		Store:          store,
+		ShardSize:      cfg.shardSize,
+		LeaseTTL:       cfg.leaseTTL,
+		MaxOutstanding: cfg.maxOutstanding,
+		Journal:        cfg.journal,
 	})
 	if err != nil {
 		store.Close()

@@ -73,7 +73,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) (int, fleet.SubmitRe
 // postSpec submits a spec that must be admitted.
 func postSpec(t *testing.T, ts *httptest.Server, spec string) fleet.SubmitResponse {
 	t.Helper()
-	code, sub := submit(t, ts, `{"tenant":"test","spec":`+spec+`}`)
+	code, sub := submit(t, ts, `{"spec":`+spec+`}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /fleet/campaigns status %d", code)
 	}
@@ -266,7 +266,7 @@ func TestServiceRejectsBadSpec(t *testing.T) {
 		// A misspelt axis would otherwise leave "seeds" at its default and
 		// run a grid the caller did not write.
 		"misspelt axis":         {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"seed":[7]}}`, http.StatusBadRequest},
-		"unknown request field": {`{"tenant":"t","priority":9,"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1]}}`, http.StatusBadRequest},
+		"unknown request field": {`{"priority":9,"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1]}}`, http.StatusBadRequest},
 		"bad mode":              {`{"spec":{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}}`, http.StatusBadRequest},
 		"zero rate":             {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0]}}`, http.StatusBadRequest},
 		"not json":              {`modes=tdm`, http.StatusBadRequest},

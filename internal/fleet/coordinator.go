@@ -23,15 +23,16 @@ type Options struct {
 	// LeaseTTL is how long a worker may go without renewing before its
 	// shard is re-queued (0 = 45s).
 	LeaseTTL time.Duration
-	// TenantQuota bounds a tenant's outstanding (queued + leased) jobs;
-	// submits past it are rejected with a QuotaError (0 = 100_000).
-	TenantQuota int
+	// MaxOutstanding bounds the outstanding (queued + leased) jobs of
+	// all campaigns together; submits past it are rejected with a
+	// QuotaError (0 = 100_000).
+	MaxOutstanding int
 	// Journal is the path of the write-ahead journal (empty = no
 	// journal: coordinator state is in-memory only and a restart loses
 	// queued campaigns, the pre-journal behavior). With a journal,
-	// NewCoordinator replays it to reconstruct campaigns, the queue,
-	// tenant usage and the lease table; active leases come back with
-	// fresh TTLs so in-flight workers renew and complete normally.
+	// NewCoordinator replays it to reconstruct campaigns, the queue and
+	// the lease table; active leases come back with fresh TTLs so
+	// in-flight workers renew and complete normally.
 	Journal string
 	// JournalRotateBytes is the journal size past which the coordinator
 	// rotates: live state is snapshotted into a fresh file that replaces
@@ -56,23 +57,22 @@ var ErrJournal = errors.New("fleet: journal append failed")
 // retry settles the shard once the store accepts the records.
 var ErrStore = errors.New("fleet: store append failed")
 
-// QuotaError rejects a submit that would exceed the tenant's quota.
+// QuotaError rejects a submit that would take the outstanding jobs past
+// Options.MaxOutstanding.
 type QuotaError struct {
-	Tenant      string
 	Outstanding int
 	Requested   int
 	Quota       int
 }
 
 func (e *QuotaError) Error() string {
-	return fmt.Sprintf("fleet: tenant %q quota exceeded: %d outstanding + %d requested > %d",
-		e.Tenant, e.Outstanding, e.Requested, e.Quota)
+	return fmt.Sprintf("fleet: outstanding-jobs cap exceeded: %d outstanding + %d requested > %d",
+		e.Outstanding, e.Requested, e.Quota)
 }
 
 // fleetCampaign is the coordinator's state for one admitted campaign.
 type fleetCampaign struct {
 	id       string
-	tenant   string
 	specHash string
 	spec     campaign.Spec
 	jobs     int
@@ -90,10 +90,9 @@ type fleetCampaign struct {
 // expanded job keys cut into shards of shardSize, the last one shorter.
 // Admission and snapshot replay both start here, so both necessarily
 // agree on what shard i contains.
-func newFleetCampaign(id, tenant string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
+func newFleetCampaign(id string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
 	fc := &fleetCampaign{
 		id:        id,
-		tenant:    tenant,
 		specHash:  spec.Hash(),
 		spec:      spec,
 		jobs:      len(jobs),
@@ -156,7 +155,6 @@ type Coordinator struct {
 	order     []string // campaign ids in admission order
 	leases    *leaseTable
 	queue     *wfq
-	usage     *tenantUsage
 	seq       int
 	draining  bool
 	telem     Telemetry
@@ -188,8 +186,8 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 	if opt.LeaseTTL <= 0 {
 		opt.LeaseTTL = 45 * time.Second
 	}
-	if opt.TenantQuota <= 0 {
-		opt.TenantQuota = 100_000
+	if opt.MaxOutstanding <= 0 {
+		opt.MaxOutstanding = 100_000
 	}
 	if opt.Now == nil {
 		opt.Now = time.Now
@@ -202,7 +200,6 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		campaigns: map[string]*fleetCampaign{},
 		leases:    newLeaseTable(),
 		queue:     newWFQ(),
-		usage:     newTenantUsage(),
 	}
 	if opt.Journal != "" {
 		j, recs, err := openJournal(opt.Journal, opt.JournalRotateBytes)
@@ -238,19 +235,19 @@ func (c *Coordinator) Close() error {
 	return c.journal.close()
 }
 
-// logLocked appends a journal record under c.mu. Append failures on
-// non-admission transitions are logged and counted rather than
-// propagated: the in-memory transition has already happened and the
+// logLocked appends and syncs a journal record under c.mu. Append
+// failures on non-admission transitions are logged and counted rather
+// than propagated: the in-memory transition has already happened and the
 // worker's work is real — refusing it would discard results to protect
 // bookkeeping. The counter (fleet_journal_errors_total) makes a sick
 // disk visible; Submit is the one path that fails hard (ErrJournal),
 // because rejecting a new campaign is cheap and admitting an
 // unjournaled one is exactly the durability hole this log closes.
-func (c *Coordinator) logLocked(rec journalRecord, sync bool) {
+func (c *Coordinator) logLocked(rec journalRecord) {
 	if c.journal == nil {
 		return
 	}
-	if err := c.journal.append(rec, sync); err != nil {
+	if err := c.journal.append(rec); err != nil {
 		c.journal.countError()
 		fmt.Fprintf(os.Stderr, "fleet: journal: %v\n", err)
 	}
@@ -277,7 +274,7 @@ func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	if !c.draining {
 		c.draining = true
-		c.logLocked(journalRecord{Op: opDrain}, true)
+		c.logLocked(journalRecord{Op: opDrain})
 	}
 	c.mu.Unlock()
 }
@@ -290,7 +287,7 @@ func (c *Coordinator) Resume() {
 	c.mu.Lock()
 	if c.draining {
 		c.draining = false
-		c.logLocked(journalRecord{Op: opResume}, true)
+		c.logLocked(journalRecord{Op: opResume})
 	}
 	c.mu.Unlock()
 }
@@ -323,22 +320,14 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if n == 0 {
 		return SubmitResponse{}, errors.New("fleet: spec expands to zero jobs")
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	weight := req.Weight
-	if weight <= 0 {
-		weight = 1
-	}
 
 	// Refuse on the job count before paying for the job list: the grid
-	// is caller-sized, and expanding one the quota will reject anyway is
+	// is caller-sized, and expanding one the cap will reject anyway is
 	// memory spent on the caller's say-so. Expansion then runs outside
 	// the lock (it is the slow part of a submit), so the check repeats
 	// once the lock is held for good.
 	c.mu.Lock()
-	err := c.admissibleLocked(tenant, n)
+	err := c.admissibleLocked(n)
 	c.mu.Unlock()
 	if err != nil {
 		return SubmitResponse{}, err
@@ -349,7 +338,7 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.admissibleLocked(tenant, len(jobs)); err != nil {
+	if err := c.admissibleLocked(len(jobs)); err != nil {
 		return SubmitResponse{}, err
 	}
 
@@ -361,16 +350,16 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	id := fmt.Sprintf("c%04d", c.seq+1)
 	if c.journal != nil {
 		rec := journalRecord{
-			Op: opSubmit, Campaign: id, Tenant: tenant, Weight: weight,
+			Op: opSubmit, Campaign: id,
 			ShardSize: c.opt.ShardSize, SpecHash: spec.Hash(), Spec: &spec,
 		}
-		if err := c.journal.append(rec, true); err != nil {
+		if err := c.journal.append(rec); err != nil {
 			c.journal.countError()
 			return SubmitResponse{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
 	c.seq++
-	fc := c.admitLocked(id, tenant, weight, c.opt.ShardSize, spec, jobs)
+	fc := c.admitLocked(id, c.opt.ShardSize, spec, jobs)
 	c.maybeRotateLocked()
 	return SubmitResponse{
 		ID:           fc.id,
@@ -383,17 +372,37 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 }
 
 // admissibleLocked is the admission gate: no submits while draining, and
-// none that would take the tenant past its quota.
-func (c *Coordinator) admissibleLocked(tenant string, jobs int) error {
+// none that would take the outstanding jobs past the cap. The cap
+// protects coordinator memory and store churn, so a client refused by
+// it backs off (429 + Retry-After) instead of the coordinator OOMing.
+func (c *Coordinator) admissibleLocked(jobs int) error {
 	if c.draining {
 		c.submitsRejected.Add(1)
 		return ErrDraining
 	}
-	if out := c.usage.outstanding(tenant); out+jobs > c.opt.TenantQuota {
+	if out := c.outstandingLocked(); out+jobs > c.opt.MaxOutstanding {
 		c.submitsRejected.Add(1)
-		return &QuotaError{Tenant: tenant, Outstanding: out, Requested: jobs, Quota: c.opt.TenantQuota}
+		return &QuotaError{Outstanding: out, Requested: jobs, Quota: c.opt.MaxOutstanding}
 	}
 	return nil
+}
+
+// outstandingLocked is the job count the cap bounds: the jobs of every
+// queued shard plus those of every active lease. It is derived from the
+// queue and the lease table on demand rather than kept in step with
+// every transition, so no transition can make it drift.
+func (c *Coordinator) outstandingLocked() int {
+	n := 0
+	for id, e := range c.queue.entries {
+		keys := c.campaigns[id].shardKeys
+		for _, sh := range e.pending {
+			n += len(keys[sh])
+		}
+	}
+	for _, l := range c.leases.active {
+		n += l.jobs
+	}
+	return n
 }
 
 // admitLocked installs an admitted campaign: builds its shard key
@@ -403,10 +412,10 @@ func (c *Coordinator) admissibleLocked(tenant string, jobs int) error {
 // submit record: a shard completed after admission fast-completes when
 // the submit replays, exactly as it would on resubmit. Caller holds
 // c.mu and has already advanced c.seq.
-func (c *Coordinator) admitLocked(id, tenant string, weight float64, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
-	fc := newFleetCampaign(id, tenant, shardSize, spec, jobs)
+func (c *Coordinator) admitLocked(id string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
+	fc := newFleetCampaign(id, shardSize, spec, jobs)
 	var pending []int
-	for i, keys := range fc.shardKeys {
+	for i := range fc.shardKeys {
 		if _, missing := c.shardRecords(fc, i); missing == 0 {
 			// Every record already exists — a prior campaign (or an
 			// interrupted run of this one) computed this shard. Complete
@@ -416,17 +425,16 @@ func (c *Coordinator) admitLocked(id, tenant string, weight float64, shardSize i
 			continue
 		}
 		pending = append(pending, i)
-		c.usage.addQueued(tenant, len(keys))
 	}
 	c.campaigns[fc.id] = fc
 	c.order = append(c.order, fc.id)
 	if !fc.finished() {
-		c.queue.add(fc.id, tenant, weight, pending)
+		c.queue.add(fc.id, pending)
 	}
 	return fc
 }
 
-// Lease grants the next shard under weighted-fair order, or reports
+// Lease grants the next shard under equal-share order, or reports
 // no work (also the draining response — workers see an idle
 // coordinator and back off).
 func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
@@ -445,17 +453,15 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 	jobs := len(fc.shardKeys[shard])
 	l := c.leases.grant(id, shard, jobs, worker, now.Add(c.opt.LeaseTTL))
 	fc.leased[shard] = l.id
-	c.usage.lease(fc.tenant, jobs)
 	// Journal before the response leaves the lock: once a worker holds
 	// the lease id, a restart must be able to resolve it.
 	c.logLocked(journalRecord{
 		Op: opGrant, Campaign: id, Lease: l.id, Shard: shard, Jobs: jobs, Worker: worker,
-	}, true)
+	})
 	c.maybeRotateLocked()
 	return LeaseResponse{
 		LeaseID:  l.id,
 		Campaign: id,
-		Tenant:   fc.tenant,
 		Spec:     fc.spec,
 		Shard:    campaign.Shard{Index: shard, Size: fc.shardSize},
 		Jobs:     jobs,
@@ -472,14 +478,9 @@ func (c *Coordinator) Renew(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked(now)
-	ok := c.leases.renew(id, now.Add(c.opt.LeaseTTL))
-	if ok {
-		// Unsynced: losing a renew record is harmless (recovery refreshes
-		// every restored lease's TTL anyway), so renews ride until the
-		// next synced append instead of paying an fsync per heartbeat.
-		c.logLocked(journalRecord{Op: opRenew, Lease: id}, false)
-	}
-	return ok
+	// Not journaled: recovery restores every active lease with a fresh
+	// TTL, so a replayed renew would change nothing.
+	return c.leases.renew(id, now.Add(c.opt.LeaseTTL))
 }
 
 // errUnknownLease is claimLocked's answer for an id never granted (or,
@@ -502,14 +503,10 @@ func (c *Coordinator) claimLocked(id string) (l lease, fc *fleetCampaign, wasAct
 	return l, fc, wasActive, nil
 }
 
-// settleLocked is the second half, likewise shared: settle the tenant's
-// accounting and, if this is the first completion of the shard, mark it
-// done and retire whatever else claims it. Reports whether it was the
-// first.
-func (c *Coordinator) settleLocked(fc *fleetCampaign, l lease, wasActive bool, failed int) bool {
-	if wasActive {
-		c.usage.complete(fc.tenant, l.jobs)
-	}
+// settleLocked is the second half, likewise shared: if this is the
+// first completion of the shard, mark it done and retire whatever else
+// claims it. Reports whether it was the first.
+func (c *Coordinator) settleLocked(fc *fleetCampaign, l lease, failed int) bool {
 	if fc.leased[l.shard] == l.id {
 		delete(fc.leased, l.shard)
 	}
@@ -522,14 +519,10 @@ func (c *Coordinator) settleLocked(fc *fleetCampaign, l lease, wasActive bool, f
 	// Retire whatever else claims this shard: a racing re-grant's
 	// lease, or the shard sitting back in the queue after expiry.
 	if other, ok := fc.leased[l.shard]; ok {
-		if ol, active := c.leases.drop(other); active {
-			c.usage.complete(fc.tenant, ol.jobs)
-		}
+		c.leases.drop(other)
 		delete(fc.leased, l.shard)
 	}
-	if c.queue.take(fc.id, l.shard) {
-		c.usage.addQueued(fc.tenant, -l.jobs)
-	}
+	c.queue.take(fc.id, l.shard)
 	if fc.finished() {
 		c.queue.remove(fc.id)
 	}
@@ -617,20 +610,16 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 		// settled the shard meanwhile, nothing holds or queues it:
 		// re-queue it as an expiry would. The worker's retry resolves the
 		// lease's tombstone and settles the shard.
-		switch {
-		case !wasActive:
-		case fc.done[l.shard]:
-			c.usage.complete(fc.tenant, l.jobs)
-		default:
+		if wasActive && !fc.done[l.shard] {
 			c.leases.restore(l)
 			c.expireLocked([]string{id})
-			c.logLocked(journalRecord{Op: opExpire, Leases: []string{id}}, true)
+			c.logLocked(journalRecord{Op: opExpire, Leases: []string{id}})
 		}
 		c.mu.Unlock()
 		return resp, err
 	}
 	c.jobsFailed.Add(int64(resp.Failed))
-	if c.settleLocked(fc, l, wasActive, resp.Failed) {
+	if c.settleLocked(fc, l, resp.Failed) {
 		// What the shard posted, not its grid size: a policy study's
 		// shard posts its wave-2 records too.
 		c.jobsCompleted.Add(int64(len(recs) - resp.Failed))
@@ -640,7 +629,7 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 	// bookkeeping and never needs the records themselves.
 	c.logLocked(journalRecord{
 		Op: opComplete, Campaign: l.campaign, Lease: id, Shard: l.shard, Failed: resp.Failed,
-	}, true)
+	})
 	c.maybeRotateLocked()
 	c.mu.Unlock()
 
@@ -661,7 +650,7 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 }
 
 // Cancel stops a campaign: its queued shards are tombstoned — never
-// leased again, their jobs off the tenant's quota — while in-flight
+// leased again, their jobs off the outstanding count — while in-flight
 // leases finish or expire without re-queueing. The campaign reads
 // "cancelled" unless those leases complete its last shards. Cancelling
 // a finished or cancelled campaign changes nothing. Cancel is
@@ -676,7 +665,7 @@ func (c *Coordinator) Cancel(id string) (CampaignStatus, bool) {
 	}
 	if fc.active() {
 		c.cancelLocked(fc)
-		c.logLocked(journalRecord{Op: opCancel, Campaign: id}, true)
+		c.logLocked(journalRecord{Op: opCancel, Campaign: id})
 		c.maybeRotateLocked()
 	}
 	return fc.statusLocked(), true
@@ -686,12 +675,7 @@ func (c *Coordinator) Cancel(id string) (CampaignStatus, bool) {
 // replay.
 func (c *Coordinator) cancelLocked(fc *fleetCampaign) {
 	fc.cancelled = true
-	if e := c.queue.entries[fc.id]; e != nil {
-		for _, sh := range e.pending {
-			c.usage.addQueued(fc.tenant, -len(fc.shardKeys[sh]))
-		}
-		c.queue.remove(fc.id)
-	}
+	c.queue.remove(fc.id)
 }
 
 // WaitCompactions blocks until background compactions kicked by
@@ -704,7 +688,7 @@ func (c *Coordinator) WaitCompactions() { c.compactions.Wait() }
 func (c *Coordinator) sweepLocked(now time.Time) {
 	if ids := c.leases.overdue(now); len(ids) > 0 {
 		c.expireLocked(ids)
-		c.logLocked(journalRecord{Op: opExpire, Leases: ids}, true)
+		c.logLocked(journalRecord{Op: opExpire, Leases: ids})
 	}
 }
 
@@ -724,18 +708,11 @@ func (c *Coordinator) expireLocked(ids []string) {
 		if fc.leased[l.shard] == l.id {
 			delete(fc.leased, l.shard)
 		}
-		if fc.done[l.shard] {
-			// Completed by another lease while this one idled; nothing
-			// to re-queue. Accounting was settled by that completion.
-			continue
+		// A shard completed by another lease while this one idled has
+		// nothing to re-run, and nothing re-runs a cancelled campaign's.
+		if !fc.done[l.shard] && !fc.cancelled {
+			c.queue.push(l.campaign, l.shard)
 		}
-		if fc.cancelled {
-			// Nothing re-runs a cancelled campaign's shard.
-			c.usage.complete(fc.tenant, l.jobs)
-			continue
-		}
-		c.queue.push(l.campaign, l.shard)
-		c.usage.requeue(fc.tenant, l.jobs)
 	}
 }
 
@@ -750,7 +727,6 @@ func (fc *fleetCampaign) statusLocked() CampaignStatus {
 	}
 	return CampaignStatus{
 		ID:           fc.id,
-		Tenant:       fc.tenant,
 		SpecHash:     fc.specHash,
 		State:        state,
 		Jobs:         fc.jobs,
@@ -836,15 +812,13 @@ func (c *Coordinator) Metrics() Metrics {
 		}
 	}
 	m := Metrics{
-		CampaignsTotal:      len(c.campaigns),
-		CampaignsRunning:    running,
-		QueueDepth:          c.queue.depth(),
-		LeasesActive:        len(c.leases.active),
-		LeasesExpired:       c.leases.expired,
-		TenantInflight:      copyCounts(c.usage.inflight),
-		TenantQueued:        copyCounts(c.usage.queued),
-		AccountingUnderflow: c.usage.underflow,
-		Telemetry:           c.telem,
+		CampaignsTotal:   len(c.campaigns),
+		CampaignsRunning: running,
+		QueueDepth:       c.queue.depth(),
+		LeasesActive:     len(c.leases.active),
+		LeasesExpired:    c.leases.expired,
+		Outstanding:      c.outstandingLocked(),
+		Telemetry:        c.telem,
 	}
 	if c.journal != nil {
 		m.JournalEnabled = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -106,7 +107,7 @@ func TestSubmitExpandAndShard(t *testing.T) {
 	if !ok || st.State != "running" || st.Jobs != 4 {
 		t.Fatalf("status = %+v, ok=%v", st, ok)
 	}
-	if m := c.Metrics(); m.QueueDepth != 2 || m.TenantQueued["default"] != 4 {
+	if m := c.Metrics(); m.QueueDepth != 2 || m.Outstanding != 4 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -115,7 +116,7 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	c := newTestCoordinator(t, clock, Options{})
 	spec := testSpec()
-	resp, err := c.Submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	resp, err := c.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 		if !ok {
 			t.Fatalf("lease %d: no work", i)
 		}
-		if l.Tenant != "alice" || l.Jobs != 2 {
+		if l.Jobs != 2 {
 			t.Fatalf("lease = %+v", l)
 		}
 		cr, err := c.Complete(l.LeaseID, stubRecords(t, spec, l.Shard))
@@ -143,11 +144,8 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	m := c.Metrics()
-	if m.JobsCompleted != 4 || m.RecordsPersisted != 4 || m.LeasesActive != 0 {
+	if m.JobsCompleted != 4 || m.RecordsPersisted != 4 || m.LeasesActive != 0 || m.Outstanding != 0 {
 		t.Fatalf("metrics = %+v", m)
-	}
-	if len(m.TenantInflight) != 0 || len(m.TenantQueued) != 0 {
-		t.Fatalf("tenant accounting not drained: %+v", m)
 	}
 }
 
@@ -204,66 +202,135 @@ func TestCompleteUnknownLease(t *testing.T) {
 	}
 }
 
-func TestTenantQuotaRejectsAndFrees(t *testing.T) {
-	clock := newFakeClock()
-	c := newTestCoordinator(t, clock, Options{TenantQuota: 6})
-	spec := testSpec() // 4 jobs
-	if _, err := c.Submit(SubmitRequest{Tenant: "bob", Spec: spec}); err != nil {
-		t.Fatalf("first Submit: %v", err)
-	}
-	// 4 outstanding + 4 requested > 6: rejected with the typed error.
-	other := testSpec(0.15, 0.20)
-	_, err := c.Submit(SubmitRequest{Tenant: "bob", Spec: other})
-	var qe *QuotaError
-	if !errors.As(err, &qe) {
-		t.Fatalf("expected QuotaError, got %v", err)
-	}
-	if qe.Outstanding != 4 || qe.Requested != 4 || qe.Quota != 6 {
-		t.Fatalf("QuotaError = %+v", qe)
-	}
-	// Other tenants are unaffected.
-	if _, err := c.Submit(SubmitRequest{Tenant: "carol", Spec: other}); err != nil {
-		t.Fatalf("carol Submit: %v", err)
-	}
-	// Finish bob's campaign; the quota frees.
-	for {
-		l, ok := c.Lease("w")
-		if !ok {
-			break
-		}
-		if _, err := c.Complete(l.LeaseID, stubRecords(t, l.Spec, l.Shard)); err != nil {
-			t.Fatalf("Complete: %v", err)
-		}
-	}
-	if _, err := c.Submit(SubmitRequest{Tenant: "bob", Spec: testSpec(0.25, 0.30)}); err != nil {
-		t.Fatalf("Submit after quota freed: %v", err)
-	}
-	if m := c.Metrics(); m.SubmitsRejected != 1 {
-		t.Fatalf("SubmitsRejected = %d, want 1", m.SubmitsRejected)
+// TestOutstandingCapRejectsAndFrees: a submit that would take the jobs
+// outstanding across all campaigns past MaxOutstanding is refused with
+// a QuotaError, and the cap frees as those jobs leave — on completion,
+// on cancel, when a cancelled campaign's lease expires — with the count
+// carried across a journaled restart, from the log or from a snapshot.
+func TestOutstandingCapRejectsAndFrees(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rotate int64
+	}{{"log", 0}, {"snapshot", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			ss, err := campaign.OpenShardedStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			opt := Options{Store: ss, MaxOutstanding: 6, Journal: filepath.Join(t.TempDir(), "fleet.journal"), JournalRotateBytes: tc.rotate}
+			c := newTestCoordinator(t, clock, opt)
+			refuse := func(jobs, outstanding int) {
+				t.Helper()
+				_, err := c.Submit(SubmitRequest{Spec: testSpec([]float64{0.5, 0.55}[:jobs/2]...)})
+				var qe *QuotaError
+				if !errors.As(err, &qe) || *qe != (QuotaError{Outstanding: outstanding, Requested: jobs, Quota: 6}) {
+					t.Fatalf("Submit of %d jobs with %d outstanding = %v, want a QuotaError", jobs, outstanding, err)
+				}
+			}
+			lease := func() LeaseResponse {
+				t.Helper()
+				l, ok := c.Lease("w")
+				if !ok {
+					t.Fatal("no lease")
+				}
+				return l
+			}
+
+			a, err := c.Submit(SubmitRequest{Spec: testSpec()}) // 4 jobs, 2 shards
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuse(4, 4)
+			// A completion frees its shard's jobs.
+			la := lease()
+			if _, err := c.Complete(la.LeaseID, stubRecords(t, la.Spec, la.Shard)); err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.Submit(SubmitRequest{Spec: testSpec(0.15, 0.20)}) // 2 + 4 = 6
+			if err != nil {
+				t.Fatalf("Submit after a completion freed 2 jobs: %v", err)
+			}
+			refuse(2, 6)
+			// A cancel frees the campaign's queued shards, not its lease.
+			var lb LeaseResponse
+			for lb = lease(); lb.Campaign != b.ID; lb = lease() {
+			}
+			if _, ok := c.Cancel(b.ID); !ok {
+				t.Fatal("Cancel")
+			}
+			if m := c.Metrics(); m.Outstanding != 4 || m.LeasesActive != 2 {
+				t.Fatalf("after cancel: %+v, want 4 outstanding", m)
+			}
+
+			// The count comes back from the journal.
+			c.WaitCompactions()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c = newTestCoordinator(t, clock, opt)
+			defer c.Close()
+			if m := c.Metrics(); m.Outstanding != 4 || m.LeasesActive != 2 || (m.JournalReplayed == 1) != (tc.rotate > 0) {
+				t.Fatalf("after restart: %+v, want the 4 jobs of two leases outstanding, replayed from a %s", m, tc.name)
+			}
+			refuse(4, 4)
+			// The cancelled campaign's lease expires without re-queueing.
+			clock.Advance(31 * time.Second)
+			if m := c.Metrics(); m.Outstanding != 4 {
+				t.Fatalf("before the sweep: %d outstanding, want 4", m.Outstanding)
+			}
+			c.Renew(lb.LeaseID) // sweeps both leases; a's shard is re-queued
+			if m := c.Metrics(); m.Outstanding != 2 || m.LeasesExpired != 2 || m.QueueDepth != 1 {
+				t.Fatalf("after expiry: %+v, want a's 2 requeued jobs outstanding", m)
+			}
+			if _, err := c.Submit(SubmitRequest{Spec: testSpec(0.25, 0.30)}); err != nil {
+				t.Fatalf("Submit after the cancelled lease expired: %v", err)
+			}
+			if st, _ := c.Status(a.ID); st.State != "running" {
+				t.Fatalf("campaign a = %+v, want running", st)
+			}
+			if m := c.Metrics(); m.SubmitsRejected != 1 {
+				t.Fatalf("SubmitsRejected = %d since restart, want 1", m.SubmitsRejected)
+			}
+		})
 	}
 }
 
-func TestWeightedFairDispatch(t *testing.T) {
-	q := newWFQ()
-	pend := func(n int) []int {
-		s := make([]int, n)
-		for i := range s {
-			s[i] = i
-		}
-		return s
+// TestEqualShareDispatch: every campaign gets an equal share of grants
+// whatever its size, so a 2-shard probe submitted beside a running
+// 40-shard sweep is served within its first four grants.
+func TestEqualShareDispatch(t *testing.T) {
+	c := newTestCoordinator(t, nil, Options{ShardSize: 1})
+	rates := make([]float64, 20)
+	for i := range rates {
+		rates[i] = float64(i+1) / 100
 	}
-	q.add("heavy", "t", 3, pend(100))
-	q.add("light", "t", 1, pend(100))
-	counts := map[string]int{}
-	for i := 0; i < 40; i++ {
-		id, _, ok := q.pick()
+	sweep, err := c.Submit(SubmitRequest{Spec: testSpec(rates...)})
+	if err != nil || sweep.Shards != 40 {
+		t.Fatalf("sweep Submit = %+v, %v; want 40 shards", sweep, err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.Lease("w"); !ok {
+			t.Fatal("no lease")
+		}
+	}
+	probe, err := c.Submit(SubmitRequest{Spec: testSpec(0.99)})
+	if err != nil || probe.Shards != 2 {
+		t.Fatalf("probe Submit = %+v, %v", probe, err)
+	}
+	got := 0
+	for i := 0; i < 4; i++ {
+		l, ok := c.Lease("w")
 		if !ok {
-			t.Fatal("queue ran dry")
+			t.Fatal("no lease")
 		}
-		counts[id]++
+		if l.Campaign == probe.ID {
+			got++
+		}
 	}
-	if counts["heavy"] != 30 || counts["light"] != 10 {
-		t.Fatalf("dispatch counts = %v, want heavy=30 light=10 (3:1 weights)", counts)
+	if got != probe.Shards {
+		t.Fatalf("probe got %d of its %d shards in the first 4 grants after it was submitted", got, probe.Shards)
 	}
 }
 
@@ -434,10 +501,10 @@ func bigGrid(rates, seeds int) campaign.Spec {
 // TestSubmitRefusesHugeGridsCheaply: grid size is caller-controlled, so
 // the refusals must not cost what the grid would. A grid past
 // campaign.MaxJobs is a 400 from Normalize; one under it but past the
-// tenant's quota is a QuotaError raised from the job *count* — the job
+// outstanding-jobs cap is a QuotaError raised from the job *count* — the job
 // list is never built.
 func TestSubmitRefusesHugeGridsCheaply(t *testing.T) {
-	c := newTestCoordinator(t, nil, Options{TenantQuota: 6})
+	c := newTestCoordinator(t, nil, Options{MaxOutstanding: 6})
 	mux := http.NewServeMux()
 	c.Register(mux)
 	body, err := json.Marshal(SubmitRequest{Spec: bigGrid(1025, 1025)})
@@ -452,15 +519,15 @@ func TestSubmitRefusesHugeGridsCheaply(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = c.Submit(SubmitRequest{Tenant: "mallory", Spec: bigGrid(450, 450)})
+	_, err = c.Submit(SubmitRequest{Spec: bigGrid(450, 450)})
 	runtime.ReadMemStats(&after)
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Requested != 450*450 {
-		t.Fatalf("Submit of 202500 jobs against quota 6 = %v, want QuotaError requesting 202500", err)
+		t.Fatalf("Submit of 202500 jobs against cap 6 = %v, want QuotaError requesting 202500", err)
 	}
 	// Expanding 202 500 jobs allocates on the order of 100 MB.
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 4<<20 {
-		t.Errorf("refused submit allocated %d MiB; the quota check must precede Expand", spent>>20)
+		t.Errorf("refused submit allocated %d MiB; the cap check must precede Expand", spent>>20)
 	}
 	if m := c.Metrics(); m.SubmitsRejected != 1 || m.CampaignsTotal != 0 {
 		t.Errorf("after refusals: %+v, want 1 quota rejection and no campaigns", m)
@@ -469,7 +536,7 @@ func TestSubmitRefusesHugeGridsCheaply(t *testing.T) {
 
 // TestStoreFailureRequeuesShard: a completion whose records the store
 // refuses must not wedge its shard. The shard goes back to the queue
-// and off the tenant's inflight count, the next lease grants it, and
+// and off the active leases, the next lease grants it, and
 // the HTTP answer is a retryable 503 + Retry-After, not the 404 a
 // worker would abandon the shard on.
 func TestStoreFailureRequeuesShard(t *testing.T) {
@@ -479,7 +546,7 @@ func TestStoreFailureRequeuesShard(t *testing.T) {
 	}
 	c := newTestCoordinator(t, nil, Options{Store: ss, ShardSize: 4})
 	spec := testSpec() // 4 jobs: one shard
-	if _, err := c.Submit(SubmitRequest{Tenant: "t", Spec: spec}); err != nil {
+	if _, err := c.Submit(SubmitRequest{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
 	l, ok := c.Lease("w1")
@@ -492,7 +559,7 @@ func TestStoreFailureRequeuesShard(t *testing.T) {
 		t.Fatalf("Complete on a failing store = %v, want ErrStore", err)
 	}
 	m := c.Metrics()
-	if m.QueueDepth != 1 || m.TenantInflight["t"] != 0 || m.TenantQueued["t"] != 4 || m.LeasesActive != 0 {
+	if m.QueueDepth != 1 || m.Outstanding != 4 || m.LeasesActive != 0 {
 		t.Fatalf("after a failed completion: %+v, want the shard queued and nothing in flight", m)
 	}
 	again, ok := c.Lease("w2")
@@ -514,7 +581,7 @@ func TestStoreFailureRequeuesShard(t *testing.T) {
 }
 
 // TestCancelTombstonesQueuedShards: Cancel takes a campaign's queued
-// shards off the queue and the tenant's quota; its in-flight leases
+// shards off the queue and the outstanding count; its in-flight leases
 // still complete, and one that expires is retired rather than
 // re-queued. The campaign reads "cancelled" and stops counting as
 // running; cancelling again, or cancelling a finished campaign, changes
@@ -523,7 +590,7 @@ func TestCancelTombstonesQueuedShards(t *testing.T) {
 	clock := newFakeClock()
 	c := newTestCoordinator(t, clock, Options{ShardSize: 1})
 	spec := testSpec() // 4 jobs in 4 shards
-	sub, err := c.Submit(SubmitRequest{Tenant: "t", Spec: spec})
+	sub, err := c.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +601,7 @@ func TestCancelTombstonesQueuedShards(t *testing.T) {
 	if !ok || st.State != "cancelled" {
 		t.Fatalf("Cancel = %+v (ok %v), want state cancelled", st, ok)
 	}
-	if m := c.Metrics(); m.QueueDepth != 0 || m.TenantQueued["t"] != 0 || m.TenantInflight["t"] != 2 || m.CampaignsRunning != 0 {
+	if m := c.Metrics(); m.QueueDepth != 0 || m.Outstanding != 2 || m.CampaignsRunning != 0 {
 		t.Fatalf("after cancel: %+v, want nothing queued and the two leases in flight", m)
 	}
 	if l, ok := c.Lease("w3"); ok {
@@ -548,8 +615,8 @@ func TestCancelTombstonesQueuedShards(t *testing.T) {
 		t.Fatal("an expired lease of a cancelled campaign was re-queued")
 	}
 	m := c.Metrics()
-	if m.QueueDepth != 0 || len(m.TenantInflight) != 0 || len(m.TenantQueued) != 0 || m.LeasesExpired != 1 {
-		t.Fatalf("after expiry: %+v, want the tenant's usage drained", m)
+	if m.QueueDepth != 0 || m.Outstanding != 0 || m.LeasesExpired != 1 {
+		t.Fatalf("after expiry: %+v, want nothing outstanding", m)
 	}
 	if st, _ := c.Cancel(sub.ID); st.State != "cancelled" || st.ShardsDone != 1 {
 		t.Fatalf("second cancel = %+v, want cancelled with 1 shard done", st)

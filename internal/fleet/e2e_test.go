@@ -72,7 +72,7 @@ func TestFleetDeterminismAcrossWorkerDeath(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	sub, err := coord.Submit(SubmitRequest{Tenant: "e2e", Spec: spec})
+	sub, err := coord.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -501,7 +501,7 @@ func TestFleetRunsMixSpec(t *testing.T) {
 	defer srv.Close()
 	post := func(s campaign.Spec) (int, SubmitResponse) {
 		t.Helper()
-		body, err := json.Marshal(SubmitRequest{Tenant: "mix", Spec: s})
+		body, err := json.Marshal(SubmitRequest{Spec: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,7 +640,7 @@ func TestFleetRunsPolicySpec(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	sub, err := coord.Submit(SubmitRequest{Tenant: "policy", Spec: spec})
+	sub, err := coord.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -731,7 +731,7 @@ func TestFleetRunsPolicySpec(t *testing.T) {
 		t.Errorf("telemetry fold over remote workers = %+v, want %d jobs with setups observed", m.Telemetry, profiled)
 	}
 
-	again, err := coord.Submit(SubmitRequest{Tenant: "policy", Spec: spec})
+	again, err := coord.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}

@@ -31,10 +31,10 @@
 // still accepted (the records are correct by determinism) — the store
 // dedups, the shard is marked done, and the racing lease is dropped.
 //
-// Admission is multi-tenant: per-tenant job quotas bound how much work
-// one tenant may have outstanding (submits past the quota get 429 +
-// Retry-After so clients back off instead of the coordinator OOMing),
-// and shard dispatch runs weighted-fair queueing across campaigns via
+// Admission is bounded by one cap on the jobs outstanding across all
+// campaigns, read off the queue and the lease table (submits past it
+// get 429 + Retry-After so clients back off instead of the coordinator
+// OOMing), and shard dispatch gives every campaign an equal share via
 // stride scheduling, so a million-job sweep shares the fleet with an
 // interactive ten-job probe instead of starving it.
 package fleet
@@ -51,13 +51,9 @@ import (
 
 // SubmitRequest posts a campaign to the coordinator.
 type SubmitRequest struct {
-	// Tenant names the submitting tenant (empty = "default"); quotas
-	// and fair-queueing weights apply per tenant.
+	// Tenant is accepted and ignored, so clients that still name one
+	// keep working.
 	Tenant string `json:"tenant,omitempty"`
-	// Weight overrides the tenant's fair-share weight for this
-	// campaign (0 = tenant default). Higher weight = more shards per
-	// scheduling round.
-	Weight float64 `json:"weight,omitempty"`
 	// Spec is the campaign grid, exactly as for single-process runs.
 	Spec campaign.Spec `json:"spec"`
 }
@@ -86,7 +82,6 @@ type LeaseRequest struct {
 type LeaseResponse struct {
 	LeaseID  string         `json:"lease_id"`
 	Campaign string         `json:"campaign"`
-	Tenant   string         `json:"tenant"`
 	Spec     campaign.Spec  `json:"spec"`
 	Shard    campaign.Shard `json:"shard"`
 	Jobs     int            `json:"jobs"`
@@ -112,7 +107,6 @@ type CompleteResponse struct {
 // CampaignStatus is the coordinator's view of one campaign.
 type CampaignStatus struct {
 	ID           string        `json:"id"`
-	Tenant       string        `json:"tenant"`
 	SpecHash     string        `json:"spec_hash"`
 	State        string        `json:"state"` // running | done | cancelled
 	Jobs         int           `json:"jobs"`
@@ -126,26 +120,22 @@ type CampaignStatus struct {
 // Metrics is the coordinator counter snapshot backing the Prometheus
 // endpoint.
 type Metrics struct {
-	CampaignsTotal   int            `json:"campaigns_total"`
-	CampaignsRunning int            `json:"campaigns_running"`
-	QueueDepth       int            `json:"queue_depth"` // shards awaiting lease
-	LeasesActive     int            `json:"leases_active"`
-	LeasesExpired    int64          `json:"leases_expired_total"`
-	SubmitsRejected  int64          `json:"submits_rejected_total"`
-	JobsCompleted    int64          `json:"jobs_completed_total"`
-	JobsFailed       int64          `json:"jobs_failed_total"`
-	RecordsPersisted int64          `json:"records_persisted_total"`
-	RecordsDuplicate int64          `json:"records_duplicate_total"`
-	ShardsCompacted  int64          `json:"shards_compacted_total"`
-	StoreLive        int            `json:"store_live_records"`
-	StoreDead        int            `json:"store_dead_lines"`
-	TenantInflight   map[string]int `json:"tenant_inflight_jobs"`
-	TenantQueued     map[string]int `json:"tenant_queued_jobs"`
-
-	// AccountingUnderflow counts tenant-usage updates that would have
-	// driven a count negative (clamped to zero) — always an accounting
-	// bug somewhere, surfaced instead of masked.
-	AccountingUnderflow int64 `json:"accounting_underflow_total"`
+	CampaignsTotal   int   `json:"campaigns_total"`
+	CampaignsRunning int   `json:"campaigns_running"`
+	QueueDepth       int   `json:"queue_depth"` // shards awaiting lease
+	LeasesActive     int   `json:"leases_active"`
+	LeasesExpired    int64 `json:"leases_expired_total"`
+	SubmitsRejected  int64 `json:"submits_rejected_total"`
+	JobsCompleted    int64 `json:"jobs_completed_total"`
+	JobsFailed       int64 `json:"jobs_failed_total"`
+	RecordsPersisted int64 `json:"records_persisted_total"`
+	RecordsDuplicate int64 `json:"records_duplicate_total"`
+	ShardsCompacted  int64 `json:"shards_compacted_total"`
+	StoreLive        int   `json:"store_live_records"`
+	StoreDead        int   `json:"store_dead_lines"`
+	// Outstanding is the jobs of queued shards plus those of active
+	// leases: the count Options.MaxOutstanding caps.
+	Outstanding int `json:"outstanding_jobs"`
 
 	// Write-ahead journal counters; all zero when running without one.
 	JournalEnabled   bool  `json:"journal_enabled"`

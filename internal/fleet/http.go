@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"tdmnoc/internal/obs"
@@ -14,7 +13,8 @@ import (
 
 // Register mounts the coordinator's wire protocol on mux under
 // /fleet/. The handlers are a thin JSON skin over the Coordinator
-// methods; all policy (quotas, fairness, lease expiry) lives there.
+// methods; all policy (the admission cap, fairness, lease expiry) lives
+// there.
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /fleet/campaigns", c.handleSubmit)
 	mux.HandleFunc("GET /fleet/campaigns", c.handleList)
@@ -77,7 +77,7 @@ func fleetError(w http.ResponseWriter, code int, format string, args ...any) {
 	fleetJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// retryAfterSecs is how long a quota or drain rejection asks the client
+// retryAfterSecs is how long a cap or drain rejection asks the client
 // to wait before retrying.
 const retryAfterSecs = 15
 
@@ -306,9 +306,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP fleet_store_shards_compacted_total Store shard files rewritten by compaction.\n# TYPE fleet_store_shards_compacted_total counter\nfleet_store_shards_compacted_total %d\n", m.ShardsCompacted)
 	fmt.Fprintf(w, "# HELP fleet_store_live_records Live records across store shards.\n# TYPE fleet_store_live_records gauge\nfleet_store_live_records %d\n", m.StoreLive)
 	fmt.Fprintf(w, "# HELP fleet_store_dead_lines Dead lines awaiting compaction.\n# TYPE fleet_store_dead_lines gauge\nfleet_store_dead_lines %d\n", m.StoreDead)
-	writeTenantGauge(w, "fleet_tenant_inflight_jobs", "Leased jobs per tenant.", m.TenantInflight)
-	writeTenantGauge(w, "fleet_tenant_queued_jobs", "Queued jobs per tenant.", m.TenantQueued)
-	fmt.Fprintf(w, "# HELP fleet_accounting_underflow_total Tenant usage updates clamped at zero (accounting bug indicator).\n# TYPE fleet_accounting_underflow_total counter\nfleet_accounting_underflow_total %d\n", m.AccountingUnderflow)
+	fmt.Fprintf(w, "# HELP fleet_outstanding_jobs Jobs in queued shards and active leases (the admission cap's count).\n# TYPE fleet_outstanding_jobs gauge\nfleet_outstanding_jobs %d\n", m.Outstanding)
 	enabled := 0
 	if m.JournalEnabled {
 		enabled = 1
@@ -334,16 +332,4 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "fleet_setup_latency_cycles_bucket{le=\"+Inf\"} %d\n", t.SetupLatency.Total)
 	fmt.Fprintf(w, "fleet_setup_latency_cycles_sum %d\n", t.SetupLatency.Sum)
 	fmt.Fprintf(w, "fleet_setup_latency_cycles_count %d\n", t.SetupLatency.Total)
-}
-
-func writeTenantGauge(w io.Writer, name, help string, counts map[string]int) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	tenants := make([]string, 0, len(counts))
-	for t := range counts {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t, counts[t])
-	}
 }

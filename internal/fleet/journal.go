@@ -1,27 +1,24 @@
 package fleet
 
 // The write-ahead journal makes the coordinator's control plane
-// crash-recoverable. Every state transition — submit, grant, renew,
-// complete, expire, cancel, drain, resume — appends one JSONL record to the
+// crash-recoverable. Every state transition — submit, grant, complete,
+// expire, cancel, drain, resume — appends one JSONL record to the
 // journal file before the transition is acknowledged to the caller, and
 // NewCoordinator replays the file on startup to reconstruct campaigns,
-// the WFQ queue, tenant usage and the lease table. The journal holds
+// the WFQ queue and the lease table. The journal holds
 // only control-plane bookkeeping: record *data* lives in the
 // ShardedStore, which is why replay of a submit consults the store and
 // fast-completes shards whose every record already landed — including
 // shards completed after the submit was journaled. Active leases are
 // restored with fresh TTLs so workers that kept computing across the
-// restart renew and complete instead of being 410'd.
+// restart renew and complete instead of being 410'd — which is also
+// why renewals are not journaled: a replayed renew would change nothing.
 //
 // The file is an appendlog.Log, which owns the crash contract (one
 // write per record, a torn trailer — a transition never acknowledged —
 // cut at open, mid-file corruption fails the open loudly rather than
-// silently dropping transitions). What is the journal's own is the
-// fsync policy: transitions that must not be lost (submit, grant,
-// complete, expire, cancel, drain, resume) sync immediately, while renew
-// records — harmless to lose, since recovery refreshes every active
-// lease's TTL anyway — ride along until the next synced record or a
-// 64-record backlog.
+// silently dropping transitions). Every record is a transition that
+// must not be lost, so every append is synced before it returns.
 //
 // Rotation bounds the file: once the journal outgrows rotateBytes, the
 // coordinator snapshots its live state and atomically rewrites the
@@ -46,7 +43,6 @@ import (
 const (
 	opSubmit   = "submit"
 	opGrant    = "grant"
-	opRenew    = "renew"
 	opComplete = "complete"
 	opExpire   = "expire"
 	opCancel   = "cancel"
@@ -64,13 +60,11 @@ type journalRecord struct {
 	// cancel names the campaign; grant/complete also name it, for
 	// readability and replay sanity checks.
 	Campaign  string         `json:"campaign,omitempty"`
-	Tenant    string         `json:"tenant,omitempty"`
-	Weight    float64        `json:"weight,omitempty"`
 	ShardSize int            `json:"shard_size,omitempty"`
 	SpecHash  string         `json:"spec_hash,omitempty"`
 	Spec      *campaign.Spec `json:"spec,omitempty"`
 
-	// grant/renew/complete: the lease and its shard.
+	// grant/complete: the lease and its shard.
 	Lease  string `json:"lease,omitempty"`
 	Shard  int    `json:"shard,omitempty"`
 	Jobs   int    `json:"jobs,omitempty"`
@@ -109,7 +103,6 @@ type journalSnapshot struct {
 
 type snapCampaign struct {
 	ID        string        `json:"id"`
-	Tenant    string        `json:"tenant"`
 	SpecHash  string        `json:"spec_hash"`
 	ShardSize int           `json:"shard_size"`
 	Spec      campaign.Spec `json:"spec"`
@@ -120,7 +113,6 @@ type snapCampaign struct {
 	// Scheduling state, valid while the campaign is unfinished.
 	Queued []int   `json:"queued,omitempty"` // pending shards, queue order
 	Pass   float64 `json:"pass,omitempty"`
-	Stride float64 `json:"stride,omitempty"`
 }
 
 type snapLease struct {
@@ -139,17 +131,12 @@ type journal struct {
 	mu       sync.Mutex
 	log      *appendlog.Log
 	rotateAt int64
-	unsynced int
 
 	appends   int64
 	syncs     int64
 	rotations int64
 	errors    int64
 }
-
-// journalSyncBacklog bounds how many unsynced renew records may
-// accumulate before an fsync is forced anyway.
-const journalSyncBacklog = 64
 
 // openJournal opens (creating if needed) the journal at path and
 // returns the append handle plus the records it holds.
@@ -172,25 +159,19 @@ func openJournal(path string, rotateAt int64) (*journal, []journalRecord, error)
 	return &journal{log: log, rotateAt: rotateAt}, recs, nil
 }
 
-// append writes one record. sync forces an fsync; without it the record
-// rides until the next synced append or a journalSyncBacklog backlog.
-func (j *journal) append(rec journalRecord, sync bool) error {
+// append writes one record and syncs it.
+func (j *journal) append(rec journalRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("fleet: encode journal record: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.unsynced++
-	sync = sync || j.unsynced >= journalSyncBacklog
-	if err := j.log.Append(b, sync); err != nil {
+	if err := j.log.Append(b, true); err != nil {
 		return fmt.Errorf("fleet: append journal record: %w", err)
 	}
 	j.appends++
-	if sync {
-		j.syncs++
-		j.unsynced = 0
-	}
+	j.syncs++
 	return nil
 }
 
@@ -214,7 +195,6 @@ func (j *journal) rotate(snap *journalSnapshot) error {
 	if err := j.log.Rewrite(1, func(int) ([]byte, error) { return b, nil }); err != nil {
 		return fmt.Errorf("fleet: rotate journal: %w", err)
 	}
-	j.unsynced = 0
 	j.appends++
 	j.syncs++
 	j.rotations++
@@ -265,8 +245,9 @@ func (c *Coordinator) replay(recs []journalRecord) error {
 			err = c.replaySubmit(rec)
 		case opGrant:
 			err = c.replayGrant(rec)
-		case opRenew:
-			c.leases.renew(rec.Lease, c.opt.Now().Add(c.opt.LeaseTTL))
+		case "renew":
+			// Written by coordinators that journaled renewals; the grant
+			// already restored the lease with a fresh TTL, so skip it.
 		case opComplete:
 			err = c.replayComplete(rec)
 		case opExpire:
@@ -318,7 +299,7 @@ func (c *Coordinator) replaySubmit(rec journalRecord) error {
 		shardSize = c.opt.ShardSize
 	}
 	c.seq++
-	c.admitLocked(rec.Campaign, rec.Tenant, rec.Weight, shardSize, spec, jobs)
+	c.admitLocked(rec.Campaign, shardSize, spec, jobs)
 	return nil
 }
 
@@ -357,7 +338,6 @@ func (c *Coordinator) replayGrant(rec journalRecord) error {
 	c.queue.grant(rec.Campaign, rec.Shard)
 	c.leases.restore(l)
 	fc.leased[rec.Shard] = rec.Lease
-	c.usage.lease(fc.tenant, rec.Jobs)
 	return nil
 }
 
@@ -366,7 +346,7 @@ func (c *Coordinator) replayGrant(rec journalRecord) error {
 // already in the store (Complete persists before journaling), so only
 // bookkeeping is reconstructed here.
 func (c *Coordinator) replayComplete(rec journalRecord) error {
-	l, fc, wasActive, err := c.claimLocked(rec.Lease)
+	l, fc, _, err := c.claimLocked(rec.Lease)
 	if errors.Is(err, errUnknownLease) {
 		// A duplicate completion against a tombstone pruned at rotation
 		// (its campaign had finished). The original call changed no
@@ -376,7 +356,7 @@ func (c *Coordinator) replayComplete(rec journalRecord) error {
 	if err != nil {
 		return err
 	}
-	c.settleLocked(fc, l, wasActive, rec.Failed)
+	c.settleLocked(fc, l, rec.Failed)
 	return nil
 }
 
@@ -391,7 +371,6 @@ func (c *Coordinator) replaySnapshot(s *journalSnapshot) error {
 	c.order = nil
 	c.leases = newLeaseTable()
 	c.queue = newWFQ()
-	c.usage = newTenantUsage()
 	c.seq = s.Seq
 	c.draining = s.Draining
 	c.leases.seq = s.LeaseSeq
@@ -410,7 +389,7 @@ func (c *Coordinator) replaySnapshot(s *journalSnapshot) error {
 		if sc.ShardSize <= 0 {
 			return fmt.Errorf("campaign %s: shard size %d invalid", sc.ID, sc.ShardSize)
 		}
-		fc := newFleetCampaign(sc.ID, sc.Tenant, sc.ShardSize, spec, jobs)
+		fc := newFleetCampaign(sc.ID, sc.ShardSize, spec, jobs)
 		fc.failed = sc.Failed
 		fc.cancelled = sc.Cancelled
 		nShards := len(fc.shardKeys)
@@ -426,29 +405,29 @@ func (c *Coordinator) replaySnapshot(s *journalSnapshot) error {
 		c.campaigns[fc.id] = fc
 		c.order = append(c.order, fc.id)
 		if fc.active() {
-			c.queue.entries[fc.id] = &queueEntry{
-				id:      fc.id,
-				tenant:  fc.tenant,
-				pass:    sc.Pass,
-				stride:  sc.Stride,
-				pending: append([]int(nil), sc.Queued...),
-			}
 			for _, sh := range sc.Queued {
 				if sh < 0 || sh >= nShards {
 					return fmt.Errorf("campaign %s: queued shard %d out of range", sc.ID, sh)
 				}
-				c.usage.addQueued(fc.tenant, len(fc.shardKeys[sh]))
+			}
+			c.queue.entries[fc.id] = &queueEntry{
+				id:      fc.id,
+				pass:    sc.Pass,
+				pending: append([]int(nil), sc.Queued...),
 			}
 		}
 	}
 	for _, sl := range s.History {
+		if err := c.snapLeaseInRange("tombstone", sl); err != nil {
+			return err
+		}
 		c.leases.remember(lease{id: sl.ID, campaign: sl.Campaign, shard: sl.Shard, jobs: sl.Jobs, worker: sl.Worker})
 	}
 	for _, sl := range s.Leases {
-		fc := c.campaigns[sl.Campaign]
-		if fc == nil {
-			return fmt.Errorf("active lease %s names unknown campaign %s", sl.ID, sl.Campaign)
+		if err := c.snapLeaseInRange("active lease", sl); err != nil {
+			return err
 		}
+		fc := c.campaigns[sl.Campaign]
 		c.leases.restore(lease{
 			id:       sl.ID,
 			campaign: sl.Campaign,
@@ -458,7 +437,21 @@ func (c *Coordinator) replaySnapshot(s *journalSnapshot) error {
 			deadline: c.opt.Now().Add(c.opt.LeaseTTL),
 		})
 		fc.leased[sl.Shard] = sl.ID
-		c.usage.addInflight(fc.tenant, sl.Jobs)
+	}
+	return nil
+}
+
+// snapLeaseInRange checks that a snapshot lease names a known campaign
+// and one of its shards, as replayGrant checks a grant: settling or
+// expiring a lease indexes its campaign's shards, so a bad one must
+// fail the open, not panic later under the coordinator lock.
+func (c *Coordinator) snapLeaseInRange(kind string, sl snapLease) error {
+	fc := c.campaigns[sl.Campaign]
+	if fc == nil {
+		return fmt.Errorf("%s %s names unknown campaign %s", kind, sl.ID, sl.Campaign)
+	}
+	if sl.Shard < 0 || sl.Shard >= len(fc.shardKeys) {
+		return fmt.Errorf("%s %s shard %d out of range", kind, sl.ID, sl.Shard)
 	}
 	return nil
 }
@@ -477,7 +470,6 @@ func (c *Coordinator) snapshotLocked() *journalSnapshot {
 		fc := c.campaigns[id]
 		sc := snapCampaign{
 			ID:        fc.id,
-			Tenant:    fc.tenant,
 			SpecHash:  fc.specHash,
 			ShardSize: fc.shardSize,
 			Spec:      fc.spec,
@@ -492,7 +484,6 @@ func (c *Coordinator) snapshotLocked() *journalSnapshot {
 		if e := c.queue.entries[id]; e != nil {
 			sc.Queued = append([]int(nil), e.pending...)
 			sc.Pass = e.pass
-			sc.Stride = e.stride
 		}
 		s.Campaigns = append(s.Campaigns, sc)
 	}

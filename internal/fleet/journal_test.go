@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +39,7 @@ func journaledOptions(t *testing.T, dir string, clock *fakeClock) Options {
 // TestJournalRecoversQueuedCampaignsAndLeases is the tentpole's core
 // check at the API level: a coordinator killed (dropped without
 // shutdown) after submits, grants, completes and renews comes back with
-// the same campaigns, queue depth, tenant accounting and campaign-id
+// the same campaigns, queue depth, outstanding jobs and campaign-id
 // sequence — and the in-flight lease is restored with a fresh TTL so
 // the worker holding it renews and completes instead of getting an
 // unknown-lease error.
@@ -50,12 +52,12 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	sub, err := c1.Submit(SubmitRequest{Tenant: "alice", Weight: 2, Spec: spec})
+	sub, err := c1.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := c1.Submit(SubmitRequest{Tenant: "bob", Spec: testSpec(0.15, 0.20)}); err != nil {
-		t.Fatalf("Submit bob: %v", err)
+	if _, err := c1.Submit(SubmitRequest{Spec: testSpec(0.15, 0.20)}); err != nil {
+		t.Fatalf("second Submit: %v", err)
 	}
 	// Grant two leases; complete one, leave the other in flight.
 	l1, ok := c1.Lease("w1")
@@ -94,18 +96,9 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	if after.CampaignsTotal != before.CampaignsTotal ||
 		after.CampaignsRunning != before.CampaignsRunning ||
 		after.QueueDepth != before.QueueDepth ||
-		after.LeasesActive != before.LeasesActive {
+		after.LeasesActive != before.LeasesActive ||
+		after.Outstanding != before.Outstanding {
 		t.Fatalf("state diverged across restart:\nbefore %+v\nafter  %+v", before, after)
-	}
-	for tenant, n := range before.TenantQueued {
-		if after.TenantQueued[tenant] != n {
-			t.Fatalf("tenant %s queued = %d, want %d", tenant, after.TenantQueued[tenant], n)
-		}
-	}
-	for tenant, n := range before.TenantInflight {
-		if after.TenantInflight[tenant] != n {
-			t.Fatalf("tenant %s inflight = %d, want %d", tenant, after.TenantInflight[tenant], n)
-		}
 	}
 	stAfter := c2.Statuses()
 	if len(stAfter) != len(stBefore) {
@@ -113,7 +106,7 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	}
 	for i := range stBefore {
 		b, a := stBefore[i], stAfter[i]
-		if a.ID != b.ID || a.Tenant != b.Tenant || a.SpecHash != b.SpecHash ||
+		if a.ID != b.ID || a.SpecHash != b.SpecHash ||
 			a.Jobs != b.Jobs || a.ShardsDone != b.ShardsDone || a.State != b.State {
 			t.Fatalf("campaign %d diverged:\nbefore %+v\nafter  %+v", i, b, a)
 		}
@@ -130,7 +123,7 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	}
 
 	// The campaign-id sequence continues where it left off.
-	next, err := c2.Submit(SubmitRequest{Tenant: "carol", Spec: testSpec(0.25, 0.30)})
+	next, err := c2.Submit(SubmitRequest{Spec: testSpec(0.25, 0.30)})
 	if err != nil {
 		t.Fatalf("post-restart submit: %v", err)
 	}
@@ -297,6 +290,110 @@ func TestJournalMidFileCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
+// TestSnapshotOutOfRangeShardFailsOpen: a snapshot whose active lease
+// or tombstone names a shard its campaign does not have must fail the
+// open, naming the lease, instead of installing a lease that panics the
+// first settle or expiry that indexes the campaign's shards.
+func TestSnapshotOutOfRangeShardFailsOpen(t *testing.T) {
+	spec := testSpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	bad := snapLease{ID: "l000001", Campaign: "c0001", Shard: 99, Jobs: 2, Worker: "w1"}
+	for name, snap := range map[string]journalSnapshot{
+		"lease":     {Leases: []snapLease{bad}},
+		"tombstone": {History: []snapLease{bad}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			snap.Seq, snap.LeaseSeq = 1, 1
+			snap.Campaigns = []snapCampaign{{ID: "c0001", SpecHash: spec.Hash(), ShardSize: 2, Spec: spec, Queued: []int{1}}}
+			line, err := json.Marshal(journalRecord{Op: opSnapshot, Snapshot: &snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "fleet.journal"), append(line, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = NewCoordinator(journaledOptions(t, dir, newFakeClock()))
+			if err == nil || !strings.Contains(err.Error(), "l000001") || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("open over a snapshot naming shard 99 = %v, want an out-of-range error naming l000001", err)
+			}
+		})
+	}
+}
+
+// TestParentJournalsReplay: journals written by the coordinator before
+// tenants were removed still open. testdata holds a plain log whose
+// submits carry tenant and weight and which holds renew records, and a
+// rotated journal whose snapshot carries tenant, pass and stride (three
+// tenants at weights 2, 1 and 0.5; a completion, an expiry, a cancel
+// with a lease in flight). parent-journals.want.json is what that
+// coordinator replayed each to on an empty store, with the status
+// "tenant" field dropped and outstanding the sum of its per-tenant
+// queued and inflight job counts. Replay must reach the same state.
+func TestParentJournalsReplay(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "parent-journals.want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]struct {
+		Statuses     []map[string]any `json:"statuses"`
+		QueueDepth   int              `json:"queue_depth"`
+		LeasesActive int              `json:"leases_active"`
+		Leases       []string         `json:"leases"`
+		Outstanding  int              `json:"outstanding"`
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"parent-log.journal", "parent-snapshot.journal"} {
+		t.Run(name, func(t *testing.T) {
+			w, ok := want[name]
+			if !ok {
+				t.Fatalf("no expectation for %s", name)
+			}
+			journal, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "fleet.journal"), journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCoordinator(journaledOptions(t, dir, newFakeClock()))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer c.Close()
+			sb, err := json.Marshal(c.Statuses())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var statuses []map[string]any
+			if err := json.Unmarshal(sb, &statuses); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(statuses, w.Statuses) {
+				t.Errorf("statuses:\n got %v\nwant %v", statuses, w.Statuses)
+			}
+			m := c.Metrics()
+			if m.QueueDepth != w.QueueDepth || m.LeasesActive != w.LeasesActive || m.Outstanding != w.Outstanding {
+				t.Errorf("queue %d, leases %d, outstanding %d; want %d, %d, %d",
+					m.QueueDepth, m.LeasesActive, m.Outstanding, w.QueueDepth, w.LeasesActive, w.Outstanding)
+			}
+			var leases []string
+			for id := range c.leases.active {
+				leases = append(leases, id)
+			}
+			sort.Strings(leases)
+			if !reflect.DeepEqual(leases, w.Leases) {
+				t.Errorf("active leases %v, want %v", leases, w.Leases)
+			}
+		})
+	}
+}
+
 // TestJournalRotationSnapshotRoundTrip forces a rotation on every
 // transition (threshold 1 byte) and checks that (a) the journal stays
 // one snapshot plus at most the tail since the last rotation, and (b) a
@@ -313,7 +410,7 @@ func TestJournalRotationSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := testSpec()
-	sub, err := c1.Submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	sub, err := c1.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,28 +575,6 @@ func TestSweepReturnsLeasesSorted(t *testing.T) {
 	}
 }
 
-// TestTenantUsageUnderflowClamps: double-settling a tenant clamps at
-// zero and bumps the underflow counter instead of silently deleting the
-// evidence.
-func TestTenantUsageUnderflowClamps(t *testing.T) {
-	u := newTenantUsage()
-	u.addQueued("alice", 4)
-	u.lease("alice", 4)
-	u.complete("alice", 4)
-	u.complete("alice", 4) // the bug: settled twice
-	if got := u.outstanding("alice"); got != 0 {
-		t.Fatalf("outstanding after double-complete = %d, want 0 (clamped)", got)
-	}
-	if u.underflow != 1 {
-		t.Fatalf("underflow = %d, want 1", u.underflow)
-	}
-	// Quota admission still works after the clamp.
-	u.addQueued("alice", 2)
-	if got := u.outstanding("alice"); got != 2 {
-		t.Fatalf("outstanding after clamp + re-queue = %d, want 2", got)
-	}
-}
-
 // TestWorkerJitterTinyPollInterval: PollInterval at or below 1ns used
 // to panic in rand.Int63n (non-positive bound). The jitter window now
 // clamps to >= 1ns.
@@ -518,7 +593,7 @@ func TestWorkerJitterTinyPollInterval(t *testing.T) {
 // TestJournalCancelSurvivesRestart: a cancel is journaled, so a
 // coordinator restarted on the journal — replaying the log, or a
 // rotation snapshot — keeps the campaign cancelled: its queued shards
-// stay tombstoned and off the tenant's quota, while the lease in flight
+// stay tombstoned and off the outstanding count, while the lease in flight
 // at the cancel is restored and still completes.
 func TestJournalCancelSurvivesRestart(t *testing.T) {
 	for name, rotate := range map[string]int64{"log": 0, "snapshot": 1} {
@@ -532,7 +607,7 @@ func TestJournalCancelSurvivesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub, err := c1.Submit(SubmitRequest{Tenant: "t", Spec: spec})
+			sub, err := c1.Submit(SubmitRequest{Spec: spec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -558,7 +633,7 @@ func TestJournalCancelSurvivesRestart(t *testing.T) {
 			if st.State != "cancelled" || st.ShardsDone != 1 || st.ShardsLeased != 1 {
 				t.Fatalf("after restart: %+v, want cancelled with 1 shard done and 1 leased", st)
 			}
-			if m := c2.Metrics(); m.QueueDepth != 0 || m.TenantQueued["t"] != 0 || m.TenantInflight["t"] != 1 || m.CampaignsRunning != 0 {
+			if m := c2.Metrics(); m.QueueDepth != 0 || m.Outstanding != 1 || m.CampaignsRunning != 0 {
 				t.Fatalf("after restart: %+v, want nothing queued and one job in flight", m)
 			}
 			if l, ok := c2.Lease("w3"); ok {
@@ -570,8 +645,8 @@ func TestJournalCancelSurvivesRestart(t *testing.T) {
 			if st, _ := c2.Status(sub.ID); st.State != "cancelled" || st.ShardsDone != 2 {
 				t.Fatalf("after the in-flight completion: %+v", st)
 			}
-			if m := c2.Metrics(); len(m.TenantInflight) != 0 || len(m.TenantQueued) != 0 {
-				t.Fatalf("tenant usage not drained: %+v", m)
+			if m := c2.Metrics(); m.Outstanding != 0 {
+				t.Fatalf("outstanding jobs not drained: %+v", m)
 			}
 			c2.WaitCompactions()
 			c2.Close()

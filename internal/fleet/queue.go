@@ -1,29 +1,24 @@
 package fleet
 
-// Weighted-fair shard dispatch via stride scheduling. Each campaign
+// Equal-share shard dispatch via stride scheduling. Each campaign
 // carries a virtual-time pass; every grant advances the campaign's
-// pass by strideUnit/weight, and the dispatcher always serves the
-// runnable campaign with the smallest pass (ties broken by campaign id
-// so two coordinators replaying the same request sequence make the
-// same choices). Over time each campaign's grant share converges to
-// weight/Σweights regardless of campaign size — a million-job sweep
-// cannot starve a ten-job probe, it just advances its own pass a
-// million times.
+// pass by strideUnit, and the dispatcher always serves the runnable
+// campaign with the smallest pass (ties broken by campaign id so two
+// coordinators replaying the same request sequence make the same
+// choices). Every runnable campaign therefore gets an equal share of
+// grants regardless of its size — a million-job sweep cannot starve a
+// ten-job probe, it just advances its own pass a million times.
 //
-// Tenant quotas bound admission, not dispatch: a submit is rejected
-// when the tenant's outstanding jobs (queued + leased) plus the new
-// campaign would exceed its quota. Quotas protect coordinator memory
-// and store churn; fairness between admitted campaigns is the stride
-// scheduler's job.
+// The outstanding-jobs cap bounds admission, not dispatch (see
+// Coordinator.admissibleLocked); fairness between admitted campaigns
+// is the stride scheduler's job.
 
 const strideUnit = 1 << 20
 
 // queueEntry is the per-campaign scheduling state.
 type queueEntry struct {
 	id      string
-	tenant  string
 	pass    float64
-	stride  float64
 	pending []int // shard indices awaiting lease, FIFO
 }
 
@@ -39,20 +34,10 @@ type wfq struct {
 
 func newWFQ() *wfq { return &wfq{entries: map[string]*queueEntry{}} }
 
-// add registers a campaign with the given weight (clamped to ≥ a
-// minimum so a zero or negative weight cannot produce an infinite
-// stride) and its initial pending shard list.
-func (q *wfq) add(id, tenant string, weight float64, pending []int) {
-	if weight < 1.0/64 {
-		weight = 1.0 / 64
-	}
-	q.entries[id] = &queueEntry{
-		id:      id,
-		tenant:  tenant,
-		pass:    q.vtime,
-		stride:  strideUnit / weight,
-		pending: pending,
-	}
+// add registers a campaign at the current virtual time with its
+// initial pending shard list.
+func (q *wfq) add(id string, pending []int) {
+	q.entries[id] = &queueEntry{id: id, pass: q.vtime, pending: pending}
 }
 
 // push re-queues a shard (lease expiry). Expired shards go to the
@@ -85,7 +70,7 @@ func (q *wfq) pick() (id string, shard int, ok bool) {
 	}
 	shard = best.pending[0]
 	best.pending = best.pending[1:]
-	best.pass += best.stride
+	best.pass += strideUnit
 	q.vtime = best.pass
 	return best.id, shard, true
 }
@@ -94,28 +79,18 @@ func (q *wfq) pick() (id string, shard int, ok bool) {
 // advances the campaign's pass exactly as pick would — the journal-
 // replay analogue of a grant, which must reproduce pick's scheduling
 // side effects without re-running its selection (the journal already
-// recorded which shard won). Reports whether the shard was pending;
-// a false return means the shard fast-completed from the store during
-// replay and the grant collapses to a tombstone.
-func (q *wfq) grant(id string, shard int) bool {
-	e, ok := q.entries[id]
-	if !ok {
-		return false
+// recorded which shard won).
+func (q *wfq) grant(id string, shard int) {
+	if q.take(id, shard) {
+		e := q.entries[id]
+		e.pass += strideUnit
+		q.vtime = e.pass
 	}
-	for i, s := range e.pending {
-		if s == shard {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			e.pass += e.stride
-			q.vtime = e.pass
-			return true
-		}
-	}
-	return false
 }
 
 // take removes a specific shard from a campaign's pending list (a
-// late completion landed while the shard sat re-queued), reporting
-// whether it was there.
+// late completion landed while the shard sat re-queued, or a replayed
+// grant), reporting whether it was there.
 func (q *wfq) take(id string, shard int) bool {
 	e, ok := q.entries[id]
 	if !ok {
@@ -141,74 +116,3 @@ func (q *wfq) depth() int {
 
 // remove drops a campaign from scheduling (all shards done).
 func (q *wfq) remove(id string) { delete(q.entries, id) }
-
-// tenantUsage tracks per-tenant outstanding job counts for quota
-// admission and metrics. Not self-locking. Counts clamp at zero: a
-// negative count can only come from an accounting bug (a transition
-// applied twice, a settle against the wrong tenant), and silently
-// deleting the entry — the old behavior — would mask it. Each clamp
-// increments underflow, surfaced as fleet_accounting_underflow_total,
-// so double-settles show up on a dashboard instead of as quota drift.
-type tenantUsage struct {
-	queued    map[string]int // jobs in un-leased shards
-	inflight  map[string]int // jobs in active leases
-	underflow int64          // times a count would have gone negative
-}
-
-func newTenantUsage() *tenantUsage {
-	return &tenantUsage{queued: map[string]int{}, inflight: map[string]int{}}
-}
-
-// outstanding is the tenant's total admitted-but-unfinished job count.
-func (u *tenantUsage) outstanding(tenant string) int {
-	return u.queued[tenant] + u.inflight[tenant]
-}
-
-// set installs a clamped count, dropping zero entries so the metrics
-// maps only carry tenants with outstanding work.
-func (u *tenantUsage) set(m map[string]int, tenant string, n int) {
-	if n < 0 {
-		u.underflow++
-		n = 0
-	}
-	if n == 0 {
-		delete(m, tenant)
-		return
-	}
-	m[tenant] = n
-}
-
-func (u *tenantUsage) addQueued(tenant string, jobs int) {
-	u.set(u.queued, tenant, u.queued[tenant]+jobs)
-}
-
-// addInflight restores leased jobs directly (snapshot replay, where the
-// jobs were never in the rebuilt queue to move from).
-func (u *tenantUsage) addInflight(tenant string, jobs int) {
-	u.set(u.inflight, tenant, u.inflight[tenant]+jobs)
-}
-
-// lease moves jobs from queued to inflight.
-func (u *tenantUsage) lease(tenant string, jobs int) {
-	u.addQueued(tenant, -jobs)
-	u.addInflight(tenant, jobs)
-}
-
-// requeue moves jobs back from inflight to queued (lease expiry).
-func (u *tenantUsage) requeue(tenant string, jobs int) {
-	u.set(u.inflight, tenant, u.inflight[tenant]-jobs)
-	u.addQueued(tenant, jobs)
-}
-
-// complete retires inflight jobs.
-func (u *tenantUsage) complete(tenant string, jobs int) {
-	u.set(u.inflight, tenant, u.inflight[tenant]-jobs)
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}

@@ -93,7 +93,7 @@ func TestFleetDeterminismAcrossCoordinatorRestart(t *testing.T) {
 	coord1.Register(mux1)
 	target.Store(mux1)
 
-	sub, err := coord1.Submit(SubmitRequest{Tenant: "e2e", Spec: spec})
+	sub, err := coord1.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
 		return c, ss
 	}
 	coord1, store1 := open()
-	sub, err := coord1.Submit(SubmitRequest{Tenant: "e2e", Spec: spec})
+	sub, err := coord1.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +340,11 @@ func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
 	if st.State != "cancelled" || st.ShardsDone != 2 || store2.Len() != 2 {
 		t.Fatalf("after restart: %+v with %d records, want cancelled with exactly the 2 in-flight shards landed", st, store2.Len())
 	}
-	if m := coord2.Metrics(); m.QueueDepth != 0 || len(m.TenantQueued) != 0 || len(m.TenantInflight) != 0 {
+	if m := coord2.Metrics(); m.QueueDepth != 0 || m.Outstanding != 0 {
 		t.Fatalf("after restart: %+v, want nothing queued or in flight", m)
 	}
 
-	again, err := coord2.Submit(SubmitRequest{Tenant: "e2e", Spec: spec})
+	again, err := coord2.Submit(SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ if ! cmp "$TMP/fig8-serial.txt" "$TMP/fig8-standalone.txt"; then
 fi
 
 echo "== standalone nocsimd: cancel $POLICY_SPEC mid-run, then resubmit"
-sub="$(printf '{"tenant":"smoke","spec":%s}' "$(cat "$POLICY_SPEC")" | curl -sf -X POST -d @- "$SBASE/fleet/campaigns")"
+sub="$(printf '{"spec":%s}' "$(cat "$POLICY_SPEC")" | curl -sf -X POST -d @- "$SBASE/fleet/campaigns")"
 id="$(echo "$sub" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
 for _ in $(seq 100); do
     curl -sf "$SBASE/fleet/campaigns/$id" | grep -q '"shards_leased": 1' && break
