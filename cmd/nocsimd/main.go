@@ -66,7 +66,7 @@ func main() {
 	flag.IntVar(&cfg.shardSize, "shard-size", 16, "coordinator: jobs per lease")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 45*time.Second, "coordinator: lease expiry without renewal")
 	flag.IntVar(&cfg.maxOutstanding, "max-outstanding", 100_000, "coordinator: max outstanding (queued + leased) jobs across all campaigns")
-	flag.StringVar(&cfg.journal, "journal", "", "coordinator: write-ahead journal path for crash recovery (empty = in-memory only; a restart loses queued campaigns)")
+	flag.StringVar(&cfg.journal, "journal", "", "coordinator: campaign journal path for crash recovery (empty = in-memory only; a restart loses queued campaigns)")
 	flag.Parse()
 
 	s, err := newServer(cfg)

@@ -76,9 +76,6 @@ func newServer(cfg config) (*server, error) {
 	if n := coord.Recovered(); n > 0 {
 		fmt.Printf("nocsimd: journal %s: replayed %d records\n", cfg.journal, n)
 	}
-	// A replayed drain record leaves the coordinator draining; a
-	// deliberately restarted service should serve.
-	coord.Resume()
 	s := &server{store: store, coord: coord}
 	if !cfg.coordinator {
 		wopt.Name, wopt.PollInterval = "local", localPoll

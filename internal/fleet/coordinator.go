@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,17 +29,13 @@ type Options struct {
 	// all campaigns together; submits past it are rejected with a
 	// QuotaError (0 = 100_000).
 	MaxOutstanding int
-	// Journal is the path of the write-ahead journal (empty = no
-	// journal: coordinator state is in-memory only and a restart loses
-	// queued campaigns, the pre-journal behavior). With a journal,
-	// NewCoordinator replays it to reconstruct campaigns, the queue and
-	// the lease table; active leases come back with fresh TTLs so
-	// in-flight workers renew and complete normally.
+	// Journal is the path of the campaign journal (empty = no journal:
+	// coordinator state is in-memory only and a restart loses queued
+	// campaigns, the pre-journal behavior). With a journal,
+	// NewCoordinator replays it to bring back every campaign, with every
+	// shard the store does not hold queued; the holder of a shard leased
+	// before the restart takes it back with its next renew.
 	Journal string
-	// JournalRotateBytes is the journal size past which the coordinator
-	// rotates: live state is snapshotted into a fresh file that replaces
-	// the log (0 = 4 MiB).
-	JournalRotateBytes int64
 	// Now is the clock (nil = time.Now). Tests inject a fake to drive
 	// lease expiry deterministically.
 	Now func() time.Time
@@ -81,15 +79,15 @@ type fleetCampaign struct {
 	shardKeys [][]string // job cache keys, per shard, in expansion order
 	done      []bool
 	doneCount int
-	leased    map[int]string // shard -> active lease id
-	failed    int            // job failures reported by completions
-	cancelled bool           // queued shards tombstoned by Cancel
+	leased    map[int]time.Time // shard -> deadline of its lease
+	failed    int               // job failures reported by completions
+	cancelled bool              // queued shards dropped by Cancel
 }
 
 // newFleetCampaign builds a campaign's state with nothing done: the
 // expanded job keys cut into shards of shardSize, the last one shorter.
-// Admission and snapshot replay both start here, so both necessarily
-// agree on what shard i contains.
+// Admission and replay both start here, so both necessarily agree on
+// what shard i contains.
 func newFleetCampaign(id string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
 	fc := &fleetCampaign{
 		id:        id,
@@ -97,7 +95,7 @@ func newFleetCampaign(id string, shardSize int, spec campaign.Spec, jobs []campa
 		spec:      spec,
 		jobs:      len(jobs),
 		shardSize: shardSize,
-		leased:    map[int]string{},
+		leased:    map[int]time.Time{},
 	}
 	for lo := 0; lo < len(jobs); lo += shardSize {
 		hi := min(lo+shardSize, len(jobs))
@@ -153,18 +151,18 @@ type Coordinator struct {
 	mu        sync.Mutex
 	campaigns map[string]*fleetCampaign
 	order     []string // campaign ids in admission order
-	leases    *leaseTable
 	queue     *wfq
 	seq       int
 	draining  bool
 	telem     Telemetry
 
-	// journal is the write-ahead log (nil without Options.Journal).
+	// journal is the campaign journal (nil without Options.Journal).
 	// Appends happen under mu so journal order equals transition order;
 	// it stays nil during replay so recovery never re-journals.
 	journal         *journal
 	journalReplayed int64
 
+	leasesExpired    atomic.Int64
 	submitsRejected  atomic.Int64
 	jobsCompleted    atomic.Int64
 	jobsFailed       atomic.Int64
@@ -192,17 +190,13 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 	if opt.Now == nil {
 		opt.Now = time.Now
 	}
-	if opt.JournalRotateBytes <= 0 {
-		opt.JournalRotateBytes = 4 << 20
-	}
 	c := &Coordinator{
 		opt:       opt,
 		campaigns: map[string]*fleetCampaign{},
-		leases:    newLeaseTable(),
 		queue:     newWFQ(),
 	}
 	if opt.Journal != "" {
-		j, recs, err := openJournal(opt.Journal, opt.JournalRotateBytes)
+		j, recs, err := openJournal(opt.Journal)
 		if err != nil {
 			return nil, err
 		}
@@ -212,8 +206,8 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 		}
 		// Publish the journal only after replay: replay mutates state
 		// through the same bodies as the live transitions (admitLocked,
-		// claimLocked/settleLocked, expireLocked), and must not append
-		// what it is reading back.
+		// settleLocked, cancelLocked), and must not append what it is
+		// reading back.
 		c.journal = j
 		c.journalReplayed = int64(len(recs))
 	}
@@ -236,8 +230,8 @@ func (c *Coordinator) Close() error {
 }
 
 // logLocked appends and syncs a journal record under c.mu. Append
-// failures on non-admission transitions are logged and counted rather
-// than propagated: the in-memory transition has already happened and the
+// failures on cancel and complete are logged and counted rather than
+// propagated: the in-memory transition has already happened and the
 // worker's work is real — refusing it would discard results to protect
 // bookkeeping. The counter (fleet_journal_errors_total) makes a sick
 // disk visible; Submit is the one path that fails hard (ErrJournal),
@@ -248,47 +242,24 @@ func (c *Coordinator) logLocked(rec journalRecord) {
 		return
 	}
 	if err := c.journal.append(rec); err != nil {
-		c.journal.countError()
-		fmt.Fprintf(os.Stderr, "fleet: journal: %v\n", err)
-	}
-}
-
-// maybeRotateLocked snapshots and rotates the journal once it outgrows
-// its threshold. Caller holds c.mu.
-func (c *Coordinator) maybeRotateLocked() {
-	if c.journal == nil || !c.journal.shouldRotate() {
-		return
-	}
-	if err := c.journal.rotate(c.snapshotLocked()); err != nil {
-		c.journal.countError()
 		fmt.Fprintf(os.Stderr, "fleet: journal: %v\n", err)
 	}
 }
 
 // Drain stops the coordinator from admitting campaigns or granting
 // leases. Renewals and completions keep working so in-flight shards
-// land before shutdown. Drain is journaled: a coordinator killed
-// mid-drain comes back draining, so the restart finishes the shutdown
-// it was performing instead of silently reopening for business.
+// land before shutdown. Drain is not journaled: a restart serves.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
-	if !c.draining {
-		c.draining = true
-		c.logLocked(journalRecord{Op: opDrain})
-	}
+	c.draining = true
 	c.mu.Unlock()
 }
 
-// Resume reverses Drain: the coordinator admits and grants again. The
-// operator-facing use is a journaled restart — replaying a drain record
-// leaves the coordinator draining, and a deliberately restarted service
-// should serve, so cmd/nocsimd calls Resume after recovery.
+// Resume reverses Drain: the coordinator admits and grants again.
+// Nothing in the service calls it; the benchmark harness does.
 func (c *Coordinator) Resume() {
 	c.mu.Lock()
-	if c.draining {
-		c.draining = false
-		c.logLocked(journalRecord{Op: opResume})
-	}
+	c.draining = false
 	c.mu.Unlock()
 }
 
@@ -304,7 +275,7 @@ func (c *Coordinator) Draining() bool {
 func (c *Coordinator) Idle() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.leases.active) == 0 && c.queue.depth() == 0
+	return c.leasesLocked() == 0 && c.queue.depth() == 0
 }
 
 // Submit admits a campaign: normalizes and expands the spec, fast-
@@ -354,13 +325,11 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 			ShardSize: c.opt.ShardSize, SpecHash: spec.Hash(), Spec: &spec,
 		}
 		if err := c.journal.append(rec); err != nil {
-			c.journal.countError()
 			return SubmitResponse{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
 	c.seq++
 	fc := c.admitLocked(id, c.opt.ShardSize, spec, jobs)
-	c.maybeRotateLocked()
 	return SubmitResponse{
 		ID:           fc.id,
 		SpecHash:     fc.specHash,
@@ -389,8 +358,8 @@ func (c *Coordinator) admissibleLocked(jobs int) error {
 
 // outstandingLocked is the job count the cap bounds: the jobs of every
 // queued shard plus those of every active lease. It is derived from the
-// queue and the lease table on demand rather than kept in step with
-// every transition, so no transition can make it drift.
+// queue and the leases on demand rather than kept in step with every
+// transition, so no transition can make it drift.
 func (c *Coordinator) outstandingLocked() int {
 	n := 0
 	for id, e := range c.queue.entries {
@@ -399,19 +368,50 @@ func (c *Coordinator) outstandingLocked() int {
 			n += len(keys[sh])
 		}
 	}
-	for _, l := range c.leases.active {
-		n += l.jobs
+	for _, fc := range c.campaigns {
+		for sh := range fc.leased {
+			n += len(fc.shardKeys[sh])
+		}
 	}
 	return n
+}
+
+// leasesLocked counts the active leases.
+func (c *Coordinator) leasesLocked() int {
+	n := 0
+	for _, fc := range c.campaigns {
+		n += len(fc.leased)
+	}
+	return n
+}
+
+// leaseID names the lease on a shard. It is derived, not issued: the
+// holder of shard i of campaign c0002 holds lease c0002.i, before a
+// restart and after it, which is what lets a renew re-adopt the shard.
+func leaseID(campaign string, shard int) string {
+	return campaign + "." + strconv.Itoa(shard)
+}
+
+// leaseShard parses a lease id back to its campaign and shard; ok is
+// false unless the id is exactly leaseID of a shard of a known campaign.
+func (c *Coordinator) leaseShard(id string) (fc *fleetCampaign, shard int, ok bool) {
+	cid, s, _ := strings.Cut(id, ".")
+	fc = c.campaigns[cid]
+	shard, err := strconv.Atoi(s)
+	if fc == nil || err != nil || shard < 0 || shard >= len(fc.shardKeys) || leaseID(cid, shard) != id {
+		return nil, 0, false
+	}
+	return fc, shard, true
 }
 
 // admitLocked installs an admitted campaign: builds its shard key
 // lists, fast-completes shards whose every record is already in the
 // store, and queues the rest. Shared by Submit and journal replay —
-// which is what makes replay honor store contents newer than the
-// submit record: a shard completed after admission fast-completes when
-// the submit replays, exactly as it would on resubmit. Caller holds
-// c.mu and has already advanced c.seq.
+// which is what makes the store, not the journal, say which shards are
+// done: a shard completed after admission fast-completes when the
+// submit replays, exactly as it would on resubmit, and one whose
+// records are missing is queued again. Caller holds c.mu and has
+// already advanced c.seq.
 func (c *Coordinator) admitLocked(id string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
 	fc := newFleetCampaign(id, shardSize, spec, jobs)
 	var pending []int
@@ -436,7 +436,8 @@ func (c *Coordinator) admitLocked(id string, shardSize int, spec campaign.Spec, 
 
 // Lease grants the next shard under equal-share order, or reports
 // no work (also the draining response — workers see an idle
-// coordinator and back off).
+// coordinator and back off). The worker name is not recorded; the
+// argument stays because the benchmark harness passes one.
 func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 	now := c.opt.Now()
 	c.mu.Lock()
@@ -450,91 +451,68 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 		return LeaseResponse{}, false
 	}
 	fc := c.campaigns[id]
-	jobs := len(fc.shardKeys[shard])
-	l := c.leases.grant(id, shard, jobs, worker, now.Add(c.opt.LeaseTTL))
-	fc.leased[shard] = l.id
-	// Journal before the response leaves the lock: once a worker holds
-	// the lease id, a restart must be able to resolve it.
-	c.logLocked(journalRecord{
-		Op: opGrant, Campaign: id, Lease: l.id, Shard: shard, Jobs: jobs, Worker: worker,
-	})
-	c.maybeRotateLocked()
+	fc.leased[shard] = now.Add(c.opt.LeaseTTL)
 	return LeaseResponse{
-		LeaseID:  l.id,
+		LeaseID:  leaseID(id, shard),
 		Campaign: id,
 		Spec:     fc.spec,
 		Shard:    campaign.Shard{Index: shard, Size: fc.shardSize},
-		Jobs:     jobs,
+		Jobs:     len(fc.shardKeys[shard]),
 		TTL:      c.opt.LeaseTTL,
 	}, true
 }
 
-// Renew extends a lease, reporting whether it was still active. A
-// false return tells the worker its shard has been re-queued (it may
-// keep computing — the completion will still be accepted and deduped —
-// but should not count on exclusivity).
+// Renew extends a lease, reporting whether the caller holds its shard.
+// A shard that an expiry or a restart put back in the queue is taken
+// off it and leased again: the holder re-adopts it. false — the shard
+// is neither leased nor queued (it is done, or a cancel dropped it), or
+// the id names no shard — tells the worker to stop renewing (it may
+// keep computing: the completion is still accepted and deduped).
 func (c *Coordinator) Renew(id string) bool {
 	now := c.opt.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked(now)
-	// Not journaled: recovery restores every active lease with a fresh
-	// TTL, so a replayed renew would change nothing.
-	return c.leases.renew(id, now.Add(c.opt.LeaseTTL))
-}
-
-// errUnknownLease is claimLocked's answer for an id never granted (or,
-// in replay, a tombstone pruned at rotation).
-var errUnknownLease = errors.New("unknown lease")
-
-// claimLocked is the first half of a completion, shared by Complete and
-// journal replay: resolve the lease — active, expired or superseded —
-// and retire it from the active table, so it can neither expire nor be
-// renewed while its records are being persisted.
-func (c *Coordinator) claimLocked(id string) (l lease, fc *fleetCampaign, wasActive bool, err error) {
-	l, known := c.leases.resolve(id)
-	if !known {
-		return l, nil, false, errUnknownLease
-	}
-	if fc = c.campaigns[l.campaign]; fc == nil {
-		return l, nil, false, fmt.Errorf("lease %s names unknown campaign %s", id, l.campaign)
-	}
-	_, wasActive = c.leases.drop(id)
-	return l, fc, wasActive, nil
-}
-
-// settleLocked is the second half, likewise shared: if this is the
-// first completion of the shard, mark it done and retire whatever else
-// claims it. Reports whether it was the first.
-func (c *Coordinator) settleLocked(fc *fleetCampaign, l lease, failed int) bool {
-	if fc.leased[l.shard] == l.id {
-		delete(fc.leased, l.shard)
-	}
-	if fc.done[l.shard] {
+	fc, shard, ok := c.leaseShard(id)
+	if !ok {
 		return false
 	}
-	fc.done[l.shard] = true
+	if _, held := fc.leased[shard]; !held && !c.queue.take(fc.id, shard) {
+		return false
+	}
+	fc.leased[shard] = now.Add(c.opt.LeaseTTL)
+	return true
+}
+
+// errUnknownLease answers a lease id that names no shard of a known
+// campaign.
+var errUnknownLease = errors.New("unknown lease")
+
+// settleLocked marks a shard done on its first completion and retires
+// its lease and any queue entry, reporting whether it was the first.
+// Shared by Complete and journal replay.
+func (c *Coordinator) settleLocked(fc *fleetCampaign, shard, failed int) bool {
+	delete(fc.leased, shard)
+	if fc.done[shard] {
+		return false
+	}
+	fc.done[shard] = true
 	fc.doneCount++
 	fc.failed += failed
-	// Retire whatever else claims this shard: a racing re-grant's
-	// lease, or the shard sitting back in the queue after expiry.
-	if other, ok := fc.leased[l.shard]; ok {
-		c.leases.drop(other)
-		delete(fc.leased, l.shard)
-	}
-	c.queue.take(fc.id, l.shard)
+	c.queue.take(fc.id, shard)
 	if fc.finished() {
 		c.queue.remove(fc.id)
 	}
 	return true
 }
 
-// Complete lands a shard's records. The lease may be expired or even
-// superseded by a re-grant — determinism makes the records equally
-// valid, so they are persisted (deduped by the store), the shard is
-// marked done, and any racing lease or queue entry for it is retired.
-// Unknown lease ids return an error; a store that refuses a record
-// returns ErrStore with the shard back in the queue.
+// Complete lands a shard's records, whatever became of its lease —
+// active, expired, re-granted or granted before a restart: determinism
+// makes the records equally valid, so they are persisted (deduped by
+// the store), the shard is marked done, and its lease or queue entry is
+// retired. An id naming no shard of a known campaign returns an error;
+// a store that refuses a record returns ErrStore with the shard back in
+// the queue.
 func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteResponse, error) {
 	return c.complete(id, recs, false)
 }
@@ -576,15 +554,16 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 	now := c.opt.Now()
 	c.mu.Lock()
 	c.sweepLocked(now)
-	l, fc, wasActive, err := c.claimLocked(id)
+	fc, shard, ok := c.leaseShard(id)
 	c.mu.Unlock()
-	if err != nil {
-		return CompleteResponse{}, fmt.Errorf("fleet: complete %s: %w", id, err)
+	if !ok {
+		return CompleteResponse{}, fmt.Errorf("fleet: complete %s: %w", id, errUnknownLease)
 	}
 
 	// Persist outside the coordinator lock: the store has its own
 	// locking, and a slow disk must not stall lease traffic.
 	var resp CompleteResponse
+	var err error
 	for _, r := range recs {
 		if r.Err != "" {
 			resp.Failed++
@@ -606,31 +585,26 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 
 	c.mu.Lock()
 	if err != nil {
-		// The claim retired the lease, so unless a racing completion
-		// settled the shard meanwhile, nothing holds or queues it:
-		// re-queue it as an expiry would. The worker's retry resolves the
-		// lease's tombstone and settles the shard.
-		if wasActive && !fc.done[l.shard] {
-			c.leases.restore(l)
-			c.expireLocked([]string{id})
-			c.logLocked(journalRecord{Op: opExpire, Leases: []string{id}})
+		// Re-queue a leased shard as an expiry would; the worker's retry
+		// settles it.
+		if _, held := fc.leased[shard]; held {
+			c.expireLocked(fc, shard)
 		}
 		c.mu.Unlock()
 		return resp, err
 	}
 	c.jobsFailed.Add(int64(resp.Failed))
-	if c.settleLocked(fc, l, resp.Failed) {
+	if c.settleLocked(fc, shard, resp.Failed) {
 		// What the shard posted, not its grid size: a policy study's
 		// shard posts its wave-2 records too.
 		c.jobsCompleted.Add(int64(len(recs) - resp.Failed))
+		// Failed jobs are the one outcome the store cannot show, so only
+		// they are journaled, after the store append above; replay takes
+		// every other shard's state from the store.
+		if resp.Failed > 0 {
+			c.logLocked(journalRecord{Op: opComplete, Campaign: fc.id, Shard: shard, Failed: resp.Failed})
+		}
 	}
-	// Journaled after the store append above: a journaled completion
-	// implies its records are durable, so replay only reconstructs
-	// bookkeeping and never needs the records themselves.
-	c.logLocked(journalRecord{
-		Op: opComplete, Campaign: l.campaign, Lease: id, Shard: l.shard, Failed: resp.Failed,
-	})
-	c.maybeRotateLocked()
 	c.mu.Unlock()
 
 	// Completions are when dead weight accrues (duplicate records from
@@ -649,7 +623,7 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 	return resp, nil
 }
 
-// Cancel stops a campaign: its queued shards are tombstoned — never
+// Cancel stops a campaign: its queued shards are dropped — never
 // leased again, their jobs off the outstanding count — while in-flight
 // leases finish or expire without re-queueing. The campaign reads
 // "cancelled" unless those leases complete its last shards. Cancelling
@@ -666,7 +640,6 @@ func (c *Coordinator) Cancel(id string) (CampaignStatus, bool) {
 	if fc.active() {
 		c.cancelLocked(fc)
 		c.logLocked(journalRecord{Op: opCancel, Campaign: id})
-		c.maybeRotateLocked()
 	}
 	return fc.statusLocked(), true
 }
@@ -682,41 +655,42 @@ func (c *Coordinator) cancelLocked(fc *fleetCampaign) {
 // completions have finished (tests and shutdown).
 func (c *Coordinator) WaitCompactions() { c.compactions.Wait() }
 
-// sweepLocked expires overdue leases and journals one expire record
-// carrying their ids in sorted order, so replay re-queues shards exactly
-// as the live sweep did and the rebuilt WFQ queue matches.
+// sweepLocked expires every overdue lease.
 func (c *Coordinator) sweepLocked(now time.Time) {
-	if ids := c.leases.overdue(now); len(ids) > 0 {
-		c.expireLocked(ids)
-		c.logLocked(journalRecord{Op: opExpire, Leases: ids})
+	for _, id := range c.overdueLocked(now) {
+		fc, shard, _ := c.leaseShard(id)
+		c.expireLocked(fc, shard)
 	}
 }
 
-// expireLocked retires the named leases and re-queues their shards, in
-// the order given. Shared by the live sweep and journal replay.
-func (c *Coordinator) expireLocked(ids []string) {
-	for _, id := range ids {
-		l, ok := c.leases.drop(id)
-		if !ok {
-			continue
+// overdueLocked lists the ids of the leases past their deadline, sorted.
+// Sorting matters: map iteration order is random, so several leases
+// expiring in one sweep would otherwise re-queue their shards in a
+// different order on every run, and equal-share dispatch would diverge.
+func (c *Coordinator) overdueLocked(now time.Time) []string {
+	var ids []string
+	for _, fc := range c.campaigns {
+		for shard, deadline := range fc.leased {
+			if now.After(deadline) {
+				ids = append(ids, leaseID(fc.id, shard))
+			}
 		}
-		c.leases.expired++
-		fc := c.campaigns[l.campaign]
-		if fc == nil {
-			continue
-		}
-		if fc.leased[l.shard] == l.id {
-			delete(fc.leased, l.shard)
-		}
-		// A shard completed by another lease while this one idled has
-		// nothing to re-run, and nothing re-runs a cancelled campaign's.
-		if !fc.done[l.shard] && !fc.cancelled {
-			c.queue.push(l.campaign, l.shard)
-		}
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// expireLocked retires a shard's lease and re-queues the shard at the
+// front, unless its campaign is cancelled: nothing re-runs those.
+func (c *Coordinator) expireLocked(fc *fleetCampaign, shard int) {
+	delete(fc.leased, shard)
+	c.leasesExpired.Add(1)
+	if !fc.cancelled {
+		c.queue.push(fc.id, shard)
 	}
 }
 
-// statusLocked builds a CampaignStatus snapshot.
+// statusLocked reports the campaign's state.
 func (fc *fleetCampaign) statusLocked() CampaignStatus {
 	state := "running"
 	switch {
@@ -802,7 +776,7 @@ func SummaryGroups(m map[string]stats.RunRecord) ([]string, map[string]stats.Run
 	return keys, m
 }
 
-// Metrics snapshots the coordinator counters.
+// Metrics reads the coordinator counters.
 func (c *Coordinator) Metrics() Metrics {
 	c.mu.Lock()
 	running := 0
@@ -815,17 +789,16 @@ func (c *Coordinator) Metrics() Metrics {
 		CampaignsTotal:   len(c.campaigns),
 		CampaignsRunning: running,
 		QueueDepth:       c.queue.depth(),
-		LeasesActive:     len(c.leases.active),
-		LeasesExpired:    c.leases.expired,
+		LeasesActive:     c.leasesLocked(),
 		Outstanding:      c.outstandingLocked(),
 		Telemetry:        c.telem,
 	}
-	if c.journal != nil {
-		m.JournalEnabled = true
+	if j := c.journal; j != nil {
 		m.JournalReplayed = c.journalReplayed
-		m.JournalRecords, m.JournalSyncs, m.JournalRotations, m.JournalErrors, m.JournalSizeBytes = c.journal.stats()
+		m.JournalSyncs, m.JournalErrors, m.JournalSizeBytes = j.syncs, j.errors, j.log.Size()
 	}
 	c.mu.Unlock()
+	m.LeasesExpired = c.leasesExpired.Load()
 	m.SubmitsRejected = c.submitsRejected.Load()
 	m.JobsCompleted = c.jobsCompleted.Load()
 	m.JobsFailed = c.jobsFailed.Load()

@@ -195,10 +195,33 @@ func TestLeaseExpiryRequeuesAndLateCompletionWins(t *testing.T) {
 	}
 }
 
+// TestCompleteUnknownLease: a lease id that is not exactly the id of a
+// shard of a known campaign is unknown: 404 on complete, 410 on renew.
 func TestCompleteUnknownLease(t *testing.T) {
 	c := newTestCoordinator(t, nil, Options{})
-	if _, err := c.Complete("l999999", nil); err == nil {
-		t.Fatal("expected error for unknown lease")
+	if _, err := c.Submit(SubmitRequest{Spec: testSpec()}); err != nil { // c0001: shards 0 and 1
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	c.Register(mux)
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	for _, id := range []string{"l999999", "c9999.0", "c0001.99", "c0001.2", "c0001.-1", "c0001.0x", "c0001.01", "c0001"} {
+		if _, err := c.Complete(id, nil); err == nil {
+			t.Errorf("Complete(%q) succeeded", id)
+		}
+		if code := post("/fleet/leases/"+id+"/complete", `{"records":[]}`); code != http.StatusNotFound {
+			t.Errorf("complete %s: %d, want 404", id, code)
+		}
+		if code := post("/fleet/leases/"+id+"/renew", ""); code != http.StatusGone {
+			t.Errorf("renew %s: %d, want 410", id, code)
+		}
+	}
+	if st, _ := c.Status("c0001"); st.ShardsDone != 0 || st.ShardsLeased != 0 {
+		t.Errorf("unknown ids changed the campaign: %+v", st)
 	}
 }
 
@@ -206,95 +229,106 @@ func TestCompleteUnknownLease(t *testing.T) {
 // outstanding across all campaigns past MaxOutstanding is refused with
 // a QuotaError, and the cap frees as those jobs leave — on completion,
 // on cancel, when a cancelled campaign's lease expires — with the count
-// carried across a journaled restart, from the log or from a snapshot.
+// carried across a journaled restart, where the shards that were leased
+// come back queued.
 func TestOutstandingCapRejectsAndFrees(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		rotate int64
-	}{{"log", 0}, {"snapshot", 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
-			ss, err := campaign.OpenShardedStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
+	t.Run("log", func(t *testing.T) {
+		clock := newFakeClock()
+		ss, err := campaign.OpenShardedStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		opt := Options{Store: ss, MaxOutstanding: 6, Journal: filepath.Join(t.TempDir(), "fleet.journal")}
+		c := newTestCoordinator(t, clock, opt)
+		refuse := func(jobs, outstanding int) {
+			t.Helper()
+			_, err := c.Submit(SubmitRequest{Spec: testSpec([]float64{0.5, 0.55}[:jobs/2]...)})
+			var qe *QuotaError
+			if !errors.As(err, &qe) || *qe != (QuotaError{Outstanding: outstanding, Requested: jobs, Quota: 6}) {
+				t.Fatalf("Submit of %d jobs with %d outstanding = %v, want a QuotaError", jobs, outstanding, err)
 			}
-			defer ss.Close()
-			opt := Options{Store: ss, MaxOutstanding: 6, Journal: filepath.Join(t.TempDir(), "fleet.journal"), JournalRotateBytes: tc.rotate}
-			c := newTestCoordinator(t, clock, opt)
-			refuse := func(jobs, outstanding int) {
-				t.Helper()
-				_, err := c.Submit(SubmitRequest{Spec: testSpec([]float64{0.5, 0.55}[:jobs/2]...)})
-				var qe *QuotaError
-				if !errors.As(err, &qe) || *qe != (QuotaError{Outstanding: outstanding, Requested: jobs, Quota: 6}) {
-					t.Fatalf("Submit of %d jobs with %d outstanding = %v, want a QuotaError", jobs, outstanding, err)
-				}
+		}
+		lease := func() LeaseResponse {
+			t.Helper()
+			l, ok := c.Lease("w")
+			if !ok {
+				t.Fatal("no lease")
 			}
-			lease := func() LeaseResponse {
-				t.Helper()
-				l, ok := c.Lease("w")
-				if !ok {
-					t.Fatal("no lease")
-				}
-				return l
-			}
+			return l
+		}
 
-			a, err := c.Submit(SubmitRequest{Spec: testSpec()}) // 4 jobs, 2 shards
-			if err != nil {
-				t.Fatal(err)
-			}
-			refuse(4, 4)
-			// A completion frees its shard's jobs.
-			la := lease()
-			if _, err := c.Complete(la.LeaseID, stubRecords(t, la.Spec, la.Shard)); err != nil {
-				t.Fatal(err)
-			}
-			b, err := c.Submit(SubmitRequest{Spec: testSpec(0.15, 0.20)}) // 2 + 4 = 6
-			if err != nil {
-				t.Fatalf("Submit after a completion freed 2 jobs: %v", err)
-			}
-			refuse(2, 6)
-			// A cancel frees the campaign's queued shards, not its lease.
-			var lb LeaseResponse
-			for lb = lease(); lb.Campaign != b.ID; lb = lease() {
-			}
-			if _, ok := c.Cancel(b.ID); !ok {
-				t.Fatal("Cancel")
-			}
-			if m := c.Metrics(); m.Outstanding != 4 || m.LeasesActive != 2 {
-				t.Fatalf("after cancel: %+v, want 4 outstanding", m)
-			}
+		a, err := c.Submit(SubmitRequest{Spec: testSpec()}) // 4 jobs, 2 shards
+		if err != nil {
+			t.Fatal(err)
+		}
+		refuse(4, 4)
+		// A completion frees its shard's jobs.
+		la := lease()
+		if _, err := c.Complete(la.LeaseID, stubRecords(t, la.Spec, la.Shard)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Submit(SubmitRequest{Spec: testSpec(0.15, 0.20)}) // 2 + 4 = 6
+		if err != nil {
+			t.Fatalf("Submit after a completion freed 2 jobs: %v", err)
+		}
+		refuse(2, 6)
+		// A cancel frees the campaign's queued shards, not its lease.
+		la2 := lease()
+		lb := lease()
+		if la2.Campaign != a.ID || lb.Campaign != b.ID {
+			t.Fatalf("leases %s, %s; want one of each campaign", la2.LeaseID, lb.LeaseID)
+		}
+		if _, ok := c.Cancel(b.ID); !ok {
+			t.Fatal("Cancel")
+		}
+		if m := c.Metrics(); m.Outstanding != 4 || m.LeasesActive != 2 {
+			t.Fatalf("after cancel: %+v, want 4 outstanding", m)
+		}
+		// The cancelled campaign's lease expires without re-queueing.
+		clock.Advance(31 * time.Second)
+		if m := c.Metrics(); m.Outstanding != 4 {
+			t.Fatalf("before the sweep: %d outstanding, want 4", m.Outstanding)
+		}
+		if c.Renew(lb.LeaseID) { // sweeps both leases; a's shard is re-queued
+			t.Fatal("renew re-adopted a cancelled campaign's shard")
+		}
+		if m := c.Metrics(); m.Outstanding != 2 || m.LeasesExpired != 2 || m.QueueDepth != 1 {
+			t.Fatalf("after expiry: %+v, want a's 2 requeued jobs outstanding", m)
+		}
+		if _, err := c.Submit(SubmitRequest{Spec: testSpec(0.25, 0.30)}); err != nil {
+			t.Fatalf("Submit after the cancelled lease expired: %v", err)
+		}
+		// a's holder takes its shard back.
+		if !c.Renew(la2.LeaseID) {
+			t.Fatal("renew did not re-adopt a's queued shard")
+		}
 
-			// The count comes back from the journal.
-			c.WaitCompactions()
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			c = newTestCoordinator(t, clock, opt)
-			defer c.Close()
-			if m := c.Metrics(); m.Outstanding != 4 || m.LeasesActive != 2 || (m.JournalReplayed == 1) != (tc.rotate > 0) {
-				t.Fatalf("after restart: %+v, want the 4 jobs of two leases outstanding, replayed from a %s", m, tc.name)
-			}
-			refuse(4, 4)
-			// The cancelled campaign's lease expires without re-queueing.
-			clock.Advance(31 * time.Second)
-			if m := c.Metrics(); m.Outstanding != 4 {
-				t.Fatalf("before the sweep: %d outstanding, want 4", m.Outstanding)
-			}
-			c.Renew(lb.LeaseID) // sweeps both leases; a's shard is re-queued
-			if m := c.Metrics(); m.Outstanding != 2 || m.LeasesExpired != 2 || m.QueueDepth != 1 {
-				t.Fatalf("after expiry: %+v, want a's 2 requeued jobs outstanding", m)
-			}
-			if _, err := c.Submit(SubmitRequest{Spec: testSpec(0.25, 0.30)}); err != nil {
-				t.Fatalf("Submit after the cancelled lease expired: %v", err)
-			}
-			if st, _ := c.Status(a.ID); st.State != "running" {
-				t.Fatalf("campaign a = %+v, want running", st)
-			}
-			if m := c.Metrics(); m.SubmitsRejected != 1 {
-				t.Fatalf("SubmitsRejected = %d since restart, want 1", m.SubmitsRejected)
-			}
-		})
-	}
+		// The count comes back from the journal: the re-adopted shard is
+		// queued again.
+		c.WaitCompactions()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c = newTestCoordinator(t, clock, opt)
+		defer c.Close()
+		if m := c.Metrics(); m.Outstanding != 6 || m.LeasesActive != 0 || m.QueueDepth != 3 || m.JournalReplayed != 4 {
+			t.Fatalf("after restart: %+v, want 6 jobs in 3 queued shards, replayed from 4 records", m)
+		}
+		refuse(2, 6)
+		if !c.Renew(la2.LeaseID) {
+			t.Fatal("renew did not re-adopt a's shard after the restart")
+		}
+		if m := c.Metrics(); m.Outstanding != 6 || m.LeasesActive != 1 {
+			t.Fatalf("after the re-adopting renew: %+v, want the count unchanged", m)
+		}
+		if st, _ := c.Status(a.ID); st.State != "running" {
+			t.Fatalf("campaign a = %+v, want running", st)
+		}
+		if m := c.Metrics(); m.SubmitsRejected != 1 || m.LeasesExpired != 0 {
+			t.Fatalf("since restart: %+v, want 1 rejected submit and no expiry", m)
+		}
+	})
 }
 
 // TestEqualShareDispatch: every campaign gets an equal share of grants
@@ -569,7 +603,7 @@ func TestStoreFailureRequeuesShard(t *testing.T) {
 
 	mux := http.NewServeMux()
 	c.Register(mux)
-	body, err := json.Marshal(CompleteRequest{Worker: "w2", Records: stubRecords(t, spec, again.Shard)})
+	body, err := json.Marshal(CompleteRequest{Records: stubRecords(t, spec, again.Shard)})
 	if err != nil {
 		t.Fatal(err)
 	}

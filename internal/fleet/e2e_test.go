@@ -557,10 +557,18 @@ func TestFleetRunsMixSpec(t *testing.T) {
 			t.Fatalf("campaign did not finish: %+v", st)
 		}
 	}
-	wcancel()
-	if a, b := workers[0].ShardsDone.Load(), workers[1].ShardsDone.Load(); a+b != 8 {
-		t.Errorf("workers completed %d + %d shards, want 8 between them", a, b)
+	// A worker counts its shard once the completion's response is back,
+	// which can be after the campaign reads done.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		a, b := workers[0].ShardsDone.Load(), workers[1].ShardsDone.Load()
+		if a+b == 8 {
+			break
+		}
+		if a+b > 8 || time.Now().After(deadline) {
+			t.Fatalf("workers completed %d + %d shards, want 8 between them", a, b)
+		}
 	}
+	wcancel()
 
 	resp, err := http.Get(srv.URL + "/fleet/campaigns/" + sub.ID + "/summary")
 	if err != nil {

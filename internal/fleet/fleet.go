@@ -23,16 +23,22 @@
 // workers mid-run — are byte-identical to a single-process
 // campaign.Engine run of the same spec.
 //
-// Failure handling is lease-based. A worker pulls a shard lease with a
-// deadline, renews it while simulating, and completes it with the
-// records. A worker that dies simply stops renewing; the coordinator
-// re-queues the shard at the next expiry sweep and another worker
-// picks it up. Completions against expired or re-issued leases are
-// still accepted (the records are correct by determinism) — the store
-// dedups, the shard is marked done, and the racing lease is dropped.
+// Failure handling is lease-based, and a lease is soft state: a
+// deadline on a shard, named after the campaign and the shard. A worker
+// pulls a shard, renews its lease while simulating, and completes it
+// with the records. A worker that dies simply stops renewing; the
+// coordinator re-queues the shard at the next expiry sweep and another
+// worker picks it up. A restarted coordinator re-queues every shard
+// that was leased, and a holder's next renew takes its shard back.
+// Completions land whatever became of the lease (the records are
+// correct by determinism): the store dedups, the shard is marked done,
+// and its lease or queue entry is dropped. So the journal records only
+// campaigns — submits, cancels, and the failed jobs of a shard, the one
+// outcome the store cannot show — and a shard is done when the store
+// holds its records.
 //
 // Admission is bounded by one cap on the jobs outstanding across all
-// campaigns, read off the queue and the lease table (submits past it
+// campaigns, read off the queue and the leases (submits past it
 // get 429 + Retry-After so clients back off instead of the coordinator
 // OOMing), and shard dispatch gives every campaign an equal share via
 // stride scheduling, so a million-job sweep shares the fleet with an
@@ -70,12 +76,6 @@ type SubmitResponse struct {
 	StatusURL    string `json:"status_url"`
 }
 
-// LeaseRequest is a worker's pull for work.
-type LeaseRequest struct {
-	// Worker identifies the puller in lease listings and logs.
-	Worker string `json:"worker"`
-}
-
 // LeaseResponse grants one shard. The worker re-derives the jobs from
 // (Spec, Shard) and must renew before Deadline or the shard is
 // re-queued.
@@ -93,7 +93,6 @@ type LeaseResponse struct {
 // CompleteRequest returns a finished shard's records. Records with Err
 // set ride along for accounting but are never persisted.
 type CompleteRequest struct {
-	Worker  string            `json:"worker"`
 	Records []campaign.Record `json:"records"`
 }
 
@@ -117,7 +116,7 @@ type CampaignStatus struct {
 	Spec         campaign.Spec `json:"spec"`
 }
 
-// Metrics is the coordinator counter snapshot backing the Prometheus
+// Metrics holds the coordinator counters backing the Prometheus
 // endpoint.
 type Metrics struct {
 	CampaignsTotal   int   `json:"campaigns_total"`
@@ -137,11 +136,9 @@ type Metrics struct {
 	// leases: the count Options.MaxOutstanding caps.
 	Outstanding int `json:"outstanding_jobs"`
 
-	// Write-ahead journal counters; all zero when running without one.
-	JournalEnabled   bool  `json:"journal_enabled"`
-	JournalRecords   int64 `json:"journal_records_total"`
+	// Journal counters; all zero when running without one. Every
+	// append syncs, so JournalSyncs is also the record count.
 	JournalSyncs     int64 `json:"journal_syncs_total"`
-	JournalRotations int64 `json:"journal_rotations_total"`
 	JournalErrors    int64 `json:"journal_errors_total"`
 	JournalSizeBytes int64 `json:"journal_size_bytes"`
 	// JournalReplayed is the record count recovered at startup.

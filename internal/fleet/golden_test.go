@@ -18,16 +18,16 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden-ctrl.sha256")
 
 // TestGoldenControlPlaneBytes pins the on-disk format of the control
-// plane: a scripted, fake-clock, in-process sequence touching every
-// journaled transition (two submits, grant, complete, expire, a late
-// duplicate completion, drain, restart, resume, a rotation forced by a
-// low JournalRotateBytes, and a store compaction), with renewals, which
-// are not journaled, in between, must leave a journal and 16 store
+// plane: a scripted, fake-clock, in-process sequence (three submits,
+// grants, renewals, completions, an expiry, a late duplicate
+// completion, a drain, a restart, a shard that reports its one job
+// failed, and a store compaction) must leave a journal and 16 store
 // shard files — as appended, and again as compacted — whose bytes hash
 // to the committed digests. It uses only the exported API so the same
 // file regenerates the fixture on any commit (`go test ./internal/fleet
 // -run GoldenControlPlane -update`). A final reopen of the directory
-// must replay the journal and serve byte-identical summaries.
+// must replay the journal and serve byte-identical summaries, with the
+// failed shard settled.
 func TestGoldenControlPlaneBytes(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
@@ -38,12 +38,11 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 			t.Fatalf("OpenShardedStore: %v", err)
 		}
 		c, err := NewCoordinator(Options{
-			Store:              ss,
-			ShardSize:          2,
-			LeaseTTL:           30 * time.Second,
-			Journal:            filepath.Join(dir, "fleet.journal"),
-			JournalRotateBytes: 1536,
-			Now:                clock.Now,
+			Store:     ss,
+			ShardSize: 2,
+			LeaseTTL:  30 * time.Second,
+			Journal:   filepath.Join(dir, "fleet.journal"),
+			Now:       clock.Now,
 		})
 		if err != nil {
 			t.Fatalf("NewCoordinator: %v", err)
@@ -117,14 +116,14 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 	c.Drain()
 	shutdown(c, ss)
 
-	// Phase 2: restart on the journal (comes back draining), resume, and
-	// finish both campaigns; the journal outgrows its threshold and
-	// rotates.
+	// Phase 2: restart on the journal (comes back serving) and finish
+	// both campaigns; then a one-job campaign whose only record comes
+	// back failed, so a complete record is journaled and nothing new
+	// reaches the store.
 	c, ss, mux := open()
-	if c.Recovered() == 0 || !c.Draining() {
+	if c.Recovered() == 0 || c.Draining() {
 		t.Fatalf("restart: recovered %d records, draining %v", c.Recovered(), c.Draining())
 	}
-	c.Resume()
 	for {
 		l, ok := c.Lease("w4")
 		if !ok {
@@ -135,8 +134,20 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 		}
 		complete(c, l)
 	}
-	if m := c.Metrics(); m.JournalRotations == 0 || m.CampaignsRunning != 0 || m.StoreDead != 0 {
-		t.Fatalf("after script: %+v, want >=1 rotation, nothing running, no dead lines", m)
+	one := testSpec(0.45)
+	one.Seeds = []uint64{1}
+	carol, err := c.Submit(SubmitRequest{Spec: one})
+	if err != nil {
+		t.Fatalf("Submit carol: %v", err)
+	}
+	lc := lease(c, "w5")
+	failed := stubRecords(t, lc.Spec, lc.Shard)
+	failed[0].Err = "job failed"
+	if resp, err := c.Complete(lc.LeaseID, failed); err != nil || resp.Failed != 1 {
+		t.Fatalf("Complete %s = %+v, %v; want one failed job", lc.LeaseID, resp, err)
+	}
+	if m := c.Metrics(); m.JournalSyncs != 2 || m.CampaignsRunning != 0 || m.StoreDead != 0 {
+		t.Fatalf("after script: %+v, want carol's submit and complete the only journal appends since the restart, nothing running, no dead lines", m)
 	}
 	summaries := map[string]string{alice.ID: summary(mux, alice.ID), bob.ID: summary(mux, bob.ID)}
 
@@ -201,5 +212,8 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 		if after := summary(mux, id); after != before {
 			t.Errorf("summary %s changed across reopen:\nbefore %s\nafter  %s", id, before, after)
 		}
+	}
+	if st, _ := c.Status(carol.ID); st.State != "done" || st.JobsFailed != 1 {
+		t.Errorf("campaign %s after reopen: %+v, want done with 1 failed job", carol.ID, st)
 	}
 }

@@ -34,8 +34,8 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 }
 
 // Request-body caps. A submit carries one campaign spec and a lease
-// request a worker name; a completion carries one shard's records,
-// telemetry summaries included.
+// request nothing (an older worker's name is read and ignored); a
+// completion carries one shard's records, telemetry summaries included.
 const (
 	maxRequestBody  = 8 << 20
 	maxCompleteBody = 64 << 20
@@ -234,12 +234,11 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if code, err := decodeBody(w, r, maxRequestBody, false, &req); err != nil && !errors.Is(err, io.EOF) {
+	if code, err := decodeBody(w, r, maxRequestBody, false, &struct{}{}); err != nil && !errors.Is(err, io.EOF) {
 		fleetError(w, code, "decode lease: %v", err)
 		return
 	}
-	resp, ok := c.Lease(req.Worker)
+	resp, ok := c.Lease("")
 	if !ok {
 		// No work (or draining): 204 tells the worker to idle-poll, not
 		// to treat it as an error.
@@ -307,15 +306,8 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP fleet_store_live_records Live records across store shards.\n# TYPE fleet_store_live_records gauge\nfleet_store_live_records %d\n", m.StoreLive)
 	fmt.Fprintf(w, "# HELP fleet_store_dead_lines Dead lines awaiting compaction.\n# TYPE fleet_store_dead_lines gauge\nfleet_store_dead_lines %d\n", m.StoreDead)
 	fmt.Fprintf(w, "# HELP fleet_outstanding_jobs Jobs in queued shards and active leases (the admission cap's count).\n# TYPE fleet_outstanding_jobs gauge\nfleet_outstanding_jobs %d\n", m.Outstanding)
-	enabled := 0
-	if m.JournalEnabled {
-		enabled = 1
-	}
-	fmt.Fprintf(w, "# HELP fleet_journal_enabled Whether a write-ahead journal is configured.\n# TYPE fleet_journal_enabled gauge\nfleet_journal_enabled %d\n", enabled)
-	fmt.Fprintf(w, "# HELP fleet_journal_records_total Journal records appended since start.\n# TYPE fleet_journal_records_total counter\nfleet_journal_records_total %d\n", m.JournalRecords)
-	fmt.Fprintf(w, "# HELP fleet_journal_syncs_total Journal fsyncs.\n# TYPE fleet_journal_syncs_total counter\nfleet_journal_syncs_total %d\n", m.JournalSyncs)
-	fmt.Fprintf(w, "# HELP fleet_journal_rotations_total Journal snapshot rotations.\n# TYPE fleet_journal_rotations_total counter\nfleet_journal_rotations_total %d\n", m.JournalRotations)
-	fmt.Fprintf(w, "# HELP fleet_journal_errors_total Journal append or rotation failures.\n# TYPE fleet_journal_errors_total counter\nfleet_journal_errors_total %d\n", m.JournalErrors)
+	fmt.Fprintf(w, "# HELP fleet_journal_syncs_total Journal records appended and fsynced since start.\n# TYPE fleet_journal_syncs_total counter\nfleet_journal_syncs_total %d\n", m.JournalSyncs)
+	fmt.Fprintf(w, "# HELP fleet_journal_errors_total Journal append failures.\n# TYPE fleet_journal_errors_total counter\nfleet_journal_errors_total %d\n", m.JournalErrors)
 	fmt.Fprintf(w, "# HELP fleet_journal_size_bytes Current journal file size.\n# TYPE fleet_journal_size_bytes gauge\nfleet_journal_size_bytes %d\n", m.JournalSizeBytes)
 	fmt.Fprintf(w, "# HELP fleet_journal_replayed_records Journal records replayed at startup.\n# TYPE fleet_journal_replayed_records gauge\nfleet_journal_replayed_records %d\n", m.JournalReplayed)
 	t := m.Telemetry

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,13 +37,12 @@ func journaledOptions(t *testing.T, dir string, clock *fakeClock) Options {
 	return opt
 }
 
-// TestJournalRecoversQueuedCampaignsAndLeases is the tentpole's core
+// TestJournalRecoversQueuedCampaignsAndLeases is the journal's core
 // check at the API level: a coordinator killed (dropped without
 // shutdown) after submits, grants, completes and renews comes back with
-// the same campaigns, queue depth, outstanding jobs and campaign-id
-// sequence — and the in-flight lease is restored with a fresh TTL so
-// the worker holding it renews and completes instead of getting an
-// unknown-lease error.
+// the same campaigns, outstanding jobs and campaign-id sequence, and
+// the in-flight lease's shard queued. The worker holding it renews,
+// which re-adopts the shard with a fresh TTL, and completes it.
 func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
@@ -81,8 +81,8 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	// synced it.
 
 	// Burn most of the in-flight lease's TTL before the restart, so the
-	// fresh-TTL guarantee below is actually load-bearing: a restored
-	// deadline copied from grant time would already be near expiry.
+	// fresh TTL below is load-bearing: a deadline copied from grant time
+	// would already have passed at the renew.
 	clock.Advance(25 * time.Second)
 
 	c2, err := NewCoordinator(journaledOptions(t, dir, clock))
@@ -95,10 +95,10 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	after := c2.Metrics()
 	if after.CampaignsTotal != before.CampaignsTotal ||
 		after.CampaignsRunning != before.CampaignsRunning ||
-		after.QueueDepth != before.QueueDepth ||
-		after.LeasesActive != before.LeasesActive ||
+		after.QueueDepth != before.QueueDepth+before.LeasesActive ||
+		after.LeasesActive != 0 ||
 		after.Outstanding != before.Outstanding {
-		t.Fatalf("state diverged across restart:\nbefore %+v\nafter  %+v", before, after)
+		t.Fatalf("state diverged across restart, or the in-flight shard is not queued:\nbefore %+v\nafter  %+v", before, after)
 	}
 	stAfter := c2.Statuses()
 	if len(stAfter) != len(stBefore) {
@@ -112,14 +112,20 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 		}
 	}
 
-	// Fresh TTL: 25s burned before restart, now burn 20 more — past the
-	// original deadline, inside the restored one.
+	// 25s burned before restart, now 20 more — past the original
+	// deadline. The holder's renew takes its shard back off the queue.
 	clock.Advance(20 * time.Second)
 	if !c2.Renew(l2.LeaseID) {
-		t.Fatal("restored lease did not renew (TTL not refreshed at recovery?)")
+		t.Fatal("the holder's renew did not re-adopt its queued shard")
+	}
+	if m := c2.Metrics(); m.LeasesActive != 1 || m.QueueDepth != before.QueueDepth {
+		t.Fatalf("after the re-adopting renew: %+v, want the shard leased again", m)
 	}
 	if _, err := c2.Complete(l2.LeaseID, stubRecords(t, l2.Spec, l2.Shard)); err != nil {
-		t.Fatalf("complete restored lease: %v", err)
+		t.Fatalf("complete re-adopted lease: %v", err)
+	}
+	if st, _ := c2.Status(l2.Campaign); st.ShardsDone != 1 || st.ShardsLeased != 0 {
+		t.Fatalf("after the holder's completion: %+v, want its shard settled", st)
 	}
 
 	// The campaign-id sequence continues where it left off.
@@ -154,9 +160,9 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 }
 
 // TestJournalSurvivesCrashBetweenGrantAndComplete pins the narrowest
-// crash window: a shard granted but never completed recovers as an
-// active lease, and the worker that held it — which never heard about
-// the crash — completes against the restarted coordinator.
+// crash window: a shard granted but never completed comes back queued,
+// and the worker that held it — which never heard about the crash —
+// completes against the restarted coordinator.
 func TestJournalSurvivesCrashBetweenGrantAndComplete(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
@@ -176,12 +182,16 @@ func TestJournalSurvivesCrashBetweenGrantAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if m := c2.Metrics(); m.LeasesActive != 1 || m.QueueDepth != 1 {
-		t.Fatalf("after restart: %+v, want 1 active lease + 1 queued shard", m)
+	if m := c2.Metrics(); m.LeasesActive != 0 || m.QueueDepth != 2 {
+		t.Fatalf("after restart: %+v, want both shards queued", m)
 	}
-	// The worker never heard about the crash; its completion resolves.
+	// The worker never heard about the crash; its completion settles
+	// the shard and takes it off the queue.
 	if _, err := c2.Complete(l.LeaseID, stubRecords(t, l.Spec, l.Shard)); err != nil {
 		t.Fatalf("complete across restart: %v", err)
+	}
+	if m := c2.Metrics(); m.QueueDepth != 1 {
+		t.Fatalf("after the completion: %+v, want 1 queued shard", m)
 	}
 	c2.WaitCompactions()
 	c2.Close()
@@ -232,21 +242,16 @@ func TestJournalTornTrailerTolerated(t *testing.T) {
 	}
 	// And appends after recovery produce a journal a third open parses
 	// in full.
-	l, ok := c2.Lease("w1")
-	if !ok {
-		t.Fatal("no lease")
-	}
-	if _, err := c2.Complete(l.LeaseID, stubRecords(t, l.Spec, l.Shard)); err != nil {
+	if _, err := c2.Submit(SubmitRequest{Spec: testSpec(0.15)}); err != nil {
 		t.Fatal(err)
 	}
-	c2.WaitCompactions()
 	c2.Close()
 	c3, err := NewCoordinator(journaledOptions(t, dir, clock))
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
-	if m := c3.Metrics(); m.CampaignsTotal != 1 || m.LeasesActive != 0 {
-		t.Fatalf("third open state: %+v", m)
+	if m := c3.Metrics(); m.CampaignsTotal != 2 || c3.Recovered() != 2 {
+		t.Fatalf("third open state: %+v, recovered %d", m, c3.Recovered())
 	}
 	c3.Close()
 }
@@ -262,11 +267,10 @@ func TestJournalMidFileCorruptionFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Submit(SubmitRequest{Spec: testSpec()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c1.Lease("w1"); !ok {
-		t.Fatal("no lease")
+	for _, spec := range []campaign.Spec{testSpec(), testSpec(0.15)} {
+		if _, err := c1.Submit(SubmitRequest{Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c1.Close()
 
@@ -290,34 +294,39 @@ func TestJournalMidFileCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
-// TestSnapshotOutOfRangeShardFailsOpen: a snapshot whose active lease
-// or tombstone names a shard its campaign does not have must fail the
-// open, naming the lease, instead of installing a lease that panics the
-// first settle or expiry that indexes the campaign's shards.
+// TestSnapshotOutOfRangeShardFailsOpen: a record that settles a shard
+// its campaign does not have — a done shard of an older journal's
+// snapshot line, or a complete — must fail the open, naming the
+// campaign, instead of settling a shard that panics the first lookup
+// that indexes the campaign's shards.
 func TestSnapshotOutOfRangeShardFailsOpen(t *testing.T) {
 	spec := testSpec()
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	bad := snapLease{ID: "l000001", Campaign: "c0001", Shard: 99, Jobs: 2, Worker: "w1"}
-	for name, snap := range map[string]journalSnapshot{
-		"lease":     {Leases: []snapLease{bad}},
-		"tombstone": {History: []snapLease{bad}},
+	submit := map[string]any{"op": "submit", "campaign": "c0001", "shard_size": 2, "spec_hash": spec.Hash(), "spec": spec}
+	for name, lines := range map[string][]any{
+		"done": {map[string]any{"op": "snapshot", "snapshot": map[string]any{"seq": 1, "campaigns": []any{
+			map[string]any{"id": "c0001", "spec_hash": spec.Hash(), "shard_size": 2, "spec": spec, "done": []int{99}},
+		}}}},
+		"complete": {submit, map[string]any{"op": "complete", "campaign": "c0001", "shard": 99, "failed": 1}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			snap.Seq, snap.LeaseSeq = 1, 1
-			snap.Campaigns = []snapCampaign{{ID: "c0001", SpecHash: spec.Hash(), ShardSize: 2, Spec: spec, Queued: []int{1}}}
-			line, err := json.Marshal(journalRecord{Op: opSnapshot, Snapshot: &snap})
-			if err != nil {
+			var journal []byte
+			for _, l := range lines {
+				line, err := json.Marshal(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				journal = append(append(journal, line...), '\n')
+			}
+			if err := os.WriteFile(filepath.Join(dir, "fleet.journal"), journal, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "fleet.journal"), append(line, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = NewCoordinator(journaledOptions(t, dir, newFakeClock()))
-			if err == nil || !strings.Contains(err.Error(), "l000001") || !strings.Contains(err.Error(), "out of range") {
-				t.Fatalf("open over a snapshot naming shard 99 = %v, want an out-of-range error naming l000001", err)
+			_, err := NewCoordinator(journaledOptions(t, dir, newFakeClock()))
+			if err == nil || !strings.Contains(err.Error(), "c0001") || !strings.Contains(err.Error(), "out of range") {
+				t.Fatalf("open over a journal settling shard 99 = %v, want an out-of-range error naming c0001", err)
 			}
 		})
 	}
@@ -325,24 +334,22 @@ func TestSnapshotOutOfRangeShardFailsOpen(t *testing.T) {
 
 // TestParentJournalsReplay: journals written by the coordinator before
 // tenants were removed still open. testdata holds a plain log whose
-// submits carry tenant and weight and which holds renew records, and a
-// rotated journal whose snapshot carries tenant, pass and stride (three
-// tenants at weights 2, 1 and 0.5; a completion, an expiry, a cancel
-// with a lease in flight). parent-journals.want.json is what that
-// coordinator replayed each to on an empty store, with the status
-// "tenant" field dropped and outstanding the sum of its per-tenant
-// queued and inflight job counts. Replay must reach the same state.
+// submits carry tenant and weight and which holds grant, renew and
+// expire records, and a rotated journal whose snapshot carries tenant,
+// pass, stride, leases and tombstones (three tenants at weights 2, 1
+// and 0.5; a completion, an expiry, a cancel with a lease in flight).
+// parent-journals.want.json is what that coordinator replayed each to
+// on an empty store, with the status "tenant" field dropped. Replay
+// must reach the same campaigns with no lease active: every shard the
+// parent held leased in a campaign that is not cancelled is queued.
 func TestParentJournalsReplay(t *testing.T) {
 	b, err := os.ReadFile(filepath.Join("testdata", "parent-journals.want.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want map[string]struct {
-		Statuses     []map[string]any `json:"statuses"`
-		QueueDepth   int              `json:"queue_depth"`
-		LeasesActive int              `json:"leases_active"`
-		Leases       []string         `json:"leases"`
-		Outstanding  int              `json:"outstanding"`
+		Statuses   []map[string]any `json:"statuses"`
+		QueueDepth int              `json:"queue_depth"`
 	}
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
@@ -374,143 +381,174 @@ func TestParentJournalsReplay(t *testing.T) {
 			if err := json.Unmarshal(sb, &statuses); err != nil {
 				t.Fatal(err)
 			}
+			requeued := 0
+			for _, st := range w.Statuses {
+				if st["state"] != "cancelled" {
+					requeued += int(st["shards_leased"].(float64))
+				}
+				st["shards_leased"] = 0.0
+			}
 			if !reflect.DeepEqual(statuses, w.Statuses) {
 				t.Errorf("statuses:\n got %v\nwant %v", statuses, w.Statuses)
 			}
-			m := c.Metrics()
-			if m.QueueDepth != w.QueueDepth || m.LeasesActive != w.LeasesActive || m.Outstanding != w.Outstanding {
-				t.Errorf("queue %d, leases %d, outstanding %d; want %d, %d, %d",
-					m.QueueDepth, m.LeasesActive, m.Outstanding, w.QueueDepth, w.LeasesActive, w.Outstanding)
-			}
-			var leases []string
-			for id := range c.leases.active {
-				leases = append(leases, id)
-			}
-			sort.Strings(leases)
-			if !reflect.DeepEqual(leases, w.Leases) {
-				t.Errorf("active leases %v, want %v", leases, w.Leases)
+			if m := c.Metrics(); m.QueueDepth != w.QueueDepth+requeued || m.LeasesActive != 0 {
+				t.Errorf("queue %d, leases %d; want %d queued (%d of them leased by the parent), none leased",
+					m.QueueDepth, m.LeasesActive, w.QueueDepth+requeued, requeued)
 			}
 		})
 	}
 }
 
-// TestJournalRotationSnapshotRoundTrip forces a rotation on every
-// transition (threshold 1 byte) and checks that (a) the journal stays
-// one snapshot plus at most the tail since the last rotation, and (b) a
-// restart from a rotated journal reconstructs the same state a restart
-// from the full log would — including expiry history and the WFQ pass,
-// exercised by finishing the campaign identically.
-func TestJournalRotationSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	clock := newFakeClock()
-	opt := journaledOptions(t, dir, clock)
-	opt.JournalRotateBytes = 1 // rotate on every append
-	c1, err := NewCoordinator(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec()
-	sub, err := c1.Submit(SubmitRequest{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One shard completes; one lease expires (giving the snapshot an
-	// expiry count and a re-queued shard); one lease stays active.
-	l1, _ := c1.Lease("w1")
-	if _, err := c1.Complete(l1.LeaseID, stubRecords(t, spec, l1.Shard)); err != nil {
-		t.Fatal(err)
-	}
-	l2, ok := c1.Lease("doomed")
-	if !ok {
-		t.Fatal("no second lease")
-	}
-	clock.Advance(31 * time.Second)
-	l3, ok := c1.Lease("w2") // sweeps l2, re-grants its shard
-	if !ok {
-		t.Fatal("no re-lease after expiry")
-	}
-	if l3.Shard.Index != l2.Shard.Index {
-		t.Fatalf("re-lease shard = %d, want expired %d", l3.Shard.Index, l2.Shard.Index)
-	}
-	c1.WaitCompactions()
-	m1 := c1.Metrics()
-	if m1.JournalRotations == 0 {
-		t.Fatalf("no rotations with 1-byte threshold: %+v", m1)
-	}
-
-	// The rotated journal is compact: a snapshot line plus at most the
-	// few records appended since the last rotation.
-	data, err := os.ReadFile(filepath.Join(dir, "fleet.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawSnapshot bool
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("rotated journal line unparseable: %v", err)
-		}
-		if rec.Op == opSnapshot {
-			sawSnapshot = true
-		}
-	}
-	if !sawSnapshot {
-		t.Fatal("rotated journal has no snapshot record")
-	}
-
-	c2, err := NewCoordinator(opt)
-	if err != nil {
-		t.Fatalf("restart from rotated journal: %v", err)
-	}
-	m2 := c2.Metrics()
-	if m2.CampaignsTotal != m1.CampaignsTotal || m2.QueueDepth != m1.QueueDepth ||
-		m2.LeasesActive != m1.LeasesActive || m2.LeasesExpired != m1.LeasesExpired {
-		t.Fatalf("rotated-journal restart diverged:\nbefore %+v\nafter  %+v", m1, m2)
-	}
-	// The restored active lease still resolves, and the campaign
-	// finishes.
-	if _, err := c2.Complete(l3.LeaseID, stubRecords(t, spec, l3.Shard)); err != nil {
-		t.Fatalf("complete restored lease: %v", err)
-	}
-	st, _ := c2.Status(sub.ID)
-	if st.State != "done" || st.ShardsDone != 2 {
-		t.Fatalf("campaign after rotated recovery = %+v", st)
-	}
-	c2.WaitCompactions()
-	c2.Close()
-}
-
-// TestJournalDrainStateSurvivesRestart: a coordinator killed mid-drain
-// comes back draining (so the restart finishes the shutdown), and
-// Resume — what cmd/nocsimd calls after a deliberate restart — reopens
-// it for business, journaled so the next restart stays open too.
-func TestJournalDrainStateSurvivesRestart(t *testing.T) {
+// TestJournalHoldsOnlyCampaigns: grants, renews, completions, an
+// expiry, a late duplicate completion, a drain and a restart journal
+// nothing. The journal holds one line per submit, one complete for the
+// shard that reported a failed job, and one cancel — so a campaign with
+// no failed job and no cancel is its submit line alone.
+func TestJournalHoldsOnlyCampaigns(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
 	c1, err := NewCoordinator(journaledOptions(t, dir, clock))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lease := func(c *Coordinator) LeaseResponse {
+		t.Helper()
+		l, ok := c.Lease("w")
+		if !ok {
+			t.Fatal("no lease")
+		}
+		if !c.Renew(l.LeaseID) {
+			t.Fatalf("renew %s", l.LeaseID)
+		}
+		return l
+	}
+	complete := func(c *Coordinator, l LeaseResponse, failed bool) CompleteResponse {
+		t.Helper()
+		recs := stubRecords(t, l.Spec, l.Shard)
+		if failed {
+			recs[0].Err = "job failed"
+		}
+		resp, err := c.Complete(l.LeaseID, recs)
+		if err != nil {
+			t.Fatalf("Complete %s: %v", l.LeaseID, err)
+		}
+		return resp
+	}
+	for _, spec := range []campaign.Spec{testSpec(), testSpec(0.15, 0.20), testSpec(0.25, 0.30)} {
+		if _, err := c1.Submit(SubmitRequest{Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Equal share: one shard of each campaign, c0001 to c0003.
+	plain, failing, doomed := lease(c1), lease(c1), lease(c1)
+	complete(c1, plain, false)
+	complete(c1, failing, true)
+	clock.Advance(31 * time.Second) // doomed's lease expires at the next sweep
+	thief := lease(c1)
+	for thief.LeaseID != doomed.LeaseID {
+		complete(c1, thief, false)
+		thief = lease(c1)
+	}
+	complete(c1, doomed, false)
+	if late := complete(c1, thief, false); late.Persisted != 0 || late.Duplicates != 2 {
+		t.Fatalf("duplicate completion = %+v, want all duplicates", late)
+	}
+	c1.Cancel(doomed.Campaign)
 	c1.Drain()
+	c1.WaitCompactions()
+	if m := c1.Metrics(); m.LeasesExpired != 1 || m.JournalSyncs != 5 {
+		t.Fatalf("before the restart: %+v, want one expiry and five journal syncs", m)
+	}
+	// No Close: the crash leaves the journal as the last append synced it.
 
 	c2, err := NewCoordinator(journaledOptions(t, dir, clock))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.Draining() {
-		t.Fatal("drain state lost across restart")
+	if c2.Draining() || c2.Recovered() != 5 {
+		t.Fatalf("restart: draining %v, recovered %d; want serving, 5 records", c2.Draining(), c2.Recovered())
 	}
-	c2.Resume()
+	for id, want := range map[string]string{"c0001": "done", "c0002": "done", "c0003": "cancelled"} {
+		if st, _ := c2.Status(id); st.State != want || st.JobsFailed != map[string]int{"c0002": 1}[id] {
+			t.Fatalf("%s after restart: %+v, want %s", id, st, want)
+		}
+	}
 	c2.Close()
 
-	c3, err := NewCoordinator(journaledOptions(t, dir, clock))
+	data, err := os.ReadFile(filepath.Join(dir, "fleet.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.Draining() {
-		t.Fatal("resume not journaled: third open is draining again")
+	var got []string
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line unparseable: %v", err)
+		}
+		got = append(got, fmt.Sprintf("%s %s.%d failed %d", rec.Op, rec.Campaign, rec.Shard, rec.Failed))
 	}
-	c3.Close()
+	want := []string{
+		"submit c0001.0 failed 0", "submit c0002.0 failed 0", "submit c0003.0 failed 0",
+		"complete c0002.0 failed 1", "cancel c0003.0 failed 0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal holds\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestReplayRequeuesShardMissingFromStore: a shard is done after a
+// restart only when the store holds its records — store appends are not
+// synced, so a crash can lose records the shard's completion posted —
+// or when a journaled completion reported failed jobs, which the store
+// cannot show.
+func TestReplayRequeuesShardMissingFromStore(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failed int
+	}{{"clean", 0}, {"failed", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := newFakeClock()
+			c1, err := NewCoordinator(journaledOptions(t, dir, clock))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := c1.Submit(SubmitRequest{Spec: testSpec()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, ok := c1.Lease("w")
+			if !ok || l.Shard.Index != 0 {
+				t.Fatalf("lease = %+v (ok %v), want shard 0", l, ok)
+			}
+			recs := stubRecords(t, l.Spec, l.Shard)
+			if tc.failed > 0 {
+				recs[0].Err = "job failed"
+			}
+			if _, err := c1.Complete(l.LeaseID, recs); err != nil {
+				t.Fatal(err)
+			}
+			c1.WaitCompactions()
+			c1.Close()
+
+			// Reopen the journal over a store that lacks shard 0's records.
+			opt := journaledOptions(t, t.TempDir(), clock)
+			opt.Journal = filepath.Join(dir, "fleet.journal")
+			c2, err := NewCoordinator(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			st, _ := c2.Status(sub.ID)
+			queued := c2.Metrics().QueueDepth
+			if tc.failed == 0 && (st.State != "running" || st.ShardsDone != 0 || queued != 2) {
+				t.Fatalf("after reopen: %+v with %d queued, want running with shard 0 queued again", st, queued)
+			}
+			if tc.failed > 0 && (st.ShardsDone != 1 || st.JobsFailed != 1 || queued != 1) {
+				t.Fatalf("after reopen: %+v with %d queued, want shard 0 settled with 1 failed job", st, queued)
+			}
+		})
+	}
 }
 
 // TestJournalDisabledKeepsOldBehavior: without Options.Journal nothing
@@ -530,7 +568,7 @@ func TestJournalDisabledKeepsOldBehavior(t *testing.T) {
 	if _, err := c1.Submit(SubmitRequest{Spec: testSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	if m := c1.Metrics(); m.JournalEnabled || m.JournalRecords != 0 {
+	if m := c1.Metrics(); m.JournalSyncs != 0 || m.JournalSizeBytes != 0 {
 		t.Fatalf("journal metrics nonzero without a journal: %+v", m)
 	}
 	entries, err := os.ReadDir(dir)
@@ -552,25 +590,30 @@ func TestJournalDisabledKeepsOldBehavior(t *testing.T) {
 	}
 }
 
-// TestSweepReturnsLeasesSorted pins the determinism fix in
-// leaseTable.overdue: several leases expiring in one sweep come back in
-// lease-id order regardless of map iteration order, so their shards
-// re-queue identically on every run and on journal replay.
+// TestSweepReturnsLeasesSorted pins the determinism of the expiry
+// sweep: several leases expiring in one sweep come back in lease-id
+// order regardless of map iteration order, so their shards re-queue
+// identically on every run.
 func TestSweepReturnsLeasesSorted(t *testing.T) {
-	base := time.Unix(1_700_000_000, 0)
+	clock := newFakeClock()
 	for trial := 0; trial < 20; trial++ {
-		lt := newLeaseTable()
-		for i := 0; i < 8; i++ {
-			lt.grant("c0001", i, 1, "w", base.Add(time.Second))
+		c := newTestCoordinator(t, clock, Options{ShardSize: 1})
+		if _, err := c.Submit(SubmitRequest{Spec: testSpec(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)}); err != nil {
+			t.Fatal(err)
 		}
-		swept := lt.overdue(base.Add(time.Minute))
-		if len(swept) != 8 {
-			t.Fatalf("swept %d leases, want 8", len(swept))
-		}
-		for i := 1; i < len(swept); i++ {
-			if swept[i-1] >= swept[i] {
-				t.Fatalf("sweep order not sorted: %s before %s", swept[i-1], swept[i])
+		for i := 0; i < 12; i++ {
+			if _, ok := c.Lease("w"); !ok {
+				t.Fatal("no lease")
 			}
+		}
+		c.mu.Lock()
+		swept := c.overdueLocked(clock.Now().Add(time.Minute))
+		c.mu.Unlock()
+		if len(swept) != 12 {
+			t.Fatalf("swept %d leases, want 12", len(swept))
+		}
+		if !sort.StringsAreSorted(swept) {
+			t.Fatalf("sweep order not sorted: %v", swept)
 		}
 	}
 }
@@ -591,65 +634,58 @@ func TestWorkerJitterTinyPollInterval(t *testing.T) {
 }
 
 // TestJournalCancelSurvivesRestart: a cancel is journaled, so a
-// coordinator restarted on the journal — replaying the log, or a
-// rotation snapshot — keeps the campaign cancelled: its queued shards
-// stay tombstoned and off the outstanding count, while the lease in flight
-// at the cancel is restored and still completes.
+// coordinator restarted on the journal keeps the campaign cancelled:
+// its queued shards stay dropped and off the outstanding count, nothing
+// re-queues the shard in flight at the cancel, and its holder's
+// completion still lands.
 func TestJournalCancelSurvivesRestart(t *testing.T) {
-	for name, rotate := range map[string]int64{"log": 0, "snapshot": 1} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			clock := newFakeClock()
-			opt := journaledOptions(t, dir, clock)
-			opt.ShardSize, opt.JournalRotateBytes = 1, rotate
-			spec := testSpec() // 4 shards of 1 job
-			c1, err := NewCoordinator(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub, err := c1.Submit(SubmitRequest{Spec: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			l1, _ := c1.Lease("w1")
-			l2, _ := c1.Lease("w2")
-			if _, err := c1.Complete(l1.LeaseID, stubRecords(t, spec, l1.Shard)); err != nil {
-				t.Fatal(err)
-			}
-			c1.Cancel(sub.ID)
-			c1.WaitCompactions()
-			// No Close: the crash leaves the journal as the last append synced it.
+	t.Run("log", func(t *testing.T) {
+		dir := t.TempDir()
+		clock := newFakeClock()
+		opt := journaledOptions(t, dir, clock)
+		opt.ShardSize = 1
+		spec := testSpec() // 4 shards of 1 job
+		c1, err := NewCoordinator(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c1.Submit(SubmitRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1, _ := c1.Lease("w1")
+		l2, _ := c1.Lease("w2")
+		if _, err := c1.Complete(l1.LeaseID, stubRecords(t, spec, l1.Shard)); err != nil {
+			t.Fatal(err)
+		}
+		c1.Cancel(sub.ID)
+		c1.WaitCompactions()
+		// No Close: the crash leaves the journal as the last append synced it.
 
-			c2, err := NewCoordinator(journaledOptions(t, dir, clock))
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			if rotate > 0 {
-				if m := c1.Metrics(); m.JournalRotations == 0 {
-					t.Fatal("journal never rotated; the snapshot path went untested")
-				}
-			}
-			st, _ := c2.Status(sub.ID)
-			if st.State != "cancelled" || st.ShardsDone != 1 || st.ShardsLeased != 1 {
-				t.Fatalf("after restart: %+v, want cancelled with 1 shard done and 1 leased", st)
-			}
-			if m := c2.Metrics(); m.QueueDepth != 0 || m.Outstanding != 1 || m.CampaignsRunning != 0 {
-				t.Fatalf("after restart: %+v, want nothing queued and one job in flight", m)
-			}
-			if l, ok := c2.Lease("w3"); ok {
-				t.Fatalf("restarted coordinator granted %+v of a cancelled campaign", l)
-			}
-			if _, err := c2.Complete(l2.LeaseID, stubRecords(t, spec, l2.Shard)); err != nil {
-				t.Fatalf("complete restored lease: %v", err)
-			}
-			if st, _ := c2.Status(sub.ID); st.State != "cancelled" || st.ShardsDone != 2 {
-				t.Fatalf("after the in-flight completion: %+v", st)
-			}
-			if m := c2.Metrics(); m.Outstanding != 0 {
-				t.Fatalf("outstanding jobs not drained: %+v", m)
-			}
-			c2.WaitCompactions()
-			c2.Close()
-		})
-	}
+		c2, err := NewCoordinator(journaledOptions(t, dir, clock))
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		st, _ := c2.Status(sub.ID)
+		if st.State != "cancelled" || st.ShardsDone != 1 || st.ShardsLeased != 0 {
+			t.Fatalf("after restart: %+v, want cancelled with 1 shard done and none leased", st)
+		}
+		if m := c2.Metrics(); m.QueueDepth != 0 || m.Outstanding != 0 || m.CampaignsRunning != 0 {
+			t.Fatalf("after restart: %+v, want nothing queued or in flight", m)
+		}
+		if l, ok := c2.Lease("w3"); ok {
+			t.Fatalf("restarted coordinator granted %+v of a cancelled campaign", l)
+		}
+		if c2.Renew(l2.LeaseID) {
+			t.Fatal("a renew re-adopted a shard of a cancelled campaign")
+		}
+		if _, err := c2.Complete(l2.LeaseID, stubRecords(t, spec, l2.Shard)); err != nil {
+			t.Fatalf("complete the in-flight shard: %v", err)
+		}
+		if st, _ := c2.Status(sub.ID); st.State != "cancelled" || st.ShardsDone != 2 {
+			t.Fatalf("after the in-flight completion: %+v", st)
+		}
+		c2.WaitCompactions()
+		c2.Close()
+	})
 }

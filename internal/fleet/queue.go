@@ -75,22 +75,9 @@ func (q *wfq) pick() (id string, shard int, ok bool) {
 	return best.id, shard, true
 }
 
-// grant removes a specific shard from a campaign's pending list and
-// advances the campaign's pass exactly as pick would — the journal-
-// replay analogue of a grant, which must reproduce pick's scheduling
-// side effects without re-running its selection (the journal already
-// recorded which shard won).
-func (q *wfq) grant(id string, shard int) {
-	if q.take(id, shard) {
-		e := q.entries[id]
-		e.pass += strideUnit
-		q.vtime = e.pass
-	}
-}
-
 // take removes a specific shard from a campaign's pending list (a
-// late completion landed while the shard sat re-queued, or a replayed
-// grant), reporting whether it was there.
+// late completion landed while the shard sat re-queued, or its holder's
+// renew re-adopted it), reporting whether it was there.
 func (q *wfq) take(id string, shard int) bool {
 	e, ok := q.entries[id]
 	if !ok {

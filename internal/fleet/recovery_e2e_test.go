@@ -221,9 +221,9 @@ func TestFleetDeterminismAcrossCoordinatorRestart(t *testing.T) {
 
 // TestFleetCancelSurvivesCoordinatorRestart: a campaign cancelled over
 // HTTP while two workers hold leases, then killed with its coordinator,
-// comes back cancelled from the journal: the workers' in-flight shards
-// land against the restarted coordinator, the shards that were queued
-// never run, and a resubmit of the spec serves the landed shards from
+// comes back cancelled from the journal: nothing re-queues the workers'
+// in-flight shards, which land against the restarted coordinator, the
+// shards that were queued never run, and a resubmit of the spec serves the landed shards from
 // the store, runs the rest, and aggregates byte-identically to a
 // single-process engine run.
 func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
@@ -330,7 +330,7 @@ func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
 
 	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		st, _ = coord2.Status(sub.ID)
-		if st.ShardsLeased == 0 {
+		if st.ShardsDone == 2 {
 			break
 		}
 		if time.Now().After(deadline) {

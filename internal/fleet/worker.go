@@ -25,8 +25,8 @@ type WorkerOptions struct {
 	// Coordinator is the base URL of the coordinator, e.g.
 	// "http://localhost:8080" (required by NewWorker).
 	Coordinator string
-	// Name identifies this worker in coordinator logs and lease
-	// listings (default: "worker-<pid>").
+	// Name identifies this worker in its own log lines and seeds its
+	// jitter (default: "worker-<pid>").
 	Name string
 	// Workers bounds concurrent jobs across every shard the worker holds
 	// (0 = NumCPU).
@@ -354,12 +354,11 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseResponse, jobs []campa
 // work); err covers transport failures and unexpected statuses.
 func (w *Worker) lease(ctx context.Context) (LeaseResponse, bool, error) {
 	if w.coord != nil {
-		l, ok := w.coord.Lease(w.opt.Name)
+		l, ok := w.coord.Lease("")
 		return l, ok, nil
 	}
 	var resp LeaseResponse
-	body, _ := json.Marshal(LeaseRequest{Worker: w.opt.Name})
-	status, err := w.post(ctx, "/fleet/lease", body, &resp)
+	status, err := w.post(ctx, "/fleet/lease", nil, &resp)
 	if err != nil {
 		return resp, false, err
 	}
@@ -395,7 +394,7 @@ func (w *Worker) complete(ctx context.Context, id string, recs []campaign.Record
 	var body []byte
 	if w.coord == nil {
 		var err error
-		if body, err = json.Marshal(CompleteRequest{Worker: w.opt.Name, Records: recs}); err != nil {
+		if body, err = json.Marshal(CompleteRequest{Records: recs}); err != nil {
 			return fmt.Errorf("encode complete: %w", err)
 		}
 	}
@@ -412,10 +411,10 @@ func (w *Worker) complete(ctx context.Context, id string, recs []campaign.Record
 		case status == http.StatusOK:
 			return nil
 		case status == http.StatusNotFound:
-			// Coordinator restarted without a journal (or the journal
-			// rotated the tombstone of a finished campaign away); the
-			// shard will be re-run from a fresh lease if it still
-			// matters. Nothing to retry.
+			// The lease names no shard of a campaign the coordinator
+			// knows: it restarted without a journal. The shard will be
+			// re-run from a fresh lease if it still matters. Nothing to
+			// retry.
 			return fmt.Errorf("complete: lease %s unknown to coordinator", id)
 		default:
 			lastErr = fmt.Errorf("complete: unexpected status %d", status)

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# End-to-end fleet fabric smoke: a coordinator (with a write-ahead
+# End-to-end fleet fabric smoke: a coordinator (with a campaign
 # journal) and two workers on localhost run a sweep; mid-sweep the
 # coordinator is SIGKILLed, a half-written line is left at the end of
 # its journal and of one store shard (what a kill mid-append really
-# leaves), and it is restarted (the journal must bring back every queued
-# campaign and active lease, and both files must be appendable again),
-# then one worker is SIGKILLed while it holds a lease (its shard expires
-# and migrates) — and the fleet CSV must still match the single-process
-# CSV bit for bit. With worker 1 back, the committed Fig. 4 policy study
+# leaves), and it is restarted (the journal must bring back the campaign,
+# the workers' renews must take their leased shards back, and both files
+# must be appendable again), then one worker is SIGKILLed while it holds
+# a lease (its shard expires and migrates) — and the fleet CSV must still
+# match the single-process CSV bit for bit. With worker 1 back, the committed Fig. 4 policy study
 # runs on the two workers (both waves of a shard inside its one lease)
 # and its policy CSV must match a local run. Finally the coordinator is
 # stopped and started once more and both campaigns re-fetched: the files
@@ -77,9 +77,11 @@ wait_healthy() { # $1 = base URL (default: the coordinator's)
     exit 1
 }
 
+# One job slot per worker, so a worker holds at most one lease and
+# fleet_leases_active = 2 means each worker holds one.
 start_worker() { # $1 = worker number
     "$BIN/nocsimd" -worker "$BASE" -addr ":$((COORD_PORT + $1))" \
-        -data "$TMP/w$1" -pprof=false &
+        -data "$TMP/w$1" -workers 1 -pprof=false &
     PIDS+=($!)
 }
 
@@ -102,8 +104,10 @@ SWEEP_PID=$!
 # Wait until both workers hold a lease, then SIGKILL the coordinator
 # mid-sweep — no drain, no flush beyond the journal's own fsyncs — and
 # restart it on the same journal. The sweep client and both workers
-# retry through the outage; the restarted coordinator must replay the
-# campaign, the queue and both active leases or the sweep hangs/fails.
+# retry through the outage. Leases are not replayed: the restarted
+# coordinator brings the campaign back from the journal with every shard
+# the store lacks queued, and each worker's next renew takes its shard
+# back off the queue. A lost campaign hangs or fails the sweep.
 leased=0
 for _ in $(seq 150); do
     if ! kill -0 "$SWEEP_PID" 2>/dev/null; then
@@ -139,18 +143,23 @@ if [ "${replayed:-0}" -lt 1 ]; then
 fi
 
 # Now kill a worker outright while it holds a lease in the restarted
-# coordinator; its shard must expire and migrate to the survivor.
+# coordinator; its shard must expire and migrate to the survivor. Worker
+# 1 is stopped before the count is read, so it cannot complete its shard
+# between the read and the kill; if it holds no lease it is resumed and
+# the check repeats.
 killed=0
 for _ in $(seq 150); do
     if ! kill -0 "$SWEEP_PID" 2>/dev/null; then
         break
     fi
+    kill -STOP "$WORKER1_PID"
     if [ "$(metric fleet_leases_active || echo 0)" = "2" ]; then
         echo "== SIGKILL worker 1 (pid $WORKER1_PID) while it holds a lease"
         kill -9 "$WORKER1_PID"
         killed=1
         break
     fi
+    kill -CONT "$WORKER1_PID"
     sleep 0.2
 done
 if [ "$killed" != 1 ]; then
