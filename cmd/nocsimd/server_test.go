@@ -270,6 +270,8 @@ func TestServiceRejectsBadSpec(t *testing.T) {
 		"bad mode":              {`{"spec":{"modes":["quantum"],"patterns":["ur"],"rates":[0.1]}}`, http.StatusBadRequest},
 		"zero rate":             {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0]}}`, http.StatusBadRequest},
 		"not json":              {`modes=tdm`, http.StatusBadRequest},
+		// Two simulations that would share one cache key and one label.
+		"rates sharing a key": {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1,0.1000000001]}}`, http.StatusBadRequest},
 		// A mix the simulator would refuse is refused here, not as N failed jobs.
 		"unknown mix":  {`{"spec":{"modes":["tdm"],"patterns":["mix:EQUAKE+NOPE"]}}`, http.StatusBadRequest},
 		"sdm mix":      {`{"spec":{"modes":["sdm"],"patterns":["mix:EQUAKE+LPS"]}}`, http.StatusBadRequest},

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"tdmnoc/internal/router"
 )
@@ -32,27 +33,90 @@ func LoadConfig(r io.Reader) (Config, error) {
 	return cfg, nil
 }
 
+// ModelVersion names the simulator's behaviour in every campaign cache
+// key. Bump it in the change that moves a simulated number on purpose,
+// so result stores and fleet data dirs stop serving the old physics as
+// cache hits. At 0 keys leave it out, which is why introducing it moved
+// no key, golden or store.
+const ModelVersion = 0
+
 // Hash returns a canonical fingerprint of the configuration: a SHA-256
-// over its stable field-order JSON encoding (Go marshals struct fields
-// in declaration order). Two configs hash equal exactly when every
-// field, including Seed, is equal — Workers is excluded because
-// executor parallelism never changes simulation results, and the
-// invariant-checking knobs (CheckInvariants, CheckInterval) are
+// over its canonical JSON encoding (appendJSON: the bytes json.Marshal
+// writes, fields in declaration order). Two configs hash equal exactly
+// when every field, including Seed, is equal — Workers is excluded
+// because executor parallelism never changes simulation results, and
+// the invariant-checking knobs (CheckInvariants, CheckInterval) are
 // excluded because checking only observes a run. The hash is the cache
 // key of the campaign engine, so adding, removing or reordering Config
 // fields invalidates cached campaign results (by design: a hash must
 // never collide across semantically different configs).
 func (c Config) Hash() string {
+	var buf [2 * sha256.Size]byte
+	return string(c.AppendHash(buf[:0]))
+}
+
+// AppendHash appends Hash's hex digits to dst.
+func (c Config) AppendHash(dst []byte) []byte {
 	c.Workers = 0
 	c.CheckInvariants = false
 	c.CheckInterval = 0
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Config is a flat struct of scalars; Marshal cannot fail.
-		panic(fmt.Sprintf("hsnoc: config hash: %v", err))
+	var buf [512]byte
+	sum := sha256.Sum256(c.appendJSON(buf[:0]))
+	return hex.AppendEncode(dst, sum[:])
+}
+
+// appendJSON appends the encoding json.Marshal gives c, written by hand
+// because reflection dominated the cost of expanding a campaign spec.
+// TestConfigHashMatchesJSON and FuzzConfigHash hold the two equal, so a
+// field added to Config and not here fails the tests.
+func (c Config) appendJSON(b []byte) []byte {
+	b = appendInt(b, `{"Width":`, c.Width)
+	b = appendInt(b, `,"Height":`, c.Height)
+	b = appendInt(b, `,"Mode":`, int(c.Mode))
+	b = appendInt(b, `,"VCs":`, c.VCs)
+	b = appendInt(b, `,"BufferDepth":`, c.BufferDepth)
+	b = appendInt(b, `,"SlotTableEntries":`, c.SlotTableEntries)
+	b = appendBool(b, `,"DisableTimeSlotStealing":`, c.DisableTimeSlotStealing)
+	b = appendBool(b, `,"PathSharing":`, c.PathSharing)
+	b = appendBool(b, `,"VCPowerGating":`, c.VCPowerGating)
+	b = appendBool(b, `,"LatencyBasedVCGating":`, c.LatencyBasedVCGating)
+	b = appendBool(b, `,"DisableDynamicSlotSizing":`, c.DisableDynamicSlotSizing)
+	b = appendInt(b, `,"SAIterations":`, c.SAIterations)
+	b = appendInt(b, `,"Planes":`, c.Planes)
+	b = strconv.AppendUint(append(b, `,"Seed":`...), c.Seed, 10)
+	b = appendInt(b, `,"Workers":`, c.Workers)
+	b = appendBool(b, `,"CheckInvariants":`, c.CheckInvariants)
+	b = appendInt(b, `,"CheckInterval":`, c.CheckInterval)
+	b = appendInt(b, `,"DLTEntries":`, c.DLTEntries)
+	b = appendInt(b, `,"SlotInit":`, c.SlotInit)
+	b = append(b, `,"PinnedFlows":`...)
+	if c.PinnedFlows == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range c.PinnedFlows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendInt(b, `{"src":`, p.Src)
+			b = appendInt(b, `,"dst":`, p.Dst)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	b = appendBool(b, `,"RestrictSetups":`, c.RestrictSetups)
+	b = appendInt(b, `,"GatedPlanes":`, c.GatedPlanes)
+	b = strconv.AppendInt(append(b, `,"AdaptiveEpoch":`...), c.AdaptiveEpoch, 10)
+	b = appendInt(b, `,"AdaptiveTopK":`, c.AdaptiveTopK)
+	return append(b, '}')
+}
+
+func appendInt(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(append(b, name...), v)
 }
 
 // Validate checks a configuration for structural errors.

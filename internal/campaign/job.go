@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/obs"
@@ -46,11 +47,12 @@ type Job struct {
 	trackFlows bool
 }
 
-// NewJob builds a synthetic-traffic job and computes its cache key; it
-// is how Spec.Expand makes a synthetic grid point.
+// NewJob builds a synthetic-traffic job and computes its cache key.
 func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measure int, label string) Job {
-	return Job{Label: label, Pattern: pattern, Rate: rate, PatternName: pattern.String(),
-		Warmup: warmup, Measure: measure}.withConfig(cfg)
+	j := Job{Label: label, Config: cfg, Pattern: pattern, Rate: rate, PatternName: pattern.String(),
+		Warmup: warmup, Measure: measure}
+	j.Key = j.key(hsnoc.ModelVersion)
+	return j
 }
 
 // NewMixJob builds a job that runs the Section V tile system with one
@@ -58,21 +60,64 @@ func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measu
 // A mix hsnoc.NewHeterogeneous refuses fails when the job runs;
 // Spec.Normalize refuses the same mixes up front.
 func NewMixJob(cfg hsnoc.Config, cpu, gpu string, warmup, measure int, label string) Job {
-	return Job{Label: label, CPU: cpu, GPU: gpu, PatternName: "mix:" + cpu + "+" + gpu,
-		Warmup: warmup, Measure: measure}.withConfig(cfg)
+	j := Job{Label: label, Config: cfg, CPU: cpu, GPU: gpu, PatternName: "mix:" + cpu + "+" + gpu,
+		Warmup: warmup, Measure: measure}
+	j.Key = j.key(hsnoc.ModelVersion)
+	return j
 }
 
 // withConfig returns the job moved onto cfg — same workload, same
 // regions, same telemetry — and re-keyed.
 func (j Job) withConfig(cfg hsnoc.Config) Job {
-	workload := j.PatternName
+	j.Config = cfg
+	j.Key = j.key(hsnoc.ModelVersion)
+	return j
+}
+
+// key computes the cache key of the job's run: a SHA-256 over
+// cfg.Hash()|workload|warmup|measure, where a synthetic workload is
+// pattern|rate with the rate spelled as %.9g, and "|model<version>"
+// follows when version is non-zero. With TelemetryEvery set the key is
+// re-derived as WithTelemetry derives it. The preimage is built by
+// append (strconv's 'g' at nine digits is %.9g, +Inf and NaN included),
+// so the only allocation is the returned string.
+func (j *Job) key(version int) string {
+	var buf [192]byte
+	b := append(j.Config.AppendHash(buf[:0]), '|')
+	b = append(b, j.PatternName...)
 	if j.CPU == "" {
-		workload = fmt.Sprintf("%s|%.9g", j.PatternName, j.Rate)
+		b = strconv.AppendFloat(append(b, '|'), j.Rate, 'g', 9, 64)
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d", cfg.Hash(), workload, j.Warmup, j.Measure)))
-	every := j.TelemetryEvery
-	j.Config, j.Key, j.TelemetryEvery = cfg, hex.EncodeToString(sum[:]), 0
-	return j.WithTelemetry(every)
+	b = strconv.AppendInt(append(b, '|'), int64(j.Warmup), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(j.Measure), 10)
+	if version != 0 {
+		b = strconv.AppendInt(append(b, "|model"...), int64(version), 10)
+	}
+	key := hexSum(b)
+	if j.TelemetryEvery > 0 {
+		key = hexSum(appendDerived(b[:0], key[:], "|telemetry", j.TelemetryEvery))
+	}
+	return string(key[:])
+}
+
+// rederive re-keys the job from its current key, for a run that
+// differs from it only in what it records.
+func (j *Job) rederive(tag string, every int) {
+	var buf [96]byte
+	key := hexSum(appendDerived(buf[:0], j.Key, tag, every))
+	j.Key = string(key[:])
+}
+
+// appendDerived appends a derived key's preimage: base|<tag><every>.
+func appendDerived[S string | []byte](b []byte, base S, tag string, every int) []byte {
+	return strconv.AppendInt(append(append(b, base...), tag...), int64(every), 10)
+}
+
+// hexSum is the hex SHA-256 of b.
+func hexSum(b []byte) (key [2 * sha256.Size]byte) {
+	sum := sha256.Sum256(b)
+	hex.Encode(key[:], sum[:])
+	return key
 }
 
 // WithTelemetry returns a copy of the job with per-job telemetry
@@ -85,8 +130,7 @@ func (j Job) WithTelemetry(every int) Job {
 		return j
 	}
 	j.TelemetryEvery = every
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|telemetry%d", j.Key, every)))
-	j.Key = hex.EncodeToString(sum[:])
+	j.rederive("|telemetry", every)
 	return j
 }
 
@@ -98,8 +142,7 @@ func (j Job) WithTelemetry(every int) Job {
 func (j Job) withProfile(every int) Job {
 	j.Label += "/profile"
 	j.TelemetryEvery, j.trackFlows = every, true
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|profile%d", j.Key, every)))
-	j.Key = hex.EncodeToString(sum[:])
+	j.rederive("|profile", every)
 	return j
 }
 

@@ -133,12 +133,7 @@ func TestShardJobsCostIsPerShard(t *testing.T) {
 			}
 		}))
 	}
-	same := allocs[0] == allocs[1]
-	if raceEnabled {
-		// Only roughly equal under -race; a grid-sized cost is 10x apart.
-		same = max(allocs[0], allocs[1]) < 1.5*min(allocs[0], allocs[1])
-	}
-	if !same {
+	if allocs[0] != allocs[1] {
 		t.Errorf("ShardJobs(mid, 16) allocates %.0f times at 864 jobs but %.0f at 8 640: a lease must cost its shard, not the grid", allocs[0], allocs[1])
 	}
 	t.Logf("ShardJobs(mid, 16): %.0f allocations at 864 jobs, %.0f at 8 640", allocs[0], allocs[1])

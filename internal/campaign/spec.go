@@ -16,11 +16,14 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"tdmnoc/hsnoc"
@@ -167,9 +170,12 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("campaign: spec needs at least one rate")
 	}
 	for _, r := range s.Rates {
-		if r <= 0 || r > 1 {
+		if !(r > 0 && r <= 1) { // NaN included
 			return fmt.Errorf("campaign: rate %v outside (0, 1]", r)
 		}
+	}
+	if err := ratesKeyApart(s.Rates); err != nil {
+		return err
 	}
 	if len(s.Meshes) == 0 {
 		s.Meshes = []MeshSize{{Width: 6, Height: 6}}
@@ -290,6 +296,28 @@ func (s *Spec) Normalize() error {
 	return nil
 }
 
+// ratesKeyApart refuses two distinct rates a job key cannot tell apart.
+// Keys spell a rate as %.9g, so 0.1 and 0.1000000001 would be two
+// simulations under one key (and one label), and a store would serve
+// whichever ran first for both. Equal rates are one grid point listed
+// twice and stay allowed.
+func ratesKeyApart(rates []float64) error {
+	if !slices.IsSorted(rates) {
+		rates = slices.Clone(rates)
+		slices.Sort(rates)
+	}
+	// Rounding to nine digits is monotonic, so rates sharing a spelling
+	// sit next to each other once sorted.
+	var x, y [32]byte
+	for i := 1; i < len(rates); i++ {
+		a, b := rates[i-1], rates[i]
+		if a != b && bytes.Equal(strconv.AppendFloat(x[:0], a, 'g', 9, 64), strconv.AppendFloat(y[:0], b, 'g', 9, 64)) {
+			return fmt.Errorf("campaign: rates %v and %v differ but both key as %.9g; list one of them", a, b, a)
+		}
+	}
+	return nil
+}
+
 // Rehydrate re-normalizes a spec read back from persisted state (a
 // fleet journal, a checkpoint) and verifies it still hashes to
 // wantHash. A mismatch means the binary's spec semantics drifted since
@@ -402,8 +430,11 @@ func (s *Spec) mixCount() (n int) {
 // with an empty name, which no benchmark has.
 func parseMix(pattern string) (cpu, gpu string, mix bool) {
 	rest, mix := strings.CutPrefix(pattern, "mix:")
+	if !mix {
+		return "", "", false
+	}
 	cpu, gpu, _ = strings.Cut(rest, "+")
-	return cpu, gpu, mix
+	return cpu, gpu, true
 }
 
 // Expand builds the deterministic job list: variants (or modes), then
@@ -423,8 +454,11 @@ func (s Spec) Expand() ([]Job, error) {
 // (and validates) only those in range, steps over a seed run lying
 // wholly below lo in one addition, and returns once the index reaches
 // hi — so a shard costs its own jobs plus an integer walk of the grid.
+// A grid point's config and label prefix are built once for its seeds,
+// and only when one of them is in range.
 func (s *Spec) expand(lo, hi int) ([]Job, error) {
 	jobs := make([]Job, 0, hi-lo)
+	var prefix [128]byte
 	next := 0 // index of the next job in the full list
 	for _, v := range s.variants() {
 		mode, err := ParseMode(v.Mode)
@@ -440,27 +474,58 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 		}
 		for _, patName := range s.Patterns {
 			cpu, gpu, mix := parseMix(patName)
-			pat, rates := hsnoc.Pattern(0), s.Rates
+			// Normalize has checked both benchmarks of a mix, so its
+			// name is already the mix:<CPU>+<GPU> a job spells.
+			pat, rates, name := hsnoc.Pattern(0), s.Rates, patName
 			if mix {
 				// A mix generates its own load: one point, not one per rate.
 				rates = []float64{0}
 			} else if pat, err = ParsePattern(patName); err != nil {
 				return nil, err
+			} else {
+				name = pat.String()
 			}
 			for _, mesh := range s.Meshes {
 				for _, slot := range slots {
-					// Labels name the slot-table point only where the
-					// axis has more than one, so single-point labels
-					// keep their historical spelling.
-					slotTag := ""
-					if len(slots) > 1 {
-						slotTag = fmt.Sprintf("/s%d", slot)
-					}
 					for _, rate := range rates {
 						if next+len(s.Seeds) <= lo {
 							next += len(s.Seeds)
 							continue
 						}
+						if next == hi {
+							return jobs, nil
+						}
+						cfg := hsnoc.DefaultConfig(mesh.Width, mesh.Height)
+						cfg.Mode = mode
+						cfg.PathSharing = v.PathSharing && mode == hsnoc.HybridTDM
+						cfg.VCPowerGating = v.VCPowerGating
+						cfg.LatencyBasedVCGating = v.LatencyBasedVCGating
+						cfg.DisableTimeSlotStealing = v.DisableTimeSlotStealing
+						cfg.DisableDynamicSlotSizing = v.DisableDynamicSlotSizing
+						cfg.SAIterations = v.SAIterations
+						if mode == hsnoc.HybridTDM {
+							cfg.SlotTableEntries = slot
+						}
+						if s.SimWorkers > 0 {
+							cfg.Workers = s.SimWorkers
+						}
+						cfg.CheckInvariants = s.CheckInvariants
+						if err := cfg.Validate(); err != nil { // Validate never reads Seed
+							return nil, err
+						}
+						// Labels name the slot-table point only where the
+						// axis has more than one, so single-point labels
+						// keep their historical spelling.
+						label := append(append(append(prefix[:0], v.Name...), '/'), name...)
+						label = strconv.AppendInt(append(label, '/'), int64(mesh.Width), 10)
+						label = strconv.AppendInt(append(label, 'x'), int64(mesh.Height), 10)
+						if len(slots) > 1 {
+							label = strconv.AppendInt(append(label, "/s"...), int64(slot), 10)
+						}
+						if !mix {
+							label = strconv.AppendFloat(append(label, "/r"...), rate, 'f', 3, 64)
+						}
+						label = append(label, "/seed"...)
 						for _, seed := range s.Seeds {
 							i := next
 							next++
@@ -470,37 +535,12 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							if i == hi {
 								return jobs, nil
 							}
-							cfg := hsnoc.DefaultConfig(mesh.Width, mesh.Height)
-							cfg.Mode = mode
 							cfg.Seed = seed
-							cfg.PathSharing = v.PathSharing && mode == hsnoc.HybridTDM
-							cfg.VCPowerGating = v.VCPowerGating
-							cfg.LatencyBasedVCGating = v.LatencyBasedVCGating
-							cfg.DisableTimeSlotStealing = v.DisableTimeSlotStealing
-							cfg.DisableDynamicSlotSizing = v.DisableDynamicSlotSizing
-							cfg.SAIterations = v.SAIterations
-							if mode == hsnoc.HybridTDM {
-								cfg.SlotTableEntries = slot
-							}
-							if s.SimWorkers > 0 {
-								cfg.Workers = s.SimWorkers
-							}
-							cfg.CheckInvariants = s.CheckInvariants
-							if err := cfg.Validate(); err != nil {
-								return nil, err
-							}
-							var j Job
-							if mix {
-								label := fmt.Sprintf("%s/%s/%dx%d%s/seed%d", v.Name, patName, mesh.Width, mesh.Height, slotTag, seed)
-								j = NewMixJob(cfg, cpu, gpu, s.WarmupCycles, s.MeasureCycles, label)
-							} else {
-								label := fmt.Sprintf("%s/%v/%dx%d%s/r%.3f/seed%d", v.Name, pat, mesh.Width, mesh.Height, slotTag, rate, seed)
-								j = NewJob(cfg, pat, rate, s.WarmupCycles, s.MeasureCycles, label)
-							}
-							if s.TelemetryEvery > 0 {
-								j = j.WithTelemetry(s.TelemetryEvery)
-							}
-							jobs = append(jobs, j)
+							jobs = append(jobs, Job{Label: string(strconv.AppendUint(label, seed, 10)), Config: cfg,
+								Pattern: pat, Rate: rate, CPU: cpu, GPU: gpu, PatternName: name,
+								Warmup: s.WarmupCycles, Measure: s.MeasureCycles, TelemetryEvery: s.TelemetryEvery})
+							j := &jobs[len(jobs)-1]
+							j.Key = j.key(hsnoc.ModelVersion)
 						}
 					}
 				}
