@@ -2,56 +2,8 @@ package hsnoc
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
-
-// TestSerialParallelEquivalence is the determinism acceptance test:
-// a serial and a parallel simulator of the same seeded config must
-// match full-state digests at every cycle (failing at the first
-// divergence), match rolling digests, and produce deeply equal
-// Results, all with the invariant checker clean.
-func TestSerialParallelEquivalence(t *testing.T) {
-	build := func(workers int) *Simulator {
-		cfg := DefaultConfig(6, 6)
-		cfg.Mode = HybridTDM
-		cfg.Seed = 7
-		cfg.Workers = workers
-		cfg.CheckInvariants = true
-		return NewSynthetic(cfg, Tornado, 0.15)
-	}
-	serial, parallel := build(1), build(4)
-	defer serial.Close()
-	defer parallel.Close()
-
-	for c := 0; c < 800; c++ {
-		serial.Warmup(1)
-		parallel.Warmup(1)
-		if ds, dp := serial.StateDigest(), parallel.StateDigest(); ds != dp {
-			t.Fatalf("state diverged at cycle %d: serial %016x, parallel %016x", c, ds, dp)
-		}
-	}
-	rs := serial.Run(1200)
-	rp := parallel.Run(1200)
-	if ds, dp := serial.StateDigest(), parallel.StateDigest(); ds != dp {
-		t.Fatalf("final state digests differ: serial %016x, parallel %016x", ds, dp)
-	}
-	if ds, dp := serial.RollingDigest(), parallel.RollingDigest(); ds != dp {
-		t.Fatalf("rolling digests differ: serial %016x, parallel %016x", ds, dp)
-	}
-	if !reflect.DeepEqual(rs, rp) {
-		t.Fatalf("Results differ:\n serial   %+v\n parallel %+v", rs, rp)
-	}
-	if rs.Packets == 0 {
-		t.Fatal("equivalence run carried no traffic")
-	}
-	if err := serial.InvariantError(); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	if err := parallel.InvariantError(); err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-}
 
 // TestInvariantAccessorsDisabled checks the zero-cost path: with
 // checking off every accessor reports "nothing".

@@ -1,8 +1,6 @@
 package hsnoc
 
 import (
-	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -32,70 +30,6 @@ func heteroMix(t *testing.T, workers int, check bool) *Simulator {
 	}
 	t.Cleanup(s.Close)
 	return s
-}
-
-// TestHeteroDigestWorkerInvariant: a checked Section V run is
-// violation-free and folds the same rolling digest at Workers 1 and 4.
-func TestHeteroDigestWorkerInvariant(t *testing.T) {
-	run := func(workers int) (uint64, Results) {
-		s := heteroMix(t, workers, true)
-		s.Warmup(500)
-		res := s.Run(2500)
-		if err := s.InvariantError(); err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
-		}
-		return s.RollingDigest(), res
-	}
-	d1, r1 := run(1)
-	d4, r4 := run(4)
-	if d1 == 0 || d1 != d4 {
-		t.Errorf("rolling digest %016x at Workers=1, %016x at Workers=4", d1, d4)
-	}
-	if !reflect.DeepEqual(r1, r4) {
-		t.Errorf("results differ across worker counts:\n%+v\n%+v", r1, r4)
-	}
-}
-
-// TestHeteroTracedMatchesUntraced: telemetry only observes a Section V
-// run — same Results, same state digest — and the exported trace is
-// byte-identical at Workers 1 and 4.
-func TestHeteroTracedMatchesUntraced(t *testing.T) {
-	run := func(workers int, traced bool) (Results, uint64, []byte) {
-		s := heteroMix(t, workers, false)
-		if traced {
-			if _, err := s.AttachTelemetry(TelemetryOptions{RingCapacity: 1 << 18}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Warmup(200)
-		res := s.Run(600)
-		var buf bytes.Buffer
-		if traced {
-			// Rings are per worker shard: only a run that fits one ring
-			// exports the same timeline at every worker count.
-			if n := s.Telemetry().Dropped(); n != 0 {
-				t.Fatalf("Workers=%d: ring dropped %d events; shorten the run", workers, n)
-			}
-			if err := s.WriteTrace(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return res, s.StateDigest(), buf.Bytes()
-	}
-	plain, plainDigest, _ := run(1, false)
-	traced, tracedDigest, bytes1 := run(1, true)
-	if !reflect.DeepEqual(plain, traced) {
-		t.Errorf("telemetry changed the results:\n%+v\n%+v", plain, traced)
-	}
-	if plainDigest != tracedDigest {
-		t.Errorf("telemetry changed the state digest: %016x vs %016x", plainDigest, tracedDigest)
-	}
-	if _, _, bytes4 := run(4, true); !bytes.Equal(bytes1, bytes4) {
-		t.Errorf("trace differs between Workers=1 (%d bytes) and Workers=4 (%d bytes)", len(bytes1), len(bytes4))
-	}
-	if len(bytes1) == 0 {
-		t.Error("empty trace")
-	}
 }
 
 // TestHeteroProfilePolicyRerun walks the offline loop on the paper's

@@ -1,5 +1,5 @@
 //go:build !race
 
-package hsnoc
+package difftest
 
 const raceEnabled = false

@@ -34,10 +34,11 @@ const (
 	opSubmit   = "submit"
 	opComplete = "complete"
 	opCancel   = "cancel"
-	// opSnapshot is the rotation checkpoint older coordinators wrote as
-	// the first line of a compacted journal; replay still reads it.
-	opSnapshot = "snapshot"
 )
+
+// errOldJournal refuses a record only a coordinator from before the
+// journal held only campaigns wrote.
+var errOldJournal = errors.New("the journal predates the campaigns-only format; empty the data dir or move it aside")
 
 // journalRecord is one JSONL line of the journal. Fields are shared
 // across ops; unused ones are omitted.
@@ -55,25 +56,6 @@ type journalRecord struct {
 	// persisted to the store, so the count must ride here).
 	Shard  int `json:"shard,omitempty"`
 	Failed int `json:"failed,omitempty"`
-
-	// Snapshot is an older journal's rotation checkpoint.
-	Snapshot *parentSnapshot `json:"snapshot,omitempty"`
-}
-
-// parentSnapshot is the part of an older journal's snapshot line that
-// replay maps onto the three records: each campaign, its done shards,
-// its failed count and whether it was cancelled. The snapshot's queue,
-// pass, lease and tombstone fields are ignored.
-type parentSnapshot struct {
-	Campaigns []struct {
-		ID        string        `json:"id"`
-		SpecHash  string        `json:"spec_hash"`
-		ShardSize int           `json:"shard_size"`
-		Spec      campaign.Spec `json:"spec"`
-		Done      []int         `json:"done"`
-		Failed    int           `json:"failed"`
-		Cancelled bool          `json:"cancelled"`
-	} `json:"campaigns"`
 }
 
 // journal is the append side of the log. The Coordinator calls it only
@@ -136,7 +118,9 @@ func (j *journal) close() error {
 // recorded fingerprint, a record naming an unknown campaign or a shard
 // its campaign lacks — fails loudly: recovering wrong state would
 // silently break the determinism contract, while refusing to start is
-// visible and actionable.
+// visible and actionable. So does a record only an older coordinator
+// wrote: a lease, drain or snapshot line, or a complete without failed
+// jobs, which would settle a shard without the store's say-so.
 func (c *Coordinator) replay(recs []journalRecord) error {
 	for i, rec := range recs {
 		var err error
@@ -144,21 +128,19 @@ func (c *Coordinator) replay(recs []journalRecord) error {
 		case opSubmit:
 			err = c.replaySubmit(rec)
 		case opComplete:
-			err = c.replayComplete(rec.Campaign, rec.Shard, rec.Failed)
+			err = errOldJournal
+			if rec.Failed > 0 {
+				err = c.replayComplete(rec.Campaign, rec.Shard, rec.Failed)
+			}
 		case opCancel:
 			err = c.replayCancel(rec.Campaign)
-		case opSnapshot:
-			err = c.replayParentSnapshot(rec.Snapshot)
-		case "grant", "expire", "renew", "drain", "resume":
-			// Lease and drain records of older journals. Leases are soft
-			// state: admission re-queues every shard the store does not
-			// hold, and a holder's renew takes its shard back. A restart
-			// always serves.
+		case "grant", "expire", "renew", "drain", "resume", "snapshot":
+			err = errOldJournal
 		default:
 			err = fmt.Errorf("unknown op %q", rec.Op)
 		}
 		if err != nil {
-			return fmt.Errorf("fleet: journal record %d (%s): %w", i+1, rec.Op, err)
+			return fmt.Errorf("fleet: journal line %d (%s): %w", i+1, rec.Op, err)
 		}
 	}
 	return nil
@@ -212,32 +194,5 @@ func (c *Coordinator) replayCancel(id string) error {
 		return fmt.Errorf("cancel names unknown campaign %s", id)
 	}
 	c.cancelLocked(fc)
-	return nil
-}
-
-// replayParentSnapshot maps the snapshot line an older coordinator
-// wrote at rotation onto the three records: each campaign is submitted,
-// its done shards are settled, its failed count is added, and it is
-// cancelled if it was. A snapshot is the first line of its journal, so
-// the campaign ids start the sequence.
-func (c *Coordinator) replayParentSnapshot(s *parentSnapshot) error {
-	if s == nil {
-		return errors.New("snapshot record without snapshot")
-	}
-	for _, sc := range s.Campaigns {
-		if err := c.replaySubmit(journalRecord{Campaign: sc.ID, ShardSize: sc.ShardSize, SpecHash: sc.SpecHash, Spec: &sc.Spec}); err != nil {
-			return fmt.Errorf("campaign %s: %w", sc.ID, err)
-		}
-		for _, d := range sc.Done {
-			if err := c.replayComplete(sc.ID, d, 0); err != nil {
-				return err
-			}
-		}
-		fc := c.campaigns[sc.ID]
-		fc.failed += sc.Failed
-		if sc.Cancelled {
-			c.cancelLocked(fc)
-		}
-	}
 	return nil
 }

@@ -294,27 +294,38 @@ func TestJournalMidFileCorruptionFailsOpen(t *testing.T) {
 	}
 }
 
-// TestSnapshotOutOfRangeShardFailsOpen: a record that settles a shard
-// its campaign does not have — a done shard of an older journal's
-// snapshot line, or a complete — must fail the open, naming the
-// campaign, instead of settling a shard that panics the first lookup
-// that indexes the campaign's shards.
-func TestSnapshotOutOfRangeShardFailsOpen(t *testing.T) {
+// TestOldOrBadJournalRecordsFailOpen: a record that settles a shard its
+// campaign does not have must fail the open, naming the campaign,
+// instead of settling a shard that panics the first lookup that indexes
+// the campaign's shards. A record only an older coordinator wrote — a
+// lease or snapshot line, or a complete without failed jobs, which would
+// settle a shard the store does not hold — fails the open naming its
+// line and the format.
+func TestOldOrBadJournalRecordsFailOpen(t *testing.T) {
 	spec := testSpec()
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	submit := map[string]any{"op": "submit", "campaign": "c0001", "shard_size": 2, "spec_hash": spec.Hash(), "spec": spec}
-	for name, lines := range map[string][]any{
-		"done": {map[string]any{"op": "snapshot", "snapshot": map[string]any{"seq": 1, "campaigns": []any{
-			map[string]any{"id": "c0001", "spec_hash": spec.Hash(), "shard_size": 2, "spec": spec, "done": []int{99}},
-		}}}},
-		"complete": {submit, map[string]any{"op": "complete", "campaign": "c0001", "shard": 99, "failed": 1}},
+	const old = "line 2 (%s): the journal predates the campaigns-only format"
+	for _, tc := range []struct {
+		name string
+		line map[string]any
+		want []string
+	}{
+		{"out-of-range-complete", map[string]any{"op": "complete", "campaign": "c0001", "shard": 99, "failed": 1},
+			[]string{"c0001", "out of range"}},
+		{"grant", map[string]any{"op": "grant", "campaign": "c0001", "shard": 0, "lease": "l1"},
+			[]string{fmt.Sprintf(old, "grant")}},
+		{"snapshot", map[string]any{"op": "snapshot", "snapshot": map[string]any{"seq": 1, "campaigns": []any{}}},
+			[]string{fmt.Sprintf(old, "snapshot")}},
+		{"complete-failed-0", map[string]any{"op": "complete", "campaign": "c0001", "shard": 0, "failed": 0},
+			[]string{fmt.Sprintf(old, "complete")}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var journal []byte
-			for _, l := range lines {
+			for _, l := range []any{submit, tc.line} {
 				line, err := json.Marshal(l)
 				if err != nil {
 					t.Fatal(err)
@@ -325,75 +336,10 @@ func TestSnapshotOutOfRangeShardFailsOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := NewCoordinator(journaledOptions(t, dir, newFakeClock()))
-			if err == nil || !strings.Contains(err.Error(), "c0001") || !strings.Contains(err.Error(), "out of range") {
-				t.Fatalf("open over a journal settling shard 99 = %v, want an out-of-range error naming c0001", err)
-			}
-		})
-	}
-}
-
-// TestParentJournalsReplay: journals written by the coordinator before
-// tenants were removed still open. testdata holds a plain log whose
-// submits carry tenant and weight and which holds grant, renew and
-// expire records, and a rotated journal whose snapshot carries tenant,
-// pass, stride, leases and tombstones (three tenants at weights 2, 1
-// and 0.5; a completion, an expiry, a cancel with a lease in flight).
-// parent-journals.want.json is what that coordinator replayed each to
-// on an empty store, with the status "tenant" field dropped. Replay
-// must reach the same campaigns with no lease active: every shard the
-// parent held leased in a campaign that is not cancelled is queued.
-func TestParentJournalsReplay(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "parent-journals.want.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]struct {
-		Statuses   []map[string]any `json:"statuses"`
-		QueueDepth int              `json:"queue_depth"`
-	}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"parent-log.journal", "parent-snapshot.journal"} {
-		t.Run(name, func(t *testing.T) {
-			w, ok := want[name]
-			if !ok {
-				t.Fatalf("no expectation for %s", name)
-			}
-			journal, err := os.ReadFile(filepath.Join("testdata", name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "fleet.journal"), journal, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			c, err := NewCoordinator(journaledOptions(t, dir, newFakeClock()))
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			defer c.Close()
-			sb, err := json.Marshal(c.Statuses())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var statuses []map[string]any
-			if err := json.Unmarshal(sb, &statuses); err != nil {
-				t.Fatal(err)
-			}
-			requeued := 0
-			for _, st := range w.Statuses {
-				if st["state"] != "cancelled" {
-					requeued += int(st["shards_leased"].(float64))
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("open = %v, want an error containing %q", err, want)
 				}
-				st["shards_leased"] = 0.0
-			}
-			if !reflect.DeepEqual(statuses, w.Statuses) {
-				t.Errorf("statuses:\n got %v\nwant %v", statuses, w.Statuses)
-			}
-			if m := c.Metrics(); m.QueueDepth != w.QueueDepth+requeued || m.LeasesActive != 0 {
-				t.Errorf("queue %d, leases %d; want %d queued (%d of them leased by the parent), none leased",
-					m.QueueDepth, m.LeasesActive, w.QueueDepth+requeued, requeued)
 			}
 		})
 	}

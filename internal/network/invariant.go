@@ -63,6 +63,27 @@ func (n *Network) StateDigest() uint64 {
 	return w.H.Sum()
 }
 
+// ComponentDigests splits StateDigest by component, for localising a
+// divergence: it yields the between-cycle manager ("manager"), every
+// router ("router 14") and every NI ("ni 3") with that component's own
+// walk digest, in StateDigest's order. Two runs whose StateDigests
+// differ at a cycle differ in at least one component there.
+func (n *Network) ComponentDigests(yield func(name string, digest uint64)) {
+	h := invariant.NewHasher()
+	n.hashManager(h)
+	yield("manager", h.Sum())
+	for _, r := range n.routers {
+		w := flit.Walk{H: invariant.NewHasher()}
+		r.Walk(&w)
+		yield(fmt.Sprintf("router %d", r.ID()), w.H.Sum())
+	}
+	for _, ni := range n.nis {
+		w := flit.Walk{H: invariant.NewHasher()}
+		ni.walk(&w)
+		yield(fmt.Sprintf("ni %d", ni.id), w.H.Sum())
+	}
+}
+
 // checkInvariants walks the network once for cycle now with the census
 // and the checker attached — the walk's hash is the StateDigest folded
 // into the rolling digest — then runs the checks that need the whole

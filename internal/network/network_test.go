@@ -186,28 +186,6 @@ func TestCircuitSwitchedLatencyBeatsPS(t *testing.T) {
 	}
 }
 
-func TestParallelExecutionMatchesSerial(t *testing.T) {
-	run := func(workers int) (int64, int64, int64, int64) {
-		cfg := HybridTDMConfig(6, 6)
-		cfg.Workers = workers
-		net := New(cfg, func(id topology.NodeID) Endpoint {
-			return &burst{count: 100, dstOf: reversePattern, allowCS: true, period: 5}
-		})
-		defer net.Close()
-		net.EnableStats()
-		net.Run(3000)
-		s := net.Stats()
-		e := net.Energy()
-		return s.InjectedPackets, s.EjectedPackets, s.NetLatencySum, int64(e.TotalPJ())
-	}
-	i1, e1, l1, p1 := run(1)
-	i4, e4, l4, p4 := run(4)
-	if i1 != i4 || e1 != e4 || l1 != l4 || p1 != p4 {
-		t.Fatalf("parallel run diverged: serial=(%d,%d,%d,%d) parallel=(%d,%d,%d,%d)",
-			i1, e1, l1, p1, i4, e4, l4, p4)
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (int64, int64) {
 		cfg := HybridTDMConfig(4, 4)

@@ -118,26 +118,3 @@ func TestChaosMonkeySeeds(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosParallelDeterminism verifies the chaos workload is
-// bit-identical under the parallel executor.
-func TestChaosParallelDeterminism(t *testing.T) {
-	run := func(workers int) (int64, int64) {
-		cfg := HybridTDMConfig(6, 6).WithSharing()
-		cfg.Workers = workers
-		cfg.SetupThreshold = 2
-		net := New(cfg, func(id topology.NodeID) Endpoint {
-			return &chaos{until: 4000}
-		})
-		defer net.Close()
-		net.EnableStats()
-		net.Run(6000)
-		st := net.Stats()
-		return st.EjectedPackets, st.NetLatencySum
-	}
-	a1, b1 := run(1)
-	a2, b2 := run(4)
-	if a1 != a2 || b1 != b2 {
-		t.Fatalf("parallel chaos diverged: (%d,%d) vs (%d,%d)", a1, b1, a2, b2)
-	}
-}

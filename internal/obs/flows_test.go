@@ -27,7 +27,7 @@ func flowEvents() []Event {
 func TestFlowStatsShardInvariant(t *testing.T) {
 	serial := NewRecorder(RecorderConfig{Nodes: 16, TrackFlows: true})
 	for _, e := range flowEvents() {
-		serial.Emit(e)
+		serial.ControlHandle().Emit(e)
 	}
 
 	sharded := NewRecorder(RecorderConfig{Nodes: 16, Shards: 4, TrackFlows: true})
@@ -55,7 +55,7 @@ func TestFlowStatsContents(t *testing.T) {
 		t.Fatal("FlowTracking false with TrackFlows set")
 	}
 	for _, e := range flowEvents() {
-		r.Emit(e)
+		r.ControlHandle().Emit(e)
 	}
 	flows := r.FlowStats()
 	if len(flows) != 3 {
@@ -86,7 +86,7 @@ func TestFlowStatsDisabled(t *testing.T) {
 	if r.FlowTracking() {
 		t.Fatal("FlowTracking true without TrackFlows")
 	}
-	r.Emit(Event{Kind: KindInject, Cycle: 1, Node: 0, Slot: 1, Val: 5})
+	r.ControlHandle().Emit(Event{Kind: KindInject, Cycle: 1, Node: 0, Slot: 1, Val: 5})
 	if got := r.FlowStats(); got != nil {
 		t.Errorf("FlowStats without tracking = %+v, want nil", got)
 	}

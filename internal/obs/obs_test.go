@@ -100,17 +100,18 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestRecorderCountersAndWindows(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Nodes: 4, SampleEvery: 10})
+	h := r.ControlHandle()
 	// Window 1: one CS and one PS link traversal, a steal, a successful
 	// setup, and gauge emissions.
-	r.Emit(Event{Kind: KindInject, Cycle: 1, Pkt: 1})
-	r.Emit(Event{Kind: KindLinkTraverse, Cycle: 2, Node: 0, A: uint8(topology.East), B: 1, Pkt: 1})
-	r.Emit(Event{Kind: KindLinkTraverse, Cycle: 3, Node: 1, A: uint8(topology.Local), B: 0, Pkt: 1})
-	r.Emit(Event{Kind: KindSlotSteal, Cycle: 4, Node: 0})
-	r.Emit(Event{Kind: KindSetupLatency, Cycle: 5, B: 1, Val: 12})
-	r.Emit(Event{Kind: KindSetupLatency, Cycle: 5, B: 0})
-	r.Emit(Event{Kind: KindVCOccupancy, Cycle: 10, Val: 7})
-	r.Emit(Event{Kind: KindQueueDepth, Cycle: 10, Val: 3})
-	r.Emit(Event{Kind: KindEject, Cycle: 9, Pkt: 1, Val: 8})
+	h.Emit(Event{Kind: KindInject, Cycle: 1, Pkt: 1})
+	h.Emit(Event{Kind: KindLinkTraverse, Cycle: 2, Node: 0, A: uint8(topology.East), B: 1, Pkt: 1})
+	h.Emit(Event{Kind: KindLinkTraverse, Cycle: 3, Node: 1, A: uint8(topology.Local), B: 0, Pkt: 1})
+	h.Emit(Event{Kind: KindSlotSteal, Cycle: 4, Node: 0})
+	h.Emit(Event{Kind: KindSetupLatency, Cycle: 5, B: 1, Val: 12})
+	h.Emit(Event{Kind: KindSetupLatency, Cycle: 5, B: 0})
+	h.Emit(Event{Kind: KindVCOccupancy, Cycle: 10, Val: 7})
+	h.Emit(Event{Kind: KindQueueDepth, Cycle: 10, Val: 3})
+	h.Emit(Event{Kind: KindEject, Cycle: 9, Pkt: 1, Val: 8})
 	for now := int64(1); now <= 10; now++ {
 		r.Sync(now)
 	}
@@ -157,10 +158,11 @@ func TestRecorderCountersAndWindows(t *testing.T) {
 
 func TestRecorderEnergyDelta(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Nodes: 1, SampleEvery: 10})
+	h := r.ControlHandle()
 	// Energy emissions carry cumulative readings; windows report deltas.
-	r.Emit(Event{Kind: KindEnergySample, Cycle: 10, Val: 500})
+	h.Emit(Event{Kind: KindEnergySample, Cycle: 10, Val: 500})
 	r.Sync(10)
-	r.Emit(Event{Kind: KindEnergySample, Cycle: 20, Val: 800})
+	h.Emit(Event{Kind: KindEnergySample, Cycle: 20, Val: 800})
 	r.Sync(20)
 	// A window with no emission reports zero, not a negative delta.
 	r.Sync(30)
@@ -189,8 +191,9 @@ func TestRecorderSampleEviction(t *testing.T) {
 // the ring wraps and when a window closes.
 func TestEmitAndSyncAllocFree(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Nodes: 4, RingCapacity: 64, SampleEvery: 2})
+	h := r.ControlHandle()
 	e := Event{Kind: KindLinkTraverse, Node: 1, A: 2, B: 1, Pkt: 42, Cycle: 7}
-	if a := testing.AllocsPerRun(1000, func() { r.Emit(e) }); a != 0 {
+	if a := testing.AllocsPerRun(1000, func() { h.Emit(e) }); a != 0 {
 		t.Errorf("Emit allocates %.1f per call, want 0", a)
 	}
 	now := int64(0)

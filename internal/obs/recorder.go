@@ -225,16 +225,6 @@ func (r *Recorder) Rings() []*Ring {
 	return out
 }
 
-// Ring exposes shard 0's event ring. With a single shard (serial runs)
-// this is the complete timeline, matching the recorder's pre-sharding
-// behaviour; multi-shard callers want Rings + WriteTrace instead.
-func (r *Recorder) Ring() *Ring { return r.shards[0].ring }
-
-// Emit records one event through the control handle. Compatibility path
-// for single-goroutine users (tests, trace replay); simulation emit
-// sites hold their own per-tile handles.
-func (r *Recorder) Emit(e Event) { r.control.Emit(e) }
-
 // Sync must be called once between cycles (after the transfer phase and
 // the network managers) with the post-step cycle number; the executor's
 // barriers order the workers' shard writes before it. At every

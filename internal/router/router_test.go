@@ -670,7 +670,7 @@ func TestEventTracing(t *testing.T) {
 	h.run(30)
 
 	kinds := map[obs.Kind]int{}
-	rec.Ring().Do(func(e obs.Event) { kinds[e.Kind]++ })
+	rec.Rings()[0].Do(func(e obs.Event) { kinds[e.Kind]++ })
 	if kinds[obs.KindSetupReserve] != 3 {
 		t.Errorf("setup events %d, want 3 (one per router)", kinds[obs.KindSetupReserve])
 	}
