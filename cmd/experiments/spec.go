@@ -64,14 +64,15 @@ func (rc *runConfig) figureSpec(name string) (campaign.Spec, []campaign.Job, err
 
 // printSpec prints a spec's records, given in RunSpec's order: one CSV
 // row per job of a plain spec, or one per (grid point, policy) of a
-// policy study, with the energy-per-flit and latency deltas against the
-// static baseline (negative is an improvement). A failed job or outcome
+// policy study, whose records it reads by key, with the energy-per-flit
+// and latency deltas against the static baseline (negative is an
+// improvement). A failed job or outcome
 // prints n/a cells; a failed outcome's error goes to stderr and the
 // invocation fails.
 func printSpec(rc *runConfig, spec campaign.Spec, jobs []campaign.Job, recs []campaign.Record) {
 	if spec.PolicyProfile != nil {
 		rc.println("label,policy,pins,base_energy_per_flit_pj,energy_per_flit_pj,energy_delta_pct,base_latency,latency,latency_delta_pct,throughput")
-		for _, o := range spec.Report(jobs, recs).Outcomes {
+		for _, o := range spec.Report(jobs, campaign.Lookup(recs)).Outcomes {
 			if o.Err != "" {
 				rc.fail(o.Label+"/"+o.Policy, o.Err)
 				rc.printf("%s,%s,n/a,n/a,n/a,n/a,n/a,n/a,n/a,n/a\n", o.Label, o.Policy)
@@ -180,14 +181,7 @@ func runOnFleet(log io.Writer, base string, spec campaign.Spec, jobs []campaign.
 	if err := getJSON(client, base+"/fleet/campaigns/"+sub.ID+"/results", &recs); err != nil {
 		return nil, err
 	}
-	found := make(map[string]campaign.Record, len(recs))
-	for _, r := range recs {
-		found[r.Key] = r
-	}
-	return spec.Resolve(jobs, func(key string) (campaign.Record, bool) {
-		r, ok := found[key]
-		return r, ok
-	}), nil
+	return spec.Resolve(jobs, campaign.Lookup(recs)), nil
 }
 
 // isTransient reports whether err is a transport-level failure (refused

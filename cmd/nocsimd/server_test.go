@@ -509,7 +509,7 @@ func TestServicePolicyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(spec.Report(grid, campaign.New(campaign.Options{Workers: 2}).RunSpec(context.Background(), spec, grid)))
+	want, _ := json.Marshal(spec.Report(grid, campaign.Lookup(campaign.New(campaign.Options{Workers: 2}).RunSpec(context.Background(), spec, grid))))
 	if got, _ := json.Marshal(rep); !bytes.Equal(got, want) {
 		t.Errorf("/policy differs from the local report:\nserved: %s\nlocal:  %s", got, want)
 	}

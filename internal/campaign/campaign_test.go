@@ -18,6 +18,7 @@ import (
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/stats"
+	"tdmnoc/scenarios"
 )
 
 // testSpec is a small 3-axis grid (2 modes x 2 rates x 2 seeds x
@@ -785,6 +786,159 @@ func TestAggregateMergesSeeds(t *testing.T) {
 		if r.Runs != 2 || r.Packets != 40 || r.EnergyPJ != 20 {
 			t.Errorf("aggregate = %+v", r)
 		}
+	}
+}
+
+// TestGroupWithoutSeedKeepsConfigurationsApart: /summary's groups fold
+// seeds and nothing else. Fig. 5's tdm and vct variants are one mode at
+// every grid point, and a policy study's profiling runs and re-runs are
+// one config point, yet each is a group of its own; a modes spec keeps
+// its mode/pattern/mesh/slots/rate keys, also for records that carry
+// only a key, a label and a rate, as the fleet's fixtures fabricate.
+func TestGroupWithoutSeedKeepsConfigurationsApart(t *testing.T) {
+	fig5 := loadScenario(t, "fig5.json")
+	fig5.Seeds = []uint64{1}
+	jobs, err := fig5.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, len(jobs))
+	for i, j := range jobs {
+		recs[i] = newRecord(j)
+	}
+	if agg := Aggregate(recs, GroupWithoutSeed); len(agg) != len(jobs) {
+		t.Errorf("fig5 at one seed: %d jobs fold into %d groups", len(jobs), len(agg))
+	}
+
+	study := policySpec()
+	study.Seeds = []uint64{1, 2}
+	grid := expandStudy(t, &study)
+	recs = recs[:0]
+	for _, j := range grid {
+		rerun := j
+		rerun.Label += "/policy=greedy"
+		recs = append(recs, newRecord(j.withProfile(study.PolicyProfile.ProfileEvery)), newRecord(rerun))
+	}
+	for i := range recs {
+		recs[i].Result.Runs = 1
+	}
+	want := map[string]int{
+		"Hybrid-TDM/TOR/4x4/s128/r0.150/profile":       2,
+		"Hybrid-TDM/TOR/4x4/s128/r0.150/policy=greedy": 2,
+	}
+	got := map[string]int{}
+	for k, r := range Aggregate(recs, GroupWithoutSeed) {
+		got[k] = int(r.Runs)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("policy study groups (runs per key) = %v, want %v", got, want)
+	}
+
+	plain := Spec{Modes: []string{"packet", "tdm", "sdm"}, Patterns: []string{"ur", "tornado"},
+		Meshes: []MeshSize{{4, 4}}, Rates: []float64{0.05, 0.125}, Seeds: []uint64{1, 7}}
+	jobs, err = plain.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		r := newRecord(j)
+		want := fmt.Sprintf("%s/%s/%dx%d/s%d/r%.3f", r.Mode, r.Pattern, r.Width, r.Height, r.Slots, r.Rate)
+		if got := GroupWithoutSeed(r); got != want {
+			t.Errorf("modes spec job %s groups as %q, want %q", j.Label, got, want)
+		}
+		if r.Label = ""; GroupWithoutSeed(r) != want {
+			t.Errorf("unlabelled record of %s groups as %q, want %q", j.Label, GroupWithoutSeed(r), want)
+		}
+		stub := Record{Key: j.Key, Label: j.Label, Rate: j.Rate}
+		if got, want := GroupWithoutSeed(stub), fmt.Sprintf("//0x0/s0/r%.3f", j.Rate); got != want {
+			t.Errorf("label-only record of %s groups as %q, want %q", j.Label, got, want)
+		}
+	}
+}
+
+// loadScenario parses one of the scenarios/ specs.
+func loadScenario(t *testing.T, name string) Spec {
+	t.Helper()
+	f, err := scenarios.FS.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := ParseSpec(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestWarmStoreKeepsGroups: a key's record is stored once, under the
+// label of whichever campaign ran it first, yet a spec's /summary groups
+// and bytes over a warm store are those of an empty one — through
+// RunSpec's store hits and Resolve. Fig. 4 stores every key of Fig. 5
+// under its own variant names; two modes specs store Fig. 8's two
+// Hybrid-TDM variants under one mode label; Fig. 8 stores a modes
+// spec's keys under a variant name. A duplicate key within one Run is
+// served under its own label too.
+func TestWarmStoreKeepsGroups(t *testing.T) {
+	modes := func(mode string, sharing bool) Spec {
+		s := loadScenario(t, "fig8.json")
+		s.Name, s.Variants, s.Modes, s.PathSharing = "", nil, []string{mode}, sharing
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		warm []Spec
+		spec Spec
+		hits int64
+	}{
+		{"fig4 then fig5", []Spec{loadScenario(t, "fig4.json")}, loadScenario(t, "fig5.json"), 36},
+		{"modes then fig8", []Spec{modes("tdm", false), modes("tdm", true)}, loadScenario(t, "fig8.json"), 112},
+		{"fig8 then modes", []Spec{loadScenario(t, "fig8.json")}, modes("tdm", false), 56},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			grid := expandStudy(t, &c.spec)
+			summary := func(recs []Record) string {
+				b, err := json.Marshal(Aggregate(recs, GroupWithoutSeed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(b)
+			}
+			want := summary(New(Options{Workers: 2, Runner: stubRunner}).RunSpec(ctx, c.spec, grid))
+
+			store, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			for _, w := range c.warm {
+				New(Options{Workers: 2, Runner: stubRunner, Store: store}).RunSpec(ctx, w, expandStudy(t, &w))
+			}
+			eng := New(Options{Workers: 2, Runner: stubRunner, Store: store})
+			recs := eng.RunSpec(ctx, c.spec, grid)
+			if hits := eng.Status().CacheHits; hits != c.hits {
+				t.Fatalf("%d of %d jobs served from the warm store, want %d", hits, len(grid), c.hits)
+			}
+			if got := summary(recs); got != want {
+				t.Errorf("RunSpec over a warm store:\n got  %s\n want %s", got, want)
+			}
+			if got := summary(c.spec.Resolve(grid, store.Lookup)); got != want {
+				t.Errorf("Resolve over a warm store:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+
+	jobs, err := policySpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := jobs[0]
+	dup.Label = "Other/" + dup.Label
+	recs := New(Options{Workers: 1, Runner: stubRunner}).Run(context.Background(), []Job{jobs[0], dup})
+	if recs[0].Label != jobs[0].Label || recs[1].Label != dup.Label || !recs[1].Cached {
+		t.Errorf("duplicate key served as %q (cached %v), %q; want %q, then %q cached",
+			recs[0].Label, recs[1].Cached, recs[1].Label, jobs[0].Label, dup.Label)
 	}
 }
 

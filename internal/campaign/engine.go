@@ -100,7 +100,8 @@ const errCancelled = "skipped: campaign cancelled"
 
 // Run executes jobs and returns one record per job, in job order.
 // Cached jobs (hits in the store, or duplicates of an earlier job in
-// the same list) are served without simulating. Cancelling ctx aborts
+// the same list) are served without simulating, each under its own
+// job's label, not the one it was stored under. Cancelling ctx aborts
 // in-flight jobs and skips the rest. Run never returns an error —
 // per-job failures are carried in Record.Err so one pathological grid
 // point cannot sink a thousand-job campaign.
@@ -122,6 +123,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Record {
 		if e.store != nil {
 			if r, ok := e.store.Lookup(j.Key); ok {
 				recs[i] = r
+				recs[i].Label = j.Label
 				e.queued.Add(-1)
 				e.cacheHits.Add(1)
 				e.done.Add(1)
@@ -147,7 +149,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Record {
 	wg.Wait()
 	for i, fi := range dup {
 		recs[i] = recs[fi]
-		recs[i].Cached = true
+		recs[i].Label, recs[i].Cached = jobs[i].Label, true
 		e.queued.Add(-1)
 		if recs[fi].Err == "" {
 			e.cacheHits.Add(1)

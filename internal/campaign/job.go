@@ -3,8 +3,8 @@ package campaign
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
+	"strings"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/obs"
@@ -146,6 +146,13 @@ func (j Job) withProfile(every int) Job {
 	return j
 }
 
+// unprofiled is the grid job a profiling job (withProfile) was made
+// from.
+func (j Job) unprofiled() Job {
+	j.Label, j.TelemetryEvery, j.trackFlows = strings.TrimSuffix(j.Label, "/profile"), 0, false
+	return j.withConfig(j.Config)
+}
+
 // Record is one job's persisted result — one JSONL line in the result
 // store. It carries enough of the job identity to be useful standalone
 // and a mergeable RunRecord with the metrics. Records hold no
@@ -215,7 +222,27 @@ func Aggregate(recs []Record, key func(Record) string) map[string]stats.RunRecor
 	return out
 }
 
-// GroupWithoutSeed is the Aggregate key that folds seeds together.
+// GroupWithoutSeed is the Aggregate key that folds seeds together:
+// name/pattern/WxH/s<slots>/r<rate>, then whatever the label carries
+// after its /seed<N> segment. The name is the label's first segment,
+// the variant (a modes spec names its variants after their modes); a
+// record without a label or without a mode is named by its mode. So two
+// variants of one mode, and a policy study's profiling runs (/profile)
+// and each policy's re-runs (/policy=<name>), are groups of their own.
+// The label must be the requesting job's: Engine.Run, Resolve and the
+// fleet's Records serve every record under it, whichever campaign
+// stored the key first.
 func GroupWithoutSeed(r Record) string {
-	return fmt.Sprintf("%s/%s/%dx%d/s%d/r%.3f", r.Mode, r.Pattern, r.Width, r.Height, r.Slots, r.Rate)
+	name, _, _ := strings.Cut(r.Label, "/")
+	if name == "" || r.Mode == "" {
+		name = r.Mode
+	}
+	_, seed, _ := strings.Cut(r.Label, "/seed")
+	var buf [128]byte
+	b := append(append(append(buf[:0], name...), '/'), r.Pattern...)
+	b = strconv.AppendInt(append(b, '/'), int64(r.Width), 10)
+	b = strconv.AppendInt(append(b, 'x'), int64(r.Height), 10)
+	b = strconv.AppendInt(append(b, "/s"...), int64(r.Slots), 10)
+	b = strconv.AppendFloat(append(b, "/r"...), r.Rate, 'f', 3, 64)
+	return string(append(b, strings.TrimLeft(seed, "0123456789")...))
 }

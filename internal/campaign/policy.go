@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/policy"
@@ -13,8 +12,9 @@ import (
 // point's job with the flow profiler attached (Job.withProfile), whose
 // record carries the flow table policies decide from. Wave 2 re-runs
 // the point under each policy whose decision changes its config
-// (Spec.reruns). RunSpec runs both; Resolve finds both in a store;
-// Report is the policy view over them.
+// (Spec.next). Spec.walk steps from one wave to the next: RunSpec walks
+// with the engine, Resolve with a store's lookup. Report is the policy
+// view over the records, read by key.
 
 // PolicyOutcome compares one policy's re-run against the static
 // baseline of the same grid point.
@@ -63,143 +63,150 @@ func EnergyPerFlit(r Record) float64 {
 	return r.Result.EnergyPJ / flits
 }
 
-// rerun is one (grid point, policy) pair of a study: the outcome
-// without its metrics and, when the decision changes the point's
-// config, the wave-2 job that measures it (a zero Key otherwise).
-type rerun struct {
-	out PolicyOutcome
-	job Job
-}
-
-// reruns derives grid point j's wave 2 from its wave-1 record: one
-// rerun per policy, in spec order. A failed profiling run fails every
-// outcome and schedules nothing. It is the one place decisions are
-// made, so RunSpec, Resolve and Report necessarily agree on which
-// wave-2 jobs a record implies.
-func (s *Spec) reruns(j Job, base Record) []rerun {
-	out := make([]rerun, len(s.PolicyProfile.Policies))
+// decide makes grid point j's policy decisions from its profiling
+// record base: one outcome per policy, in spec order — its decision and
+// the key of the run that measures it, or the error that prevents one —
+// without metrics, and the re-runs those keys name other than j's own,
+// in the same order. A failed profiling run fails every outcome. It is
+// the one place decisions are made, so next and Report agree on which
+// re-runs a record implies.
+func (s *Spec) decide(j Job, base Record) (outs []PolicyOutcome, reruns []Job) {
+	outs = make([]PolicyOutcome, len(s.PolicyProfile.Policies))
 	var prof *policy.Profile
 	if base.Err == "" && base.Telemetry != nil {
 		prof = hsnoc.DecisionProfile(j.Config, base.Telemetry)
 	}
 	for i, name := range s.PolicyProfile.Policies {
-		r := &out[i]
-		r.out = PolicyOutcome{Label: j.Label, Policy: name, BaseKey: j.Key}
+		out := &outs[i]
+		*out = PolicyOutcome{Label: j.Label, Policy: name, BaseKey: j.Key}
 		switch {
 		case base.Err != "":
-			r.out.Err = "profile run failed: " + base.Err
+			out.Err = "profile run failed: " + base.Err
 			continue
 		case prof == nil: // a substitute Runner returned no Summary
-			r.out.Err = "profile run recorded no flow table"
+			out.Err = "profile run recorded no flow table"
 			continue
 		}
 		pol, _ := policy.Parse(name) // Normalize has parsed every name
-		r.out.Decision = pol.Decide(prof)
-		cfg, err := hsnoc.ApplyDecision(j.Config, r.out.Decision)
+		out.Decision = pol.Decide(prof)
+		cfg, err := hsnoc.ApplyDecision(j.Config, out.Decision)
 		if err != nil {
-			r.out.Err = err.Error()
+			out.Err = err.Error()
 			continue
 		}
 		rj := j.withConfig(cfg)
-		r.out.RunKey = rj.Key
+		out.RunKey = rj.Key
 		if rj.Key != j.Key {
-			rj.Label = fmt.Sprintf("%s/policy=%s", j.Label, pol.Name())
-			r.job = rj
+			rj.Label = j.Label + "/policy=" + pol.Name()
+			reruns = append(reruns, rj)
 		}
 	}
-	return out
+	return outs, reruns
+}
+
+// next is a spec's step: the jobs a finished job's record implies. A
+// policy study's profiling record implies the re-runs of its grid
+// point's decisions; every other job implies none.
+func (s *Spec) next(j Job, rec Record) []Job {
+	if !j.trackFlows {
+		return nil
+	}
+	_, reruns := s.decide(j.unprofiled(), rec)
+	return reruns
+}
+
+// walk runs a normalized spec's jobs through run, one wave at a time:
+// first grid (profiled, for a policy study), then the jobs the last
+// wave's records imply (next), until a wave implies none. It returns
+// every wave's records, wave after wave. A plain spec is one wave.
+func (s *Spec) walk(grid []Job, run func([]Job) []Record) []Record {
+	if s.PolicyProfile == nil {
+		return run(grid)
+	}
+	wave := make([]Job, len(grid))
+	for i, j := range grid {
+		wave[i] = j.withProfile(s.PolicyProfile.ProfileEvery)
+	}
+	var recs []Record
+	for len(wave) > 0 {
+		got := run(wave)
+		recs = append(recs, got...)
+		var implied []Job
+		for i, j := range wave {
+			implied = append(implied, s.next(j, got[i])...)
+		}
+		wave = implied
+	}
+	return recs
 }
 
 // RunSpec runs the grid jobs of a normalized spec — all of Expand, or
-// one fleet shard's ShardJobs — and returns their records. A plain
-// spec's records are Run's. A policy study runs wave 1, derives wave 2
-// from its records and runs that, and returns the records grid point by
-// grid point: the wave-1 record, then its re-runs in policy order. So
-// consecutive shards' records concatenate to the whole campaign's, and
-// Resolve finds them in the same order.
+// one fleet shard's ShardJobs — and returns the records of every wave
+// the spec's walk runs: a plain spec's are Run's, a policy study's are
+// its profiling records and then the re-runs they imply.
 func (e *Engine) RunSpec(ctx context.Context, spec Spec, grid []Job) []Record {
-	if spec.PolicyProfile == nil {
-		return e.Run(ctx, grid)
-	}
-	wave1 := make([]Job, len(grid))
-	for i, j := range grid {
-		wave1[i] = j.withProfile(spec.PolicyProfile.ProfileEvery)
-	}
-	base := e.Run(ctx, wave1)
-	derived := make([][]rerun, len(grid))
-	var wave2 []Job
-	for i, j := range grid {
-		derived[i] = spec.reruns(j, base[i])
-		for _, r := range derived[i] {
-			if r.job.Key != "" {
-				wave2 = append(wave2, r.job)
-			}
-		}
-	}
-	rest := e.Run(ctx, wave2)
-	recs := make([]Record, 0, len(grid)+len(wave2))
-	for i := range grid {
-		recs = append(recs, base[i])
-		for _, r := range derived[i] {
-			if r.job.Key != "" {
-				recs, rest = append(recs, rest[0]), rest[1:]
-			}
-		}
-	}
-	return recs
+	return spec.walk(grid, func(wave []Job) []Record { return e.Run(ctx, wave) })
 }
 
 // Resolve looks up, through lookup (a store's, or an index of fetched
 // results), the records RunSpec would return for grid, in RunSpec's
-// order. A record lookup cannot find comes back failed with Err "no
-// record"; a grid point whose wave-1 record is missing has no wave-2
-// keys to look up.
+// order and under its jobs' labels. A record lookup cannot find comes
+// back failed with Err "no record", and implies no further jobs.
 func (s Spec) Resolve(grid []Job, lookup func(key string) (Record, bool)) []Record {
-	find := func(j Job) Record {
-		if r, ok := lookup(j.Key); ok {
-			return r
-		}
-		r := newRecord(j)
-		r.Err = "no record"
-		return r
-	}
-	recs := make([]Record, 0, len(grid))
-	for _, j := range grid {
-		if s.PolicyProfile == nil {
-			recs = append(recs, find(j))
-			continue
-		}
-		base := find(j.withProfile(s.PolicyProfile.ProfileEvery))
-		recs = append(recs, base)
-		for _, r := range s.reruns(j, base) {
-			if r.job.Key != "" {
-				recs = append(recs, find(r.job))
+	return s.walk(grid, func(wave []Job) []Record {
+		recs := make([]Record, len(wave))
+		for i, j := range wave {
+			var ok bool
+			if recs[i], ok = lookup(j.Key); !ok {
+				recs[i] = newRecord(j)
+				recs[i].Err = "no record"
 			}
+			recs[i].Label = j.Label
 		}
-	}
-	return recs
+		return recs
+	})
 }
 
-// Report is the policy view of a study's records, which must be in
-// RunSpec's order (RunSpec's or Resolve's output for the same grid):
-// each outcome's deltas compare its re-run — or, for a decision that
-// changed nothing, the profiling run itself — against the profiling
-// run. Failed records become outcome errors; one saturated point never
+// Lookup indexes records by key, failed ones too, as Report and
+// Resolve read them.
+func Lookup(recs []Record) func(key string) (Record, bool) {
+	byKey := make(map[string]Record, len(recs))
+	for _, r := range recs {
+		byKey[r.Key] = r
+	}
+	return func(key string) (Record, bool) {
+		r, ok := byKey[key]
+		return r, ok
+	}
+}
+
+// Report is the policy view of a study's records, which lookup finds
+// by key (a store's Lookup, or Lookup over RunSpec's records): each
+// outcome's deltas compare its re-run — or, for a decision that changed
+// nothing, the profiling run itself — against the profiling run. Failed
+// or missing records become outcome errors; one saturated point never
 // sinks the comparison.
-func (s Spec) Report(grid []Job, recs []Record) *PolicyReport {
+func (s Spec) Report(grid []Job, lookup func(key string) (Record, bool)) *PolicyReport {
 	pp := s.PolicyProfile
 	rep := &PolicyReport{
 		ProfileEvery: pp.ProfileEvery,
 		Policies:     append([]string(nil), pp.Policies...),
 		Outcomes:     make([]PolicyOutcome, 0, len(grid)*len(pp.Policies)),
 	}
+	find := func(key string) Record {
+		r, ok := lookup(key)
+		if !ok {
+			r.Key, r.Err = key, "no record"
+		}
+		return r
+	}
 	for _, j := range grid {
-		base := recs[0]
-		recs = recs[1:]
-		for _, r := range s.reruns(j, base) {
-			out, rec := r.out, base
-			if r.job.Key != "" {
-				rec, recs = recs[0], recs[1:]
+		base := find(j.withProfile(pp.ProfileEvery).Key)
+		outs, _ := s.decide(j, base)
+		for _, out := range outs {
+			rec := base
+			if out.Err == "" && out.RunKey != j.Key {
+				rec = find(out.RunKey)
 			}
 			switch {
 			case out.Err != "":

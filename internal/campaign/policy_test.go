@@ -101,7 +101,7 @@ func TestRunPolicyLoop(t *testing.T) {
 	grid := expandStudy(t, &spec)
 	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
 	recs := eng.RunSpec(context.Background(), spec, grid)
-	// Per grid point: the profiling record, then greedy's re-run.
+	// Wave 1's two profiling records, then wave 2's two greedy re-runs.
 	if len(recs) != 4 {
 		t.Fatalf("records = %d, want 4 (2 grid points x (profile + greedy))", len(recs))
 	}
@@ -110,7 +110,8 @@ func TestRunPolicyLoop(t *testing.T) {
 			t.Fatalf("record %s failed: %s", r.Label, r.Err)
 		}
 	}
-	rep := spec.Report(grid, recs)
+	byKey := Lookup(recs)
+	rep := spec.Report(grid, byKey)
 	if len(rep.Outcomes) != 4 {
 		t.Fatalf("outcomes = %d, want 4 (2 grid points x 2 policies)", len(rep.Outcomes))
 	}
@@ -138,16 +139,16 @@ func TestRunPolicyLoop(t *testing.T) {
 			t.Errorf("%s: static decision mutates config: %+v", workload, static.Decision)
 		}
 		// The profiling record carries the flow table, under its own key.
-		base := recs[2*g]
-		if base.Key == grid[g].Key || base.Telemetry == nil || len(base.Telemetry.Flows) == 0 {
+		base, ok := byKey(grid[g].withProfile(spec.PolicyProfile.ProfileEvery).Key)
+		if !ok || base.Key == grid[g].Key || base.Telemetry == nil || len(base.Telemetry.Flows) == 0 {
 			t.Errorf("%s: wave-1 record key %s (grid %s) carries no flow table", workload, base.Key, grid[g].Key)
 		}
 		// Greedy pins flows and produces a distinct run of the same workload.
 		if len(greedy.Decision.PinnedFlows) == 0 {
 			t.Errorf("%s: greedy pinned no flows", workload)
 		}
-		if greedy.RunKey == greedy.BaseKey || recs[2*g+1].Key != greedy.RunKey {
-			t.Errorf("%s: greedy re-run key %s, base %s, record %s", workload, greedy.RunKey, greedy.BaseKey, recs[2*g+1].Key)
+		if rerun, ok := byKey(greedy.RunKey); greedy.RunKey == greedy.BaseKey || !ok || rerun.Key != greedy.RunKey {
+			t.Errorf("%s: greedy re-run key %s, base %s, record %s (found %v)", workload, greedy.RunKey, greedy.BaseKey, rerun.Key, ok)
 		}
 		if rec, ok := store.Lookup(greedy.RunKey); !ok || rec.Pattern != workload {
 			t.Errorf("%s: greedy re-run stored as %+v (found %v)", workload, rec.Pattern, ok)
@@ -165,14 +166,79 @@ func TestRunPolicyLoop(t *testing.T) {
 		t.Errorf("second run simulated fresh jobs: %+v", st)
 	}
 	b1, _ := json.Marshal(rep)
-	b2, _ := json.Marshal(spec.Report(grid, recs2))
+	b2, _ := json.Marshal(spec.Report(grid, Lookup(recs2)))
 	if string(b1) != string(b2) {
 		t.Errorf("reports differ across cached re-runs:\n%s\n%s", b1, b2)
 	}
-	// ... and the store alone resolves the same records.
-	b3, _ := json.Marshal(spec.Report(grid, spec.Resolve(grid, store.Lookup)))
+	// ... and the store alone holds the same records.
+	b3, _ := json.Marshal(spec.Report(grid, store.Lookup))
 	if string(b1) != string(b3) {
 		t.Errorf("report resolved from the store differs:\n%s\n%s", b1, b3)
+	}
+}
+
+// TestWalkWaves pins the spec walk RunSpec and Resolve share: a plain
+// spec is one call of the runner over its grid; a policy study is two —
+// the profiled grid, then exactly the re-runs its decisions imply — and
+// Resolve over the store the run filled returns the same records, byte
+// for byte.
+func TestWalkWaves(t *testing.T) {
+	plain := policySpec()
+	plain.PolicyProfile = nil
+	grid := expandStudy(t, &plain)
+	var waves [][]Job
+	run := func(eng *Engine) func([]Job) []Record {
+		return func(wave []Job) []Record {
+			waves = append(waves, wave)
+			return eng.Run(context.Background(), wave)
+		}
+	}
+	plain.walk(grid, run(New(Options{Workers: 2, Runner: stubRunner})))
+	if len(waves) != 1 || !reflect.DeepEqual(waves[0], grid) {
+		t.Fatalf("plain spec: runner called with %v, want once with its grid", waves)
+	}
+
+	store, err := OpenStore(filepath.Join(t.TempDir(), "records.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	spec := policySpec()
+	spec.Patterns = append(spec.Patterns, "transpose")
+	spec.PolicyProfile.Policies = []string{"static", "threshold", "greedy"}
+	grid = expandStudy(t, &spec)
+	waves = nil
+	recs := spec.walk(grid, run(New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})))
+	if len(waves) != 2 {
+		t.Fatalf("policy study: runner called %d times, want 2", len(waves))
+	}
+	var want []string
+	for i, j := range grid {
+		if p := waves[0][i]; p.Key != j.withProfile(spec.PolicyProfile.ProfileEvery).Key {
+			t.Errorf("wave 1 job %d is %s, want %s profiled", i, p.Label, j.Label)
+		}
+		outs, _ := spec.decide(j, recs[i])
+		for _, out := range outs {
+			if out.Err != "" {
+				t.Fatalf("%s/%s: %s", j.Label, out.Policy, out.Err)
+			}
+			if out.RunKey != j.Key {
+				want = append(want, out.RunKey)
+			}
+		}
+	}
+	var got []string
+	for _, j := range waves[1] {
+		got = append(got, j.Key)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("wave 2 keys = %v, want the decisions' re-runs %v", got, want)
+	}
+
+	b1, _ := json.Marshal(recs)
+	b2, _ := json.Marshal(spec.Resolve(grid, store.Lookup))
+	if string(b1) != string(b2) {
+		t.Errorf("Resolve over the store differs from the walk's records:\n%s\n%s", b2, b1)
 	}
 }
 
@@ -214,13 +280,14 @@ func TestDecisionFromWave1Record(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range spec.reruns(j, base) {
+		outs, _ := spec.decide(j, base)
+		for i, out := range outs {
 			pol, err := policy.Parse(spec.PolicyProfile.Policies[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := pol.Decide(prof); !reflect.DeepEqual(r.out.Decision, want) {
-				t.Errorf("%s/%s: decision from the record %+v, from ExtractProfile %+v", j.Label, pol.Name(), r.out.Decision, want)
+			if want := pol.Decide(prof); !reflect.DeepEqual(out.Decision, want) {
+				t.Errorf("%s/%s: decision from the record %+v, from ExtractProfile %+v", j.Label, pol.Name(), out.Decision, want)
 			}
 		}
 	}
@@ -257,7 +324,7 @@ func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
 	spec := fig4Miniature("static", "greedy")
 	grid := expandStudy(t, &spec)
 	eng := New(Options{Workers: 4, JobTimeout: 2 * time.Minute})
-	rep := spec.Report(grid, eng.RunSpec(context.Background(), spec, grid))
+	rep := spec.Report(grid, Lookup(eng.RunSpec(context.Background(), spec, grid)))
 	improved := 0
 	for _, out := range rep.Outcomes {
 		if out.Err != "" {

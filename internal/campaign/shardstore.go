@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"tdmnoc/internal/stats"
 )
 
 // storeShards is the fan-out of a ShardedStore: 16 JSONL files keyed
@@ -101,26 +99,6 @@ func (ss *ShardedStore) Dead() int {
 		n += st.Dead()
 	}
 	return n
-}
-
-// MergeGroups streams every shard's records through the grouping
-// function, merging the sum-form results as it goes — the aggregate of
-// a million-job campaign is built shard by shard without ever holding
-// more than one shard's records.
-func (ss *ShardedStore) MergeGroups(key func(Record) string) map[string]stats.RunRecord {
-	out := map[string]stats.RunRecord{}
-	for _, st := range ss.shards {
-		for _, r := range st.Records() {
-			if r.Err != "" {
-				continue
-			}
-			k := key(r)
-			agg := out[k]
-			agg.Merge(r.Result)
-			out[k] = agg
-		}
-	}
-	return out
 }
 
 // LookupAll resolves a job-key list against the store, returning the

@@ -75,13 +75,14 @@ type fleetCampaign struct {
 	spec     campaign.Spec
 	jobs     int
 
-	shardSize int
-	shardKeys [][]string // job cache keys, per shard, in expansion order
-	done      []bool
-	doneCount int
-	leased    map[int]time.Time // shard -> deadline of its lease
-	failed    int               // job failures reported by completions
-	cancelled bool              // queued shards dropped by Cancel
+	shardSize   int
+	shardKeys   [][]string // job cache keys, per shard, in expansion order
+	shardLabels [][]string // their jobs' labels, which records are served under
+	done        []bool
+	doneCount   int
+	leased      map[int]time.Time // shard -> deadline of its lease
+	failed      int               // job failures reported by completions
+	cancelled   bool              // queued shards dropped by Cancel
 }
 
 // newFleetCampaign builds a campaign's state with nothing done: the
@@ -99,11 +100,11 @@ func newFleetCampaign(id string, shardSize int, spec campaign.Spec, jobs []campa
 	}
 	for lo := 0; lo < len(jobs); lo += shardSize {
 		hi := min(lo+shardSize, len(jobs))
-		keys := make([]string, 0, hi-lo)
+		keys, labels := make([]string, 0, hi-lo), make([]string, 0, hi-lo)
 		for _, j := range jobs[lo:hi] {
-			keys = append(keys, j.Key)
+			keys, labels = append(keys, j.Key), append(labels, j.Label)
 		}
-		fc.shardKeys = append(fc.shardKeys, keys)
+		fc.shardKeys, fc.shardLabels = append(fc.shardKeys, keys), append(fc.shardLabels, labels)
 	}
 	fc.done = make([]bool, len(fc.shardKeys))
 	return fc
@@ -116,14 +117,24 @@ func (fc *fleetCampaign) finished() bool { return fc.doneCount == len(fc.shardKe
 func (fc *fleetCampaign) active() bool { return !fc.finished() && !fc.cancelled }
 
 // shardRecords resolves shard i's records against the store, in record
-// order, and counts the missing ones. A plain shard's records are its
-// jobs'. A policy study's shard runs both waves in its one lease, so its
-// records are its grid points' wave-1 records and the wave-2 records
-// derived from them (campaign.Spec.Resolve, the derivation the worker's
-// RunSpec made).
+// order and under their jobs' labels (a key's stored record carries the
+// label of whichever campaign ran it first), and counts the missing
+// ones. A plain shard's records are its jobs'. A policy study's shard
+// runs both waves in its one lease, so its records are its grid points'
+// profiling records, then the re-runs they imply (campaign.Spec.Resolve
+// walks the waves the worker's RunSpec ran).
 func (c *Coordinator) shardRecords(fc *fleetCampaign, i int) (found []campaign.Record, missing int) {
 	if fc.spec.PolicyProfile == nil {
-		return c.opt.Store.LookupAll(fc.shardKeys[i])
+		for k, key := range fc.shardKeys[i] {
+			r, ok := c.opt.Store.Lookup(key)
+			if !ok {
+				missing++
+				continue
+			}
+			r.Label = fc.shardLabels[i][k]
+			found = append(found, r)
+		}
+		return found, missing
 	}
 	jobs, err := fc.spec.ShardJobs(i, fc.shardSize)
 	if err != nil {
@@ -268,14 +279,6 @@ func (c *Coordinator) Draining() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.draining
-}
-
-// Idle reports whether no leases are active and no shards are queued —
-// the drain-complete condition.
-func (c *Coordinator) Idle() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.leasesLocked() == 0 && c.queue.depth() == 0
 }
 
 // Submit admits a campaign: normalizes and expands the spec, fast-
@@ -736,9 +739,10 @@ func (c *Coordinator) Statuses() []CampaignStatus {
 
 // Records resolves a campaign's records against the store, shard by
 // shard in record order, reporting how many are still missing. With
-// missing == 0 the slice is exactly what a single-process
+// missing == 0 a plain campaign's slice is exactly what a single-process
 // Engine.RunSpec would return (records marked Cached, as store hits
-// are).
+// are); a policy study's holds the same records, but each shard's
+// profiling records and then its re-runs, shard after shard.
 func (c *Coordinator) Records(id string) (found []campaign.Record, missing int, ok bool) {
 	c.mu.Lock()
 	fc, exists := c.campaigns[id]

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/obs"
 	"tdmnoc/internal/stats"
+	"tdmnoc/scenarios"
 )
 
 // fakeClock drives lease expiry deterministically.
@@ -399,6 +402,82 @@ func TestFastCompleteFromStore(t *testing.T) {
 	}
 	if _, ok := c.Lease("w"); ok {
 		t.Fatal("cached campaign should queue no shards")
+	}
+}
+
+// TestWarmStoreSummary: the store holds a key's record under the label
+// of whichever campaign ran it first, but the coordinator serves it
+// under its own job's label. A campaign whose every key another spec
+// stored — Fig. 5's by Fig. 4, a modes spec's by Fig. 8 — is born done,
+// and its /results labels and /summary bytes are a local run's.
+func TestWarmStoreSummary(t *testing.T) {
+	load := func(name string) campaign.Spec {
+		t.Helper()
+		f, err := scenarios.FS.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		s, err := campaign.ParseSpec(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stub := func(_ context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
+		return stats.RunRecord{Runs: 1, Packets: int64(j.Rate * 1000)}, nil, nil
+	}
+	run := func(s campaign.Spec) ([]campaign.Job, []campaign.Record) {
+		t.Helper()
+		jobs, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs, campaign.New(campaign.Options{Workers: 2, Runner: stub}).Run(context.Background(), jobs)
+	}
+	modes := load("fig8.json")
+	modes.Name, modes.Variants, modes.Modes = "", nil, []string{"tdm"}
+	for _, tc := range []struct {
+		name       string
+		warm, spec campaign.Spec
+	}{
+		{"fig4 then fig5", load("fig4.json"), load("fig5.json")},
+		{"fig8 then modes", load("fig8.json"), modes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCoordinator(t, nil, Options{ShardSize: 4})
+			_, warm := run(tc.warm)
+			for _, r := range warm {
+				if _, err := c.opt.Store.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jobs, local := run(tc.spec)
+			want, err := json.Marshal(campaign.Aggregate(local, campaign.GroupWithoutSeed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := c.Submit(SubmitRequest{Spec: tc.spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.CachedShards != sub.Shards {
+				t.Fatalf("%d of %d shards cached, want every one", sub.CachedShards, sub.Shards)
+			}
+			recs, missing, _ := c.Records(sub.ID)
+			if missing != 0 || len(recs) != len(jobs) {
+				t.Fatalf("records: %d found, %d missing; want %d found", len(recs), missing, len(jobs))
+			}
+			for i, r := range recs {
+				if r.Key != jobs[i].Key || r.Label != jobs[i].Label {
+					t.Fatalf("record %d served as %s %q, want %s %q", i, r.Key, r.Label, jobs[i].Key, jobs[i].Label)
+				}
+			}
+			agg, _ := c.Summary(sub.ID)
+			if got, err := json.Marshal(agg); err != nil || string(got) != string(want) {
+				t.Errorf("summary over a warm store (err %v):\n got  %s\n want %s", err, got, want)
+			}
+		})
 	}
 }
 

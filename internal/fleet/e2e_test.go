@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -629,7 +630,7 @@ func TestFleetRunsPolicySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := campaign.New(campaign.Options{Workers: 2}).RunSpec(context.Background(), spec, grid)
-	want, err := json.Marshal(spec.Report(grid, local))
+	want, err := json.Marshal(spec.Report(grid, campaign.Lookup(local)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,14 +706,27 @@ func TestFleetRunsPolicySpec(t *testing.T) {
 	if err != nil || len(fetched) != len(local) || resp.Header.Get("X-Fleet-Missing") != "0" {
 		t.Fatalf("results: %d records (error %v, missing %s), want %d", len(fetched), err, resp.Header.Get("X-Fleet-Missing"), len(local))
 	}
-	found := map[string]campaign.Record{}
-	for _, r := range fetched {
-		found[r.Key] = r
+	// /results lists shard after shard, each wave by wave: with one grid
+	// point per shard, a point's profiling record, then its re-runs —
+	// where the local walk lists every profiling record first.
+	var order []campaign.Record
+	for g, j := range grid {
+		order = append(order, local[g])
+		for _, r := range local[len(grid):] {
+			if strings.HasPrefix(r.Label, j.Label+"/policy=") {
+				order = append(order, r)
+			}
+		}
 	}
-	got, err := json.Marshal(spec.Report(grid, spec.Resolve(grid, func(k string) (campaign.Record, bool) {
-		r, ok := found[k]
-		return r, ok
-	})))
+	if len(order) == len(grid) || len(order) != len(fetched) {
+		t.Fatalf("%d of %d records are profiling runs or their re-runs, want every one and some re-runs", len(order), len(fetched))
+	}
+	for i, r := range order {
+		if fetched[i].Key != r.Key || fetched[i].Label != r.Label {
+			t.Fatalf("results[%d] is not %s %q: want each shard's profiling record, then its re-runs", i, r.Key, r.Label)
+		}
+	}
+	got, err := json.Marshal(spec.Report(grid, campaign.Lookup(fetched)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func (c *Coordinator) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		fleetError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	fleetJSON(w, http.StatusOK, st.Spec.Report(grid, st.Spec.Resolve(grid, c.opt.Store.Lookup)))
+	fleetJSON(w, http.StatusOK, st.Spec.Report(grid, c.opt.Store.Lookup))
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -76,26 +76,6 @@ type Profile struct {
 // Nodes returns the mesh size.
 func (p *Profile) Nodes() int { return p.Width * p.Height }
 
-// CircuitShare returns the fraction of link traversals that rode
-// circuits, the profile's headline "how hybrid was this run" number.
-func (p *Profile) CircuitShare() float64 {
-	total := p.CSFlits + p.PSFlits
-	if total == 0 {
-		return 0
-	}
-	return float64(p.CSFlits) / float64(total)
-}
-
-// SetupSuccessRate returns the fraction of setup round trips that
-// acked successfully (1 when no setups were attempted).
-func (p *Profile) SetupSuccessRate() float64 {
-	total := p.SetupsOK + p.SetupsFailed
-	if total == 0 {
-		return 1
-	}
-	return float64(p.SetupsOK) / float64(total)
-}
-
 // Encode returns the profile's stable JSON form: indented, fields in
 // struct order, trailing newline. encoding/json is deterministic for
 // struct types, so two profiles of the same run are byte-identical.
