@@ -129,7 +129,6 @@ func (s *server) drain() {
 // close releases the journal and the store once the worker is gone.
 func (s *server) close() {
 	if s.coord != nil {
-		s.coord.WaitCompactions()
 		s.coord.Close()
 		s.store.Close()
 	}

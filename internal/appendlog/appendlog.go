@@ -11,9 +11,6 @@
 //   - A newline-terminated line the caller cannot parse is not a crash
 //     artefact: something rewrote the file. Open fails loudly, naming
 //     the path and line, rather than silently dropping data.
-//   - Rewrite replaces the whole file through a temp file, an fsync and
-//     an atomic rename, so a crash mid-rewrite leaves the old file or
-//     the new one, never a mix.
 //
 // What a line means (a record, a profile, a journal transition) and
 // when an append is worth an fsync stay with the caller.
@@ -81,8 +78,8 @@ func Open(path string, line func([]byte) error) (*Log, error) {
 // Path returns the file path.
 func (l *Log) Path() string { return l.path }
 
-// Size is the file size in bytes, tracked across the open's truncation,
-// appends and rewrites. It survives Close.
+// Size is the file size in bytes, tracked across the open's truncation
+// and appends. It survives Close.
 func (l *Log) Size() int64 { return l.size }
 
 // Lines is the number of non-blank lines in the file, tracked likewise.
@@ -103,53 +100,6 @@ func (l *Log) Append(b []byte, sync bool) error {
 	if sync {
 		return l.f.Sync()
 	}
-	return nil
-}
-
-// Rewrite atomically replaces the file with the n lines line(0..n-1)
-// and moves the append handle onto the new file. The replacement is
-// fsync'd before the rename — otherwise the rename can reach the disk
-// before the data, and a crash leaves an empty or truncated file under
-// path. On any failure the temp file is removed and the old file and
-// handle stay exactly as they were.
-func (l *Log) Rewrite(n int, line func(i int) ([]byte, error)) error {
-	if l.f == nil {
-		return fmt.Errorf("%s is closed", l.path)
-	}
-	tmp := l.path + ".tmp"
-	// O_APPEND from the start: after the rename this fd *is* the log, so
-	// there is no reopen that could fail with the new file already in
-	// place.
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	var size int64
-	bw := bufio.NewWriter(f)
-	for i := 0; i < n && err == nil; i++ {
-		var b []byte
-		if b, err = line(i); err == nil {
-			bw.Write(b)
-			err = bw.WriteByte('\n')
-			size += int64(len(b)) + 1
-		}
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err == nil {
-		err = os.Rename(tmp, l.path)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	l.f.Close()
-	l.f, l.size, l.lines = f, size, n
 	return nil
 }
 

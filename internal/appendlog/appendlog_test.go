@@ -153,98 +153,11 @@ func TestAppendSyncAndClose(t *testing.T) {
 	if err := l.Append([]byte("y"), false); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("Append after Close = %v, want a closed error", err)
 	}
-	if err := l.Rewrite(0, nil); err == nil {
-		t.Error("Rewrite after Close succeeded")
-	}
 	if err := l.Sync(); err == nil {
 		t.Error("Sync after Close succeeded")
 	}
 	if l.Lines() != 2 || l.Size() != 4 || readFile(t, path) != "x\nx\n" {
 		t.Errorf("after close: Lines/Size = %d/%d, file %q", l.Lines(), l.Size(), readFile(t, path))
-	}
-}
-
-func TestRewriteReplacesFileAndMovesHandle(t *testing.T) {
-	path := writeFile(t, "dup\ndup\nkeep\n")
-	l, _ := openLines(t, path)
-	kept := []string{"keep", "dup"}
-	if err := l.Rewrite(len(kept), func(i int) ([]byte, error) { return []byte(kept[i]), nil }); err != nil {
-		t.Fatalf("Rewrite: %v", err)
-	}
-	if l.Lines() != 2 || l.Size() != int64(len("keep\ndup\n")) {
-		t.Errorf("Lines/Size = %d/%d after rewrite", l.Lines(), l.Size())
-	}
-	// The append must land in the new file, not the unlinked old inode.
-	if err := l.Append([]byte("after"), true); err != nil {
-		t.Fatalf("Append after Rewrite: %v", err)
-	}
-	l.Close()
-	if got := readFile(t, path); got != "keep\ndup\nafter\n" {
-		t.Errorf("file = %q", got)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind: %v", err)
-	}
-}
-
-// TestRewriteFailureKeepsOldFile drives every failure branch reachable
-// without a fault-injecting filesystem. Each must leave no temp file of
-// its own making, the old bytes in place and the handle still appending
-// to them.
-func TestRewriteFailureKeepsOldFile(t *testing.T) {
-	one := func(int) ([]byte, error) { return []byte("new"), nil }
-	for _, tc := range []struct {
-		name    string
-		arrange func(t *testing.T, path string)
-		line    func(int) ([]byte, error)
-		tmpDir  bool // the temp path is the test's own directory
-	}{
-		{name: "line callback fails", line: func(int) ([]byte, error) { return nil, errors.New("encode") }},
-		{name: "temp file cannot be created", line: one, tmpDir: true,
-			arrange: func(t *testing.T, path string) {
-				if err := os.Mkdir(path+".tmp", 0o755); err != nil {
-					t.Fatal(err)
-				}
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeFile(t, "old\n")
-			l, _ := openLines(t, path)
-			defer l.Close()
-			if tc.arrange != nil {
-				tc.arrange(t, path)
-			}
-			if err := l.Rewrite(1, tc.line); err == nil {
-				t.Fatal("Rewrite succeeded")
-			}
-			if fi, err := os.Stat(path + ".tmp"); tc.tmpDir != (err == nil && fi.IsDir()) {
-				t.Errorf("temp path after failure: %v, %v", fi, err)
-			}
-			if err := l.Append([]byte("more"), false); err != nil {
-				t.Fatalf("Append after failed Rewrite: %v", err)
-			}
-			if got := readFile(t, path); got != "old\nmore\n" || l.Lines() != 2 {
-				t.Errorf("file = %q, Lines = %d; want the old file extended", got, l.Lines())
-			}
-		})
-	}
-
-	// Rename failure: the log's path has become a non-empty directory.
-	// There is no old file left to keep, but the temp file must still go.
-	path := writeFile(t, "old\n")
-	l, _ := openLines(t, path)
-	defer l.Close()
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rewrite(1, one); err == nil {
-		t.Fatal("Rewrite over a directory succeeded")
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind after rename failure: %v", err)
 	}
 }
 

@@ -630,57 +630,6 @@ func TestStoreRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-// TestStoreCompactReloadsSameLiveSet: compacting a store that carries
-// duplicate lines must leave a file that reloads to exactly the live
-// set, with no dead lines, and that still accepts appends.
-func TestStoreCompactReloadsSameLiveSet(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dups.jsonl")
-	store, err := OpenStore(path)
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 5; i++ {
-			r := Record{Key: fmt.Sprintf("k%d", i), Seed: uint64(i), Result: stats.RunRecord{Runs: 1, Packets: int64(10 * i)}}
-			if err := store.Append(r); err != nil {
-				t.Fatalf("Append: %v", err)
-			}
-		}
-	}
-	if store.Len() != 5 || store.Dead() != 10 {
-		t.Fatalf("before compact: live=%d dead=%d, want 5/10", store.Len(), store.Dead())
-	}
-	live := map[string]Record{}
-	for _, r := range store.Records() {
-		live[r.Key] = r
-	}
-	if err := store.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := Record{Key: "after", Result: stats.RunRecord{Runs: 1}}
-	if err := store.Append(after); err != nil {
-		t.Fatalf("Append after Compact: %v", err)
-	}
-	live[after.Key] = after
-	store.Close()
-
-	re, err := OpenStore(path)
-	if err != nil {
-		t.Fatalf("reopen compacted store: %v", err)
-	}
-	defer re.Close()
-	if re.Dead() != 0 {
-		t.Errorf("compacted store reloads with %d dead lines, want 0", re.Dead())
-	}
-	got := map[string]Record{}
-	for _, r := range re.Records() {
-		got[r.Key] = r
-	}
-	if !reflect.DeepEqual(got, live) {
-		t.Errorf("compacted store reloaded to %v, want the live set %v", got, live)
-	}
-}
-
 // TestCheckedCampaignRunsClean runs a real (small) simulation job with
 // the invariant layer on: it must complete without violations and the
 // engine counter must stay zero.

@@ -4,30 +4,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // storeShards is the fan-out of a ShardedStore: 16 JSONL files keyed
 // by the first hex nibble of the record key. Records keys are SHA-256
 // over the canonical job identity, so the nibble spreads uniformly and
-// each file carries ~1/16 of the campaign — small enough to reload and
-// compact incrementally even for million-job sweeps.
+// each file carries ~1/16 of the campaign.
 const storeShards = 16
 
 // ShardedStore is the fleet-scale result store: a content-addressed
 // record cache fanned across storeShards append-only JSONL files by
-// key prefix. It generalizes Store — each shard file is one, with the
-// appendlog crash contract — and adds the properties the distribution
-// layer needs: duplicate-free appends (AppendNew per
-// key), streaming merge of sum-form records without materialising the
-// whole campaign, and per-shard compaction that reclaims dead lines
-// left by re-leased fleet shards.
+// key prefix. Each shard file is a Store, with its appendlog crash
+// contract and its per-key dedup, so a re-leased fleet shard completed
+// twice writes each record once.
 type ShardedStore struct {
 	dir    string
 	shards [storeShards]*Store
-
-	// compacting serialises background compaction sweeps.
-	compacting sync.Mutex
 }
 
 // OpenShardedStore opens (creating if needed) the sharded store rooted
@@ -79,7 +71,7 @@ func (ss *ShardedStore) Lookup(key string) (Record, bool) {
 // present, reporting whether a write happened. Failed records are
 // rejected (Store.Append's contract).
 func (ss *ShardedStore) Append(r Record) (bool, error) {
-	return ss.shardFor(r.Key).AppendNew(r)
+	return ss.shardFor(r.Key).append(r)
 }
 
 // Len is the total live record count across shards.
@@ -91,8 +83,7 @@ func (ss *ShardedStore) Len() int {
 	return n
 }
 
-// Dead is the total dead-line count across shards (duplicates awaiting
-// compaction).
+// Dead is the total dead-line count across shards (see Store.Dead).
 func (ss *ShardedStore) Dead() int {
 	n := 0
 	for _, st := range ss.shards {
@@ -114,46 +105,6 @@ func (ss *ShardedStore) LookupAll(keys []string) (found []Record, missing int) {
 		}
 	}
 	return found, missing
-}
-
-// CompactThreshold is the dead-line excess past which a background
-// sweep rewrites a shard: compaction costs a full shard rewrite, so it
-// runs when dead weight rivals live data, not on every duplicate.
-const CompactThreshold = 256
-
-// MaybeCompact rewrites every shard whose dead-line count exceeds both
-// CompactThreshold and its live record count. It returns the number of
-// shards compacted; concurrent calls coalesce (the second caller
-// returns immediately), so it is safe to kick from a background
-// goroutine after every burst of appends.
-func (ss *ShardedStore) MaybeCompact() (int, error) {
-	if !ss.compacting.TryLock() {
-		return 0, nil
-	}
-	defer ss.compacting.Unlock()
-	n := 0
-	for _, st := range ss.shards {
-		if d := st.Dead(); d > CompactThreshold && d > st.Len() {
-			if err := st.Compact(); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Compact unconditionally rewrites every shard (used by tests and
-// operator tooling; the background path is MaybeCompact).
-func (ss *ShardedStore) Compact() error {
-	ss.compacting.Lock()
-	defer ss.compacting.Unlock()
-	for _, st := range ss.shards {
-		if err := st.Compact(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close releases every shard file. Lookups keep working from memory.

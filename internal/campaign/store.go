@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"tdmnoc/internal/appendlog"
@@ -20,9 +19,9 @@ import (
 // not correctness.
 type Store struct {
 	mu sync.Mutex
-	// log counts every non-blank line in the backing file (including
-	// duplicates from concurrent writers and re-run fleet shards); the
-	// excess over len(cache) is the dead weight Compact reclaims.
+	// log counts every non-blank line in the backing file. Appends
+	// through one handle never repeat a key, so the excess over
+	// len(cache) is lines another process wrote into the same file.
 	log   *appendlog.Log
 	cache map[string]Record
 }
@@ -69,25 +68,21 @@ func (s *Store) Lookup(key string) (Record, bool) {
 	return r, ok
 }
 
-// Append persists one record (and caches it). Records with Err set are
-// rejected: failures must be retried, not replayed.
+// Append persists one record (and caches it) unless its key is already
+// cached. Records are pure functions of their jobs, so a second record
+// for a cached key (a re-leased shard completed twice, two workers
+// racing) is byte-equal to the first and is not written. Records with
+// Err set are rejected: failures must be retried, not replayed.
 func (s *Store) Append(r Record) error {
-	_, err := s.append(r, false)
+	_, err := s.append(r)
 	return err
 }
 
-// AppendNew persists the record only when its key is not already
-// cached, reporting whether a write happened. This is the
-// content-addressed dedup the fleet path relies on: records are pure
-// functions of their jobs, so a second record for a cached key (a
-// re-leased shard completed twice, two workers racing) is byte-equal
-// to the first and persisting it would only create dead weight.
-func (s *Store) AppendNew(r Record) (bool, error) { return s.append(r, true) }
-
-// append encodes outside the lock, then checks for a duplicate and
-// writes under one acquisition — two racing AppendNew calls for one key
-// must not both see it missing.
-func (s *Store) append(r Record, onlyNew bool) (bool, error) {
+// append is Append, reporting whether a write happened. It encodes
+// outside the lock, then checks for a duplicate and writes under one
+// acquisition: two racing appends for one key must not both see it
+// missing.
+func (s *Store) append(r Record) (bool, error) {
 	if r.Err != "" {
 		return false, fmt.Errorf("campaign: refusing to persist failed record %s", r.Key)
 	}
@@ -97,7 +92,7 @@ func (s *Store) append(r Record, onlyNew bool) (bool, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.cache[r.Key]; dup && onlyNew {
+	if _, dup := s.cache[r.Key]; dup {
 		return false, nil
 	}
 	if err := s.log.Append(b, false); err != nil {
@@ -107,44 +102,13 @@ func (s *Store) append(r Record, onlyNew bool) (bool, error) {
 	return true, nil
 }
 
-// Dead reports how many persisted lines are no longer live records —
-// duplicates from concurrent writers and superseded re-runs. The fleet
-// coordinator compacts a shard when this grows past its live count.
+// Dead reports how many persisted lines are not live records. Append
+// never writes one, so they arise only when two processes shared the
+// file; Open deduplicates them and nothing rewrites them away.
 func (s *Store) Dead() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log.Lines() - len(s.cache)
-}
-
-// Compact rewrites the backing file to exactly the live records, in
-// key order, dropping duplicate lines (atomically: see
-// appendlog.Log.Rewrite).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.cache))
-	for k := range s.cache {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	err := s.log.Rewrite(len(keys), func(i int) ([]byte, error) {
-		return json.Marshal(s.cache[keys[i]])
-	})
-	if err != nil {
-		return fmt.Errorf("campaign: compact store: %w", err)
-	}
-	return nil
-}
-
-// Records returns a copy of every cached record (order unspecified).
-func (s *Store) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.cache))
-	for _, r := range s.cache {
-		out = append(out, r)
-	}
-	return out
 }
 
 // Close releases the backing file. Lookups keep working from memory.

@@ -179,9 +179,6 @@ type Coordinator struct {
 	jobsFailed       atomic.Int64
 	recordsPersisted atomic.Int64
 	recordsDuplicate atomic.Int64
-	shardsCompacted  atomic.Int64
-
-	compactions sync.WaitGroup
 }
 
 // NewCoordinator builds a coordinator over the given store.
@@ -229,8 +226,7 @@ func NewCoordinator(opt Options) (*Coordinator, error) {
 // (0 without a journal or on a fresh one).
 func (c *Coordinator) Recovered() int64 { return c.journalReplayed }
 
-// Close syncs and releases the journal (if any). Background
-// compactions should be waited out separately (WaitCompactions).
+// Close syncs and releases the journal (if any).
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -512,10 +508,10 @@ func (c *Coordinator) settleLocked(fc *fleetCampaign, shard, failed int) bool {
 // Complete lands a shard's records, whatever became of its lease —
 // active, expired, re-granted or granted before a restart: determinism
 // makes the records equally valid, so they are persisted (deduped by
-// the store), the shard is marked done, and its lease or queue entry is
-// retired. An id naming no shard of a known campaign returns an error;
-// a store that refuses a record returns ErrStore with the shard back in
-// the queue.
+// the store), the shard is marked done with every job the store still
+// lacks counted failed, and its lease or queue entry is retired. An id
+// naming no shard of a known campaign returns an error; a store that
+// refuses a record returns ErrStore with the shard back in the queue.
 func (c *Coordinator) Complete(id string, recs []campaign.Record) (CompleteResponse, error) {
 	return c.complete(id, recs, false)
 }
@@ -569,7 +565,6 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 	var err error
 	for _, r := range recs {
 		if r.Err != "" {
-			resp.Failed++
 			continue
 		}
 		wrote, werr := c.persist(r)
@@ -585,44 +580,34 @@ func (c *Coordinator) complete(id string, recs []campaign.Record, stored bool) (
 		}
 	}
 	c.recordsDuplicate.Add(int64(resp.Duplicates))
-
-	c.mu.Lock()
 	if err != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		// Re-queue a leased shard as an expiry would; the worker's retry
 		// settles it.
 		if _, held := fc.leased[shard]; held {
 			c.expireLocked(fc, shard)
 		}
-		c.mu.Unlock()
 		return resp, err
 	}
-	c.jobsFailed.Add(int64(resp.Failed))
-	if c.settleLocked(fc, shard, resp.Failed) {
-		// What the shard posted, not its grid size: a policy study's
-		// shard posts its wave-2 records too.
-		c.jobsCompleted.Add(int64(len(recs) - resp.Failed))
+
+	// The store, not the post, says how the shard went: every job whose
+	// record it lacks failed, whether the worker posted a failure or
+	// nothing at all. Replay reads the same store, so a restart agrees.
+	found, missing := c.shardRecords(fc, shard)
+	resp.Failed = missing
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.settleLocked(fc, shard, missing) {
+		c.jobsCompleted.Add(int64(len(found)))
+		c.jobsFailed.Add(int64(missing))
 		// Failed jobs are the one outcome the store cannot show, so only
 		// they are journaled, after the store append above; replay takes
 		// every other shard's state from the store.
-		if resp.Failed > 0 {
-			c.logLocked(journalRecord{Op: opComplete, Campaign: fc.id, Shard: shard, Failed: resp.Failed})
+		if missing > 0 {
+			c.logLocked(journalRecord{Op: opComplete, Campaign: fc.id, Shard: shard, Failed: missing})
 		}
 	}
-	c.mu.Unlock()
-
-	// Completions are when dead weight accrues (duplicate records from
-	// re-leased shards); give the store a chance to reclaim it.
-	c.compactions.Add(1)
-	go func() {
-		defer c.compactions.Done()
-		n, err := c.opt.Store.MaybeCompact()
-		if n > 0 {
-			c.shardsCompacted.Add(int64(n))
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: compaction: %v\n", err)
-		}
-	}()
 	return resp, nil
 }
 
@@ -654,9 +639,9 @@ func (c *Coordinator) cancelLocked(fc *fleetCampaign) {
 	c.queue.remove(fc.id)
 }
 
-// WaitCompactions blocks until background compactions kicked by
-// completions have finished (tests and shutdown).
-func (c *Coordinator) WaitCompactions() { c.compactions.Wait() }
+// WaitCompactions does nothing: the store is never compacted. It stays
+// only because the benchmark harness calls it.
+func (c *Coordinator) WaitCompactions() {}
 
 // sweepLocked expires every overdue lease.
 func (c *Coordinator) sweepLocked(now time.Time) {
@@ -808,7 +793,6 @@ func (c *Coordinator) Metrics() Metrics {
 	m.JobsFailed = c.jobsFailed.Load()
 	m.RecordsPersisted = c.recordsPersisted.Load()
 	m.RecordsDuplicate = c.recordsDuplicate.Load()
-	m.ShardsCompacted = c.shardsCompacted.Load()
 	m.StoreLive = c.opt.Store.Len()
 	m.StoreDead = c.opt.Store.Dead()
 	return m

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -309,7 +308,6 @@ func TestOutstandingCapRejectsAndFrees(t *testing.T) {
 
 		// The count comes back from the journal: the re-adopted shard is
 		// queued again.
-		c.WaitCompactions()
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -504,72 +502,6 @@ func TestDrainRejectsSubmitsAndStopsLeasing(t *testing.T) {
 	}
 	if _, err := c.Complete(l.LeaseID, stubRecords(t, spec, l.Shard)); err != nil {
 		t.Fatalf("Complete while draining: %v", err)
-	}
-}
-
-func TestCompactionAfterReleasedShardDuplicates(t *testing.T) {
-	// Force duplicate *writes* (not just deduped completions) by
-	// appending through two stores over the same directory — the
-	// concurrent-writer shape — then verify the coordinator's background
-	// sweep compacts once dead weight crosses the threshold.
-	dir := t.TempDir()
-	a, err := campaign.OpenShardedStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := campaign.OpenShardedStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := campaign.OpenShardedStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := func(i int) campaign.Record {
-		return campaign.Record{Key: fmt.Sprintf("%064x", i), Result: stats.RunRecord{Runs: 1}}
-	}
-	// Every key lands in shard 0 (leading zeros), written by all three
-	// handles: stores b and c never see a's cache, so their appends are
-	// real duplicate lines — dead weight strictly exceeding live.
-	const n = 400
-	for i := 0; i < n; i++ {
-		for _, ss := range []*campaign.ShardedStore{a, b, c} {
-			if _, err := ss.Append(rec(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	a.Close()
-	b.Close()
-	c.Close()
-	reopened, err := campaign.OpenShardedStore(dir)
-	if err != nil {
-		t.Fatalf("reload after duplicate writers: %v", err)
-	}
-	defer reopened.Close()
-	if reopened.Len() != n {
-		t.Fatalf("Len = %d, want %d (duplicates must collapse)", reopened.Len(), n)
-	}
-	if reopened.Dead() != 2*n {
-		t.Fatalf("Dead = %d, want %d", reopened.Dead(), 2*n)
-	}
-	compacted, err := reopened.MaybeCompact()
-	if err != nil {
-		t.Fatalf("MaybeCompact: %v", err)
-	}
-	if compacted == 0 {
-		t.Fatal("expected at least one shard compacted")
-	}
-	if reopened.Dead() != 0 {
-		t.Fatalf("Dead after compaction = %d, want 0", reopened.Dead())
-	}
-	final, err := campaign.OpenShardedStore(dir)
-	if err != nil {
-		t.Fatalf("reload after compaction: %v", err)
-	}
-	defer final.Close()
-	if final.Len() != n || final.Dead() != 0 {
-		t.Fatalf("after compaction reload: live=%d dead=%d, want %d/0", final.Len(), final.Dead(), n)
 	}
 }
 

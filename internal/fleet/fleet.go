@@ -100,7 +100,8 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	Persisted  int `json:"persisted"`
 	Duplicates int `json:"duplicates"`
-	Failed     int `json:"failed"`
+	// Failed counts the shard's jobs the store lacks after the completion.
+	Failed int `json:"failed"`
 }
 
 // CampaignStatus is the coordinator's view of one campaign.
@@ -129,7 +130,6 @@ type Metrics struct {
 	JobsFailed       int64 `json:"jobs_failed_total"`
 	RecordsPersisted int64 `json:"records_persisted_total"`
 	RecordsDuplicate int64 `json:"records_duplicate_total"`
-	ShardsCompacted  int64 `json:"shards_compacted_total"`
 	StoreLive        int   `json:"store_live_records"`
 	StoreDead        int   `json:"store_dead_lines"`
 	// Outstanding is the jobs of queued shards plus those of active

@@ -21,9 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden-ctrl.sha2
 // plane: a scripted, fake-clock, in-process sequence (three submits,
 // grants, renewals, completions, an expiry, a late duplicate
 // completion, a drain, a restart, a shard that reports its one job
-// failed, and a store compaction) must leave a journal and 16 store
-// shard files — as appended, and again as compacted — whose bytes hash
-// to the committed digests. It uses only the exported API so the same
+// failed) must leave a journal and 16 store shard files whose bytes
+// hash to the committed digests. It uses only the exported API so the same
 // file regenerates the fixture on any commit (`go test ./internal/fleet
 // -run GoldenControlPlane -update`). A final reopen of the directory
 // must replay the journal and serve byte-identical summaries, with the
@@ -53,7 +52,6 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 	}
 	shutdown := func(c *Coordinator, ss *campaign.ShardedStore) {
 		t.Helper()
-		c.WaitCompactions()
 		if err := c.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -152,30 +150,20 @@ func TestGoldenControlPlaneBytes(t *testing.T) {
 	summaries := map[string]string{alice.ID: summary(mux, alice.ID), bob.ID: summary(mux, bob.ID)}
 
 	// Digest every file the script left behind, plus the served bytes.
-	// Shards are digested in append order and again after compaction
-	// rewrites each in key order (appends reach the fd unbuffered, so the
-	// files are complete while the store is still open).
 	var got strings.Builder
-	digest := func(label, name string) {
+	digest := func(name string) {
 		t.Helper()
 		b, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(name)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&got, "%x  %s%s\n", sha256.Sum256(b), label, name)
-	}
-	digestShards := func(label string) {
-		for i := 0; i < 16; i++ {
-			digest(label, fmt.Sprintf("store/shard-%x.jsonl", i))
-		}
-	}
-	digestShards("")
-	if err := ss.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(b), name)
 	}
 	shutdown(c, ss)
-	digestShards("compacted ")
-	digest("", "fleet.journal")
+	for i := 0; i < 16; i++ {
+		digest(fmt.Sprintf("store/shard-%x.jsonl", i))
+	}
+	digest("fleet.journal")
 	for _, id := range []string{alice.ID, bob.ID} {
 		fmt.Fprintf(&got, "%x  summary/%s\n", sha256.Sum256([]byte(summaries[id])), id)
 	}

@@ -299,12 +299,11 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP fleet_leases_expired_total Leases expired and re-queued.\n# TYPE fleet_leases_expired_total counter\nfleet_leases_expired_total %d\n", m.LeasesExpired)
 	fmt.Fprintf(w, "# HELP fleet_submits_rejected_total Submits rejected by quota or drain.\n# TYPE fleet_submits_rejected_total counter\nfleet_submits_rejected_total %d\n", m.SubmitsRejected)
 	fmt.Fprintf(w, "# HELP fleet_jobs_completed_total Jobs whose records landed.\n# TYPE fleet_jobs_completed_total counter\nfleet_jobs_completed_total %d\n", m.JobsCompleted)
-	fmt.Fprintf(w, "# HELP fleet_jobs_failed_total Job failures reported by workers.\n# TYPE fleet_jobs_failed_total counter\nfleet_jobs_failed_total %d\n", m.JobsFailed)
+	fmt.Fprintf(w, "# HELP fleet_jobs_failed_total Jobs of completed shards whose records the store lacks.\n# TYPE fleet_jobs_failed_total counter\nfleet_jobs_failed_total %d\n", m.JobsFailed)
 	fmt.Fprintf(w, "# HELP fleet_records_persisted_total Records written to the sharded store.\n# TYPE fleet_records_persisted_total counter\nfleet_records_persisted_total %d\n", m.RecordsPersisted)
 	fmt.Fprintf(w, "# HELP fleet_records_duplicate_total Completion records deduped by the store.\n# TYPE fleet_records_duplicate_total counter\nfleet_records_duplicate_total %d\n", m.RecordsDuplicate)
-	fmt.Fprintf(w, "# HELP fleet_store_shards_compacted_total Store shard files rewritten by compaction.\n# TYPE fleet_store_shards_compacted_total counter\nfleet_store_shards_compacted_total %d\n", m.ShardsCompacted)
 	fmt.Fprintf(w, "# HELP fleet_store_live_records Live records across store shards.\n# TYPE fleet_store_live_records gauge\nfleet_store_live_records %d\n", m.StoreLive)
-	fmt.Fprintf(w, "# HELP fleet_store_dead_lines Dead lines awaiting compaction.\n# TYPE fleet_store_dead_lines gauge\nfleet_store_dead_lines %d\n", m.StoreDead)
+	fmt.Fprintf(w, "# HELP fleet_store_dead_lines Store lines that repeat a live record's key; non-zero only if two processes shared the data dir.\n# TYPE fleet_store_dead_lines gauge\nfleet_store_dead_lines %d\n", m.StoreDead)
 	fmt.Fprintf(w, "# HELP fleet_outstanding_jobs Jobs in queued shards and active leases (the admission cap's count).\n# TYPE fleet_outstanding_jobs gauge\nfleet_outstanding_jobs %d\n", m.Outstanding)
 	fmt.Fprintf(w, "# HELP fleet_journal_syncs_total Journal records appended and fsynced since start.\n# TYPE fleet_journal_syncs_total counter\nfleet_journal_syncs_total %d\n", m.JournalSyncs)
 	fmt.Fprintf(w, "# HELP fleet_journal_errors_total Journal append failures.\n# TYPE fleet_journal_errors_total counter\nfleet_journal_errors_total %d\n", m.JournalErrors)

@@ -74,7 +74,6 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	if !c1.Renew(l2.LeaseID) {
 		t.Fatal("renew before crash")
 	}
-	c1.WaitCompactions()
 	before := c1.Metrics()
 	stBefore := c1.Statuses()
 	// No Close: the crash leaves the journal exactly as the last append
@@ -153,7 +152,6 @@ func TestJournalRecoversQueuedCampaignsAndLeases(t *testing.T) {
 	if st.State != "done" {
 		t.Fatalf("campaign after drain = %+v, want done", st)
 	}
-	c2.WaitCompactions()
 	if err := c2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -193,7 +191,6 @@ func TestJournalSurvivesCrashBetweenGrantAndComplete(t *testing.T) {
 	if m := c2.Metrics(); m.QueueDepth != 1 {
 		t.Fatalf("after the completion: %+v, want 1 queued shard", m)
 	}
-	c2.WaitCompactions()
 	c2.Close()
 }
 
@@ -401,7 +398,6 @@ func TestJournalHoldsOnlyCampaigns(t *testing.T) {
 	}
 	c1.Cancel(doomed.Campaign)
 	c1.Drain()
-	c1.WaitCompactions()
 	if m := c1.Metrics(); m.LeasesExpired != 1 || m.JournalSyncs != 5 {
 		t.Fatalf("before the restart: %+v, want one expiry and five journal syncs", m)
 	}
@@ -474,7 +470,6 @@ func TestReplayRequeuesShardMissingFromStore(t *testing.T) {
 			if _, err := c1.Complete(l.LeaseID, recs); err != nil {
 				t.Fatal(err)
 			}
-			c1.WaitCompactions()
 			c1.Close()
 
 			// Reopen the journal over a store that lacks shard 0's records.
@@ -495,6 +490,55 @@ func TestReplayRequeuesShardMissingFromStore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEmptyCompletionSettlesShardFailed: a completion is read against
+// the store, not taken at its word. A shard completed with no records
+// settles with every job failed, live and after a restart on the
+// journal, instead of reading clean live and running after the restart.
+func TestEmptyCompletionSettlesShardFailed(t *testing.T) {
+	dir := t.TempDir()
+	opt := journaledOptions(t, dir, newFakeClock())
+	c1, err := NewCoordinator(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c1.Submit(SubmitRequest{Spec: testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sub.Shards; i++ {
+		l, ok := c1.Lease("w")
+		if !ok {
+			t.Fatalf("no lease for shard %d", i)
+		}
+		resp, err := c1.Complete(l.LeaseID, nil)
+		if err != nil {
+			t.Fatalf("empty Complete %s: %v", l.LeaseID, err)
+		}
+		if resp.Failed != 2 {
+			t.Errorf("empty Complete %s = %+v, want its 2 jobs failed", l.LeaseID, resp)
+		}
+	}
+	want := func(when string, c *Coordinator) {
+		t.Helper()
+		st, _ := c.Status(sub.ID)
+		if st.State != "done" || st.ShardsDone != 2 || st.JobsFailed != sub.Jobs {
+			t.Errorf("%s: %s, %d/2 shards, %d failed; want done with all %d jobs failed", when, st.State, st.ShardsDone, st.JobsFailed, sub.Jobs)
+		}
+	}
+	want("live", c1)
+	if m := c1.Metrics(); m.JobsCompleted != 0 || m.JobsFailed != 4 || m.JournalSyncs != 3 {
+		t.Errorf("live metrics %+v, want 0 completed, 4 failed, submit and two completes journaled", m)
+	}
+	c1.Close()
+
+	c2, err := NewCoordinator(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	want("after restart", c2)
 }
 
 // TestJournalDisabledKeepsOldBehavior: without Options.Journal nothing
@@ -605,7 +649,6 @@ func TestJournalCancelSurvivesRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		c1.Cancel(sub.ID)
-		c1.WaitCompactions()
 		// No Close: the crash leaves the journal as the last append synced it.
 
 		c2, err := NewCoordinator(journaledOptions(t, dir, clock))
@@ -631,7 +674,6 @@ func TestJournalCancelSurvivesRestart(t *testing.T) {
 		if st, _ := c2.Status(sub.ID); st.State != "cancelled" || st.ShardsDone != 2 {
 			t.Fatalf("after the in-flight completion: %+v", st)
 		}
-		c2.WaitCompactions()
 		c2.Close()
 	})
 }

@@ -150,7 +150,6 @@ func TestFleetDeterminismAcrossCoordinatorRestart(t *testing.T) {
 	// all visible and no concurrent-writer duplicates arise) and replay.
 	target.Store(nil)
 	time.Sleep(300 * time.Millisecond)
-	coord1.WaitCompactions()
 	store1.Close()
 
 	close(gate) // workers resume; their renews/completes hit 502 and retry
@@ -191,7 +190,6 @@ func TestFleetDeterminismAcrossCoordinatorRestart(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	wcancel()
-	coord2.WaitCompactions()
 
 	// Zero lost and zero duplicated work.
 	if store2.Len() != len(jobs) {
@@ -322,7 +320,6 @@ func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
 	// through the outage, and their jobs finish once it is over.
 	target.Store(nil)
 	time.Sleep(300 * time.Millisecond)
-	coord1.WaitCompactions()
 	store1.Close()
 	coord2, store2 := open()
 	defer store2.Close()
@@ -360,7 +357,6 @@ func TestFleetCancelSurvivesCoordinatorRestart(t *testing.T) {
 		}
 	}
 	wcancel()
-	coord2.WaitCompactions()
 	agg, _ := coord2.Summary(again.ID)
 	gotJSON, err := json.Marshal(agg)
 	if err != nil {
