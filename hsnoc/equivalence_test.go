@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tdmnoc/internal/difftest"
+	"tdmnoc/internal/topology"
 )
 
 // simRun is a Simulator under the differential harness: warm cycles of
@@ -30,8 +31,8 @@ func (r *simRun) Advance(cycles int) {
 func (r *simRun) ComponentDigests(yield func(string, uint64)) { r.net.ComponentDigests(yield) }
 
 // simOutput reads the named output: the Results and re-pin count of
-// every point, and the trace, telemetry summary, profile and flow stats
-// of a traced one.
+// every point, and the trace, telemetry summary, per-link flit counters
+// and flow stats of a traced one.
 func simOutput(name string) func(*simRun) ([]byte, error) {
 	return func(r *simRun) ([]byte, error) {
 		switch {
@@ -49,12 +50,14 @@ func simOutput(name string) func(*simRun) ([]byte, error) {
 			return b.Bytes(), err
 		case "summary":
 			return json.Marshal(r.rec.Summary())
-		case "profile":
-			p, err := r.ExtractProfile()
-			if err != nil {
-				return nil, err
+		case "links":
+			var b []byte
+			for n := range r.net.Mesh().Nodes() {
+				for p := range topology.NumPorts {
+					b = fmt.Appendf(b, "%d ", r.rec.LinkFlits(n, p))
+				}
 			}
-			return p.Encode()
+			return b, nil
 		case "flows":
 			return json.Marshal(r.rec.FlowStats())
 		}
@@ -166,7 +169,7 @@ func TestEquivalence(t *testing.T) {
 		{name: "hetero-6x6-traced", cfg: mix, build: mixBuild, warm: 200, run: 600, tel: ringSplit(1 << 18),
 			points: append([]difftest.Point{{Workers: 1}}, difftest.Matrix(traced, 1, 2, 3, 4, 8)...), outputs: []string{"trace"}},
 		{name: "traced-4x4", cfg: tdm(4, 4, 11, nil), warm: 300, run: 1200, tel: flows, points: tracedChecked,
-			outputs: []string{"trace", "summary", "profile"}},
+			outputs: []string{"trace", "summary", "links"}},
 		// Rows split unevenly across workers.
 		{name: "traced-5x3-ragged", cfg: tdm(5, 3, 11, nil), warm: 300, run: 1200, tel: flows, points: tracedChecked,
 			outputs: []string{"trace", "summary"}},

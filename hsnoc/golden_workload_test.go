@@ -129,7 +129,7 @@ func TestGoldenReplay(t *testing.T) {
 			t.Errorf("%v: delivered %d of %d events", mode, res.Packets, len(tr.Events))
 		}
 		pins = append(pins, replayPin{
-			Mode: mode.modeToken(), Packets: res.Packets,
+			Mode: map[Mode]string{PacketSwitched: "packet", HybridTDM: "tdm"}[mode], Packets: res.Packets,
 			AvgNetLatency: res.AvgNetLatency, AvgTotalLatency: res.AvgTotalLatency,
 			CSFlitFraction: res.CSFlitFraction, EnergyPJ: res.Energy.TotalPJ,
 		})

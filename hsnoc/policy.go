@@ -5,7 +5,6 @@ import (
 
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
-	"tdmnoc/internal/topology"
 )
 
 // Profile is the adaptive-policy traffic profile (re-exported from the
@@ -19,31 +18,14 @@ type Decision = policy.Decision
 // "greedy:8", "sdm-gate", ...).
 func ParsePolicy(spec string) (policy.Policy, error) { return policy.Parse(spec) }
 
-// ReadProfileFile loads a profile written by Profile.WriteFile (or
-// `nocsim -profile-out`), rejecting unknown fields.
-func ReadProfileFile(path string) (*Profile, error) { return policy.ReadProfileFile(path) }
-
-// modeToken is the campaign/scenario spelling of a Mode.
-func (m Mode) modeToken() string {
-	switch m {
-	case HybridTDM:
-		return "tdm"
-	case HybridSDM:
-		return "sdm"
-	default:
-		return "packet"
-	}
-}
-
-// ExtractProfile derives the run's traffic profile from the attached
-// telemetry recorder: per-flow volume/latency/setup aggregates, link
-// heat, the setup-latency histogram, and the converged slot-table
-// state, keyed by this configuration's Hash. It requires telemetry
-// attached with TrackFlows (`nocsim -profile-out` attaches it for you;
-// a campaign's policy study reads DecisionProfile) and is not available
-// for HybridSDM, whose engine predates the obs layer. The result is a
-// pure function of the simulation — byte-identical JSON at any worker
-// count.
+// ExtractProfile is the profile policies decide from, read off this
+// run: DecisionProfile over the attached recorder's Summary, so it is
+// exactly what a campaign's policy study rebuilds from the stored
+// wave-1 record. It requires telemetry attached with TrackFlows
+// (FlowProfileTelemetry; `nocsim -policy` attaches it to its profiling
+// pass) and is not available for HybridSDM, whose engine predates the
+// obs layer. The result is a pure function of the simulation, the same
+// at any worker count.
 func (s *Simulator) ExtractProfile() (*Profile, error) {
 	if s.net == nil {
 		return nil, fmt.Errorf("hsnoc: profile extraction is not available for %v", s.cfg.Mode)
@@ -51,29 +33,17 @@ func (s *Simulator) ExtractProfile() (*Profile, error) {
 	if s.rec == nil || !s.rec.FlowTracking() {
 		return nil, fmt.Errorf("hsnoc: profile extraction requires AttachTelemetry with TrackFlows")
 	}
-	p, err := policy.FromRecorder(s.rec, s.cfg.Width, s.cfg.Height, int(topology.NumPorts))
-	if err != nil {
-		return nil, err
-	}
-	p.ConfigHash = s.cfg.Hash()
-	p.Mode = s.cfg.Mode.modeToken()
-	if s.cfg.Mode == HybridTDM {
-		p.SlotActive = s.net.ActiveSlots()
-		p.SlotCapacity = s.net.Config().Router.SlotCapacity
-		p.ResizeEvents = s.net.ResizeEvents()
-	}
-	return p, nil
+	return DecisionProfile(s.cfg, s.rec.Summary()), nil
 }
 
-// DecisionProfile rebuilds, from the Summary of a flow-tracking run of
-// cfg (FlowProfileTelemetry), the fields of its profile that policies
-// decide from: the per-flow table, the aggregate counters and the
-// slot-table capacity. It lacks what ExtractProfile reads off the live
-// network (link heat, the converged slot region), which no Decide
-// reads, so every policy decides the same from either profile. It is
-// how a stored campaign record turns back into a decision.
+// DecisionProfile builds the profile policies decide from out of the
+// Summary of a flow-tracking run of cfg (FlowProfileTelemetry): the
+// per-flow table, the coverage and injected count, the mesh and, for
+// Hybrid-TDM, the slot-table capacity. It is the one constructor of a
+// Profile, so a live run (ExtractProfile) and a stored campaign record
+// decide alike.
 func DecisionProfile(cfg Config, sum *obs.Summary) *Profile {
-	p := policy.FromSummary(sum, cfg.Width, cfg.Height)
+	p := &Profile{Width: cfg.Width, Height: cfg.Height, Cycles: sum.Cycles, Injected: sum.Injected, Flows: sum.Flows}
 	if cfg.Mode == HybridTDM {
 		p.SlotCapacity = cfg.networkConfig().Router.SlotCapacity
 	}
@@ -91,15 +61,13 @@ func (s *Simulator) AdaptiveRepins() int {
 }
 
 // ApplyDecision returns cfg with a policy Decision applied: pinned
-// flows, setup restriction, the initial slot-table region, the DLT
-// size, or — for SDM-gating decisions — the switch to HybridSDM with
-// gated planes. The result must pass Validate; its error is returned
-// when it does not (an out-of-mesh pin, an oversized slot_init, fewer
-// than 2 planes left on). The mapping is pure configuration, so the
+// flows, setup restriction, the initial slot-table region, or — for
+// SDM-gating decisions — the switch to HybridSDM with gated planes. The
+// result must pass Validate; its error is returned when it does not (an
+// out-of-mesh pin, an oversized slot_init, fewer than 2 planes left on). The mapping is pure configuration, so the
 // re-run's results and state digest are a function of (cfg, d) alone;
 // applying the same decision twice yields byte-identical digests (pinned
-// by test). The caller is responsible for checking that the profile that
-// produced d matches cfg (Profile.ConfigHash vs cfg.Hash()).
+// by test).
 func ApplyDecision(cfg Config, d Decision) (Config, error) {
 	if d.UseSDM {
 		cfg.Mode = HybridSDM
@@ -117,15 +85,12 @@ func ApplyDecision(cfg Config, d Decision) (Config, error) {
 		return cfg, cfg.Validate()
 	}
 	// Validate would name one TDM-only field; what does not fit is the
-	// decision as a whole (and Validate has no rule for DLTEntries).
-	if cfg.Mode != HybridTDM && (len(d.PinnedFlows) > 0 || d.RestrictSetups || d.SlotInit > 0 || d.DLTEntries > 0) {
+	// decision as a whole.
+	if cfg.Mode != HybridTDM && (len(d.PinnedFlows) > 0 || d.RestrictSetups || d.SlotInit > 0) {
 		return cfg, fmt.Errorf("hsnoc: policy %q decision needs a Hybrid-TDM base config", d.Policy)
 	}
 	cfg.PinnedFlows = append([]FlowPin(nil), d.PinnedFlows...)
 	cfg.RestrictSetups = d.RestrictSetups
 	cfg.SlotInit = d.SlotInit
-	if d.DLTEntries > 0 {
-		cfg.DLTEntries = d.DLTEntries
-	}
 	return cfg, cfg.Validate()
 }

@@ -2,8 +2,10 @@ package hsnoc
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -18,7 +20,7 @@ func profiledScenario(workers int) Config {
 }
 
 // profiledRun executes the scenario serially and returns the extracted
-// profile's stable JSON bytes.
+// profile's indented JSON bytes.
 func profiledRun(t *testing.T) []byte {
 	t.Helper()
 	s := NewSynthetic(profiledScenario(1), Tornado, 0.15)
@@ -32,17 +34,17 @@ func profiledRun(t *testing.T) []byte {
 	if err != nil {
 		t.Fatalf("ExtractProfile: %v", err)
 	}
-	b, err := p.Encode()
+	b, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return append(b, '\n')
 }
 
-// TestProfileGolden pins the profile's stable-JSON contract: the
-// encoded profile matches the committed golden file (regenerate with
+// TestProfileGolden pins what policies decide from on the scenario: the
+// profile's JSON matches the committed golden file (regenerate with
 // `go test ./hsnoc -run ProfileGolden -update` after an intentional
-// schema or simulation change). Its worker invariance is the
+// simulation change). Its flow table's worker invariance is the
 // traced-4x4 row of TestEquivalence.
 func TestProfileGolden(t *testing.T) {
 	serial := profiledRun(t)
@@ -61,18 +63,30 @@ func TestProfileGolden(t *testing.T) {
 		t.Errorf("profile JSON changed vs golden (%d vs %d bytes); intentional changes: regenerate with -update",
 			len(serial), len(want))
 	}
+}
 
-	// The golden bytes round-trip through the reader unchanged.
-	p, err := ReadProfileFile(golden)
-	if err != nil {
-		t.Fatalf("ReadProfileFile(golden): %v", err)
+// TestExtractProfileIsTheRecordProfile: the profile a live run yields
+// is the one a campaign rebuilds from the run's stored Summary, field
+// for field, so nocsim and a policy study decide from the same input.
+func TestExtractProfileIsTheRecordProfile(t *testing.T) {
+	cfg := DefaultConfig(6, 6)
+	cfg.Mode = HybridTDM
+	s := NewSynthetic(cfg, Tornado, 0.2)
+	defer s.Close()
+	if _, err := s.AttachTelemetry(FlowProfileTelemetry(0)); err != nil {
+		t.Fatal(err)
 	}
-	b, err := p.Encode()
+	s.Warmup(500)
+	s.Run(2000)
+	got, err := s.ExtractProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b, want) {
-		t.Error("golden profile decode→encode not byte-identical")
+	if want := DecisionProfile(cfg, s.Telemetry().Summary()); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExtractProfile = %+v\nDecisionProfile over the Summary = %+v", got, want)
+	}
+	if len(got.Flows) == 0 || got.SlotCapacity == 0 {
+		t.Errorf("profile carries %d flows, slot capacity %d: nothing to decide from", len(got.Flows), got.SlotCapacity)
 	}
 }
 

@@ -53,9 +53,10 @@ func TestHeteroProfilePolicyRerun(t *testing.T) {
 		ejected += f.Ejected
 		flits += f.Flits
 	}
-	if packets != prof.Injected || ejected != prof.Ejected || flits < packets {
+	sum := s.Telemetry().Summary()
+	if packets != prof.Injected || ejected != sum.Ejected || flits < packets {
 		t.Errorf("flows sum to %d injected / %d ejected packets (%d flits), recorder counted %d / %d",
-			packets, ejected, flits, prof.Injected, prof.Ejected)
+			packets, ejected, flits, prof.Injected, sum.Ejected)
 	}
 
 	pol, err := ParsePolicy("greedy")

@@ -149,7 +149,7 @@ func TestJobKeysAndSpecHashPinned(t *testing.T) {
 	for _, c := range []struct{ name, got, want string }{
 		{"packet/tornado", NewJob(hsnoc.DefaultConfig(6, 6), hsnoc.Tornado, 0.15, 8000, 40000, "a").Key,
 			"b5d9e621a5b0f4194a0b74d4acc9550b28c1b69a077383f43952d756322f28a2"},
-		{"tdm/ur+telemetry", NewJob(tdm, hsnoc.UniformRandom, 0.05, 200, 600, "b").WithTelemetry(64).Key,
+		{"tdm/ur+telemetry", telemetryJob(NewJob(tdm, hsnoc.UniformRandom, 0.05, 200, 600, "b"), 64).Key,
 			"b82fc18f47bcadd80a7be3aeb05d8e28649a8283cdefed87c2255af9dd4cddf9"},
 		{"sdm/transpose", NewJob(sdm, hsnoc.Transpose, 0.3, 2000, 8000, "c").Key,
 			"8bd9713946b4a894d033115495b00eac86bfc483f32faafe4dce3ff0a5609f5a"},
@@ -259,6 +259,10 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Variants: []Variant{{Name: "a", Mode: "sdm"}}, Patterns: []string{"ur"}, Rates: []float64{0.1}, CheckInvariants: true},
 		{Variants: []Variant{{Name: "a", Mode: "tdm"}, {Name: "b", Mode: "packet"}}, Patterns: []string{"ur"}, Rates: []float64{0.1},
 			PolicyProfile: &PolicyProfileSpec{Policies: []string{"static"}}},
+		// An sdm-gate re-run runs on the SDM engine, which has no
+		// invariant layer: refused rather than run unchecked.
+		{Modes: []string{"tdm"}, Patterns: []string{"tornado"}, Rates: []float64{0.1}, CheckInvariants: true,
+			PolicyProfile: &PolicyProfileSpec{Policies: []string{"greedy", "sdm-gate:6"}}},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {

@@ -38,8 +38,9 @@ type Job struct {
 	// Warmup and Measure are the region lengths in cycles.
 	Warmup, Measure int
 	// TelemetryEvery, when positive, attaches a per-job observability
-	// recorder sampling every K cycles; its Summary rides in the record.
-	// Set it through WithTelemetry so the cache key reflects it.
+	// recorder sampling every K cycles; its Summary rides in the record
+	// and the cache key is derived apart from the untelemetered run's
+	// (key), so the two records are never interchangeable.
 	TelemetryEvery int
 	// trackFlows makes that recorder the policy layer's flow profiler
 	// (hsnoc.FlowProfileTelemetry), so the Summary carries the flow table
@@ -78,9 +79,9 @@ func (j Job) withConfig(cfg hsnoc.Config) Job {
 // cfg.Hash()|workload|warmup|measure, where a synthetic workload is
 // pattern|rate with the rate spelled as %.9g, and "|model<version>"
 // follows when version is non-zero. With TelemetryEvery set the key is
-// re-derived as WithTelemetry derives it. The preimage is built by
-// append (strconv's 'g' at nine digits is %.9g, +Inf and NaN included),
-// so the only allocation is the returned string.
+// derived from that one, a SHA-256 over <key>|telemetry<every>. The
+// preimage is built by append (strconv's 'g' at nine digits is %.9g,
+// +Inf and NaN included), so the only allocation is the returned string.
 func (j *Job) key(version int) string {
 	var buf [192]byte
 	b := append(j.Config.AppendHash(buf[:0]), '|')
@@ -118,20 +119,6 @@ func hexSum(b []byte) (key [2 * sha256.Size]byte) {
 	sum := sha256.Sum256(b)
 	hex.Encode(key[:], sum[:])
 	return key
-}
-
-// WithTelemetry returns a copy of the job with per-job telemetry
-// enabled at the given sampling interval (cycles). Telemetry changes
-// what the record carries, so the job is re-keyed: a cached record
-// without telemetry is not interchangeable with one that has it. A
-// non-positive interval returns the job unchanged.
-func (j Job) WithTelemetry(every int) Job {
-	if every <= 0 {
-		return j
-	}
-	j.TelemetryEvery = every
-	j.rederive("|telemetry", every)
-	return j
 }
 
 // withProfile returns the job as a policy study's wave-1 job: the same
@@ -173,7 +160,7 @@ type Record struct {
 
 	Result stats.RunRecord `json:"result"`
 	// Telemetry is the observability digest of jobs run with
-	// WithTelemetry; like Result it is timestamp-free, so telemetry-
+	// TelemetryEvery set; like Result it is timestamp-free, so telemetry-
 	// bearing stores stay byte-identical between serial and parallel
 	// campaign runs.
 	Telemetry *obs.Summary `json:"telemetry,omitempty"`

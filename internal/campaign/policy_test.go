@@ -135,7 +135,7 @@ func TestRunPolicyLoop(t *testing.T) {
 		if static.EnergyDeltaPct != 0 || static.LatencyDeltaPct != 0 {
 			t.Errorf("%s: static deltas nonzero: %+v", workload, static)
 		}
-		if !static.Decision.IsZero() {
+		if !reflect.DeepEqual(static.Decision, policy.Decision{Policy: "static"}) {
 			t.Errorf("%s: static decision mutates config: %+v", workload, static.Decision)
 		}
 		// The profiling record carries the flow table, under its own key.

@@ -286,6 +286,9 @@ func (s *Spec) Normalize() error {
 			if _, sdm := pol.(policy.SDMGate); sdm && mixes > 0 {
 				return fmt.Errorf("campaign: policy %q re-runs under sdm, which mix workloads do not run on", ps)
 			}
+			if _, sdm := pol.(policy.SDMGate); sdm && s.CheckInvariants {
+				return fmt.Errorf("campaign: policy %q re-runs under sdm, which check_invariants cannot check", ps)
+			}
 		}
 		if !hasStatic {
 			// The baseline anchors every delta; silently missing it would

@@ -207,18 +207,6 @@ func (f *Flit) IsHead() bool { return f.Type == Head || f.Type == HeadTail }
 // IsTail reports whether the flit ends its packet.
 func (f *Flit) IsTail() bool { return f.Type == Tail || f.Type == HeadTail }
 
-// Explode builds the flit sequence for a packet, allocating fresh flits.
-// Both engines inject with ExplodeInto instead; Explode remains for
-// callers without a recycling discipline (router-level tests).
-func Explode(p *Packet) []*Flit {
-	out := make([]*Flit, flitCount(p))
-	for i := range out {
-		out[i] = &Flit{}
-		initFlit(out[i], p, i, len(out))
-	}
-	return out
-}
-
 // ExplodeInto builds the flit sequence inside the packet's own embedded
 // storage, allocating only on first use (or growth) of a given packet
 // object. The returned slice and the flits it points to are owned by

@@ -28,7 +28,7 @@ func TestKindString(t *testing.T) {
 
 func TestExplodeSingleFlit(t *testing.T) {
 	p := &Packet{Flits: 1, Kind: SetupMsg}
-	fs := Explode(p)
+	fs := p.ExplodeInto()
 	if len(fs) != 1 {
 		t.Fatalf("got %d flits", len(fs))
 	}
@@ -40,7 +40,7 @@ func TestExplodeSingleFlit(t *testing.T) {
 
 func TestExplodeMultiFlit(t *testing.T) {
 	p := &Packet{Flits: 5}
-	fs := Explode(p)
+	fs := p.ExplodeInto()
 	if len(fs) != 5 {
 		t.Fatalf("got %d flits", len(fs))
 	}
@@ -66,7 +66,7 @@ func TestExplodeMultiFlit(t *testing.T) {
 }
 
 func TestExplodeZeroFlitsDefaultsToOne(t *testing.T) {
-	fs := Explode(&Packet{Flits: 0})
+	fs := (&Packet{Flits: 0}).ExplodeInto()
 	if len(fs) != 1 || fs[0].Type != HeadTail {
 		t.Fatalf("zero-flit packet exploded to %d flits", len(fs))
 	}
@@ -74,13 +74,13 @@ func TestExplodeZeroFlitsDefaultsToOne(t *testing.T) {
 
 func TestExplodeCSMarking(t *testing.T) {
 	p := &Packet{Flits: 4, Switching: CircuitSwitched}
-	for _, f := range Explode(p) {
+	for _, f := range p.ExplodeInto() {
 		if !f.CS {
 			t.Fatal("circuit-switched packet produced non-CS flit")
 		}
 	}
 	q := &Packet{Flits: 4, Switching: PacketSwitched}
-	for _, f := range Explode(q) {
+	for _, f := range q.ExplodeInto() {
 		if f.CS {
 			t.Fatal("packet-switched packet produced CS flit")
 		}
@@ -91,7 +91,7 @@ func TestExplodeStructureProperty(t *testing.T) {
 	// Property: exactly one head, exactly one tail, seq is 0..n-1.
 	f := func(n8 uint8) bool {
 		n := int(n8%16) + 1
-		fs := Explode(&Packet{Flits: n})
+		fs := (&Packet{Flits: n}).ExplodeInto()
 		if len(fs) != n {
 			return false
 		}

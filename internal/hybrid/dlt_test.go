@@ -169,18 +169,18 @@ func TestResizerDoublesOnConsecutiveFailures(t *testing.T) {
 	}
 	// Failures below the threshold, broken by a success: no resize.
 	for i := 0; i < r.FailThreshold-1; i++ {
-		if _, resized := r.RecordSetupResult(false); resized {
+		if _, resized := r.RecordSetupResultAt(false, 0); resized {
 			t.Fatal("resized too early")
 		}
 	}
-	r.RecordSetupResult(true)
+	r.RecordSetupResultAt(true, 0)
 	for i := 0; i < r.FailThreshold-1; i++ {
-		if _, resized := r.RecordSetupResult(false); resized {
+		if _, resized := r.RecordSetupResultAt(false, 0); resized {
 			t.Fatal("resized after counter reset")
 		}
 	}
 	// One more consecutive failure triggers the doubling.
-	active, resized := r.RecordSetupResult(false)
+	active, resized := r.RecordSetupResultAt(false, 0)
 	if !resized || active != 32 {
 		t.Fatalf("resize = (%d,%v), want (32,true)", active, resized)
 	}
@@ -192,7 +192,7 @@ func TestResizerDoublesOnConsecutiveFailures(t *testing.T) {
 func TestResizerCapsAtCapacity(t *testing.T) {
 	r := DefaultResizer(32)
 	for i := 0; i < 1000; i++ {
-		r.RecordSetupResult(false)
+		r.RecordSetupResultAt(false, 0)
 	}
 	if r.Active() != 32 {
 		t.Fatalf("active %d, want capacity 32", r.Active())
@@ -205,7 +205,7 @@ func TestFixedResizerNeverResizes(t *testing.T) {
 		t.Fatalf("fixed resizer active %d", r.Active())
 	}
 	for i := 0; i < 10000; i++ {
-		if _, resized := r.RecordSetupResult(false); resized {
+		if _, resized := r.RecordSetupResultAt(false, 0); resized {
 			t.Fatal("fixed resizer resized")
 		}
 	}

@@ -237,11 +237,3 @@ func (rt *RouterTables) Reset(newActive int) {
 	rt.reserved = [topology.NumPorts]int{}
 	rt.active = newActive
 }
-
-// SlotAtHop returns the slot index a circuit based at slot base occupies
-// at hop h: the circuit-switched datapath is two-stage pipelined (one
-// cycle through the router, one on the link), so the phase advances by 2
-// per hop, modulo the active table size.
-func SlotAtHop(base, hop, active int) int {
-	return (base + 2*hop) % active
-}

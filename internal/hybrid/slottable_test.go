@@ -290,15 +290,3 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSlotAtHop(t *testing.T) {
-	if s := SlotAtHop(3, 0, 128); s != 3 {
-		t.Errorf("hop 0: %d", s)
-	}
-	if s := SlotAtHop(3, 1, 128); s != 5 {
-		t.Errorf("hop 1: %d", s)
-	}
-	if s := SlotAtHop(126, 2, 128); s != 2 {
-		t.Errorf("wrap: %d", s)
-	}
-}

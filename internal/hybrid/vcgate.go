@@ -215,15 +215,11 @@ func (r *Resizer) Active() int { return r.active }
 // ResizeEvents returns how many doublings have occurred.
 func (r *Resizer) ResizeEvents() int { return r.resizeEvents }
 
-// RecordSetupResult feeds one setup outcome into the policy. It returns
-// (newActive, true) when the active size just doubled; the caller must
-// then reset every slot table, DLT and connection registry in the network.
-func (r *Resizer) RecordSetupResult(ok bool) (int, bool) {
-	return r.RecordSetupResultAt(ok, 0)
-}
-
-// RecordSetupResultAt is RecordSetupResult with the current cycle, so an
-// attached probe can timestamp the resize event.
+// RecordSetupResultAt feeds one setup outcome, at cycle now, into the
+// policy. It returns (newActive, true) when the active size just
+// doubled; the caller must then reset every slot table, DLT and
+// connection registry in the network. An attached probe timestamps the
+// resize event with now.
 func (r *Resizer) RecordSetupResultAt(ok bool, now int64) (int, bool) {
 	if ok {
 		r.consecFails = 0

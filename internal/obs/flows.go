@@ -92,15 +92,3 @@ func (r *Recorder) FlowStats() []FlowStat {
 	})
 	return out
 }
-
-// ShardDrops returns each shard's ring drop counter, indexed by worker.
-// The per-shard breakdown is operational telemetry (which worker's ring
-// is undersized); it deliberately stays out of Summary's JSON, whose
-// bytes must not depend on the worker count.
-func (r *Recorder) ShardDrops() []uint64 {
-	out := make([]uint64, len(r.shards))
-	for i, s := range r.shards {
-		out[i] = s.ring.Dropped()
-	}
-	return out
-}

@@ -40,20 +40,10 @@ type Decision struct {
 	// freeze→drain→reset churn) or deliberately smaller than the
 	// unrestricted run would reach.
 	SlotInit int `json:"slot_init,omitempty"`
-	// DLTEntries, when > 0, overrides the destination-lookup-table size
-	// used by path sharing.
-	DLTEntries int `json:"dlt_entries,omitempty"`
 	// UseSDM re-runs under space-division multiplexing with GatedPlanes
 	// of the link planes power-gated (utilization-driven plane gating).
 	UseSDM      bool `json:"use_sdm,omitempty"`
 	GatedPlanes int  `json:"gated_planes,omitempty"`
-}
-
-// IsZero reports whether the decision changes nothing (the static
-// baseline).
-func (d Decision) IsZero() bool {
-	return len(d.PinnedFlows) == 0 && !d.RestrictSetups &&
-		d.SlotInit == 0 && d.DLTEntries == 0 && !d.UseSDM && d.GatedPlanes == 0
 }
 
 // Policy maps a Profile to a Decision. Implementations must be pure

@@ -126,7 +126,7 @@ func TestConnectErrors(t *testing.T) {
 func TestPSPacketTimingOneHop(t *testing.T) {
 	h := newRow(t, 2, DefaultConfig())
 	pkt := dataPacket(1, 0, 1, 1)
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	fs[0].VC = 0
 	h.inject(0, fs[0]) // processed at cycle 0
 	h.run(20)
@@ -139,7 +139,7 @@ func TestPSPacketTimingOneHop(t *testing.T) {
 	// taken at the end of cycle 8.
 	h2 := newRow(t, 2, DefaultConfig())
 	pkt2 := dataPacket(2, 0, 1, 1)
-	fs2 := flit.Explode(pkt2)
+	fs2 := pkt2.ExplodeInto()
 	h2.inject(0, fs2[0])
 	cycles := 0
 	for len(h2.ejected[1]) == 0 && cycles < 30 {
@@ -155,7 +155,7 @@ func TestPSPacketTimingOneHop(t *testing.T) {
 func TestPSMultiFlitWormhole(t *testing.T) {
 	h := newRow(t, 3, DefaultConfig())
 	pkt := dataPacket(1, 0, 2, 5)
-	for i, f := range flit.Explode(pkt) {
+	for i, f := range pkt.ExplodeInto() {
 		f.VC = 1
 		// One flit per cycle onto the local link.
 		h.inject(0, f)
@@ -179,7 +179,7 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	h := newRow(t, 2, DefaultConfig())
 	a := dataPacket(1, 0, 1, 3)
 	b := dataPacket(2, 0, 1, 3)
-	fa, fb := flit.Explode(a), flit.Explode(b)
+	fa, fb := a.ExplodeInto(), b.ExplodeInto()
 	for _, f := range fa {
 		f.VC = 0
 	}
@@ -250,7 +250,7 @@ func TestCSBypassTiming(t *testing.T) {
 	// Wait until cycle 4 (slot 4 of 16), then inject the 4 CS flits.
 	pkt := dataPacket(9, 0, 2, 4)
 	pkt.Switching = flit.CircuitSwitched
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	h.run(4) // now == 4
 	start := h.now
 	for _, f := range fs {
@@ -279,7 +279,7 @@ func TestCSExactLatency(t *testing.T) {
 	reservePath(t, h, 0, 2, 0, 1)
 	pkt := dataPacket(9, 0, 2, 1)
 	pkt.Switching = flit.CircuitSwitched
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	// Slot 0 of 16: inject so the flit is processed at cycle 16.
 	h.run(16)
 	h.inject(0, fs[0])
@@ -300,7 +300,7 @@ func TestMisroutedCSCounted(t *testing.T) {
 	h := hybridRow(t, 2)
 	pkt := dataPacket(5, 0, 1, 1)
 	pkt.Switching = flit.CircuitSwitched
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	h.inject(0, fs[0]) // no reservation exists
 	h.run(5)
 	if h.routers[0].MisroutedCS != 1 || h.routers[0].DroppedCS != 1 {
@@ -323,7 +323,7 @@ func TestTimeSlotStealing(t *testing.T) {
 		// Occupancy cap (90 %) prevents a full reservation; 7 of 8 slots
 		// suffice to strangle PS traffic to 1/8 bandwidth without stealing.
 		pkt := dataPacket(1, 0, 1, 5)
-		for _, f := range flit.Explode(pkt) {
+		for _, f := range pkt.ExplodeInto() {
 			h.inject(0, f)
 			h.step()
 		}
@@ -345,7 +345,7 @@ func TestTimeSlotStealing(t *testing.T) {
 	h := newRow(t, 2, cfg)
 	h.routers[0].Tables().Reserve(topology.North, topology.East, 0, 7, 0)
 	pkt := dataPacket(2, 0, 1, 5)
-	for _, f := range flit.Explode(pkt) {
+	for _, f := range pkt.ExplodeInto() {
 		h.inject(0, f)
 		h.step()
 	}
@@ -356,7 +356,7 @@ func TestTimeSlotStealing(t *testing.T) {
 }
 
 func injectConfig(h *harness, src topology.NodeID, pkt *flit.Packet) {
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	h.inject(src, fs[0])
 }
 
@@ -481,7 +481,7 @@ func TestResetCircuitsClearsState(t *testing.T) {
 func TestMeterAccumulates(t *testing.T) {
 	h := newRow(t, 2, DefaultConfig())
 	pkt := dataPacket(1, 0, 1, 5)
-	for _, f := range flit.Explode(pkt) {
+	for _, f := range pkt.ExplodeInto() {
 		h.inject(0, f)
 		h.step()
 	}
@@ -507,7 +507,7 @@ func TestDebugStateReportsOccupancy(t *testing.T) {
 		t.Errorf("idle router reported state: %v", lines)
 	}
 	pkt := dataPacket(1, 0, 1, 5)
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	h.inject(0, fs[0])
 	h.step()
 	h.step()
@@ -536,7 +536,7 @@ func TestVCGatingEvacuatesBeforeShrink(t *testing.T) {
 	}
 	// Traffic still flows on the remaining VCs (within the limit).
 	pkt := dataPacket(1, 0, 1, 5)
-	for _, f := range flit.Explode(pkt) {
+	for _, f := range pkt.ExplodeInto() {
 		f.VC = 0
 		h.inject(0, f)
 		h.step()
@@ -566,7 +566,7 @@ func TestConsecutiveSingleFlitPackets(t *testing.T) {
 	// then head-restarts path.
 	h := newRow(t, 2, DefaultConfig())
 	for i := uint64(1); i <= 8; i++ {
-		f := flit.Explode(dataPacket(i, 0, 1, 1))[0]
+		f := dataPacket(i, 0, 1, 1).ExplodeInto()[0]
 		f.VC = 2
 		h.inject(0, f)
 		// The harness has no credit flow control; space packets so the
@@ -590,7 +590,7 @@ func TestIncomingCSSignal(t *testing.T) {
 	reservePath(t, h, 0, 2, 0, 1)
 	pkt := dataPacket(9, 0, 2, 1)
 	pkt.Switching = flit.CircuitSwitched
-	fs := flit.Explode(pkt)
+	fs := pkt.ExplodeInto()
 	h.run(16) // align to slot 0 (16 % 16)
 	h.inject(0, fs[0])
 	h.step() // flit processed at router 0, now in its out latch
@@ -616,14 +616,14 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 		// local traffic from 1 to 2 and 1 to 0 compete.
 		deliver := 0
 		for i := uint64(0); i < 12; i++ {
-			fa := flit.Explode(dataPacket(100+i, 0, 2, 1))[0]
+			fa := dataPacket(100+i, 0, 2, 1).ExplodeInto()[0]
 			fa.VC = int(i) % 2
 			h.inject(0, fa)
-			fb := flit.Explode(dataPacket(200+i, 1, 2, 1))[0]
+			fb := dataPacket(200+i, 1, 2, 1).ExplodeInto()[0]
 			fb.VC = int(i) % 2
 			h.inject(1, fb)
 			h.run(1)
-			fc := flit.Explode(dataPacket(300+i, 1, 0, 1))[0]
+			fc := dataPacket(300+i, 1, 0, 1).ExplodeInto()[0]
 			fc.VC = 2 + int(i)%2
 			h.inject(1, fc)
 			h.run(4)
@@ -661,12 +661,12 @@ func TestEventTracing(t *testing.T) {
 	h.run(48) // completes; now == 48, slot 0 of 16 aligned
 	pkt := dataPacket(2, 0, 2, 2)
 	pkt.Switching = flit.CircuitSwitched
-	for _, f := range flit.Explode(pkt) {
+	for _, f := range pkt.ExplodeInto() {
 		h.inject(0, f)
 		h.step()
 	}
 	ps := dataPacket(3, 0, 2, 1)
-	h.inject(0, flit.Explode(ps)[0])
+	h.inject(0, ps.ExplodeInto()[0])
 	h.run(30)
 
 	kinds := map[obs.Kind]int{}
@@ -696,7 +696,7 @@ func TestMaskConsistencyInvariant(t *testing.T) {
 		}
 		return kinds
 	}
-	for _, f := range flit.Explode(dataPacket(1, 0, 2, 5)) {
+	for _, f := range dataPacket(1, 0, 2, 5).ExplodeInto() {
 		h.inject(0, f)
 		h.step()
 		if v := check(); len(v) != 0 {
@@ -745,7 +745,7 @@ func BenchmarkRouterCompute(b *testing.B) {
 		ends := [2]topology.NodeID{0, 3}
 		for s := range streams {
 			for k := 0; k < 64; k++ {
-				streams[s] = append(streams[s], flit.Explode(dataPacket(uint64(s*64+k+1), ends[s], ends[1-s], 5))...)
+				streams[s] = append(streams[s], dataPacket(uint64(s*64+k+1), ends[s], ends[1-s], 5).ExplodeInto()...)
 			}
 		}
 		cycle := func(i int) {

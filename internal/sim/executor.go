@@ -183,19 +183,6 @@ func (e *Executor) WaitStats() []WaitStats {
 // Workers returns the effective worker count (>= 1).
 func (e *Executor) Workers() int { return e.workers }
 
-// Owner returns the index of the worker whose static partition executes
-// ticker i (worker 0 is the caller goroutine). Serial executors own
-// everything on worker 0. Observability attach code uses this to bind
-// each ticker's emit handle to its worker's private shard.
-func (e *Executor) Owner(i int) int {
-	for w := range e.parts {
-		if pt := &e.parts[w]; i >= pt.lo && i < pt.hi {
-			return w
-		}
-	}
-	return 0
-}
-
 // WakeAll re-arms every scheduled node for the clock's current cycle.
 // Management code that mutates node state outside the tick loop (e.g. a
 // network-wide slot-table reset) calls this so no node sleeps through

@@ -20,8 +20,8 @@ func SlabBytes[T any](slab []T) int {
 //
 // The executor itself only sees flat ticker spans; this function decides
 // which tiles land in which span and in what order, which in turn
-// decides both worker ownership (trace shard binding via Executor.Owner)
-// and the memory order of per-tile state when the network lays tickers
+// decides both worker ownership (which shard a tile's trace events land
+// in) and the memory order of per-tile state when the network lays tickers
 // out partition-contiguously.
 //
 // It returns one tile-id list per worker (some possibly empty); tile

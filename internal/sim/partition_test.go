@@ -69,7 +69,7 @@ func TestBlockPartitionsAreRectangles(t *testing.T) {
 
 // PartitionSpans must produce contiguous ascending spans that line up
 // with the flattened order, and NewExecutorSpans must accept them and
-// report matching owners.
+// give each worker its span.
 func TestPartitionSpansAndExecutorOwners(t *testing.T) {
 	parts := BlockPartition(10, 6, 4)
 	order, spans := PartitionSpans(parts, 2)
@@ -88,10 +88,8 @@ func TestPartitionSpansAndExecutorOwners(t *testing.T) {
 		t.Fatalf("Workers() = %d, want %d", e.Workers(), len(spans))
 	}
 	for wi, s := range spans {
-		for i := s.Lo; i < s.Hi; i++ {
-			if got := e.Owner(i); got != wi {
-				t.Fatalf("Owner(%d) = %d, want %d", i, got, wi)
-			}
+		if pt := &e.parts[wi]; pt.lo != s.Lo || pt.hi != s.Hi {
+			t.Fatalf("worker %d runs tickers [%d, %d), want [%d, %d)", wi, pt.lo, pt.hi, s.Lo, s.Hi)
 		}
 	}
 	e.Run(3)

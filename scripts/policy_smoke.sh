@@ -8,6 +8,8 @@
 # same record store must be served entirely from cache, leave the store
 # byte-unchanged and print a byte-identical CSV. A plain spec of
 # Section V mixes, scenarios/table3.json, is held to the same promise.
+# nocsim's one-invocation -policy, run on the spec's tornado point, must
+# pin as many flows as the study's greedy row for that point.
 set -euo pipefail
 
 SPEC="${SPEC:-scenarios/fig4_policy.json}"
@@ -16,6 +18,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== build"
 go build -o "$TMP/experiments" ./cmd/experiments
+go build -o "$TMP/nocsim" ./cmd/nocsim
 
 # twice SPEC NAME: run SPEC twice against one record store and gate the
 # second pass: byte-identical stdout, a stderr line counting every job
@@ -71,6 +74,19 @@ awk -F, '
         exit bad
     }
 ' "$TMP/policy-1.csv"
+
+if [ "$SPEC" = scenarios/fig4_policy.json ]; then
+    echo "== gate: nocsim -policy decides as the study does (tornado point)"
+    nocsim_out="$("$TMP/nocsim" -mode tdm -pattern tornado -rate 0.2 -warmup 2000 -cycles 8000 -policy greedy)"
+    nocsim_line="${nocsim_out%%$'\n'*}"
+    echo "   $nocsim_line"
+    nocsim_pins="$(sed -nE 's/^policy greedy: ([0-9]+) pinned flows,.*/\1/p' <<< "$nocsim_line")"
+    study_pins="$(awk -F, '$1 ~ /\/TOR\// && $2 == "greedy" { print $3 }' "$TMP/policy-1.csv")"
+    if [ -z "$nocsim_pins" ] || [ "$nocsim_pins" != "$study_pins" ]; then
+        echo "FAIL: nocsim -policy greedy pinned '${nocsim_pins}' flows, the study's greedy row '${study_pins}'"
+        exit 1
+    fi
+fi
 
 twice scenarios/table3.json table3
 
