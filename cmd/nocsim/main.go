@@ -25,6 +25,7 @@ import (
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
+	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/textplot"
 	"tdmnoc/internal/trace"
@@ -74,16 +75,34 @@ func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode) erro
 }
 
 // validatePolicyFlags resolves -policy before anything runs: nil for
-// no policy, an error for a spec no policy parses or for sdm mode,
-// whose engine has no flow profiler to run the first pass with.
-func validatePolicyFlags(policySpec string, mode hsnoc.Mode) (policy.Policy, error) {
+// no policy, an error for a spec no policy parses, for sdm mode (whose
+// engine has no flow profiler to run the first pass with), or for a
+// decision the re-run could not take. What a decision changes does not
+// depend on the profile — threshold and greedy always restrict setups,
+// which needs a Hybrid-TDM base; sdm-gate always re-runs in sdm mode,
+// which a -hetero or -replay workload lacks — so the decision on an
+// empty profile is applied to cfg here, before the profiling pass could
+// run for nothing. workload names the flag that chose a tile or trace
+// workload ("" for synthetic traffic).
+func validatePolicyFlags(policySpec string, cfg hsnoc.Config, workload string) (policy.Policy, error) {
 	if policySpec == "" {
 		return nil, nil
 	}
-	if mode == hsnoc.HybridSDM {
+	if cfg.Mode == hsnoc.HybridSDM {
 		return nil, fmt.Errorf("nocsim: -policy is not available for sdm mode (its profiling pass needs the flow profiler)")
 	}
-	return hsnoc.ParsePolicy(policySpec)
+	pol, err := hsnoc.ParsePolicy(policySpec)
+	if err != nil {
+		return nil, err
+	}
+	d := pol.Decide(hsnoc.DecisionProfile(cfg, &obs.Summary{}))
+	if _, err := hsnoc.ApplyDecision(cfg, d); err != nil {
+		return nil, fmt.Errorf("nocsim: -policy %s does not apply to %v mode: %w", pol.Name(), cfg.Mode, err)
+	}
+	if d.UseSDM && workload != "" {
+		return nil, fmt.Errorf("nocsim: -policy %s re-runs in sdm mode, but %s runs on PacketSwitched and HybridTDM only", pol.Name(), workload)
+	}
+	return pol, nil
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -207,7 +226,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := validateObsFlags(*traceOut, *telemetryEvery, cfg.Mode); err != nil {
 		return fail(2, err)
 	}
-	pol, err := validatePolicyFlags(*policySpec, cfg.Mode)
+	workload := ""
+	switch {
+	case tr != nil:
+		workload = "-replay"
+	case *hetero:
+		workload = "-hetero"
+	}
+	pol, err := validatePolicyFlags(*policySpec, cfg, workload)
 	if err != nil {
 		return fail(2, err)
 	}

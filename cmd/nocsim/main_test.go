@@ -37,20 +37,27 @@ func TestParseMode(t *testing.T) {
 // spec no policy parses and sdm mode, which has no flow profiler for
 // the profiling pass, are refused.
 func TestValidatePolicyFlags(t *testing.T) {
+	tdm, packet, sdm := hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(6, 6)
+	tdm.Mode, packet.Mode, sdm.Mode = hsnoc.HybridTDM, hsnoc.PacketSwitched, hsnoc.HybridSDM
 	for _, c := range []struct {
-		policy string
-		mode   hsnoc.Mode
-		want   string // the policy's name, or "" for none
+		policy   string
+		cfg      hsnoc.Config
+		workload string
+		want     string // the policy's name, or "" for none
 	}{
-		{"", hsnoc.HybridTDM, ""},             // no policy
-		{"", hsnoc.HybridSDM, ""},             // sdm without a policy
-		{"greedy", hsnoc.HybridTDM, "greedy"}, // profile, then re-run
-		{"threshold:8", hsnoc.PacketSwitched, "threshold"},
-		{"sdm-gate", hsnoc.HybridTDM, "sdm-gate"}, // cross-architecture re-run
+		{"", tdm, "", ""},             // no policy
+		{"", sdm, "", ""},             // sdm without a policy
+		{"greedy", tdm, "", "greedy"}, // profile, then re-run
+		{"threshold:8", tdm, "-hetero", "threshold"},
+		{"static", packet, "", "static"},     // decides nothing, so fits any base
+		{"sdm-gate", tdm, "", "sdm-gate"},    // cross-architecture re-run
+		{"sdm-gate", packet, "", "sdm-gate"}, // likewise from a packet base
+		{"greedy", tdm, "-replay", "greedy"}, // a replay re-runs on tdm
+		{"sdm-gate:2", tdm, "", "sdm-gate"},
 	} {
-		pol, err := validatePolicyFlags(c.policy, c.mode)
+		pol, err := validatePolicyFlags(c.policy, c.cfg, c.workload)
 		if err != nil {
-			t.Errorf("-policy %q on %v rejected: %v", c.policy, c.mode, err)
+			t.Errorf("-policy %q on %v %s rejected: %v", c.policy, c.cfg.Mode, c.workload, err)
 			continue
 		}
 		got := ""
@@ -62,16 +69,21 @@ func TestValidatePolicyFlags(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		policy string
-		mode   hsnoc.Mode
-		want   string
+		policy   string
+		cfg      hsnoc.Config
+		workload string
+		want     string
 	}{
-		{"greedy", hsnoc.HybridSDM, "not available for sdm"},
-		{"bogus", hsnoc.HybridTDM, "unknown policy"},
-		{"greedy:x", hsnoc.HybridTDM, "bad parameter"},
+		{"greedy", sdm, "", "not available for sdm"},
+		{"bogus", tdm, "", "unknown policy"},
+		{"greedy:x", tdm, "", "bad parameter"},
+		{"greedy", packet, "", "-policy greedy does not apply to Packet-VC4 mode"},
+		{"threshold", packet, "-hetero", "-policy threshold does not apply to Packet-VC4 mode"},
+		{"sdm-gate", tdm, "-hetero", "but -hetero runs on PacketSwitched and HybridTDM only"},
+		{"sdm-gate", packet, "-replay", "but -replay runs on PacketSwitched and HybridTDM only"},
 	} {
-		if _, err := validatePolicyFlags(c.policy, c.mode); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("-policy %q on %v: got %v, want an error containing %q", c.policy, c.mode, err, c.want)
+		if _, err := validatePolicyFlags(c.policy, c.cfg, c.workload); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-policy %q on %v %s: got %v, want an error containing %q", c.policy, c.cfg.Mode, c.workload, err, c.want)
 		}
 	}
 }
@@ -214,6 +226,15 @@ func TestArenasLine(t *testing.T) {
 // TestBadInvocationsExitTwo: input a user can type must come back as a
 // message and exit code 2, never a panic.
 func TestBadInvocationsExitTwo(t *testing.T) {
+	replayPath := filepath.Join(t.TempDir(), "ok.trace")
+	f, err := os.Create(replayPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Synthesize(hsnoc.Transpose, topology.NewMesh(4, 4), 0.1, 5, 500, 1).Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -224,6 +245,11 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-mode", "sdm", "-trace-out", "x.json"}, "not available for sdm"},
 		{[]string{"-mode", "sdm", "-check"}, "CheckInvariants is not available for HybridSDM"},
 		{[]string{"-mode", "sdm", "-policy", "greedy"}, "-policy is not available for sdm"},
+		// Known from the mode alone, so refused before the profiling pass.
+		{[]string{"-mode", "packet", "-policy", "greedy"}, "-policy greedy does not apply to Packet-VC4 mode"},
+		{[]string{"-mode", "packet", "-policy", "threshold"}, "-policy threshold does not apply to Packet-VC4 mode"},
+		{[]string{"-hetero", "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in sdm mode, but -hetero runs on PacketSwitched and HybridTDM only"},
+		{[]string{"-replay", replayPath, "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in sdm mode, but -replay runs on PacketSwitched and HybridTDM only"},
 		{[]string{"-policy", "warp"}, "unknown policy"},
 		{[]string{"-profile-out", "p.json"}, "flag provided but not defined"}, // a profile is no longer a file
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
@@ -231,9 +257,9 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},
 		{[]string{"-replay", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
 	} {
-		code, _, errOut := nocsim(tc.args...)
-		if code != 2 || !strings.Contains(errOut, tc.want) {
-			t.Errorf("%v: exit %d, stderr %q; want exit 2 mentioning %q", tc.args, code, errOut, tc.want)
+		code, out, errOut := nocsim(tc.args...)
+		if code != 2 || !strings.Contains(errOut, tc.want) || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 mentioning %q and no output", tc.args, code, out, errOut, tc.want)
 		}
 	}
 }

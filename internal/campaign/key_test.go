@@ -222,3 +222,54 @@ func BenchmarkSpecExpand(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/job")
 }
+
+// TestRecordCodecAllocs: encoding into a reused buffer allocates
+// nothing, and decoding a canonical synthetic record allocates only its
+// strings (key, label, mode, pattern). Counts, not timings.
+func TestRecordCodecAllocs(t *testing.T) {
+	r := sampleRecord()
+	buf, err := r.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := append([]byte(nil), buf...)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = r.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("AppendJSON into a reused buffer allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeRecord(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 5 {
+		t.Errorf("DecodeRecord allocates %.1f times, want at most 5 (its strings)", n)
+	}
+}
+
+// BenchmarkRecordCodec: one synthetic record each way, by hand and
+// through encoding/json, in ns/record.
+func BenchmarkRecordCodec(b *testing.B) {
+	r := sampleRecord()
+	line, err := r.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"encode", func() (err error) { line, err = r.AppendJSON(line[:0]); return err }},
+		{"decode", func() error { _, err := DecodeRecord(line); return err }},
+		{"encode-json", func() error { _, err := json.Marshal(r); return err }},
+		{"decode-json", func() error { var r Record; return json.Unmarshal(line, &r) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
+		})
+	}
+}

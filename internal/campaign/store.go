@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -31,8 +30,8 @@ type Store struct {
 func OpenStore(path string) (*Store, error) {
 	s := &Store{cache: map[string]Record{}}
 	log, err := appendlog.Open(path, func(line []byte) error {
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
+		r, err := DecodeRecord(line)
+		if err != nil {
 			return err
 		}
 		if r.Key != "" && r.Err == "" {
@@ -86,7 +85,8 @@ func (s *Store) append(r Record) (bool, error) {
 	if r.Err != "" {
 		return false, fmt.Errorf("campaign: refusing to persist failed record %s", r.Key)
 	}
-	b, err := json.Marshal(r)
+	// Room for a synthetic record and the log's newline: one allocation.
+	b, err := r.AppendJSON(make([]byte, 0, 512))
 	if err != nil {
 		return false, fmt.Errorf("campaign: encode record: %w", err)
 	}

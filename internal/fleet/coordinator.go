@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -73,7 +76,10 @@ type fleetCampaign struct {
 	id       string
 	specHash string
 	spec     campaign.Spec
-	jobs     int
+	// leaseSpec is the spec as every lease body of the campaign carries
+	// it (see appendLease), coded once, at admission or replay.
+	leaseSpec []byte
+	jobs      int
 
 	shardSize   int
 	shardKeys   [][]string // job cache keys, per shard, in expansion order
@@ -88,12 +94,19 @@ type fleetCampaign struct {
 // newFleetCampaign builds a campaign's state with nothing done: the
 // expanded job keys cut into shards of shardSize, the last one shorter.
 // Admission and replay both start here, so both necessarily agree on
-// what shard i contains.
+// what shard i contains. Both pass a normalized spec, whose encoding is
+// the one Spec.Hash hashes and every lease body carries.
 func newFleetCampaign(id string, shardSize int, spec campaign.Spec, jobs []campaign.Job) *fleetCampaign {
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		panic(fmt.Sprintf("fleet: encode spec: %v", err)) // as Spec.Hash: a normalized spec always encodes
+	}
+	sum := sha256.Sum256(specJSON)
 	fc := &fleetCampaign{
 		id:        id,
-		specHash:  spec.Hash(),
+		specHash:  hex.EncodeToString(sum[:]),
 		spec:      spec,
+		leaseSpec: leaseSpec(specJSON),
 		jobs:      len(jobs),
 		shardSize: shardSize,
 		leased:    map[int]time.Time{},
@@ -438,16 +451,23 @@ func (c *Coordinator) admitLocked(id string, shardSize int, spec campaign.Spec, 
 // coordinator and back off). The worker name is not recorded; the
 // argument stays because the benchmark harness passes one.
 func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
+	l, _, ok := c.lease()
+	return l, ok
+}
+
+// lease is Lease, also returning the campaign's leaseSpec for the
+// handler to write the body from.
+func (c *Coordinator) lease() (LeaseResponse, []byte, bool) {
 	now := c.opt.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked(now)
 	if c.draining {
-		return LeaseResponse{}, false
+		return LeaseResponse{}, nil, false
 	}
 	id, shard, ok := c.queue.pick()
 	if !ok {
-		return LeaseResponse{}, false
+		return LeaseResponse{}, nil, false
 	}
 	fc := c.campaigns[id]
 	fc.leased[shard] = now.Add(c.opt.LeaseTTL)
@@ -458,7 +478,7 @@ func (c *Coordinator) Lease(worker string) (LeaseResponse, bool) {
 		Shard:    campaign.Shard{Index: shard, Size: fc.shardSize},
 		Jobs:     len(fc.shardKeys[shard]),
 		TTL:      c.opt.LeaseTTL,
-	}, true
+	}, fc.leaseSpec, true
 }
 
 // Renew extends a lease, reporting whether the caller holds its shard.

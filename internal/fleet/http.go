@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/obs"
 )
 
@@ -49,19 +51,36 @@ const (
 // On failure it returns the status to answer with: 413 when the body
 // ran past the cap, 400 otherwise.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, strict bool, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	body, code, err := readBody(w, r, limit)
+	if err != nil {
+		return code, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if strict {
 		dec.DisallowUnknownFields()
 	}
-	err := dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
+}
+
+// readBody reads a request body of at most limit bytes. On failure it
+// returns the status to answer with: 413 past the cap, 400 otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
+	var b bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		b.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
-		return http.StatusOK, nil
+		return b.Bytes(), http.StatusOK, nil
 	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, err
+		return nil, http.StatusRequestEntityTooLarge, err
 	default:
-		return http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, err
 	}
 }
 
@@ -71,6 +90,17 @@ func fleetJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// fleetIndented writes the compact JSON b as fleetJSON writes the value
+// b encodes: indented by two spaces, newline-terminated.
+func fleetIndented(w http.ResponseWriter, code int, b []byte) {
+	var out bytes.Buffer
+	out.Grow(len(b) + len(b)/4)
+	_ = json.Indent(&out, append(b, '\n'), "", "  ") // b is an encoder's output, valid JSON
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(out.Bytes())
 }
 
 func fleetError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -145,7 +175,7 @@ func (c *Coordinator) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := make([]row, 0, len(keys))
 	for _, k := range keys {
-		b, err := json.Marshal(agg[k])
+		b, err := campaign.AppendResultJSON(nil, agg[k])
 		if err != nil {
 			fleetError(w, http.StatusInternalServerError, "%v", err)
 			return
@@ -166,14 +196,27 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Fleet-Missing", strconv.Itoa(missing))
 	if r.URL.Query().Get("format") == "jsonl" {
+		// One line per record, as json.Encoder writes them, flushed in
+		// blocks so a large campaign is never held whole.
 		w.Header().Set("Content-Type", "application/jsonl")
-		enc := json.NewEncoder(w)
-		for _, rec := range recs {
-			enc.Encode(rec)
+		var b []byte
+		for i, rec := range recs {
+			if line, err := rec.AppendJSON(b); err == nil { // as Encode, skip what does not encode
+				b = append(line, '\n')
+			}
+			if len(b) >= 64<<10 || i == len(recs)-1 {
+				w.Write(b)
+				b = b[:0]
+			}
 		}
 		return
 	}
-	fleetJSON(w, http.StatusOK, recs)
+	b, err := appendRecords(nil, recs)
+	if err != nil {
+		fleetError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	fleetIndented(w, http.StatusOK, b)
 }
 
 // handleTimeline serves the per-job observability summaries of a
@@ -238,14 +281,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		fleetError(w, code, "decode lease: %v", err)
 		return
 	}
-	resp, ok := c.Lease("")
+	resp, spec, ok := c.lease()
 	if !ok {
 		// No work (or draining): 204 tells the worker to idle-poll, not
 		// to treat it as an error.
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	fleetJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(appendLease(make([]byte, 0, len(spec)+256), resp, spec))
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -257,13 +302,18 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+	body, code, err := readBody(w, r, maxCompleteBody)
 	var req CompleteRequest
-	if code, err := decodeBody(w, r, maxCompleteBody, false, &req); err != nil {
+	if err == nil {
+		code = http.StatusBadRequest
+		req, err = decodeComplete(body)
+	}
+	if err != nil {
 		fleetError(w, code, "decode complete: %v", err)
 		return
 	}
 	resp, err := c.Complete(r.PathValue("id"), req.Records)
-	code := completeStatus(err)
+	code = completeStatus(err)
 	if err != nil {
 		if code == http.StatusServiceUnavailable {
 			retryAfter(w)

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -72,6 +71,7 @@ type Worker struct {
 	waiting atomic.Int64  // leased jobs that have not taken a slot yet
 	shards  atomic.Int64  // leases held (running or completing)
 	wake    chan struct{} // a slot or lease freed up, or Drain: re-check for room
+	specs   specCache     // an HTTP worker's decoded specs
 
 	// Counters for the worker-mode /metrics endpoint.
 	ShardsDone   atomic.Int64
@@ -217,7 +217,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		lease, ok, err := w.lease(ctx)
+		lease, spec, ok, err := w.lease(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -241,6 +241,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			// Coordinator and worker disagree on the job grid — a version
 			// skew, not a transient. Abandon the lease; it will expire.
+			w.specs.release(spec)
 			w.shardFailed(lease, fmt.Errorf("derive jobs: %w", err))
 			continue
 		}
@@ -252,6 +253,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		go func() {
 			defer held.Done()
 			err := w.runShard(ctx, lease, jobs)
+			w.specs.release(spec)
 			w.shards.Add(-1)
 			w.freed()
 			switch {
@@ -351,25 +353,33 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseResponse, jobs []campa
 }
 
 // lease asks the coordinator for a shard. ok is false on 204 (no
-// work); err covers transport failures and unexpected statuses.
-func (w *Worker) lease(ctx context.Context) (LeaseResponse, bool, error) {
+// work); err covers transport failures, unexpected statuses and bodies
+// that do not decode. An HTTP lease's spec comes from the spec cache,
+// held there until the caller releases spec (nil in-process).
+func (w *Worker) lease(ctx context.Context) (l LeaseResponse, spec *cachedSpec, ok bool, err error) {
 	if w.coord != nil {
 		l, ok := w.coord.Lease("")
-		return l, ok, nil
+		return l, nil, ok, nil
 	}
-	var resp LeaseResponse
-	status, err := w.post(ctx, "/fleet/lease", nil, &resp)
+	status, body, err := w.post(ctx, "/fleet/lease", nil)
+	switch {
+	case err != nil:
+		return l, nil, false, err
+	case status == http.StatusNoContent:
+		return l, nil, false, nil
+	case status != http.StatusOK:
+		return l, nil, false, fmt.Errorf("lease: unexpected status %d", status)
+	}
+	l, raw, err := decodeLease(body)
+	if err == nil && raw != nil {
+		if spec, err = w.specs.acquire(raw); err == nil {
+			l.Spec = spec.spec
+		}
+	}
 	if err != nil {
-		return resp, false, err
+		return l, nil, false, fmt.Errorf("decode /fleet/lease response: %w", err)
 	}
-	switch status {
-	case http.StatusOK:
-		return resp, true, nil
-	case http.StatusNoContent:
-		return resp, false, nil
-	default:
-		return resp, false, fmt.Errorf("lease: unexpected status %d", status)
-	}
+	return l, spec, true, nil
 }
 
 // renew extends the lease; it reports true when the lease is gone for
@@ -378,7 +388,7 @@ func (w *Worker) renew(ctx context.Context, id string) (gone bool) {
 	if w.coord != nil {
 		return !w.coord.Renew(id)
 	}
-	status, err := w.post(ctx, "/fleet/leases/"+id+"/renew", nil, nil)
+	status, _, err := w.post(ctx, "/fleet/leases/"+id+"/renew", nil)
 	if err != nil {
 		// Transient; the next tick retries well within the TTL.
 		return false
@@ -394,7 +404,7 @@ func (w *Worker) complete(ctx context.Context, id string, recs []campaign.Record
 	var body []byte
 	if w.coord == nil {
 		var err error
-		if body, err = json.Marshal(CompleteRequest{Records: recs}); err != nil {
+		if body, err = appendComplete(nil, recs); err != nil {
 			return fmt.Errorf("encode complete: %w", err)
 		}
 	}
@@ -433,7 +443,8 @@ func (w *Worker) complete(ctx context.Context, id string, recs []campaign.Record
 // fault comes back as the error itself, for the retry loop to report).
 func (w *Worker) completeOnce(ctx context.Context, id string, recs []campaign.Record, body []byte) (int, error) {
 	if w.coord == nil {
-		return w.post(ctx, "/fleet/leases/"+id+"/complete", body, nil)
+		status, _, err := w.post(ctx, "/fleet/leases/"+id+"/complete", body)
+		return status, err
 	}
 	_, err := w.coord.complete(id, recs, true)
 	if code := completeStatus(err); code != http.StatusServiceUnavailable {
@@ -442,25 +453,26 @@ func (w *Worker) completeOnce(ctx context.Context, id string, recs []campaign.Re
 	return 0, err
 }
 
-// post sends a JSON POST and decodes the response body into out (when
-// non-nil and the status carries a body).
-func (w *Worker) post(ctx context.Context, path string, body []byte, out any) (int, error) {
+// post sends a JSON POST and returns the status and, for a 200, the
+// response body.
+func (w *Worker) post(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("decode %s response: %w", path, err)
-		}
-		return resp.StatusCode, nil
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, nil, nil
 	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return resp.StatusCode, nil, fmt.Errorf("read %s response: %w", path, err)
+	}
+	return resp.StatusCode, out, nil
 }
