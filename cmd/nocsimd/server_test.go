@@ -279,6 +279,11 @@ func TestServiceRejectsBadSpec(t *testing.T) {
 		"sdm-gate mix": {`{"spec":{"modes":["tdm"],"patterns":["mix:EQUAKE+LPS"],"policy_profile":{"policies":["sdm-gate"]}}}`, http.StatusBadRequest},
 		// 1025 x 1025 jobs, just past campaign.MaxJobs, in a ~7 KB body.
 		"huge grid": {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1` + strings.Repeat(",0.1", 1024) + `],"seeds":[1` + strings.Repeat(",1", 1024) + `]}}`, http.StatusBadRequest},
+		// Values that size one job's memory: accepted, each would OOM-kill
+		// the worker that leased it, and then the next.
+		"huge mesh":       {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"meshes":[{"width":3000,"height":3000}]}}`, http.StatusBadRequest},
+		"huge slot table": {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"slot_tables":[1048576]}}`, http.StatusBadRequest},
+		"sim workers":     {`{"spec":{"modes":["tdm"],"patterns":["ur"],"rates":[0.1],"sim_workers":65}}`, http.StatusBadRequest},
 		// An otherwise valid spec whose name runs past the 8 MiB body cap.
 		"oversized": {`{"spec":{"name":"` + strings.Repeat("x", 8<<20) + `","modes":["tdm"],"patterns":["ur"],"rates":[0.1]}}`, http.StatusRequestEntityTooLarge},
 	} {

@@ -140,13 +140,19 @@ type Config struct {
 	// detect a divergence or violation only at the next checked cycle.
 	CheckInterval int
 
-	// The policy layer (see internal/policy and ApplyDecision): knobs a
-	// profile-derived Decision applies through plain configuration so
-	// re-runs stay digest-reproducible. All zero values mean "no policy".
-
 	// DLTEntries overrides the destination-lookup-table size used by
-	// path sharing (0 = the router default of 8).
+	// path sharing (0 = the router default of 8). No Decision and no
+	// caller sets it; it stays because "DLTEntries":0 is part of every
+	// job key's preimage (appendJSON), so dropping it would re-key every
+	// stored record.
 	DLTEntries int
+
+	// The policy layer (see internal/policy and ApplyDecision): knobs a
+	// profile-derived Decision (SlotInit, PinnedFlows, RestrictSetups,
+	// GatedPlanes) applies through plain configuration so re-runs stay
+	// digest-reproducible, and the online controller's AdaptiveEpoch /
+	// AdaptiveTopK. All zero values mean "no policy".
+
 	// SlotInit, when > 0, starts the dynamic slot-table resizer at this
 	// active-region size instead of capacity/8 (HybridTDM with dynamic
 	// sizing only). Profiled runs use it to skip the discovery
@@ -249,7 +255,6 @@ func (c Config) sdmConfig() sdm.Config {
 	}
 	if c.Planes > 0 {
 		sc.Planes = c.Planes
-		sc.CircuitPlanes = c.Planes - 1
 	}
 	sc.GatedPlanes = c.GatedPlanes
 	return sc
@@ -398,7 +403,7 @@ func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
 		sc := cfg.sdmConfig()
 		mesh := topology.NewMesh(cfg.Width, cfg.Height)
 		sn := sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
-			if !rng.Bernoulli(rate / float64(sc.PSDataFlits)) {
+			if !rng.Bernoulli(rate / float64(sdm.PacketFlits)) {
 				return 0, false
 			}
 			return traffic.Destination(pattern, mesh, src, rng)
@@ -589,13 +594,13 @@ func (s *Simulator) collect() Results {
 	st := s.stats()
 	cycles := s.now() - s.measuredFrom
 	nodes := s.cfg.Width * s.cfg.Height
-	psFlits, slots := 5, 0
+	psFlits, slots := sdm.PacketFlits, 0
 	var energy power.Breakdown
 	if s.net != nil {
 		psFlits, slots = s.net.Config().PSDataFlits, s.net.ActiveSlots()
 		energy = s.net.Energy()
 	} else {
-		energy = s.sdmNet.Energy(power.Default45nm())
+		energy = s.sdmNet.Energy()
 	}
 	res := Results{
 		Cycles:                cycles,
@@ -707,7 +712,6 @@ func (s *Simulator) Diagnose() Diagnostics {
 // RouterAreaMM2 reports the modelled router area for this configuration
 // (Section IV-A: 0.177 mm^2 packet-switched, 0.188 mm^2 hybrid).
 func (c Config) RouterAreaMM2() float64 {
-	a := power.DefaultArea45nm()
 	vcs, depth := c.VCs, c.BufferDepth
 	if vcs == 0 {
 		vcs = 4
@@ -724,5 +728,5 @@ func (c Config) RouterAreaMM2() float64 {
 		}
 		rc.DLTEntries = 8
 	}
-	return power.RouterAreaMM2(a, rc)
+	return power.RouterAreaMM2(rc)
 }

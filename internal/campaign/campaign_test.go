@@ -264,6 +264,32 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		{Modes: []string{"tdm"}, Patterns: []string{"tornado"}, Rates: []float64{0.1}, CheckInvariants: true,
 			PolicyProfile: &PolicyProfileSpec{Policies: []string{"greedy", "sdm-gate:6"}}},
 	}
+	// Values that size one job's memory: a job past them would OOM-kill
+	// the worker that leases it. Only Normalize runs here; nothing of
+	// that size is ever built.
+	ur := func(s Spec) Spec {
+		s.Modes, s.Patterns, s.Rates = []string{"tdm"}, []string{"ur"}, []float64{0.1}
+		return s
+	}
+	bounds := []struct {
+		spec  Spec
+		field string
+	}{
+		{ur(Spec{Meshes: []MeshSize{{3000, 3000}}}), "meshes"},
+		{ur(Spec{Meshes: []MeshSize{{65, 64}}}), "meshes"},
+		{ur(Spec{Meshes: []MeshSize{{8192, 1}}}), "meshes"},
+		{ur(Spec{Meshes: []MeshSize{{1 << 32, 1 << 32}}}), "meshes"}, // the product wraps to 0
+		{ur(Spec{SlotTables: []int{1025}}), "slot_tables"},
+		{ur(Spec{SlotTables: []int{128, 1 << 40}}), "slot_tables"},
+		{ur(Spec{SimWorkers: 65}), "sim_workers"},
+		{ur(Spec{SimWorkers: -1}), "sim_workers"},
+	}
+	for _, b := range bounds {
+		bad = append(bad, b.spec)
+		if err := b.spec.Normalize(); err == nil || !strings.Contains(err.Error(), b.field) {
+			t.Errorf("%+v: Normalize = %v, want an error naming %s", b.spec, err, b.field)
+		}
+	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %d normalized without error", i)
@@ -277,6 +303,11 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		Rates: repeat(0.1, 512), Seeds: repeat(uint64(1), 512)}
 	if err := atCap.Normalize(); err != nil || atCap.Jobs() != 4*512*512 || atCap.Jobs() != MaxJobs {
 		t.Errorf("grid of exactly MaxJobs: Normalize = %v, Jobs = %d, want nil and %d", err, atCap.Jobs(), MaxJobs)
+	}
+	// So are the bounds themselves.
+	atBounds := ur(Spec{Meshes: []MeshSize{{64, 64}, {4096, 1}}, SlotTables: []int{1024}, SimWorkers: 64})
+	if err := atBounds.Normalize(); err != nil {
+		t.Errorf("spec at the bounds: Normalize = %v", err)
 	}
 }
 

@@ -57,7 +57,8 @@ type Spec struct {
 	// hsnoc.CPUBenchmarks / hsnoc.GPUBenchmarks (e.g. mix:EQUAKE+LPS).
 	// Mixes run on packet and tdm only.
 	Patterns []string `json:"patterns"`
-	// Meshes are topology sizes (default: one 6x6 mesh).
+	// Meshes are topology sizes (default: one 6x6 mesh; at most
+	// maxMeshNodes nodes each).
 	Meshes []MeshSize `json:"meshes,omitempty"`
 	// Rates are offered loads in flits/node/cycle, a synthetic-only
 	// axis: a mix offers whatever its benchmarks generate, so it
@@ -65,8 +66,9 @@ type Spec struct {
 	// mix-only spec may leave it empty.
 	Rates []float64 `json:"rates"`
 	// SlotTables are slot-table capacities, a TDM-only axis (default:
-	// the 128-entry Table-I capacity). Non-TDM modes collapse this
-	// axis to a single point since it cannot affect them.
+	// the 128-entry Table-I capacity; at most maxSlotTable). Non-TDM
+	// modes collapse this axis to a single point since it cannot affect
+	// them.
 	SlotTables []int `json:"slot_tables,omitempty"`
 	// Seeds replicate every grid point (default: seed 1).
 	Seeds []uint64 `json:"seeds,omitempty"`
@@ -81,10 +83,11 @@ type Spec struct {
 	// WarmupCycles and MeasureCycles default to the paper's 8000/40000.
 	WarmupCycles  int `json:"warmup_cycles,omitempty"`
 	MeasureCycles int `json:"measure_cycles,omitempty"`
-	// SimWorkers sets per-simulation executor parallelism (default 1;
-	// results are bit-identical for any value — the barrier executor
-	// and active-node scheduler are digest-verified against serial — so
-	// it is not a grid axis and does not enter cache keys). Campaigns
+	// SimWorkers sets per-simulation executor parallelism (default 1,
+	// at most maxSimWorkers; results are bit-identical for any value —
+	// the barrier executor and active-node scheduler are
+	// digest-verified against serial — so it is not a grid axis and does
+	// not enter cache keys). Campaigns
 	// usually saturate cores with concurrent jobs instead, but on large
 	// meshes with spare cores per job it is now a real speedup knob.
 	SimWorkers int `json:"sim_workers,omitempty"`
@@ -184,6 +187,9 @@ func (s *Spec) Normalize() error {
 		if m.Width <= 0 || m.Height <= 0 {
 			return fmt.Errorf("campaign: mesh %dx%d invalid", m.Width, m.Height)
 		}
+		if m.Width > maxMeshNodes || m.Height > maxMeshNodes || m.Width*m.Height > maxMeshNodes {
+			return fmt.Errorf("campaign: meshes: %dx%d has more than %d nodes", m.Width, m.Height, maxMeshNodes)
+		}
 	}
 	if len(s.SlotTables) == 0 {
 		s.SlotTables = []int{128}
@@ -191,6 +197,9 @@ func (s *Spec) Normalize() error {
 	for _, st := range s.SlotTables {
 		if st <= 0 {
 			return fmt.Errorf("campaign: slot-table size %d invalid", st)
+		}
+		if st > maxSlotTable {
+			return fmt.Errorf("campaign: slot_tables: %d entries exceed %d", st, maxSlotTable)
 		}
 	}
 	if len(s.Seeds) == 0 {
@@ -204,6 +213,9 @@ func (s *Spec) Normalize() error {
 	}
 	if s.WarmupCycles < 0 || s.MeasureCycles <= 0 {
 		return fmt.Errorf("campaign: warmup %d / measure %d cycles invalid", s.WarmupCycles, s.MeasureCycles)
+	}
+	if s.SimWorkers < 0 || s.SimWorkers > maxSimWorkers {
+		return fmt.Errorf("campaign: sim_workers %d outside [0, %d]", s.SimWorkers, maxSimWorkers)
 	}
 	if s.TelemetryEvery < 0 {
 		return fmt.Errorf("campaign: telemetry_every %d negative", s.TelemetryEvery)
@@ -365,6 +377,17 @@ func (s Spec) Hash() string {
 // before any quota can refuse it. The largest grids in the repo (the
 // benchmark's control-plane workloads) are under 10 000 jobs.
 const MaxJobs = 1 << 20
+
+// Bounds on the spec values that size one job's memory, for the same
+// reason: a job past them would OOM-kill the worker that leases it, and
+// the expired lease would hand it to the next. Each is well above what
+// the repo runs (32x32 meshes, the paper's 256-entry slot tables, 2
+// workers per simulation).
+const (
+	maxMeshNodes  = 4096 // nodes per mesh: 64x64
+	maxSlotTable  = 1024 // slot-table entries
+	maxSimWorkers = 64   // executor workers per simulation
+)
 
 // Jobs returns the expanded job count without building the jobs
 // (0 for an invalid spec).

@@ -305,6 +305,10 @@ func TestOldOrBadJournalRecordsFailOpen(t *testing.T) {
 	}
 	submit := map[string]any{"op": "submit", "campaign": "c0001", "shard_size": 2, "spec_hash": spec.Hash(), "spec": spec}
 	const old = "line 2 (%s): the journal predates the campaigns-only format"
+	// A spec this binary's Normalize refuses (here a bound added after
+	// it was journaled) fails the open through Rehydrate.
+	outOfBounds := spec
+	outOfBounds.SimWorkers = 65
 	for _, tc := range []struct {
 		name string
 		line map[string]any
@@ -318,6 +322,8 @@ func TestOldOrBadJournalRecordsFailOpen(t *testing.T) {
 			[]string{fmt.Sprintf(old, "snapshot")}},
 		{"complete-failed-0", map[string]any{"op": "complete", "campaign": "c0001", "shard": 0, "failed": 0},
 			[]string{fmt.Sprintf(old, "complete")}},
+		{"spec-out-of-bounds", map[string]any{"op": "submit", "campaign": "c0002", "shard_size": 2, "spec": outOfBounds},
+			[]string{"line 2 (submit)", "sim_workers"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -120,14 +120,14 @@ func TestVCGateAdjusts(t *testing.T) {
 		}
 		g.Step()
 	}
-	if g.Active() != g.MinVCs {
-		t.Fatalf("active %d after sustained idle, want %d", g.Active(), g.MinVCs)
+	if g.Active() != minVCs {
+		t.Fatalf("active %d after sustained idle, want %d", g.Active(), minVCs)
 	}
 	// High utilisation: VCs come back.
 	for i := 0; i < 100; i++ {
 		g.Observe(g.Active()) // fully busy
 	}
-	if active, changed := g.Step(); !changed || active != g.MinVCs+1 {
+	if active, changed := g.Step(); !changed || active != minVCs+1 {
 		t.Fatalf("step under load = (%d,%v)", active, changed)
 	}
 }
@@ -153,11 +153,11 @@ func TestVCGateNoObservationsNoChange(t *testing.T) {
 func TestVCGateSetActiveClamps(t *testing.T) {
 	g := DefaultVCGate(4)
 	g.SetActive(0)
-	if g.Active() != g.MinVCs {
+	if g.Active() != minVCs {
 		t.Fatalf("clamp low: %d", g.Active())
 	}
 	g.SetActive(99)
-	if g.Active() != g.MaxVCs {
+	if g.Active() != g.maxVCs {
 		t.Fatalf("clamp high: %d", g.Active())
 	}
 }
@@ -168,13 +168,13 @@ func TestResizerDoublesOnConsecutiveFailures(t *testing.T) {
 		t.Fatalf("initial active %d, want 16", r.Active())
 	}
 	// Failures below the threshold, broken by a success: no resize.
-	for i := 0; i < r.FailThreshold-1; i++ {
+	for i := 0; i < failThreshold-1; i++ {
 		if _, resized := r.RecordSetupResultAt(false, 0); resized {
 			t.Fatal("resized too early")
 		}
 	}
 	r.RecordSetupResultAt(true, 0)
-	for i := 0; i < r.FailThreshold-1; i++ {
+	for i := 0; i < failThreshold-1; i++ {
 		if _, resized := r.RecordSetupResultAt(false, 0); resized {
 			t.Fatal("resized after counter reset")
 		}
@@ -244,8 +244,8 @@ func TestLatencyVCGateIdleDecays(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Step()
 	}
-	if g.Active() != g.MinVCs {
-		t.Fatalf("idle gate at %d VCs, want %d", g.Active(), g.MinVCs)
+	if g.Active() != minVCs {
+		t.Fatalf("idle gate at %d VCs, want %d", g.Active(), minVCs)
 	}
 }
 

@@ -44,3 +44,10 @@ func (rt *RouterTables) FaultBeyondActive() int {
 	rt.reserved[topology.North]++
 	return s
 }
+
+// SetActive forces the gate's active VC count, clamped to
+// [minVCs, maxVCs].
+func (g *VCGate) SetActive(n int) { g.active = min(max(n, minVCs), g.maxVCs) }
+
+// SetActiveForTest forces the latency gate's active count, clamped.
+func (g *LatencyVCGate) SetActiveForTest(n int) { g.active = min(max(n, minVCs), g.maxVCs) }

@@ -2,56 +2,48 @@ package hybrid
 
 import "tdmnoc/internal/obs"
 
+// The VC-gating policies' fixed tuning: two VCs per port always stay on
+// so a lone VC cannot serialise request and reply classes under bursty
+// traffic, and one adjustment step adds or removes one VC. The caller
+// steps a gate once per epoch (the router's gateEpoch).
+const (
+	minVCs  = 2
+	setSize = 1
+
+	// VCGate's utilisation band.
+	thresholdHigh = 0.60
+	thresholdLow  = 0.25
+
+	// LatencyVCGate's band: above highFactor*targetDelay cycles of mean
+	// buffer residency a VC set is activated, below lowFactor*targetDelay
+	// one is gated off.
+	targetDelay = 4
+	highFactor  = 1.5
+	lowFactor   = 0.5
+)
+
 // VCGate implements the aggressive VC power gating policy of
 // Section III-B: the number of active virtual channels is periodically
 // adjusted by comparing measured VC utilisation against two thresholds.
-// If utilisation exceeds ThresholdHigh one set of VCs is activated; below
-// ThresholdLow one set is turned off (after evacuation, which the router
+// If utilisation exceeds thresholdHigh one set of VCs is activated; below
+// thresholdLow one set is turned off (after evacuation, which the router
 // enforces by draining the victim VC before the gate takes effect).
 type VCGate struct {
-	// MinVCs and MaxVCs bound the active VC count per port.
-	MinVCs, MaxVCs int
-	// SetSize is how many VCs one adjustment step adds or removes.
-	SetSize int
-	// ThresholdHigh and ThresholdLow bracket the target utilisation band.
-	ThresholdHigh, ThresholdLow float64
-	// Epoch is the adjustment period in cycles.
-	Epoch int64
-
+	maxVCs    int
 	active    int
 	busyAccum int64
 	obsCycles int64
 }
 
 // DefaultVCGate returns the policy used by the VCt configurations:
-// 2–4 VCs per port adjusted one VC at a time every 1000 cycles, with a
-// 60 % / 25 % threshold band. Two VCs always stay on so a lone VC cannot
-// serialise request and reply classes under bursty traffic.
+// minVCs–maxVCs VCs per port adjusted one VC at a time, with a 60 % /
+// 25 % threshold band.
 func DefaultVCGate(maxVCs int) *VCGate {
-	return &VCGate{
-		MinVCs:        2,
-		MaxVCs:        maxVCs,
-		SetSize:       1,
-		ThresholdHigh: 0.60,
-		ThresholdLow:  0.25,
-		Epoch:         1000,
-		active:        maxVCs,
-	}
+	return &VCGate{maxVCs: maxVCs, active: maxVCs}
 }
 
 // Active returns the currently active VC count per port.
 func (g *VCGate) Active() int { return g.active }
-
-// SetActive forces the active VC count (used by tests and by resets).
-func (g *VCGate) SetActive(n int) {
-	if n < g.MinVCs {
-		n = g.MinVCs
-	}
-	if n > g.MaxVCs {
-		n = g.MaxVCs
-	}
-	g.active = n
-}
 
 // Observe accumulates one cycle's utilisation sample: busy is the number
 // of active VCs currently holding flits, out of the active population.
@@ -62,7 +54,7 @@ func (g *VCGate) Observe(busy int) {
 
 // Step evaluates the policy at an epoch boundary. It returns the new
 // active VC count and whether it changed. Callers invoke it once per
-// Epoch cycles; calling it with no observations is a no-op.
+// epoch; calling it with no observations is a no-op.
 func (g *VCGate) Step() (active int, changed bool) {
 	if g.obsCycles == 0 {
 		return g.active, false
@@ -70,11 +62,11 @@ func (g *VCGate) Step() (active int, changed bool) {
 	mu := float64(g.busyAccum) / (float64(g.obsCycles) * float64(g.active))
 	g.busyAccum, g.obsCycles = 0, 0
 	switch {
-	case mu > g.ThresholdHigh && g.active < g.MaxVCs:
-		g.active = min(g.active+g.SetSize, g.MaxVCs)
+	case mu > thresholdHigh && g.active < g.maxVCs:
+		g.active = min(g.active+setSize, g.maxVCs)
 		return g.active, true
-	case mu < g.ThresholdLow && g.active > g.MinVCs:
-		g.active = max(g.active-g.SetSize, g.MinVCs)
+	case mu < thresholdLow && g.active > minVCs:
+		g.active = max(g.active-setSize, minVCs)
 		return g.active, true
 	}
 	return g.active, false
@@ -87,39 +79,20 @@ func (g *VCGate) Step() (active int, changed bool) {
 // (the router-local component of packet latency) and keeps that delay
 // inside a target band.
 type LatencyVCGate struct {
-	MinVCs, MaxVCs int
-	SetSize        int
-	// TargetDelay is the acceptable mean buffer residency in cycles;
-	// above HighFactor*TargetDelay a VC set is activated, below
-	// LowFactor*TargetDelay one is gated off.
-	TargetDelay float64
-	HighFactor  float64
-	LowFactor   float64
-	// Epoch is the adjustment period in cycles.
-	Epoch int64
-
+	maxVCs   int
 	active   int
 	delaySum int64
 	delayN   int64
 }
 
-// DefaultLatencyVCGate targets a mean buffer residency of 4 cycles.
+// DefaultLatencyVCGate targets a mean buffer residency of targetDelay
+// (4) cycles.
 func DefaultLatencyVCGate(maxVCs int) *LatencyVCGate {
-	return &LatencyVCGate{
-		MinVCs: 2, MaxVCs: maxVCs, SetSize: 1,
-		TargetDelay: 4, HighFactor: 1.5, LowFactor: 0.5,
-		Epoch:  1000,
-		active: maxVCs,
-	}
+	return &LatencyVCGate{maxVCs: maxVCs, active: maxVCs}
 }
 
 // Active returns the current active VC count.
 func (g *LatencyVCGate) Active() int { return g.active }
-
-// SetActiveForTest forces the active count (clamped), for tests.
-func (g *LatencyVCGate) SetActiveForTest(n int) {
-	g.active = min(max(n, g.MinVCs), g.MaxVCs)
-}
 
 // ObserveDelay records one flit's buffer residency in cycles.
 func (g *LatencyVCGate) ObserveDelay(cycles int64) {
@@ -131,8 +104,8 @@ func (g *LatencyVCGate) ObserveDelay(cycles int64) {
 func (g *LatencyVCGate) Step() (active int, changed bool) {
 	if g.delayN == 0 {
 		// No traffic at all: gate down toward the minimum.
-		if g.active > g.MinVCs {
-			g.active = max(g.active-g.SetSize, g.MinVCs)
+		if g.active > minVCs {
+			g.active = max(g.active-setSize, minVCs)
 			return g.active, true
 		}
 		return g.active, false
@@ -140,29 +113,26 @@ func (g *LatencyVCGate) Step() (active int, changed bool) {
 	mean := float64(g.delaySum) / float64(g.delayN)
 	g.delaySum, g.delayN = 0, 0
 	switch {
-	case mean > g.TargetDelay*g.HighFactor && g.active < g.MaxVCs:
-		g.active = min(g.active+g.SetSize, g.MaxVCs)
+	case mean > targetDelay*highFactor && g.active < g.maxVCs:
+		g.active = min(g.active+setSize, g.maxVCs)
 		return g.active, true
-	case mean < g.TargetDelay*g.LowFactor && g.active > g.MinVCs:
-		g.active = max(g.active-g.SetSize, g.MinVCs)
+	case mean < targetDelay*lowFactor && g.active > minVCs:
+		g.active = max(g.active-setSize, minVCs)
 		return g.active, true
 	}
 	return g.active, false
 }
+
+// failThreshold is the number of consecutive setup failures (observed
+// network-wide at sources) that doubles a Resizer's active region.
+const failThreshold = 16
 
 // Resizer implements the dynamic slot-table sizing policy of Section II-C:
 // start with a small active region, and when path allocation continuously
 // fails, double the active size (up to capacity), at which point every
 // slot table in the network is reset and path setup restarts.
 type Resizer struct {
-	// Capacity is the physical slot-table size.
-	Capacity int
-	// InitialActive is the powered region at start.
-	InitialActive int
-	// FailThreshold is the number of consecutive setup failures (observed
-	// network-wide at sources) that triggers a doubling.
-	FailThreshold int
-
+	capacity     int // the physical slot-table size
 	active       int
 	consecFails  int
 	resizeEvents int
@@ -179,13 +149,13 @@ type Resizer struct {
 func (r *Resizer) SetProbe(p *obs.Handle) { r.probe = p }
 
 // DefaultResizer starts at capacity/8 (at least 8 slots) and doubles after
-// 16 consecutive failures.
+// failThreshold consecutive failures.
 func DefaultResizer(capacity int) *Resizer {
 	init := capacity / 8
 	if init < 8 {
 		init = min(8, capacity)
 	}
-	return &Resizer{Capacity: capacity, InitialActive: init, FailThreshold: 16, active: init}
+	return &Resizer{capacity: capacity, active: init}
 }
 
 // ResizerWithInitial is DefaultResizer with a policy-chosen starting
@@ -200,13 +170,14 @@ func ResizerWithInitial(capacity, initial int) *Resizer {
 	if initial > capacity {
 		initial = capacity
 	}
-	return &Resizer{Capacity: capacity, InitialActive: initial, FailThreshold: 16, active: initial}
+	return &Resizer{capacity: capacity, active: initial}
 }
 
 // FixedResizer pins the active size to the full capacity, disabling
-// dynamic sizing (the ablation baseline).
+// dynamic sizing (the ablation baseline): a region already at capacity
+// never doubles.
 func FixedResizer(capacity int) *Resizer {
-	return &Resizer{Capacity: capacity, InitialActive: capacity, FailThreshold: 1 << 30, active: capacity}
+	return &Resizer{capacity: capacity, active: capacity}
 }
 
 // Active returns the current network-wide active slot count.
@@ -226,8 +197,8 @@ func (r *Resizer) RecordSetupResultAt(ok bool, now int64) (int, bool) {
 		return r.active, false
 	}
 	r.consecFails++
-	if r.consecFails >= r.FailThreshold && r.active < r.Capacity {
-		r.active = min(r.active*2, r.Capacity)
+	if r.consecFails >= failThreshold && r.active < r.capacity {
+		r.active = min(r.active*2, r.capacity)
 		r.consecFails = 0
 		r.resizeEvents++
 		if r.probe.Wants(obs.KindSlotResize) {

@@ -6,10 +6,7 @@
 // (Section II-C).
 package network
 
-import (
-	"tdmnoc/internal/power"
-	"tdmnoc/internal/router"
-)
+import "tdmnoc/internal/router"
 
 // Config describes one simulated network.
 type Config struct {
@@ -34,22 +31,15 @@ type Config struct {
 	// DynamicSlots enables the network-wide slot-table sizing policy.
 	DynamicSlots bool
 
-	// PSDataFlits and CSDataFlits are the data packet lengths of Table I
-	// (5 and 4; a vicinity-shared CS packet adds a header flit for 5).
+	// PSDataFlits is the packet-switched data packet length of Table I
+	// (5; a circuit-switched packet carries the same line in csDataFlits).
 	PSDataFlits int
-	CSDataFlits int
 
-	// SetupThreshold messages to one destination within FreqWindow cycles
-	// trigger a circuit setup.
+	// SetupThreshold messages to one destination within freqWindow
+	// cycles trigger a circuit setup.
 	SetupThreshold int
-	FreqWindow     int64
 	// MaxCircuits bounds registered circuits per source.
 	MaxCircuits int
-	// MaxBlocksPerCircuit bounds how many consecutive-slot blocks one
-	// connection may hold; extra blocks scale a hot connection's
-	// bandwidth in units of Duration/ActiveSlots (Section II-C's
-	// time-division granularity).
-	MaxBlocksPerCircuit int
 	// OverflowForExtraBlock is how many circuit-wait rejections trigger a
 	// request for an additional block.
 	OverflowForExtraBlock int
@@ -60,14 +50,6 @@ type Config struct {
 	// IdleTeardown is the idle time after which a circuit becomes a
 	// teardown candidate when capacity is needed.
 	IdleTeardown int64
-	// DefaultSlack is the extra latency (cycles, versus the estimated
-	// packet-switched latency) a message will tolerate to ride a circuit
-	// when the sender did not specify its own slack.
-	DefaultSlack int
-	// DrainWindow is how many cycles the resize manager waits after
-	// stopping circuit-switched injection before resetting the slot
-	// tables, so in-flight CS flits land first.
-	DrainWindow int
 
 	// SlotInit, when > 0, overrides the dynamic resizer's initial
 	// active slot-table region (normally capacity/8). Policy decisions
@@ -76,7 +58,7 @@ type Config struct {
 	SlotInit int
 	// PinnedFlows lists (src, dst) node-id pairs whose circuits are set
 	// up eagerly: the first send to a pinned destination triggers a
-	// setup, skipping the SetupThreshold/FreqWindow frequency filter.
+	// setup, skipping the SetupThreshold/freqWindow frequency filter.
 	PinnedFlows []PinnedFlow
 	// RestrictSetups forbids circuit setups for flows not in
 	// PinnedFlows (or, under the adaptive controller, not in the
@@ -94,9 +76,6 @@ type Config struct {
 	AdaptiveEpoch int64
 	// AdaptiveTopK bounds the online controller's pin set (default 8).
 	AdaptiveTopK int
-
-	// Power is the technology parameter set for energy reporting.
-	Power power.Params
 
 	// CheckInvariants enables the runtime invariant layer: flit
 	// conservation, credit consistency, slot-table ownership, and the
@@ -127,17 +106,11 @@ func DefaultConfig(width, height int) Config {
 		Seed:                  1,
 		Workers:               1,
 		PSDataFlits:           5,
-		CSDataFlits:           4,
 		SetupThreshold:        4,
-		FreqWindow:            2048,
 		MaxCircuits:           8,
-		MaxBlocksPerCircuit:   4,
 		OverflowForExtraBlock: 8,
 		RetrySetups:           3,
 		IdleTeardown:          8192,
-		DefaultSlack:          64,
-		DrainWindow:           64,
-		Power:                 power.Default45nm(),
 	}
 }
 
@@ -178,17 +151,17 @@ func (c Config) WithLatencyVCGating() Config {
 // (Section III-A2).
 func (c Config) ReserveDuration() int {
 	if c.Router.Sharing {
-		return c.CSDataFlits + 1
+		return csDataFlits + 1
 	}
-	return c.CSDataFlits
+	return csDataFlits
 }
 
 func (c Config) validate() {
 	if c.Width <= 0 || c.Height <= 0 {
 		panic("network: mesh dimensions must be positive")
 	}
-	if c.PSDataFlits <= 0 || c.CSDataFlits <= 0 {
-		panic("network: packet sizes must be positive")
+	if c.PSDataFlits <= 0 {
+		panic("network: packet size must be positive")
 	}
 	if c.SlotInit < 0 || c.SlotInit > c.Router.SlotCapacity {
 		panic("network: SlotInit outside [0, SlotCapacity]")

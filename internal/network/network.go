@@ -15,6 +15,10 @@ import (
 	"tdmnoc/internal/topology"
 )
 
+// drainWindow is how many cycles a slot-table reset waits after freezing
+// circuit-switched injection, so in-flight CS flits land first.
+const drainWindow = 64
+
 // Network is one simulated NoC: the mesh of routers, the per-tile NIs,
 // the executor that drives them, and the network-wide managers (dynamic
 // slot-table sizing).
@@ -298,7 +302,7 @@ func (n *Network) manage() {
 			for _, ok := range ni.setupResults {
 				if newActive, resized := n.resizer.RecordSetupResultAt(ok, int64(now)); resized && n.resizeAt == 0 {
 					n.resizeTo = newActive
-					n.resizeAt = now + sim.Cycle(n.cfg.DrainWindow)
+					n.resizeAt = now + drainWindow
 					n.csFrozen = true
 					n.epoch++
 				}
@@ -367,7 +371,7 @@ func (n *Network) adaptStep(now sim.Cycle) {
 	// circuit flits, wipe every table, bump the epoch so stale acks and
 	// teardowns are discarded.
 	n.resizeTo = n.slotActive
-	n.resizeAt = now + sim.Cycle(n.cfg.DrainWindow)
+	n.resizeAt = now + drainWindow
 	n.csFrozen = true
 	n.epoch++
 }
@@ -446,14 +450,13 @@ func (n *Network) Energy() power.Breakdown {
 	n.SyncMeters()
 	var out power.Breakdown
 	for _, r := range n.routers {
-		out = out.Add(r.Meter().Report(n.cfg.Power))
+		out = out.Add(r.Meter().Report())
 	}
-	dlt := int64(0)
+	var dlt power.RouterMeter
 	for _, ni := range n.nis {
-		dlt += ni.dltAccesses
+		dlt.DLTAccesses += ni.dltAccesses
 	}
-	out.DynamicPJ[power.CompCS] += float64(dlt) * n.cfg.Power.DLTPJ
-	return out
+	return out.Add(dlt.Report())
 }
 
 // Diagnostics sums the protocol-invariant counters across routers; every

@@ -10,6 +10,26 @@ import (
 	"tdmnoc/internal/topology"
 )
 
+// The NI protocol's fixed parameters (Table I and Section II).
+const (
+	// csDataFlits is the circuit-switched data packet length: a cache
+	// line in 4 flits (a vicinity-shared packet adds a header flit).
+	csDataFlits = 4
+	// freqWindow is the frequency filter's window: SetupThreshold
+	// messages to one destination within it trigger a circuit setup. A
+	// setup that gives up backs off for 4 windows, a full registry for 1.
+	freqWindow = 2048
+	// maxBlocksPerCircuit bounds how many consecutive-slot blocks one
+	// connection may hold; extra blocks scale a hot connection's
+	// bandwidth in units of Duration/ActiveSlots (Section II-C's
+	// time-division granularity).
+	maxBlocksPerCircuit = 4
+	// defaultSlack is the extra latency (cycles, versus the estimated
+	// packet-switched latency) a message tolerates to ride a circuit
+	// when its sender gave a negative SendOptions.Slack.
+	defaultSlack = 64
+)
+
 // Endpoint is the traffic logic attached to one tile: a synthetic
 // generator, or a CPU / accelerator / L2 bank / memory controller model.
 // Both methods run inside the NI's compute tick, so they may freely call
@@ -43,7 +63,7 @@ type SendOptions struct {
 	AllowCS bool
 	// Slack is the extra latency in cycles, relative to the estimated
 	// packet-switched latency, the message can tolerate in exchange for
-	// riding a circuit. Negative means "use the network default". For GPU
+	// riding a circuit. Negative means defaultSlack. For GPU
 	// messages the hetero model derives it from available warps.
 	Slack int
 	// ReplyFlits, if non-zero, asks the receiving endpoint to respond
@@ -526,7 +546,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 	if pkt.Config.OK {
 		if existing := ni.circuits[dst]; existing != nil {
 			// An additional slot block for an oversubscribed connection.
-			if !ni.setupPending(dst) || len(existing.blocks) >= cfg.MaxBlocksPerCircuit {
+			if !ni.setupPending(dst) || len(existing.blocks) >= maxBlocksPerCircuit {
 				ni.sendTeardown(dst, pkt.Config.BaseSlot, pkt.Config.Duration, pkt.Config.Epoch)
 				delete(ni.pending, dst)
 				return
@@ -578,7 +598,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 	// Give up for a while: without a backoff the frequency counter would
 	// immediately re-trigger the setup and configuration traffic would
 	// swamp the network (the paper keeps it below 1 % of flits).
-	ni.backoff[dst] = now + 4*sim.Cycle(cfg.FreqWindow)
+	ni.backoff[dst] = now + 4*freqWindow
 	delete(ni.pending, dst)
 }
 
@@ -651,7 +671,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 	}
 	slack := opt.Slack
 	if slack < 0 {
-		slack = cfg.DefaultSlack
+		slack = defaultSlack
 	}
 	A := ni.net.ActiveSlots()
 	hops := ni.net.mesh.HopDistance(ni.id, pkt.Dst)
@@ -666,7 +686,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 	// switching.
 	budget := max(psLat, slack)
 
-	csSize := min(cfg.CSDataFlits, pkt.PSFlits)
+	csSize := min(csDataFlits, pkt.PSFlits)
 
 	// 1. Own circuit, exact destination: pick the soonest-aligning block.
 	if c := ni.circuits[pkt.Dst]; c != nil {
@@ -682,7 +702,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 		// The connection exists but cannot carry this message in time:
 		// persistent overflow asks for another slot block.
 		c.overflow++
-		if c.overflow >= cfg.OverflowForExtraBlock && len(c.blocks) < cfg.MaxBlocksPerCircuit {
+		if c.overflow >= cfg.OverflowForExtraBlock && len(c.blocks) < maxBlocksPerCircuit {
 			c.overflow = 0
 			ni.requestExtraBlock(now, pkt.Dst)
 		}
@@ -785,7 +805,7 @@ func (ni *NI) noteFrequency(now sim.Cycle, dst topology.NodeID) {
 	}
 	if now >= ni.freqResetAt {
 		clear(ni.freq)
-		ni.freqResetAt = now + sim.Cycle(cfg.FreqWindow)
+		ni.freqResetAt = now + freqWindow
 	}
 	ni.freq[dst]++
 	if ni.freq[dst] < cfg.SetupThreshold {
@@ -812,7 +832,7 @@ func (ni *NI) maybeSetup(now sim.Cycle, dst topology.NodeID) {
 	}
 	if len(ni.circuits) >= cfg.MaxCircuits {
 		if !ni.teardownIdlest(now) {
-			ni.backoff[dst] = now + sim.Cycle(cfg.FreqWindow)
+			ni.backoff[dst] = now + freqWindow
 			return
 		}
 	}
@@ -880,9 +900,9 @@ func (ni *NI) newCircuit() *circuit {
 		return c
 	}
 	// Full blocks capacity up front: handleAck never grows past
-	// MaxBlocksPerCircuit, so the record's appends stay growth-free for
+	// maxBlocksPerCircuit, so the record's appends stay growth-free for
 	// the rest of its (recycled) life.
-	return &circuit{blocks: make([]circuitBlock, 0, ni.net.cfg.MaxBlocksPerCircuit)}
+	return &circuit{blocks: make([]circuitBlock, 0, maxBlocksPerCircuit)}
 }
 
 // sendSetup emits a setup message toward dst with a fresh random slot id.

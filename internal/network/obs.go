@@ -62,7 +62,7 @@ func (n *Network) sampleTelemetry(now int64) {
 				Node: int32(id), Val: int64(r.BufferedFlits())})
 		}
 		hybrid.SampleTables(n.control, now, id, r.Tables())
-		power.SampleEnergy(n.control, now, id, r.Meter(), n.cfg.Power)
+		power.SampleEnergy(n.control, now, id, r.Meter())
 	}
 	for id, ni := range n.nis {
 		if n.control.Wants(obs.KindQueueDepth) {

@@ -7,31 +7,18 @@ package power
 // configuration changes (VC count, buffer depth, slot-table size) move the
 // totals plausibly.
 
-// AreaParams holds per-component area constants in mm^2.
-type AreaParams struct {
-	BufferPerSlot  float64 // per flit-slot of input buffering
-	XbarBase       float64 // matrix crossbar (5x5, 16-byte channel)
-	AllocBase      float64 // VC + switch allocators
-	ClockMisc      float64 // clock tree, control, misc
-	SlotPerEntry   float64 // per slot-table entry (per input port)
-	CSLatchPerPort float64 // circuit-switched latch + demux per input port
-	DLTPerEntry    float64 // destination lookup table entry
-}
-
-// DefaultArea45nm returns constants calibrated so a 5-port, 4-VC,
+// Per-component area constants in mm^2, calibrated so a 5-port, 4-VC,
 // 5-deep-buffer router totals 0.177 mm^2 and adding 128-entry slot tables
 // per input port plus CS latches and an 8-entry DLT totals 0.188 mm^2.
-func DefaultArea45nm() AreaParams {
-	return AreaParams{
-		BufferPerSlot:  0.00082, // 100 slots -> 0.082 mm^2 (buffers dominate)
-		XbarBase:       0.052,
-		AllocBase:      0.012,
-		ClockMisc:      0.031,
-		SlotPerEntry:   1.45e-5, // 640 entries -> 0.00928 mm^2
-		CSLatchPerPort: 2.6e-4,  // 5 ports -> 0.0013 mm^2
-		DLTPerEntry:    4.0e-5,  // 8 entries -> 0.00032 mm^2
-	}
-}
+const (
+	areaBufferPerSlot  = 0.00082 // per flit-slot of input buffering: 100 slots -> 0.082 mm^2 (buffers dominate)
+	areaXbar           = 0.052   // matrix crossbar (5x5, 16-byte channel)
+	areaAlloc          = 0.012   // VC + switch allocators
+	areaClockMisc      = 0.031   // clock tree, control, misc
+	areaSlotPerEntry   = 1.45e-5 // per slot-table entry (per input port): 640 entries -> 0.00928 mm^2
+	areaCSLatchPerPort = 2.6e-4  // circuit-switched latch + demux per input port: 5 ports -> 0.0013 mm^2
+	areaDLTPerEntry    = 4.0e-5  // destination lookup table entry: 8 entries -> 0.00032 mm^2
+)
 
 // RouterAreaConfig describes the structures whose area is counted.
 type RouterAreaConfig struct {
@@ -45,27 +32,13 @@ type RouterAreaConfig struct {
 }
 
 // RouterAreaMM2 returns the router area in mm^2.
-func RouterAreaMM2(a AreaParams, c RouterAreaConfig) float64 {
-	area := float64(c.Ports*c.VCsPerPort*c.BufferDepth)*a.BufferPerSlot +
-		a.XbarBase + a.AllocBase + a.ClockMisc
+func RouterAreaMM2(c RouterAreaConfig) float64 {
+	area := float64(c.Ports*c.VCsPerPort*c.BufferDepth)*areaBufferPerSlot +
+		areaXbar + areaAlloc + areaClockMisc
 	if c.Hybrid {
-		area += float64(c.Ports*c.SlotTableEntries) * a.SlotPerEntry
-		area += float64(c.Ports) * a.CSLatchPerPort
-		area += float64(c.DLTEntries) * a.DLTPerEntry
+		area += float64(c.Ports*c.SlotTableEntries) * areaSlotPerEntry
+		area += float64(c.Ports) * areaCSLatchPerPort
+		area += float64(c.DLTEntries) * areaDLTPerEntry
 	}
 	return area
-}
-
-// PacketRouterArea is the Table-I baseline configuration's area.
-func PacketRouterArea(a AreaParams) float64 {
-	return RouterAreaMM2(a, RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5})
-}
-
-// HybridRouterArea is the Table-I hybrid configuration's area
-// (128-entry slot tables, 8-entry DLT).
-func HybridRouterArea(a AreaParams) float64 {
-	return RouterAreaMM2(a, RouterAreaConfig{
-		Ports: 5, VCsPerPort: 4, BufferDepth: 5,
-		SlotTableEntries: 128, DLTEntries: 8, Hybrid: true,
-	})
 }

@@ -8,11 +8,11 @@ import "tdmnoc/internal/obs"
 // milli-pJ scale keeps the event integer-valued (and therefore exactly
 // reproducible) while preserving sub-picojoule resolution. Called by the
 // network's periodic telemetry pass; p must be non-nil.
-func SampleEnergy(p *obs.Handle, now int64, node int, m *RouterMeter, params Params) {
+func SampleEnergy(p *obs.Handle, now int64, node int, m *RouterMeter) {
 	if !p.Wants(obs.KindEnergySample) {
 		return
 	}
-	b := m.Report(params)
+	b := m.Report()
 	for c := Component(0); c < NumComponents; c++ {
 		pj := b.DynamicPJ[c] + b.StaticPJ[c]
 		p.Emit(obs.Event{Cycle: now, Kind: obs.KindEnergySample,

@@ -7,10 +7,11 @@
 // crossbar traversals, arbitrations, link flits, slot-table accesses) and
 // integer integrators of leaky-component occupancy (active buffer slots x
 // cycles, active slot-table entries x cycles). Energy is computed only at
-// report time from the counters and the per-event constants in Params.
+// report time from the counters and the calibrated per-event constants
+// below.
 //
 // Absolute joules are not the point — the paper reports *relative* savings
-// — so the default constants are calibrated to make the baseline
+// — so the constants are calibrated to make the baseline
 // packet-switched router's energy breakdown match the proportions of
 // Fig. 9 (buffers roughly a third of dynamic energy, clock a quarter, link
 // a fifth; leakage dominated by input buffers). All savings reported by
@@ -60,61 +61,33 @@ func (c Component) String() string {
 	return fmt.Sprintf("Component(%d)", int(c))
 }
 
-// Params holds the technology constants. Dynamic energies are picojoules
-// per event; leakage values are milliwatts per leaking instance.
-type Params struct {
-	// FrequencyHz converts cycles to seconds for static energy.
-	FrequencyHz float64
+// The calibrated 45 nm / 1.0 V / 1.5 GHz technology constants (Table I).
+// Dynamic energies are picojoules per event; leakage values are
+// milliwatts per leaking instance.
+const (
+	// frequencyHz converts cycles to seconds for static energy.
+	frequencyHz = 1.5e9
 
-	// Dynamic energy per event (pJ).
-	BufferWritePJ   float64 // per flit written into an input VC buffer
-	BufferReadPJ    float64 // per flit read out of an input VC buffer
-	XbarPJ          float64 // per flit crossing the crossbar
-	VCArbPJ         float64 // per VC allocation performed
-	SWArbPJ         float64 // per switch allocation grant
-	LinkPJ          float64 // per flit per link traversal
-	ClockPJPerCycle float64 // clock tree, per router per cycle (gated off with the router idle fraction)
-	SlotReadPJ      float64 // per slot-table lookup
-	SlotWritePJ     float64 // per slot-table entry update
-	CSLatchPJ       float64 // per circuit-switched flit latched/bypassing
-	DLTPJ           float64 // per destination-lookup-table access
+	bufferWritePJ   = 1.15  // per flit written into an input VC buffer
+	bufferReadPJ    = 0.95  // per flit read out of an input VC buffer
+	xbarPJ          = 0.84  // per flit crossing the crossbar
+	vcArbPJ         = 0.12  // per VC allocation performed
+	swArbPJ         = 0.12  // per switch allocation grant
+	linkPJ          = 1.20  // per flit per link traversal
+	clockPJPerCycle = 0.80  // clock tree, per router per cycle (gated off with the router idle fraction)
+	slotReadPJ      = 0.020 // per slot-table lookup
+	slotWritePJ     = 0.055 // per slot-table entry update
+	csLatchPJ       = 0.060 // per circuit-switched flit latched/bypassing
+	dltPJ           = 0.030 // per destination-lookup-table access
 
-	// Leakage (mW per instance).
-	BufferLeakMWPerSlot  float64 // per flit-slot of active buffering
-	SlotLeakMWPerEntry   float64 // per active slot-table entry (per input port)
-	XbarLeakMW           float64 // per router
-	ArbLeakMW            float64 // per router
-	CSFixedLeakMW        float64 // latches + demux + comparators, per hybrid router
-	ClockLeakMW          float64 // per router
-	LinkLeakMWPerChannel float64 // per unidirectional link
-}
-
-// Default45nm returns the calibrated 45 nm / 1.0 V / 1.5 GHz parameter set.
-func Default45nm() Params {
-	return Params{
-		FrequencyHz: 1.5e9,
-
-		BufferWritePJ:   1.15,
-		BufferReadPJ:    0.95,
-		XbarPJ:          0.84,
-		VCArbPJ:         0.12,
-		SWArbPJ:         0.12,
-		LinkPJ:          1.20,
-		ClockPJPerCycle: 0.80,
-		SlotReadPJ:      0.020,
-		SlotWritePJ:     0.055,
-		CSLatchPJ:       0.060,
-		DLTPJ:           0.030,
-
-		BufferLeakMWPerSlot:  0.0200, // 100 slots (5 ports x 4 VCs x 5 deep) -> 2.0 mW/router
-		SlotLeakMWPerEntry:   0.000115,
-		XbarLeakMW:           0.22,
-		ArbLeakMW:            0.06,
-		CSFixedLeakMW:        0.018,
-		ClockLeakMW:          0.30,
-		LinkLeakMWPerChannel: 0.020,
-	}
-}
+	bufferLeakMWPerSlot  = 0.0200   // per flit-slot of active buffering: 100 slots (5 ports x 4 VCs x 5 deep) -> 2.0 mW/router
+	slotLeakMWPerEntry   = 0.000115 // per active slot-table entry (per input port)
+	xbarLeakMW           = 0.22     // per router
+	arbLeakMW            = 0.06     // per router
+	csFixedLeakMW        = 0.018    // latches + demux + comparators, per hybrid router
+	clockLeakMW          = 0.30     // per router
+	linkLeakMWPerChannel = 0.020    // per unidirectional link
+)
 
 // RouterMeter accumulates energy-relevant events for one router (plus its
 // outgoing links). All fields are plain integers so the per-cycle cost of
@@ -181,33 +154,32 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 	return b
 }
 
-// leakPJ converts mW sustained for cycles at frequency f to picojoules:
+// leakPJ converts mW sustained for cycles at frequencyHz to picojoules:
 // mW * 1e-3 W * (cycles / f) s * 1e12 pJ/J.
-func leakPJ(mw float64, cycles int64, f float64) float64 {
-	return mw * 1e9 * float64(cycles) / f
+func leakPJ(mw float64, cycles int64) float64 {
+	return mw * 1e9 * float64(cycles) / frequencyHz
 }
 
 // Report converts the meter's counters into an energy breakdown.
-func (m *RouterMeter) Report(p Params) Breakdown {
+func (m *RouterMeter) Report() Breakdown {
 	var b Breakdown
-	b.DynamicPJ[CompBuffer] = float64(m.BufWrites)*p.BufferWritePJ + float64(m.BufReads)*p.BufferReadPJ
-	b.DynamicPJ[CompXbar] = float64(m.XbarFlits) * p.XbarPJ
-	b.DynamicPJ[CompArb] = float64(m.VCArbs)*p.VCArbPJ + float64(m.SWArbs)*p.SWArbPJ
-	b.DynamicPJ[CompLink] = float64(m.LinkFlits) * p.LinkPJ
-	b.DynamicPJ[CompClock] = float64(m.ActiveCycles) * p.ClockPJPerCycle
-	b.DynamicPJ[CompCS] = float64(m.SlotReads)*p.SlotReadPJ +
-		float64(m.SlotWrites)*p.SlotWritePJ +
-		float64(m.CSLatches)*p.CSLatchPJ +
-		float64(m.DLTAccesses)*p.DLTPJ
+	b.DynamicPJ[CompBuffer] = float64(m.BufWrites)*bufferWritePJ + float64(m.BufReads)*bufferReadPJ
+	b.DynamicPJ[CompXbar] = float64(m.XbarFlits) * xbarPJ
+	b.DynamicPJ[CompArb] = float64(m.VCArbs)*vcArbPJ + float64(m.SWArbs)*swArbPJ
+	b.DynamicPJ[CompLink] = float64(m.LinkFlits) * linkPJ
+	b.DynamicPJ[CompClock] = float64(m.ActiveCycles) * clockPJPerCycle
+	b.DynamicPJ[CompCS] = float64(m.SlotReads)*slotReadPJ +
+		float64(m.SlotWrites)*slotWritePJ +
+		float64(m.CSLatches)*csLatchPJ +
+		float64(m.DLTAccesses)*dltPJ
 
-	f := p.FrequencyHz
-	b.StaticPJ[CompBuffer] = leakPJ(p.BufferLeakMWPerSlot, m.BufSlotCycles, f)
-	b.StaticPJ[CompCS] = leakPJ(p.SlotLeakMWPerEntry, m.SlotEntryCycles, f) +
-		leakPJ(p.CSFixedLeakMW, m.CSCycles, f)
-	b.StaticPJ[CompXbar] = leakPJ(p.XbarLeakMW, m.Cycles, f)
-	b.StaticPJ[CompArb] = leakPJ(p.ArbLeakMW, m.Cycles, f)
-	b.StaticPJ[CompClock] = leakPJ(p.ClockLeakMW, m.Cycles, f)
-	b.StaticPJ[CompLink] = leakPJ(p.LinkLeakMWPerChannel, m.Cycles*m.LinkChannels, f)
+	b.StaticPJ[CompBuffer] = leakPJ(bufferLeakMWPerSlot, m.BufSlotCycles)
+	b.StaticPJ[CompCS] = leakPJ(slotLeakMWPerEntry, m.SlotEntryCycles) +
+		leakPJ(csFixedLeakMW, m.CSCycles)
+	b.StaticPJ[CompXbar] = leakPJ(xbarLeakMW, m.Cycles)
+	b.StaticPJ[CompArb] = leakPJ(arbLeakMW, m.Cycles)
+	b.StaticPJ[CompClock] = leakPJ(clockLeakMW, m.Cycles)
+	b.StaticPJ[CompLink] = leakPJ(linkLeakMWPerChannel, m.Cycles*m.LinkChannels)
 	return b
 }
 

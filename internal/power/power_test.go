@@ -22,20 +22,19 @@ func TestComponentString(t *testing.T) {
 }
 
 func TestReportDynamicCounting(t *testing.T) {
-	p := Default45nm()
 	m := RouterMeter{
 		BufWrites: 10, BufReads: 10, XbarFlits: 10, LinkFlits: 10,
 		VCArbs: 2, SWArbs: 10, ActiveCycles: 100,
 	}
-	b := m.Report(p)
-	wantBuf := 10*p.BufferWritePJ + 10*p.BufferReadPJ
+	b := m.Report()
+	wantBuf := 10*bufferWritePJ + 10*bufferReadPJ
 	if math.Abs(b.DynamicPJ[CompBuffer]-wantBuf) > 1e-9 {
 		t.Errorf("buffer dynamic %.3f, want %.3f", b.DynamicPJ[CompBuffer], wantBuf)
 	}
-	if math.Abs(b.DynamicPJ[CompXbar]-10*p.XbarPJ) > 1e-9 {
+	if math.Abs(b.DynamicPJ[CompXbar]-10*xbarPJ) > 1e-9 {
 		t.Errorf("xbar dynamic wrong")
 	}
-	if math.Abs(b.DynamicPJ[CompClock]-100*p.ClockPJPerCycle) > 1e-9 {
+	if math.Abs(b.DynamicPJ[CompClock]-100*clockPJPerCycle) > 1e-9 {
 		t.Errorf("clock dynamic wrong")
 	}
 	if b.DynamicPJ[CompCS] != 0 {
@@ -44,10 +43,9 @@ func TestReportDynamicCounting(t *testing.T) {
 }
 
 func TestReportStaticScalesWithCycles(t *testing.T) {
-	p := Default45nm()
 	m1 := RouterMeter{Cycles: 1000, BufSlotCycles: 100 * 1000, LinkChannels: 4}
 	m2 := RouterMeter{Cycles: 2000, BufSlotCycles: 100 * 2000, LinkChannels: 4}
-	b1, b2 := m1.Report(p), m2.Report(p)
+	b1, b2 := m1.Report(), m2.Report()
 	for c := Component(0); c < NumComponents; c++ {
 		if b1.StaticPJ[c] == 0 && c != CompCS {
 			continue
@@ -59,10 +57,9 @@ func TestReportStaticScalesWithCycles(t *testing.T) {
 }
 
 func TestVCGatingReducesBufferLeakage(t *testing.T) {
-	p := Default45nm()
 	full := RouterMeter{Cycles: 1000, BufSlotCycles: 100 * 1000}
 	gated := RouterMeter{Cycles: 1000, BufSlotCycles: 50 * 1000} // half the VCs off
-	if !(gated.Report(p).StaticPJ[CompBuffer] < full.Report(p).StaticPJ[CompBuffer]) {
+	if !(gated.Report().StaticPJ[CompBuffer] < full.Report().StaticPJ[CompBuffer]) {
 		t.Fatal("gating buffer slots did not reduce buffer leakage")
 	}
 }
@@ -70,12 +67,11 @@ func TestVCGatingReducesBufferLeakage(t *testing.T) {
 func TestSlotTableLeakageIsSmallOverhead(t *testing.T) {
 	// A hybrid router with full 128-entry tables on 5 ports should pay a
 	// static overhead of a few percent, matching the ~2.1 % of Fig. 9(b).
-	p := Default45nm()
 	ps := RouterMeter{Cycles: 10000, BufSlotCycles: 100 * 10000, LinkChannels: 4}
 	hy := ps
 	hy.SlotEntryCycles = 640 * 10000
 	hy.CSCycles = 10000
-	psB, hyB := ps.Report(p), hy.Report(p)
+	psB, hyB := ps.Report(), hy.Report()
 	overhead := (hyB.TotalStaticPJ() - psB.TotalStaticPJ()) / psB.TotalStaticPJ()
 	if overhead <= 0.005 || overhead >= 0.08 {
 		t.Fatalf("CS static overhead = %.3f, want a few percent", overhead)
@@ -87,13 +83,12 @@ func TestBaselineDynamicProportions(t *testing.T) {
 	// link+arb, routers active most cycles), buffers should be the largest
 	// dynamic component and arbiters the smallest, clock and link in
 	// between — the Fig. 9(a) baseline shape.
-	p := Default45nm()
 	const flits = 6000
 	m := RouterMeter{
 		BufWrites: flits, BufReads: flits, XbarFlits: flits, LinkFlits: flits,
 		VCArbs: flits / 5, SWArbs: flits, ActiveCycles: 8000, Cycles: 10000,
 	}
-	b := m.Report(p)
+	b := m.Report()
 	tot := b.TotalDynamicPJ()
 	share := func(c Component) float64 { return b.DynamicPJ[c] / tot }
 	if s := share(CompBuffer); s < 0.28 || s > 0.45 {
@@ -142,11 +137,10 @@ func TestMeterReset(t *testing.T) {
 
 func TestReportMonotoneInEvents(t *testing.T) {
 	// Property: adding events never decreases total energy.
-	p := Default45nm()
 	f := func(w, r, x uint16) bool {
 		m1 := RouterMeter{BufWrites: int64(w), BufReads: int64(r), XbarFlits: int64(x)}
 		m2 := RouterMeter{BufWrites: int64(w) + 1, BufReads: int64(r) + 2, XbarFlits: int64(x) + 3}
-		return m2.Report(p).TotalPJ() >= m1.Report(p).TotalPJ()
+		return m2.Report().TotalPJ() >= m1.Report().TotalPJ()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -154,9 +148,13 @@ func TestReportMonotoneInEvents(t *testing.T) {
 }
 
 func TestAreaCalibration(t *testing.T) {
-	a := DefaultArea45nm()
-	ps := PacketRouterArea(a)
-	hy := HybridRouterArea(a)
+	// Table I's configurations: 128-entry slot tables and an 8-entry
+	// DLT on the hybrid router.
+	ps := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5})
+	hy := RouterAreaMM2(RouterAreaConfig{
+		Ports: 5, VCsPerPort: 4, BufferDepth: 5,
+		SlotTableEntries: 128, DLTEntries: 8, Hybrid: true,
+	})
 	if math.Abs(ps-0.177) > 0.002 {
 		t.Errorf("packet router area %.4f mm^2, want 0.177", ps)
 	}
@@ -170,14 +168,13 @@ func TestAreaCalibration(t *testing.T) {
 }
 
 func TestAreaScalesWithStructures(t *testing.T) {
-	a := DefaultArea45nm()
-	small := RouterAreaMM2(a, RouterAreaConfig{Ports: 5, VCsPerPort: 2, BufferDepth: 5})
-	big := RouterAreaMM2(a, RouterAreaConfig{Ports: 5, VCsPerPort: 8, BufferDepth: 5})
+	small := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 2, BufferDepth: 5})
+	big := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 8, BufferDepth: 5})
 	if small >= big {
 		t.Error("area did not grow with VC count")
 	}
-	st128 := RouterAreaMM2(a, RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 128, Hybrid: true})
-	st256 := RouterAreaMM2(a, RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 256, Hybrid: true})
+	st128 := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 128, Hybrid: true})
+	st256 := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 256, Hybrid: true})
 	if st128 >= st256 {
 		t.Error("area did not grow with slot-table size")
 	}
@@ -185,73 +182,17 @@ func TestAreaScalesWithStructures(t *testing.T) {
 
 func TestLeakPJConversion(t *testing.T) {
 	// 1 mW for 1.5e9 cycles at 1.5 GHz is 1 mW for 1 s = 1 mJ = 1e9 pJ.
-	got := leakPJ(1.0, 1_500_000_000, 1.5e9)
+	got := leakPJ(1.0, 1_500_000_000)
 	if math.Abs(got-1e9) > 1 {
 		t.Fatalf("leakPJ = %g, want 1e9", got)
-	}
-}
-
-func TestDeriveParamsPositive(t *testing.T) {
-	p := DeriveParams(Tech45nm(), DefaultGeometry())
-	checks := map[string]float64{
-		"BufferWritePJ": p.BufferWritePJ, "BufferReadPJ": p.BufferReadPJ,
-		"XbarPJ": p.XbarPJ, "VCArbPJ": p.VCArbPJ, "SWArbPJ": p.SWArbPJ,
-		"LinkPJ": p.LinkPJ, "ClockPJPerCycle": p.ClockPJPerCycle,
-		"SlotReadPJ": p.SlotReadPJ, "SlotWritePJ": p.SlotWritePJ,
-		"BufferLeakMWPerSlot": p.BufferLeakMWPerSlot,
-		"SlotLeakMWPerEntry":  p.SlotLeakMWPerEntry,
-		"ClockLeakMW":         p.ClockLeakMW,
-	}
-	for name, v := range checks {
-		if v <= 0 {
-			t.Errorf("%s = %g, want > 0", name, v)
-		}
-	}
-}
-
-func TestDerivedNearCalibrated(t *testing.T) {
-	// The first-principles derivation should land within an order of
-	// magnitude of the RTL-calibrated constants (the paper applies the
-	// same correction to Orion).
-	derived := DeriveParams(Tech45nm(), DefaultGeometry())
-	if gap := RelativeGap(derived, Default45nm()); gap > 1.0 {
-		t.Errorf("derived parameters are 10^%.2f away from calibrated", gap)
-	}
-}
-
-func TestDeriveParamsScaleWithGeometry(t *testing.T) {
-	tech := Tech45nm()
-	small := DefaultGeometry()
-	big := small
-	big.BufDepth *= 2
-	big.FlitBits *= 2
-	ps, pb := DeriveParams(tech, small), DeriveParams(tech, big)
-	if pb.BufferReadPJ <= ps.BufferReadPJ {
-		t.Error("buffer read energy did not grow with array size")
-	}
-	if pb.LinkPJ <= ps.LinkPJ {
-		t.Error("link energy did not grow with flit width")
-	}
-	wide := small
-	wide.SlotEntries *= 4
-	if DeriveParams(tech, wide).SlotReadPJ <= ps.SlotReadPJ {
-		t.Error("slot read energy did not grow with table size")
 	}
 }
 
 func TestSlotTableMuchCheaperThanBuffer(t *testing.T) {
 	// The core energy argument: a slot-table lookup must be far cheaper
 	// than a buffer write+read, or circuit switching saves nothing.
-	p := DeriveParams(Tech45nm(), DefaultGeometry())
-	if p.SlotReadPJ*5 > p.BufferWritePJ+p.BufferReadPJ {
+	if slotReadPJ*5 > bufferWritePJ+bufferReadPJ {
 		t.Errorf("slot read %.3f pJ not clearly cheaper than buffering %.3f pJ",
-			p.SlotReadPJ, p.BufferWritePJ+p.BufferReadPJ)
-	}
-}
-
-func TestRelativeGapInfOnZero(t *testing.T) {
-	var zero Params
-	if g := RelativeGap(zero, Default45nm()); !math.IsInf(g, 1) {
-		t.Errorf("gap with zero params = %v, want +Inf", g)
+			slotReadPJ, bufferWritePJ+bufferReadPJ)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tdmnoc/internal/flit"
-	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/topology"
 )
 
@@ -124,25 +123,6 @@ func (r *Router) CheckCredits(occupancy func(down topology.NodeID, in topology.P
 			}
 		}
 	}
-}
-
-// DebugState returns one line per flit the state walk finds in the
-// router — a diagnostic aid for tests chasing stuck flits. A buffered
-// flit's line also shows its VC's pipeline state and grant. An idle
-// router returns nil.
-func (r *Router) DebugState() []string {
-	var out []string
-	r.Walk(&flit.Walk{H: invariant.NewHasher(), Visit: func(loc flit.Loc, p *flit.Packet, f *flit.Flit) {
-		line := fmt.Sprintf("router %d %v: pkt{id=%d kind=%v src=%d dst=%d} seq=%d vc=%d cs=%v",
-			r.id, loc, p.ID, p.Kind, p.Src, p.Dst, f.Seq, f.VC, f.CS)
-		if loc.Where == flit.VCQueue {
-			vc := &r.in[loc.Port].vcs[loc.VC]
-			line += fmt.Sprintf(" state=%d out=%v outVC=%d credits=%v ready=%d",
-				vc.state, vc.outPort, vc.outVC, r.out[vc.outPort].credits, vc.ready)
-		}
-		out = append(out, line)
-	}})
-	return out
 }
 
 // FaultDropCredit silently discards one credit for (port, vc) — a

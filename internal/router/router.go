@@ -381,12 +381,15 @@ func (r *Router) accrueStatics(now sim.Cycle, busy bool) {
 	}
 }
 
+// gateEpoch is the VC-gating adjustment period in cycles.
+const gateEpoch = 1000
+
 // updateVCGating runs the Section III-B policy: observe utilisation every
-// cycle, adjust at epoch boundaries, commit shrinks only after the victim
-// VCs have been evacuated.
+// cycle, adjust at gateEpoch boundaries, commit shrinks only after the
+// victim VCs have been evacuated.
 func (r *Router) updateVCGating(now sim.Cycle) {
 	if r.latGate != nil {
-		if now >= r.gateEpochAt+sim.Cycle(r.latGate.Epoch) {
+		if now >= r.gateEpochAt+gateEpoch {
 			r.gateEpochAt = now
 			if target, changed := r.latGate.Step(); changed {
 				r.pendingVCs = target
@@ -408,7 +411,7 @@ func (r *Router) updateVCGating(now sim.Cycle) {
 	// VC anywhere still registers).
 	r.gate.Observe((busy + int(topology.NumPorts) - 1) / int(topology.NumPorts))
 
-	if now >= r.gateEpochAt+sim.Cycle(r.gate.Epoch) {
+	if now >= r.gateEpochAt+gateEpoch {
 		r.gateEpochAt = now
 		if target, changed := r.gate.Step(); changed {
 			r.pendingVCs = target

@@ -33,18 +33,18 @@ import (
 	"tdmnoc/internal/topology"
 )
 
+// PacketFlits is the data packet length (Table I's 5 flits).
+const PacketFlits = 5
+
 // Config sizes the SDM network.
 type Config struct {
 	Width, Height int
 	// Planes is the number of link partitions (4 in the evaluation:
-	// 4-byte planes of the 16-byte channel).
+	// 4-byte planes of the 16-byte channel). Circuits may own all but
+	// one plane of a link; that one stays packet-switched.
 	Planes int
-	// CircuitPlanes caps how many planes per link circuits may own.
-	CircuitPlanes int
 	// VCs and BufDepth match the Table-I router (4 and 5).
 	VCs, BufDepth int
-	// PSDataFlits is the packet length (5).
-	PSDataFlits int
 	// SetupThreshold messages to one destination trigger a circuit request.
 	SetupThreshold int
 	// MaxCircuits bounds circuits per source.
@@ -54,7 +54,7 @@ type Config struct {
 	// their drivers leak no static power. At least two planes must stay
 	// on — one packet-switched escape plane plus one circuit-capable
 	// plane — and circuits are capped at one fewer than the ungated
-	// plane count regardless of CircuitPlanes. The SDM-gating adaptive
+	// plane count. The SDM-gating adaptive
 	// policy sets this from observed utilization to trade peak circuit
 	// capacity for link leakage at low load.
 	GatedPlanes int
@@ -65,9 +65,7 @@ type Config struct {
 func DefaultConfig(width, height int) Config {
 	return Config{
 		Width: width, Height: height,
-		Planes: 4, CircuitPlanes: 3,
-		VCs: 4, BufDepth: 5,
-		PSDataFlits:    5,
+		Planes: 4, VCs: 4, BufDepth: 5,
 		SetupThreshold: 4,
 		MaxCircuits:    2,
 		Seed:           1,
@@ -78,11 +76,8 @@ func (c Config) validate() {
 	if c.Width <= 0 || c.Height <= 0 || c.Planes <= 0 || c.VCs <= 0 || c.BufDepth <= 0 {
 		panic("sdm: invalid configuration")
 	}
-	if c.CircuitPlanes >= c.Planes {
-		panic("sdm: at least one plane must remain packet-switched")
-	}
 	if c.GatedPlanes < 0 || c.Planes-c.GatedPlanes < 2 {
-		panic("sdm: gating must leave at least two planes on")
+		panic("sdm: at least two planes must stay on (one packet-switched, one for circuits)")
 	}
 }
 
@@ -328,14 +323,14 @@ func (n *Network) EnableStats() {
 }
 
 // Energy reports the aggregate energy breakdown.
-func (n *Network) Energy(p power.Params) power.Breakdown {
+func (n *Network) Energy() power.Breakdown {
 	var out power.Breakdown
 	cycles := n.now - n.meteredFrom
 	for i := range n.meters {
 		m := n.meters[i]
 		m.Cycles = cycles
 		m.BufSlotCycles = cycles * int64(n.cfg.VCs*n.cfg.BufDepth*int(topology.NumPorts))
-		out = out.Add(m.Report(p))
+		out = out.Add(m.Report())
 	}
 	return out
 }
@@ -476,7 +471,7 @@ func (n *Network) generate() {
 		pkt.Src = topology.NodeID(id)
 		pkt.Dst = dst
 		pkt.Class = flit.ClassOther
-		pkt.Flits = n.cfg.PSDataFlits
+		pkt.Flits = PacketFlits
 		pkt.CreatedAt = n.now
 		n.sent++
 		q := &src.psQ
@@ -522,7 +517,8 @@ func (n *Network) noteFrequency(src, dst topology.NodeID) {
 
 // tryReserveCircuit walks the X-Y path and claims one free plane per link
 // (the centralised-allocator simplification). It fails when any link has
-// already given CircuitPlanes planes to circuits — the SDM scaling limit.
+// already given all but one of its ungated planes to circuits — the SDM
+// scaling limit.
 func (n *Network) tryReserveCircuit(src, dst topology.NodeID) bool {
 	path := routing.PathXY(n.mesh, src, dst)
 	planes := make([]int, len(path)-1)
@@ -538,13 +534,8 @@ func (n *Network) tryReserveCircuit(src, dst topology.NodeID) bool {
 				picked = k
 			}
 		}
-		// Gating lowers the per-link circuit cap with the plane count:
-		// one ungated plane must always remain packet-switched.
-		csCap := n.cfg.CircuitPlanes
-		if m := len(op.planes) - 1; csCap > m {
-			csCap = m
-		}
-		if picked < 0 || owned >= csCap {
+		// One ungated plane always remains packet-switched.
+		if picked < 0 || owned >= len(op.planes)-1 {
 			n.Stats.SetupsFailed++
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tdmnoc/internal/power"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/traffic"
@@ -26,10 +25,10 @@ func destOrSkip(pat traffic.Pattern, m topology.Mesh, src topology.NodeID, rng *
 
 func TestConfigValidatePanics(t *testing.T) {
 	bad := DefaultConfig(6, 6)
-	bad.CircuitPlanes = 4 // == Planes
+	bad.Planes = 1 // no plane left for circuits
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic for CircuitPlanes == Planes")
+			t.Fatal("no panic for a single plane")
 		}
 	}()
 	New(bad, nil)
@@ -102,8 +101,8 @@ func TestCircuitsEstablishAndBypass(t *testing.T) {
 }
 
 func TestPlaneLimitCapsCircuits(t *testing.T) {
-	// Tornado from a full row shares links; at most CircuitPlanes
-	// circuits can cross any link.
+	// Tornado from a full row shares links; at most Planes-1 circuits
+	// can cross any link.
 	cfg := DefaultConfig(6, 6)
 	cfg.SetupThreshold = 1
 	cfg.MaxCircuits = 8
@@ -114,7 +113,7 @@ func TestPlaneLimitCapsCircuits(t *testing.T) {
 		// 6x6 mesh and 3 circuit planes it should overflow quickly.
 		t.Error("expected some SDM circuit requests to fail on plane exhaustion")
 	}
-	// Invariant: no link has more than CircuitPlanes circuit-owned planes.
+	// Invariant: no link has more than Planes-1 circuit-owned planes.
 	for _, r := range net.routers {
 		for p := topology.Port(0); p < topology.NumPorts; p++ {
 			owned := 0
@@ -123,8 +122,8 @@ func TestPlaneLimitCapsCircuits(t *testing.T) {
 					owned++
 				}
 			}
-			if owned > cfg.CircuitPlanes {
-				t.Fatalf("router %d out[%v]: %d circuit planes (cap %d)", r.id, p, owned, cfg.CircuitPlanes)
+			if owned > cfg.Planes-1 {
+				t.Fatalf("router %d out[%v]: %d circuit planes (cap %d)", r.id, p, owned, cfg.Planes-1)
 			}
 		}
 	}
@@ -148,13 +147,11 @@ func TestEnergyReporting(t *testing.T) {
 	net := New(DefaultConfig(6, 6), bernoulliGen(traffic.Tornado, 0.10, 5))
 	net.EnableStats()
 	net.Run(3000)
-	e := net.Energy(powerParams())
+	e := net.Energy()
 	if e.TotalDynamicPJ() <= 0 || e.TotalStaticPJ() <= 0 {
 		t.Fatal("energy not recorded")
 	}
 }
-
-func powerParams() (p power.Params) { return power.Default45nm() }
 
 func TestValidateCleanAfterRun(t *testing.T) {
 	net := New(DefaultConfig(6, 6), bernoulliGen(traffic.UniformRandom, 0.15, 5))
