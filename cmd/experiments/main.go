@@ -16,7 +16,8 @@
 // full/NAME.json, or with -quick the CI-sized NAME.json, and prints its
 // records as the paper's table. -seed replaces the spec's seeds and
 // -mixes N evenly subsamples the 56 workload mixes of fig8. fig6 builds
-// two batches per mesh, the second from the first's saturation load;
+// two batches per mesh, the second from the first's saturation load,
+// and runs each like a spec, so it too runs on a -fleet coordinator;
 // table1 runs nothing.
 //
 //	experiments -spec scenarios/table3.json -results table3.jsonl
@@ -30,8 +31,8 @@
 // benchmarks, not a rate, generate the traffic). A policy_profile spec
 // runs its two waves (profile, then re-run under each policy) and
 // prints the policy-comparison CSV instead. With -fleet a spec or
-// figure is submitted to a fleet coordinator rather than simulated
-// locally; the output is the same.
+// figure (each of fig6's batches) is submitted to a fleet coordinator
+// rather than simulated locally; the output is the same.
 //
 // A cell that needs a failed job prints n/a; the exit code is then 1.
 // With -results the records persist to a JSONL store, so an interrupted
@@ -163,8 +164,6 @@ func (rc *runConfig) main(args []string) int {
 					return bad("%s: %v", name, err)
 				}
 				steps = append(steps, func() { rc.runSpec(spec, jobs, figures[name]) })
-			case local[name] != nil && rc.fleet != "":
-				return bad("-fleet submits a -spec or a spec-backed figure; %s runs locally", *exp)
 			case local[name] != nil:
 				steps = append(steps, func() { local[name](rc) })
 			default:

@@ -108,6 +108,9 @@ func fig6(rc *runConfig) {
 		for _, p := range []string{"ur", "tornado", "transpose"} {
 			sweep.Patterns, sweep.Rates = []string{p}, rates
 			jobs, recs := run(sweep)
+			if recs == nil {
+				return // the fleet run failed; runSpec reported it
+			}
 			// Maximum accepted payload throughput over the sweep is the
 			// saturation throughput.
 			maxBase, maxVct, satBase := 0.0, 0.0, 0.0
@@ -126,6 +129,9 @@ func fig6(rc *runConfig) {
 			if satBase > 0 {
 				sample.Patterns, sample.Rates = []string{p}, []float64{0.75 * satBase}
 				jobs, recs := run(sample)
+				if recs == nil {
+					return
+				}
 				g := newGrid(jobs, recs)
 				saving = savingPct(g.at("vct", jobs[0]), g.at("base", jobs[0]))
 			}

@@ -140,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event (Perfetto) JSON timeline to this file (packet/tdm)")
 	telemetryEvery := fs.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (packet/tdm)")
 	configPath := fs.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
-	policySpec := fs.String("policy", "", "profile the workload, then run it under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate[:P] (packet/tdm)")
+	policySpec := fs.String("policy", "", "profile the workload, then run it under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate (packet/tdm)")
 	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
 	adaptiveTopK := fs.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
 	replay := fs.String("replay", "", "replay this trace file (written by tracegen) on its own mesh until every packet lands, instead of synthetic traffic (packet/tdm)")

@@ -53,7 +53,6 @@ func TestValidatePolicyFlags(t *testing.T) {
 		{"sdm-gate", tdm, "", "sdm-gate"},    // cross-architecture re-run
 		{"sdm-gate", packet, "", "sdm-gate"}, // likewise from a packet base
 		{"greedy", tdm, "-replay", "greedy"}, // a replay re-runs on tdm
-		{"sdm-gate:2", tdm, "", "sdm-gate"},
 	} {
 		pol, err := validatePolicyFlags(c.policy, c.cfg, c.workload)
 		if err != nil {
@@ -77,6 +76,8 @@ func TestValidatePolicyFlags(t *testing.T) {
 		{"greedy", sdm, "", "not available for sdm"},
 		{"bogus", tdm, "", "unknown policy"},
 		{"greedy:x", tdm, "", "bad parameter"},
+		{"sdm-gate:2", tdm, "", `"sdm-gate" takes no parameter`}, // the re-run has sdm.DefaultPlanes planes
+		{"sdm-gate:6", tdm, "", `"sdm-gate" takes no parameter`},
 		{"greedy", packet, "", "-policy greedy does not apply to Packet-VC4 mode"},
 		{"threshold", packet, "-hetero", "-policy threshold does not apply to Packet-VC4 mode"},
 		{"sdm-gate", tdm, "-hetero", "but -hetero runs on PacketSwitched and HybridTDM only"},

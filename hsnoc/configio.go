@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"tdmnoc/internal/router"
+	"tdmnoc/internal/sdm"
 )
 
 // SaveConfig writes cfg as indented JSON.
@@ -41,14 +42,13 @@ func LoadConfig(r io.Reader) (Config, error) {
 const ModelVersion = 0
 
 // Hash returns a canonical fingerprint of the configuration: a SHA-256
-// over its canonical JSON encoding (appendJSON: the bytes json.Marshal
-// writes, fields in declaration order). Two configs hash equal exactly
-// when every field, including Seed, is equal — Workers is excluded
-// because executor parallelism never changes simulation results, and
-// the invariant-checking knobs (CheckInvariants, CheckInterval) are
-// excluded because checking only observes a run. The hash is the cache
-// key of the campaign engine, so adding, removing or reordering Config
-// fields invalidates cached campaign results (by design: a hash must
+// over its canonical JSON encoding (appendJSON). Two configs hash equal
+// exactly when every field, including Seed, is equal — Workers is
+// excluded because executor parallelism never changes simulation
+// results, and the invariant-checking knobs (CheckInvariants,
+// CheckInterval) are excluded because checking only observes a run.
+// The hash is the cache key of the campaign engine, so a change to the
+// encoding invalidates cached campaign results (by design: a hash must
 // never collide across semantically different configs).
 func (c Config) Hash() string {
 	var buf [2 * sha256.Size]byte
@@ -65,16 +65,21 @@ func (c Config) AppendHash(dst []byte) []byte {
 	return hex.AppendEncode(dst, sum[:])
 }
 
-// appendJSON appends the encoding json.Marshal gives c, written by hand
-// because reflection dominated the cost of expanding a campaign spec.
-// TestConfigHashMatchesJSON and FuzzConfigHash hold the two equal, so a
-// field added to Config and not here fails the tests.
+// appendJSON appends the encoding json.Marshal gave c when Config still
+// declared BufferDepth, Planes and DLTEntries, written by hand because
+// reflection dominated the cost of expanding a campaign spec. Those
+// three are the model's constants now, and their bytes stay at their
+// positions with the values every DefaultConfig carried (5, 4 and 0),
+// so no job key moved when they left Config. TestConfigHashMatchesJSON
+// and FuzzConfigHash hold the encoding equal to json.Marshal of that
+// earlier Config, so a field added to Config and not here fails the
+// tests.
 func (c Config) appendJSON(b []byte) []byte {
 	b = appendInt(b, `{"Width":`, c.Width)
 	b = appendInt(b, `,"Height":`, c.Height)
 	b = appendInt(b, `,"Mode":`, int(c.Mode))
 	b = appendInt(b, `,"VCs":`, c.VCs)
-	b = appendInt(b, `,"BufferDepth":`, c.BufferDepth)
+	b = append(b, `,"BufferDepth":5`...)
 	b = appendInt(b, `,"SlotTableEntries":`, c.SlotTableEntries)
 	b = appendBool(b, `,"DisableTimeSlotStealing":`, c.DisableTimeSlotStealing)
 	b = appendBool(b, `,"PathSharing":`, c.PathSharing)
@@ -82,12 +87,12 @@ func (c Config) appendJSON(b []byte) []byte {
 	b = appendBool(b, `,"LatencyBasedVCGating":`, c.LatencyBasedVCGating)
 	b = appendBool(b, `,"DisableDynamicSlotSizing":`, c.DisableDynamicSlotSizing)
 	b = appendInt(b, `,"SAIterations":`, c.SAIterations)
-	b = appendInt(b, `,"Planes":`, c.Planes)
+	b = append(b, `,"Planes":4`...)
 	b = strconv.AppendUint(append(b, `,"Seed":`...), c.Seed, 10)
 	b = appendInt(b, `,"Workers":`, c.Workers)
 	b = appendBool(b, `,"CheckInvariants":`, c.CheckInvariants)
 	b = appendInt(b, `,"CheckInterval":`, c.CheckInterval)
-	b = appendInt(b, `,"DLTEntries":`, c.DLTEntries)
+	b = append(b, `,"DLTEntries":0`...)
 	b = appendInt(b, `,"SlotInit":`, c.SlotInit)
 	b = append(b, `,"PinnedFlows":`...)
 	if c.PinnedFlows == nil {
@@ -127,7 +132,7 @@ func (c Config) Validate() error {
 	if c.Mode < PacketSwitched || c.Mode > HybridSDM {
 		return fmt.Errorf("hsnoc: unknown mode %d", c.Mode)
 	}
-	if c.VCs < 0 || c.BufferDepth < 0 || c.SlotTableEntries < 0 || c.Planes < 0 || c.SAIterations < 0 {
+	if c.VCs < 0 || c.SlotTableEntries < 0 || c.SAIterations < 0 {
 		return fmt.Errorf("hsnoc: negative structural parameter")
 	}
 	if c.Mode != HybridSDM && c.VCs > router.MaxVCs {
@@ -144,9 +149,6 @@ func (c Config) Validate() error {
 	}
 	if c.Mode != HybridTDM && c.PathSharing {
 		return fmt.Errorf("hsnoc: PathSharing requires HybridTDM")
-	}
-	if c.DLTEntries < 0 {
-		return fmt.Errorf("hsnoc: negative DLT size %d", c.DLTEntries)
 	}
 	if c.SlotInit < 0 {
 		return fmt.Errorf("hsnoc: negative SlotInit %d", c.SlotInit)
@@ -176,12 +178,8 @@ func (c Config) Validate() error {
 		if c.Mode != HybridSDM {
 			return fmt.Errorf("hsnoc: GatedPlanes requires HybridSDM")
 		}
-		planes := c.Planes
-		if planes == 0 {
-			planes = 4
-		}
-		if c.GatedPlanes < 0 || c.GatedPlanes > planes-2 {
-			return fmt.Errorf("hsnoc: GatedPlanes %d of %d planes (at least 2 must stay on)", c.GatedPlanes, planes)
+		if c.GatedPlanes < 0 || c.GatedPlanes > sdm.DefaultPlanes-2 {
+			return fmt.Errorf("hsnoc: GatedPlanes %d of %d planes (at least 2 must stay on)", c.GatedPlanes, sdm.DefaultPlanes)
 		}
 	}
 	if c.AdaptiveEpoch < 0 || c.AdaptiveTopK < 0 {

@@ -88,14 +88,16 @@ const (
 )
 
 // Config selects and sizes a simulated network. Zero values fall back to
-// the Table-I parameters.
+// the Table-I parameters; what the paper fixes — 5-flit VC buffers, an
+// 8-entry DLT, the SDM baseline's sdm.DefaultPlanes link planes — is
+// not a setting.
 type Config struct {
 	// Width and Height of the mesh (Table I: 6x6).
 	Width, Height int
 	// Mode is the switching architecture.
 	Mode Mode
-	// VCs per port (Table I: 4) and buffer depth per VC (Table I: 5).
-	VCs, BufferDepth int
+	// VCs per port (Table I: 4).
+	VCs int
 	// SlotTableEntries is the physical slot-table capacity (Table I: 128;
 	// the paper uses 256 for 256-node meshes).
 	SlotTableEntries int
@@ -118,8 +120,6 @@ type Config struct {
 	// SAIterations sets the switch allocator's iSLIP iteration count
 	// (0/1 = the classic single-pass separable allocator).
 	SAIterations int
-	// Planes is the SDM link partition count (HybridSDM only; default 4).
-	Planes int
 	// Seed makes runs reproducible; equal seeds give identical results.
 	Seed uint64
 	// Workers sets executor parallelism (results are identical for any
@@ -139,13 +139,6 @@ type Config struct {
 	// cycle). Larger intervals cut the overhead proportionally but
 	// detect a divergence or violation only at the next checked cycle.
 	CheckInterval int
-
-	// DLTEntries overrides the destination-lookup-table size used by
-	// path sharing (0 = the router default of 8). No Decision and no
-	// caller sets it; it stays because "DLTEntries":0 is part of every
-	// job key's preimage (appendJSON), so dropping it would re-key every
-	// stored record.
-	DLTEntries int
 
 	// The policy layer (see internal/policy and ApplyDecision): knobs a
 	// profile-derived Decision (SlotInit, PinnedFlows, RestrictSetups,
@@ -184,7 +177,7 @@ type FlowPin = policy.FlowPin
 // DefaultConfig returns the Table-I baseline configuration for a
 // width x height mesh.
 func DefaultConfig(width, height int) Config {
-	return Config{Width: width, Height: height, VCs: 4, BufferDepth: 5, SlotTableEntries: 128, Planes: 4, Seed: 1, Workers: 1}
+	return Config{Width: width, Height: height, VCs: 4, SlotTableEntries: 128, Seed: 1, Workers: 1}
 }
 
 // networkConfig lowers the public Config onto the engine configuration.
@@ -196,9 +189,6 @@ func (c Config) networkConfig() network.Config {
 	}
 	if c.VCs > 0 {
 		nc.Router.VCs = c.VCs
-	}
-	if c.BufferDepth > 0 {
-		nc.Router.BufDepth = c.BufferDepth
 	}
 	if c.SAIterations > 0 {
 		nc.Router.SAIterations = c.SAIterations
@@ -213,9 +203,6 @@ func (c Config) networkConfig() network.Config {
 		nc.Router.TimeSlotStealing = !c.DisableTimeSlotStealing
 		if c.PathSharing {
 			nc = nc.WithSharing()
-		}
-		if c.DLTEntries > 0 {
-			nc.Router.DLTEntries = c.DLTEntries
 		}
 		nc.SlotInit = c.SlotInit
 		if len(c.PinnedFlows) > 0 {
@@ -249,12 +236,6 @@ func (c Config) sdmConfig() sdm.Config {
 	sc.Seed = c.Seed
 	if c.VCs > 0 {
 		sc.VCs = c.VCs
-	}
-	if c.BufferDepth > 0 {
-		sc.BufDepth = c.BufferDepth
-	}
-	if c.Planes > 0 {
-		sc.Planes = c.Planes
 	}
 	sc.GatedPlanes = c.GatedPlanes
 	return sc
@@ -712,14 +693,11 @@ func (s *Simulator) Diagnose() Diagnostics {
 // RouterAreaMM2 reports the modelled router area for this configuration
 // (Section IV-A: 0.177 mm^2 packet-switched, 0.188 mm^2 hybrid).
 func (c Config) RouterAreaMM2() float64 {
-	vcs, depth := c.VCs, c.BufferDepth
+	vcs := c.VCs
 	if vcs == 0 {
 		vcs = 4
 	}
-	if depth == 0 {
-		depth = 5
-	}
-	rc := power.RouterAreaConfig{Ports: 5, VCsPerPort: vcs, BufferDepth: depth}
+	rc := power.RouterAreaConfig{Ports: 5, VCsPerPort: vcs, BufferDepth: 5}
 	if c.Mode == HybridTDM {
 		rc.Hybrid = true
 		rc.SlotTableEntries = c.SlotTableEntries

@@ -13,17 +13,7 @@ import (
 // conservation), the invariant kind ("conservation", "credit",
 // "slot-table", "mask-consistency") and a human-readable detail with
 // enough context to reproduce the failure.
-type Violation struct {
-	Cycle  int64  `json:"cycle"`
-	Router int    `json:"router"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-}
-
-// String formats the violation for logs.
-func (v Violation) String() string {
-	return invariant.Violation(v).String()
-}
+type Violation = invariant.Violation
 
 // ViolationError reports that a checked run detected invariant
 // violations. Count is the total detected; Violations holds the first
@@ -74,15 +64,10 @@ func (s *Simulator) InvariantViolations() []Violation {
 	if s.net == nil {
 		return nil
 	}
-	vs := s.net.InvariantViolations()
-	if len(vs) == 0 {
-		return nil
+	if vs := s.net.InvariantViolations(); len(vs) > 0 {
+		return vs
 	}
-	out := make([]Violation, len(vs))
-	for i, v := range vs {
-		out[i] = Violation(v)
-	}
-	return out
+	return nil
 }
 
 // InvariantViolationCount returns the total violations detected,

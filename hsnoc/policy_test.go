@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"tdmnoc/internal/obs"
+	"tdmnoc/internal/policy"
 )
 
 // profiledScenario is the profile-extraction worker-matrix scenario:
@@ -182,5 +185,30 @@ func TestApplyDecisionValidation(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("SDM-gated config invalid: %v", err)
+	}
+}
+
+// TestSDMGateDecisionApplies: sdm-gate's decision on a TDM base is a
+// valid SDM config at every load, gating 2, 1 and 0 of the re-run's
+// planes below a quarter, below a half and above half of link capacity.
+func TestSDMGateDecisionApplies(t *testing.T) {
+	tdm := DefaultConfig(4, 4)
+	tdm.Mode = HybridTDM
+	for _, c := range []struct {
+		load  float64 // offered flits per node per cycle
+		gated int
+	}{{0.1, 2}, {0.3, 1}, {0.7, 0}} {
+		p := &Profile{Width: 4, Height: 4, Cycles: 1000,
+			Flows: []obs.FlowStat{{Src: 0, Dst: 5, Flits: int64(c.load * 16 * 1000)}}}
+		got, err := ApplyDecision(tdm, policy.SDMGate{}.Decide(p))
+		if err != nil {
+			t.Fatalf("load %.2f: %v", c.load, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("load %.2f: %v", c.load, err)
+		}
+		if got.Mode != HybridSDM || got.GatedPlanes != c.gated {
+			t.Errorf("load %.2f: mode %v gating %d planes, want HybridSDM gating %d", c.load, got.Mode, got.GatedPlanes, c.gated)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/obs"
@@ -262,7 +261,7 @@ func TestSpecNormalizeRejects(t *testing.T) {
 		// An sdm-gate re-run runs on the SDM engine, which has no
 		// invariant layer: refused rather than run unchecked.
 		{Modes: []string{"tdm"}, Patterns: []string{"tornado"}, Rates: []float64{0.1}, CheckInvariants: true,
-			PolicyProfile: &PolicyProfileSpec{Policies: []string{"greedy", "sdm-gate:6"}}},
+			PolicyProfile: &PolicyProfileSpec{Policies: []string{"greedy", "sdm-gate"}}},
 	}
 	// Values that size one job's memory: a job past them would OOM-kill
 	// the worker that leases it. Only Normalize runs here; nothing of
@@ -538,8 +537,9 @@ func TestEngineDedupsWithinRun(t *testing.T) {
 	}
 }
 
-// TestEngineTimeoutAndCancel checks per-job timeout enforcement and
-// campaign-level cancellation.
+// TestEngineTimeoutAndCancel checks campaign-level cancellation: a job
+// whose context ends fails instead of reporting success. (A per-job
+// time limit is the fleet worker's, WorkerOptions.JobTimeout.)
 func TestEngineTimeoutAndCancel(t *testing.T) {
 	block := func(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, error) {
 		<-ctx.Done()
@@ -548,20 +548,11 @@ func TestEngineTimeoutAndCancel(t *testing.T) {
 	cfg := hsnoc.DefaultConfig(4, 4)
 	j := NewJob(cfg, hsnoc.Tornado, 0.1, 0, 100, "block")
 
-	eng := New(Options{Workers: 1, JobTimeout: 10 * time.Millisecond, Runner: block})
-	recs := eng.Run(context.Background(), []Job{j})
-	if recs[0].Err == "" {
-		t.Error("timed-out job reported success")
-	}
-	if st := eng.Status(); st.Failed != 1 || st.Done != 0 {
-		t.Errorf("status after timeout = %+v", st)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng2 := New(Options{Workers: 1, Runner: block})
-	recs2 := eng2.Run(ctx, []Job{j})
-	if recs2[0].Err == "" {
+	eng := New(Options{Workers: 1, Runner: block})
+	recs := eng.Run(ctx, []Job{j})
+	if recs[0].Err == "" {
 		t.Error("cancelled job reported success")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/obs"
@@ -24,8 +23,6 @@ type Runner func(ctx context.Context, job Job) (stats.RunRecord, *obs.Summary, e
 type Options struct {
 	// Workers bounds concurrent jobs (0 = NumCPU).
 	Workers int
-	// JobTimeout cancels an individual job after this long (0 = none).
-	JobTimeout time.Duration
 	// Runner executes jobs (nil = Simulate).
 	Runner Runner
 	// Store is the persistent result cache (nil = in-memory only; jobs
@@ -46,7 +43,6 @@ type ResultStore interface {
 // shard on a worker — and counts what it did in Status.
 type Engine struct {
 	workers int
-	timeout time.Duration
 	runner  Runner
 	store   ResultStore
 
@@ -78,7 +74,7 @@ func New(o Options) *Engine {
 	if o.Runner == nil {
 		o.Runner = Simulate
 	}
-	return &Engine{workers: o.Workers, timeout: o.JobTimeout, runner: o.Runner, store: o.Store}
+	return &Engine{workers: o.Workers, runner: o.Runner, store: o.Store}
 }
 
 // Status snapshots the counters.
@@ -190,7 +186,7 @@ func (e *Engine) execute(ctx context.Context, j Job) Record {
 	return rec
 }
 
-// runOne executes a single job with timeout and panic containment.
+// runOne executes a single job with panic containment.
 func (e *Engine) runOne(ctx context.Context, j Job) (rec Record) {
 	rec = newRecord(j)
 	defer func() {
@@ -198,13 +194,7 @@ func (e *Engine) runOne(ctx context.Context, j Job) (rec Record) {
 			rec.Err = fmt.Sprintf("panic: %v", p)
 		}
 	}()
-	jctx := ctx
-	if e.timeout > 0 {
-		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, e.timeout)
-		defer cancel()
-	}
-	res, sum, err := e.runner(jctx, j)
+	res, sum, err := e.runner(ctx, j)
 	if err != nil {
 		var ve *hsnoc.ViolationError
 		if errors.As(err, &ve) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -21,11 +22,26 @@ func refHex(preimage string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// retiredFields are the Config fields the first keys were built with
+// that are the model's constants now: each goes back after the field it
+// followed, with the value every DefaultConfig held.
+var retiredFields = []struct {
+	after *regexp.Regexp
+	field string
+}{
+	{regexp.MustCompile(`"VCs":-?\d+`), `"BufferDepth":5`},
+	{regexp.MustCompile(`"SAIterations":-?\d+`), `"Planes":4`},
+	{regexp.MustCompile(`"CheckInterval":-?\d+`), `"DLTEntries":0`},
+}
+
 func refConfigHash(c hsnoc.Config) string {
 	c.Workers, c.CheckInvariants, c.CheckInterval = 0, false, 0
 	b, err := json.Marshal(c)
 	if err != nil {
 		panic(err)
+	}
+	for _, r := range retiredFields {
+		b = r.after.ReplaceAll(b, []byte("${0},"+r.field))
 	}
 	return refHex(string(b))
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/policy"
@@ -99,7 +98,7 @@ func TestRunPolicyLoop(t *testing.T) {
 	spec := policySpec()
 	spec.Patterns = append(spec.Patterns, "mix:EQUAKE+LPS")
 	grid := expandStudy(t, &spec)
-	eng := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
+	eng := New(Options{Workers: 2, Store: store})
 	recs := eng.RunSpec(context.Background(), spec, grid)
 	// Wave 1's two profiling records, then wave 2's two greedy re-runs.
 	if len(recs) != 4 {
@@ -160,7 +159,7 @@ func TestRunPolicyLoop(t *testing.T) {
 
 	// Second run over the same store: every job of both waves is a
 	// cache hit and the report comes back identical.
-	eng2 := New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})
+	eng2 := New(Options{Workers: 2, Store: store})
 	recs2 := eng2.RunSpec(context.Background(), spec, grid)
 	if st := eng2.Status(); st.CacheHits != st.Done || st.Done != 4 {
 		t.Errorf("second run simulated fresh jobs: %+v", st)
@@ -208,7 +207,7 @@ func TestWalkWaves(t *testing.T) {
 	spec.PolicyProfile.Policies = []string{"static", "threshold", "greedy"}
 	grid = expandStudy(t, &spec)
 	waves = nil
-	recs := spec.walk(grid, run(New(Options{Workers: 2, JobTimeout: time.Minute, Store: store})))
+	recs := spec.walk(grid, run(New(Options{Workers: 2, Store: store})))
 	if len(waves) != 2 {
 		t.Fatalf("policy study: runner called %d times, want 2", len(waves))
 	}
@@ -323,7 +322,7 @@ func TestGreedyBeatsStaticOnFig4Miniatures(t *testing.T) {
 	}
 	spec := fig4Miniature("static", "greedy")
 	grid := expandStudy(t, &spec)
-	eng := New(Options{Workers: 4, JobTimeout: 2 * time.Minute})
+	eng := New(Options{Workers: 4})
 	rep := spec.Report(grid, Lookup(eng.RunSpec(context.Background(), spec, grid)))
 	improved := 0
 	for _, out := range rep.Outcomes {

@@ -2,8 +2,8 @@
 // declarative campaign spec (a parameter grid of switching mode or
 // named configuration, workload — a synthetic traffic pattern at an
 // injection rate, or a Section V CPU+GPU benchmark mix — mesh size,
-// slot-table size and seed) into independent jobs, runs them on a bounded worker pool with
-// per-job timeout, cancellation and panic recovery, dedups work
+// slot-table size and seed) into independent jobs, runs them on a
+// bounded worker pool with cancellation and panic recovery, dedups work
 // through a result cache keyed by the canonical config hash, and
 // persists results incrementally as JSONL so an interrupted campaign
 // resumes without recomputing finished jobs.

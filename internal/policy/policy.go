@@ -272,20 +272,19 @@ func (g Greedy) Decide(p *Profile) Decision {
 // SDMGate re-runs the workload under space-division multiplexing with
 // link planes power-gated according to the profiled utilization: a
 // workload whose traffic would keep only a sliver of the SDM planes
-// busy pays their static link leakage for nothing. Plane count before
-// gating is Planes (default 4); at least two planes always stay on
+// busy pays their static link leakage for nothing. It gates out of
+// the planes the re-run has, sdmPlanes; at least two always stay on
 // (one packet plane plus one circuit plane).
-type SDMGate struct {
-	Planes int
-}
+type SDMGate struct{}
+
+// sdmPlanes is sdm.DefaultPlanes, the plane count of every SDM re-run
+// (this package imports only obs and topology; a test holds the two
+// equal).
+const sdmPlanes = 4
 
 func (SDMGate) Name() string { return "sdm-gate" }
 
-func (s SDMGate) Decide(p *Profile) Decision {
-	planes := s.Planes
-	if planes <= 0 {
-		planes = 4
-	}
+func (SDMGate) Decide(p *Profile) Decision {
 	// Offered load per node per cycle, in flits: the fraction of link
 	// capacity the workload can possibly use. One ungated plane serves
 	// roughly one flit per link per cycle, so gate planes the offered
@@ -301,15 +300,9 @@ func (s SDMGate) Decide(p *Profile) Decision {
 	gated := 0
 	switch {
 	case load < 0.25:
-		gated = planes - 2
+		gated = sdmPlanes - 2
 	case load < 0.5:
-		gated = planes - 3
-	}
-	if gated < 0 {
-		gated = 0
-	}
-	if gated > planes-2 {
-		gated = planes - 2
+		gated = sdmPlanes - 3
 	}
 	return Decision{Policy: "sdm-gate", UseSDM: true, GatedPlanes: gated}
 }
@@ -319,15 +312,10 @@ func Names() []string { return []string{"static", "threshold", "greedy", "sdm-ga
 
 // Parse resolves a policy spec string: a name from Names, optionally
 // with a colon-separated integer parameter ("greedy:8" pins the top 8
-// flows, "threshold:128" raises the pin threshold, "sdm-gate:6" gates
-// out of 6 planes).
+// flows, "threshold:128" raises the pin threshold); static and sdm-gate
+// take none.
 func Parse(spec string) (Policy, error) {
-	name, arg := spec, ""
-	hasArg := false
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-		hasArg = true
-	}
+	name, arg, hasArg := strings.Cut(spec, ":")
 	n := 0
 	if hasArg {
 		v, err := strconv.Atoi(arg)
@@ -336,18 +324,18 @@ func Parse(spec string) (Policy, error) {
 		}
 		n = v
 	}
+	if n != 0 && (name == "static" || name == "sdm-gate") {
+		return nil, fmt.Errorf("policy: %q takes no parameter", name)
+	}
 	switch name {
 	case "static":
-		if n != 0 {
-			return nil, fmt.Errorf("policy: %q takes no parameter", name)
-		}
 		return Static{}, nil
 	case "threshold":
 		return Threshold{MinPackets: int64(n)}, nil
 	case "greedy":
 		return Greedy{TopK: n}, nil
 	case "sdm-gate":
-		return SDMGate{Planes: n}, nil
+		return SDMGate{}, nil
 	default:
 		return nil, fmt.Errorf("policy: unknown policy %q (have %s)", name, strings.Join(Names(), ", "))
 	}

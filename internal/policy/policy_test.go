@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tdmnoc/internal/obs"
+	"tdmnoc/internal/sdm"
 )
 
 func TestParse(t *testing.T) {
@@ -19,7 +20,6 @@ func TestParse(t *testing.T) {
 		{"greedy", "greedy"},
 		{"greedy:8", "greedy"},
 		{"sdm-gate", "sdm-gate"},
-		{"sdm-gate:6", "sdm-gate"},
 	} {
 		p, err := Parse(tc.spec)
 		if err != nil {
@@ -29,7 +29,7 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q).Name() = %q, want %q", tc.spec, p.Name(), tc.name)
 		}
 	}
-	for _, bad := range []string{"", "nope", "greedy:", "greedy:0", "greedy:-3", "greedy:x", "static:4"} {
+	for _, bad := range []string{"", "nope", "greedy:", "greedy:0", "greedy:-3", "greedy:x", "static:4", "sdm-gate:2", "sdm-gate:6"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -192,6 +192,14 @@ func TestDecisionPinsSorted(t *testing.T) {
 		}) {
 			t.Errorf("%s pins not sorted by (Src, Dst): %v", pol.Name(), pins)
 		}
+	}
+}
+
+// TestSDMGatePlanesMatchSDM: SDMGate gates out of the planes the SDM
+// re-run has, so its copy of the count must be sdm.DefaultPlanes.
+func TestSDMGatePlanesMatchSDM(t *testing.T) {
+	if sdmPlanes != sdm.DefaultPlanes {
+		t.Errorf("policy gates out of %d planes, the SDM engine has %d", sdmPlanes, sdm.DefaultPlanes)
 	}
 }
 

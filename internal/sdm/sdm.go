@@ -36,12 +36,16 @@ import (
 // PacketFlits is the data packet length (Table I's 5 flits).
 const PacketFlits = 5
 
+// DefaultPlanes is the link partition count of the evaluated baseline:
+// 4-byte planes of the 16-byte channel.
+const DefaultPlanes = 4
+
 // Config sizes the SDM network.
 type Config struct {
 	Width, Height int
-	// Planes is the number of link partitions (4 in the evaluation:
-	// 4-byte planes of the 16-byte channel). Circuits may own all but
-	// one plane of a link; that one stays packet-switched.
+	// Planes is the number of link partitions (DefaultPlanes in the
+	// evaluation). Circuits may own all but one plane of a link; that
+	// one stays packet-switched.
 	Planes int
 	// VCs and BufDepth match the Table-I router (4 and 5).
 	VCs, BufDepth int
@@ -65,7 +69,7 @@ type Config struct {
 func DefaultConfig(width, height int) Config {
 	return Config{
 		Width: width, Height: height,
-		Planes: 4, VCs: 4, BufDepth: 5,
+		Planes: DefaultPlanes, VCs: 4, BufDepth: 5,
 		SetupThreshold: 4,
 		MaxCircuits:    2,
 		Seed:           1,
