@@ -142,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	configPath := fs.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
 	policySpec := fs.String("policy", "", "profile the workload, then run it under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate (packet/tdm)")
 	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
-	adaptiveTopK := fs.Int("adaptive-topk", 0, "flows the online controller pins per epoch (0 = default 8)")
+	adaptiveTopK := fs.Int("adaptive-topk", 0, "with -adaptive, flows the online controller pins per epoch (0 = default 8)")
 	replay := fs.String("replay", "", "replay this trace file (written by tracegen) on its own mesh until every packet lands, instead of synthetic traffic (packet/tdm)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -189,6 +189,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := validateFlags(*rate, *warmup, *cycles, *packets, *workers, *slots, *hetero); err != nil {
 		return fail(2, err)
+	}
+	if !*check {
+		var every bool
+		fs.Visit(func(f *flag.Flag) { every = every || f.Name == "checkevery" })
+		if every {
+			return fail(2, fmt.Errorf("nocsim: -checkevery applies only with -check"))
+		}
 	}
 	cfg := hsnoc.DefaultConfig(*width, *height)
 	cfg.Mode = m

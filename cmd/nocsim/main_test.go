@@ -255,6 +255,8 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-profile-out", "p.json"}, "flag provided but not defined"}, // a profile is no longer a file
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
+		{[]string{"-checkevery", "7"}, "-checkevery applies only with -check"},
+		{[]string{"-adaptive-topk", "3"}, "AdaptiveTopK 3 without AdaptiveEpoch"},
 		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},
 		{[]string{"-replay", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
 	} {

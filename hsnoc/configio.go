@@ -188,5 +188,8 @@ func (c Config) Validate() error {
 	if c.AdaptiveEpoch > 0 && c.Mode != HybridTDM {
 		return fmt.Errorf("hsnoc: AdaptiveEpoch requires HybridTDM")
 	}
+	if c.AdaptiveTopK > 0 && c.AdaptiveEpoch == 0 {
+		return fmt.Errorf("hsnoc: AdaptiveTopK %d without AdaptiveEpoch (no controller runs to use it)", c.AdaptiveTopK)
+	}
 	return nil
 }

@@ -156,7 +156,9 @@ type Config struct {
 	// send, skipping the frequency filter.
 	PinnedFlows []FlowPin
 	// RestrictSetups forbids circuit setups for flows not in
-	// PinnedFlows; non-pinned traffic stays packet-switched.
+	// PinnedFlows; non-pinned traffic stays packet-switched. With
+	// PinnedFlows empty it does nothing: the NIs read it only through
+	// pin maps, which a decision that pins nothing never installs.
 	RestrictSetups bool
 	// GatedPlanes power-gates that many SDM link planes (HybridSDM
 	// only; at least 2 planes must stay on).
@@ -166,7 +168,8 @@ type Config struct {
 	// (K = AdaptiveTopK, default 8) on the epoch's flow window and pins
 	// its flows, re-allocating slot tables when the set changed.
 	// HybridTDM only; telemetry (with flow tracking) is attached
-	// automatically if the caller has not attached its own.
+	// automatically if the caller has not attached its own. An
+	// AdaptiveTopK without AdaptiveEpoch is refused.
 	AdaptiveEpoch int64
 	AdaptiveTopK  int
 }
@@ -205,12 +208,7 @@ func (c Config) networkConfig() network.Config {
 			nc = nc.WithSharing()
 		}
 		nc.SlotInit = c.SlotInit
-		if len(c.PinnedFlows) > 0 {
-			nc.PinnedFlows = make([]network.PinnedFlow, len(c.PinnedFlows))
-			for i, p := range c.PinnedFlows {
-				nc.PinnedFlows[i] = network.PinnedFlow{Src: p.Src, Dst: p.Dst}
-			}
-		}
+		nc.PinnedFlows = c.PinnedFlows
 		nc.RestrictSetups = c.RestrictSetups
 		nc.AdaptiveEpoch = c.AdaptiveEpoch
 		nc.AdaptiveTopK = c.AdaptiveTopK

@@ -259,6 +259,7 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"Width": 6, "Height": 6, "Mode": 2, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 0, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 2, "CheckInvariants": true}`, // the SDM engine has no invariant layer
+		`{"Width": 6, "Height": 6, "Mode": 1, "AdaptiveTopK": 3}`,       // no controller runs to use it
 	}
 	for i, c := range cases {
 		if _, err := LoadConfig(strings.NewReader(c)); err == nil {

@@ -6,7 +6,10 @@
 // (Section II-C).
 package network
 
-import "tdmnoc/internal/router"
+import (
+	"tdmnoc/internal/policy"
+	"tdmnoc/internal/router"
+)
 
 // Config describes one simulated network.
 type Config struct {
@@ -59,12 +62,15 @@ type Config struct {
 	// PinnedFlows lists (src, dst) node-id pairs whose circuits are set
 	// up eagerly: the first send to a pinned destination triggers a
 	// setup, skipping the SetupThreshold/freqWindow frequency filter.
-	PinnedFlows []PinnedFlow
+	PinnedFlows []policy.FlowPin
 	// RestrictSetups forbids circuit setups for flows not in
 	// PinnedFlows (or, under the adaptive controller, not in the
 	// current epoch's pin set). Non-pinned traffic stays packet-
 	// switched, which keeps the slot tables small and eliminates their
-	// setup/teardown config traffic.
+	// setup/teardown config traffic. The NIs read it only through their
+	// pin maps, which exist only once some flow is pinned: with
+	// PinnedFlows empty and no controller, RestrictSetups does nothing
+	// and every flow rides the frequency filter.
 	RestrictSetups bool
 	// AdaptiveEpoch, when > 0, enables the online controller: every
 	// AdaptiveEpoch cycles the network decides policy.Greedy with
@@ -175,9 +181,4 @@ func (c Config) validate() {
 			panic("network: PinnedFlows node id outside the mesh")
 		}
 	}
-}
-
-// PinnedFlow names one (src, dst) pair pinned to circuit switching.
-type PinnedFlow struct {
-	Src, Dst int
 }

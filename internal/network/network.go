@@ -171,6 +171,9 @@ func New(cfg Config, mk EndpointFactory) *Network {
 		}
 		n.niBytes += arena.bytes()
 	}
+	if len(cfg.PinnedFlows) > 0 {
+		n.installPins(cfg.PinnedFlows)
+	}
 
 	// Tickers are interleaved per tile (router_i, NI_i) in partition
 	// order — matching the slab layout, so a worker walks its span of
@@ -301,10 +304,7 @@ func (n *Network) manage() {
 		for _, ni := range n.nis {
 			for _, ok := range ni.setupResults {
 				if newActive, resized := n.resizer.RecordSetupResultAt(ok, int64(now)); resized && n.resizeAt == 0 {
-					n.resizeTo = newActive
-					n.resizeAt = now + drainWindow
-					n.csFrozen = true
-					n.epoch++
+					n.scheduleReset(now, newActive)
 				}
 			}
 			ni.setupResults = ni.setupResults[:0]
@@ -358,22 +358,36 @@ func (n *Network) adaptStep(now sim.Cycle) {
 	}
 	n.adaptPins = pins
 	n.adaptRepins++
+	n.installPins(pins)
+	// Old circuits may belong to flows that just lost their pin; rather
+	// than tearing them down piecemeal, reuse the proven reset protocol
+	// at the current active size.
+	n.scheduleReset(now, n.slotActive)
+}
+
+// scheduleReset starts the freeze → drain → reset sequence toward an
+// active region of size slots: CS injection freezes now, the tables are
+// wiped drainWindow cycles later, and the epoch bump makes every router
+// and NI discard the acks and teardowns of older circuits.
+func (n *Network) scheduleReset(now sim.Cycle, size int) {
+	n.resizeTo = size
+	n.resizeAt = now + drainWindow
+	n.csFrozen = true
+	n.epoch++
+}
+
+// installPins gives every NI a fresh pin map holding the destinations
+// pins assigns it; an empty map means "policy active, nothing pinned
+// here". Pin maps stay nil until some decision pins a flow: the network
+// installs Config.PinnedFlows only when it is non-empty, and the online
+// controller only once its pin set first changes.
+func (n *Network) installPins(pins []policy.FlowPin) {
 	for _, ni := range n.nis {
-		// A fresh (possibly empty) map on every NI: "policy active".
 		ni.pins = make(map[topology.NodeID]bool)
 	}
 	for _, p := range pins {
 		n.nis[p.Src].pins[topology.NodeID(p.Dst)] = true
 	}
-	// Old circuits may belong to flows that just lost their pin; rather
-	// than tearing them down piecemeal, reuse the proven reset protocol
-	// at the current active size: freeze CS injection, drain in-flight
-	// circuit flits, wipe every table, bump the epoch so stale acks and
-	// teardowns are discarded.
-	n.resizeTo = n.slotActive
-	n.resizeAt = now + drainWindow
-	n.csFrozen = true
-	n.epoch++
 }
 
 // adaptWindow returns the traffic profile of the epoch that just ended:

@@ -249,3 +249,109 @@ func TestNoPSStarvationUnderHeavyReservation(t *testing.T) {
 	}
 	t.Logf("packet-switched max latency %d cycles", worst)
 }
+
+// TestRevertedPacketsReachTheirDestination drives vicinity rides off the
+// circuit-switched path each way a packet can leave it — hop-off at the
+// circuit's end, a hitchhiker losing its slot to the circuit's owner,
+// and a slot-table reset flushing the queue — and checks that every data
+// packet is delivered at the destination it was sent to, with its
+// packet-switched length.
+func TestRevertedPacketsReachTheirDestination(t *testing.T) {
+	const src, end, vicinity = topology.NodeID(0), topology.NodeID(35), topology.NodeID(34)
+	for _, tc := range []struct {
+		name string
+		// drive sends traffic through send after the src→end circuit is
+		// up and reports whether the reversion under test happened.
+		drive func(t *testing.T, net *Network, send func(from, to topology.NodeID))
+	}{
+		{"hop-off re-injection", func(t *testing.T, net *Network, send func(from, to topology.NodeID)) {
+			for i := 0; i < 30; i++ {
+				send(src, vicinity)
+				net.Run(40)
+			}
+			if net.Stats().VicinityRides == 0 {
+				t.Fatal("no vicinity ride")
+			}
+		}},
+		{"hitchhiker contention fallback", func(t *testing.T, net *Network, send func(from, to topology.NodeID)) {
+			// Circuit traffic advertises the circuit along its path. The
+			// rider sits on that path as far from the vicinity node as
+			// possible, so a hitchhike there beats packet switching; the
+			// owner keeps the slot busy.
+			for i := 0; i < 5; i++ {
+				send(src, end)
+				net.Run(40)
+			}
+			rider := topology.NodeID(-1)
+			for id := topology.NodeID(1); id < end; id++ {
+				if _, ok := net.NI(id).dlt.Find(end); ok &&
+					(rider < 0 || net.mesh.HopDistance(id, vicinity) > net.mesh.HopDistance(rider, vicinity)) {
+					rider = id
+				}
+			}
+			if rider < 0 {
+				t.Fatal("no node on the circuit's path")
+			}
+			for i := 0; i < 400; i++ {
+				send(src, end)
+				send(rider, vicinity)
+				net.Run(4)
+			}
+			if st := net.Stats(); st.ShareContentions == 0 || st.VicinityRides == 0 {
+				t.Fatalf("%d contentions, %d vicinity rides", st.ShareContentions, st.VicinityRides)
+			}
+		}},
+		{"resize flush", func(t *testing.T, net *Network, send func(from, to topology.NodeID)) {
+			ni := net.NI(src)
+			for i := 0; i < 200 && len(ni.csJobs) == 0; i++ {
+				send(src, vicinity)
+				net.Run(1)
+			}
+			if len(ni.csJobs) == 0 || !ni.csJobs[0].pkt.HopOff {
+				t.Fatal("no vicinity ride queued")
+			}
+			net.scheduleReset(net.Now(), net.ActiveSlots())
+			net.Run(2 * drainWindow)
+			if len(ni.csJobs) != 0 {
+				t.Fatal("the reset did not flush the queue")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := HybridTDMConfig(6, 6).WithSharing()
+			cfg.SetupThreshold = 2
+			net, drivers := driverNet(t, cfg)
+			defer net.Close()
+			establishCircuit(t, net, src, end)
+			// No further circuit: every ride below uses src→end.
+			net.cfg.SetupThreshold = 1 << 30
+			net.EnableStats()
+			sentTo := map[uint64]topology.NodeID{}
+			tc.drive(t, net, func(from, to topology.NodeID) {
+				sentTo[net.NI(from).Send(net.Now(), to, SendOptions{AllowCS: true, Slack: 500}).ID] = to
+			})
+			if !net.Drain(30000) {
+				t.Fatalf("drain failed, in flight %d", net.InFlight())
+			}
+			delivered := 0
+			for id, d := range drivers {
+				for _, p := range d.delivered {
+					to, ok := sentTo[p.ID]
+					if !ok {
+						continue // a packet of establishCircuit
+					}
+					delivered++
+					if to != id {
+						t.Errorf("packet %d sent to %d arrived at %d", p.ID, to, id)
+					}
+					if p.Switching == flit.PacketSwitched && p.Flits != cfg.PSDataFlits {
+						t.Errorf("packet %d arrived packet-switched with %d flits, want %d", p.ID, p.Flits, cfg.PSDataFlits)
+					}
+				}
+			}
+			if delivered != len(sentTo) {
+				t.Fatalf("delivered %d of %d packets", delivered, len(sentTo))
+			}
+		})
+	}
+}

@@ -181,9 +181,7 @@ func (r *Router) routeCompute(now sim.Cycle) {
 		case flit.TeardownMsg:
 			r.processTeardown(now, vc.port, vc)
 		default:
-			vc.route = r.dataRoute(f.Pkt)
-			r.setState(vc, vcVCAlloc)
-			vc.ready = now + 1
+			r.routeNext(now, vc, r.dataRoute(f.Pkt))
 			if r.probe.Wants(obs.KindRouteCompute) {
 				r.probe.Emit(obs.Event{Cycle: int64(now), Kind: obs.KindRouteCompute,
 					Node: int32(r.id), A: uint8(vc.port), B: uint8(vc.route), Pkt: f.Pkt.ID})
@@ -267,9 +265,7 @@ func (r *Router) processSetup(now sim.Cycle, p topology.Port, vc *inputVC, f *fl
 		return
 	}
 	cfgp.Slot = (cfgp.Slot + 2) % r.tables.Active()
-	vc.route = out
-	r.setState(vc, vcVCAlloc)
-	vc.ready = now + 1
+	r.routeNext(now, vc, out)
 }
 
 // processTeardown releases this router's slots for the circuit and
@@ -280,22 +276,13 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 	pkt := vc.front().Pkt
 	cfgp := &pkt.Config
 	out := topology.Local
-	if cfgp.Epoch != r.Epoch {
-		// A teardown from before a slot-table reset: everything it would
-		// release was already wiped, and the slots may have been re-reserved
-		// by new-epoch circuits it must not touch. Consume it.
-		vc.route = topology.Local
-		r.setState(vc, vcVCAlloc)
-		vc.ready = now + 1
-		return
-	}
-	if cfgp.FailHop > 0 && cfgp.Hop >= cfgp.FailHop {
-		// A failed setup reserved exactly FailHop routers; past that
-		// point the slots belong to other circuits and must not be
-		// touched. Consume the teardown here.
-		vc.route = topology.Local
-		r.setState(vc, vcVCAlloc)
-		vc.ready = now + 1
+	// A teardown from before a slot-table reset is consumed: everything
+	// it would release was already wiped, and the slots may have been
+	// re-reserved by new-epoch circuits it must not touch. So is one past
+	// the FailHop routers a failed setup reserved: beyond them the slots
+	// belong to other circuits.
+	if cfgp.Epoch != r.Epoch || cfgp.FailHop > 0 && cfgp.Hop >= cfgp.FailHop {
+		r.routeNext(now, vc, out)
 		return
 	}
 	if r.tables != nil {
@@ -317,6 +304,12 @@ func (r *Router) processTeardown(now sim.Cycle, p topology.Port, vc *inputVC) {
 		cfgp.Slot = (cfgp.Slot + 2) % r.tables.Active()
 		cfgp.Hop++
 	}
+	r.routeNext(now, vc, out)
+}
+
+// routeNext ends route computation for vc's head packet: it leaves
+// through out, and VC allocation takes it up next cycle.
+func (r *Router) routeNext(now sim.Cycle, vc *inputVC, out topology.Port) {
 	vc.route = out
 	r.setState(vc, vcVCAlloc)
 	vc.ready = now + 1
