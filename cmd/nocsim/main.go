@@ -290,6 +290,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// The trace file is opened before anything runs, so a path that
+	// cannot be written fails at once rather than after the simulation.
+	// A file that was already there is left as it was until the trace is
+	// written; one this run created (O_EXCL tells) goes if the run fails
+	// first.
+	var traceFile *os.File
+	if *traceOut != "" {
+		created := true
+		traceFile, err = os.OpenFile(*traceOut, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, os.ErrExist) {
+			created = false
+			traceFile, err = os.OpenFile(*traceOut, os.O_WRONLY, 0)
+		}
+		if err != nil {
+			return fail(1, err)
+		}
+		defer func() {
+			if traceFile != nil {
+				traceFile.Close()
+				if created {
+					os.Remove(*traceOut)
+				}
+			}
+		}()
+	}
+
 	if pol != nil {
 		// The profiling pass is a campaign's wave 1: the same workload
 		// and measurement with the flow profiler attached. Checking
@@ -374,6 +400,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	slotBytes, routerBytes, niBytes := s.ArenaBytes()
 	fmt.Fprintf(stdout, "  arenas                  %d B slot tables, %d B routers, %d B NIs (simulator memory, not a result)\n",
 		slotBytes, routerBytes, niBytes)
+	if rec := s.Telemetry(); rec != nil && (wantTelemetry || *heatmap) {
+		fmt.Fprintf(stdout, "  event rings             %d B (simulator memory, not a result)\n", rec.RingBytes())
+	}
 	if cycles, waits := s.ExecutorWaits(); len(waits) > 0 {
 		var parks int64
 		waited := make([]string, len(waits))
@@ -418,18 +447,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, out)
 		}
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return fail(1, err)
+	if traceFile != nil {
+		werr := truncateRegular(traceFile)
+		if werr == nil {
+			werr = s.WriteTrace(traceFile)
 		}
-		werr := s.WriteTrace(f)
-		if cerr := f.Close(); werr == nil {
+		if cerr := traceFile.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
 			return fail(1, werr)
 		}
+		traceFile = nil // written: keep it
 		rec := s.Telemetry()
 		fmt.Fprintf(stdout, "  trace                   %s (%d events recorded, %d dropped)\n",
 			*traceOut, rec.Events(), rec.Dropped())
@@ -440,6 +469,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// truncateRegular empties f if it is a regular file, as os.Create would;
+// a device or pipe (-trace-out /dev/stdout) is written as it is.
+func truncateRegular(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return err
+	}
+	return f.Truncate(0)
 }
 
 func sum(m map[string]float64) float64 {

@@ -222,6 +222,9 @@ func TestArenasLine(t *testing.T) {
 	if want := strconv.Itoa(16 * 128 * 40); m[1] != want {
 		t.Errorf("slot tables %s B, want %s", m[1], want)
 	}
+	if strings.Contains(out, "event rings") {
+		t.Errorf("event rings line without a recorder:\n%s", out)
+	}
 }
 
 // TestBadInvocationsExitTwo: input a user can type must come back as a
@@ -312,19 +315,73 @@ func TestReplayDeliversEveryTraceEvent(t *testing.T) {
 
 // TestTraceOutCountsEveryShard: the trace line counts the events of
 // every worker shard — the file it reports on merges them all — so the
-// count does not depend on -workers.
+// count does not depend on -workers. The event rings line reports every
+// shard's ring: -workers × 1<<19 events of 40 bytes.
 func TestTraceOutCountsEveryShard(t *testing.T) {
 	dir := t.TempDir()
 	var counts []int64
-	for _, w := range []string{"1", "2"} {
+	for i, w := range []string{"1", "2"} {
 		code, out, errOut := nocsim("-width", "4", "-height", "4", "-warmup", "200", "-cycles", "1000",
 			"-workers", w, "-trace-out", filepath.Join(dir, w+".json"))
 		if code != 0 {
 			t.Fatalf("-workers %s: exit %d, stderr %q", w, code, errOut)
 		}
 		counts = append(counts, number(t, out, `\((\d+) events recorded`))
+		if got, want := number(t, out, `(?m)^  event rings +(\d+) B \(simulator memory, not a result\)$`), int64(i+1)<<19*40; got != want {
+			t.Errorf("-workers %s: event rings %d B, want %d", w, got, want)
+		}
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("events recorded: %d at -workers 1, %d at -workers 2", counts[0], counts[1])
+	}
+}
+
+// TestTraceOutOpenedBeforeTheRun: a -trace-out path that cannot be
+// created fails before anything simulates — exit 1 and nothing on
+// stdout, with or without a profiling pass. A run that fails after the
+// file was opened removes a file it created and leaves one that was
+// already there as it was; a run that succeeds replaces that file's
+// bytes with exactly the trace.
+func TestTraceOutOpenedBeforeTheRun(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "t.json")
+	for _, extra := range [][]string{nil, {"-policy", "greedy"}} {
+		args := append([]string{"-width", "4", "-height", "4", "-warmup", "200", "-cycles", "1000", "-trace-out", bad}, extra...)
+		if code, out, errOut := nocsim(args...); code != 1 || out != "" || !strings.Contains(errOut, bad) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 naming the path and no output", extra, code, out, errOut)
+		}
+	}
+	fresh := filepath.Join(dir, "fresh.json")
+	if code, _, errOut := nocsim("-hetero", "-cpu", "NOPE", "-trace-out", fresh); code != 2 {
+		t.Errorf("unknown CPU benchmark: exit %d, stderr %q; want 2", code, errOut)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Errorf("a failed run left the trace file it created behind (stat: %v)", err)
+	}
+
+	run := []string{"-width", "4", "-height", "4", "-warmup", "200", "-cycles", "1000", "-trace-out"}
+	if code, _, errOut := nocsim(append(run, fresh)...); code != 0 {
+		t.Fatalf("fresh path: exit %d, stderr %q", code, errOut)
+	}
+	want, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "old.json")
+	stale := bytes.Repeat([]byte("stale "), len(want)/6+100) // longer than the trace
+	if err := os.WriteFile(old, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errOut := nocsim("-hetero", "-cpu", "NOPE", "-trace-out", old); code != 2 {
+		t.Errorf("unknown CPU benchmark: exit %d, stderr %q; want 2", code, errOut)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, stale) {
+		t.Errorf("a failed run changed a file that was already there (%d bytes, err %v; want %d bytes unchanged)", len(got), err, len(stale))
+	}
+	if code, _, errOut := nocsim(append(run, old)...); code != 0 {
+		t.Fatalf("existing path: exit %d, stderr %q", code, errOut)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("trace over an existing file: %d bytes (err %v), want the %d bytes of a fresh one", len(got), err, len(want))
 	}
 }

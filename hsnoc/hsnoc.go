@@ -441,10 +441,16 @@ func NewReplay(cfg Config, t *Trace) (*Simulator, error) {
 // cmd/tracegen, which synthesizes, saves and loads them).
 type Trace = trace.Trace
 
-// Close releases simulator resources.
+// Close releases simulator resources: the executor's workers, then the
+// attached recorder's event rings, once no worker can write them.
+// Summaries, profiles, telemetry plots and heatmaps stay readable after
+// Close; the trace does not, so WriteTrace comes first. Idempotent.
 func (s *Simulator) Close() {
 	if s.net != nil {
 		s.net.Close()
+	}
+	if s.rec != nil {
+		s.rec.Close()
 	}
 }
 

@@ -109,11 +109,14 @@ func (s *Simulator) LinkUtilizationGrid() [][]float64 {
 }
 
 // WriteTrace exports the recorded event timeline as Chrome trace-event
-// JSON (Perfetto-loadable). Call after the run; requires an attached
-// telemetry recorder.
+// JSON (Perfetto-loadable). Call after the run and before Close, which
+// releases the event rings; requires an attached telemetry recorder.
 func (s *Simulator) WriteTrace(w io.Writer) error {
 	if s.rec == nil {
 		return fmt.Errorf("hsnoc: no telemetry attached (call AttachTelemetry before the run)")
+	}
+	if s.rec.RingBytes() == 0 { // released by Close; NewRing never makes an empty ring
+		return fmt.Errorf("hsnoc: WriteTrace after Close (Close releases the event rings)")
 	}
 	m := s.net.Mesh()
 	// No toolchain or timestamp metadata: the trace must be a pure

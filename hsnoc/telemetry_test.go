@@ -9,7 +9,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -284,4 +287,97 @@ func TestTelemetrySummaryDeterministic(t *testing.T) {
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Error("telemetry summaries differ between identical runs")
 	}
+}
+
+// TestCloseReleasesRings: Close hands back the event rings and keeps
+// everything read from counters, flows and samples. After it the trace
+// cannot be exported, the summary and the profile read as before, every
+// ring is empty, and a second Close changes nothing.
+func TestCloseReleasesRings(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultConfig(4, 4)
+		cfg.Mode = HybridTDM
+		cfg.Seed = 3
+		cfg.Workers = workers
+		s := NewSynthetic(cfg, Tornado, 0.15)
+		rec, err := s.AttachTelemetry(TelemetryOptions{Every: 64, TrackFlows: true})
+		if err != nil {
+			s.Close()
+			t.Fatalf("Workers=%d: AttachTelemetry: %v", workers, err)
+		}
+		s.Warmup(300)
+		s.Run(1500)
+		before := rec.Summary()
+		prof, err := s.ExtractProfile()
+		if err != nil {
+			s.Close()
+			t.Fatalf("Workers=%d: ExtractProfile: %v", workers, err)
+		}
+		for range 2 {
+			s.Close()
+			if err := s.WriteTrace(io.Discard); err == nil {
+				t.Errorf("Workers=%d: WriteTrace after Close succeeded", workers)
+			}
+			if got := s.Telemetry().Summary(); !reflect.DeepEqual(got, before) {
+				t.Errorf("Workers=%d: Summary after Close = %+v, want %+v", workers, got, before)
+			}
+			if got, err := s.ExtractProfile(); err != nil || !reflect.DeepEqual(got, prof) {
+				t.Errorf("Workers=%d: ExtractProfile after Close = %+v, %v; want %+v", workers, got, err, prof)
+			}
+			for i, r := range rec.Rings() {
+				if r.Len() != 0 || r.Cap() != 0 {
+					t.Errorf("Workers=%d: ring %d after Close: Len %d, Cap %d, want 0, 0", workers, i, r.Len(), r.Cap())
+				}
+			}
+		}
+	}
+}
+
+// TestCloseReturnsRingMemory: Close leaves a simulator that is still
+// held (for its summary, say) without its event rings. With the closed
+// simulator kept reachable, a collection that returns freed memory to
+// the OS lowers VmRSS by at least 0.9 of a 1<<20-event ring's bytes.
+func TestCloseReturnsRingMemory(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads VmRSS from /proc/self/status")
+	}
+	cfg := DefaultConfig(4, 4)
+	cfg.Mode = HybridTDM
+	s := NewSynthetic(cfg, Tornado, 0.15)
+	rec, err := s.AttachTelemetry(TelemetryOptions{RingCapacity: 1 << 20})
+	if err != nil {
+		s.Close()
+		t.Fatalf("AttachTelemetry: %v", err)
+	}
+	ring := rec.RingBytes()
+	debug.FreeOSMemory()
+	before := vmRSS(t)
+	s.Close()
+	debug.FreeOSMemory()
+	after := vmRSS(t)
+	runtime.KeepAlive(s)
+	t.Logf("VmRSS %d -> %d bytes around Close, ring %d bytes", before, after, ring)
+	if fell := before - after; float64(fell) < 0.9*float64(ring) {
+		t.Errorf("Close lowered VmRSS by %d bytes, want at least 0.9 of the %d ring bytes", fell, ring)
+	}
+}
+
+// vmRSS reads this process's resident set size, in bytes.
+func vmRSS(t *testing.T) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmRSS:"); ok {
+			var kb int64
+			if _, err := fmt.Sscanf(v, "%d kB", &kb); err != nil {
+				t.Fatalf("VmRSS line %q: %v", line, err)
+			}
+			return kb << 10
+		}
+	}
+	t.Fatal("no VmRSS in /proc/self/status")
+	return 0
 }

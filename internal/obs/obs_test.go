@@ -85,6 +85,37 @@ func TestRingCapacityClamp(t *testing.T) {
 	}
 }
 
+// TestRecorderCloseReleasesRings: a closed recorder's rings read as
+// empty and keep their drop counts, a second Close is a no-op, and an
+// emit into a released ring panics instead of writing anywhere.
+func TestRecorderCloseReleasesRings(t *testing.T) {
+	r := NewRecorder(RecorderConfig{Nodes: 4, RingCapacity: 4, Shards: 2})
+	h := r.Handle(1)
+	for i := 0; i < 6; i++ {
+		h.Emit(Event{Cycle: int64(i), Kind: KindInject})
+	}
+	if got, want := r.RingBytes(), 2*4*eventBytes; got != want {
+		t.Fatalf("RingBytes = %d, want %d", got, want)
+	}
+	for range 2 {
+		r.Close()
+		if r.RingBytes() != 0 || r.Dropped() != 2 || r.Events() != 6 {
+			t.Errorf("closed: RingBytes %d, Dropped %d, Events %d; want 0, 2, 6", r.RingBytes(), r.Dropped(), r.Events())
+		}
+		for i, ring := range r.Rings() {
+			if ring.Len() != 0 || ring.Cap() != 0 || len(ringEvents(ring)) != 0 {
+				t.Errorf("closed ring %d: Len %d, Cap %d, %d events visited", i, ring.Len(), ring.Cap(), len(ringEvents(ring)))
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Emit into a released ring did not panic")
+		}
+	}()
+	h.Emit(Event{Kind: KindInject})
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	h.Observe(8)    // first bucket boundary is inclusive

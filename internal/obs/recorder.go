@@ -225,6 +225,27 @@ func (r *Recorder) Rings() []*Ring {
 	return out
 }
 
+// Close drops every shard ring's events (see Ring). Counters,
+// histograms, flows and samples stay, so Summary, FlowStats,
+// Samples and LinkFlits keep working; the rings read as empty. Close
+// only once nothing can emit: a handle that emits afterwards panics.
+// Idempotent.
+func (r *Recorder) Close() {
+	for _, s := range r.shards {
+		s.ring.release()
+	}
+}
+
+// RingBytes returns the bytes the shard rings' events occupy (0 once
+// closed): simulator memory, not a result.
+func (r *Recorder) RingBytes() int {
+	n := 0
+	for _, s := range r.shards {
+		n += s.ring.Cap() * eventBytes
+	}
+	return n
+}
+
 // Sync must be called once between cycles (after the transfer phase and
 // the network managers) with the post-step cycle number; the executor's
 // barriers order the workers' shard writes before it. At every

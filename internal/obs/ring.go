@@ -13,6 +13,10 @@ import (
 // executor worker writes its own shard ring) and makes no concurrency
 // promises of its own; cross-worker visibility is provided by the
 // executor's phase barriers.
+//
+// release drops the ring's events, so an owner that outlives its ring
+// (a closed simulator still read for its summary) does not keep them
+// reachable. A released ring reads as empty.
 type Ring struct {
 	buf     []Event
 	mask    int // len(buf) - 1; len(buf) is a power of two
@@ -20,6 +24,9 @@ type Ring struct {
 	n       int // number of live events
 	dropped uint64
 }
+
+// eventBytes is the size of one ring slot.
+const eventBytes = int(unsafe.Sizeof(Event{}))
 
 // ceilPow2 returns the smallest power of two >= v (v >= 1).
 func ceilPow2(v int) int {
@@ -41,12 +48,17 @@ func NewRing(capacity int) *Ring {
 	// Prefault: write one event per 4 KiB page. make() hands back lazily
 	// mapped zero pages for large buffers; faulting them here keeps the
 	// first wrap of a multi-hundred-MB ring out of benchmark windows.
-	const eventsPerPage = 4096 / int(unsafe.Sizeof(Event{}))
+	const eventsPerPage = 4096 / eventBytes
 	for i := 0; i < len(buf); i += eventsPerPage {
 		buf[i] = Event{}
 	}
 	return &Ring{buf: buf, mask: capacity - 1}
 }
+
+// release drops the events and leaves the ring empty: Len and Cap read
+// 0, Do visits nothing, and a later Push or Emit panics indexing the nil
+// buffer. Dropped keeps its count. Idempotent.
+func (r *Ring) release() { r.buf, r.n = nil, 0 }
 
 // Push appends e, overwriting the oldest event if the ring is full.
 func (r *Ring) Push(e Event) {
