@@ -11,8 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
+# hsnoc alone takes ≈11 min under -race on a 2-core host, past go
+# test's 10-minute default.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 vet:
 	$(GO) vet ./...

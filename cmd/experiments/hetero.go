@@ -7,6 +7,7 @@ import (
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/stats"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/workload"
 )
 
@@ -198,7 +199,8 @@ func table1(rc *runConfig) {
 	ps := hsnoc.DefaultConfig(6, 6)
 	hy := ps
 	hy.Mode = hsnoc.HybridTDM
-	rc.printf("topology 6x6 2D mesh, 16-byte channels, 4 VCs/port, 5-flit buffers, 128-entry slot tables\n")
+	rc.printf("topology 6x6 2D mesh, 16-byte channels, %d VCs/port, %d-flit buffers, %d-entry slot tables\n",
+		tablei.VCs, tablei.BufDepth, tablei.SlotTableEntries)
 	rc.printf("packet-switched router area: %.3f mm^2 (paper: 0.177)\n", ps.RouterAreaMM2())
 	rc.printf("hybrid-switched router area: %.3f mm^2 (paper: 0.188)\n", hy.RouterAreaMM2())
 	rc.printf("area overhead: %.1f%% (paper: 6.2%%)\n\n",

@@ -35,9 +35,10 @@
 // rather than simulated locally; the output is the same.
 //
 // A cell that needs a failed job prints n/a; the exit code is then 1.
-// With -results the records persist to a JSONL store, so an interrupted
-// or repeated run resumes from the finished jobs instead of recomputing
-// them.
+// A job key that two figures (or a spec's two waves) share is simulated
+// once per invocation. With -results the records persist to a JSONL
+// store, so an interrupted or repeated run resumes from the finished
+// jobs instead of recomputing them.
 //
 // Absolute joules are not comparable to the authors' testbed; the point
 // of each experiment is the relative shape: who wins, by roughly what
@@ -51,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"tdmnoc/internal/campaign"
 )
@@ -69,9 +71,9 @@ type runConfig struct {
 	// runner executes jobs (nil = campaign.Simulate); tests substitute
 	// one to make chosen jobs fail.
 	runner campaign.Runner
-	// store is the -results record store (nil = in-memory only), shared
-	// by every batch of the invocation.
-	store *campaign.Store
+	// store is the -results record store, or else an in-memory one,
+	// shared by every local batch of the invocation.
+	store campaign.ResultStore
 	// failed is set once any job of any experiment has failed.
 	failed bool
 }
@@ -176,6 +178,7 @@ func (rc *runConfig) main(args []string) int {
 		return bad("-results persists local runs; the fleet coordinator keeps its own store")
 	}
 
+	rc.store = &memStore{recs: map[string]campaign.Record{}}
 	if *results != "" {
 		store, err := campaign.OpenStore(*results)
 		if err != nil {
@@ -207,10 +210,7 @@ func (rc *runConfig) runSpec(spec campaign.Spec, jobs []campaign.Job, print prin
 			return nil
 		}
 	} else {
-		o := campaign.Options{Workers: rc.workers, Runner: rc.runner}
-		if rc.store != nil {
-			o.Store = rc.store // a nil *Store would make a non-nil interface
-		}
+		o := campaign.Options{Workers: rc.workers, Runner: rc.runner, Store: rc.store}
 		recs = campaign.New(o).RunSpec(context.Background(), spec, jobs)
 	}
 	if spec.PolicyProfile == nil {
@@ -224,6 +224,28 @@ func (rc *runConfig) runSpec(spec campaign.Spec, jobs []campaign.Job, print prin
 		print(rc, spec, jobs, recs)
 	}
 	return recs
+}
+
+// memStore is the record store of an invocation without -results.
+type memStore struct {
+	mu   sync.Mutex
+	recs map[string]campaign.Record
+}
+
+func (m *memStore) Lookup(key string) (campaign.Record, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.recs[key]
+	r.Cached = ok
+	return r, ok
+}
+
+// Append keeps a record; the engine appends only successes.
+func (m *memStore) Append(r campaign.Record) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recs[r.Key] = r
+	return nil
 }
 
 func (rc *runConfig) printf(format string, a ...any) { fmt.Fprintf(rc.stdout, format, a...) }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -294,6 +295,28 @@ func TestResultsServeFiguresUnderTheirOwnLabels(t *testing.T) {
 	if cached != fresh || !strings.Contains(fresh, "Packet-VC4 ") {
 		t.Errorf("fig4 from fig5's store printed\n%s\nwithout a store\n%s", cached, fresh)
 	}
+}
+
+// TestAllRunsEachKeyOnce: figures share job keys (fig5's grid is
+// fig4's), and one invocation simulates each key once.
+func TestAllRunsEachKeyOnce(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	counting := func(ctx context.Context, j campaign.Job) (stats.RunRecord, *obs.Summary, error) {
+		mu.Lock()
+		runs[j.Key]++
+		mu.Unlock()
+		return instant(ctx, j)
+	}
+	if code, _, errOut := experimentsWith(counting, "-exp", "all", "-quick", "-workers", "2"); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	for key, n := range runs {
+		if n > 1 {
+			t.Errorf("job %s ran %d times", key, n)
+		}
+	}
+	t.Logf("%d unique keys", len(runs))
 }
 
 // TestSpecOnFleet submits specs to an in-process coordinator with one

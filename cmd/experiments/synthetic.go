@@ -5,6 +5,7 @@ import (
 
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/stats"
+	"tdmnoc/internal/tablei"
 )
 
 // savingPct formats an energy-saving percentage for the result tables,
@@ -88,7 +89,7 @@ func fig6(rc *runConfig) {
 				{Name: "vct", Mode: "tdm", VCPowerGating: true, DisableDynamicSlotSizing: true},
 			},
 			Meshes:       []campaign.MeshSize{{Width: dim, Height: dim}},
-			SlotTables:   []int{128},
+			SlotTables:   []int{tablei.SlotTableEntries},
 			Seeds:        []uint64{rc.seed},
 			WarmupCycles: warm, MeasureCycles: measure,
 		}

@@ -27,6 +27,7 @@ import (
 	"tdmnoc/internal/campaign"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/textplot"
 	"tdmnoc/internal/trace"
 )
@@ -125,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cycles := fs.Int("cycles", 40000, "measured cycles")
 	packets := fs.Int("packets", 0, "stop measuring once this many packets are delivered (0 = run the full -cycles; -cycles still caps the run)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	slots := fs.Int("slots", 128, "slot-table capacity (tdm)")
+	slots := fs.Int("slots", tablei.SlotTableEntries, "slot-table capacity (tdm)")
 	sharing := fs.Bool("sharing", false, "enable circuit-switched path sharing (tdm)")
 	vcgating := fs.Bool("vcgating", false, "enable aggressive VC power gating")
 	noSteal := fs.Bool("nostealing", false, "disable time-slot stealing (tdm)")

@@ -76,7 +76,7 @@ func TestValidatePolicyFlags(t *testing.T) {
 		{"greedy", sdm, "", "not available for sdm"},
 		{"bogus", tdm, "", "unknown policy"},
 		{"greedy:x", tdm, "", "bad parameter"},
-		{"sdm-gate:2", tdm, "", `"sdm-gate" takes no parameter`}, // the re-run has sdm.DefaultPlanes planes
+		{"sdm-gate:2", tdm, "", `"sdm-gate" takes no parameter`}, // the re-run has tablei.SDMPlanes planes
 		{"sdm-gate:6", tdm, "", `"sdm-gate" takes no parameter`},
 		{"greedy", packet, "", "-policy greedy does not apply to Packet-VC4 mode"},
 		{"threshold", packet, "-hetero", "-policy threshold does not apply to Packet-VC4 mode"},

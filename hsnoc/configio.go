@@ -9,7 +9,7 @@ import (
 	"strconv"
 
 	"tdmnoc/internal/router"
-	"tdmnoc/internal/sdm"
+	"tdmnoc/internal/tablei"
 )
 
 // SaveConfig writes cfg as indented JSON.
@@ -159,7 +159,7 @@ func (c Config) Validate() error {
 		}
 		slots := c.SlotTableEntries
 		if slots == 0 {
-			slots = 128
+			slots = tablei.SlotTableEntries
 		}
 		if c.SlotInit > slots {
 			return fmt.Errorf("hsnoc: SlotInit %d exceeds the %d-entry slot table", c.SlotInit, slots)
@@ -178,8 +178,8 @@ func (c Config) Validate() error {
 		if c.Mode != HybridSDM {
 			return fmt.Errorf("hsnoc: GatedPlanes requires HybridSDM")
 		}
-		if c.GatedPlanes < 0 || c.GatedPlanes > sdm.DefaultPlanes-2 {
-			return fmt.Errorf("hsnoc: GatedPlanes %d of %d planes (at least 2 must stay on)", c.GatedPlanes, sdm.DefaultPlanes)
+		if c.GatedPlanes < 0 || c.GatedPlanes > tablei.SDMPlanes-2 {
+			return fmt.Errorf("hsnoc: GatedPlanes %d of %d planes (at least 2 must stay on)", c.GatedPlanes, tablei.SDMPlanes)
 		}
 	}
 	if c.AdaptiveEpoch < 0 || c.AdaptiveTopK < 0 {

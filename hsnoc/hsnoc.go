@@ -30,6 +30,7 @@
 package hsnoc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -41,6 +42,7 @@ import (
 	"tdmnoc/internal/sdm"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/stats"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/trace"
 	"tdmnoc/internal/traffic"
@@ -88,9 +90,9 @@ const (
 )
 
 // Config selects and sizes a simulated network. Zero values fall back to
-// the Table-I parameters; what the paper fixes — 5-flit VC buffers, an
-// 8-entry DLT, the SDM baseline's sdm.DefaultPlanes link planes — is
-// not a setting.
+// the Table-I parameters; what the paper fixes (internal/tablei: VC
+// buffer depth, DLT size, the SDM baseline's link planes) is not a
+// setting.
 type Config struct {
 	// Width and Height of the mesh (Table I: 6x6).
 	Width, Height int
@@ -180,7 +182,7 @@ type FlowPin = policy.FlowPin
 // DefaultConfig returns the Table-I baseline configuration for a
 // width x height mesh.
 func DefaultConfig(width, height int) Config {
-	return Config{Width: width, Height: height, VCs: 4, SlotTableEntries: 128, Seed: 1, Workers: 1}
+	return Config{Width: width, Height: height, VCs: tablei.VCs, SlotTableEntries: tablei.SlotTableEntries, Seed: 1, Workers: 1}
 }
 
 // networkConfig lowers the public Config onto the engine configuration.
@@ -201,7 +203,6 @@ func (c Config) networkConfig() network.Config {
 		nc.DynamicSlots = !c.DisableDynamicSlotSizing
 		if c.SlotTableEntries > 0 {
 			nc.Router.SlotCapacity = c.SlotTableEntries
-			nc.Router.SlotActive = c.SlotTableEntries
 		}
 		nc.Router.TimeSlotStealing = !c.DisableTimeSlotStealing
 		if c.PathSharing {
@@ -382,7 +383,7 @@ func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
 		sc := cfg.sdmConfig()
 		mesh := topology.NewMesh(cfg.Width, cfg.Height)
 		sn := sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
-			if !rng.Bernoulli(rate / float64(sdm.PacketFlits)) {
+			if !rng.Bernoulli(rate / tablei.PSDataFlits) {
 				return 0, false
 			}
 			return traffic.Destination(pattern, mesh, src, rng)
@@ -390,9 +391,8 @@ func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
 		return &Simulator{cfg: cfg, eng: sn, sdmNet: sn, halt: sn.StopGeneration}
 	}
 	var gens []*traffic.Synthetic
-	psFlits := cfg.networkConfig().PSDataFlits
 	s := newSimulator(cfg, func(topology.NodeID) network.Endpoint {
-		g := traffic.NewSynthetic(pattern, rate, psFlits, cfg.Mode == HybridTDM)
+		g := traffic.NewSynthetic(pattern, rate, tablei.PSDataFlits, cfg.Mode == HybridTDM)
 		gens = append(gens, g)
 		return g
 	})
@@ -579,10 +579,10 @@ func (s *Simulator) collect() Results {
 	st := s.stats()
 	cycles := s.now() - s.measuredFrom
 	nodes := s.cfg.Width * s.cfg.Height
-	psFlits, slots := sdm.PacketFlits, 0
+	slots := 0
 	var energy power.Breakdown
 	if s.net != nil {
-		psFlits, slots = s.net.Config().PSDataFlits, s.net.ActiveSlots()
+		slots = s.net.ActiveSlots()
 		energy = s.net.Energy()
 	} else {
 		energy = s.sdmNet.Energy()
@@ -591,7 +591,7 @@ func (s *Simulator) collect() Results {
 		Cycles:                cycles,
 		Packets:               st.EjectedPackets,
 		Throughput:            st.Throughput(nodes, cycles),
-		PayloadThroughput:     st.PayloadThroughput(psFlits, nodes, cycles),
+		PayloadThroughput:     st.PayloadThroughput(tablei.PSDataFlits, nodes, cycles),
 		CSFlitFraction:        st.CSFlitFraction(),
 		ConfigTrafficFraction: st.ConfigTrafficFraction(),
 		Hitchhikes:            st.Hitchhikes,
@@ -697,18 +697,10 @@ func (s *Simulator) Diagnose() Diagnostics {
 // RouterAreaMM2 reports the modelled router area for this configuration
 // (Section IV-A: 0.177 mm^2 packet-switched, 0.188 mm^2 hybrid).
 func (c Config) RouterAreaMM2() float64 {
-	vcs := c.VCs
-	if vcs == 0 {
-		vcs = 4
-	}
-	rc := power.RouterAreaConfig{Ports: 5, VCsPerPort: vcs, BufferDepth: 5}
+	rc := power.RouterAreaConfig{VCsPerPort: cmp.Or(c.VCs, tablei.VCs)}
 	if c.Mode == HybridTDM {
 		rc.Hybrid = true
-		rc.SlotTableEntries = c.SlotTableEntries
-		if rc.SlotTableEntries == 0 {
-			rc.SlotTableEntries = 128
-		}
-		rc.DLTEntries = 8
+		rc.SlotTableEntries = cmp.Or(c.SlotTableEntries, tablei.SlotTableEntries)
 	}
 	return power.RouterAreaMM2(rc)
 }

@@ -18,8 +18,6 @@ type TelemetryOptions struct {
 	// to a power of two (default 1 << 16 events; raise it for
 	// full-fidelity Perfetto traces of longer runs).
 	RingCapacity int
-	// MaxSamples bounds the retained time-series windows (default 4096).
-	MaxSamples int
 	// KindMask restricts recording to the selected event kinds (0 = all;
 	// build with obs.MaskOf). Masked kinds cost one branch per emission.
 	KindMask uint32
@@ -80,7 +78,6 @@ func (s *Simulator) AttachTelemetry(opt TelemetryOptions) (*obs.Recorder, error)
 		Nodes:        s.net.Mesh().Nodes(),
 		RingCapacity: opt.RingCapacity,
 		SampleEvery:  every,
-		MaxSamples:   opt.MaxSamples,
 		Shards:       s.net.Workers(),
 		KindMask:     opt.KindMask,
 		RingSample:   opt.RingSample,

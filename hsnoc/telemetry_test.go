@@ -180,7 +180,7 @@ func TestTracedSteadyStateAllocFree(t *testing.T) {
 		opt      TelemetryOptions
 		dropFree bool
 	}{
-		{"wrapping-ring", TelemetryOptions{Every: 64, RingCapacity: 1 << 12, MaxSamples: 64}, false},
+		{"wrapping-ring", TelemetryOptions{Every: 64, RingCapacity: 1 << 12}, false},
 		{"drop-free-ring", TelemetryOptions{Every: 64, RingCapacity: dropFreeRing, KindMask: obs.ProfileFlows, RingSample: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,6 +29,7 @@ import (
 	"tdmnoc/hsnoc"
 	"tdmnoc/internal/hetero"
 	"tdmnoc/internal/policy"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/workload"
 )
 
@@ -192,7 +193,7 @@ func (s *Spec) Normalize() error {
 		}
 	}
 	if len(s.SlotTables) == 0 {
-		s.SlotTables = []int{128}
+		s.SlotTables = []int{tablei.SlotTableEntries}
 	}
 	for _, st := range s.SlotTables {
 		if st <= 0 {

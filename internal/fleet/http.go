@@ -362,7 +362,7 @@ func (c *Coordinator) WriteMetrics(w io.Writer) {
 	t := m.Telemetry
 	fmt.Fprintf(w, "# HELP fleet_telemetry_jobs_total Persisted records carrying an observability summary.\n# TYPE fleet_telemetry_jobs_total counter\nfleet_telemetry_jobs_total %d\n", t.Jobs)
 	fmt.Fprintf(w, "# HELP fleet_slot_steals_total Time-slot steals observed by telemetry jobs.\n# TYPE fleet_slot_steals_total counter\nfleet_slot_steals_total %d\n", t.SlotSteals)
-	fmt.Fprintf(w, "# HELP fleet_telemetry_dropped_windows_total Telemetry windows evicted past MaxSamples (timelines truncated at the head).\n# TYPE fleet_telemetry_dropped_windows_total counter\nfleet_telemetry_dropped_windows_total %d\n", t.DroppedWindows)
+	fmt.Fprintf(w, "# HELP fleet_telemetry_dropped_windows_total Telemetry windows evicted past the 4096 a recorder retains (timelines truncated at the head).\n# TYPE fleet_telemetry_dropped_windows_total counter\nfleet_telemetry_dropped_windows_total %d\n", t.DroppedWindows)
 	fmt.Fprintf(w, "# HELP fleet_telemetry_ring_drops_total Telemetry events dropped by full event rings (sampled traces have gaps).\n# TYPE fleet_telemetry_ring_drops_total counter\nfleet_telemetry_ring_drops_total %d\n", t.RingDrops)
 	fmt.Fprintf(w, "# HELP fleet_setup_latency_cycles Circuit setup round-trip latency observed by telemetry jobs.\n# TYPE fleet_setup_latency_cycles histogram\n")
 	cum := uint64(0)

@@ -4,6 +4,7 @@ import (
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/network"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/workload"
 )
@@ -70,7 +71,7 @@ func (c *CPUCore) Tick(now sim.Cycle, ni *network.NI) {
 		ni.Send(now, dst, network.SendOptions{
 			Class:      flit.ClassCPU,
 			AllowCS:    false, // CPU traffic is packet-switched (Section V-A2)
-			ReplyFlits: ni.PSDataFlits(),
+			ReplyFlits: tablei.PSDataFlits,
 			SizeFlits:  1, // read request
 		})
 	}
@@ -196,7 +197,7 @@ func (g *GPUCore) Tick(now sim.Cycle, ni *network.NI) {
 				Class:      flit.ClassGPU,
 				AllowCS:    true,
 				Slack:      slack,
-				ReplyFlits: ni.PSDataFlits(),
+				ReplyFlits: tablei.PSDataFlits,
 				SizeFlits:  1, // read request
 			})
 			pkt.SlackHint = slack

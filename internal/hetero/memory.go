@@ -4,6 +4,7 @@ import (
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/network"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -103,7 +104,7 @@ func (b *L2Bank) OnDeliver(now sim.Cycle, ni *network.NI, pkt *flit.Packet) {
 	req := ni.Send(now, mc, network.SendOptions{
 		Class:      pkt.Class,
 		AllowCS:    false, // cache-to-MC control traffic stays packet-switched
-		ReplyFlits: ni.PSDataFlits(),
+		ReplyFlits: tablei.PSDataFlits,
 		SizeFlits:  1,
 	})
 	b.misses[req.ID] = missRecord{requester: pkt.Src, class: pkt.Class, slack: slack, reqID: pkt.ID}

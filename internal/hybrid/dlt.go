@@ -1,6 +1,9 @@
 package hybrid
 
-import "tdmnoc/internal/topology"
+import (
+	"tdmnoc/internal/tablei"
+	"tdmnoc/internal/topology"
+)
 
 // DLTEntry records one circuit-switched connection passing through this
 // node: the circuit's final destination, the slot (at this node's input)
@@ -26,19 +29,16 @@ type DLTEntry struct {
 
 // DLT is the Destination Lookup Table a node consults to hitchhike onto
 // circuits that pass through it. The paper's evaluated configuration uses
-// 8 entries (under 16 bytes of state).
+// tablei.DLTEntries entries (under 16 bytes of state).
 type DLT struct {
 	entries []DLTEntry
 	tick    uint64
 }
 
-// DefaultDLTEntries is the paper's DLT size.
-const DefaultDLTEntries = 8
-
-// NewDLT creates a DLT with n entries.
+// NewDLT creates a DLT with n entries (tablei.DLTEntries if n <= 0).
 func NewDLT(n int) *DLT {
 	if n <= 0 {
-		n = DefaultDLTEntries
+		n = tablei.DLTEntries
 	}
 	return &DLT{entries: make([]DLTEntry, n)}
 }

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"testing"
 
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -44,7 +45,7 @@ func TestDLTEvictsOldest(t *testing.T) {
 }
 
 func TestDLTDefaultSize(t *testing.T) {
-	if NewDLT(0).Size() != DefaultDLTEntries {
+	if NewDLT(0).Size() != tablei.DLTEntries {
 		t.Fatal("default size not applied")
 	}
 }

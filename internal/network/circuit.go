@@ -4,6 +4,7 @@ import (
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -16,10 +17,21 @@ const (
 	// csDataFlits is the circuit-switched data packet length: a cache
 	// line in 4 flits (a vicinity-shared packet adds a header flit).
 	csDataFlits = 4
-	// freqWindow is the frequency filter's window: SetupThreshold
+	// freqWindow is the frequency filter's window: tablei.SetupThreshold
 	// messages to one destination within it trigger a circuit setup. A
 	// setup that gives up backs off for 4 windows, a full registry for 1.
 	freqWindow = 2048
+	// maxCircuits bounds the circuits registered per source.
+	maxCircuits = 8
+	// idleTeardown is the idle time after which a circuit becomes a
+	// teardown candidate when the registry is full.
+	idleTeardown = 8192
+	// overflowForExtraBlock is how many circuit-wait rejections request
+	// an additional block.
+	overflowForExtraBlock = 8
+	// retrySetups is how many times a failed setup is re-sent with a
+	// different slot id before it backs off.
+	retrySetups = 3
 	// maxBlocksPerCircuit bounds how many consecutive-slot blocks one
 	// connection may hold; extra blocks scale a hot connection's
 	// bandwidth in units of Duration/ActiveSlots (Section II-C's
@@ -154,7 +166,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 		// The connection exists but cannot carry this message in time:
 		// persistent overflow asks for another slot block.
 		c.overflow++
-		if c.overflow >= cfg.OverflowForExtraBlock && len(c.blocks) < maxBlocksPerCircuit {
+		if c.overflow >= cfg.overflowForExtraBlock && len(c.blocks) < maxBlocksPerCircuit {
 			c.overflow = 0
 			ni.requestExtraBlock(now, pkt.Dst)
 		}
@@ -261,7 +273,7 @@ func (ni *NI) noteFrequency(now sim.Cycle, dst topology.NodeID) {
 		ni.freqResetAt = now + freqWindow
 	}
 	ni.freq[dst]++
-	if ni.freq[dst] < cfg.SetupThreshold {
+	if ni.freq[dst] < tablei.SetupThreshold {
 		return
 	}
 	ni.maybeSetup(now, dst)
@@ -283,7 +295,7 @@ func (ni *NI) maybeSetup(now sim.Cycle, dst topology.NodeID) {
 		}
 		delete(ni.backoff, dst)
 	}
-	if len(ni.circuits) >= cfg.MaxCircuits {
+	if len(ni.circuits) >= cfg.maxCircuits {
 		if !ni.teardownIdlest(now) {
 			ni.backoff[dst] = now + freqWindow
 			return
@@ -318,7 +330,7 @@ func (ni *NI) teardownIdlest(now sim.Cycle) bool {
 		if c == nil || c.pendingJobs() > 0 {
 			continue
 		}
-		if int64(now)-int64(c.lastUsed) < cfg.IdleTeardown {
+		if int64(now)-int64(c.lastUsed) < cfg.idleTeardown {
 			continue
 		}
 		if victim == nil || c.lastUsed < victim.lastUsed {
@@ -428,7 +440,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 	if pkt.Config.OK {
 		// An ack for an existing connection is an additional slot block.
 		existing := ni.circuits[dst]
-		full := len(ni.circuits) >= cfg.MaxCircuits
+		full := len(ni.circuits) >= cfg.maxCircuits
 		if existing != nil {
 			full = len(existing.blocks) >= maxBlocksPerCircuit
 		}
@@ -469,7 +481,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 		return
 	}
 	st.attempts++
-	if !ni.net.csFrozen && st.attempts < cfg.RetrySetups {
+	if !ni.net.csFrozen && st.attempts < retrySetups {
 		ni.pending[dst] = st
 		ni.sendSetup(now, dst)
 		return

@@ -9,6 +9,7 @@ package network
 import (
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/router"
+	"tdmnoc/internal/tablei"
 )
 
 // Config describes one simulated network.
@@ -34,25 +35,10 @@ type Config struct {
 	// DynamicSlots enables the network-wide slot-table sizing policy.
 	DynamicSlots bool
 
-	// PSDataFlits is the packet-switched data packet length of Table I
-	// (5; a circuit-switched packet carries the same line in csDataFlits).
+	// PSDataFlits is the packet-switched data packet length,
+	// tablei.PSDataFlits (a circuit-switched packet carries the same
+	// line in csDataFlits).
 	PSDataFlits int
-
-	// SetupThreshold messages to one destination within freqWindow
-	// cycles trigger a circuit setup.
-	SetupThreshold int
-	// MaxCircuits bounds registered circuits per source.
-	MaxCircuits int
-	// OverflowForExtraBlock is how many circuit-wait rejections trigger a
-	// request for an additional block.
-	OverflowForExtraBlock int
-	// RetrySetups is how many times a failed setup is re-sent with a
-	// different slot id before giving up (until the frequency counter
-	// re-triggers it).
-	RetrySetups int
-	// IdleTeardown is the idle time after which a circuit becomes a
-	// teardown candidate when capacity is needed.
-	IdleTeardown int64
 
 	// SlotInit, when > 0, overrides the dynamic resizer's initial
 	// active slot-table region (normally capacity/8). Policy decisions
@@ -61,7 +47,7 @@ type Config struct {
 	SlotInit int
 	// PinnedFlows lists (src, dst) node-id pairs whose circuits are set
 	// up eagerly: the first send to a pinned destination triggers a
-	// setup, skipping the SetupThreshold/freqWindow frequency filter.
+	// setup, skipping the tablei.SetupThreshold/freqWindow frequency filter.
 	PinnedFlows []policy.FlowPin
 	// RestrictSetups forbids circuit setups for flows not in
 	// PinnedFlows (or, under the adaptive controller, not in the
@@ -101,6 +87,13 @@ type Config struct {
 	// explicitly. Never changes results: recycled objects are zeroed on
 	// release.
 	PoolMessages bool
+
+	// The protocol's maxCircuits, idleTeardown and
+	// overflowForExtraBlock. Only this package's tests change them: a
+	// registry of one circuit, and the chaos runs' teardown and
+	// extra-block churn.
+	maxCircuits, overflowForExtraBlock int
+	idleTeardown                       int64
 }
 
 // DefaultConfig returns the Table-I baseline network: a 6x6 mesh of
@@ -111,12 +104,10 @@ func DefaultConfig(width, height int) Config {
 		Router:                router.DefaultConfig(),
 		Seed:                  1,
 		Workers:               1,
-		PSDataFlits:           5,
-		SetupThreshold:        4,
-		MaxCircuits:           8,
-		OverflowForExtraBlock: 8,
-		RetrySetups:           3,
-		IdleTeardown:          8192,
+		PSDataFlits:           tablei.PSDataFlits,
+		maxCircuits:           maxCircuits,
+		overflowForExtraBlock: overflowForExtraBlock,
+		idleTeardown:          idleTeardown,
 	}
 }
 
@@ -126,7 +117,6 @@ func HybridTDMConfig(width, height int) Config {
 	c := DefaultConfig(width, height)
 	c.Router = router.HybridConfig()
 	c.DynamicSlots = true
-	c.Router.SlotActive = 16
 	return c
 }
 

@@ -43,6 +43,7 @@ func netCase(name string, cfg Config, ep EndpointFactory, cycles int, each func(
 		Build: func(p difftest.Point) *netRun {
 			cfg := cfg
 			cfg.Workers, cfg.CheckInvariants, cfg.AlwaysTick = p.Workers, p.Checked, p.AlwaysTick
+			cfg.PoolMessages = true // no row's endpoint keeps a packet past OnDeliver
 			r := &netRun{Network: New(cfg, ep), each: each}
 			r.EnableStats()
 			return r
@@ -96,8 +97,6 @@ func TestEquivalence(t *testing.T) {
 		cfg.CheckInterval = 128
 		return cfg
 	}
-	chaosCfg := sharing
-	chaosCfg.SetupThreshold = 2
 	// A 32x32 state digest costs ≈80 ms: two checkpoints, not eight.
 	mesh32 := netCase("layout-32x32", layout(32, 32), bursts(80), 600, nil, difftest.Matrix(checked, 1, 2, 8, 16)...)
 	mesh32.Checkpoints = 2
@@ -111,7 +110,7 @@ func TestEquivalence(t *testing.T) {
 		// cannot tile 10x6 evenly at most counts.
 		netCase("layout-10x6", layout(10, 6), bursts(80), 900, nil, difftest.Matrix(checked, 1, 2, 8, 16)...),
 		mesh32,
-		netCase("chaos-6x6", chaosCfg, func(topology.NodeID) Endpoint { return &chaos{until: 4000} }, 6000, nil,
+		netCase("chaos-6x6", sharing, func(topology.NodeID) Endpoint { return &chaos{until: 4000} }, 6000, nil,
 			difftest.Matrix(difftest.Point{}, 1, 4)...),
 		// Finite bursts from every third tile: the network goes almost
 		// fully idle, deep-sleep territory where a broken re-arm diverges.

@@ -7,6 +7,7 @@ import (
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -111,7 +112,7 @@ func (n *Network) checkInvariants(now int64) {
 	// The NI side of the local input's credit loop: injection credits plus
 	// the local input's packet-switched occupancy must equal the depth
 	// (ni.staged is always drained between cycles).
-	depth := n.cfg.Router.BufDepth
+	depth := tablei.BufDepth
 	for _, ni := range n.nis {
 		at = ni.id
 		ni.walk(&w)

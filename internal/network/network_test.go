@@ -8,7 +8,8 @@ import (
 	"tdmnoc/internal/topology"
 )
 
-// oneShot sends a single packet from a fixed source at cycle 1.
+// oneShot sends a single packet from a fixed source at cycle 1. It keeps
+// the delivered packet, so its networks run unpooled.
 type oneShot struct {
 	src, dst topology.NodeID
 	opt      SendOptions
@@ -208,14 +209,14 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestTeardownReleasesSlots(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6)
-	cfg.IdleTeardown = 100
-	cfg.MaxCircuits = 1
+	cfg.idleTeardown = 100
+	cfg.maxCircuits = 1
 	net := New(cfg, func(id topology.NodeID) Endpoint { return nil })
 	defer net.Close()
 	ni := net.NI(0)
 
 	// Manually drive two setups from node 0 to different destinations;
-	// with MaxCircuits=1 the second must tear the first down once idle.
+	// with maxCircuits=1 the second must tear the first down once idle.
 	for i := 0; i < 10; i++ {
 		ni.Send(net.Now(), 35, SendOptions{AllowCS: true, Slack: -1})
 		net.Run(5)
@@ -224,7 +225,7 @@ func TestTeardownReleasesSlots(t *testing.T) {
 	if ni.Circuits() != 1 {
 		t.Fatal("first circuit not established")
 	}
-	net.Run(200) // exceed IdleTeardown
+	net.Run(200) // exceed idleTeardown
 	for i := 0; i < 10; i++ {
 		ni.Send(net.Now(), 30, SendOptions{AllowCS: true, Slack: -1})
 		net.Run(5)
@@ -291,7 +292,6 @@ func TestPathSharingHitchhike(t *testing.T) {
 	// path) should then hitchhike to destination 5 instead of packet
 	// switching everything.
 	cfg := HybridTDMConfig(6, 6).WithSharing()
-	cfg.SetupThreshold = 2
 	type sender struct{ burst }
 	net := New(cfg, func(id topology.NodeID) Endpoint { return nil })
 	defer net.Close()
@@ -333,9 +333,6 @@ func TestPathSharingHitchhike(t *testing.T) {
 
 func TestDynamicSlotResize(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6)
-	cfg.SetupThreshold = 1
-	cfg.MaxCircuits = 16
-	cfg.RetrySetups = 8
 	net := New(cfg, func(id topology.NodeID) Endpoint {
 		// Uniform-random-ish spread: many (src,dst) pairs to overflow the
 		// small initial active slot region.

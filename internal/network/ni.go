@@ -7,6 +7,7 @@ import (
 	"tdmnoc/internal/router"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/stats"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -199,10 +200,10 @@ func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng 
 	ni.rxCount = make(map[uint64]int)
 	ni.pool = a.pool
 	for v := range ni.credits {
-		ni.credits[v] = net.cfg.Router.BufDepth
+		ni.credits[v] = tablei.BufDepth
 	}
 	if net.cfg.Router.Sharing {
-		ni.dlt = hybrid.NewDLT(net.cfg.Router.DLTEntries)
+		ni.dlt = hybrid.NewDLT(tablei.DLTEntries)
 	}
 	ni.epQ, _ = ep.(QuiescentEndpoint)
 	ni.canSleep = ep == nil || ni.epQ != nil
@@ -253,9 +254,6 @@ func (ni *NI) Mesh() topology.Mesh { return ni.net.mesh }
 
 // Now returns the network's current cycle.
 func (ni *NI) Now() sim.Cycle { return ni.net.clock.Now() }
-
-// PSDataFlits is the network's packet-switched data packet length.
-func (ni *NI) PSDataFlits() int { return ni.net.cfg.PSDataFlits }
 
 // ReturnCredit implements router.CreditSink; called by the router's
 // transfer phase when a local-input flit is drained.

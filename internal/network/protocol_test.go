@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"tdmnoc/internal/flit"
+	"tdmnoc/internal/policy"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/topology"
 )
 
 // driver is a programmable endpoint: the test scripts sends and observes
-// deliveries.
+// deliveries. It keeps every delivered packet, so its networks run
+// unpooled.
 type driver struct {
 	delivered []*flit.Packet
 }
@@ -46,7 +48,6 @@ func establishCircuit(t *testing.T, net *Network, src, dst topology.NodeID) {
 
 func TestVicinityHopOffEndToEnd(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6).WithSharing()
-	cfg.SetupThreshold = 2
 	net, drivers := driverNet(t, cfg)
 	defer net.Close()
 
@@ -92,7 +93,6 @@ func TestVicinityHopOffEndToEnd(t *testing.T) {
 
 func TestMultiBlockCircuitScalesBandwidth(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6)
-	cfg.OverflowForExtraBlock = 2
 	net, _ := driverNet(t, cfg)
 	defer net.Close()
 
@@ -124,7 +124,6 @@ func TestSetupBackoffLimitsConfigTraffic(t *testing.T) {
 	// A source that cannot ever establish a circuit (tables full via an
 	// artificially tiny occupancy cap) must stop hammering setups.
 	cfg := HybridTDMConfig(6, 6)
-	cfg.RetrySetups = 2
 	net, _ := driverNet(t, cfg)
 	defer net.Close()
 	// Fill node 0's local table so every setup fails at hop 0.
@@ -140,7 +139,7 @@ func TestSetupBackoffLimitsConfigTraffic(t *testing.T) {
 	if st.SetupsOK != 0 {
 		t.Fatalf("setups succeeded despite cap: %d", st.SetupsOK)
 	}
-	// Without backoff this would be ~100/SetupThreshold * retries; with
+	// Without backoff this would be ~100/tablei.SetupThreshold * retries; with
 	// backoff it must stay small.
 	if st.SetupsSent > 12 {
 		t.Fatalf("%d setups sent; backoff not effective", st.SetupsSent)
@@ -218,7 +217,6 @@ func TestNoPSStarvationUnderHeavyReservation(t *testing.T) {
 	// circuits occupy most slots. Drive heavy CS traffic and a trickle of
 	// PS packets along the same row.
 	cfg := HybridTDMConfig(6, 6)
-	cfg.SetupThreshold = 1
 	net, drivers := driverNet(t, cfg)
 	defer net.Close()
 	csSrc, psSrc, dst := topology.NodeID(0), topology.NodeID(1), topology.NodeID(5)
@@ -318,13 +316,14 @@ func TestRevertedPacketsReachTheirDestination(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			// Only the pinned src→end flow sets a circuit up, so every
+			// ride below uses it.
 			cfg := HybridTDMConfig(6, 6).WithSharing()
-			cfg.SetupThreshold = 2
+			cfg.PinnedFlows = []policy.FlowPin{{Src: int(src), Dst: int(end)}}
+			cfg.RestrictSetups = true
 			net, drivers := driverNet(t, cfg)
 			defer net.Close()
 			establishCircuit(t, net, src, end)
-			// No further circuit: every ride below uses src→end.
-			net.cfg.SetupThreshold = 1 << 30
 			net.EnableStats()
 			sentTo := map[uint64]topology.NodeID{}
 			tc.drive(t, net, func(from, to topology.NodeID) {

@@ -49,10 +49,10 @@ func (c *chaos) OnDeliver(now sim.Cycle, ni *NI, pkt *flit.Packet) {}
 // network stays conservative and invariant-clean.
 func TestChaosMonkey(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6).WithSharing().WithVCGating()
-	cfg.SetupThreshold = 2
-	cfg.OverflowForExtraBlock = 3
-	cfg.MaxCircuits = 6
-	cfg.IdleTeardown = 500
+	cfg.PoolMessages = true
+	cfg.overflowForExtraBlock = 3
+	cfg.maxCircuits = 6
+	cfg.idleTeardown = 500
 	const horizon = 12000
 	net := New(cfg, func(id topology.NodeID) Endpoint {
 		return &chaos{until: horizon}
@@ -101,8 +101,8 @@ func TestChaosMonkeySeeds(t *testing.T) {
 	for seed := uint64(2); seed < 6; seed++ {
 		cfg := HybridTDMConfig(6, 6).WithSharing().WithVCGating()
 		cfg.Seed = seed
-		cfg.SetupThreshold = 2
-		cfg.IdleTeardown = 300
+		cfg.PoolMessages = true
+		cfg.idleTeardown = 300
 		net := New(cfg, func(id topology.NodeID) Endpoint {
 			return &chaos{until: 5000}
 		})

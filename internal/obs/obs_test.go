@@ -204,15 +204,15 @@ func TestRecorderEnergyDelta(t *testing.T) {
 }
 
 func TestRecorderSampleEviction(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Nodes: 1, SampleEvery: 1, MaxSamples: 4})
-	for now := int64(1); now <= 10; now++ {
+	r := NewRecorder(RecorderConfig{Nodes: 1, SampleEvery: 1})
+	for now := int64(1); now <= maxSamples+6; now++ {
 		r.Sync(now)
 	}
 	s := r.Samples()
-	if len(s) != 4 {
-		t.Fatalf("samples = %d, want 4", len(s))
+	if len(s) != maxSamples {
+		t.Fatalf("samples = %d, want %d", len(s), maxSamples)
 	}
-	if s[0].Cycle != 7 || s[3].Cycle != 10 {
+	if s[0].Cycle != 7 || s[maxSamples-1].Cycle != maxSamples+6 {
 		t.Errorf("oldest windows not evicted: %+v", s)
 	}
 }

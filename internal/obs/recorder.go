@@ -98,10 +98,9 @@ type RecorderConfig struct {
 	// up to S * RingCapacity events.
 	RingCapacity int
 	// SampleEvery closes a telemetry window every K cycles; 0 disables
-	// time-series collection (the event rings still fill).
+	// time-series collection (the event rings still fill). The newest
+	// maxSamples windows are retained.
 	SampleEvery int
-	// MaxSamples bounds the retained windows, oldest dropped (default 4096).
-	MaxSamples int
 	// Shards is the number of worker shards (default 1). Size it to the
 	// executor's worker count; shard 0 doubles as the control shard for
 	// between-cycle emissions.
@@ -122,6 +121,9 @@ type RecorderConfig struct {
 	// default: the first packet of each flow allocates its map entry.
 	TrackFlows bool
 }
+
+// maxSamples bounds a recorder's retained windows, oldest dropped.
+const maxSamples = 4096
 
 // Recorder owns per-worker shards (event ring + counters each), the
 // setup-latency histogram, and the bounded time-series sample buffer.
@@ -158,9 +160,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = 1 << 16
 	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 4096
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -177,7 +176,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		mask:       cfg.KindMask,
 		ringSample: cfg.RingSample,
 		trackFlows: cfg.TrackFlows,
-		samples:    make([]Sample, cfg.MaxSamples),
+		samples:    make([]Sample, maxSamples),
 	}
 	for i := range r.shards {
 		r.shards[i] = &Shard{

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -273,14 +274,9 @@ func (g Greedy) Decide(p *Profile) Decision {
 // link planes power-gated according to the profiled utilization: a
 // workload whose traffic would keep only a sliver of the SDM planes
 // busy pays their static link leakage for nothing. It gates out of
-// the planes the re-run has, sdmPlanes; at least two always stay on
-// (one packet plane plus one circuit plane).
+// the planes the re-run has, tablei.SDMPlanes; at least two always
+// stay on (one packet plane plus one circuit plane).
 type SDMGate struct{}
-
-// sdmPlanes is sdm.DefaultPlanes, the plane count of every SDM re-run
-// (this package imports only obs and topology; a test holds the two
-// equal).
-const sdmPlanes = 4
 
 func (SDMGate) Name() string { return "sdm-gate" }
 
@@ -300,9 +296,9 @@ func (SDMGate) Decide(p *Profile) Decision {
 	gated := 0
 	switch {
 	case load < 0.25:
-		gated = sdmPlanes - 2
+		gated = tablei.SDMPlanes - 2
 	case load < 0.5:
-		gated = sdmPlanes - 3
+		gated = tablei.SDMPlanes - 3
 	}
 	return Decision{Policy: "sdm-gate", UseSDM: true, GatedPlanes: gated}
 }

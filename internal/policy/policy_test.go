@@ -196,10 +196,24 @@ func TestDecisionPinsSorted(t *testing.T) {
 }
 
 // TestSDMGatePlanesMatchSDM: SDMGate gates out of the planes the SDM
-// re-run has, so its copy of the count must be sdm.DefaultPlanes.
+// re-run has, so at every load its decision must build an SDM network
+// with the two planes that engine needs.
 func TestSDMGatePlanesMatchSDM(t *testing.T) {
-	if sdmPlanes != sdm.DefaultPlanes {
-		t.Errorf("policy gates out of %d planes, the SDM engine has %d", sdmPlanes, sdm.DefaultPlanes)
+	for _, scale := range []int64{1, 3, 100} { // light, medium, saturated load
+		p := syntheticProfile()
+		for i := range p.Flows {
+			p.Flows[i].Flits *= scale
+		}
+		cfg := sdm.DefaultConfig(p.Width, p.Height)
+		cfg.GatedPlanes = SDMGate{}.Decide(p).GatedPlanes
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("load x%d: %d gated planes rejected by the SDM engine: %v", scale, cfg.GatedPlanes, r)
+				}
+			}()
+			sdm.New(cfg, nil)
+		}()
 	}
 }
 

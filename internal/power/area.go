@@ -1,5 +1,10 @@
 package power
 
+import (
+	"tdmnoc/internal/tablei"
+	"tdmnoc/internal/topology"
+)
+
 // Area model reproducing the Section IV-A accounting: synthesised with the
 // Nangate Open Cell Library at 45 nm, a packet-switched router occupies
 // 0.177 mm^2 and a hybrid-switched router 0.188 mm^2, a 6.2 % overhead.
@@ -20,25 +25,24 @@ const (
 	areaDLTPerEntry    = 4.0e-5  // destination lookup table entry: 8 entries -> 0.00032 mm^2
 )
 
-// RouterAreaConfig describes the structures whose area is counted.
+// RouterAreaConfig describes the structures whose area is counted on
+// each mesh port; VC depth and DLT size are tablei's.
 type RouterAreaConfig struct {
-	Ports       int
-	VCsPerPort  int
-	BufferDepth int
+	VCsPerPort int
 	// Hybrid extensions; zero values describe a pure packet-switched router.
 	SlotTableEntries int // per input port
-	DLTEntries       int
 	Hybrid           bool
 }
 
 // RouterAreaMM2 returns the router area in mm^2.
 func RouterAreaMM2(c RouterAreaConfig) float64 {
-	area := float64(c.Ports*c.VCsPerPort*c.BufferDepth)*areaBufferPerSlot +
+	ports := int(topology.NumPorts)
+	area := float64(ports*c.VCsPerPort*tablei.BufDepth)*areaBufferPerSlot +
 		areaXbar + areaAlloc + areaClockMisc
 	if c.Hybrid {
-		area += float64(c.Ports*c.SlotTableEntries) * areaSlotPerEntry
-		area += float64(c.Ports) * areaCSLatchPerPort
-		area += float64(c.DLTEntries) * areaDLTPerEntry
+		area += float64(ports*c.SlotTableEntries) * areaSlotPerEntry
+		area += float64(ports) * areaCSLatchPerPort
+		area += float64(tablei.DLTEntries) * areaDLTPerEntry
 	}
 	return area
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"tdmnoc/internal/tablei"
 )
 
 func TestComponentString(t *testing.T) {
@@ -148,12 +150,11 @@ func TestReportMonotoneInEvents(t *testing.T) {
 }
 
 func TestAreaCalibration(t *testing.T) {
-	// Table I's configurations: 128-entry slot tables and an 8-entry
-	// DLT on the hybrid router.
-	ps := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5})
+	// Table I's configurations: 4 VCs per port, and on the hybrid
+	// router 128-entry slot tables.
+	ps := RouterAreaMM2(RouterAreaConfig{VCsPerPort: tablei.VCs})
 	hy := RouterAreaMM2(RouterAreaConfig{
-		Ports: 5, VCsPerPort: 4, BufferDepth: 5,
-		SlotTableEntries: 128, DLTEntries: 8, Hybrid: true,
+		VCsPerPort: tablei.VCs, SlotTableEntries: tablei.SlotTableEntries, Hybrid: true,
 	})
 	if math.Abs(ps-0.177) > 0.002 {
 		t.Errorf("packet router area %.4f mm^2, want 0.177", ps)
@@ -168,13 +169,13 @@ func TestAreaCalibration(t *testing.T) {
 }
 
 func TestAreaScalesWithStructures(t *testing.T) {
-	small := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 2, BufferDepth: 5})
-	big := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 8, BufferDepth: 5})
+	small := RouterAreaMM2(RouterAreaConfig{VCsPerPort: 2})
+	big := RouterAreaMM2(RouterAreaConfig{VCsPerPort: 8})
 	if small >= big {
 		t.Error("area did not grow with VC count")
 	}
-	st128 := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 128, Hybrid: true})
-	st256 := RouterAreaMM2(RouterAreaConfig{Ports: 5, VCsPerPort: 4, BufferDepth: 5, SlotTableEntries: 256, Hybrid: true})
+	st128 := RouterAreaMM2(RouterAreaConfig{VCsPerPort: 4, SlotTableEntries: 128, Hybrid: true})
+	st256 := RouterAreaMM2(RouterAreaConfig{VCsPerPort: 4, SlotTableEntries: 256, Hybrid: true})
 	if st128 >= st256 {
 		t.Error("area did not grow with slot-table size")
 	}

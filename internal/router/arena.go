@@ -6,6 +6,7 @@ import (
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/hybrid"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -49,7 +50,7 @@ func NewArena(count int, cfg Config) *Arena {
 		cfg:     cfg,
 		routers: make([]Router, count),
 		vcs:     make([]inputVC, count*np*cfg.VCs),
-		q:       make([]*flit.Flit, count*np*cfg.VCs*cfg.BufDepth),
+		q:       make([]*flit.Flit, count*np*cfg.VCs*tablei.BufDepth),
 		credits: make([]int, count*np*cfg.VCs),
 		vcFree:  make([]bool, count*np*cfg.VCs),
 		pcs:     make([]creditMsg, count*np),
@@ -101,15 +102,15 @@ func (a *Arena) New(id topology.NodeID, m topology.Mesh) *Router {
 		iu := &r.in[p]
 		iu.vcs = a.vcs[off : off+cfg.VCs : off+cfg.VCs]
 		for v := range iu.vcs {
-			qo := (off + v) * cfg.BufDepth
-			iu.vcs[v].q = a.q[qo : qo : qo+cfg.BufDepth]
+			qo := (off + v) * tablei.BufDepth
+			iu.vcs[v].q = a.q[qo : qo : qo+tablei.BufDepth]
 			iu.vcs[v].idx, iu.vcs[v].port = uint8(p*cfg.VCs+v), topology.Port(p)
 		}
 		ou := &r.out[p]
 		ou.credits = a.credits[off : off+cfg.VCs : off+cfg.VCs]
 		ou.vcFree = a.vcFree[off : off+cfg.VCs : off+cfg.VCs]
 		for v := 0; v < cfg.VCs; v++ {
-			ou.credits[v] = cfg.BufDepth
+			ou.credits[v] = tablei.BufDepth
 			ou.vcFree[v] = true
 		}
 	}

@@ -4,7 +4,11 @@
 // incoming flit to the packet- or circuit-switched datapath.
 package router
 
-import "fmt"
+import (
+	"fmt"
+
+	"tdmnoc/internal/tablei"
+)
 
 // Config selects the router variant and sizes its structures.
 //
@@ -22,9 +26,8 @@ import "fmt"
 //     their slot id by 2 per hop.
 type Config struct {
 	// VCs is the number of virtual channels per input port (Table I: 4).
+	// Each holds tablei.BufDepth flits.
 	VCs int
-	// BufDepth is the buffer depth per VC in flits (Table I: 5).
-	BufDepth int
 
 	// Hybrid enables the circuit-switched datapath: slot tables, CS
 	// latches and the input demultiplexer.
@@ -42,8 +45,6 @@ type Config struct {
 	// (Section III-A); it only sizes router state here — the sharing
 	// decisions are made at the network interfaces.
 	Sharing bool
-	// DLTEntries sizes the destination lookup table when Sharing is on.
-	DLTEntries int
 
 	// VCGating enables the aggressive VC power gating policy
 	// (Section III-B).
@@ -64,11 +65,9 @@ type Config struct {
 // port, 5-flit-deep buffers, no hybrid extension.
 func DefaultConfig() Config {
 	return Config{
-		VCs:              4,
-		BufDepth:         5,
-		SlotCapacity:     128,
-		SlotActive:       128,
-		DLTEntries:       8,
+		VCs:              tablei.VCs,
+		SlotCapacity:     tablei.SlotTableEntries,
+		SlotActive:       tablei.SlotTableEntries,
 		TimeSlotStealing: true,
 	}
 }
@@ -82,11 +81,8 @@ func HybridConfig() Config {
 }
 
 func (c Config) validate() {
-	if c.VCs <= 0 || c.BufDepth <= 0 {
-		panic("router: VCs and BufDepth must be positive")
-	}
-	if c.VCs > MaxVCs {
-		panic(fmt.Sprintf("router: VCs %d exceeds the %d the occupancy masks hold", c.VCs, MaxVCs))
+	if c.VCs <= 0 || c.VCs > MaxVCs {
+		panic(fmt.Sprintf("router: %d VCs outside [1, %d], the range the occupancy masks hold", c.VCs, MaxVCs))
 	}
 	if c.Hybrid {
 		if c.SlotCapacity <= 0 || c.SlotActive <= 0 || c.SlotActive > c.SlotCapacity {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tdmnoc/internal/flit"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -117,9 +118,9 @@ func (r *Router) CheckCredits(occupancy func(down topology.NodeID, in topology.P
 			continue
 		}
 		for v, c := range r.out[o].credits {
-			if occ := occupancy(n.id, o.Opposite(), v); c+occ != r.cfg.BufDepth {
+			if occ := occupancy(n.id, o.Opposite(), v); c+occ != tablei.BufDepth {
 				report("credit", fmt.Sprintf("output %v vc %d: credits %d + occupancy %d != depth %d",
-					o, v, c, occ, r.cfg.BufDepth))
+					o, v, c, occ, tablei.BufDepth))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/routing"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -32,7 +33,7 @@ func (r *Router) acceptIncoming(now sim.Cycle) bool {
 			continue
 		}
 		vc := &iu.vcs[f.VC]
-		if len(vc.q) >= r.cfg.BufDepth {
+		if len(vc.q) >= tablei.BufDepth {
 			r.LatchConflicts++ // credit protocol violation
 		}
 		f.BufferedAt = int64(now)

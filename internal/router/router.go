@@ -9,6 +9,7 @@ import (
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/power"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
@@ -182,7 +183,7 @@ func (r *Router) SyncStatics(now sim.Cycle) {
 	}
 	r.accruedTo = now
 	r.meter.Cycles += gap
-	r.meter.BufSlotCycles += gap * int64(r.activeVCs*r.cfg.BufDepth*int(topology.NumPorts))
+	r.meter.BufSlotCycles += gap * int64(r.activeVCs*tablei.BufDepth*int(topology.NumPorts))
 	if r.tables != nil {
 		r.meter.SlotEntryCycles += gap * int64(r.tables.ActivePoweredEntries())
 		r.meter.CSCycles += gap
@@ -374,7 +375,7 @@ func (r *Router) accrueStatics(now sim.Cycle, busy bool) {
 	if busy {
 		r.meter.ActiveCycles++
 	}
-	r.meter.BufSlotCycles += int64(r.activeVCs * r.cfg.BufDepth * int(topology.NumPorts))
+	r.meter.BufSlotCycles += int64(r.activeVCs * tablei.BufDepth * int(topology.NumPorts))
 	if r.tables != nil {
 		r.meter.SlotEntryCycles += int64(r.tables.ActivePoweredEntries())
 		r.meter.CSCycles++

@@ -84,11 +84,10 @@ func dataPacket(id uint64, src, dst topology.NodeID, flits int) *flit.Packet {
 
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
-		{VCs: 0, BufDepth: 5},
-		{VCs: 4, BufDepth: 0},
-		{VCs: MaxVCs + 1, BufDepth: 5}, // one bit per port x VC must fit the mask word
-		{VCs: 4, BufDepth: 5, Hybrid: true, SlotCapacity: 0},
-		{VCs: 4, BufDepth: 5, Hybrid: true, SlotCapacity: 8, SlotActive: 16},
+		{VCs: 0},
+		{VCs: MaxVCs + 1}, // one bit per port x VC must fit the mask word
+		{VCs: 4, Hybrid: true, SlotCapacity: 0},
+		{VCs: 4, Hybrid: true, SlotCapacity: 8, SlotActive: 16},
 	} {
 		func() {
 			defer func() {

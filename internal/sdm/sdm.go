@@ -30,29 +30,21 @@ import (
 	"tdmnoc/internal/routing"
 	"tdmnoc/internal/sim"
 	"tdmnoc/internal/stats"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
 
-// PacketFlits is the data packet length (Table I's 5 flits).
-const PacketFlits = 5
-
-// DefaultPlanes is the link partition count of the evaluated baseline:
-// 4-byte planes of the 16-byte channel.
-const DefaultPlanes = 4
+// Each link has tablei.SDMPlanes planes. Circuits may own all but one
+// plane of a link; that one stays packet-switched. A source holds at
+// most maxCircuits circuits.
+const maxCircuits = 2
 
 // Config sizes the SDM network.
 type Config struct {
 	Width, Height int
-	// Planes is the number of link partitions (DefaultPlanes in the
-	// evaluation). Circuits may own all but one plane of a link; that
-	// one stays packet-switched.
-	Planes int
-	// VCs and BufDepth match the Table-I router (4 and 5).
-	VCs, BufDepth int
-	// SetupThreshold messages to one destination trigger a circuit request.
-	SetupThreshold int
-	// MaxCircuits bounds circuits per source.
-	MaxCircuits int
+	// VCs matches the Table-I router; each VC holds tablei.BufDepth
+	// flits.
+	VCs int
 	// GatedPlanes power-gates the highest-numbered planes of every link:
 	// gated planes carry no traffic (circuit or packet-switched) and
 	// their drivers leak no static power. At least two planes must stay
@@ -63,30 +55,33 @@ type Config struct {
 	// capacity for link leakage at low load.
 	GatedPlanes int
 	Seed        uint64
+
+	// setupThreshold is tablei.SetupThreshold; this package's tests
+	// raise it to run the network with no circuit at all.
+	setupThreshold int
 }
 
 // DefaultConfig returns the Hybrid-SDM-VC4 configuration.
 func DefaultConfig(width, height int) Config {
 	return Config{
 		Width: width, Height: height,
-		Planes: DefaultPlanes, VCs: 4, BufDepth: 5,
-		SetupThreshold: 4,
-		MaxCircuits:    2,
+		VCs:            tablei.VCs,
 		Seed:           1,
+		setupThreshold: tablei.SetupThreshold,
 	}
 }
 
 func (c Config) validate() {
-	if c.Width <= 0 || c.Height <= 0 || c.Planes <= 0 || c.VCs <= 0 || c.BufDepth <= 0 {
+	if c.Width <= 0 || c.Height <= 0 || c.VCs <= 0 {
 		panic("sdm: invalid configuration")
 	}
-	if c.GatedPlanes < 0 || c.Planes-c.GatedPlanes < 2 {
+	if c.GatedPlanes < 0 || c.activePlanes() < 2 {
 		panic("sdm: at least two planes must stay on (one packet-switched, one for circuits)")
 	}
 }
 
 // activePlanes is the per-link plane count after power gating.
-func (c Config) activePlanes() int { return c.Planes - c.GatedPlanes }
+func (c Config) activePlanes() int { return tablei.SDMPlanes - c.GatedPlanes }
 
 // circuit is an end-to-end plane reservation.
 type circuit struct {
@@ -254,7 +249,7 @@ func New(cfg Config, gen Generator) *Network {
 		pktCircuit: map[uint64]*circuit{},
 		rxCount:    map[uint64]int{},
 		pool:       flit.NewPool(nil, cfg.Width*cfg.Height),
-		inbox:      make([][]arrival, max(2, cfg.Planes)+1),
+		inbox:      make([][]arrival, max(2, tablei.SDMPlanes)+1),
 	}
 	master := sim.NewRNG(cfg.Seed)
 	nodes := n.mesh.Nodes()
@@ -262,7 +257,7 @@ func New(cfg Config, gen Generator) *Network {
 	for id := 0; id < nodes; id++ {
 		r := &sdmRouter{id: topology.NodeID(id), in: make([]inputVC, int(topology.NumPorts)*cfg.VCs)}
 		for i := range r.in {
-			r.in[i].q.buf = make([]*flit.Flit, cfg.BufDepth)
+			r.in[i].q.buf = make([]*flit.Flit, tablei.BufDepth)
 		}
 		for p := topology.Port(0); p < topology.NumPorts; p++ {
 			op := &r.out[p]
@@ -275,7 +270,7 @@ func New(cfg Config, gen Generator) *Network {
 			op.credits = make([]int, cfg.VCs)
 			op.vcFree = make([]bool, cfg.VCs)
 			for v := 0; v < cfg.VCs; v++ {
-				op.credits[v] = cfg.BufDepth
+				op.credits[v] = tablei.BufDepth
 				op.vcFree[v] = true
 			}
 		}
@@ -333,7 +328,7 @@ func (n *Network) Energy() power.Breakdown {
 	for i := range n.meters {
 		m := n.meters[i]
 		m.Cycles = cycles
-		m.BufSlotCycles = cycles * int64(n.cfg.VCs*n.cfg.BufDepth*int(topology.NumPorts))
+		m.BufSlotCycles = cycles * int64(n.cfg.VCs*tablei.BufDepth*int(topology.NumPorts))
 		out = out.Add(m.Report())
 	}
 	return out
@@ -475,7 +470,7 @@ func (n *Network) generate() {
 		pkt.Src = topology.NodeID(id)
 		pkt.Dst = dst
 		pkt.Class = flit.ClassOther
-		pkt.Flits = PacketFlits
+		pkt.Flits = tablei.PSDataFlits
 		pkt.CreatedAt = n.now
 		n.sent++
 		q := &src.psQ
@@ -506,14 +501,14 @@ func (n *Network) circuitFor(src, dst topology.NodeID) *circuit {
 func (n *Network) noteFrequency(src, dst topology.NodeID) {
 	s := n.src[src]
 	s.freq[dst]++
-	if s.freq[dst] < n.cfg.SetupThreshold {
+	if s.freq[dst] < n.cfg.setupThreshold {
 		return
 	}
 	s.freq[dst] = 0
 	if n.circuitFor(src, dst) != nil {
 		return
 	}
-	if m := n.circuitOf[src]; m != nil && len(m) >= n.cfg.MaxCircuits {
+	if m := n.circuitOf[src]; m != nil && len(m) >= maxCircuits {
 		return
 	}
 	n.tryReserveCircuit(src, dst)
@@ -574,7 +569,7 @@ func (n *Network) injectAll() {
 				continue
 			}
 			f := c.q.pop()
-			c.next = n.now + int64(n.cfg.Planes)
+			c.next = n.now + tablei.SDMPlanes
 			if f.IsHead() && f.Pkt.InjectedAt == 0 {
 				f.Pkt.InjectedAt = n.now
 				n.Stats.RecordInjection(f.Pkt)
@@ -594,7 +589,7 @@ func (n *Network) injectAll() {
 			picked := -1
 			for v := range local {
 				vc := &local[v]
-				if vc.q.n < n.cfg.BufDepth && (vc.state == vcIdle || (vc.q.n > 0 && vc.q.at(vc.q.n-1).IsTail())) {
+				if vc.q.n < tablei.BufDepth && (vc.state == vcIdle || (vc.q.n > 0 && vc.q.at(vc.q.n-1).IsTail())) {
 					picked = v
 					break
 				}
@@ -610,7 +605,7 @@ func (n *Network) injectAll() {
 				f.Pkt.InjectedAt = n.now
 				n.Stats.RecordInjection(f.Pkt)
 			}
-		} else if local[f.VC].q.n >= n.cfg.BufDepth {
+		} else if local[f.VC].q.n >= tablei.BufDepth {
 			continue
 		}
 		n.buffer(topology.NodeID(id), &local[f.VC], s.psQ.pop())
@@ -722,7 +717,7 @@ func (n *Network) routerCycle(r *sdmRouter) {
 			m.SWArbs++
 			m.XbarFlits++
 			m.LinkFlits++
-			op.planes[vc.plane].busyUntil = n.now + int64(n.cfg.Planes)
+			op.planes[vc.plane].busyUntil = n.now + tablei.SDMPlanes
 			if p := topology.Port(idx / n.cfg.VCs); p != topology.Local {
 				// Return this input VC's credit to the upstream router.
 				up, _ := n.mesh.Neighbor(r.id, p)
@@ -732,7 +727,7 @@ func (n *Network) routerCycle(r *sdmRouter) {
 			if o == topology.Local {
 				// The flit's phits drain onto the ejection port over
 				// Planes cycles; its last phit arrives then.
-				n.schedule(n.now+int64(n.cfg.Planes), arrival{router: r.id, port: topology.Local, f: f, cs: true})
+				n.schedule(n.now+tablei.SDMPlanes, arrival{router: r.id, port: topology.Local, f: f, cs: true})
 			} else {
 				op.credits[vc.outVC]--
 				next, _ := n.mesh.Neighbor(r.id, o)
@@ -765,7 +760,7 @@ func (n *Network) routerCycle(r *sdmRouter) {
 func (n *Network) Validate() error {
 	for id, r := range n.routers {
 		for i := range r.in {
-			if r.in[i].q.n > n.cfg.BufDepth {
+			if r.in[i].q.n > tablei.BufDepth {
 				return fmt.Errorf("router %d in[%v] vc %d overflow: %d flits",
 					id, topology.Port(i/n.cfg.VCs), i%n.cfg.VCs, r.in[i].q.n)
 			}

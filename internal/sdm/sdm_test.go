@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 	"tdmnoc/internal/traffic"
 )
@@ -25,7 +26,7 @@ func destOrSkip(pat traffic.Pattern, m topology.Mesh, src topology.NodeID, rng *
 
 func TestConfigValidatePanics(t *testing.T) {
 	bad := DefaultConfig(6, 6)
-	bad.Planes = 1 // no plane left for circuits
+	bad.GatedPlanes = tablei.SDMPlanes - 1 // no plane left for circuits
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for a single plane")
@@ -36,7 +37,7 @@ func TestConfigValidatePanics(t *testing.T) {
 
 func TestPSConservation(t *testing.T) {
 	cfg := DefaultConfig(6, 6)
-	cfg.SetupThreshold = 1 << 30 // no circuits: pure PS on planes
+	cfg.setupThreshold = 1 << 30 // no circuits: pure PS on planes
 	net := New(cfg, bernoulliGen(traffic.Tornado, 0.10, 5))
 	net.EnableStats()
 	net.Run(5000)
@@ -59,7 +60,7 @@ func TestSerializationSlowsPackets(t *testing.T) {
 	// With 4 planes, a PS flit takes 4 cycles per link: zero-load latency
 	// must be well above the unpartitioned network's.
 	cfg := DefaultConfig(6, 6)
-	cfg.SetupThreshold = 1 << 30
+	cfg.setupThreshold = 1 << 30
 	net := New(cfg, bernoulliGen(traffic.Tornado, 0.02, 5))
 	net.EnableStats()
 	net.Run(8000)
@@ -104,8 +105,6 @@ func TestPlaneLimitCapsCircuits(t *testing.T) {
 	// Tornado from a full row shares links; at most Planes-1 circuits
 	// can cross any link.
 	cfg := DefaultConfig(6, 6)
-	cfg.SetupThreshold = 1
-	cfg.MaxCircuits = 8
 	net := New(cfg, bernoulliGen(traffic.UniformRandom, 0.20, 5))
 	net.Run(10000)
 	if net.Stats.SetupsFailed == 0 {
@@ -113,7 +112,7 @@ func TestPlaneLimitCapsCircuits(t *testing.T) {
 		// 6x6 mesh and 3 circuit planes it should overflow quickly.
 		t.Error("expected some SDM circuit requests to fail on plane exhaustion")
 	}
-	// Invariant: no link has more than Planes-1 circuit-owned planes.
+	// Invariant: no link has more than SDMPlanes-1 circuit-owned planes.
 	for _, r := range net.routers {
 		for p := topology.Port(0); p < topology.NumPorts; p++ {
 			owned := 0
@@ -122,8 +121,8 @@ func TestPlaneLimitCapsCircuits(t *testing.T) {
 					owned++
 				}
 			}
-			if owned > cfg.Planes-1 {
-				t.Fatalf("router %d out[%v]: %d circuit planes (cap %d)", r.id, p, owned, cfg.Planes-1)
+			if owned > tablei.SDMPlanes-1 {
+				t.Fatalf("router %d out[%v]: %d circuit planes (cap %d)", r.id, p, owned, tablei.SDMPlanes-1)
 			}
 		}
 	}

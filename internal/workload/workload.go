@@ -12,6 +12,8 @@
 // paper reports (from the low-intensity STO to the streaming-heavy LPS/LIB).
 package workload
 
+import "tdmnoc/internal/tablei"
+
 // GPUBenchmark parameterises one data-parallel kernel running on every
 // accelerator tile.
 type GPUBenchmark struct {
@@ -117,7 +119,7 @@ func CPUBenchmarkByName(name string) (CPUBenchmark, bool) {
 //
 // where flitsPerOp averages load requests (1 flit) and stores (5 flits).
 func (b GPUBenchmark) DeriveComputeCycles(memLatency int) int {
-	flitsPerOp := (1-b.WriteFraction)*1 + b.WriteFraction*5
+	flitsPerOp := (1-b.WriteFraction)*1 + b.WriteFraction*tablei.PSDataFlits
 	c := float64(b.Warps)*flitsPerOp/b.InjectionRate - float64(memLatency)
 	if c < 1 {
 		c = 1
