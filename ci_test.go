@@ -88,8 +88,8 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 			[]string{"-bench BenchmarkEngin$ in ."}},
 		{"misspelt fuzz", "run: go test -run '^$' -fuzz FuzzConfigHsh -fuzztime 20s ./hsnoc",
 			[]string{"-fuzz FuzzConfigHsh in ./hsnoc"}},
-		{"wrong kind", "run: go test -run '^$' -bench 'FuzzConfigHash' ./hsnoc",
-			[]string{"-bench FuzzConfigHash in ./hsnoc"}},
+		{"wrong kind", "run: go test -run '^$' -bench 'FuzzConfigHash' ./internal/network",
+			[]string{"-bench FuzzConfigHash in ./internal/network"}},
 	} {
 		got, err := ciRunMisses(tc.workflow)
 		if err != nil || !reflect.DeepEqual(got, tc.want) {

@@ -15,7 +15,7 @@ func allocTestSim(width, height, workers int, mode Mode, pattern Pattern, rate f
 	cfg := DefaultConfig(width, height)
 	cfg.Mode = mode
 	cfg.PathSharing = mode == HybridTDM
-	cfg.VCPowerGating = true
+	cfg.VCPowerGating = mode != HybridSDM // the SDM engine has no VC gating
 	cfg.Seed = 7
 	cfg.Workers = workers
 	return NewSynthetic(cfg, pattern, rate)

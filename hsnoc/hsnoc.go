@@ -27,10 +27,15 @@
 // methods of Simulator and work the same on all three; Results carries
 // the Section V figures as ordinary fields, zero where a workload has
 // none. HybridSDM runs synthetic traffic only.
+//
+// Config is the engine's own configuration (network.Params) under its
+// public name, so each knob is declared, defaulted and validated in one
+// place. Every constructor refuses a Config that Validate refuses:
+// NewHeterogeneous and NewReplay return the error, NewSynthetic panics
+// with it.
 package hsnoc
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -49,32 +54,20 @@ import (
 )
 
 // Mode selects the switching architecture.
-type Mode int
+type Mode = network.Mode
 
+// The three switching architectures.
 const (
 	// PacketSwitched is the Packet-VC4 baseline: a canonical 4-stage
 	// virtual-channelled wormhole router network.
-	PacketSwitched Mode = iota
+	PacketSwitched = network.PacketSwitched
 	// HybridTDM is the paper's contribution: packet- and circuit-switched
 	// traffic share the fabric through per-input-port slot tables.
-	HybridTDM
+	HybridTDM = network.HybridTDM
 	// HybridSDM is the space-division-multiplexed baseline: links are
 	// physically partitioned into planes owned by circuits.
-	HybridSDM
+	HybridSDM = network.HybridSDM
 )
-
-// String names the mode as the paper's figures label it.
-func (m Mode) String() string {
-	switch m {
-	case PacketSwitched:
-		return "Packet-VC4"
-	case HybridTDM:
-		return "Hybrid-TDM"
-	case HybridSDM:
-		return "Hybrid-SDM"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // Pattern is a synthetic traffic pattern (Section IV).
 type Pattern = traffic.Pattern
@@ -89,148 +82,21 @@ const (
 	Hotspot       = traffic.Hotspot
 )
 
-// Config selects and sizes a simulated network. Zero values fall back to
-// the Table-I parameters; what the paper fixes (internal/tablei: VC
-// buffer depth, DLT size, the SDM baseline's link planes) is not a
-// setting.
-type Config struct {
-	// Width and Height of the mesh (Table I: 6x6).
-	Width, Height int
-	// Mode is the switching architecture.
-	Mode Mode
-	// VCs per port (Table I: 4).
-	VCs int
-	// SlotTableEntries is the physical slot-table capacity (Table I: 128;
-	// the paper uses 256 for 256-node meshes).
-	SlotTableEntries int
-	// TimeSlotStealing lets packet-switched flits borrow idle reserved
-	// slots (Section II-D). Enabled by default for HybridTDM.
-	DisableTimeSlotStealing bool
-	// PathSharing enables hitchhiker- and vicinity-sharing
-	// (Section III-A) — the paper's "hop" configurations.
-	PathSharing bool
-	// VCPowerGating enables aggressive VC power gating (Section III-B) —
-	// the paper's "VCt" configurations.
-	VCPowerGating bool
-	// LatencyBasedVCGating swaps the utilisation-driven gate for the
-	// buffer-residency-driven refinement the paper suggests in
-	// Section V-B4 (implies VCPowerGating).
-	LatencyBasedVCGating bool
-	// DisableDynamicSlotSizing pins the active slot-table region to the
-	// full capacity instead of growing it on demand (Section II-C).
-	DisableDynamicSlotSizing bool
-	// SAIterations sets the switch allocator's iSLIP iteration count
-	// (0/1 = the classic single-pass separable allocator).
-	SAIterations int
-	// Seed makes runs reproducible; equal seeds give identical results.
-	Seed uint64
-	// Workers sets executor parallelism (results are identical for any
-	// value; >1 only pays off on large meshes).
-	Workers int
-	// CheckInvariants enables the runtime invariant layer: per-cycle (or
-	// per-CheckInterval) verification of flit conservation, credit
-	// consistency, slot-table ownership and VC-mask consistency, plus a
-	// rolling FNV-1a state digest for serial-vs-parallel equivalence
-	// checking. Every checked cycle walks the whole network, so checking
-	// every cycle costs tens of times the unchecked runtime (the
-	// benchmark's invariant.checked_slowdown_x); it never changes
-	// simulation results. Not available for HybridSDM: Validate refuses
-	// the combination.
-	CheckInvariants bool
-	// CheckInterval is the checking cadence in cycles (<= 1 = every
-	// cycle). Larger intervals cut the overhead proportionally but
-	// detect a divergence or violation only at the next checked cycle.
-	CheckInterval int
-
-	// The policy layer (see internal/policy and ApplyDecision): knobs a
-	// profile-derived Decision (SlotInit, PinnedFlows, RestrictSetups,
-	// GatedPlanes) applies through plain configuration so re-runs stay
-	// digest-reproducible, and the online controller's AdaptiveEpoch /
-	// AdaptiveTopK. All zero values mean "no policy".
-
-	// SlotInit, when > 0, starts the dynamic slot-table resizer at this
-	// active-region size instead of capacity/8 (HybridTDM with dynamic
-	// sizing only). Profiled runs use it to skip the discovery
-	// doublings — or to hold the table deliberately small.
-	SlotInit int
-	// PinnedFlows lists (src, dst) node pairs pinned to circuit
-	// switching: the source sets their circuits up eagerly on first
-	// send, skipping the frequency filter.
-	PinnedFlows []FlowPin
-	// RestrictSetups forbids circuit setups for flows not in
-	// PinnedFlows; non-pinned traffic stays packet-switched. With
-	// PinnedFlows empty it does nothing: the NIs read it only through
-	// pin maps, which a decision that pins nothing never installs.
-	RestrictSetups bool
-	// GatedPlanes power-gates that many SDM link planes (HybridSDM
-	// only; at least 2 planes must stay on).
-	GatedPlanes int
-	// AdaptiveEpoch, when > 0, enables the online in-sim controller:
-	// every AdaptiveEpoch cycles the network decides the greedy:K policy
-	// (K = AdaptiveTopK, default 8) on the epoch's flow window and pins
-	// its flows, re-allocating slot tables when the set changed.
-	// HybridTDM only; telemetry (with flow tracking) is attached
-	// automatically if the caller has not attached its own. An
-	// AdaptiveTopK without AdaptiveEpoch is refused.
-	AdaptiveEpoch int64
-	AdaptiveTopK  int
-}
+// Config selects and sizes a simulated network; the fields and their
+// Table-I defaults are documented on network.Params, the engine's one
+// declaration of them. Validate is their one check, and every
+// constructor runs it.
+type Config = network.Params
 
 // FlowPin names one (src, dst) flow pinned to circuit switching.
 type FlowPin = policy.FlowPin
 
 // DefaultConfig returns the Table-I baseline configuration for a
 // width x height mesh.
-func DefaultConfig(width, height int) Config {
-	return Config{Width: width, Height: height, VCs: tablei.VCs, SlotTableEntries: tablei.SlotTableEntries, Seed: 1, Workers: 1}
-}
-
-// networkConfig lowers the public Config onto the engine configuration.
-func (c Config) networkConfig() network.Config {
-	nc := network.DefaultConfig(c.Width, c.Height)
-	nc.Seed = c.Seed
-	if c.Workers > 0 {
-		nc.Workers = c.Workers
-	}
-	if c.VCs > 0 {
-		nc.Router.VCs = c.VCs
-	}
-	if c.SAIterations > 0 {
-		nc.Router.SAIterations = c.SAIterations
-	}
-	if c.Mode == HybridTDM {
-		nc.Router.Hybrid = true
-		nc.DynamicSlots = !c.DisableDynamicSlotSizing
-		if c.SlotTableEntries > 0 {
-			nc.Router.SlotCapacity = c.SlotTableEntries
-		}
-		nc.Router.TimeSlotStealing = !c.DisableTimeSlotStealing
-		if c.PathSharing {
-			nc = nc.WithSharing()
-		}
-		nc.SlotInit = c.SlotInit
-		nc.PinnedFlows = c.PinnedFlows
-		nc.RestrictSetups = c.RestrictSetups
-		nc.AdaptiveEpoch = c.AdaptiveEpoch
-		nc.AdaptiveTopK = c.AdaptiveTopK
-	}
-	if c.VCPowerGating {
-		nc = nc.WithVCGating()
-	}
-	if c.LatencyBasedVCGating {
-		nc = nc.WithLatencyVCGating()
-	}
-	nc.CheckInvariants = c.CheckInvariants
-	nc.CheckInterval = c.CheckInterval
-	// Every endpoint this layer attaches (synthetic generators, the
-	// hetero tile models, trace replayers) drops packet references when
-	// OnDeliver returns, so message recycling is always safe here.
-	nc.PoolMessages = true
-	return nc
-}
+func DefaultConfig(width, height int) Config { return network.DefaultConfig(width, height).Params }
 
 // sdmConfig lowers the public Config onto the SDM engine.
-func (c Config) sdmConfig() sdm.Config {
+func sdmConfig(c Config) sdm.Config {
 	sc := sdm.DefaultConfig(c.Width, c.Height)
 	sc.Seed = c.Seed
 	if c.VCs > 0 {
@@ -364,23 +230,33 @@ type Simulator struct {
 }
 
 // newSimulator builds the shared router network of a PacketSwitched or
-// HybridTDM configuration with endpoints from mk.
+// HybridTDM configuration with endpoints from mk; network.New panics
+// with Validate's error on a config that fails it.
 func newSimulator(cfg Config, mk network.EndpointFactory) *Simulator {
-	s := &Simulator{cfg: cfg}
-	s.net = network.New(cfg.networkConfig(), mk)
+	nc := network.DefaultConfig(cfg.Width, cfg.Height)
+	nc.Params = cfg
+	// Every endpoint this layer attaches (synthetic generators, the
+	// hetero tile models, trace replayers) drops packet references when
+	// OnDeliver returns, so message recycling is always safe here.
+	nc.PoolMessages = true
+	s := &Simulator{cfg: cfg, net: network.New(nc, mk)}
 	s.eng = s.net
 	return s
 }
 
 // NewSynthetic builds a simulator offering the given pattern at the given
 // injection rate (flits/node/cycle). All traffic is circuit-switching
-// eligible, matching the Section IV evaluation.
+// eligible, matching the Section IV evaluation. It panics with
+// Validate's error on a config that fails it.
 func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
 	if cfg.Mode == HybridSDM {
+		if err := cfg.Validate(); err != nil {
+			panic(err)
+		}
 		// The SDM engine predates network.Endpoint: it draws one
 		// destination per source per cycle from a generator callback,
 		// which is why synthetic traffic is the only workload it runs.
-		sc := cfg.sdmConfig()
+		sc := sdmConfig(cfg)
 		mesh := topology.NewMesh(cfg.Width, cfg.Height)
 		sn := sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
 			if !rng.Bernoulli(rate / tablei.PSDataFlits) {
@@ -692,15 +568,4 @@ func (s *Simulator) Diagnose() Diagnostics {
 		MisroutedCS: d.MisroutedCS, DroppedCS: d.DroppedCS,
 		LatchConflicts: d.LatchConflicts, StolenSlots: d.StolenSlots,
 	}
-}
-
-// RouterAreaMM2 reports the modelled router area for this configuration
-// (Section IV-A: 0.177 mm^2 packet-switched, 0.188 mm^2 hybrid).
-func (c Config) RouterAreaMM2() float64 {
-	rc := power.RouterAreaConfig{VCsPerPort: cmp.Or(c.VCs, tablei.VCs)}
-	if c.Mode == HybridTDM {
-		rc.Hybrid = true
-		rc.SlotTableEntries = cmp.Or(c.SlotTableEntries, tablei.SlotTableEntries)
-	}
-	return power.RouterAreaMM2(rc)
 }

@@ -278,6 +278,45 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
+// TestNewSyntheticRefusesWhatValidateRefuses: NewSynthetic panics with
+// Validate's error in every mode, so a knob the mode cannot honour (path
+// sharing on a packet-switched network, say) is refused, not dropped.
+func TestNewSyntheticRefusesWhatValidateRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		set  func(*Config)
+	}{
+		{PacketSwitched, func(c *Config) { c.PathSharing = true }},
+		{PacketSwitched, func(c *Config) { c.SlotInit = 8 }},
+		{PacketSwitched, func(c *Config) { c.PinnedFlows = []FlowPin{{Src: 0, Dst: 5}} }},
+		{PacketSwitched, func(c *Config) { c.RestrictSetups = true }},
+		{PacketSwitched, func(c *Config) { c.AdaptiveEpoch = 256 }},
+		{PacketSwitched, func(c *Config) { c.GatedPlanes = 1 }},
+		{HybridTDM, func(c *Config) { c.SlotInit = 129 }},
+		{HybridTDM, func(c *Config) { c.AdaptiveTopK = 3 }},
+		{HybridTDM, func(c *Config) { c.VCs = 13 }},
+		{HybridSDM, func(c *Config) { c.CheckInvariants = true }},
+		{HybridSDM, func(c *Config) { c.VCPowerGating = true }},
+		{HybridSDM, func(c *Config) { c.GatedPlanes = 3 }},
+	} {
+		cfg := DefaultConfig(6, 6)
+		cfg.Mode = tc.mode
+		tc.set(&cfg)
+		want := cfg.Validate()
+		if want == nil {
+			t.Fatalf("%v %+v: Validate accepts it", tc.mode, cfg)
+		}
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want.Error() {
+					t.Errorf("%v: NewSynthetic panicked with %q, want %q", tc.mode, got, want)
+				}
+			}()
+			NewSynthetic(cfg, Tornado, 0.1).Close()
+		}()
+	}
+}
+
 func TestUtilizationGrid(t *testing.T) {
 	cfg := DefaultConfig(4, 4)
 	s := NewSynthetic(cfg, Tornado, 0.2)

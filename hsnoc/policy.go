@@ -1,10 +1,12 @@
 package hsnoc
 
 import (
+	"cmp"
 	"fmt"
 
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/policy"
+	"tdmnoc/internal/tablei"
 )
 
 // Profile is the adaptive-policy traffic profile (re-exported from the
@@ -45,7 +47,7 @@ func (s *Simulator) ExtractProfile() (*Profile, error) {
 func DecisionProfile(cfg Config, sum *obs.Summary) *Profile {
 	p := &Profile{Width: cfg.Width, Height: cfg.Height, Cycles: sum.Cycles, Injected: sum.Injected, Flows: sum.Flows}
 	if cfg.Mode == HybridTDM {
-		p.SlotCapacity = cfg.networkConfig().Router.SlotCapacity
+		p.SlotCapacity = cmp.Or(cfg.SlotTableEntries, tablei.SlotTableEntries)
 	}
 	return p
 }

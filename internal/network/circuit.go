@@ -130,7 +130,7 @@ type csJob struct {
 // packet-switched latency plus the message's slack.
 func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, bool) {
 	cfg := &ni.net.cfg
-	if !cfg.Router.Hybrid || !opt.AllowCS || ni.net.csFrozen {
+	if cfg.Mode != HybridTDM || !opt.AllowCS || ni.net.csFrozen() {
 		return csJob{}, false
 	}
 	slack := opt.Slack
@@ -172,7 +172,7 @@ func (ni *NI) decide(now sim.Cycle, pkt *flit.Packet, opt SendOptions) (csJob, b
 		}
 		return csJob{}, false
 	}
-	if !cfg.Router.Sharing || ni.dlt == nil {
+	if !cfg.PathSharing || ni.dlt == nil {
 		return csJob{}, false
 	}
 	// Sharing rides detour through hop-off re-injection and composite
@@ -283,7 +283,7 @@ func (ni *NI) noteFrequency(now sim.Cycle, dst topology.NodeID) {
 // an idle circuit first when the registry is full.
 func (ni *NI) maybeSetup(now sim.Cycle, dst topology.NodeID) {
 	cfg := &ni.net.cfg
-	if !cfg.Router.Hybrid || ni.net.csFrozen {
+	if cfg.Mode != HybridTDM || ni.net.csFrozen() {
 		return
 	}
 	if ni.circuits[dst] != nil || ni.setupPending(dst) {
@@ -310,7 +310,7 @@ func (ni *NI) maybeSetup(now sim.Cycle, dst topology.NodeID) {
 // entry in place.
 func (ni *NI) requestExtraBlock(now sim.Cycle, dst topology.NodeID) {
 	cfg := &ni.net.cfg
-	if !cfg.Router.Hybrid || ni.net.csFrozen || ni.setupPending(dst) {
+	if cfg.Mode != HybridTDM || ni.net.csFrozen() || ni.setupPending(dst) {
 		return
 	}
 	if until, ok := ni.backoff[dst]; ok && now < until {
@@ -405,7 +405,7 @@ func (ni *NI) sendTeardown(dst topology.NodeID, baseSlot, dur, epoch, limit int)
 // With static slot tables there is no resizer to read it, so nothing is
 // recorded and the manager has nothing to sweep.
 func (ni *NI) recordSetup(ok bool) {
-	if ni.net.cfg.DynamicSlots {
+	if ni.net.dynamicSlots {
 		ni.setupResults = append(ni.setupResults, ok)
 	}
 }
@@ -481,7 +481,7 @@ func (ni *NI) handleAck(now sim.Cycle, pkt *flit.Packet) {
 		return
 	}
 	st.attempts++
-	if !ni.net.csFrozen && st.attempts < retrySetups {
+	if !ni.net.csFrozen() && st.attempts < retrySetups {
 		ni.pending[dst] = st
 		ni.sendSetup(now, dst)
 		return
@@ -522,7 +522,7 @@ func (ni *NI) applyDLTEvents(now sim.Cycle) {
 // the advance signal for owner contention and fall back to packet
 // switching when the slot is taken (Section III-A1).
 func (ni *NI) tryStartCS(now sim.Cycle) bool {
-	if ni.net.csFrozen {
+	if ni.net.csFrozen() {
 		// A slot-table reset is pending; new streams launched now could
 		// still be in flight when the tables are wiped. Jobs wait here
 		// and are flushed to packet switching at the reset.

@@ -7,23 +7,18 @@
 package network
 
 import (
-	"tdmnoc/internal/policy"
+	"cmp"
+
+	"tdmnoc/internal/hybrid"
 	"tdmnoc/internal/router"
 	"tdmnoc/internal/tablei"
 )
 
-// Config describes one simulated network.
+// Config describes one simulated network: the public knobs (Params),
+// plus what only callers of this package set.
 type Config struct {
-	// Width and Height of the mesh (Table I: 6x6).
-	Width, Height int
-	// Router is the per-router configuration. Its Hybrid flag also turns
-	// on the NIs' circuit-switching decisions, and its Sharing flag their
-	// hitchhiker- and vicinity-sharing.
-	Router router.Config
-	// Seed drives all randomness; identical seeds reproduce runs exactly.
-	Seed uint64
-	// Workers selects executor parallelism (1 = serial; results identical).
-	Workers int
+	Params
+
 	// AlwaysTick disables active-node scheduling, ticking every router
 	// and NI every phase regardless of quiescence. Results are identical
 	// either way (skipped ticks are provably state no-ops); equivalence
@@ -32,50 +27,10 @@ type Config struct {
 	// quiescence contract.
 	AlwaysTick bool
 
-	// DynamicSlots enables the network-wide slot-table sizing policy.
-	DynamicSlots bool
-
 	// PSDataFlits is the packet-switched data packet length,
 	// tablei.PSDataFlits (a circuit-switched packet carries the same
 	// line in csDataFlits).
 	PSDataFlits int
-
-	// SlotInit, when > 0, overrides the dynamic resizer's initial
-	// active slot-table region (normally capacity/8). Policy decisions
-	// use it to start the table at the profiled demand instead of
-	// discovering it through freeze→drain→reset doublings.
-	SlotInit int
-	// PinnedFlows lists (src, dst) node-id pairs whose circuits are set
-	// up eagerly: the first send to a pinned destination triggers a
-	// setup, skipping the tablei.SetupThreshold/freqWindow frequency filter.
-	PinnedFlows []policy.FlowPin
-	// RestrictSetups forbids circuit setups for flows not in
-	// PinnedFlows (or, under the adaptive controller, not in the
-	// current epoch's pin set). Non-pinned traffic stays packet-
-	// switched, which keeps the slot tables small and eliminates their
-	// setup/teardown config traffic. The NIs read it only through their
-	// pin maps, which exist only once some flow is pinned: with
-	// PinnedFlows empty and no controller, RestrictSetups does nothing
-	// and every flow rides the frequency filter.
-	RestrictSetups bool
-	// AdaptiveEpoch, when > 0, enables the online controller: every
-	// AdaptiveEpoch cycles the network decides policy.Greedy with
-	// TopK = AdaptiveTopK on the recorder's flow deltas since the last
-	// boundary, pins its flows, and — when the pin set changed —
-	// re-allocates the slot tables through the same freeze→drain→reset
-	// path the dynamic resizer uses. Requires an attached flow-tracking
-	// recorder.
-	AdaptiveEpoch int64
-	// AdaptiveTopK bounds the online controller's pin set (default 8).
-	AdaptiveTopK int
-
-	// CheckInvariants enables the runtime invariant layer: flit
-	// conservation, credit consistency, slot-table ownership, and the
-	// rolling determinism digest. CheckInterval is the checking cadence
-	// in cycles (<= 1 means every cycle). Checks run serially between
-	// cycles, after the management step.
-	CheckInvariants bool
-	CheckInterval   int
 
 	// PoolMessages recycles packet/flit objects through one free list
 	// per executor partition (flit.Pool), making the steady-state cycle
@@ -100,10 +55,8 @@ type Config struct {
 // packet-switched 4-VC routers.
 func DefaultConfig(width, height int) Config {
 	return Config{
-		Width: width, Height: height,
-		Router:                router.DefaultConfig(),
-		Seed:                  1,
-		Workers:               1,
+		Params: Params{Width: width, Height: height, VCs: tablei.VCs, SlotTableEntries: tablei.SlotTableEntries,
+			Seed: 1, Workers: 1},
 		PSDataFlits:           tablei.PSDataFlits,
 		maxCircuits:           maxCircuits,
 		overflowForExtraBlock: overflowForExtraBlock,
@@ -115,30 +68,7 @@ func DefaultConfig(width, height int) Config {
 // with 128-entry slot tables and NI-side circuit switching.
 func HybridTDMConfig(width, height int) Config {
 	c := DefaultConfig(width, height)
-	c.Router = router.HybridConfig()
-	c.DynamicSlots = true
-	return c
-}
-
-// WithSharing enables circuit-switched path sharing (the "hop"
-// configurations of Fig. 8).
-func (c Config) WithSharing() Config {
-	c.Router.Sharing = true
-	return c
-}
-
-// WithVCGating enables aggressive VC power gating (the "VCt"
-// configurations).
-func (c Config) WithVCGating() Config {
-	c.Router.VCGating = true
-	return c
-}
-
-// WithLatencyVCGating selects the latency-driven gating refinement of
-// Section V-B4 instead of the utilisation-driven policy.
-func (c Config) WithLatencyVCGating() Config {
-	c.Router.VCGating = true
-	c.Router.LatencyVCGating = true
+	c.Mode = HybridTDM
 	return c
 }
 
@@ -146,29 +76,41 @@ func (c Config) WithLatencyVCGating() Config {
 // length, plus one slot for the vicinity-sharing header when sharing is on
 // (Section III-A2).
 func (c Config) ReserveDuration() int {
-	if c.Router.Sharing {
+	if c.PathSharing {
 		return csDataFlits + 1
 	}
 	return csDataFlits
 }
 
-func (c Config) validate() {
-	if c.Width <= 0 || c.Height <= 0 {
-		panic("network: mesh dimensions must be positive")
+// routerConfig derives the routers' configuration from the public knobs
+// and starts n's slot-table resizer. A non-TDM router keeps the Table-I
+// slot table, unpowered, whatever SlotTableEntries says, and
+// LatencyBasedVCGating implies VC gating in every mode.
+func (n *Network) routerConfig() router.Config {
+	p := &n.cfg.Params
+	rc := router.Config{
+		VCs:              cmp.Or(p.VCs, tablei.VCs),
+		SlotCapacity:     tablei.SlotTableEntries,
+		TimeSlotStealing: true,
+		VCGating:         p.VCPowerGating || p.LatencyBasedVCGating,
+		LatencyVCGating:  p.LatencyBasedVCGating,
+		SAIterations:     p.SAIterations,
 	}
-	if c.PSDataFlits <= 0 {
-		panic("network: packet size must be positive")
+	if p.Mode == HybridTDM {
+		rc.Hybrid, rc.Sharing = true, p.PathSharing
+		rc.SlotCapacity = p.slotCapacity()
+		rc.TimeSlotStealing = !p.DisableTimeSlotStealing
+		n.dynamicSlots = !p.DisableDynamicSlotSizing
 	}
-	if c.SlotInit < 0 || c.SlotInit > c.Router.SlotCapacity {
-		panic("network: SlotInit outside [0, SlotCapacity]")
+	switch {
+	case n.dynamicSlots && p.SlotInit > 0:
+		n.resizer = hybrid.ResizerWithInitial(rc.SlotCapacity, p.SlotInit)
+	case n.dynamicSlots:
+		n.resizer = hybrid.DefaultResizer(rc.SlotCapacity)
+	default:
+		n.resizer = hybrid.FixedResizer(rc.SlotCapacity)
 	}
-	if c.AdaptiveEpoch > 0 && !c.Router.Hybrid {
-		panic("network: AdaptiveEpoch requires Router.Hybrid")
-	}
-	nodes := c.Width * c.Height
-	for _, p := range c.PinnedFlows {
-		if p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes {
-			panic("network: PinnedFlows node id outside the mesh")
-		}
-	}
+	n.slotActive = n.resizer.Active()
+	rc.SlotActive = n.slotActive
+	return rc
 }

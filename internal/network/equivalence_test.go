@@ -72,7 +72,7 @@ func bursts(count int) EndpointFactory {
 // requires the scheduled run's routers (with holding, ones holding
 // reservations) to sleep: skipped ticks are compared with real ones.
 func alwaysTickCase(name string, ep EndpointFactory, cycles int, holding bool) difftest.Case[*netRun] {
-	c := netCase(name, HybridTDMConfig(6, 6).WithSharing(), ep, cycles,
+	c := netCase(name, sharingConfig(6, 6), ep, cycles,
 		func(r *netRun) { r.slept += sleeping(r.Network, holding) },
 		difftest.Point{Workers: 1, Checked: true}, difftest.Point{Workers: 1, Checked: true, AlwaysTick: true})
 	proof := c.Proof
@@ -91,9 +91,9 @@ func alwaysTickCase(name string, ep EndpointFactory, cycles int, holding bool) d
 // digests and the stats bytes with its first point.
 func TestEquivalence(t *testing.T) {
 	checked := difftest.Point{Checked: true}
-	sharing := HybridTDMConfig(6, 6).WithSharing()
+	sharing := sharingConfig(6, 6)
 	layout := func(w, h int) Config {
-		cfg := HybridTDMConfig(w, h).WithSharing()
+		cfg := sharingConfig(w, h)
 		cfg.CheckInterval = 128
 		return cfg
 	}
@@ -105,7 +105,7 @@ func TestEquivalence(t *testing.T) {
 		netCase("burst-6x6-stats", HybridTDMConfig(6, 6), bursts(100), 3000, nil, difftest.Matrix(difftest.Point{}, 1, 4)...),
 		netCase("sharing-6x6", sharing, bursts(80), 900, nil, difftest.Matrix(checked, 1, 2, 3, 8)...),
 		// 50 tickers do not divide evenly: the last worker's span is short.
-		netCase("sharing-5x5-ragged", HybridTDMConfig(5, 5).WithSharing(), bursts(80), 900, nil, difftest.Matrix(checked, 1, 3, 8)...),
+		netCase("sharing-5x5-ragged", sharingConfig(5, 5), bursts(80), 900, nil, difftest.Matrix(checked, 1, 3, 8)...),
 		// Slab boundaries move with the worker count: the 2D block grid
 		// cannot tile 10x6 evenly at most counts.
 		netCase("layout-10x6", layout(10, 6), bursts(80), 900, nil, difftest.Matrix(checked, 1, 2, 8, 16)...),

@@ -193,7 +193,7 @@ func (n *Network) hashManager(h *invariant.Hasher) {
 	h.Int64(int64(n.clock.Now()))
 	h.Int(n.slotActive)
 	h.Int(n.epoch)
-	h.Bool(n.csFrozen)
+	h.Bool(n.csFrozen())
 	h.Int64(int64(n.resizeAt))
 	h.Int(n.resizeTo)
 	n.resizer.HashState(h)

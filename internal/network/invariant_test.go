@@ -17,7 +17,7 @@ func TestInvariantCheckerCleanRuns(t *testing.T) {
 	cases := map[string]Config{
 		"packet": DefaultConfig(6, 6),
 		"hybrid": HybridTDMConfig(6, 6),
-		"shared": HybridTDMConfig(6, 6).WithSharing().WithVCGating(),
+		"shared": gatedConfig(sharingConfig(6, 6)),
 	}
 	for name, cfg := range cases {
 		cfg.CheckInvariants = true
@@ -98,7 +98,7 @@ func validEntries(rt *hybrid.RouterTables) []slotOwner {
 // state, and an unrelated live circuit keeps every one of its slots.
 func TestFailedSetupReleasesReservedPrefix(t *testing.T) {
 	cfg := HybridTDMConfig(6, 6)
-	cfg.DynamicSlots = false // keep tables stable so snapshots compare exactly
+	cfg.DisableDynamicSlotSizing = true // keep tables stable so snapshots compare exactly
 	cfg.CheckInvariants = true
 	net, _ := driverNet(t, cfg)
 	defer net.Close()
@@ -191,7 +191,7 @@ func TestQuiescentTickIsNoOp(t *testing.T) {
 		{"held-circuits", 1600, heldCircuits, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := HybridTDMConfig(6, 6).WithSharing()
+			cfg := sharingConfig(6, 6)
 			cfg.CheckInvariants = true
 			net := New(cfg, tc.ep)
 			defer net.Close()

@@ -56,15 +56,19 @@ type Network struct {
 	control    *obs.Handle
 	probeEvery int64
 
-	resizer *hybrid.Resizer
+	// resizer sizes the slot tables; the NIs feed it setup outcomes
+	// only when dynamicSlots (HybridTDM without DisableDynamicSlotSizing).
+	resizer      *hybrid.Resizer
+	dynamicSlots bool
 	// slotActive is the slot count the routers are actually using; it
 	// lags the resizer's decision by the drain window so NIs and routers
 	// always agree on the slot modulus.
 	slotActive int
 	epoch      int
-	csFrozen   bool
-	resizeAt   sim.Cycle // non-zero while a reset is scheduled
-	resizeTo   int
+	// resizeAt is non-zero while a reset is scheduled, and circuit-
+	// switched injection is frozen until it fires (csFrozen).
+	resizeAt sim.Cycle
+	resizeTo int
 
 	// Online adaptive controller state (cfg.AdaptiveEpoch > 0): the
 	// recorder's cumulative flow table at the last epoch boundary (so
@@ -81,24 +85,18 @@ type Network struct {
 // return nil for tiles that only sink traffic.
 type EndpointFactory func(id topology.NodeID) Endpoint
 
-// New builds a network from cfg, attaching endpoints from mk.
+// New builds a network from cfg, attaching endpoints from mk. It panics
+// with Params.Validate's error on a configuration that fails it, and on
+// HybridSDM, whose engine is internal/sdm.
 func New(cfg Config, mk EndpointFactory) *Network {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Mode == HybridSDM {
+		panic("network: HybridSDM runs on internal/sdm, not on this engine")
+	}
 	n := &Network{cfg: cfg, mesh: topology.NewMesh(cfg.Width, cfg.Height)}
-
-	if cfg.Router.Hybrid && cfg.DynamicSlots {
-		if cfg.SlotInit > 0 {
-			n.resizer = hybrid.ResizerWithInitial(cfg.Router.SlotCapacity, cfg.SlotInit)
-		} else {
-			n.resizer = hybrid.DefaultResizer(cfg.Router.SlotCapacity)
-		}
-	} else {
-		n.resizer = hybrid.FixedResizer(max(1, cfg.Router.SlotCapacity))
-	}
-	n.slotActive = n.resizer.Active()
-	if cfg.Router.Hybrid {
-		n.cfg.Router.SlotActive = n.resizer.Active()
-	}
+	rc := n.routerConfig()
 
 	nodes := n.mesh.Nodes()
 
@@ -120,7 +118,7 @@ func New(cfg Config, mk EndpointFactory) *Network {
 		if len(ids) == 0 {
 			continue
 		}
-		arena := router.NewArena(len(ids), n.cfg.Router)
+		arena := router.NewArena(len(ids), rc)
 		for _, id := range ids {
 			n.routers[id] = arena.New(topology.NodeID(id), n.mesh)
 			n.tileOwner[id] = wi
@@ -165,7 +163,7 @@ func New(cfg Config, mk EndpointFactory) *Network {
 			pool = flit.NewPool(n.sharedPool, len(ids))
 			n.pools = append(n.pools, pool)
 		}
-		arena := newNIArena(len(ids), cfg.Router.VCs, pool)
+		arena := newNIArena(len(ids), rc.VCs, pool)
 		for _, id := range ids {
 			n.nis[id] = arena.newNI(topology.NodeID(id), n, n.routers[id], rngs[id], eps[id])
 		}
@@ -189,8 +187,8 @@ func New(cfg Config, mk EndpointFactory) *Network {
 	}
 	if cfg.CheckInvariants {
 		n.checker = invariant.NewChecker(cfg.CheckInterval)
-		n.census = &census{mesh: n.mesh, vcs: cfg.Router.VCs, seen: make(map[uint64]struct{}),
-			occ: make([]int, nodes*int(topology.NumPorts)*cfg.Router.VCs)}
+		n.census = &census{mesh: n.mesh, vcs: rc.VCs, seen: make(map[uint64]struct{}),
+			occ: make([]int, nodes*int(topology.NumPorts)*rc.VCs)}
 	}
 	return n
 }
@@ -300,7 +298,7 @@ func (n *Network) RunUntil(done func() bool, limit int) (int, bool) {
 // re-pins).
 func (n *Network) manage() {
 	now := n.clock.Now()
-	if n.cfg.DynamicSlots {
+	if n.dynamicSlots {
 		for _, ni := range n.nis {
 			for _, ok := range ni.setupResults {
 				if newActive, resized := n.resizer.RecordSetupResultAt(ok, int64(now)); resized && n.resizeAt == 0 {
@@ -326,7 +324,6 @@ func (n *Network) manage() {
 		}
 		n.slotActive = n.resizeTo
 		n.resizeAt = 0
-		n.csFrozen = false
 		// The reset mutated every router and NI outside the tick loop;
 		// re-arm them all so no node sleeps through it.
 		n.exec.WakeAll()
@@ -372,9 +369,12 @@ func (n *Network) adaptStep(now sim.Cycle) {
 func (n *Network) scheduleReset(now sim.Cycle, size int) {
 	n.resizeTo = size
 	n.resizeAt = now + drainWindow
-	n.csFrozen = true
 	n.epoch++
 }
+
+// csFrozen reports whether circuit-switched injection is frozen: a
+// slot-table reset is scheduled and its drain window is running.
+func (n *Network) csFrozen() bool { return n.resizeAt != 0 }
 
 // installPins gives every NI a fresh pin map holding the destinations
 // pins assigns it; an empty map means "policy active, nothing pinned
@@ -427,14 +427,6 @@ func (n *Network) EnableStats() {
 		// being discarded, so they cannot leak into the fresh one.
 		r.SyncStatics(now)
 		r.Meter().Reset()
-		// Re-count the static link channels lost in the reset.
-		lc := int64(1)
-		for _, p := range []topology.Port{topology.North, topology.East, topology.South, topology.West} {
-			if _, ok := n.mesh.Neighbor(r.ID(), p); ok {
-				lc++
-			}
-		}
-		r.Meter().LinkChannels = lc
 	}
 }
 

@@ -255,13 +255,13 @@ func niCircuit(ni *NI, dst topology.NodeID) (*circuit, bool) {
 }
 
 func TestVCGatingReducesActiveVCs(t *testing.T) {
-	cfg := HybridTDMConfig(6, 6).WithVCGating()
+	cfg := gatedConfig(HybridTDMConfig(6, 6))
 	net := New(cfg, func(id topology.NodeID) Endpoint { return nil })
 	defer net.Close()
 	net.Run(5000) // idle network: utilisation 0, VCs gate down
 	gated := 0
 	for i := 0; i < net.Mesh().Nodes(); i++ {
-		if net.Router(topology.NodeID(i)).ActiveVCs() < cfg.Router.VCs {
+		if net.Router(topology.NodeID(i)).ActiveVCs() < cfg.VCs {
 			gated++
 		}
 	}
@@ -271,7 +271,7 @@ func TestVCGatingReducesActiveVCs(t *testing.T) {
 }
 
 func TestVCGatingKeepsTrafficFlowing(t *testing.T) {
-	cfg := HybridTDMConfig(6, 6).WithVCGating()
+	cfg := gatedConfig(HybridTDMConfig(6, 6))
 	net := New(cfg, func(id topology.NodeID) Endpoint {
 		return &burst{count: 150, dstOf: reversePattern, allowCS: true, period: 6}
 	})
@@ -291,7 +291,7 @@ func TestPathSharingHitchhike(t *testing.T) {
 	// Node 0 builds a circuit 0 -> 5 along the top row; node 2 (on the
 	// path) should then hitchhike to destination 5 instead of packet
 	// switching everything.
-	cfg := HybridTDMConfig(6, 6).WithSharing()
+	cfg := sharingConfig(6, 6)
 	type sender struct{ burst }
 	net := New(cfg, func(id topology.NodeID) Endpoint { return nil })
 	defer net.Close()

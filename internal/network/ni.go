@@ -202,7 +202,7 @@ func (a *niArena) newNI(id topology.NodeID, net *Network, r *router.Router, rng 
 	for v := range ni.credits {
 		ni.credits[v] = tablei.BufDepth
 	}
-	if net.cfg.Router.Sharing {
+	if net.cfg.PathSharing {
 		ni.dlt = hybrid.NewDLT(tablei.DLTEntries)
 	}
 	ni.epQ, _ = ep.(QuiescentEndpoint)
@@ -418,7 +418,7 @@ func (ni *NI) chooseStaged(now sim.Cycle) {
 		return
 	}
 	// 2. Start a circuit-switched job whose slot aligns at arrival.
-	if ni.net.cfg.Router.Hybrid && len(ni.csJobs) > 0 {
+	if ni.net.cfg.Mode == HybridTDM && len(ni.csJobs) > 0 {
 		if ni.tryStartCS(now) {
 			return
 		}

@@ -47,7 +47,7 @@ func establishCircuit(t *testing.T, net *Network, src, dst topology.NodeID) {
 }
 
 func TestVicinityHopOffEndToEnd(t *testing.T) {
-	cfg := HybridTDMConfig(6, 6).WithSharing()
+	cfg := sharingConfig(6, 6)
 	net, drivers := driverNet(t, cfg)
 	defer net.Close()
 
@@ -318,7 +318,7 @@ func TestRevertedPacketsReachTheirDestination(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Only the pinned src→end flow sets a circuit up, so every
 			// ride below uses it.
-			cfg := HybridTDMConfig(6, 6).WithSharing()
+			cfg := sharingConfig(6, 6)
 			cfg.PinnedFlows = []policy.FlowPin{{Src: int(src), Dst: int(end)}}
 			cfg.RestrictSetups = true
 			net, drivers := driverNet(t, cfg)

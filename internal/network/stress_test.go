@@ -48,7 +48,7 @@ func (c *chaos) OnDeliver(now sim.Cycle, ni *NI, pkt *flit.Packet) {}
 // sizing, multi-block circuits, mixed sizes and classes — and checks the
 // network stays conservative and invariant-clean.
 func TestChaosMonkey(t *testing.T) {
-	cfg := HybridTDMConfig(6, 6).WithSharing().WithVCGating()
+	cfg := gatedConfig(sharingConfig(6, 6))
 	cfg.PoolMessages = true
 	cfg.overflowForExtraBlock = 3
 	cfg.maxCircuits = 6
@@ -99,7 +99,7 @@ func TestChaosMonkeySeeds(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for seed := uint64(2); seed < 6; seed++ {
-		cfg := HybridTDMConfig(6, 6).WithSharing().WithVCGating()
+		cfg := gatedConfig(sharingConfig(6, 6))
 		cfg.Seed = seed
 		cfg.PoolMessages = true
 		cfg.idleTeardown = 300

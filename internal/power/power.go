@@ -183,5 +183,6 @@ func (m *RouterMeter) Report() Breakdown {
 	return b
 }
 
-// Reset zeroes every counter.
-func (m *RouterMeter) Reset() { *m = RouterMeter{} }
+// Reset zeroes every counter. LinkChannels is kept: it counts the
+// router's channels, a structure, not an accumulator.
+func (m *RouterMeter) Reset() { *m = RouterMeter{LinkChannels: m.LinkChannels} }

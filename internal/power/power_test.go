@@ -130,9 +130,9 @@ func TestBreakdownAddAndTotals(t *testing.T) {
 }
 
 func TestMeterReset(t *testing.T) {
-	m := RouterMeter{BufWrites: 5, Cycles: 10, SlotEntryCycles: 3}
+	m := RouterMeter{BufWrites: 5, Cycles: 10, SlotEntryCycles: 3, LinkChannels: 4}
 	m.Reset()
-	if m != (RouterMeter{}) {
+	if m != (RouterMeter{LinkChannels: 4}) {
 		t.Fatalf("Reset left %+v", m)
 	}
 }

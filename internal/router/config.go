@@ -4,13 +4,11 @@
 // incoming flit to the packet- or circuit-switched datapath.
 package router
 
-import (
-	"fmt"
+import "fmt"
 
-	"tdmnoc/internal/tablei"
-)
-
-// Config selects the router variant and sizes its structures.
+// Config selects the router variant and sizes its structures: the
+// router's hot-path view of the public configuration, which the network
+// derives from network.Params in one function.
 //
 // Timing model (matching Section II-D):
 //
@@ -59,25 +57,6 @@ type Config struct {
 	// allocator). Extra iterations find larger input/output matchings
 	// under contention at the cost of allocator energy.
 	SAIterations int
-}
-
-// DefaultConfig returns the Table-I packet-switched baseline: 4 VCs per
-// port, 5-flit-deep buffers, no hybrid extension.
-func DefaultConfig() Config {
-	return Config{
-		VCs:              tablei.VCs,
-		SlotCapacity:     tablei.SlotTableEntries,
-		SlotActive:       tablei.SlotTableEntries,
-		TimeSlotStealing: true,
-	}
-}
-
-// HybridConfig returns the Table-I hybrid-switched configuration with
-// 128-entry slot tables.
-func HybridConfig() Config {
-	c := DefaultConfig()
-	c.Hybrid = true
-	return c
 }
 
 func (c Config) validate() {

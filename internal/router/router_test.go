@@ -8,8 +8,29 @@ import (
 	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/obs"
 	"tdmnoc/internal/sim"
+	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
 )
+
+// DefaultConfig returns the Table-I packet-switched router: 4 VCs per
+// port, 5-flit-deep buffers, no hybrid extension. (Networks derive
+// their routers' configuration from network.Params.)
+func DefaultConfig() Config {
+	return Config{
+		VCs:              tablei.VCs,
+		SlotCapacity:     tablei.SlotTableEntries,
+		SlotActive:       tablei.SlotTableEntries,
+		TimeSlotStealing: true,
+	}
+}
+
+// HybridConfig returns the Table-I hybrid-switched configuration with
+// 128-entry slot tables.
+func HybridConfig() Config {
+	c := DefaultConfig()
+	c.Hybrid = true
+	return c
+}
 
 // harness drives a row of routers without the network package: flits are
 // injected straight onto local input latches and collected from local

@@ -316,8 +316,6 @@ func (n *Network) EnableStats() {
 	n.meteredFrom = n.now
 	for i := range n.meters {
 		n.meters[i].Reset()
-		// Re-count the static link channels lost in the reset.
-		n.meters[i].LinkChannels = n.linkChannels(topology.NodeID(i))
 	}
 }
 

@@ -3,8 +3,11 @@
 # build nocsim and experiments from revision REV (a clean export of the
 # commit in a temp dir) and from the working tree, run every
 # `experiments -exp NAME -quick` and a fixed set of nocsim runs on both,
-# and cmp their stdout. nocsim's `barrier waits` line is host timing and
-# is dropped before comparing. Exits 1 on any difference.
+# and cmp their stdout. Every line marked "not a result" is dropped
+# before comparing: nocsim's `barrier waits` (host timing), and its
+# `packet pool`, `arenas` and `event rings` lines (simulator memory:
+# struct sizes, and a pool population that under -workers 2 depends on
+# scheduling). Exits 1 on any difference.
 #
 #   scripts/parity.sh HEAD~1
 #
@@ -32,7 +35,7 @@ same() {
     local side
     for side in base head; do
         { "$TMP/$side/$cmd" "$@" 2>/dev/null || echo "exit $?"; } |
-            grep -v 'barrier waits' > "$TMP/$side/$name.out" || true
+            grep -v 'not a result' > "$TMP/$side/$name.out" || true
     done
     if cmp -s "$TMP/base/$name.out" "$TMP/head/$name.out"; then
         echo "same    $name"
