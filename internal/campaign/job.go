@@ -76,16 +76,19 @@ func (j Job) withConfig(cfg hsnoc.Config) Job {
 }
 
 // key computes the cache key of the job's run: a SHA-256 over
-// cfg.Hash()|workload|warmup|measure, where a synthetic workload is
-// pattern|rate with the rate spelled as %.9g, and "|model<version>"
-// follows when version is non-zero. With TelemetryEvery set the key is
-// derived from that one, a SHA-256 over <key>|telemetry<every>. The
-// preimage is built by append (strconv's 'g' at nine digits is %.9g,
-// +Inf and NaN included), so the only allocation is the returned string.
+// cfg.Hash() followed by the run's suffix (appendSuffix), derived once
+// more when TelemetryEvery is set (keyOf).
 func (j *Job) key(version int) string {
-	var buf [192]byte
-	b := append(j.Config.AppendHash(buf[:0]), '|')
-	b = append(b, j.PatternName...)
+	var hash, suffix [128]byte
+	return keyOf(j.Config.AppendHash(hash[:0]), j.appendSuffix(suffix[:0], version), j.TelemetryEvery)
+}
+
+// appendSuffix appends what follows the config hash in the key's
+// preimage: |workload|warmup|measure, a synthetic workload being
+// pattern|rate with the rate as %.9g (strconv's 'g' at nine digits, +Inf
+// and NaN included), then "|model<version>" when version is non-zero.
+func (j *Job) appendSuffix(b []byte, version int) []byte {
+	b = append(append(b, '|'), j.PatternName...)
 	if j.CPU == "" {
 		b = strconv.AppendFloat(append(b, '|'), j.Rate, 'g', 9, 64)
 	}
@@ -94,9 +97,19 @@ func (j *Job) key(version int) string {
 	if version != 0 {
 		b = strconv.AppendInt(append(b, "|model"...), int64(version), 10)
 	}
+	return b
+}
+
+// keyOf is the key whose preimage is a config hash and a suffix; with
+// telemetry sampled every `every` cycles it is derived from that one, a
+// SHA-256 over <key>|telemetry<every>. The preimage is built by append,
+// so the only allocation is the returned string.
+func keyOf(confHash, suffix []byte, every int) string {
+	var buf [192]byte
+	b := append(append(buf[:0], confHash...), suffix...)
 	key := hexSum(b)
-	if j.TelemetryEvery > 0 {
-		key = hexSum(appendDerived(b[:0], key[:], "|telemetry", j.TelemetryEvery))
+	if every > 0 {
+		key = hexSum(appendDerived(b[:0], key[:], "|telemetry", every))
 	}
 	return string(key[:])
 }

@@ -481,13 +481,22 @@ func (s Spec) Expand() ([]Job, error) {
 // (and validates) only those in range, steps over a seed run lying
 // wholly below lo in one addition, and returns once the index reaches
 // hi — so a shard costs its own jobs plus an integer walk of the grid.
-// A grid point's config and label prefix are built once for its seeds,
-// and only when one of them is in range.
+// A grid point's config, label prefix and key suffix are built once for
+// its seeds, and only when one of them is in range. A configuration (a
+// variant's mesh, slot table and seed) is hashed once into memo, which
+// every pattern and rate sharing it reads; memo is made only for a
+// range holding at least as many jobs as it has entries, so a lease
+// still costs its shard.
 func (s *Spec) expand(lo, hi int) ([]Job, error) {
 	jobs := make([]Job, 0, hi-lo)
-	var prefix [128]byte
+	var prefix, suffixBuf, hashBuf [128]byte
+	vs := s.variants()
+	var memo [][64]byte
+	if n := len(vs) * len(s.Meshes) * len(s.SlotTables) * len(s.Seeds); n <= hi-lo {
+		memo = make([][64]byte, n)
+	}
 	next := 0 // index of the next job in the full list
-	for _, v := range s.variants() {
+	for vi, v := range vs {
 		mode, err := ParseMode(v.Mode)
 		if err != nil {
 			return nil, err
@@ -512,8 +521,8 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 			} else {
 				name = pat.String()
 			}
-			for _, mesh := range s.Meshes {
-				for _, slot := range slots {
+			for mi, mesh := range s.Meshes {
+				for si, slot := range slots {
 					for _, rate := range rates {
 						if next+len(s.Seeds) <= lo {
 							next += len(s.Seeds)
@@ -553,7 +562,10 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							label = strconv.AppendFloat(append(label, "/r"...), rate, 'f', 3, 64)
 						}
 						label = append(label, "/seed"...)
-						for _, seed := range s.Seeds {
+						j := Job{Config: cfg, Pattern: pat, Rate: rate, CPU: cpu, GPU: gpu, PatternName: name,
+							Warmup: s.WarmupCycles, Measure: s.MeasureCycles, TelemetryEvery: s.TelemetryEvery}
+						suffix := j.appendSuffix(suffixBuf[:0], hsnoc.ModelVersion)
+						for k, seed := range s.Seeds {
 							i := next
 							next++
 							if i < lo {
@@ -562,12 +574,16 @@ func (s *Spec) expand(lo, hi int) ([]Job, error) {
 							if i == hi {
 								return jobs, nil
 							}
-							cfg.Seed = seed
-							jobs = append(jobs, Job{Label: string(strconv.AppendUint(label, seed, 10)), Config: cfg,
-								Pattern: pat, Rate: rate, CPU: cpu, GPU: gpu, PatternName: name,
-								Warmup: s.WarmupCycles, Measure: s.MeasureCycles, TelemetryEvery: s.TelemetryEvery})
-							j := &jobs[len(jobs)-1]
-							j.Key = j.key(hsnoc.ModelVersion)
+							j.Config.Seed = seed
+							var h []byte
+							if memo == nil {
+								h = j.Config.AppendHash(hashBuf[:0])
+							} else if h = memo[((vi*len(s.Meshes)+mi)*len(s.SlotTables)+si)*len(s.Seeds)+k][:]; h[0] == 0 {
+								j.Config.AppendHash(h[:0]) // a zero byte is no hex digit: not hashed yet
+							}
+							j.Label = string(strconv.AppendUint(label, seed, 10))
+							j.Key = keyOf(h, suffix, s.TelemetryEvery)
+							jobs = append(jobs, j)
 						}
 					}
 				}
