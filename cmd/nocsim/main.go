@@ -10,7 +10,8 @@
 // baseline). TDM options: -sharing (hitchhiker/vicinity path sharing),
 // -vcgating (aggressive VC power gating), -slots N (slot-table capacity).
 // -replay injects a trace written by tracegen on the trace's own mesh and
-// runs it to completion: past its last event, then drained. -policy P
+// runs it to completion: past its last event, then drained. A workload
+// flag the chosen workload does not read is refused. -policy P
 // runs the workload twice: once with the flow profiler attached, then
 // under the configuration P decides from that profile.
 package main
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tdmnoc/hsnoc"
@@ -34,7 +36,7 @@ import (
 
 // validateFlags rejects flag combinations that would panic, hang, or
 // silently do nothing — with a clear message and exit code 2 instead.
-func validateFlags(rate float64, warmup, cycles, packets, workers, slots int, hetero bool) error {
+func validateFlags(rate float64, warmup, cycles, packets, workers, slots int) error {
 	if rate < 0 {
 		return fmt.Errorf("nocsim: negative injection rate %v", rate)
 	}
@@ -44,7 +46,7 @@ func validateFlags(rate float64, warmup, cycles, packets, workers, slots int, he
 	if packets < 0 {
 		return fmt.Errorf("nocsim: negative packet target %d", packets)
 	}
-	if packets > 0 && rate == 0 && !hetero {
+	if packets > 0 && rate == 0 {
 		return fmt.Errorf("nocsim: a zero injection rate can never reach the %d-packet target; raise -rate or drop -packets", packets)
 	}
 	if warmup < 0 {
@@ -81,11 +83,10 @@ func validateObsFlags(traceOut string, telemetryEvery int, mode hsnoc.Mode) erro
 // decision the re-run could not take. What a decision changes does not
 // depend on the profile — threshold and greedy always restrict setups,
 // which needs a Hybrid-TDM base; sdm-gate always re-runs in sdm mode,
-// which a -hetero or -replay workload lacks — so the decision on an
-// empty profile is applied to cfg here, before the profiling pass could
-// run for nothing. workload names the flag that chose a tile or trace
-// workload ("" for synthetic traffic).
-func validatePolicyFlags(policySpec string, cfg hsnoc.Config, workload string) (policy.Policy, error) {
+// which runs synthetic traffic only — so the decision on an empty
+// profile is applied to cfg here, and the result checked with w, before
+// the profiling pass could run for nothing.
+func validatePolicyFlags(policySpec string, cfg hsnoc.Config, w hsnoc.Workload) (policy.Policy, error) {
 	if policySpec == "" {
 		return nil, nil
 	}
@@ -96,14 +97,26 @@ func validatePolicyFlags(policySpec string, cfg hsnoc.Config, workload string) (
 	if err != nil {
 		return nil, err
 	}
-	d := pol.Decide(hsnoc.DecisionProfile(cfg, &obs.Summary{}))
-	if _, err := hsnoc.ApplyDecision(cfg, d); err != nil {
+	decided, err := hsnoc.ApplyDecision(cfg, pol.Decide(hsnoc.DecisionProfile(cfg, &obs.Summary{})))
+	if err != nil {
 		return nil, fmt.Errorf("nocsim: -policy %s does not apply to %v mode: %w", pol.Name(), cfg.Mode, err)
 	}
-	if d.UseSDM && workload != "" {
-		return nil, fmt.Errorf("nocsim: -policy %s re-runs in sdm mode, but %s runs on PacketSwitched and HybridTDM only", pol.Name(), workload)
+	if err := hsnoc.Check(decided, w); err != nil {
+		return nil, fmt.Errorf("nocsim: -policy %s re-runs in %v mode: %w", pol.Name(), decided.Mode, err)
 	}
 	return pol, nil
+}
+
+// refuse names the first flag set on the command line among names,
+// which the run that why names would not read.
+func refuse(fs *flag.FlagSet, why string, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(names, f.Name) {
+			err = fmt.Errorf("nocsim: -%s does not apply to %s", f.Name, why)
+		}
+	})
+	return err
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -156,19 +169,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	// A replay's workload, mesh and run length all come from the trace,
-	// so the flags that would set them are refused rather than ignored.
+	// One workload runs: a replay, a Section V mix or synthetic traffic.
+	// A workload flag it would not read is refused rather than ignored;
+	// a replay's workload, mesh and run length all come from the trace.
+	var w hsnoc.Workload
+	var what string
 	var tr *trace.Trace
-	if *replay != "" {
-		var clash error
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "hetero", "pattern", "rate", "width", "height", "warmup", "cycles", "packets":
-				clash = fmt.Errorf("nocsim: -%s does not apply to -replay (the trace fixes the workload, the mesh and the run length)", f.Name)
-			}
-		})
-		if clash != nil {
-			return fail(2, clash)
+	switch {
+	case *replay != "":
+		if err := refuse(fs, "-replay (the trace fixes the workload, the mesh and the run length)",
+			"hetero", "pattern", "rate", "cpu", "gpu", "width", "height", "warmup", "cycles", "packets"); err != nil {
+			return fail(2, err)
 		}
 		f, err := os.Open(*replay)
 		if err != nil {
@@ -180,23 +191,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, fmt.Errorf("nocsim: %s: %w", *replay, err))
 		}
 		*width, *height = tr.Width, tr.Height
+		w, what = hsnoc.Replay{Trace: tr}, fmt.Sprintf("replay of %s (%d events)", *replay, len(tr.Events))
+	case *hetero:
+		if err := refuse(fs, "-hetero", "pattern", "rate"); err != nil {
+			return fail(2, err)
+		}
+		w, what = hsnoc.Mix{CPU: *cpuB, GPU: *gpuB}, fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
+	default:
+		pat, err := campaign.ParsePattern(*pattern)
+		if err == nil {
+			err = refuse(fs, "synthetic traffic (set -hetero)", "cpu", "gpu")
+		}
+		if err != nil {
+			return fail(2, err)
+		}
+		w, what = hsnoc.Synthetic{Pattern: pat, Rate: *rate}, fmt.Sprintf("pattern %v, offered %.3f flits/node/cycle", pat, *rate)
 	}
 
-	// campaign.ParseMode/ParsePattern are the one home of the CLI name
-	// mappings.
+	// campaign.ParseMode, like ParsePattern above, is the one home of
+	// the CLI name mappings.
 	m, err := campaign.ParseMode(*mode)
 	if err != nil {
 		return fail(2, err)
 	}
-	if err := validateFlags(*rate, *warmup, *cycles, *packets, *workers, *slots, *hetero); err != nil {
+	if err := validateFlags(*rate, *warmup, *cycles, *packets, *workers, *slots); err != nil {
 		return fail(2, err)
 	}
-	if !*check {
-		var every bool
-		fs.Visit(func(f *flag.Flag) { every = every || f.Name == "checkevery" })
-		if every {
-			return fail(2, fmt.Errorf("nocsim: -checkevery applies only with -check"))
-		}
+	if err := refuse(fs, "a run without -check", "checkevery"); err != nil && !*check {
+		return fail(2, err)
 	}
 	cfg := hsnoc.DefaultConfig(*width, *height)
 	cfg.Mode = m
@@ -228,49 +250,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.AdaptiveEpoch = *adaptive
 		cfg.AdaptiveTopK = *adaptiveTopK
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := hsnoc.Check(cfg, w); err != nil {
 		return fail(2, err)
 	}
 	if err := validateObsFlags(*traceOut, *telemetryEvery, cfg.Mode); err != nil {
 		return fail(2, err)
 	}
-	workload := ""
-	switch {
-	case tr != nil:
-		workload = "-replay"
-	case *hetero:
-		workload = "-hetero"
-	}
-	pol, err := validatePolicyFlags(*policySpec, cfg, workload)
+	pol, err := validatePolicyFlags(*policySpec, cfg, w)
 	if err != nil {
 		return fail(2, err)
 	}
 
-	// The workload flags pick the constructor; nothing below depends on
-	// which one ran.
-	var what string
-	var pat hsnoc.Pattern
-	switch {
-	case tr != nil:
-		what = fmt.Sprintf("replay of %s (%d events)", *replay, len(tr.Events))
-	case *hetero:
-		what = fmt.Sprintf("heterogeneous mix %s/%s", *gpuB, *cpuB)
-	default:
-		if pat, err = campaign.ParsePattern(*pattern); err != nil {
-			return fail(2, err)
-		}
-		what = fmt.Sprintf("pattern %v, offered %.3f flits/node/cycle", pat, *rate)
-	}
-	build := func(cfg hsnoc.Config) (*hsnoc.Simulator, error) {
-		switch {
-		case tr != nil:
-			return hsnoc.NewReplay(cfg, tr)
-		case *hetero:
-			return hsnoc.NewHeterogeneous(cfg, *cpuB, *gpuB)
-		default:
-			return hsnoc.NewSynthetic(cfg, pat, *rate), nil
-		}
-	}
 	// measure runs the measured region: a replay from its cycle 0 until
 	// every recorded packet has landed, otherwise a warm-up, then -cycles
 	// or until -packets are delivered.
@@ -323,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// never changes results, so -check is left to the re-run.
 		pcfg := cfg
 		pcfg.CheckInvariants = false
-		s, err := build(pcfg)
+		s, err := hsnoc.New(pcfg, w)
 		if err != nil {
 			return fail(2, err)
 		}
@@ -347,7 +337,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			pol.Name(), len(d.PinnedFlows), d.RestrictSetups, d.SlotInit, d.UseSDM, d.GatedPlanes)
 	}
 
-	s, err := build(cfg)
+	s, err := hsnoc.New(cfg, w)
 	if err != nil {
 		return fail(2, err)
 	}

@@ -34,29 +34,33 @@ func TestParseMode(t *testing.T) {
 }
 
 // TestValidatePolicyFlags: -policy is resolved before anything runs; a
-// spec no policy parses and sdm mode, which has no flow profiler for
-// the profiling pass, are refused.
+// spec no policy parses, sdm mode, which has no flow profiler for the
+// profiling pass, and a decision whose re-run hsnoc.Check refuses for
+// the workload are refused.
 func TestValidatePolicyFlags(t *testing.T) {
 	tdm, packet, sdm := hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(6, 6)
 	tdm.Mode, packet.Mode, sdm.Mode = hsnoc.HybridTDM, hsnoc.PacketSwitched, hsnoc.HybridSDM
+	synthetic := hsnoc.Synthetic{Pattern: hsnoc.Tornado, Rate: 0.15}
+	mix := hsnoc.Mix{CPU: "EQUAKE", GPU: "BLACKSCHOLES"}
+	replay := hsnoc.Replay{Trace: trace.Synthesize(hsnoc.Transpose, topology.NewMesh(6, 6), 0.1, 5, 500, 1)}
 	for _, c := range []struct {
-		policy   string
-		cfg      hsnoc.Config
-		workload string
-		want     string // the policy's name, or "" for none
+		policy string
+		cfg    hsnoc.Config
+		w      hsnoc.Workload
+		want   string // the policy's name, or "" for none
 	}{
-		{"", tdm, "", ""},             // no policy
-		{"", sdm, "", ""},             // sdm without a policy
-		{"greedy", tdm, "", "greedy"}, // profile, then re-run
-		{"threshold:8", tdm, "-hetero", "threshold"},
-		{"static", packet, "", "static"},     // decides nothing, so fits any base
-		{"sdm-gate", tdm, "", "sdm-gate"},    // cross-architecture re-run
-		{"sdm-gate", packet, "", "sdm-gate"}, // likewise from a packet base
-		{"greedy", tdm, "-replay", "greedy"}, // a replay re-runs on tdm
+		{"", tdm, synthetic, ""},             // no policy
+		{"", sdm, synthetic, ""},             // sdm without a policy
+		{"greedy", tdm, synthetic, "greedy"}, // profile, then re-run
+		{"threshold:8", tdm, mix, "threshold"},
+		{"static", packet, synthetic, "static"},     // decides nothing, so fits any base
+		{"sdm-gate", tdm, synthetic, "sdm-gate"},    // cross-architecture re-run
+		{"sdm-gate", packet, synthetic, "sdm-gate"}, // likewise from a packet base
+		{"greedy", tdm, replay, "greedy"},           // a replay re-runs on tdm
 	} {
-		pol, err := validatePolicyFlags(c.policy, c.cfg, c.workload)
+		pol, err := validatePolicyFlags(c.policy, c.cfg, c.w)
 		if err != nil {
-			t.Errorf("-policy %q on %v %s rejected: %v", c.policy, c.cfg.Mode, c.workload, err)
+			t.Errorf("-policy %q on %v %T rejected: %v", c.policy, c.cfg.Mode, c.w, err)
 			continue
 		}
 		got := ""
@@ -68,23 +72,23 @@ func TestValidatePolicyFlags(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		policy   string
-		cfg      hsnoc.Config
-		workload string
-		want     string
+		policy string
+		cfg    hsnoc.Config
+		w      hsnoc.Workload
+		want   string
 	}{
-		{"greedy", sdm, "", "not available for sdm"},
-		{"bogus", tdm, "", "unknown policy"},
-		{"greedy:x", tdm, "", "bad parameter"},
-		{"sdm-gate:2", tdm, "", `"sdm-gate" takes no parameter`}, // the re-run has tablei.SDMPlanes planes
-		{"sdm-gate:6", tdm, "", `"sdm-gate" takes no parameter`},
-		{"greedy", packet, "", "-policy greedy does not apply to Packet-VC4 mode"},
-		{"threshold", packet, "-hetero", "-policy threshold does not apply to Packet-VC4 mode"},
-		{"sdm-gate", tdm, "-hetero", "but -hetero runs on PacketSwitched and HybridTDM only"},
-		{"sdm-gate", packet, "-replay", "but -replay runs on PacketSwitched and HybridTDM only"},
+		{"greedy", sdm, synthetic, "not available for sdm"},
+		{"bogus", tdm, synthetic, "unknown policy"},
+		{"greedy:x", tdm, synthetic, "bad parameter"},
+		{"sdm-gate:2", tdm, synthetic, `"sdm-gate" takes no parameter`}, // the re-run has tablei.SDMPlanes planes
+		{"sdm-gate:6", tdm, synthetic, `"sdm-gate" takes no parameter`},
+		{"greedy", packet, synthetic, "-policy greedy does not apply to Packet-VC4 mode"},
+		{"threshold", packet, mix, "-policy threshold does not apply to Packet-VC4 mode"},
+		{"sdm-gate", tdm, mix, "-policy sdm-gate re-runs in Hybrid-SDM mode: hsnoc: hsnoc.Mix workloads run on PacketSwitched and HybridTDM only"},
+		{"sdm-gate", packet, replay, "-policy sdm-gate re-runs in Hybrid-SDM mode: hsnoc: hsnoc.Replay workloads run on PacketSwitched and HybridTDM only"},
 	} {
-		if _, err := validatePolicyFlags(c.policy, c.cfg, c.workload); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("-policy %q on %v %s: got %v, want an error containing %q", c.policy, c.cfg.Mode, c.workload, err, c.want)
+		if _, err := validatePolicyFlags(c.policy, c.cfg, c.w); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-policy %q on %v %T: got %v, want an error containing %q", c.policy, c.cfg.Mode, c.w, err, c.want)
 		}
 	}
 }
@@ -252,15 +256,21 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		// Known from the mode alone, so refused before the profiling pass.
 		{[]string{"-mode", "packet", "-policy", "greedy"}, "-policy greedy does not apply to Packet-VC4 mode"},
 		{[]string{"-mode", "packet", "-policy", "threshold"}, "-policy threshold does not apply to Packet-VC4 mode"},
-		{[]string{"-hetero", "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in sdm mode, but -hetero runs on PacketSwitched and HybridTDM only"},
-		{[]string{"-replay", replayPath, "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in sdm mode, but -replay runs on PacketSwitched and HybridTDM only"},
+		{[]string{"-hetero", "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in Hybrid-SDM mode: hsnoc: hsnoc.Mix workloads run on PacketSwitched and HybridTDM only"},
+		{[]string{"-replay", replayPath, "-policy", "sdm-gate"}, "-policy sdm-gate re-runs in Hybrid-SDM mode: hsnoc: hsnoc.Replay workloads run on PacketSwitched and HybridTDM only"},
 		{[]string{"-policy", "warp"}, "unknown policy"},
 		{[]string{"-profile-out", "p.json"}, "flag provided but not defined"}, // a profile is no longer a file
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
-		{[]string{"-checkevery", "7"}, "-checkevery applies only with -check"},
+		{[]string{"-checkevery", "7"}, "-checkevery does not apply to a run without -check"},
 		{[]string{"-adaptive-topk", "3"}, "AdaptiveTopK 3 without AdaptiveEpoch"},
 		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},
+		// Every workload refuses the workload flags it would not read.
+		{[]string{"-hetero", "-pattern", "bogus", "-rate", "0.9"}, "-pattern does not apply to -hetero"},
+		{[]string{"-hetero", "-rate", "0.9"}, "-rate does not apply to -hetero"},
+		{[]string{"-pattern", "tornado", "-cpu", "NOPE", "-gpu", "NOPE"}, "-cpu does not apply to synthetic traffic"},
+		{[]string{"-gpu", "LPS"}, "-gpu does not apply to synthetic traffic"},
+		{[]string{"-replay", replayPath, "-cpu", "NOPE"}, "-cpu does not apply to -replay"},
 		{[]string{"-replay", filepath.Join(t.TempDir(), "missing.trace")}, "missing.trace"},
 	} {
 		code, out, errOut := nocsim(tc.args...)

@@ -94,7 +94,7 @@ func (row simRow) harnessCase() difftest.Case[*simRun] {
 			cfg.Workers, cfg.CheckInvariants = p.Workers, p.Checked
 			build := row.build
 			if build == nil {
-				build = func(cfg Config) (*Simulator, error) { return NewSynthetic(cfg, Tornado, 0.15), nil }
+				build = func(cfg Config) (*Simulator, error) { return New(cfg, Synthetic{Pattern: Tornado, Rate: 0.15}) }
 			}
 			s, err := build(cfg)
 			if err == nil && p.Traced {
@@ -155,7 +155,7 @@ func repinned(r *simRun) error {
 // summary, profile and flow-stat bytes are the reference point's.
 func TestEquivalence(t *testing.T) {
 	mix := tdm(6, 6, 1, func(c *Config) { c.PathSharing, c.VCPowerGating, c.CheckInterval = true, true, 4 })
-	mixBuild := func(cfg Config) (*Simulator, error) { return NewHeterogeneous(cfg, "ART", "LPS") }
+	mixBuild := func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "ART", GPU: "LPS"}) }
 	adaptive := func(c *Config) { c.AdaptiveEpoch, c.AdaptiveTopK = 256, 8 }
 	flows := func(int) TelemetryOptions {
 		return TelemetryOptions{Every: 64, RingCapacity: 1 << 17, TrackFlows: true}
@@ -182,7 +182,7 @@ func TestEquivalence(t *testing.T) {
 		// keep the window holding the first doubling. WriteTrace checks
 		// each shard's merge order.
 		{name: "resize-8x8", cfg: tdm(8, 8, 1, nil), warm: 200, run: 650, tel: ringSplit(1 << 18), wraps: true,
-			build:  func(cfg Config) (*Simulator, error) { return NewSynthetic(cfg, UniformRandom, 0.4), nil },
+			build:  func(cfg Config) (*Simulator, error) { return New(cfg, Synthetic{Pattern: UniformRandom, Rate: 0.4}) },
 			points: difftest.Matrix(traced, 1, 2, 3, 4, 8),
 			proof: func(r *simRun) error {
 				var b bytes.Buffer
@@ -193,7 +193,7 @@ func TestEquivalence(t *testing.T) {
 			}},
 		// A 32x32 state digest costs ≈80 ms: two checkpoints, not eight.
 		{name: "flows-32x32", cfg: tdm(32, 32, 7, func(c *Config) { c.PathSharing = true }), warm: 200, run: 400, checkpoints: 2, wraps: true,
-			build: func(cfg Config) (*Simulator, error) { return NewSynthetic(cfg, Tornado, 0.20), nil },
+			build: func(cfg Config) (*Simulator, error) { return New(cfg, Synthetic{Pattern: Tornado, Rate: 0.20}) },
 			tel: func(int) TelemetryOptions {
 				return TelemetryOptions{Every: 64, RingCapacity: 1 << 16, TrackFlows: true}
 			},

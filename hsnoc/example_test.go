@@ -11,14 +11,23 @@ import (
 // The canonical comparison: the same tornado workload on the
 // packet-switched baseline and the TDM hybrid-switched network.
 func Example() {
-	base := hsnoc.NewSynthetic(hsnoc.DefaultConfig(6, 6), hsnoc.Tornado, 0.10)
+	tornado := hsnoc.Synthetic{Pattern: hsnoc.Tornado, Rate: 0.10}
+	base, err := hsnoc.New(hsnoc.DefaultConfig(6, 6), tornado)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer base.Close()
 	base.Warmup(4000)
 	baseRes := base.Run(10000)
 
 	cfg := hsnoc.DefaultConfig(6, 6)
 	cfg.Mode = hsnoc.HybridTDM
-	tdm := hsnoc.NewSynthetic(cfg, hsnoc.Tornado, 0.10)
+	tdm, err := hsnoc.New(cfg, tornado)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer tdm.Close()
 	tdm.Warmup(4000)
 	tdmRes := tdm.Run(10000)
@@ -78,7 +87,11 @@ func Example_loadLatency() {
 		for _, m := range modes {
 			cfg := hsnoc.DefaultConfig(6, 6)
 			cfg.Mode = m
-			s := hsnoc.NewSynthetic(cfg, hsnoc.Transpose, rate)
+			s, err := hsnoc.New(cfg, hsnoc.Synthetic{Pattern: hsnoc.Transpose, Rate: rate})
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
 			s.Warmup(1000)
 			res := s.Run(3000)
 			s.Close()
@@ -103,7 +116,11 @@ func Example_pathSharing() {
 		cfg := hsnoc.DefaultConfig(6, 6)
 		cfg.Mode = hsnoc.HybridTDM
 		cfg.PathSharing = sharing
-		s := hsnoc.NewSynthetic(cfg, hsnoc.Hotspot, 0.12)
+		s, err := hsnoc.New(cfg, hsnoc.Synthetic{Pattern: hsnoc.Hotspot, Rate: 0.12})
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
 		s.Warmup(4000)
 		res := s.Run(20000)
 		s.Close()
@@ -153,31 +170,53 @@ func ExampleNewHeterogeneous_configurations() {
 	// Hybrid-TDM-hop-VCt  38400 CPU instr,  4634 GPU ops, GPU cs 25.0%, saving 13.9%
 }
 
-// Trace-driven simulation: synthesize a trace once, then replay the
-// identical workload to completion on two networks — the methodology
-// NoC studies use to compare architectures on equal footing. Both runs
-// carry the same packets, so total energy compares directly: the
-// hybrid network delivers them sooner for less.
-func ExampleNewReplay() {
+// One constructor, three workloads, two networks each: synthetic
+// tornado traffic and a Section V mix are warmed up and measured; a
+// replayed trace runs from its first cycle until every recorded packet
+// has landed, so both networks carry the same packets and total energy
+// compares directly. The SDM baseline runs synthetic traffic only, and
+// New says so.
+func ExampleNew() {
 	tr := trace.Synthesize(hsnoc.Hotspot, topology.NewMesh(6, 6), 0.12, 5, 20000, 42)
 	fmt.Printf("%d hotspot events over %d cycles\n", len(tr.Events), tr.Duration())
-	for _, m := range []hsnoc.Mode{hsnoc.PacketSwitched, hsnoc.HybridTDM} {
-		cfg := hsnoc.DefaultConfig(6, 6)
-		cfg.Mode = m
-		s, err := hsnoc.NewReplay(cfg, tr)
-		if err != nil {
-			fmt.Println(err)
-			return
+	for _, w := range []hsnoc.Workload{
+		hsnoc.Synthetic{Pattern: hsnoc.Tornado, Rate: 0.10},
+		hsnoc.Mix{CPU: "EQUAKE", GPU: "BLACKSCHOLES"},
+		hsnoc.Replay{Trace: tr},
+	} {
+		for _, m := range []hsnoc.Mode{hsnoc.PacketSwitched, hsnoc.HybridTDM} {
+			cfg := hsnoc.DefaultConfig(6, 6)
+			cfg.Mode = m
+			s, err := hsnoc.New(cfg, w)
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
+			var res hsnoc.Results
+			if _, replay := w.(hsnoc.Replay); replay {
+				s.Run(int(tr.Duration()) + 10)
+				s.Drain(100000)
+				res = s.Run(0) // the measured region now includes the drain
+			} else {
+				s.Warmup(4000)
+				res = s.Run(10000)
+			}
+			s.Close()
+			fmt.Printf("%-15T %-10v %5d packets, latency %5.1f, %.2f uJ, cs %4.1f%%\n",
+				w, m, res.Packets, res.AvgTotalLatency, res.Energy.TotalPJ/1e6, 100*res.CSFlitFraction)
 		}
-		s.Run(int(tr.Duration()) + 10)
-		drained := s.Drain(100000)
-		res := s.Run(0) // the measured region now includes the drain
-		s.Close()
-		fmt.Printf("%-14v %d packets (drained %v), latency %5.1f, %.2f uJ, cs %4.1f%%\n",
-			m, res.Packets, drained, res.AvgTotalLatency, res.Energy.TotalPJ/1e6, 100*res.CSFlitFraction)
 	}
+	sdm := hsnoc.DefaultConfig(6, 6)
+	sdm.Mode = hsnoc.HybridSDM
+	_, err := hsnoc.New(sdm, hsnoc.Mix{CPU: "EQUAKE", GPU: "BLACKSCHOLES"})
+	fmt.Println(err)
 	// Output:
 	// 17148 hotspot events over 19998 cycles
-	// Packet-VC4     17148 packets (drained true), latency  48.5, 3.15 uJ, cs  0.0%
-	// Hybrid-TDM     17148 packets (drained true), latency  45.1, 3.09 uJ, cs 14.5%
+	// hsnoc.Synthetic Packet-VC4  7257 packets, latency  22.3, 1.34 uJ, cs  0.0%
+	// hsnoc.Synthetic Hybrid-TDM  7260 packets, latency  20.5, 0.99 uJ, cs 87.7%
+	// hsnoc.Mix       Packet-VC4 26041 packets, latency  30.8, 2.61 uJ, cs  0.0%
+	// hsnoc.Mix       Hybrid-TDM 26245 packets, latency  57.7, 2.16 uJ, cs 38.1%
+	// hsnoc.Replay    Packet-VC4 17148 packets, latency  48.5, 3.15 uJ, cs  0.0%
+	// hsnoc.Replay    Hybrid-TDM 17148 packets, latency  45.1, 3.09 uJ, cs 14.5%
+	// hsnoc: hsnoc.Mix workloads run on PacketSwitched and HybridTDM only
 }

@@ -67,7 +67,7 @@ func TestGoldenStateDigests(t *testing.T) {
 	par := tdm(5, 3)
 	par.Workers = 3
 	synthetic := func(p Pattern, rate float64) func(Config) (*Simulator, error) {
-		return func(cfg Config) (*Simulator, error) { return NewSynthetic(cfg, p, rate), nil }
+		return func(cfg Config) (*Simulator, error) { return New(cfg, Synthetic{Pattern: p, Rate: rate}) }
 	}
 	tr := trace.Synthesize(traffic.Hotspot, topology.NewMesh(6, 6), 0.12, 5, 1500, 42)
 
@@ -91,11 +91,11 @@ func TestGoldenStateDigests(t *testing.T) {
 		{name: "tdm-adaptive-4x4-tornado", cfg: adaptive, build: synthetic(Tornado, 0.15), proof: repinned},
 		{name: "tdm-5x3-workers3-uniform", cfg: par, build: synthetic(UniformRandom, 0.15)},
 		{name: "mix-LPS-ART-6x6-hop-vct", cfg: hopVCt,
-			build: func(cfg Config) (*Simulator, error) { return NewHeterogeneous(cfg, "ART", "LPS") }},
+			build: func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "ART", GPU: "LPS"}) }},
 		{name: "replay-hotspot-6x6-tdm", cfg: tdm(6, 6),
-			build: func(cfg Config) (*Simulator, error) { return NewReplay(cfg, tr) }},
+			build: func(cfg Config) (*Simulator, error) { return New(cfg, Replay{Trace: tr}) }},
 		{name: "mix-BLACKSCHOLES-EQUAKE-6x6-hop-adaptive-workers2", cfg: adaptiveMix, proof: repinned,
-			build: func(cfg Config) (*Simulator, error) { return NewHeterogeneous(cfg, "EQUAKE", "BLACKSCHOLES") }},
+			build: func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "EQUAKE", GPU: "BLACKSCHOLES"}) }},
 	}
 	var pins []digestPin
 	for _, sc := range scenarios {

@@ -106,7 +106,7 @@ func TestGoldenHetero(t *testing.T) {
 // TestGoldenReplay pins a hotspot trace replayed to completion on both
 // networks. The file was generated at the last commit where tracegen
 // built its own network (network.New + trace.NewReplayers, stats on,
-// Run(Duration+10), Drain(200000)), so it proves NewReplay lowers to
+// Run(Duration+10), Drain(200000)), so it proves a Replay lowers to
 // the same network and that a measured region extended by Drain reports
 // what the hand-rolled path did.
 func TestGoldenReplay(t *testing.T) {
@@ -115,7 +115,7 @@ func TestGoldenReplay(t *testing.T) {
 	for _, mode := range []Mode{PacketSwitched, HybridTDM} {
 		cfg := DefaultConfig(6, 6)
 		cfg.Mode = mode
-		s, err := NewReplay(cfg, tr)
+		s, err := New(cfg, Replay{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,36 +3,23 @@
 // Time-Division Multiplexed Hybrid-Switched NoC for Heterogeneous
 // Multicore Systems" (Yin, Zhou, Sapatnekar, Zhai; IPDPS 2014).
 //
-// The package wraps the cycle-accurate engine (internal/router,
-// internal/network and friends) behind a small configuration surface:
+// New puts a Workload on a Config over the cycle-accurate engine
+// (internal/router, internal/network and friends):
 //
 //	cfg := hsnoc.DefaultConfig(6, 6)
 //	cfg.Mode = hsnoc.HybridTDM
-//	sim := hsnoc.NewSynthetic(cfg, hsnoc.Tornado, 0.15)
+//	sim, err := hsnoc.New(cfg, hsnoc.Synthetic{Pattern: hsnoc.Tornado, Rate: 0.15})
+//	if err != nil { ... }
 //	defer sim.Close()
 //	sim.Warmup(5_000)
 //	res := sim.Run(50_000)
 //	fmt.Println(res.AvgNetLatency, res.EnergySavingVs(baseline))
 //
-// Three switching modes are available: the canonical packet-switched
-// baseline (Packet-VC4 in the paper), the TDM hybrid-switched network
-// that is the paper's contribution, and the SDM hybrid baseline of Jerger
-// et al. used in the Fig. 4 comparison.
-//
-// There is one Simulator and three workloads to put on it, each a
-// constructor: NewSynthetic (the Section IV patterns), NewHeterogeneous
-// (the Section V 36-tile CPU+GPU system) and NewReplay (a recorded
-// trace). Warm-up, measurement, draining, invariant checking, state
-// digests, telemetry, Perfetto traces, profiles and policy decisions are
-// methods of Simulator and work the same on all three; Results carries
-// the Section V figures as ordinary fields, zero where a workload has
-// none. HybridSDM runs synthetic traffic only.
-//
-// Config is the engine's own configuration (network.Params) under its
-// public name, so each knob is declared, defaulted and validated in one
-// place. Every constructor refuses a Config that Validate refuses:
-// NewHeterogeneous and NewReplay return the error, NewSynthetic panics
-// with it.
+// The workloads are Synthetic (Section IV), Mix (the Section V CPU+GPU
+// system) and Replay (a recorded trace). Every method of the one
+// Simulator works the same on all three, and Results carries the
+// Section V figures as fields, zero where a workload has none. Check,
+// which New runs, is the one test of a Config and a Workload together.
 package hsnoc
 
 import (
@@ -49,7 +36,6 @@ import (
 	"tdmnoc/internal/stats"
 	"tdmnoc/internal/tablei"
 	"tdmnoc/internal/topology"
-	"tdmnoc/internal/trace"
 	"tdmnoc/internal/traffic"
 )
 
@@ -84,8 +70,7 @@ const (
 
 // Config selects and sizes a simulated network; the fields and their
 // Table-I defaults are documented on network.Params, the engine's one
-// declaration of them. Validate is their one check, and every
-// constructor runs it.
+// declaration of them. Validate is their one check, and Check runs it.
 type Config = network.Params
 
 // FlowPin names one (src, dst) flow pinned to circuit switching.
@@ -94,17 +79,6 @@ type FlowPin = policy.FlowPin
 // DefaultConfig returns the Table-I baseline configuration for a
 // width x height mesh.
 func DefaultConfig(width, height int) Config { return network.DefaultConfig(width, height).Params }
-
-// sdmConfig lowers the public Config onto the SDM engine.
-func sdmConfig(c Config) sdm.Config {
-	sc := sdm.DefaultConfig(c.Width, c.Height)
-	sc.Seed = c.Seed
-	if c.VCs > 0 {
-		sc.VCs = c.VCs
-	}
-	sc.GatedPlanes = c.GatedPlanes
-	return sc
-}
 
 // Results summarises one measured region.
 type Results struct {
@@ -138,7 +112,7 @@ type Results struct {
 
 	// The Section V figures. The per-class ones are zero unless the
 	// workload sends CPU- or GPU-class traffic (synthetic traffic is
-	// neither); the tile counters are zero outside NewHeterogeneous.
+	// neither); the tile counters are zero outside a Mix.
 
 	// CPUInstructions retired and GPUIterations completed during the
 	// measured region — Fig. 8(b)/(c) speedups are ratios of these
@@ -163,12 +137,11 @@ type Energy struct {
 }
 
 func energyFrom(b power.Breakdown) Energy {
-	e := Energy{DynamicPJ: map[string]float64{}, StaticPJ: map[string]float64{}}
+	e := Energy{DynamicPJ: map[string]float64{}, StaticPJ: map[string]float64{}, TotalPJ: b.TotalPJ()}
 	for c := power.Component(0); c < power.NumComponents; c++ {
 		e.DynamicPJ[c.String()] = b.DynamicPJ[c]
 		e.StaticPJ[c.String()] = b.StaticPJ[c]
 	}
-	e.TotalPJ = b.TotalPJ()
 	return e
 }
 
@@ -194,14 +167,12 @@ type engine interface {
 	EnableStats()
 	Drain(limit int) bool
 	PacketPool() (allocated, free int)
+	Energy() power.Breakdown
 }
 
-// Simulator drives one workload over one network instance. A workload
-// is an endpoint population — synthetic generators (NewSynthetic), the
-// Section V tile models (NewHeterogeneous) or trace replayers
-// (NewReplay) — and differs from the others only in the
-// network.EndpointFactory its constructor passes and in the three hooks
-// below; every method applies to all three.
+// Simulator drives one Workload over one network instance. Workloads
+// differ only in the endpoints their build attaches and in the three
+// hooks below; every method applies to all of them.
 type Simulator struct {
 	cfg Config
 
@@ -229,9 +200,8 @@ type Simulator struct {
 	measuredFrom int64
 }
 
-// newSimulator builds the shared router network of a PacketSwitched or
-// HybridTDM configuration with endpoints from mk; network.New panics
-// with Validate's error on a config that fails it.
+// newSimulator builds the shared router network of a checked
+// PacketSwitched or HybridTDM cfg with endpoints from mk.
 func newSimulator(cfg Config, mk network.EndpointFactory) *Simulator {
 	nc := network.DefaultConfig(cfg.Width, cfg.Height)
 	nc.Params = cfg
@@ -243,79 +213,6 @@ func newSimulator(cfg Config, mk network.EndpointFactory) *Simulator {
 	s.eng = s.net
 	return s
 }
-
-// NewSynthetic builds a simulator offering the given pattern at the given
-// injection rate (flits/node/cycle). All traffic is circuit-switching
-// eligible, matching the Section IV evaluation. It panics with
-// Validate's error on a config that fails it.
-func NewSynthetic(cfg Config, pattern Pattern, rate float64) *Simulator {
-	if cfg.Mode == HybridSDM {
-		if err := cfg.Validate(); err != nil {
-			panic(err)
-		}
-		// The SDM engine predates network.Endpoint: it draws one
-		// destination per source per cycle from a generator callback,
-		// which is why synthetic traffic is the only workload it runs.
-		sc := sdmConfig(cfg)
-		mesh := topology.NewMesh(cfg.Width, cfg.Height)
-		sn := sdm.New(sc, func(now int64, src topology.NodeID, rng *sim.RNG) (topology.NodeID, bool) {
-			if !rng.Bernoulli(rate / tablei.PSDataFlits) {
-				return 0, false
-			}
-			return traffic.Destination(pattern, mesh, src, rng)
-		})
-		return &Simulator{cfg: cfg, eng: sn, sdmNet: sn, halt: sn.StopGeneration}
-	}
-	var gens []*traffic.Synthetic
-	s := newSimulator(cfg, func(topology.NodeID) network.Endpoint {
-		g := traffic.NewSynthetic(pattern, rate, tablei.PSDataFlits, cfg.Mode == HybridTDM)
-		gens = append(gens, g)
-		return g
-	})
-	s.halt = func() {
-		for _, g := range gens {
-			g.Stop()
-		}
-	}
-	return s
-}
-
-// NewReplay builds a simulator that injects a recorded trace: every
-// event is sent from its source at its recorded cycle (cycle 0 is the
-// first simulated cycle, so replay needs no warm-up). The mesh must
-// match the trace's. To replay to completion, Run past t.Duration(),
-// Drain, and read the final figures with Run(0).
-func NewReplay(cfg Config, t *Trace) (*Simulator, error) {
-	if cfg.Mode == HybridSDM {
-		return nil, fmt.Errorf("hsnoc: trace replay supports PacketSwitched and HybridTDM only")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Width != t.Width || cfg.Height != t.Height {
-		return nil, fmt.Errorf("hsnoc: %dx%d trace cannot replay on a %dx%d mesh", t.Width, t.Height, cfg.Width, cfg.Height)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("hsnoc: %w", err)
-	}
-	reps := trace.NewReplayers(t, 0)
-	s := newSimulator(cfg, func(id topology.NodeID) network.Endpoint {
-		if r := reps[id]; r != nil {
-			return r
-		}
-		return nil // a tile the trace never sends from only sinks
-	})
-	s.halt = func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	}
-	return s, nil
-}
-
-// Trace is a recorded traffic trace (see internal/trace and
-// cmd/tracegen, which synthesizes, saves and loads them).
-type Trace = trace.Trace
 
 // Close releases simulator resources: the executor's workers, then the
 // attached recorder's event rings, once no worker can write them.
@@ -400,9 +297,7 @@ func (s *Simulator) measure(ctx context.Context, cycles int, target int64) (Resu
 
 // Warmup advances the simulation without measuring (the paper warms the
 // network with 1000 packets before measurement).
-func (s *Simulator) Warmup(cycles int) {
-	_ = s.advance(context.Background(), cycles, noTarget) // Background is never cancelled
-}
+func (s *Simulator) Warmup(cycles int) { _ = s.WarmupContext(context.Background(), cycles) }
 
 // WarmupContext advances like Warmup but aborts when ctx is cancelled.
 func (s *Simulator) WarmupContext(ctx context.Context, cycles int) error {
@@ -456,13 +351,10 @@ func (s *Simulator) collect() Results {
 	cycles := s.now() - s.measuredFrom
 	nodes := s.cfg.Width * s.cfg.Height
 	slots := 0
-	var energy power.Breakdown
 	if s.net != nil {
 		slots = s.net.ActiveSlots()
-		energy = s.net.Energy()
-	} else {
-		energy = s.sdmNet.Energy()
 	}
+	energy := s.eng.Energy()
 	res := Results{
 		Cycles:                cycles,
 		Packets:               st.EjectedPackets,
@@ -532,9 +424,7 @@ func (s *Simulator) ExecutorWaits() (cycles int64, waits []WaitStats) {
 
 // Diagnostics reports protocol-invariant violations (all zero in correct
 // runs) plus the stolen-slot count. Not available for HybridSDM.
-type Diagnostics struct {
-	MisroutedCS, DroppedCS, LatchConflicts, StolenSlots int64
-}
+type Diagnostics = network.Diagnostics
 
 // UtilizationGrid returns per-router activity (fraction of cycles doing
 // work) as a Height x Width grid — the raw material for a utilisation
@@ -563,9 +453,5 @@ func (s *Simulator) Diagnose() Diagnostics {
 	if s.net == nil {
 		return Diagnostics{}
 	}
-	d := s.net.Diagnose()
-	return Diagnostics{
-		MisroutedCS: d.MisroutedCS, DroppedCS: d.DroppedCS,
-		LatchConflicts: d.LatchConflicts, StolenSlots: d.StolenSlots,
-	}
+	return s.net.Diagnose()
 }

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tdmnoc/internal/topology"
+	"tdmnoc/internal/trace"
+	"tdmnoc/internal/traffic"
 )
 
 func TestModeStrings(t *testing.T) {
@@ -161,15 +165,15 @@ func TestHeterogeneousFacade(t *testing.T) {
 
 func TestHeterogeneousErrors(t *testing.T) {
 	cfg := DefaultConfig(6, 6)
-	if _, err := NewHeterogeneous(cfg, "NOPE", "STO"); err == nil {
-		t.Error("bogus CPU benchmark accepted")
+	if _, err := New(cfg, Mix{CPU: "NOPE", GPU: "STO"}); err == nil || !strings.Contains(err.Error(), `unknown CPU benchmark "NOPE"`) {
+		t.Errorf("bogus CPU benchmark: got %v", err)
 	}
-	if _, err := NewHeterogeneous(cfg, "SWIM", "NOPE"); err == nil {
-		t.Error("bogus GPU benchmark accepted")
+	if _, err := New(cfg, Mix{CPU: "SWIM", GPU: "NOPE"}); err == nil || !strings.Contains(err.Error(), `unknown GPU benchmark "NOPE"`) {
+		t.Errorf("bogus GPU benchmark: got %v", err)
 	}
 	cfg.Mode = HybridSDM
-	if _, err := NewHeterogeneous(cfg, "SWIM", "STO"); err == nil {
-		t.Error("SDM hetero accepted")
+	if _, err := New(cfg, Mix{CPU: "SWIM", GPU: "STO"}); err == nil || !strings.Contains(err.Error(), "PacketSwitched and HybridTDM only") {
+		t.Errorf("SDM hetero: got %v", err)
 	}
 	// Meshes on which the scaled layout loses a tile kind (the four
 	// memory controllers overwrite the only GPU or L2 tiles) used to
@@ -177,7 +181,7 @@ func TestHeterogeneousErrors(t *testing.T) {
 	for _, d := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {6, 1}} {
 		cfg := DefaultConfig(d[0], d[1])
 		cfg.Mode = HybridTDM
-		_, err := NewHeterogeneous(cfg, "SWIM", "STO")
+		_, err := New(cfg, Mix{CPU: "SWIM", GPU: "STO"})
 		if want := fmt.Sprintf("%dx%d mesh is too small", d[0], d[1]); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%dx%d: got %v, want an error containing %q", d[0], d[1], err, want)
 		}
@@ -185,7 +189,7 @@ func TestHeterogeneousErrors(t *testing.T) {
 	for _, d := range [][2]int{{3, 3}, {1, 6}, {4, 3}, {8, 8}} {
 		cfg := DefaultConfig(d[0], d[1])
 		cfg.Mode = HybridTDM
-		h, err := NewHeterogeneous(cfg, "SWIM", "STO")
+		h, err := New(cfg, Mix{CPU: "SWIM", GPU: "STO"})
 		if err != nil {
 			t.Errorf("%dx%d refused: %v", d[0], d[1], err)
 			continue
@@ -278,26 +282,30 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
-// TestNewSyntheticRefusesWhatValidateRefuses: NewSynthetic panics with
-// Validate's error in every mode, so a knob the mode cannot honour (path
-// sharing on a packet-switched network, say) is refused, not dropped.
-func TestNewSyntheticRefusesWhatValidateRefuses(t *testing.T) {
+// TestNewRefusesWhatValidateRefuses: New returns Validate's error in
+// every mode and for every workload, so a knob the mode cannot honour
+// (path sharing on a packet-switched network, say) is refused, not
+// dropped. The NewSynthetic wrapper panics with the same text.
+func TestNewRefusesWhatValidateRefuses(t *testing.T) {
+	tr := trace.Synthesize(traffic.Tornado, topology.NewMesh(6, 6), 0.1, 5, 200, 3)
 	for _, tc := range []struct {
-		mode Mode
-		set  func(*Config)
+		mode    Mode
+		set     func(*Config)
+		wrapper bool // through NewSynthetic, which panics
 	}{
-		{PacketSwitched, func(c *Config) { c.PathSharing = true }},
-		{PacketSwitched, func(c *Config) { c.SlotInit = 8 }},
-		{PacketSwitched, func(c *Config) { c.PinnedFlows = []FlowPin{{Src: 0, Dst: 5}} }},
-		{PacketSwitched, func(c *Config) { c.RestrictSetups = true }},
-		{PacketSwitched, func(c *Config) { c.AdaptiveEpoch = 256 }},
-		{PacketSwitched, func(c *Config) { c.GatedPlanes = 1 }},
-		{HybridTDM, func(c *Config) { c.SlotInit = 129 }},
-		{HybridTDM, func(c *Config) { c.AdaptiveTopK = 3 }},
-		{HybridTDM, func(c *Config) { c.VCs = 13 }},
-		{HybridSDM, func(c *Config) { c.CheckInvariants = true }},
-		{HybridSDM, func(c *Config) { c.VCPowerGating = true }},
-		{HybridSDM, func(c *Config) { c.GatedPlanes = 3 }},
+		{PacketSwitched, func(c *Config) { c.PathSharing = true }, false},
+		{PacketSwitched, func(c *Config) { c.SlotInit = 8 }, false},
+		{PacketSwitched, func(c *Config) { c.PinnedFlows = []FlowPin{{Src: 0, Dst: 5}} }, false},
+		{PacketSwitched, func(c *Config) { c.RestrictSetups = true }, false},
+		{PacketSwitched, func(c *Config) { c.AdaptiveEpoch = 256 }, false},
+		{PacketSwitched, func(c *Config) { c.GatedPlanes = 1 }, false},
+		{HybridTDM, func(c *Config) { c.SlotInit = 129 }, false},
+		{HybridTDM, func(c *Config) { c.AdaptiveTopK = 3 }, false},
+		{HybridTDM, func(c *Config) { c.VCs = 13 }, false},
+		{HybridSDM, func(c *Config) { c.CheckInvariants = true }, false},
+		{HybridSDM, func(c *Config) { c.VCPowerGating = true }, false},
+		{HybridSDM, func(c *Config) { c.GatedPlanes = 3 }, false},
+		{PacketSwitched, func(c *Config) { c.PathSharing = true }, true},
 	} {
 		cfg := DefaultConfig(6, 6)
 		cfg.Mode = tc.mode
@@ -306,14 +314,32 @@ func TestNewSyntheticRefusesWhatValidateRefuses(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%v %+v: Validate accepts it", tc.mode, cfg)
 		}
-		func() {
-			defer func() {
-				if got := fmt.Sprint(recover()); got != want.Error() {
-					t.Errorf("%v: NewSynthetic panicked with %q, want %q", tc.mode, got, want)
-				}
+		if tc.wrapper {
+			func() {
+				defer func() {
+					if got := fmt.Sprint(recover()); got != want.Error() {
+						t.Errorf("%v: NewSynthetic panicked with %q, want %q", tc.mode, got, want)
+					}
+				}()
+				NewSynthetic(cfg, Tornado, 0.1).Close()
 			}()
-			NewSynthetic(cfg, Tornado, 0.1).Close()
-		}()
+			continue
+		}
+		for _, w := range []Workload{Synthetic{Pattern: Tornado, Rate: 0.1}, Mix{CPU: "ART", GPU: "LPS"}, Replay{Trace: tr}} {
+			s, err := New(cfg, w)
+			if s != nil {
+				s.Close()
+			}
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%v %T: New returned %v, want %q", tc.mode, w, err, want)
+			}
+			if got := Check(cfg, w); got == nil || got.Error() != want.Error() {
+				t.Errorf("%v %T: Check returned %v, want %q", tc.mode, w, got, want)
+			}
+		}
+	}
+	if _, err := New(DefaultConfig(6, 6), nil); err == nil {
+		t.Error("New accepted a nil workload")
 	}
 }
 

@@ -2,7 +2,6 @@ package hsnoc
 
 import (
 	"fmt"
-	"strings"
 
 	"tdmnoc/internal/invariant"
 )
@@ -27,12 +26,10 @@ type ViolationError struct {
 // Error summarises the violations, leading with the first (the one
 // closest to the root cause).
 func (e *ViolationError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "hsnoc: %d invariant violation(s)", e.Count)
-	if len(e.Violations) > 0 {
-		fmt.Fprintf(&b, "; first: %s", e.Violations[0])
+	if len(e.Violations) == 0 {
+		return fmt.Sprintf("hsnoc: %d invariant violation(s)", e.Count)
 	}
-	return b.String()
+	return fmt.Sprintf("hsnoc: %d invariant violation(s); first: %s", e.Count, e.Violations[0])
 }
 
 // StateDigest hashes the network's mutable state (router pipelines, NI

@@ -84,8 +84,7 @@ func (s *Simulator) AttachTelemetry(opt TelemetryOptions) (*obs.Recorder, error)
 		TrackFlows:   trackFlows,
 	})
 	s.net.AttachProbe(rec, every)
-	s.rec = rec
-	s.recEvery = every
+	s.rec, s.recEvery = rec, every
 	return rec, nil
 }
 

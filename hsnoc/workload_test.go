@@ -124,9 +124,12 @@ func TestReplayErrors(t *testing.T) {
 		c, bad := cfg, *tr
 		bad.Events = append([]trace.Event(nil), tr.Events...)
 		tc.mod(&c, &bad)
-		if _, err := NewReplay(c, &bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := New(c, Replay{Trace: &bad}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+	if _, err := New(cfg, Replay{}); err == nil || !strings.Contains(err.Error(), "no trace") {
+		t.Errorf("no trace: got %v", err)
 	}
 }
 
@@ -136,7 +139,7 @@ func TestReplayStopTraffic(t *testing.T) {
 	tr := trace.Synthesize(traffic.Tornado, topology.NewMesh(4, 4), 0.1, 5, 2000, 3)
 	cfg := DefaultConfig(4, 4)
 	cfg.Mode = HybridTDM
-	s, err := NewReplay(cfg, tr)
+	s, err := New(cfg, Replay{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,8 @@ func NewJob(cfg hsnoc.Config, pattern hsnoc.Pattern, rate float64, warmup, measu
 
 // NewMixJob builds a job that runs the Section V tile system with one
 // CPU benchmark and one GPU kernel (hsnoc.CPUBenchmarks/GPUBenchmarks).
-// A mix hsnoc.NewHeterogeneous refuses fails when the job runs;
-// Spec.Normalize refuses the same mixes up front.
+// A mix hsnoc.Check refuses fails when the job runs; Spec.Normalize
+// refuses it up front with the same check.
 func NewMixJob(cfg hsnoc.Config, cpu, gpu string, warmup, measure int, label string) Job {
 	j := Job{Label: label, Config: cfg, CPU: cpu, GPU: gpu, PatternName: "mix:" + cpu + "+" + gpu,
 		Warmup: warmup, Measure: measure}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io/fs"
 	"math"
 	"os"
@@ -23,7 +24,7 @@ import (
 // TestMixJobReproducesGoldenHetero runs the four (mix, config) points
 // hsnoc/testdata/golden-hetero.json pins as campaign jobs and requires
 // the record to carry the same Section V figures: a mix through the
-// engine's Simulate is the run hsnoc.NewHeterogeneous gives a direct
+// engine's Simulate is the run hsnoc.New gives a direct
 // caller, and the record loses nothing Figs. 8-9 and Table III read.
 func TestMixJobReproducesGoldenHetero(t *testing.T) {
 	raw, err := os.ReadFile("../../hsnoc/testdata/golden-hetero.json")
@@ -99,7 +100,7 @@ func TestSyntheticRecordOmitsMixFields(t *testing.T) {
 	}
 }
 
-// TestMixJobRefusedIsAnError: what NewHeterogeneous refuses comes back
+// TestMixJobRefusedIsAnError: what hsnoc.New refuses comes back
 // from the runner as the job's error, not as a panic.
 func TestMixJobRefusedIsAnError(t *testing.T) {
 	sdm := hsnoc.DefaultConfig(6, 6)
@@ -112,6 +113,40 @@ func TestMixJobRefusedIsAnError(t *testing.T) {
 		recs := New(Options{Workers: 1}).Run(context.Background(), []Job{j})
 		if recs[0].Err == "" || strings.Contains(recs[0].Err, "panic") {
 			t.Errorf("%s: Err = %q, want the constructor's refusal", name, recs[0].Err)
+		}
+	}
+}
+
+// TestNormalizeRefusesWhatCheckRefuses: Spec.Normalize asks hsnoc.Check
+// about every mix, mesh and mode a job or a policy re-run would use, so
+// its refusal is Check's error, wrapped behind the campaign: prefix.
+func TestNormalizeRefusesWhatCheckRefuses(t *testing.T) {
+	tdm, sdm, small := hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(6, 6), hsnoc.DefaultConfig(2, 2)
+	tdm.Mode, sdm.Mode, small.Mode = hsnoc.HybridTDM, hsnoc.HybridSDM, hsnoc.HybridTDM
+	for _, tc := range []struct {
+		spec Spec
+		cfg  hsnoc.Config
+		mix  hsnoc.Mix
+	}{
+		{Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:QUAKE+LPS"}}, tdm, hsnoc.Mix{CPU: "QUAKE", GPU: "LPS"}},
+		{Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LSP"}}, tdm, hsnoc.Mix{CPU: "EQUAKE", GPU: "LSP"}},
+		{Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE"}}, tdm, hsnoc.Mix{CPU: "EQUAKE"}},
+		{Spec{Modes: []string{"tdm", "sdm"}, Patterns: []string{"mix:EQUAKE+LPS"}}, sdm, hsnoc.Mix{CPU: "EQUAKE", GPU: "LPS"}},
+		{Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LPS"}, Meshes: []MeshSize{{2, 2}}}, small, hsnoc.Mix{CPU: "EQUAKE", GPU: "LPS"}},
+		{Spec{Modes: []string{"tdm"}, Patterns: []string{"mix:EQUAKE+LPS"}, // sdm-gate re-runs on sdm
+			PolicyProfile: &PolicyProfileSpec{Policies: []string{"static", "sdm-gate"}}}, sdm, hsnoc.Mix{CPU: "EQUAKE", GPU: "LPS"}},
+	} {
+		want := hsnoc.Check(tc.cfg, tc.mix)
+		if want == nil {
+			t.Fatalf("%v: hsnoc.Check accepts %+v", tc.spec.Patterns, tc.mix)
+		}
+		err := tc.spec.Normalize()
+		if err == nil || err.Error() != "campaign: "+want.Error() {
+			t.Errorf("%+v: Normalize returned %v, want %q", tc.spec, err, "campaign: "+want.Error())
+			continue
+		}
+		if inner := errors.Unwrap(err); inner == nil || inner.Error() != want.Error() {
+			t.Errorf("%+v: Normalize's error wraps %v, want Check's %q", tc.spec, inner, want)
 		}
 	}
 }

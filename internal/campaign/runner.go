@@ -16,7 +16,11 @@ import (
 // pool, if any) is always released, including on cancellation and
 // panic paths.
 func Simulate(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, error) {
-	s, err := newSimulator(j)
+	var w hsnoc.Workload = hsnoc.Synthetic{Pattern: j.Pattern, Rate: j.Rate}
+	if j.CPU != "" {
+		w = hsnoc.Mix{CPU: j.CPU, GPU: j.GPU}
+	}
+	s, err := hsnoc.New(j.Config, w)
 	if err != nil {
 		return stats.RunRecord{}, nil, err
 	}
@@ -52,15 +56,6 @@ func Simulate(ctx context.Context, j Job) (stats.RunRecord, *obs.Summary, error)
 	// a failure: the record is returned for inspection but the error
 	// keeps the engine from persisting (and thus caching) corrupt data.
 	return rr, sum, s.InvariantError()
-}
-
-// newSimulator is the one place a job's workload kind turns into a
-// constructor call.
-func newSimulator(j Job) (*hsnoc.Simulator, error) {
-	if j.CPU != "" {
-		return hsnoc.NewHeterogeneous(j.Config, j.CPU, j.GPU)
-	}
-	return hsnoc.NewSynthetic(j.Config, j.Pattern, j.Rate), nil
 }
 
 // FromResults converts an hsnoc measurement into the sum-form mergeable

@@ -27,10 +27,8 @@ import (
 	"strings"
 
 	"tdmnoc/hsnoc"
-	"tdmnoc/internal/hetero"
 	"tdmnoc/internal/policy"
 	"tdmnoc/internal/tablei"
-	"tdmnoc/internal/workload"
 )
 
 // MeshSize is one topology point of the grid.
@@ -222,6 +220,7 @@ func (s *Spec) Normalize() error {
 		return fmt.Errorf("campaign: telemetry_every %d negative", s.TelemetryEvery)
 	}
 	names := make(map[string]bool, len(s.Variants))
+	modes := make([]hsnoc.Mode, 0, 3) // the distinct modes jobs run in
 	for _, v := range s.variants() {
 		// Labels start with the name (a lowered mode's may repeat).
 		if len(s.Variants) > 0 && (v.Name == "" || strings.Contains(v.Name, "/") || names[v.Name]) {
@@ -241,30 +240,8 @@ func (s *Spec) Normalize() error {
 		if s.CheckInvariants && mode == hsnoc.HybridSDM {
 			return fmt.Errorf("campaign: check_invariants is not available for sdm mode")
 		}
-		if mixes > 0 && mode == hsnoc.HybridSDM {
-			return fmt.Errorf("campaign: mix workloads run on packet and tdm only, not sdm")
-		}
-	}
-	for _, p := range s.Patterns {
-		cpu, gpu, mix := parseMix(p)
-		if !mix {
-			if _, err := ParsePattern(p); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, ok := workload.CPUBenchmarkByName(cpu); !ok {
-			return fmt.Errorf("campaign: pattern %q: unknown CPU benchmark %q (%s)", p, cpu, strings.Join(hsnoc.CPUBenchmarks(), "|"))
-		}
-		if _, ok := workload.GPUBenchmarkByName(gpu); !ok {
-			return fmt.Errorf("campaign: pattern %q: unknown GPU benchmark %q (%s)", p, gpu, strings.Join(hsnoc.GPUBenchmarks(), "|"))
-		}
-	}
-	if mixes > 0 {
-		for _, m := range s.Meshes {
-			if _, err := hetero.LayoutFor(m.Width, m.Height); err != nil {
-				return fmt.Errorf("campaign: mix workloads: %w", err)
-			}
+		if !slices.Contains(modes, mode) {
+			modes = append(modes, mode)
 		}
 	}
 	if s.gridSize() > MaxJobs {
@@ -296,17 +273,37 @@ func (s *Spec) Normalize() error {
 			if pol.Name() == "static" {
 				hasStatic = true
 			}
-			if _, sdm := pol.(policy.SDMGate); sdm && mixes > 0 {
-				return fmt.Errorf("campaign: policy %q re-runs under sdm, which mix workloads do not run on", ps)
-			}
-			if _, sdm := pol.(policy.SDMGate); sdm && s.CheckInvariants {
-				return fmt.Errorf("campaign: policy %q re-runs under sdm, which check_invariants cannot check", ps)
+			if _, sdm := pol.(policy.SDMGate); sdm {
+				if s.CheckInvariants {
+					return fmt.Errorf("campaign: policy %q re-runs under sdm, which check_invariants cannot check", ps)
+				}
+				modes = append(modes, hsnoc.HybridSDM) // the mode its re-runs use
 			}
 		}
 		if !hasStatic {
 			// The baseline anchors every delta; silently missing it would
 			// make the report compare policies against nothing.
 			pp.Policies = append([]string{"static"}, pp.Policies...)
+		}
+	}
+	// hsnoc.Check decides whether each mix runs on each mesh in each
+	// mode a job or a policy's re-run uses; a pattern runs everywhere.
+	for _, p := range s.Patterns {
+		cpu, gpu, mix := parseMix(p)
+		if !mix {
+			if _, err := ParsePattern(p); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, m := range s.Meshes {
+			for _, mode := range modes {
+				cfg := hsnoc.DefaultConfig(m.Width, m.Height)
+				cfg.Mode = mode
+				if err := hsnoc.Check(cfg, hsnoc.Mix{CPU: cpu, GPU: gpu}); err != nil {
+					return fmt.Errorf("campaign: %w", err)
+				}
+			}
 		}
 	}
 	return nil

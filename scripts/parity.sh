@@ -2,8 +2,9 @@
 # Parent parity for changes that must not move a simulated number:
 # build nocsim and experiments from revision REV (a clean export of the
 # commit in a temp dir) and from the working tree, run every
-# `experiments -exp NAME -quick` and a fixed set of nocsim runs on both,
-# and cmp their stdout. Every line marked "not a result" is dropped
+# `experiments -exp NAME -quick` and a fixed set of nocsim runs on both
+# (one of them replays a trace the working tree's tracegen writes), and
+# cmp their stdout. Every line marked "not a result" is dropped
 # before comparing: nocsim's `barrier waits` (host timing), and its
 # `packet pool`, `arenas` and `event rings` lines (simulator memory:
 # struct sizes, and a pool population that under -workers 2 depends on
@@ -26,6 +27,7 @@ git archive "$REV" | tar -x -C "$TMP/src"
 (cd "$TMP/src" && go build -o "$TMP/base/nocsim" ./cmd/nocsim && go build -o "$TMP/base/experiments" ./cmd/experiments)
 go build -o "$TMP/head/nocsim" ./cmd/nocsim
 go build -o "$TMP/head/experiments" ./cmd/experiments
+go build -o "$TMP/head/tracegen" ./cmd/tracegen
 
 fail=0
 # same NAME CMD ARGS...: run CMD ARGS with both builds and compare stdout.
@@ -61,6 +63,9 @@ same adaptive nocsim -mode tdm -adaptive 256 "${run[@]}"
 same hetero-workers2-check nocsim -hetero -workers 2 -check "${run[@]}"
 same sdm nocsim -mode sdm "${run[@]}"
 same packet-vcgating nocsim -mode packet -vcgating "${run[@]}"
+# One trace, written once, replayed by both builds.
+"$TMP/head/tracegen" -out "$TMP/t.trace" -width 4 -height 4 -cycles 3000 -pattern transpose -rate 0.2 > /dev/null
+same replay nocsim -replay "$TMP/t.trace"
 
 if [ "$fail" -ne 0 ]; then
     echo "FAIL: the working tree's output differs from $REV"
