@@ -155,8 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	telemetryEvery := fs.Int("telemetry-every", 0, "sample link/buffer/energy telemetry every N cycles and print time-series plots (packet/tdm)")
 	configPath := fs.String("config", "", "load the network configuration from this JSON file (overrides structural flags)")
 	policySpec := fs.String("policy", "", "profile the workload, then run it under this policy's decision: static|threshold[:N]|greedy[:K]|sdm-gate (packet/tdm)")
-	adaptive := fs.Int64("adaptive", 0, "enable the online controller: re-rank flows and re-pin circuits every N cycles (tdm)")
-	adaptiveTopK := fs.Int("adaptive-topk", 0, "with -adaptive, flows the online controller pins per epoch (0 = default 8)")
 	replay := fs.String("replay", "", "replay this trace file (written by tracegen) on its own mesh until every packet lands, instead of synthetic traffic (packet/tdm)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -245,10 +243,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *check {
 		cfg.CheckInvariants = true
 		cfg.CheckInterval = *checkEvery
-	}
-	if *adaptive > 0 || *adaptiveTopK > 0 {
-		cfg.AdaptiveEpoch = *adaptive
-		cfg.AdaptiveTopK = *adaptiveTopK
 	}
 	if err := hsnoc.Check(cfg, w); err != nil {
 		return fail(2, err)
@@ -403,9 +397,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "  barrier waits           %.0f parks per 1000 cycles, %s ms waited per worker (simulator speed, not a result)\n",
 			1000*float64(parks)/float64(max(cycles, 1)), strings.Join(waited, "/"))
-	}
-	if cfg.AdaptiveEpoch > 0 {
-		fmt.Fprintf(stdout, "  adaptive controller     %d epoch re-pin(s) every %d cycles\n", s.AdaptiveRepins(), cfg.AdaptiveEpoch)
 	}
 	if *check && !cfg.CheckInvariants {
 		// An sdm-gate decision moved the re-run to the SDM engine.

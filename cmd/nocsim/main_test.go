@@ -186,11 +186,6 @@ func TestHeteroRunsTheCommonPath(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "PacketSwitched and HybridTDM only") {
 		t.Errorf("sdm-gate on hetero: exit %d, stderr %q", code, errOut)
 	}
-
-	code, out, errOut = nocsim(append(hetero, "-adaptive", "512")...)
-	if code != 0 || !strings.Contains(out, "adaptive controller") {
-		t.Errorf("adaptive: exit %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
 }
 
 // TestBarrierWaitsLineOnlyWhenParallel: a parallel run reports its
@@ -263,7 +258,8 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{[]string{"-pattern", "bogus"}, "unknown pattern"},
 		{[]string{"-rate", "0", "-packets", "100"}, "zero injection rate"},
 		{[]string{"-checkevery", "7"}, "-checkevery does not apply to a run without -check"},
-		{[]string{"-adaptive-topk", "3"}, "AdaptiveTopK 3 without AdaptiveEpoch"},
+		{[]string{"-adaptive", "256"}, "flag provided but not defined"}, // the online controller is gone
+		{[]string{"-adaptive-topk", "3"}, "flag provided but not defined"},
 		{[]string{"-replay", "x.trace", "-cycles", "500"}, "-cycles does not apply to -replay"},
 		// Every workload refuses the workload flags it would not read.
 		{[]string{"-hetero", "-pattern", "bogus", "-rate", "0.9"}, "-pattern does not apply to -hetero"},

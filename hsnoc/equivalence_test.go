@@ -30,16 +30,14 @@ func (r *simRun) Advance(cycles int) {
 
 func (r *simRun) ComponentDigests(yield func(string, uint64)) { r.net.ComponentDigests(yield) }
 
-// simOutput reads the named output: the Results and re-pin count of
-// every point, and the trace, telemetry summary, per-link flit counters
-// and flow stats of a traced one.
+// simOutput reads the named output: the Results of every point, and
+// the trace, telemetry summary, per-link flit counters and flow stats
+// of a traced one.
 func simOutput(name string) func(*simRun) ([]byte, error) {
 	return func(r *simRun) ([]byte, error) {
 		switch {
 		case name == "results":
 			return fmt.Appendf(nil, "%+v", r.Run(0)), nil
-		case name == "repins":
-			return fmt.Appendf(nil, "%d", r.AdaptiveRepins()), nil
 		case !r.traced:
 			return nil, nil
 		}
@@ -142,13 +140,6 @@ func tdm(w, h int, seed uint64, f func(*Config)) Config {
 	return cfg
 }
 
-func repinned(r *simRun) error {
-	if r.AdaptiveRepins() == 0 {
-		return errors.New("the online controller never re-pinned")
-	}
-	return nil
-}
-
 // TestEquivalence holds the simulator's "≡" rows: at any worker count,
 // traced or not, checked or not, a run's state digests at checkpoints,
 // rolling digest, Results and — where traced — trace, telemetry
@@ -156,7 +147,6 @@ func repinned(r *simRun) error {
 func TestEquivalence(t *testing.T) {
 	mix := tdm(6, 6, 1, func(c *Config) { c.PathSharing, c.VCPowerGating, c.CheckInterval = true, true, 4 })
 	mixBuild := func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "ART", GPU: "LPS"}) }
-	adaptive := func(c *Config) { c.AdaptiveEpoch, c.AdaptiveTopK = 256, 8 }
 	flows := func(int) TelemetryOptions {
 		return TelemetryOptions{Every: 64, RingCapacity: 1 << 17, TrackFlows: true}
 	}
@@ -173,11 +163,6 @@ func TestEquivalence(t *testing.T) {
 		// Rows split unevenly across workers.
 		{name: "traced-5x3-ragged", cfg: tdm(5, 3, 11, nil), warm: 300, run: 1200, tel: flows, points: tracedChecked,
 			outputs: []string{"trace", "summary"}},
-		// The online controller's re-pins on a ragged mesh: the least
-		// regular emission order a shard ring has to keep.
-		{name: "adaptive-5x7", cfg: tdm(5, 7, 11, adaptive), warm: 300, run: 1200, tel: ringSplit(1 << 18),
-			points: difftest.Matrix(difftest.Point{Traced: true, Checked: true}, 1, 2, 3, 4, 8), outputs: []string{"trace", "repins"},
-			proof: repinned},
 		// Slot tables resizing: the run is too long for its rings, which
 		// keep the window holding the first doubling. WriteTrace checks
 		// each shard's merge order.

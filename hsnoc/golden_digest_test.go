@@ -26,15 +26,14 @@ type digestScenario struct {
 	name  string
 	build func(cfg Config) (*Simulator, error)
 	cfg   Config
-	proof func(s *Simulator, res Results) error
+	proof func(res Results) error
 }
 
 // TestGoldenStateDigests pins the digest itself: StateDigest and
 // RollingDigest over every state-holding component the engine has (router
-// pipelines, VC gates of both kinds, slot tables through a resize and an
-// adaptive re-pin, DLTs, NIs, a parallel executor, the tile models, a
-// trace replayer, and the online controller on a parallel Section V
-// mix). A refactor of the state walk must leave every value here
+// pipelines, VC gates of both kinds, slot tables through a resize, DLTs,
+// NIs, a parallel executor, the tile models and a trace replayer). A
+// refactor of the state walk must leave every value here
 // unchanged; only a deliberate change to what the digest covers may
 // regenerate the file (-update).
 func TestGoldenStateDigests(t *testing.T) {
@@ -48,22 +47,6 @@ func TestGoldenStateDigests(t *testing.T) {
 	hopVCt.VCPowerGating = true
 	latGate := tdm(6, 6)
 	latGate.LatencyBasedVCGating = true
-	adaptive := tdm(4, 4)
-	adaptive.Seed = 11
-	adaptive.AdaptiveEpoch = 256
-	adaptive.AdaptiveTopK = 8
-	// The controller as a Section V system runs it: the hop config, two
-	// workers, and the default pin count.
-	adaptiveMix := tdm(6, 6)
-	adaptiveMix.PathSharing = true
-	adaptiveMix.AdaptiveEpoch = 256
-	adaptiveMix.Workers = 2
-	repinned := func(s *Simulator, _ Results) error {
-		if s.AdaptiveRepins() == 0 {
-			return fmt.Errorf("the online controller never re-pinned")
-		}
-		return nil
-	}
 	par := tdm(5, 3)
 	par.Workers = 3
 	synthetic := func(p Pattern, rate float64) func(Config) (*Simulator, error) {
@@ -74,7 +57,7 @@ func TestGoldenStateDigests(t *testing.T) {
 	scenarios := []digestScenario{
 		{name: "packet-6x6-tornado", cfg: DefaultConfig(6, 6), build: synthetic(Tornado, 0.15)},
 		{name: "tdm-hop-vct-6x6-transpose", cfg: hopVCt, build: synthetic(Transpose, 0.1),
-			proof: func(_ *Simulator, res Results) error {
+			proof: func(res Results) error {
 				if res.Hitchhikes+res.VicinityRides == 0 {
 					return fmt.Errorf("no path sharing: the DLT never served a ride")
 				}
@@ -82,20 +65,17 @@ func TestGoldenStateDigests(t *testing.T) {
 			}},
 		{name: "tdm-latency-gating-6x6-uniform", cfg: latGate, build: synthetic(UniformRandom, 0.1)},
 		{name: "tdm-resize-6x6-uniform", cfg: tdm(6, 6), build: synthetic(UniformRandom, 0.3),
-			proof: func(_ *Simulator, res Results) error {
+			proof: func(res Results) error {
 				if res.ActiveSlotEntries <= 16 {
 					return fmt.Errorf("active slot region %d: the resizer never doubled", res.ActiveSlotEntries)
 				}
 				return nil
 			}},
-		{name: "tdm-adaptive-4x4-tornado", cfg: adaptive, build: synthetic(Tornado, 0.15), proof: repinned},
 		{name: "tdm-5x3-workers3-uniform", cfg: par, build: synthetic(UniformRandom, 0.15)},
 		{name: "mix-LPS-ART-6x6-hop-vct", cfg: hopVCt,
 			build: func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "ART", GPU: "LPS"}) }},
 		{name: "replay-hotspot-6x6-tdm", cfg: tdm(6, 6),
 			build: func(cfg Config) (*Simulator, error) { return New(cfg, Replay{Trace: tr}) }},
-		{name: "mix-BLACKSCHOLES-EQUAKE-6x6-hop-adaptive-workers2", cfg: adaptiveMix, proof: repinned,
-			build: func(cfg Config) (*Simulator, error) { return New(cfg, Mix{CPU: "EQUAKE", GPU: "BLACKSCHOLES"}) }},
 	}
 	var pins []digestPin
 	for _, sc := range scenarios {
@@ -123,7 +103,7 @@ func TestGoldenStateDigests(t *testing.T) {
 				t.Errorf("%s interval %d: %v", sc.name, interval, err)
 			}
 			if sc.proof != nil {
-				if err := sc.proof(s, res); err != nil {
+				if err := sc.proof(res); err != nil {
 					t.Errorf("%s: %v", sc.name, err)
 				}
 			}

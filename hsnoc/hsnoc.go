@@ -24,7 +24,6 @@ package hsnoc
 
 import (
 	"context"
-	"fmt"
 
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/network"
@@ -239,20 +238,6 @@ func (s *Simulator) StopTraffic() { s.halt() }
 // returns results that include them.
 func (s *Simulator) Drain(limit int) bool { return s.eng.Drain(limit) }
 
-// ensureAdaptiveTelemetry attaches the recorder the online controller
-// feeds on when AdaptiveEpoch is set and the caller has not attached
-// telemetry of their own. Called lazily at the first Warmup/Run so an
-// explicit AttachTelemetry (e.g. the campaign runner's) wins — it
-// force-enables flow tracking itself when the controller is on.
-func (s *Simulator) ensureAdaptiveTelemetry() {
-	if s.net == nil || s.cfg.AdaptiveEpoch <= 0 || s.rec != nil {
-		return
-	}
-	if _, err := s.AttachTelemetry(FlowProfileTelemetry(int(s.cfg.AdaptiveEpoch))); err != nil {
-		panic(fmt.Sprintf("hsnoc: adaptive telemetry attach: %v", err))
-	}
-}
-
 // runChunk is the cycle-granularity at which context cancellation and
 // packet targets are checked: coarse enough that the check is free,
 // fine enough that a cancelled campaign job aborts within microseconds.
@@ -266,7 +251,6 @@ const noTarget = -1
 // loop over single steps, so chunking changes nothing), stopping early
 // when ctx is cancelled or once target packets have been delivered.
 func (s *Simulator) advance(ctx context.Context, cycles int, target int64) error {
-	s.ensureAdaptiveTelemetry()
 	for done := 0; done < cycles && (target == noTarget || s.stats().EjectedPackets < target); {
 		if err := ctx.Err(); err != nil {
 			return err

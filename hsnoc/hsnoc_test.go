@@ -263,7 +263,8 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"Width": 6, "Height": 6, "Mode": 2, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 0, "PathSharing": true}`,
 		`{"Width": 6, "Height": 6, "Mode": 2, "CheckInvariants": true}`, // the SDM engine has no invariant layer
-		`{"Width": 6, "Height": 6, "Mode": 1, "AdaptiveTopK": 3}`,       // no controller runs to use it
+		`{"Width": 6, "Height": 6, "Mode": 1, "AdaptiveTopK": 3}`,       // an unknown field: the online controller is gone
+		`{"Width": 6, "Height": 6, "Mode": 1, "AdaptiveEpoch": 2048}`,   // likewise
 	}
 	for i, c := range cases {
 		if _, err := LoadConfig(strings.NewReader(c)); err == nil {
@@ -297,10 +298,8 @@ func TestNewRefusesWhatValidateRefuses(t *testing.T) {
 		{PacketSwitched, func(c *Config) { c.SlotInit = 8 }, false},
 		{PacketSwitched, func(c *Config) { c.PinnedFlows = []FlowPin{{Src: 0, Dst: 5}} }, false},
 		{PacketSwitched, func(c *Config) { c.RestrictSetups = true }, false},
-		{PacketSwitched, func(c *Config) { c.AdaptiveEpoch = 256 }, false},
 		{PacketSwitched, func(c *Config) { c.GatedPlanes = 1 }, false},
 		{HybridTDM, func(c *Config) { c.SlotInit = 129 }, false},
-		{HybridTDM, func(c *Config) { c.AdaptiveTopK = 3 }, false},
 		{HybridTDM, func(c *Config) { c.VCs = 13 }, false},
 		{HybridSDM, func(c *Config) { c.CheckInvariants = true }, false},
 		{HybridSDM, func(c *Config) { c.VCPowerGating = true }, false},

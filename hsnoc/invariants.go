@@ -33,12 +33,11 @@ func (e *ViolationError) Error() string {
 }
 
 // StateDigest hashes the network's mutable state (router pipelines, NI
-// queues and RNG streams, slot tables, clock, resize manager, online
-// controller; not the endpoint models) into one 64-bit FNV-1a
-// value. Two runs of the same seeded config must produce equal digests
-// at equal cycles regardless of Workers; the first differing cycle
-// pinpoints a determinism bug. Returns 0 for HybridSDM (no digest
-// support).
+// queues and RNG streams, slot tables, clock, resize manager; not the
+// endpoint models) into one 64-bit FNV-1a value. Two runs of the same
+// seeded config must produce equal digests at equal cycles regardless
+// of Workers; the first differing cycle pinpoints a determinism bug.
+// Returns 0 for HybridSDM (no digest support).
 func (s *Simulator) StateDigest() uint64 {
 	if s.net == nil {
 		return 0

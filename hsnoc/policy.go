@@ -52,16 +52,6 @@ func DecisionProfile(cfg Config, sum *obs.Summary) *Profile {
 	return p
 }
 
-// AdaptiveRepins reports how many epoch re-allocations the online
-// controller performed (0 unless Config.AdaptiveEpoch; see the config
-// field). Not available for HybridSDM.
-func (s *Simulator) AdaptiveRepins() int {
-	if s.net == nil {
-		return 0
-	}
-	return s.net.AdaptiveRepins()
-}
-
 // ApplyDecision returns cfg with a policy Decision applied: pinned
 // flows, setup restriction, the initial slot-table region, or — for
 // SDM-gating decisions — the switch to HybridSDM with gated planes. The
@@ -82,7 +72,6 @@ func ApplyDecision(cfg Config, d Decision) (Config, error) {
 		cfg.CheckInvariants = false
 		cfg.DisableDynamicSlotSizing = false
 		cfg.SlotInit, cfg.PinnedFlows, cfg.RestrictSetups = 0, nil, false
-		cfg.AdaptiveEpoch, cfg.AdaptiveTopK = 0, 0
 		cfg.GatedPlanes = d.GatedPlanes
 		return cfg, cfg.Validate()
 	}

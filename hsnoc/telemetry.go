@@ -26,18 +26,17 @@ type TelemetryOptions struct {
 	// is deterministic across worker counts.
 	RingSample int
 	// TrackFlows aggregates exact per-(src, dst) flow counters, the
-	// input to profile extraction (ExtractProfile) and the online
-	// adaptive controller. Forced on when Config.AdaptiveEpoch > 0.
-	// Requires the inject/eject/setup-latency kinds to pass KindMask
-	// (obs.ProfileFlows includes them).
+	// input to profile extraction (ExtractProfile). Requires the
+	// inject/eject/setup-latency kinds to pass KindMask (obs.ProfileFlows
+	// includes them).
 	TrackFlows bool
 }
 
 // FlowProfileTelemetry is the recorder the policy layer reads: exact
 // per-flow counters, link totals and windows of every cycles, with the
 // event ring small and heavily decimated, since nothing that attaches
-// it exports a trace. The online controller (windows aligned to its
-// epoch) and campaign profile runs both attach it.
+// it exports a trace. Campaign profile runs and nocsim's -policy
+// profiling pass attach it.
 func FlowProfileTelemetry(every int) TelemetryOptions {
 	return TelemetryOptions{
 		Every:        every,
@@ -65,10 +64,7 @@ func (s *Simulator) AttachTelemetry(opt TelemetryOptions) (*obs.Recorder, error)
 	if every <= 0 {
 		every = 64
 	}
-	// The online controller ranks flows from the recorder; any recorder
-	// attached to an adaptive network must track them.
-	trackFlows := opt.TrackFlows || s.cfg.AdaptiveEpoch > 0
-	if trackFlows && opt.KindMask != 0 {
+	if opt.TrackFlows && opt.KindMask != 0 {
 		need := obs.MaskOf(obs.KindInject, obs.KindEject, obs.KindSetupLatency)
 		if opt.KindMask&need != need {
 			return nil, fmt.Errorf("hsnoc: TrackFlows requires the inject, eject and setup-latency kinds in KindMask")
@@ -81,7 +77,7 @@ func (s *Simulator) AttachTelemetry(opt TelemetryOptions) (*obs.Recorder, error)
 		Shards:       s.net.Workers(),
 		KindMask:     opt.KindMask,
 		RingSample:   opt.RingSample,
-		TrackFlows:   trackFlows,
+		TrackFlows:   opt.TrackFlows,
 	})
 	s.net.AttachProbe(rec, every)
 	s.rec, s.recEvery = rec, every

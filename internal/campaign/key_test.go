@@ -23,8 +23,9 @@ func refHex(preimage string) string {
 }
 
 // retiredFields are the Config fields the first keys were built with
-// that are the model's constants now: each goes back after the field it
-// followed, with the value every DefaultConfig held.
+// that are the model's constants now, or belonged to the removed online
+// controller: each goes back after the field it followed, with the
+// value every job held.
 var retiredFields = []struct {
 	after *regexp.Regexp
 	field string
@@ -32,6 +33,7 @@ var retiredFields = []struct {
 	{regexp.MustCompile(`"VCs":-?\d+`), `"BufferDepth":5`},
 	{regexp.MustCompile(`"SAIterations":-?\d+`), `"Planes":4`},
 	{regexp.MustCompile(`"CheckInterval":-?\d+`), `"DLTEntries":0`},
+	{regexp.MustCompile(`"GatedPlanes":-?\d+`), `"AdaptiveEpoch":0,"AdaptiveTopK":0`},
 }
 
 func refConfigHash(c hsnoc.Config) string {

@@ -43,7 +43,6 @@ var knobs = map[string]func(*Params){
 	"slot-init-256":    func(c *Params) { c.SlotInit = 200; c.SlotTableEntries = 256 },
 	"slot-init-static": func(c *Params) { c.SlotInit = 40; c.DisableDynamicSlotSizing = true },
 	"pins":             func(c *Params) { c.PinnedFlows = []policy.FlowPin{{Src: 0, Dst: 5}}; c.RestrictSetups = true },
-	"adaptive":         func(c *Params) { c.AdaptiveEpoch = 256; c.AdaptiveTopK = 3 },
 	"everything": func(c *Params) {
 		c.DisableTimeSlotStealing, c.PathSharing, c.LatencyBasedVCGating = true, true, true
 		c.SlotTableEntries, c.VCs, c.SAIterations, c.SlotInit = 256, 2, 2, 64
@@ -93,7 +92,6 @@ func TestEveryKnobReachesTheEngine(t *testing.T) {
 		{HybridTDM, "slot-init-256", router.Config{VCs: 4, Hybrid: true, SlotCapacity: 256, SlotActive: 200, TimeSlotStealing: true, Sharing: false, VCGating: false, LatencyVCGating: false, SAIterations: 0}, 200, "initial"},
 		{HybridTDM, "slot-init-static", router.Config{VCs: 4, Hybrid: true, SlotCapacity: 128, SlotActive: 128, TimeSlotStealing: true, Sharing: false, VCGating: false, LatencyVCGating: false, SAIterations: 0}, 128, "fixed"},
 		{HybridTDM, "pins", router.Config{VCs: 4, Hybrid: true, SlotCapacity: 128, SlotActive: 16, TimeSlotStealing: true, Sharing: false, VCGating: false, LatencyVCGating: false, SAIterations: 0}, 16, "default"},
-		{HybridTDM, "adaptive", router.Config{VCs: 4, Hybrid: true, SlotCapacity: 128, SlotActive: 16, TimeSlotStealing: true, Sharing: false, VCGating: false, LatencyVCGating: false, SAIterations: 0}, 16, "default"},
 		{HybridTDM, "everything", router.Config{VCs: 2, Hybrid: true, SlotCapacity: 256, SlotActive: 64, TimeSlotStealing: false, Sharing: true, VCGating: true, LatencyVCGating: true, SAIterations: 2}, 64, "initial"},
 	}
 	seen := map[[2]string]bool{}
@@ -153,7 +151,6 @@ func TestNewRefusesInvalidParams(t *testing.T) {
 		{"sharing on packet", func(c *Config) { c.PathSharing = true }, "hsnoc: PathSharing requires HybridTDM"},
 		{"slot init on packet", func(c *Config) { c.SlotInit = 8 }, "hsnoc: SlotInit requires HybridTDM"},
 		{"pins on packet", func(c *Config) { c.RestrictSetups = true }, "hsnoc: flow pinning requires HybridTDM"},
-		{"adaptive on packet", func(c *Config) { c.AdaptiveEpoch = 256 }, "hsnoc: AdaptiveEpoch requires HybridTDM"},
 		{"slot init over capacity", func(c *Config) { c.Mode, c.SlotInit = HybridTDM, 129 }, "exceeds the 128-entry slot table"},
 		{"pin outside mesh", func(c *Config) { c.Mode, c.PinnedFlows = HybridTDM, []policy.FlowPin{{Src: 0, Dst: 6}} }, "outside the 3x2 mesh"},
 		{"empty mesh", func(c *Config) { c.Width = 0 }, "hsnoc: mesh 0x2 invalid"},

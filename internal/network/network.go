@@ -1,13 +1,10 @@
 package network
 
 import (
-	"slices"
-
 	"tdmnoc/internal/flit"
 	"tdmnoc/internal/hybrid"
 	"tdmnoc/internal/invariant"
 	"tdmnoc/internal/obs"
-	"tdmnoc/internal/policy"
 	"tdmnoc/internal/power"
 	"tdmnoc/internal/router"
 	"tdmnoc/internal/sim"
@@ -69,16 +66,6 @@ type Network struct {
 	// switched injection is frozen until it fires (csFrozen).
 	resizeAt sim.Cycle
 	resizeTo int
-
-	// Online adaptive controller state (cfg.AdaptiveEpoch > 0): the
-	// recorder's cumulative flow table at the last epoch boundary (so
-	// each epoch ranks the *window's* traffic, not the run's), the pin
-	// set currently installed at the NIs, and how many epoch
-	// re-allocations have fired. All touched only between cycles on the
-	// caller goroutine.
-	adaptPrev   []obs.FlowStat
-	adaptPins   []policy.FlowPin
-	adaptRepins int
 }
 
 // EndpointFactory builds the traffic endpoint for each tile; it may
@@ -170,7 +157,15 @@ func New(cfg Config, mk EndpointFactory) *Network {
 		n.niBytes += arena.bytes()
 	}
 	if len(cfg.PinnedFlows) > 0 {
-		n.installPins(cfg.PinnedFlows)
+		// Every NI gets a pin map, empty where nothing is pinned ("policy
+		// active, nothing pinned here"); a config that pins nothing
+		// leaves them nil.
+		for _, ni := range n.nis {
+			ni.pins = make(map[topology.NodeID]bool)
+		}
+		for _, p := range cfg.PinnedFlows {
+			n.nis[p.Src].pins[topology.NodeID(p.Dst)] = true
+		}
 	}
 
 	// Tickers are interleaved per tile (router_i, NI_i) in partition
@@ -292,10 +287,8 @@ func (n *Network) RunUntil(done func() bool, limit int) (int, bool) {
 }
 
 // manage is the serial between-cycle management step: it feeds setup
-// outcomes to the resizing policy, runs the online adaptive controller
-// at epoch boundaries, and orchestrates the freeze → drain → reset
-// sequence of Section II-C (shared by resizer doublings and adaptive
-// re-pins).
+// outcomes to the resizing policy and orchestrates the freeze → drain →
+// reset sequence of Section II-C for each doubling it decides.
 func (n *Network) manage() {
 	now := n.clock.Now()
 	if n.dynamicSlots {
@@ -307,9 +300,6 @@ func (n *Network) manage() {
 			}
 			ni.setupResults = ni.setupResults[:0]
 		}
-	}
-	if n.cfg.AdaptiveEpoch > 0 {
-		n.adaptStep(now)
 	}
 	if n.resizeAt != 0 && now >= n.resizeAt {
 		for _, r := range n.routers {
@@ -330,38 +320,6 @@ func (n *Network) manage() {
 	}
 }
 
-// adaptStep is the online controller: at each AdaptiveEpoch boundary it
-// decides policy.Greedy{TopK: AdaptiveTopK} on the epoch's flow window,
-// and — only when the pin set actually changed — installs it and
-// re-allocates every slot table through the same freeze → drain →
-// reset path the dynamic resizer uses, under the invariant checker's
-// slot-table ownership rules. It runs serially between cycles from
-// recorder state that is itself worker-invariant, so digests stay
-// identical at any worker count.
-func (n *Network) adaptStep(now sim.Cycle) {
-	if n.rec == nil || int64(now)%n.cfg.AdaptiveEpoch != 0 {
-		return
-	}
-	if n.resizeAt != 0 {
-		return // a drain is already in progress; skip this boundary
-	}
-	k := n.cfg.AdaptiveTopK
-	if k <= 0 {
-		k = 8
-	}
-	pins := policy.Greedy{TopK: k}.Decide(n.adaptWindow()).PinnedFlows
-	if slices.Equal(pins, n.adaptPins) {
-		return
-	}
-	n.adaptPins = pins
-	n.adaptRepins++
-	n.installPins(pins)
-	// Old circuits may belong to flows that just lost their pin; rather
-	// than tearing them down piecemeal, reuse the proven reset protocol
-	// at the current active size.
-	n.scheduleReset(now, n.slotActive)
-}
-
 // scheduleReset starts the freeze → drain → reset sequence toward an
 // active region of size slots: CS injection freezes now, the tables are
 // wiped drainWindow cycles later, and the epoch bump makes every router
@@ -375,45 +333,6 @@ func (n *Network) scheduleReset(now sim.Cycle, size int) {
 // csFrozen reports whether circuit-switched injection is frozen: a
 // slot-table reset is scheduled and its drain window is running.
 func (n *Network) csFrozen() bool { return n.resizeAt != 0 }
-
-// installPins gives every NI a fresh pin map holding the destinations
-// pins assigns it; an empty map means "policy active, nothing pinned
-// here". Pin maps stay nil until some decision pins a flow: the network
-// installs Config.PinnedFlows only when it is non-empty, and the online
-// controller only once its pin set first changes.
-func (n *Network) installPins(pins []policy.FlowPin) {
-	for _, ni := range n.nis {
-		ni.pins = make(map[topology.NodeID]bool)
-	}
-	for _, p := range pins {
-		n.nis[p.Src].pins[topology.NodeID(p.Dst)] = true
-	}
-}
-
-// adaptWindow returns the traffic profile of the epoch that just ended:
-// each flow's flits since the last boundary, which becomes the new
-// baseline. The recorder sorts its flow table by (Src, Dst) and never
-// drops a flow, so the baseline is a subsequence of the current table
-// and one merge pass pairs them up.
-func (n *Network) adaptWindow() *policy.Profile {
-	flows := n.rec.FlowStats()
-	window := &policy.Profile{Width: n.cfg.Width, Height: n.cfg.Height, Flows: make([]obs.FlowStat, len(flows))}
-	prev := n.adaptPrev
-	for i, f := range flows {
-		flits := f.Flits
-		if len(prev) > 0 && prev[0].Src == f.Src && prev[0].Dst == f.Dst {
-			flits -= prev[0].Flits
-			prev = prev[1:]
-		}
-		window.Flows[i] = obs.FlowStat{Src: f.Src, Dst: f.Dst, Flits: flits}
-	}
-	n.adaptPrev = flows
-	return window
-}
-
-// AdaptiveRepins reports how many epoch re-allocations the online
-// controller performed.
-func (n *Network) AdaptiveRepins() int { return n.adaptRepins }
 
 // EnableStats starts statistics collection (call after warm-up) and
 // resets the energy meters so energy covers the measured region only.

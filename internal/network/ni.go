@@ -123,7 +123,7 @@ type NI struct {
 	// active (every flow rides the frequency filter); non-nil means
 	// pinned destinations set up eagerly on first send and — when
 	// Config.RestrictSetups — everything else never sets up. Filled by
-	// Network.installPins.
+	// New from Config.PinnedFlows.
 	pins        map[topology.NodeID]bool
 	dlt         *hybrid.DLT
 	dltAccesses int64

@@ -31,12 +31,6 @@ func (n *Network) AttachProbe(rec *obs.Recorder, sampleEvery int) {
 		panic(fmt.Sprintf("network: recorder has %d shards for %d workers",
 			rec.Shards(), n.exec.Workers()))
 	}
-	// The online controller ranks flows from the recorder at every epoch
-	// boundary; a recorder without flow tracking would silently pin
-	// nothing, so fail loudly instead.
-	if n.cfg.AdaptiveEpoch > 0 && !rec.FlowTracking() {
-		panic("network: AdaptiveEpoch requires a recorder with flow tracking")
-	}
 	n.rec = rec
 	n.control = rec.ControlHandle()
 	n.probeEvery = int64(sampleEvery)

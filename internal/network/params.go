@@ -100,8 +100,8 @@ type Params struct {
 	// The policy layer (see internal/policy and hsnoc.ApplyDecision):
 	// knobs a profile-derived Decision (SlotInit, PinnedFlows,
 	// RestrictSetups, GatedPlanes) applies through plain configuration
-	// so re-runs stay digest-reproducible, and the online controller's
-	// AdaptiveEpoch / AdaptiveTopK. All zero values mean "no policy".
+	// so re-runs stay digest-reproducible. All zero values mean "no
+	// policy".
 
 	// SlotInit, when > 0, starts the dynamic slot-table resizer at this
 	// active-region size instead of capacity/8 (HybridTDM with dynamic
@@ -114,24 +114,13 @@ type Params struct {
 	// filter.
 	PinnedFlows []policy.FlowPin
 	// RestrictSetups forbids circuit setups for flows not in
-	// PinnedFlows (or, under the adaptive controller, not in the
-	// current epoch's pin set); non-pinned traffic stays
-	// packet-switched. With PinnedFlows empty and no controller it does
-	// nothing: the NIs read it only through pin maps, which a decision
-	// that pins nothing never installs.
+	// PinnedFlows; non-pinned traffic stays packet-switched. With
+	// PinnedFlows empty it does nothing: the NIs read it only through
+	// pin maps, which a decision that pins nothing never installs.
 	RestrictSetups bool
 	// GatedPlanes power-gates that many SDM link planes (HybridSDM
 	// only; at least 2 planes must stay on).
 	GatedPlanes int
-	// AdaptiveEpoch, when > 0, enables the online in-sim controller:
-	// every AdaptiveEpoch cycles the network decides the greedy:K policy
-	// (K = AdaptiveTopK, default 8) on the epoch's flow window and pins
-	// its flows, re-allocating slot tables when the set changed.
-	// HybridTDM only; it needs a flow-tracking recorder (hsnoc attaches
-	// one automatically if the caller has not attached its own). An
-	// AdaptiveTopK without AdaptiveEpoch is refused.
-	AdaptiveEpoch int64
-	AdaptiveTopK  int
 }
 
 // Validate checks a configuration for structural errors.
@@ -188,15 +177,6 @@ func (c Params) Validate() error {
 			return fmt.Errorf("hsnoc: GatedPlanes %d of %d planes (at least 2 must stay on)", c.GatedPlanes, tablei.SDMPlanes)
 		}
 	}
-	if c.AdaptiveEpoch < 0 || c.AdaptiveTopK < 0 {
-		return fmt.Errorf("hsnoc: negative adaptive parameter")
-	}
-	if c.AdaptiveEpoch > 0 && c.Mode != HybridTDM {
-		return fmt.Errorf("hsnoc: AdaptiveEpoch requires HybridTDM")
-	}
-	if c.AdaptiveTopK > 0 && c.AdaptiveEpoch == 0 {
-		return fmt.Errorf("hsnoc: AdaptiveTopK %d without AdaptiveEpoch (no controller runs to use it)", c.AdaptiveTopK)
-	}
 	return nil
 }
 
@@ -239,11 +219,13 @@ func (c Params) AppendHash(dst []byte) []byte {
 }
 
 // appendJSON appends the encoding json.Marshal gave c when the public
-// Config still declared BufferDepth, Planes and DLTEntries, written by
-// hand because reflection dominated the cost of expanding a campaign
-// spec. Those three are the model's constants now, and their bytes stay
-// at their positions with the values every DefaultConfig carried (5, 4
-// and 0), so no job key moved when they left Config.
+// Config still declared BufferDepth, Planes, DLTEntries, AdaptiveEpoch
+// and AdaptiveTopK, written by hand because reflection dominated the
+// cost of expanding a campaign spec. The first three are the model's
+// constants now and the last two belonged to a removed online
+// controller; their bytes stay at their positions with the values every
+// job carried (5, 4, 0, 0 and 0), so no job key moved when they left
+// Config.
 // TestConfigHashMatchesJSON and FuzzConfigHash hold the encoding equal
 // to json.Marshal of that earlier Config, so a field added to Params and
 // not here fails the tests.
@@ -284,9 +266,7 @@ func (c Params) appendJSON(b []byte) []byte {
 	}
 	b = appendBool(b, `,"RestrictSetups":`, c.RestrictSetups)
 	b = appendInt(b, `,"GatedPlanes":`, c.GatedPlanes)
-	b = strconv.AppendInt(append(b, `,"AdaptiveEpoch":`...), c.AdaptiveEpoch, 10)
-	b = appendInt(b, `,"AdaptiveTopK":`, c.AdaptiveTopK)
-	return append(b, '}')
+	return append(b, `,"AdaptiveEpoch":0,"AdaptiveTopK":0}`...)
 }
 
 func appendInt(b []byte, name string, v int) []byte {

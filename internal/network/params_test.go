@@ -14,9 +14,10 @@ import (
 )
 
 // keyConfig mirrors Params as the public Config was when it still
-// declared BufferDepth, Planes and DLTEntries: its json.Marshal encoding is what
-// every stored job key hashes. appendJSON writes the three at what
-// every DefaultConfig held.
+// declared BufferDepth, Planes, DLTEntries and the removed online
+// controller's AdaptiveEpoch and AdaptiveTopK: its json.Marshal encoding
+// is what every stored job key hashes. appendJSON writes the five at
+// what every job held.
 type keyConfig struct {
 	Width, Height            int
 	Mode                     Mode
@@ -42,14 +43,14 @@ type keyConfig struct {
 	AdaptiveTopK             int
 }
 
-// asKeyConfig copies c into a keyConfig field by field, with the three
-// retired fields fixed at 5, 4 and 0. A Params field the mirror lacks
-// fails the test: appendJSON and keyConfig must learn it.
+// asKeyConfig copies c into a keyConfig field by field, with the five
+// retired fields fixed at 5, 4, 0, 0 and 0. A Params field the mirror
+// lacks fails the test: appendJSON and keyConfig must learn it.
 func asKeyConfig(t testing.TB, c Params) keyConfig {
 	p := keyConfig{BufferDepth: 5, Planes: 4, DLTEntries: 0}
 	src, dst := reflect.ValueOf(c), reflect.ValueOf(&p).Elem()
-	if dst.NumField() != src.NumField()+3 {
-		t.Fatalf("keyConfig has %d fields, Params %d: only the three retired ones may differ", dst.NumField(), src.NumField())
+	if dst.NumField() != src.NumField()+5 {
+		t.Fatalf("keyConfig has %d fields, Params %d: only the five retired ones may differ", dst.NumField(), src.NumField())
 	}
 	for i := range src.NumField() {
 		name := src.Type().Field(i).Name
@@ -130,7 +131,7 @@ func TestConfigHashMatchesJSON(t *testing.T) {
 	checkAppendJSON(t, Params{})
 	checkAppendJSON(t, DefaultConfig(6, 6).Params)
 	extreme := DefaultConfig(-1, math.MinInt).Params
-	extreme.Seed, extreme.AdaptiveEpoch = math.MaxUint64, math.MinInt64
+	extreme.Seed = math.MaxUint64
 	checkAppendJSON(t, extreme)
 	for _, start := range []struct {
 		from uint64

@@ -87,8 +87,9 @@ func selectTopK(flows []scoredFlow, k int) []scoredFlow {
 	return out
 }
 
-// sortPins orders pins by (Src, Dst) — the canonical order the online
-// controller compares pin sets in and the Decision JSON encoding uses.
+// sortPins orders pins by (Src, Dst) — the canonical order the Decision
+// JSON encoding uses, so equal pin sets give equal re-run configs (and
+// job keys).
 func sortPins(pins []FlowPin) {
 	sort.Slice(pins, func(i, j int) bool {
 		if pins[i].Src != pins[j].Src {
@@ -222,9 +223,7 @@ func (t Threshold) Decide(p *Profile) Decision {
 // pinned demand. The demand budget, not a fixed count, is what lets
 // greedy cover a whole permutation pattern when it is cheap (every
 // tornado flow pinned) yet back off to the heaviest flows when pinning
-// everything would blow up the TDM frame. The online controller
-// (network.Config.AdaptiveEpoch) decides with Greedy{TopK: k} on each
-// epoch's flow window.
+// everything would blow up the TDM frame.
 type Greedy struct {
 	// TopK caps the number of pinned flows; <= 0 lets the slot-demand
 	// budget decide.

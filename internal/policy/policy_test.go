@@ -169,8 +169,7 @@ func TestGreedyWeighsByMeshHops(t *testing.T) {
 
 // TestDecisionPinsSorted pins the canonical pin order: whatever order
 // the ranking admits flows in, a decision lists its pins by (Src, Dst),
-// which is what lets the online controller compare two epochs' sets
-// with slices.Equal.
+// so equal pin sets give byte-equal re-run configs and job keys.
 func TestDecisionPinsSorted(t *testing.T) {
 	p := syntheticProfile()
 	// Reverse the flow table and make later flows heavier, so rank

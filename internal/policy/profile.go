@@ -5,9 +5,8 @@
 // SDM planes to gate. The package is pure: it imports only obs,
 // topology and stdlib, so both the public hsnoc API (hsnoc.DecisionProfile
 // builds a Profile from a run's Summary; ApplyDecision applies the
-// result) and internal/network (the online in-sim controller, which
-// runs Greedy on each epoch's flow window) can use it without an
-// import cycle.
+// result) and internal/network (whose Params.PinnedFlows holds
+// FlowPins) can use it without an import cycle.
 //
 // Everything here is deterministic by construction: a Profile is a
 // pure function of the run's Summary, and Decisions apply through plain

@@ -59,7 +59,6 @@ same policy-greedy nocsim -mode tdm -policy greedy "${run[@]}"
 # Pins nothing, so its RestrictSetups never reaches an NI: the re-run is
 # the static run under another key.
 same policy-threshold-inert nocsim -mode tdm -pattern tornado -rate 0.05 -policy threshold:1000000 "${run[@]}"
-same adaptive nocsim -mode tdm -adaptive 256 "${run[@]}"
 same hetero-workers2-check nocsim -hetero -workers 2 -check "${run[@]}"
 same sdm nocsim -mode sdm "${run[@]}"
 same packet-vcgating nocsim -mode packet -vcgating "${run[@]}"
